@@ -59,6 +59,8 @@ class VariantConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
+        if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
+            raise ValueError("forced_epsilon_k must be positive")
 
     def qae_config(self):
         return qae.QaeConfig(engine=self.engine, m=self.eval_qubits,
@@ -217,7 +219,8 @@ def evaluate(config, rawT, rawE, contract=None, coeffs=None):
                 per_k.append({"k": 0, "y_prime_hat": y_prime, "queries": 0,
                               "method": "classical"})
             else:
-                eps_k = config.forced_epsilon_k or config.epsilon
+                eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None
+                         else config.epsilon)
                 alpha_k = (config.K - 1 + config.beta) / config.K
                 y_prime, queries = classical.estimate_yk_sampling(
                     t, e, config.eta, k, eps_k, alpha_k, streams[k])
@@ -255,7 +258,8 @@ def evaluate(config, rawT, rawE, contract=None, coeffs=None):
                           "method": "classical"})
             total += bk * y0_prime
             continue
-        eps_k = config.forced_epsilon_k or budget.epsilon_k[k]
+        eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None
+                 else budget.epsilon_k[k])
         tasks.append((k, bk, eps_k, budget.alpha_k[k]))
 
     def worker(task):
@@ -328,6 +332,8 @@ def resource_report(config, N, K=None, s=None, epsilon=None, coeffs=None):
     n = int(math.log2(N))
     if (1 << n) != N:
         raise ValueError("N must be a power of two")
+    if config.variant == "d" and not 1 <= s <= n:
+        raise ValueError(f"split level must be in [1, {n}], got {s}")
     if coeffs is None:
         coeffs = classical.fit_polynomial(DEFAULT_PARAMS, config.eta, K, "taylor")
     variant = config.variant

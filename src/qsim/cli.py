@@ -64,13 +64,15 @@ def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
     try:
         raw_t = read_series(input_t)
         raw_e = read_series(input_e)
-    except OSError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         _fail_io(exc)
+    except ValueError as exc:
+        _fail_assumption(exc)
     mode = "least_squares" if fit_mode == "lsq" else "taylor"
-    config = assembly.VariantConfig(
-        variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
-        beta=beta, s=s, style=style, engine=engine, fit_mode=mode, seed=seed)
     try:
+        config = assembly.VariantConfig(
+            variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
+            beta=beta, s=s, style=style, engine=engine, fit_mode=mode, seed=seed)
         report = assembly.evaluate(config, raw_t, raw_e)
     except AssumptionError as exc:
         _fail_assumption(exc)
@@ -102,7 +104,7 @@ def experiment(name, config_path, out_dir):
         _fail_io(exc)
     try:
         summary = assembly.run_experiment(name, config, out_dir)
-    except AssumptionError as exc:
+    except (AssumptionError, ValueError) as exc:
         _fail_assumption(exc)
     except OSError as exc:
         _fail_io(exc)
@@ -120,9 +122,9 @@ def experiment(name, config_path, out_dir):
 @click.option("--epsilon", default=0.05, show_default=True, type=float)
 def resources(variant, N, K, s, epsilon):
     """Closed-form width/depth/sample counts per power k."""
-    config = assembly.VariantConfig(variant=VARIANT_ALIASES[variant], K=K,
-                                    s=s, epsilon=epsilon)
     try:
+        config = assembly.VariantConfig(variant=VARIANT_ALIASES[variant], K=K,
+                                        s=s, epsilon=epsilon)
         table = assembly.resource_report(config, N, K=K, s=s, epsilon=epsilon)
     except ValueError as exc:
         _fail_assumption(exc)
@@ -142,13 +144,18 @@ def fit(params, mode, K, eta, domain):
     if params is None:
         sig = classical.DEFAULT_PARAMS
     else:
-        parts = [float(x) for x in params.split(",")]
-        if len(parts) != 5:
-            raise click.BadParameter("expected A,B,C,D,T0")
-        sig = SigmoidParams(*parts)
+        try:
+            a, b, c, d, t0 = (float(x) for x in params.split(","))
+            sig = SigmoidParams(a, b, c, d, t0)
+        except ValueError as exc:
+            raise click.BadParameter(f"expected A,B,C,D,T0 ({exc})",
+                                     param_hint="--params") from None
     window = None
     if domain is not None:
-        lo, hi = (float(x) for x in domain.split(","))
+        try:
+            lo, hi = (float(x) for x in domain.split(","))
+        except ValueError:
+            raise click.BadParameter("expected LO,HI", param_hint="--domain") from None
         window = (lo, hi)
     fit_mode = "least_squares" if mode == "lsq" else "taylor"
     try:

@@ -87,6 +87,16 @@ class TestEvaluate:
         with pytest.raises(AssumptionError):
             evaluate(cfg, RAW_T, RAW_E)
 
+    @pytest.mark.parametrize("forced", [0.0, -0.1])
+    def test_non_positive_forced_epsilon_rejected(self, forced):
+        with pytest.raises(ValueError):
+            VariantConfig(variant="b", K=2, eta=10.0, forced_epsilon_k=forced)
+
+    def test_forced_epsilon_used_for_every_power(self):
+        cfg = VariantConfig(variant="b", K=2, eta=10.0, forced_epsilon_k=0.04)
+        report = evaluate(cfg, RAW_T, RAW_E)
+        assert [row["epsilon_k"] for row in report.per_k if row["k"] > 0] == [0.04, 0.04]
+
     def test_seed_reproducibility(self):
         cfg = VariantConfig(variant="b", K=2, eta=10.0, seed=8)
         r1 = evaluate(cfg, RAW_T, RAW_E)

@@ -62,6 +62,23 @@ class TestEvaluate:
                                       "--input-e", e])
         assert result.exit_code == 3
 
+    def test_bad_series_length_exit_2(self, runner, tmp_path):
+        t = tmp_path / "t.csv"
+        t.write_text("12\n17\n23\n")
+        result = runner.invoke(main, ["evaluate", "--variant", "b",
+                                      "--input-t", str(t),
+                                      "--input-e", str(t)])
+        assert result.exit_code == 2
+        assert "power of two" in result.output
+
+    @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
+                                      ["--degree", "0"]])
+    def test_bad_config_exit_2(self, runner, data_files, args):
+        t, e = data_files
+        result = runner.invoke(main, ["evaluate", "--variant", "b",
+                                      "--input-t", t, "--input-e", e] + args)
+        assert result.exit_code == 2
+
 
 class TestExperiment:
     def test_runs_and_writes(self, runner, tmp_path):
@@ -94,6 +111,14 @@ class TestExperiment:
                                       "--config", str(tmp_path / "nope.json")])
         assert result.exit_code == 3
 
+    def test_unknown_name_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        result = runner.invoke(main, ["experiment", "nosuch",
+                                      "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+
 
 class TestResources:
     def test_table(self, runner):
@@ -107,6 +132,22 @@ class TestResources:
         result = runner.invoke(main, ["resources", "--variant", "b",
                                       "--n", "12"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("s", ["0", "5", "9"])
+    def test_split_level_out_of_range_exit_2(self, runner, s):
+        result = runner.invoke(main, ["resources", "--variant", "d",
+                                      "--n", "16", "--split-level", s])
+        assert result.exit_code == 2
+
+    def test_bad_epsilon_exit_2(self, runner):
+        result = runner.invoke(main, ["resources", "--variant", "b",
+                                      "--n", "16", "--epsilon", "-1"])
+        assert result.exit_code == 2
+
+    def test_split_level_lg_n_accepted(self, runner):
+        result = runner.invoke(main, ["resources", "--variant", "d",
+                                      "--n", "16", "--split-level", "4"])
+        assert result.exit_code == 0
 
 
 class TestFit:
@@ -127,4 +168,13 @@ class TestFit:
     def test_bad_domain_exit_2(self, runner):
         result = runner.invoke(main, ["fit", "--eta", "0",
                                       "--domain", "0,45"])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [["--params", "1,2,x,4,5"],
+                                      ["--params", "1,2,3,4"],
+                                      ["--params", "20000,35,3,6000,40"],
+                                      ["--domain", "0,x"],
+                                      ["--domain", "0,1,2"]])
+    def test_bad_option_exit_2(self, runner, args):
+        result = runner.invoke(main, ["fit", "--eta", "0"] + args)
         assert result.exit_code == 2

@@ -3,8 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim import sim
-from qsim._kernels_py import apply_cswap_pair as py_cswap
-from qsim._kernels_py import apply_ctrl_1q as py_ctrl
 from qsim.errors import ZeroBranchError
 from qsim.kernels import apply_cswap_pair, apply_ctrl_1q, backend
 from qsim.sim import Circuit, RngStream, Statevector
@@ -24,28 +22,155 @@ def random_unitary(seed=0):
     return q
 
 
+def _ref_indices(n_qubits, fixed_mask, fixed_val):
+    """Indices i in [0, 2^n) with i & fixed_mask == fixed_val, increasing."""
+    idx = np.array([fixed_val], dtype=np.int64)
+    for b in range(n_qubits):
+        bit = 1 << b
+        if fixed_mask & bit:
+            continue
+        idx = np.concatenate([idx, idx | bit])
+    return idx
+
+
+def ref_ctrl_1q(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u11):
+    """Gather/scatter kernel whose output bits the strided kernel must keep."""
+    tbit = 1 << target
+    i0 = _ref_indices(n_qubits, ctrl_mask | tbit, ctrl_val)
+    i1 = i0 | tbit
+    a0 = amps[i0]
+    a1 = amps[i1]
+    amps[i0] = u00 * a0 + u01 * a1
+    amps[i1] = u10 * a0 + u11 * a1
+
+
+def ref_cswap_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
+    abit = 1 << qa
+    bbit = 1 << qb
+    i0 = _ref_indices(n_qubits, ctrl_mask | abit | bbit, ctrl_val | abit)
+    i1 = (i0 ^ abit) | bbit
+    tmp = amps[i0].copy()
+    amps[i0] = amps[i1]
+    amps[i1] = tmp
+
+
+def dense_ctrl_1q(n_qubits, ctrl_mask, ctrl_val, target, u):
+    """The full 2^n x 2^n matrix of a controlled single-qubit gate."""
+    dim = 1 << n_qubits
+    tbit = 1 << target
+    mat = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        if i & ctrl_mask != ctrl_val:
+            mat[i, i] = 1.0
+            continue
+        b = (i >> target) & 1
+        for out_b in (0, 1):
+            mat[(i & ~tbit) | (out_b * tbit), i] = u[out_b, b]
+    return mat
+
+
+def dense_cswap_pair(n_qubits, ctrl_mask, ctrl_val, qa, qb):
+    dim = 1 << n_qubits
+    mat = np.zeros((dim, dim))
+    for i in range(dim):
+        j = i
+        if i & ctrl_mask == ctrl_val and ((i >> qa) & 1) != ((i >> qb) & 1):
+            j = i ^ (1 << qa) ^ (1 << qb)
+        mat[j, i] = 1.0
+    return mat
+
+
+def bits(amps):
+    return amps.view(np.uint64)
+
+
+@st.composite
+def controlled_gates(draw, n_fixed):
+    """(n, control mask, control value, fixed qubits) with n in 1..6 and
+    n_fixed distinct non-control qubits, in either order; the first is 0 or
+    n-1 in two draws of three."""
+    n = draw(st.integers(max(1, n_fixed), 6))
+    qubits = draw(st.permutations(range(n)))
+    edge = draw(st.sampled_from([None, 0, n - 1]))
+    if edge is not None:
+        qubits = [edge] + [q for q in qubits if q != edge]
+    fixed = list(qubits[:n_fixed])
+    mask = val = 0
+    for q in qubits[n_fixed:]:
+        if draw(st.booleans()):
+            mask |= 1 << q
+            if draw(st.booleans()):
+                val |= 1 << q
+    return n, mask, val, fixed
+
+
+def random_gate_case(rng):
+    """A random controlled gate on a random state of 1 to 6 qubits."""
+    n = int(rng.integers(1, 7))
+    target = int(rng.choice([0, n - 1, rng.integers(n)]))
+    mask = val = 0
+    for q in range(n):
+        if q != target and rng.random() < 0.5:
+            mask |= 1 << q
+            if rng.random() < 0.5:
+                val |= 1 << q
+    return n, mask, val, target
+
+
 class TestKernels:
     def test_backend_selected(self):
-        assert backend in ("cython", "python")
+        assert backend == "numpy"
+
+    @given(controlled_gates(1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_ctrl_1q_matches_dense(self, case, seed):
+        n, mask, val, (target,) = case
+        amps = random_state(n, seed).amplitudes
+        u = random_unitary(seed)
+        expected = dense_ctrl_1q(n, mask, val, target, u) @ amps
+        apply_ctrl_1q(amps, n, mask, val, target, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+    @given(controlled_gates(2), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_cswap_matches_dense(self, case, seed):
+        n, mask, val, (qa, qb) = case
+        amps = random_state(n, seed).amplitudes
+        expected = dense_cswap_pair(n, mask, val, qa, qb) @ amps
+        apply_cswap_pair(amps, n, mask, val, qa, qb)
+        np.testing.assert_array_equal(amps, expected)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ctrl_1q_matches_python(self, seed):
-        n = 5
-        st_a = random_state(n, seed).amplitudes
-        st_b = st_a.copy()
-        u = random_unitary(seed)
-        apply_ctrl_1q(st_a, n, 0b101, 0b001, 1, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-        py_ctrl(st_b, n, 0b101, 0b001, 1, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-        np.testing.assert_allclose(st_a, st_b, atol=1e-14)
+        # bit for bit against the gather/scatter formula, for a random
+        # unitary, a real rotation (Python floats) and X
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n, mask, val, target = random_gate_case(rng)
+            u = random_unitary(int(rng.integers(2**32)))
+            c, s = np.cos(0.37), np.sin(0.37)
+            for coeffs in ((u[0, 0], u[0, 1], u[1, 0], u[1, 1]),
+                           (c, -s, s, c), (0.0, 1.0, 1.0, 0.0)):
+                st_a = random_state(n, int(rng.integers(2**32))).amplitudes
+                st_b = st_a.copy()
+                apply_ctrl_1q(st_a, n, mask, val, target, *coeffs)
+                ref_ctrl_1q(st_b, n, mask, val, target, *coeffs)
+                np.testing.assert_array_equal(bits(st_a), bits(st_b))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cswap_matches_python(self, seed):
-        n = 5
-        st_a = random_state(n, seed + 10).amplitudes
-        st_b = st_a.copy()
-        apply_cswap_pair(st_a, n, 1 << 4, 1 << 4, 0, 2)
-        py_cswap(st_b, n, 1 << 4, 1 << 4, 0, 2)
-        np.testing.assert_allclose(st_a, st_b, atol=1e-14)
+        rng = np.random.default_rng(seed + 10)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            qa, qb, *rest = (int(q) for q in rng.permutation(n))
+            mask = val = 0
+            if rest:
+                mask = val = 1 << rest[0]
+            st_a = random_state(n, int(rng.integers(2**32))).amplitudes
+            st_b = st_a.copy()
+            apply_cswap_pair(st_a, n, mask, val, qa, qb)
+            ref_cswap_pair(st_b, n, mask, val, qa, qb)
+            np.testing.assert_array_equal(bits(st_a), bits(st_b))
 
 
 class TestGates:
