@@ -267,17 +267,21 @@ def evaluate(config, rawT, rawE, contract=None, coeffs=None):
         return _estimate_power(config, k, series_T, series_E, sqrtT, sqrtE,
                                eps_k, alpha_k, streams[k])
 
+    # Each power has its own pre-split stream, so results do not depend on
+    # the order or scheduling of the powers.  The widest (highest) power runs
+    # first, so that a request too wide for memory fails before any other.
+    order = sorted(tasks, reverse=True)
     threads = max(1, int(os.environ.get("QSIM_THREADS", "1")))
     if threads > 1 and len(tasks) > 1:
-        # each power has its own pre-split stream, so results are identical
-        # to the serial order regardless of scheduling
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(worker, tasks))
+            estimates = dict(zip(order, pool.map(worker, order)))
     else:
-        estimates = [worker(t) for t in tasks]
+        estimates = {task: worker(task) for task in order}
 
-    for (k, bk, eps_k, alpha_k), est in zip(tasks, estimates):
+    for task in tasks:
+        k, bk, eps_k, alpha_k = task
+        est = estimates[task]
         row = {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
                "epsilon_k": eps_k, "alpha_k": alpha_k,
                "cost": est.shots_used, "method": est.method}
@@ -287,13 +291,6 @@ def evaluate(config, rawT, rawE, contract=None, coeffs=None):
 
     return RunReport(variant=config.variant, seed=config.seed, V=total,
                      v_star=v_star, v_exact=v_exact, per_k=per_k, config=base)
-
-
-def conversion_ratio_rk(v, rho_T, rho_E, k, quadratic=False):
-    """r_k = |v| rho_T^k rho_E (or the sqrt-encoding analogue)."""
-    if quadratic:
-        return abs(v) * rho_T ** (2 * k) * rho_E**2
-    return abs(v) * rho_T**k * rho_E
 
 
 def delta_gross_margin(config, rawT, contract, rawE):

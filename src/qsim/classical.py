@@ -123,22 +123,24 @@ class SampleAccess:
         return cls(tree=tree, norm=float(np.linalg.norm(values)))
 
     def leaf_value(self, j):
-        root = self.tree.root
-        return float(self.tree.leaves[j] * self.norm / root)
+        """v_j for an index or an index array."""
+        return self.tree.leaves[j] * self.norm / self.tree.root
 
 
-def tang_sample(access, rng):
-    """Draw an index j with probability v_j^2 / ||v||^2 via a tree walk."""
-    tree = access.tree
-    pos = 0
+def tang_walk(tree, u):
+    """Leaf indices drawn with probability leaf^2 / root^2, one per row of u.
+
+    Row i walks the tree from the root, going right at level l when
+    u[i, l] * (left^2 + right^2) >= left^2 for the children of its node.
+    """
+    pos = np.zeros(u.shape[0], dtype=np.int64)
     for level in range(tree.n):
         left = tree.levels[level + 1][2 * pos]
         right = tree.levels[level + 1][2 * pos + 1]
         total = left * left + right * right
-        if total == 0.0:
+        if np.any(total == 0.0):
             raise ValueError("zero subtree during sampling")
-        go_right = rng.generator.random() * total >= left * left
-        pos = 2 * pos + int(go_right)
+        pos = 2 * pos + (u[:, level] * total >= left * left)
     return pos
 
 
@@ -161,13 +163,16 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     w = np.asarray(w_query, dtype=float)
     groups = sampling_group_count(alpha)
     size = sampling_group_size(epsilon)
-    means = []
+    tree = v_access.tree
     norm_sq = v_access.norm**2
+    means = []
     for _ in range(groups):
+        j = tang_walk(tree, rng.generator.random((size, tree.n)))
+        # summed one by one in draw order: np.sum's pairwise order would
+        # change the bits of the mean
         total = 0.0
-        for _ in range(size):
-            j = tang_sample(v_access, rng)
-            total += norm_sq * w[j] / v_access.leaf_value(j)
+        for x in (norm_sq * w[j] / v_access.leaf_value(j)).tolist():
+            total += x
         means.append(total / size)
     return float(np.median(means))
 

@@ -58,19 +58,6 @@ def phi_inverse(p):
     return x
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
-    method: str          # swap, ancilla_free, boe_swap
-    epsilon: float
-    alpha: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-
-
 @dataclass
 class InnerEstimate:
     y_hat: float

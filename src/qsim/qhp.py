@@ -172,72 +172,68 @@ def survivor_amplitudes(pc, state):
 def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
     """Execute mid-reset QHP shots with per-shot abort on failure.
 
-    Amplitude encoding runs on 2 registers, reloading the consumed one
-    after each successful round.  Each shot draws from its own split
-    random stream.
+    Amplitude encoding runs on 2 registers, reloading the consumed one after
+    each successful round; BOE loads all k blocks up front and measures only
+    the primaries.  Every shot that reaches round t sees the same state, so
+    each round is simulated once, when a shot first reaches it, and each shot
+    only draws its outcomes, from its own split stream, as sim.measure would.
     """
     if plan.style != "mid_reset":
         raise ValueError("dynamic stopping requires the mid_reset style")
     k = plan.k
     bw = loader.width
+    prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
 
     if plan.encoding == "amplitude":
-        width = 2 * bw
-        load_a = loader.circuit.remapped(list(range(bw)), width)
+        width, preloaded = 2 * bw, 1
         load_b = loader.circuit.remapped(list(range(bw, 2 * bw)), width)
-        prim_a = tuple(loader.primary)
-        prim_b = tuple(q + bw for q in loader.primary)
-        base = Statevector.zero(width)
-        load_a.apply_unitary(base)
-        streams = rng.split(shots)
-        outcomes = []
-        for stream in streams:
-            st = base.copy()
-            success = True
-            rounds = 0
-            loads = 1
-            for t in range(1, k):
-                load_b.apply_unitary(st)
-                loads += 1
-                sim.apply_cnot_layer(st, prim_a, prim_b)
-                outcome, st, _p = sim.measure(st, prim_b, stream)
-                rounds += 1
-                if outcome != 0:
-                    success = False
-                    loads = t
-                    break
-                # consumed register is back to |0>, ready for the next load
-            outcomes.append(QhpOutcome(success=success, rounds_executed=rounds,
-                                       loads=loads,
-                                       state=st if (keep_states and success) else None))
-        return outcomes
 
-    # BOE: sequential chain over k blocks; consumed side registers stay
-    # (they are orthonormal junk), only primaries are measured.
-    pc = build_power_circuit(plan, loader)
-    streams = rng.split(shots)
-    base = Statevector.zero(pc.width)
-    for b in range(k):
-        loader.circuit.remapped([b * bw + q for q in range(bw)], pc.width).apply_unitary(base)
+        def apply_round(st, t):
+            load_b.apply_unitary(st)
+            sim.apply_cnot_layer(st, prim[0], prim[1])
+            return prim[1]
+    else:
+        width, preloaded = k * bw, k
+
+        def apply_round(st, t):
+            sim.apply_cnot_layer(st, prim[0], prim[t])
+            return prim[t]
+
+    base = Statevector.zero(width)
+    for b in range(preloaded):
+        loader.circuit.remapped(list(range(b * bw, (b + 1) * bw)),
+                                width).apply_unitary(base)
+
+    chain = []               # per round simulated: (state, register, cumsum)
+    branch = {(0, 0): base}  # (round, outcome) drawn -> state if outcome is 0
+
     outcomes = []
-    prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
-    for stream in streams:
-        st = base.copy()
+    for stream in rng.split(shots):
         success = True
         rounds = 0
         loads = 1
         for t in range(1, k):
-            sim.apply_cnot_layer(st, prim[0], prim[t])
-            outcome, st, _p = sim.measure(st, prim[t], stream)
+            if len(chain) < t:
+                st = branch[t - 1, 0].copy()
+                reg = apply_round(st, t)
+                chain.append((st, reg, np.cumsum(sim.marginal_probabilities(st, reg))))
+            st, reg, cum = chain[t - 1]
+            u = stream.generator.random() * cum[-1]
+            outcome = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+            if (t, outcome) not in branch:
+                # raises ZeroBranchError for the first shot that draws a
+                # vanishing branch, as sim.measure would
+                _p, collapsed = sim.project_bits(st.copy(), reg, outcome)
+                branch[t, outcome] = collapsed if outcome == 0 else None
             rounds += 1
             loads += 1
             if outcome != 0:
                 success = False
                 loads = t
                 break
+        state = branch[k - 1, 0].copy() if keep_states and success else None
         outcomes.append(QhpOutcome(success=success, rounds_executed=rounds,
-                                   loads=loads,
-                                   state=st if (keep_states and success) else None))
+                                   loads=loads, state=state))
     return outcomes
 
 

@@ -9,6 +9,7 @@ object, so chained calls do not copy; callers that need the original state
 must copy() first.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import ZeroBranchError
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-8
 ZERO_BRANCH_CUTOFF = 1e-14
+# Widest state a Statevector may allocate: half of physical memory.
+MAX_STATE_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
@@ -71,6 +74,9 @@ class Statevector:
     def __init__(self, n_qubits, amplitudes=None, check=True):
         self.n_qubits = int(n_qubits)
         dim = 1 << self.n_qubits
+        if 16 * dim > MAX_STATE_BYTES:
+            raise ValueError(f"a {self.n_qubits}-qubit statevector needs {16 * dim} "
+                             f"bytes, over half of physical memory ({MAX_STATE_BYTES})")
         if amplitudes is None:
             amps = np.zeros(dim, dtype=np.complex128)
             amps[0] = 1.0
@@ -205,11 +211,25 @@ def marginal_probabilities(state, qubits):
     return probs
 
 
+def _select(n_qubits, qubits, value):
+    """Boolean mask of the basis states whose register holds `value`.
+
+    Set through a strided view (kernels._view_plan), so no per-index
+    register values are computed; a value out of range selects nothing.
+    """
+    sel = np.zeros(1 << n_qubits, dtype=bool)
+    if 0 <= value < 1 << len(qubits):
+        mask = sum(1 << q for q in qubits)
+        bits = sum(((value >> pos) & 1) << q for pos, q in enumerate(qubits))
+        shape, idx, _ = kernels._view_plan(n_qubits, mask, bits, bits)
+        sel.reshape(shape)[idx] = True
+    return sel
+
+
 def probability_of_bits(state, qubits, value):
     qubits = _as_qubits(qubits)
     _check_qubits(state, qubits)
-    vals = _register_values(state.n_qubits, qubits)
-    sel = vals == value
+    sel = _select(state.n_qubits, qubits, value)
     return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
 
 
@@ -219,8 +239,8 @@ def project_bits(state, qubits, value):
     Returns (probability, state); the input state is mutated.
     """
     qubits = _as_qubits(qubits)
-    vals = _register_values(state.n_qubits, qubits)
-    sel = vals == value
+    _check_qubits(state, qubits)
+    sel = _select(state.n_qubits, qubits, value)
     prob = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
     if prob < ZERO_BRANCH_CUTOFF:
         raise ZeroBranchError(
@@ -278,21 +298,6 @@ def reset(state, reg, rng):
         if (outcome >> pos) & 1:
             apply_single_qubit(state, q, PAULI_X)
     return state
-
-
-def sample_counts(state, shots, rng):
-    """Seeded histogram over full basis outcomes."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
-    draws = rng.multinomial(shots, probs / probs.sum())
-    return {int(i): int(c) for i, c in enumerate(draws) if c > 0}
-
-
-def sample_register_counts(state, qubits, shots, rng):
-    probs = marginal_probabilities(state, qubits)
-    draws = rng.multinomial(shots, probs / probs.sum())
-    return {int(i): int(c) for i, c in enumerate(draws) if c > 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,74 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsim import classical
 from qsim.classical import (DEFAULT_PARAMS, SampleAccess, SigmoidParams,
                             classical_poly_value, estimate_yk_sampling,
                             exact_value, fit_polynomial, sampling_group_count,
                             sampling_group_size, sigmoid_volume, tang_inner,
-                            tang_sample)
+                            tang_walk)
+from qsim.encoding import StateDecompositionTree
 from qsim.sim import RngStream
+
+
+def ref_tang_sample(access, rng):
+    """Scalar tree walk: one uniform per level, one sample at a time."""
+    tree = access.tree
+    pos = 0
+    for level in range(tree.n):
+        left = tree.levels[level + 1][2 * pos]
+        right = tree.levels[level + 1][2 * pos + 1]
+        total = left * left + right * right
+        if total == 0.0:
+            raise ValueError("zero subtree during sampling")
+        go_right = rng.generator.random() * total >= left * left
+        pos = 2 * pos + int(go_right)
+    return pos
+
+
+def ref_tang_inner(v_access, w_query, epsilon, alpha, rng):
+    """Per-sample median of means whose output bits tang_inner must keep."""
+    if v_access.norm == 0.0:
+        raise ValueError("zero vector")
+    w = np.asarray(w_query, dtype=float)
+    groups = sampling_group_count(alpha)
+    size = sampling_group_size(epsilon)
+    means = []
+    norm_sq = v_access.norm**2
+    root = v_access.tree.root
+    for _ in range(groups):
+        total = 0.0
+        for _ in range(size):
+            j = ref_tang_sample(v_access, rng)
+            leaf = float(v_access.tree.leaves[j] * v_access.norm / root)
+            total += norm_sq * w[j] / leaf
+        means.append(total / size)
+    return float(np.median(means))
+
+
+def _outcome(fn, *args):
+    """repr of the return value (exact for floats), or the ValueError raised."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def sampling_cases(draw):
+    """An l2 sampling tree of depth 0..4 whose levels are drawn independently
+    (so zero subtrees occur), a query vector, and (epsilon, alpha)."""
+    n = draw(st.integers(0, 4))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+    levels = [np.array([draw(st.floats(0.1, 3.0))])]
+    for level in range(1, n + 1):
+        size = 1 << level
+        levels.append(np.array(draw(st.lists(weight, min_size=size, max_size=size))))
+    access = SampleAccess(tree=StateDecompositionTree(levels=levels),
+                          norm=draw(st.floats(0.1, 10.0)))
+    w = draw(st.lists(st.floats(-3.0, 3.0), min_size=1 << n, max_size=1 << n))
+    return access, np.array(w), draw(st.floats(0.2, 1.0)), draw(st.floats(0.5, 0.99))
 
 
 class TestSigmoid:
@@ -81,17 +142,30 @@ class TestSampling:
     def test_tang_sample_distribution(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
         access = SampleAccess.from_values(vals)
-        rng = RngStream(0)
-        counts = np.zeros(4)
         n = 4000
-        for _ in range(n):
-            counts[tang_sample(access, rng)] += 1
+        u = RngStream(0).generator.random((n, access.tree.n))
+        counts = np.bincount(tang_walk(access.tree, u), minlength=4)
         target = vals**2 / np.sum(vals**2)
         np.testing.assert_allclose(counts / n, target, atol=0.03)
 
     def test_group_formulas(self):
         assert sampling_group_size(0.1) == 400
         assert sampling_group_count(0.9) == 6 * 4  # ceil(lg 10) = 4
+
+    @given(sampling_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_tang_inner_matches_scalar_walk(self, case, seed):
+        access, w, eps, alpha = case
+        assert (_outcome(tang_inner, access, w, eps, alpha, RngStream(seed))
+                == _outcome(ref_tang_inner, access, w, eps, alpha, RngStream(seed)))
+
+    def test_tang_inner_zero_subtree(self):
+        # the root's left child has weight but both of its children are zero
+        tree = StateDecompositionTree(levels=[np.array([1.0]), np.array([1.0, 0.0]),
+                                              np.array([0.0, 0.0, 1.0, 0.0])])
+        access = SampleAccess(tree=tree, norm=1.0)
+        with pytest.raises(ValueError, match="zero subtree"):
+            tang_inner(access, np.ones(4), 0.5, 0.9, RngStream(0))
 
     def test_tang_inner_accuracy(self):
         rng = np.random.default_rng(1)

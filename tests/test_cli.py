@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -70,6 +72,26 @@ class TestEvaluate:
                                       "--input-e", str(t)])
         assert result.exit_code == 2
         assert "power of two" in result.output
+
+    def test_oversized_request_exit_2(self, runner, tmp_path):
+        # variant a at degree 3 on 4096 points needs a 49-qubit statevector;
+        # it is refused before any state is allocated
+        rng = np.random.default_rng(0)
+        t = tmp_path / "t.json"
+        e = tmp_path / "e.json"
+        t.write_text(json.dumps(rng.uniform(12.0, 28.0, 4096).tolist()))
+        e.write_text(json.dumps(rng.uniform(20.0, 40.0, 4096).tolist()))
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["evaluate", "--variant", "a",
+                                          "--input-t", str(t), "--input-e", str(e),
+                                          "--degree", "3", "--eta", "10"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2
+        assert "49-qubit" in result.output
+        assert peak < 64 << 20
 
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
                                       ["--degree", "0"]])

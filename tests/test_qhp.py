@@ -1,19 +1,83 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsim import qhp
-from qsim.encoding import normalize_affine, normalize_sqrt
-from qsim.qhp import (PowerPlan, build_power_circuit, depth_bound,
+from qsim import qhp, sim
+from qsim.encoding import boe_width, normalize_affine, normalize_sqrt
+from qsim.errors import ZeroBranchError
+from qsim.qhp import (PowerPlan, QhpOutcome, build_power_circuit, depth_bound,
                       expected_loads, make_loader, norm_constant_ak,
                       postselected_power_state, run_with_dynamic_stopping,
                       success_probability, survivor_amplitudes, width_formula)
-from qsim.sim import RngStream
+from qsim.sim import RngStream, Statevector
 
 
 def series_fixture(n_vals=4, seed=0, eta=10.0):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(12.0, 30.0, size=n_vals)
     return normalize_affine(raw, eta)
+
+
+def ref_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
+    """Per-shot loop that simulates every shot's rounds on its own copy of
+    the state; run_with_dynamic_stopping must reproduce its outcomes bit for
+    bit."""
+    k = plan.k
+    bw = loader.width
+    if plan.encoding == "amplitude":
+        width = 2 * bw
+        load_a = loader.circuit.remapped(list(range(bw)), width)
+        load_b = loader.circuit.remapped(list(range(bw, 2 * bw)), width)
+        prim_a = tuple(loader.primary)
+        prim_b = tuple(q + bw for q in loader.primary)
+        base = Statevector.zero(width)
+        load_a.apply_unitary(base)
+    else:
+        width = k * bw
+        base = Statevector.zero(width)
+        for b in range(k):
+            loader.circuit.remapped([b * bw + q for q in range(bw)],
+                                    width).apply_unitary(base)
+        prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
+    outcomes = []
+    for stream in rng.split(shots):
+        st_ = base.copy()
+        success = True
+        rounds = 0
+        loads = 1
+        for t in range(1, k):
+            if plan.encoding == "amplitude":
+                load_b.apply_unitary(st_)
+                sim.apply_cnot_layer(st_, prim_a, prim_b)
+                reg = prim_b
+            else:
+                sim.apply_cnot_layer(st_, prim[0], prim[t])
+                reg = prim[t]
+            outcome, st_, _p = sim.measure(st_, reg, stream)
+            rounds += 1
+            loads += 1
+            if outcome != 0:
+                success = False
+                loads = t
+                break
+        outcomes.append(QhpOutcome(success=success, rounds_executed=rounds,
+                                   loads=loads,
+                                   state=st_ if (keep_states and success) else None))
+    return outcomes
+
+
+# (encoding, N, s, k) with the chain at most 16 qubits wide
+DYNSTOP_CASES = [("amplitude", n_vals, 1, k) for n_vals in (2, 4, 8) for k in (2, 3, 4)]
+DYNSTOP_CASES += [("boe", n_vals, s, k) for n_vals in (2, 4, 8) for s in (1, 2)
+                  for k in (2, 3, 4)
+                  if (1 << s) <= n_vals and k * boe_width(n_vals, s) <= 16]
+
+
+def _run(fn, plan, loader, shots, seed):
+    try:
+        return fn(plan, loader, shots, RngStream(seed), keep_states=True)
+    except ZeroBranchError as exc:
+        return str(exc)
 
 
 class TestConstants:
@@ -125,6 +189,37 @@ class TestDynamicStopping:
                 break
         else:
             pytest.fail("no successful shot in 50 tries")
+
+    @given(st.sampled_from(DYNSTOP_CASES), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_shot_loop(self, case, data, seed):
+        encoding, n_vals, s, k = case
+        # entries may be zero, which gives outcomes of probability zero
+        raw = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+                                 min_size=n_vals, max_size=n_vals)
+                        .filter(lambda xs: any(xs)))
+        width = (2 * (n_vals.bit_length() - 1) if encoding == "amplitude"
+                 else k * boe_width(n_vals, s))
+        shots = data.draw(st.integers(1, 300 if width <= 12 else 30))
+        loader = make_loader(normalize_affine(raw, 0.0, require_positive=False),
+                             encoding, s)
+        plan = PowerPlan(k=k, style="mid_reset", encoding=encoding, s=s)
+        got = _run(run_with_dynamic_stopping, plan, loader, shots, seed)
+        ref = _run(ref_dynamic_stopping, plan, loader, shots, seed)
+        if isinstance(ref, str):
+            assert got == ref
+            return
+        assert ([(o.success, o.rounds_executed, o.loads) for o in got]
+                == [(o.success, o.rounds_executed, o.loads) for o in ref])
+        kept = []
+        for o, r in zip(got, ref):
+            assert (o.state is None) == (r.state is None)
+            if o.state is not None:
+                np.testing.assert_array_equal(o.state.amplitudes.view(np.uint64),
+                                              r.state.amplitudes.view(np.uint64))
+                kept.append(o.state.amplitudes)
+        # every successful shot owns its state
+        assert not any(np.shares_memory(a, b) for a, b in zip(kept, kept[1:]))
 
     def test_requires_mid_reset(self):
         series = series_fixture()

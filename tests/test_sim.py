@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +106,16 @@ def controlled_gates(draw, n_fixed):
     return n, mask, val, fixed
 
 
+@st.composite
+def register_cases(draw):
+    """(n, register, value): n in 1..7, a register of 0..n distinct qubits in
+    any order, and a value that may lie outside the register's range."""
+    n = draw(st.integers(1, 7))
+    qubits = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    value = draw(st.integers(-1, (1 << len(qubits)) + 1))
+    return n, tuple(qubits), value
+
+
 def random_gate_case(rng):
     """A random controlled gate on a random state of 1 to 6 qubits."""
     n = int(rng.integers(1, 7))
@@ -207,6 +219,16 @@ class TestGates:
         probs = state.probabilities()
         np.testing.assert_allclose(probs[[0b00, 0b11]], [0.5, 0.5], atol=1e-14)
 
+    def test_width_guard_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                Statevector(48)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_controlled_swap(self):
         state = Statevector.zero(3)
         sim.apply_single_qubit(state, 0, sim.PAULI_X)
@@ -226,6 +248,26 @@ class TestMeasurement:
         sim.apply_single_qubit(state, 0, sim.PAULI_X)
         with pytest.raises(ZeroBranchError):
             sim.project_bits(state, (0,), 0)
+
+    @given(register_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_readout_matches_register_values(self, case, seed):
+        # bit for bit against selecting by the per-index register values
+        n, qubits, value = case
+        state = random_state(n, seed)
+        sel = sim._register_values(n, qubits) == value
+        p_ref = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+        assert sim.probability_of_bits(state, qubits, value) == p_ref
+        if p_ref < sim.ZERO_BRANCH_CUTOFF:
+            with pytest.raises(ZeroBranchError):
+                sim.project_bits(state.copy(), qubits, value)
+            return
+        expected = state.amplitudes.copy()
+        expected[~sel] = 0.0
+        expected /= np.sqrt(p_ref)
+        p, out = sim.project_bits(state.copy(), qubits, value)
+        assert p == p_ref
+        np.testing.assert_array_equal(bits(out.amplitudes), bits(expected))
 
     def test_project_bits_renormalizes(self):
         state = random_state(3, 7)
