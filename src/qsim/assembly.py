@@ -16,7 +16,8 @@ import numpy as np
 
 from . import classical, encoding, inner, qae, qhp
 from .classical import DEFAULT_PARAMS, PolyCoeffs, SigmoidParams
-from .encoding import boe_width, normalize_affine, normalize_sqrt, validate_raw
+from .encoding import (boe_depth, boe_width, normalize_affine, normalize_sqrt,
+                       validate_raw)
 from .errors import AssumptionError
 from .sim import RngStream
 
@@ -262,26 +263,16 @@ def evaluate(config, rawT, rawE, contract=None, coeffs=None):
                  else budget.epsilon_k[k])
         tasks.append((k, bk, eps_k, budget.alpha_k[k]))
 
-    def worker(task):
-        k, _bk, eps_k, alpha_k = task
-        return _estimate_power(config, k, series_T, series_E, sqrtT, sqrtE,
-                               eps_k, alpha_k, streams[k])
-
     # Each power has its own pre-split stream, so results do not depend on
-    # the order or scheduling of the powers.  The widest (highest) power runs
-    # first, so that a request too wide for memory fails before any other.
-    order = sorted(tasks, reverse=True)
-    threads = max(1, int(os.environ.get("QSIM_THREADS", "1")))
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = dict(zip(order, pool.map(worker, order)))
-    else:
-        estimates = {task: worker(task) for task in order}
+    # the order of the powers.  The widest (highest) power runs first, so
+    # that a request too wide for memory fails before any other.
+    estimates = {}
+    for k, _bk, eps_k, alpha_k in sorted(tasks, reverse=True):
+        estimates[k] = _estimate_power(config, k, series_T, series_E, sqrtT,
+                                       sqrtE, eps_k, alpha_k, streams[k])
 
-    for task in tasks:
-        k, bk, eps_k, alpha_k = task
-        est = estimates[task]
+    for k, bk, eps_k, alpha_k in tasks:
+        est = estimates[k]
         row = {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
                "epsilon_k": eps_k, "alpha_k": alpha_k,
                "cost": est.shots_used, "method": est.method}
@@ -361,7 +352,7 @@ def resource_report(config, N, K=None, s=None, epsilon=None, coeffs=None):
         elif variant == "d":
             w = boe_width(N, s)
             row["boe_width"] = w
-            row["boe_depth"] = (1 << s) + (n * n - n - s * s + s) // 2 + 1
+            row["boe_depth"] = boe_depth(N, s)
             row["width"] = (k + 1) * w + 2
             row["oracle_complexity"] = "O(rho~_E rho~_T^k y~'_k^-1 eps^-1)"
             row["samples"] = "O_alpha(1)"

@@ -196,6 +196,13 @@ def boe_width(n_leaves, s):
     return (s + 1) * n_leaves // (1 << s) - 1 + n
 
 
+def boe_depth(n_leaves, s):
+    """2^s + (n^2 - n - s^2 + s)/2 + 1 with n = lg N: depth of the BOE
+    construction under its parallel schedule."""
+    n = int(math.log2(n_leaves))
+    return (1 << s) + (n * n - n - s * s + s) // 2 + 1
+
+
 class BoeLoader:
     """BOE state-preparation circuit for split level s.
 
@@ -283,11 +290,6 @@ class BoeLoader:
 
     def inverse(self):
         return self.circuit.inverse()
-
-    def depth_formula(self):
-        """Closed-form depth of the construction (parallel schedule)."""
-        n, s = self.n, self.s
-        return (1 << s) + (n * n - n - s * s + s) // 2 + 1
 
 
 def load_amplitude(tree):

@@ -117,15 +117,15 @@ class SwapTest:
     circuit: Circuit
     width: int
     ancilla: int
-    a_primary: tuple
-    b_primary: tuple
 
 
 def build_swap_test(prep_a, prep_b):
     """Ancilla-controlled swap of the two primary registers.
 
     P(ancilla = 0) = 1/2 + 1/2 p^2 for pure primary states, and more
-    generally 1/2 + 1/2 Tr(rho sigma) for the reduced primary states.
+    generally 1/2 + 1/2 Tr(rho sigma) for the reduced primary states.  A
+    prep is a loader or a power circuit: anything with a circuit, a width
+    and a primary register.  The ancilla is the last qubit.
     """
     if len(prep_a.primary) != len(prep_b.primary):
         raise ValueError("primary register sizes differ")
@@ -135,13 +135,10 @@ def build_swap_test(prep_a, prep_b):
     circ = Circuit(width)
     circ.extend(prep_a.circuit.remapped(list(range(wa)), width))
     circ.extend(prep_b.circuit.remapped(list(range(wa, wa + wb)), width))
-    a_primary = tuple(prep_a.primary)
-    b_primary = tuple(q + wa for q in prep_b.primary)
     circ.h(anc)
-    circ.cswap(anc, a_primary, b_primary)
+    circ.cswap(anc, prep_a.primary, [q + wa for q in prep_b.primary])
     circ.h(anc)
-    return SwapTest(circuit=circ, width=width, ancilla=anc,
-                    a_primary=a_primary, b_primary=b_primary)
+    return SwapTest(circuit=circ, width=width, ancilla=anc)
 
 
 def build_ancilla_free(prep_a, loader_b):
@@ -158,34 +155,22 @@ def build_ancilla_free(prep_a, loader_b):
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _power_circuit(series_T, k, style="no_mid_reset", encoding="amplitude", s=1):
-    loader = qhp.make_loader(series_T, encoding, s)
-    plan = qhp.PowerPlan(k=k, style=style, encoding=encoding, s=s)
-    return qhp.build_power_circuit(plan, loader)
-
-
 def _qhp_swap_probabilities(pc, e_loader):
-    """(P(Z=0), P(Z=0 and ancilla=0)) for QHP followed by a swap test."""
-    bw = pc.width
-    ew = e_loader.width
-    width = bw + ew + 1
-    anc = width - 1
-    circ = Circuit(width)
-    circ.extend(pc.circuit.remapped(list(range(bw)), width))
-    circ.extend(e_loader.circuit.remapped(list(range(bw, bw + ew)), width))
-    e_primary = tuple(q + bw for q in e_loader.primary)
-    circ.h(anc)
-    circ.cswap(anc, pc.survivor_primary, e_primary)
-    circ.h(anc)
-    st = Statevector.zero(width)
-    circ.apply_unitary(st)
+    """(P(Z=0), P(Z=0 and ancilla=0), multinomial pvals) for QHP followed by
+    a swap test; the pvals are those of the outcomes (Z=0, ancilla=0),
+    (Z=0, ancilla=1) and Z!=0."""
+    test = build_swap_test(pc, e_loader)
+    st = Statevector.zero(test.width)
+    test.circuit.apply_unitary(st)
     z_qubits = tuple(q for _r, reg in pc.measured for q in reg)
     if z_qubits:
         p_z0 = sim.probability_of_bits(st, z_qubits, 0)
     else:
         p_z0 = 1.0
-    p_z0_x0 = sim.probability_of_bits(st, z_qubits + (anc,), 0)
-    return p_z0, p_z0_x0
+    p_z0_x0 = sim.probability_of_bits(st, z_qubits + (test.ancilla,), 0)
+    pvals = np.clip([p_z0_x0, max(p_z0 - p_z0_x0, 0.0), max(1.0 - p_z0, 0.0)],
+                    0.0, None)
+    return p_z0, p_z0_x0, pvals / pvals.sum()
 
 
 def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
@@ -195,13 +180,10 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
     X_i = 1 iff every measured register and the survivor read all zeros;
     the per-shot success probability is exactly y_k^2.
     """
-    pc = _power_circuit(series_T, k, style)
+    pc = qhp.power_circuit(series_T, k, style)
     e_loader = load_amplitude(build_tree(series_E))
-    circ = Circuit(pc.width)
-    circ.extend(pc.circuit.remapped(list(range(pc.width)), pc.width))
-    circ.extend(e_loader.inverse().remapped(list(pc.survivor_primary), pc.width))
     st = Statevector.zero(pc.width)
-    circ.apply_unitary(st)
+    build_ancilla_free(pc, e_loader).apply_unitary(st)
     p = float(abs(st.amplitudes[0]) ** 2)
 
     S = shots if shots is not None else _shots_p_free(epsilon, alpha)
@@ -221,12 +203,9 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
     max{4, a_k^-2 y^-2} eps^-2 [Phi^-1((3+alpha)/4)]^2; the square root is
     clamped at 0 and the event recorded.
     """
-    pc = _power_circuit(series_T, k, "no_mid_reset")
+    pc = qhp.power_circuit(series_T, k)
     e_loader = load_amplitude(build_tree(series_E))
-    p_z0, p_z0_x0 = _qhp_swap_probabilities(pc, e_loader)
-    pvals = [p_z0_x0, max(p_z0 - p_z0_x0, 0.0), max(1.0 - p_z0, 0.0)]
-    pvals = np.clip(pvals, 0.0, None)
-    pvals = pvals / pvals.sum()
+    p_z0, p_z0_x0, pvals = _qhp_swap_probabilities(pc, e_loader)
 
     def draw(S):
         c00, c01, _rest = rng.multinomial(S, pvals)
@@ -265,12 +244,9 @@ def estimate_ytilde_boe_swap(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
     """BOE + swap-test estimator for ytilde_k (no square root)."""
     if series_Tsqrt.mode != "sqrt" or series_Esqrt.mode != "sqrt":
         raise ValueError("BOE estimation requires sqrt-normalized series")
-    pc = _power_circuit(series_Tsqrt, k, "no_mid_reset", "boe", s)
+    pc = qhp.power_circuit(series_Tsqrt, k, encoding="boe", s=s)
     e_loader = qhp.make_loader(series_Esqrt, "boe", s)
-    p_z0, p_z0_x0 = _qhp_swap_probabilities(pc, e_loader)
-    pvals = np.clip([p_z0_x0, max(p_z0 - p_z0_x0, 0.0), max(1.0 - p_z0, 0.0)],
-                    0.0, None)
-    pvals = pvals / pvals.sum()
+    p_z0, p_z0_x0, pvals = _qhp_swap_probabilities(pc, e_loader)
 
     if shots is None:
         q = phi_inverse((3.0 + alpha) / 4.0)

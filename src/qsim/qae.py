@@ -15,7 +15,7 @@ from scipy.stats import beta as beta_dist
 
 from . import qhp, sim
 from .encoding import build_tree, load_amplitude
-from .inner import InnerEstimate, phi_inverse
+from .inner import InnerEstimate, build_ancilla_free, build_swap_test
 from .sim import Circuit, Statevector
 
 
@@ -23,8 +23,6 @@ class GroverOracle:
     """State preparation F = R(A x I) plus the derived reflections."""
 
     def __init__(self, prepare, good_qubit):
-        if not prepare.is_unitary():
-            raise ValueError("oracle preparation must be measurement-free")
         self.prepare = prepare
         self.good_qubit = good_qubit
         self.n_qubits = prepare.n_qubits
@@ -92,14 +90,10 @@ class QaeConfig:
 
 def build_oracle_variant_c(series_T, series_E, k):
     """QHP + ancilla-free oracle: flag on the all-zero state, z = y_k^2."""
-    loader = qhp.make_loader(series_T)
-    pc = qhp.build_power_circuit(qhp.PowerPlan(k=k), loader)
-    e_loader = load_amplitude(build_tree(series_E))
-    width = pc.width + 1
-    flag = width - 1
-    circ = Circuit(width)
-    circ.extend(pc.circuit.remapped(list(range(pc.width)), width))
-    circ.extend(e_loader.inverse().remapped(list(pc.survivor_primary), width))
+    pc = qhp.power_circuit(series_T, k)
+    readout = build_ancilla_free(pc, load_amplitude(build_tree(series_E)))
+    flag = pc.width
+    circ = Circuit(flag + 1, readout.gates)
     circ.mcx([(q, 0) for q in range(pc.width)], flag)
     return GroverOracle(circ, flag)
 
@@ -110,37 +104,20 @@ def build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s):
     U flags QHP success and a good swap ancilla, z = (ytilde_k + atilde_k^-2)/2;
     U' flags QHP success alone, z' = atilde_k^-2.
     """
-    loader = qhp.make_loader(series_Tsqrt, "boe", s)
-    pc = qhp.build_power_circuit(qhp.PowerPlan(k=k, encoding="boe", s=s), loader)
-    e_loader = qhp.make_loader(series_Esqrt, "boe", s)
-    bw, ew = pc.width, e_loader.width
-    width = bw + ew + 2
-    anc = width - 2
-    flag = width - 1
-
-    def base_circuit():
-        circ = Circuit(width)
-        circ.extend(pc.circuit.remapped(list(range(bw)), width))
-        circ.extend(e_loader.circuit.remapped(list(range(bw, bw + ew)), width))
-        e_primary = tuple(q + bw for q in e_loader.primary)
-        circ.h(anc)
-        circ.cswap(anc, pc.survivor_primary, e_primary)
-        circ.h(anc)
-        return circ
-
+    pc = qhp.power_circuit(series_Tsqrt, k, encoding="boe", s=s)
+    test = build_swap_test(pc, qhp.make_loader(series_Esqrt, "boe", s))
+    flag = test.width
     z_controls = [(q, 0) for _r, reg in pc.measured for q in reg]
 
-    circ_u = base_circuit()
-    circ_u.mcx(z_controls + [(anc, 0)], flag)
-    oracle_u = GroverOracle(circ_u, flag)
+    circ_u = Circuit(flag + 1, test.circuit.gates)
+    circ_u.mcx(z_controls + [(test.ancilla, 0)], flag)
 
-    circ_up = base_circuit()
+    circ_up = Circuit(flag + 1, test.circuit.gates)
     if z_controls:
         circ_up.mcx(z_controls, flag)
     else:
         circ_up.x(flag)
-    oracle_uprime = GroverOracle(circ_up, flag)
-    return oracle_u, oracle_uprime
+    return GroverOracle(circ_u, flag), GroverOracle(circ_up, flag)
 
 
 # ---------------------------------------------------------------------------

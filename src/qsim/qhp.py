@@ -55,7 +55,7 @@ class PowerCircuit:
     block_width: int
     width: int
     circuit: Circuit
-    survivor_primary: tuple     # global qubits, LSB first
+    primary: tuple              # survivor's primary, global qubits, LSB first
     measured: list              # (round, global primary tuple) per consumed block
     rounds: int
     loader: object
@@ -95,6 +95,13 @@ def make_loader(series, encoding="amplitude", s=1):
     if encoding == "amplitude":
         return load_amplitude(tree)
     return load_boe(tree, s)
+
+
+def power_circuit(series, k, style="no_mid_reset", encoding="amplitude", s=1):
+    """Load `series` and build the circuit for its k-th power."""
+    loader = make_loader(series, encoding, s)
+    return build_power_circuit(PowerPlan(k=k, style=style, encoding=encoding, s=s),
+                               loader)
 
 
 def build_power_circuit(plan, loader):
@@ -142,7 +149,7 @@ def build_power_circuit(plan, loader):
 
     return PowerCircuit(plan=plan, n=loader.primary.__len__(),
                         block_width=bw, width=width, circuit=circ,
-                        survivor_primary=primary(survivor),
+                        primary=primary(survivor),
                         measured=measured, rounds=rounds, loader=loader)
 
 
@@ -163,8 +170,8 @@ def survivor_amplitudes(pc, state):
     Valid after post-selection, when the rest of an amplitude-encoded
     state is |0>.  For BOE use marginal probabilities instead.
     """
-    vals = sim._register_values(state.n_qubits, pc.survivor_primary)
-    out = np.zeros(1 << len(pc.survivor_primary), dtype=complex)
+    vals = sim._register_values(state.n_qubits, pc.primary)
+    out = np.zeros(1 << len(pc.primary), dtype=complex)
     np.add.at(out, vals, state.amplitudes)
     return out
 
@@ -184,20 +191,16 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
     bw = loader.width
     prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
 
+    # steps[t - 1]: (circuit of round t, register it measures)
     if plan.encoding == "amplitude":
         width, preloaded = 2 * bw, 1
-        load_b = loader.circuit.remapped(list(range(bw, 2 * bw)), width)
-
-        def apply_round(st, t):
-            load_b.apply_unitary(st)
-            sim.apply_cnot_layer(st, prim[0], prim[1])
-            return prim[1]
+        reg = tuple(q + bw for q in loader.primary)
+        step = loader.circuit.remapped(list(range(bw, 2 * bw)), width)
+        steps = [(step.cnot_layer(prim[0], reg), reg)] * (k - 1)
     else:
         width, preloaded = k * bw, k
-
-        def apply_round(st, t):
-            sim.apply_cnot_layer(st, prim[0], prim[t])
-            return prim[t]
+        steps = [(Circuit(width).cnot_layer(prim[0], prim[t]), prim[t])
+                 for t in range(1, k)]
 
     base = Statevector.zero(width)
     for b in range(preloaded):
@@ -214,8 +217,8 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
         loads = 1
         for t in range(1, k):
             if len(chain) < t:
-                st = branch[t - 1, 0].copy()
-                reg = apply_round(st, t)
+                step, reg = steps[t - 1]
+                st = step.apply_unitary(branch[t - 1, 0].copy())
                 chain.append((st, reg, np.cumsum(sim.marginal_probabilities(st, reg))))
             st, reg, cum = chain[t - 1]
             u = stream.generator.random() * cum[-1]

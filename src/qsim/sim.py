@@ -4,9 +4,9 @@ Qubit 0 is the least-significant bit of the basis index, everywhere.
 A register described by a qubit sequence (q_0, q_1, ...) stores its value
 with q_0 as the least-significant bit.
 
-Gates mutate the amplitude array in place and return the same Statevector
-object, so chained calls do not copy; callers that need the original state
-must copy() first.
+Gates reach the kernels only through Circuit.apply_unitary, which mutates
+the amplitude array in place and returns the same Statevector object;
+callers that need the original state must copy() first.
 """
 
 import os
@@ -103,9 +103,6 @@ class Statevector:
     def norm_sq(self):
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def inner(self, other):
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def probabilities(self):
         return np.abs(self.amplitudes) ** 2
 
@@ -116,10 +113,11 @@ def _as_qubits(reg):
     return tuple(int(q) for q in reg)
 
 
-def _check_qubits(state, qubits):
+def _check_qubits(space, qubits):
+    """Raise unless every qubit indexes `space` (a Statevector or Circuit)."""
     for q in qubits:
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
+        if not 0 <= q < space.n_qubits:
+            raise ValueError(f"qubit {q} out of range for {space.n_qubits} qubits")
 
 
 def _register_values(n_qubits, qubits):
@@ -129,76 +127,6 @@ def _register_values(n_qubits, qubits):
     for pos, q in enumerate(qubits):
         val |= ((idx >> q) & 1) << pos
     return val
-
-
-def apply_single_qubit(state, qubit, u):
-    """Apply a 2x2 unitary to one qubit."""
-    _check_qubits(state, (qubit,))
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValueError("u must be 2x2")
-    dev = np.linalg.norm(u.conj().T @ u - np.eye(2))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (Frobenius deviation {dev:.2e})")
-    kernels.apply_ctrl_1q(state.amplitudes, state.n_qubits, 0, 0, qubit,
-                          u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-    return state
-
-
-def apply_ry(state, qubit, angle):
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    kernels.apply_ctrl_1q(state.amplitudes, state.n_qubits, 0, 0, qubit,
-                          c, -s, s, c)
-    return state
-
-
-def apply_cnot_layer(state, controls, targets):
-    """Pairwise CNOTs control_i -> target_i; one depth layer."""
-    controls = _as_qubits(controls)
-    targets = _as_qubits(targets)
-    if len(controls) != len(targets):
-        raise ValueError("controls and targets must have equal length")
-    if set(controls) & set(targets):
-        raise ValueError("controls and targets overlap")
-    _check_qubits(state, controls + targets)
-    for c, t in zip(controls, targets):
-        kernels.apply_ctrl_1q(state.amplitudes, state.n_qubits,
-                              1 << c, 1 << c, t, 0.0, 1.0, 1.0, 0.0)
-    return state
-
-
-def apply_multi_controlled_x(state, controls, target):
-    """X on target conditioned on every (qubit, polarity) control matching."""
-    qubits = [q for q, _pol in controls]
-    if len(set(qubits)) != len(qubits) or target in qubits:
-        raise ValueError("duplicate qubit indices in multi-controlled X")
-    _check_qubits(state, qubits + [target])
-    mask = 0
-    val = 0
-    for q, pol in controls:
-        mask |= 1 << q
-        if pol:
-            val |= 1 << q
-    kernels.apply_ctrl_1q(state.amplitudes, state.n_qubits,
-                          mask, val, target, 0.0, 1.0, 1.0, 0.0)
-    return state
-
-
-def controlled_swap(state, control, a, b):
-    """Exchange registers a and b on the control=1 branch."""
-    a = _as_qubits(a)
-    b = _as_qubits(b)
-    if len(a) != len(b):
-        raise ValueError("register sizes differ")
-    touched = set(a) | set(b)
-    if len(a) + len(b) != len(touched) or control in touched:
-        raise ValueError("overlapping registers in controlled swap")
-    _check_qubits(state, list(touched) + [control])
-    for qa, qb in zip(a, b):
-        kernels.apply_cswap_pair(state.amplitudes, state.n_qubits,
-                                 1 << control, 1 << control, qa, qb)
-    return state
 
 
 def marginal_probabilities(state, qubits):
@@ -290,16 +218,6 @@ def postselect(state, reg, value):
     return prob, reduced
 
 
-def reset(state, reg, rng):
-    """Measure the register and flip any 1s back to 0."""
-    qubits = _as_qubits(reg)
-    outcome, state, _prob = measure(state, qubits, rng)
-    for pos, q in enumerate(qubits):
-        if (outcome >> pos) & 1:
-            apply_single_qubit(state, q, PAULI_X)
-    return state
-
-
 # ---------------------------------------------------------------------------
 # Circuit representation
 # ---------------------------------------------------------------------------
@@ -315,7 +233,9 @@ class Circuit:
       ("layer", controls, targets)         -- CNOT layer
       ("mcx", ((qubit, polarity), ...), target)
       ("cswap", control, regA, regB)
-      ("measure", qubits, tag)
+
+    The builder methods check their qubits against n_qubits, so a bad gate
+    fails where it is added rather than where it is applied.
     """
 
     def __init__(self, n_qubits, gates=None):
@@ -323,11 +243,18 @@ class Circuit:
         self.gates = list(gates) if gates else []
 
     def u(self, qubit, mat):
+        _check_qubits(self, (qubit,))
         m = np.asarray(mat, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError("u must be 2x2")
+        dev = np.linalg.norm(m.conj().T @ m - np.eye(2))
+        if dev > UNITARY_TOL:
+            raise ValueError(f"matrix is not unitary (Frobenius deviation {dev:.2e})")
         self.gates.append(("u", qubit, (m[0, 0], m[0, 1], m[1, 0], m[1, 1])))
         return self
 
     def ry(self, qubit, angle):
+        _check_qubits(self, (qubit,))
         self.gates.append(("ry", qubit, float(angle)))
         return self
 
@@ -338,25 +265,47 @@ class Circuit:
         return self.u(qubit, PAULI_X)
 
     def ucry(self, controls, target, angles):
-        self.gates.append(("ucry", tuple(controls), target,
+        controls = tuple(controls)
+        _check_qubits(self, controls + (target,))
+        self.gates.append(("ucry", controls, target,
                            tuple(float(a) for a in angles)))
         return self
 
     def cnot_layer(self, controls, targets):
-        self.gates.append(("layer", _as_qubits(controls), _as_qubits(targets)))
+        """Pairwise CNOTs control_i -> target_i; one depth layer."""
+        controls = _as_qubits(controls)
+        targets = _as_qubits(targets)
+        if len(controls) != len(targets):
+            raise ValueError("controls and targets must have equal length")
+        if set(controls) & set(targets):
+            raise ValueError("controls and targets overlap")
+        _check_qubits(self, controls + targets)
+        self.gates.append(("layer", controls, targets))
         return self
 
     def mcx(self, controls, target):
-        self.gates.append(("mcx", tuple((int(q), int(p)) for q, p in controls),
-                           int(target)))
+        """X on target conditioned on every (qubit, polarity) control matching."""
+        controls = tuple((int(q), int(p)) for q, p in controls)
+        target = int(target)
+        qubits = tuple(q for q, _pol in controls)
+        if len(set(qubits)) != len(qubits) or target in qubits:
+            raise ValueError("duplicate qubit indices in multi-controlled X")
+        _check_qubits(self, qubits + (target,))
+        self.gates.append(("mcx", controls, target))
         return self
 
     def cswap(self, control, a, b):
-        self.gates.append(("cswap", int(control), _as_qubits(a), _as_qubits(b)))
-        return self
-
-    def measure_reg(self, qubits, tag):
-        self.gates.append(("measure", _as_qubits(qubits), tag))
+        """Exchange registers a and b on the control=1 branch."""
+        control = int(control)
+        a = _as_qubits(a)
+        b = _as_qubits(b)
+        if len(a) != len(b):
+            raise ValueError("register sizes differ")
+        touched = set(a) | set(b)
+        if len(a) + len(b) != len(touched) or control in touched:
+            raise ValueError("overlapping registers in controlled swap")
+        _check_qubits(self, a + b + (control,))
+        self.gates.append(("cswap", control, a, b))
         return self
 
     def extend(self, other):
@@ -365,11 +314,7 @@ class Circuit:
         self.gates.extend(other.gates)
         return self
 
-    def is_unitary(self):
-        return all(g[0] != "measure" for g in self.gates)
-
     def inverse(self):
-        """Inverse of a measurement-free circuit."""
         inv = Circuit(self.n_qubits)
         for g in reversed(self.gates):
             kind = g[0]
@@ -381,10 +326,8 @@ class Circuit:
                 inv.gates.append(("ry", g[1], -g[2]))
             elif kind == "ucry":
                 inv.gates.append(("ucry", g[1], g[2], tuple(-a for a in g[3])))
-            elif kind in ("layer", "mcx", "cswap"):
+            else:  # layer, mcx and cswap are their own inverses
                 inv.gates.append(g)
-            else:
-                raise ValueError("cannot invert a circuit with measurements")
         return inv
 
     def remapped(self, qubit_map, n_qubits):
@@ -402,11 +345,9 @@ class Circuit:
                                   tuple(m[q] for q in g[2])))
             elif kind == "mcx":
                 out.gates.append((kind, tuple((m[q], p) for q, p in g[1]), m[g[2]]))
-            elif kind == "cswap":
+            else:  # cswap
                 out.gates.append((kind, m[g[1]], tuple(m[q] for q in g[2]),
                                   tuple(m[q] for q in g[3])))
-            else:
-                out.gates.append((kind, tuple(m[q] for q in g[1]), g[2]))
         return out
 
     def _apply_gate(self, state, gate):
@@ -456,20 +397,6 @@ class Circuit:
             raise ValueError(f"unexpected gate in unitary application: {kind}")
 
     def apply_unitary(self, state):
-        """Apply all gates; raises if the circuit contains measurements."""
         for g in self.gates:
-            if g[0] == "measure":
-                raise ValueError("circuit contains measurements")
             self._apply_gate(state, g)
-        return state
-
-    def run(self, state, rng, record=None):
-        """Apply gates, sampling measurement outcomes into `record`."""
-        for g in self.gates:
-            if g[0] == "measure":
-                outcome, state, prob = measure(state, g[1], rng)
-                if record is not None:
-                    record[g[2]] = (outcome, prob)
-            else:
-                self._apply_gate(state, g)
         return state

@@ -104,13 +104,6 @@ class TestEvaluate:
         assert r1.V == r2.V
         assert r1.to_dict() == r2.to_dict()
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        cfg = VariantConfig(variant="b", K=3, eta=10.0, seed=4)
-        serial = evaluate(cfg, RAW_T, RAW_E)
-        monkeypatch.setenv("QSIM_THREADS", "4")
-        threaded = evaluate(cfg, RAW_T, RAW_E)
-        assert serial.V == threaded.V
-
     def test_report_serialization(self, tmp_path):
         cfg = VariantConfig(variant="b", K=2, eta=10.0, seed=1)
         report = evaluate(cfg, RAW_T, RAW_E)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsim import encoding, sim
-from qsim.encoding import (AmplitudeLoader, boe_width, build_tree,
+from qsim.encoding import (AmplitudeLoader, boe_depth, boe_width, build_tree,
                            load_amplitude, load_boe, normalize_affine,
                            normalize_sqrt, read_series, validate_raw)
 from qsim.errors import AssumptionError
@@ -144,12 +144,8 @@ class TestBoe:
             assert boe_width(n_vals, s) == expected
 
     def test_depth_formula(self):
-        vals = np.full(16, 0.25)
-        for s in range(1, 5):
-            loader = load_boe(build_tree(vals), s)
-            n = 4
-            expected = (1 << s) + (n * n - n - s * s + s) // 2 + 1
-            assert loader.depth_formula() == expected
+        # 2^s + (n^2 - n - s^2 + s)/2 + 1 at n = 4
+        assert [boe_depth(16, s) for s in range(1, 5)] == [9, 10, 12, 17]
 
     def test_invalid_split_level(self):
         tree = build_tree(np.array([0.6, 0.8]))

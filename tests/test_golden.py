@@ -2,19 +2,24 @@
 
 Each digest pins the exact bits a fixed-seed run produces, so a change that
 alters any output (a draw order, a summation order, a rounding) fails here
-even when every statistical test still passes.  The digests were computed
-before the dynamic-stopping chain and the Tang walk were batched, and those
-rewrites reproduce them.
+even when every statistical test still passes.  The dynstop, sampling,
+variant-a and variant-c digests were computed before the dynamic-stopping
+chain and the Tang walk were batched, and those rewrites reproduce them.
+The variant-b, variant-d, canonical and BOE swap-test digests were computed
+before the readout circuits were given a single construction in
+`inner.build_swap_test` and `inner.build_ancilla_free`, and that rewrite
+reproduces them.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from qsim import assembly, qhp
-from qsim.encoding import normalize_affine
+from qsim import assembly, inner, qhp
+from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.sim import RngStream
 
 FIXTURE_T = np.array([12.0, 17.0, 23.0, 28.0])
@@ -39,10 +44,17 @@ def _dynstop(encoding, k, s, shots, seed):
             "states": states}
 
 
-def _evaluate(variant, K, seed):
+def _evaluate(variant, K, seed, **options):
     config = assembly.VariantConfig(variant=variant, K=K, eta=ETA,
-                                    epsilon=0.1, seed=seed)
+                                    epsilon=0.1, seed=seed, **options)
     return assembly.evaluate(config, FIXTURE_T, FIXTURE_E).to_dict()
+
+
+def _boe_swap(k, s, shots, seed):
+    est = inner.estimate_ytilde_boe_swap(
+        normalize_sqrt(FIXTURE_T, ETA), normalize_sqrt(FIXTURE_E, 0.0), k, s,
+        0.1, 0.9, RngStream(seed), shots=shots)
+    return dataclasses.asdict(est)
 
 
 CASES = {
@@ -64,6 +76,21 @@ CASES = {
     "variant-c": (
         lambda: _evaluate("c", 2, 3),
         "7d156e3e83d86d7b0ba8ef12e8b400669470b83790060bff8993e127d3d91b3a"),
+    "variant-b": (
+        lambda: _evaluate("b", 2, 3),
+        "ec5723bc454f0ddbcc8366cfdba0ed2f8b3bbc29db806142a89bd3ac55c8d4f2"),
+    "variant-d-K1-s1": (
+        lambda: _evaluate("d", 1, 3, s=1),
+        "2c9e43662c7a0411003f9a1ababdc449386904c240aebd8942a67f16aab1cce8"),
+    "canonical-c": (
+        lambda: _evaluate("c", 2, 3, engine="canonical"),
+        "89af932b34bdb1549556da902479d05821d0fe92afb111598064ce91ae7fe850"),
+    "canonical-d-K1-s1": (
+        lambda: _evaluate("d", 1, 3, s=1, engine="canonical"),
+        "c97ea5033bebbc96890ced4c86344d817546f6c977de7f27980061ad8711215f"),
+    "boe-swap-k1-s1": (
+        lambda: _boe_swap(1, 1, 2000, 13),
+        "1ce8aa1e5fa727477045e516557cc351cde00bb0488259b7e02bc9f85cbe1d3c"),
 }
 
 

@@ -9,7 +9,7 @@ from qsim.qhp import (PowerPlan, QhpOutcome, build_power_circuit, depth_bound,
                       expected_loads, make_loader, norm_constant_ak,
                       postselected_power_state, run_with_dynamic_stopping,
                       success_probability, survivor_amplitudes, width_formula)
-from qsim.sim import RngStream, Statevector
+from qsim.sim import Circuit, RngStream, Statevector
 
 
 def series_fixture(n_vals=4, seed=0, eta=10.0):
@@ -48,10 +48,10 @@ def ref_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
         for t in range(1, k):
             if plan.encoding == "amplitude":
                 load_b.apply_unitary(st_)
-                sim.apply_cnot_layer(st_, prim_a, prim_b)
+                Circuit(width).cnot_layer(prim_a, prim_b).apply_unitary(st_)
                 reg = prim_b
             else:
-                sim.apply_cnot_layer(st_, prim[0], prim[t])
+                Circuit(width).cnot_layer(prim[0], prim[t]).apply_unitary(st_)
                 reg = prim[t]
             outcome, st_, _p = sim.measure(st_, reg, stream)
             rounds += 1

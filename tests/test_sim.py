@@ -185,38 +185,60 @@ class TestKernels:
             np.testing.assert_array_equal(bits(st_a), bits(st_b))
 
 
+# (builder call, error message) for each gate a Circuit(3) must refuse as it
+# is built; a non-unitary matrix is test_non_unitary_rejected.
+BAD_GATES = {
+    "u-not-2x2": (lambda c: c.u(0, np.eye(3)), "2x2"),
+    "u-out-of-range": (lambda c: c.u(3, sim.HADAMARD), "out of range"),
+    "ry-out-of-range": (lambda c: c.ry(-1, 0.3), "out of range"),
+    "ucry-out-of-range": (lambda c: c.ucry([3], 0, [0.1, 0.2]), "out of range"),
+    "layer-unequal-lengths": (lambda c: c.cnot_layer((0, 1), (2,)), "equal length"),
+    "layer-overlap": (lambda c: c.cnot_layer((0, 1), (1, 2)), "overlap"),
+    "layer-out-of-range": (lambda c: c.cnot_layer((0,), (3,)), "out of range"),
+    "mcx-duplicate-control": (lambda c: c.mcx([(0, 1), (0, 0)], 1), "duplicate"),
+    "mcx-target-is-control": (lambda c: c.mcx([(0, 1), (1, 1)], 1), "duplicate"),
+    "mcx-out-of-range": (lambda c: c.mcx([(0, 1)], 5), "out of range"),
+    "cswap-unequal-sizes": (lambda c: c.cswap(2, (0,), ()), "sizes differ"),
+    "cswap-overlap": (lambda c: c.cswap(2, (0,), (0,)), "overlapping"),
+    "cswap-control-in-register": (lambda c: c.cswap(1, (0,), (1,)), "overlapping"),
+    "cswap-out-of-range": (lambda c: c.cswap(2, (0,), (3,)), "out of range"),
+}
+
+
 class TestGates:
+    @pytest.mark.parametrize("name", sorted(BAD_GATES))
+    def test_builder_rejects_bad_gate(self, name):
+        build, message = BAD_GATES[name]
+        circ = Circuit(3)
+        with pytest.raises(ValueError, match=message):
+            build(circ)
+        assert circ.gates == []
+
     def test_non_unitary_rejected(self):
-        state = Statevector.zero(1)
-        with pytest.raises(ValueError):
-            sim.apply_single_qubit(state, 0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match="not unitary"):
+            Circuit(1).u(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError):
             Statevector(1, np.array([1.0, 1.0], dtype=complex))
 
     def test_hadamard(self):
-        state = Statevector.zero(1)
-        sim.apply_single_qubit(state, 0, sim.HADAMARD)
+        state = Circuit(1).h(0).apply_unitary(Statevector.zero(1))
         np.testing.assert_allclose(state.amplitudes,
                                    [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
 
     def test_qubit0_is_lsb(self):
-        state = Statevector.zero(2)
-        sim.apply_single_qubit(state, 0, sim.PAULI_X)
+        state = Circuit(2).x(0).apply_unitary(Statevector.zero(2))
         assert abs(state.amplitudes[0b01]) == pytest.approx(1.0)
 
     def test_mcx_polarity(self):
         # open control on qubit 0 flips the target from |00>
-        state = Statevector.zero(2)
-        sim.apply_multi_controlled_x(state, [(0, 0)], 1)
+        state = Circuit(2).mcx([(0, 0)], 1).apply_unitary(Statevector.zero(2))
         assert abs(state.amplitudes[0b10]) == pytest.approx(1.0)
 
     def test_cnot_layer_entangles(self):
-        state = Statevector.zero(2)
-        sim.apply_single_qubit(state, 0, sim.HADAMARD)
-        sim.apply_cnot_layer(state, (0,), (1,))
-        probs = state.probabilities()
+        circ = Circuit(2).h(0).cnot_layer((0,), (1,))
+        probs = circ.apply_unitary(Statevector.zero(2)).probabilities()
         np.testing.assert_allclose(probs[[0b00, 0b11]], [0.5, 0.5], atol=1e-14)
 
     def test_width_guard_refuses_before_allocating(self):
@@ -230,10 +252,8 @@ class TestGates:
         assert peak < 1 << 20
 
     def test_controlled_swap(self):
-        state = Statevector.zero(3)
-        sim.apply_single_qubit(state, 0, sim.PAULI_X)
-        sim.apply_single_qubit(state, 2, sim.PAULI_X)
-        sim.controlled_swap(state, 2, (0,), (1,))
+        circ = Circuit(3).x(0).x(2).cswap(2, (0,), (1,))
+        state = circ.apply_unitary(Statevector.zero(3))
         assert abs(state.amplitudes[0b110]) == pytest.approx(1.0)
 
 
@@ -244,8 +264,7 @@ class TestMeasurement:
         assert probs.sum() == pytest.approx(1.0)
 
     def test_project_bits_zero_branch(self):
-        state = Statevector.zero(2)
-        sim.apply_single_qubit(state, 0, sim.PAULI_X)
+        state = Circuit(2).x(0).apply_unitary(Statevector.zero(2))
         with pytest.raises(ZeroBranchError):
             sim.project_bits(state, (0,), 0)
 
@@ -283,17 +302,10 @@ class TestMeasurement:
             sim.probability_of_bits(state, (1, 2), 0), abs=1e-12)
 
     def test_measure_statistics(self):
-        state = Statevector.zero(1)
-        sim.apply_single_qubit(state, 0, sim.HADAMARD)
+        state = Circuit(1).h(0).apply_unitary(Statevector.zero(1))
         rng = RngStream(11)
         outcomes = [sim.measure(state.copy(), (0,), rng)[0] for _ in range(400)]
         assert 0.4 < np.mean(outcomes) < 0.6
-
-    def test_reset(self):
-        state = Statevector.zero(1)
-        sim.apply_single_qubit(state, 0, sim.PAULI_X)
-        state = sim.reset(state, (0,), RngStream(0))
-        assert abs(state.amplitudes[0]) == pytest.approx(1.0)
 
 
 class TestRngStream:
@@ -337,21 +349,11 @@ class TestCircuit:
         wide.apply_unitary(state)
         assert abs(state.amplitudes[0b100]) == pytest.approx(1.0)
 
-    def test_run_records_measurements(self):
-        circ = Circuit(1)
-        circ.x(0)
-        circ.measure_reg((0,), "m")
-        record = {}
-        circ.run(Statevector.zero(1), RngStream(0), record)
-        outcome, prob = record["m"]
-        assert outcome == 1
-        assert prob == pytest.approx(1.0)
-
     @given(st.integers(0, 2), st.floats(-3.0, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_ry_preserves_norm(self, qubit, angle):
         state = random_state(3, 42)
-        sim.apply_ry(state, qubit, angle)
+        Circuit(3).ry(qubit, angle).apply_unitary(state)
         assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
     @given(st.integers(0, 60))
@@ -363,12 +365,12 @@ class TestCircuit:
         circ = Circuit(3)
         circ.ucry([2, 1], 0, angles)
         for pattern in range(4):
-            state = Statevector.zero(3)
+            prep = Circuit(3)
             if pattern & 0b10:
-                sim.apply_single_qubit(state, 2, sim.PAULI_X)
+                prep.x(2)
             if pattern & 0b01:
-                sim.apply_single_qubit(state, 1, sim.PAULI_X)
-            circ.apply_unitary(state)
+                prep.x(1)
+            state = circ.apply_unitary(prep.apply_unitary(Statevector.zero(3)))
             p1 = sim.marginal_probabilities(state, [0])[1]
             assert p1 == pytest.approx(np.sin(angles[pattern] / 2.0) ** 2,
                                        abs=1e-12)
