@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import classical, encoding, inner, qae, qhp
-from .classical import DEFAULT_PARAMS, PolyCoeffs, SigmoidParams
+from . import classical, inner, qae, qhp
+from .classical import DEFAULT_PARAMS, SigmoidParams
 from .encoding import (boe_depth, boe_width, normalize_affine, normalize_sqrt,
                        validate_raw)
 from .errors import AssumptionError
@@ -62,6 +62,7 @@ class VariantConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
             raise ValueError("forced_epsilon_k must be positive")
+        self.qae_config()  # checks shots, medians and eval_qubits
 
     def qae_config(self):
         return qae.QaeConfig(engine=self.engine, m=self.eval_qubits,
@@ -72,7 +73,6 @@ class VariantConfig:
 class ErrorBudget:
     epsilon_k: dict
     alpha_k: dict
-    weights: dict
     skipped: list
 
 
@@ -135,9 +135,7 @@ def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
         power = 2 * (k - 1) if quadratic else (k - 1)
         epsilon_k[k] = epsilon * rho_T**power / (K * abs(bk))
     return ErrorBudget(epsilon_k=epsilon_k,
-                       alpha_k={k: alpha for k in epsilon_k},
-                       weights={k: 1.0 / K for k in epsilon_k},
-                       skipped=skipped)
+                       alpha_k={k: alpha for k in epsilon_k}, skipped=skipped)
 
 
 def constant_term_y0(series_E):
@@ -371,24 +369,10 @@ def resource_report(config, N, K=None, s=None, epsilon=None, coeffs=None):
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-
-
 def _fmt(x):
     if isinstance(x, float):
         return f"{x:.12g}"
     return x
-
-
-def _write_sidecar(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
 
 
 def _pair_with_overlap(p):
@@ -398,6 +382,8 @@ def _pair_with_overlap(p):
 
 
 def run_experiment(name, config, out_dir):
+    """Run a named experiment; writes <name>.csv and the <name>.json sidecar
+    (the config with its defaults filled in, and the summary)."""
     os.makedirs(out_dir, exist_ok=True)
     handlers = {
         "compare_inner": _experiment_compare_inner,
@@ -408,10 +394,21 @@ def run_experiment(name, config, out_dir):
     }
     if name not in handlers:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(handlers)}")
-    return handlers[name](dict(config), out_dir)
+    config = dict(config)
+    header, rows, summary = handlers[name](config)
+    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+    with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+        json.dump({"experiment": name, "config": config, "summary": summary},
+                  fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+    return summary
 
 
-def _experiment_compare_inner(config, out_dir):
+def _experiment_compare_inner(config):
     seed = int(config.setdefault("seed", 0))
     shots = int(config.setdefault("shots", 10000))
     repeats = int(config.setdefault("repeats", 100))
@@ -441,12 +438,7 @@ def _experiment_compare_inner(config, out_dir):
     for p in ps:
         summary[f"variance_ratio_p{p}"] = (summary[f"var_swap_p{p}"]
                                            / summary[f"var_ancilla_free_p{p}"])
-    _write_csv(os.path.join(out_dir, "compare_inner.csv"),
-               ["method", "p", "repeat", "estimate"], rows)
-    _write_sidecar(os.path.join(out_dir, "compare_inner.json"),
-                   {"experiment": "compare_inner", "config": config,
-                    "summary": summary})
-    return summary
+    return ["method", "p", "repeat", "estimate"], rows, summary
 
 
 def _base_fixture(N):
@@ -457,7 +449,7 @@ def _base_fixture(N):
     return np.tile(base_t, reps), np.tile(base_e, reps)
 
 
-def _experiment_error_scaling_k(config, out_dir):
+def _experiment_error_scaling_k(config):
     seed = int(config.setdefault("seed", 0))
     Ns = config.setdefault("N_values", [4, 8, 16, 32])
     ks = config.setdefault("k_values", [1, 2])
@@ -488,16 +480,11 @@ def _experiment_error_scaling_k(config, out_dir):
         ratio = max(means.values()) / min(means.values())
         summary[f"k{k}_mean_rel_err"] = means
         summary["ratios"][f"k{k}"] = ratio
-    _write_csv(os.path.join(out_dir, "error_scaling_k.csv"),
-               ["k", "N", "repeat", "epsilon_k", "y_hat", "y_exact", "rel_error"],
-               rows)
-    _write_sidecar(os.path.join(out_dir, "error_scaling_k.json"),
-                   {"experiment": "error_scaling_k", "config": config,
-                    "summary": summary})
-    return summary
+    return (["k", "N", "repeat", "epsilon_k", "y_hat", "y_exact", "rel_error"],
+            rows, summary)
 
 
-def _experiment_qae_vs_classical(config, out_dir):
+def _experiment_qae_vs_classical(config):
     seed = int(config.setdefault("seed", 0))
     k = int(config.setdefault("k", 2))
     repeats = int(config.setdefault("repeats", 12))
@@ -535,16 +522,11 @@ def _experiment_qae_vs_classical(config, out_dir):
         x = np.log10([p[0] for p in pts])
         y = np.log10([max(p[1], 1e-12) for p in pts])
         slopes[method] = float(np.polyfit(x, y, 1)[0])
-    _write_csv(os.path.join(out_dir, "qae_vs_classical.csv"),
-               ["method", "epsilon", "repeat", "cost", "rel_error"], rows)
-    summary = {"slopes": slopes, "curves": curves}
-    _write_sidecar(os.path.join(out_dir, "qae_vs_classical.json"),
-                   {"experiment": "qae_vs_classical", "config": config,
-                    "summary": summary})
-    return summary
+    return (["method", "epsilon", "repeat", "cost", "rel_error"], rows,
+            {"slopes": slopes, "curves": curves})
 
 
-def _experiment_end_to_end(config, out_dir):
+def _experiment_end_to_end(config):
     seeds = config.setdefault("seeds", [0, 1, 2, 3, 4])
     K = int(config.setdefault("K", 3))
     variant = config.setdefault("variant", "c")
@@ -565,15 +547,10 @@ def _experiment_end_to_end(config, out_dir):
         rows.append([seed, report.V, report.v_exact, report.v_star, rel])
     summary = {"mean_rel_error": float(np.mean(rels)),
                "rel_errors": [float(r) for r in rels]}
-    _write_csv(os.path.join(out_dir, "end_to_end.csv"),
-               ["seed", "V", "v_exact", "v_star", "rel_error"], rows)
-    _write_sidecar(os.path.join(out_dir, "end_to_end.json"),
-                   {"experiment": "end_to_end", "config": config,
-                    "summary": summary})
-    return summary
+    return ["seed", "V", "v_exact", "v_star", "rel_error"], rows, summary
 
 
-def _experiment_resource_table(config, out_dir):
+def _experiment_resource_table(config):
     N = int(config.setdefault("N", 16))
     K = int(config.setdefault("K", 3))
     s = int(config.setdefault("s", 2))
@@ -588,9 +565,4 @@ def _experiment_resource_table(config, out_dir):
             rows.append([variant, row["k"], row.get("width"),
                          row.get("depth_bound", row.get("depth")),
                          row.get("samples", row.get("oracle_complexity"))])
-    _write_csv(os.path.join(out_dir, "resource_table.csv"),
-               ["variant", "k", "width", "depth", "cost"], rows)
-    _write_sidecar(os.path.join(out_dir, "resource_table.json"),
-                   {"experiment": "resource_table", "config": config,
-                    "summary": tables})
-    return tables
+    return ["variant", "k", "width", "depth", "cost"], rows, tables

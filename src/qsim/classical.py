@@ -37,7 +37,6 @@ def sigmoid_volume(tp, params):
 
 @dataclass
 class PolyCoeffs:
-    K: int
     b: np.ndarray
     eta: float
     fit_mode: str
@@ -88,7 +87,7 @@ def fit_polynomial(params, eta, K, mode="taylor", domain=None):
         b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K)
     else:
         raise ValueError(f"unknown fit mode {mode!r}")
-    return PolyCoeffs(K=K, b=b, eta=float(eta), fit_mode=mode)
+    return PolyCoeffs(b=b, eta=float(eta), fit_mode=mode)
 
 
 def exact_value(rawT, rawE, params):
@@ -168,12 +167,8 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     means = []
     for _ in range(groups):
         j = tang_walk(tree, rng.generator.random((size, tree.n)))
-        # summed one by one in draw order: np.sum's pairwise order would
-        # change the bits of the mean
-        total = 0.0
-        for x in (norm_sq * w[j] / v_access.leaf_value(j)).tolist():
-            total += x
-        means.append(total / size)
+        # cumsum adds in draw order; np.sum's pairwise order would change bits
+        means.append(np.cumsum(norm_sq * w[j] / v_access.leaf_value(j))[-1] / size)
     return float(np.median(means))
 
 

@@ -8,7 +8,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import assembly, classical
 from .classical import SigmoidParams
@@ -74,9 +73,7 @@ def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
             variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
             beta=beta, s=s, style=style, engine=engine, fit_mode=mode, seed=seed)
         report = assembly.evaluate(config, raw_t, raw_e)
-    except AssumptionError as exc:
-        _fail_assumption(exc)
-    except ValueError as exc:
+    except (AssumptionError, ValueError) as exc:
         _fail_assumption(exc)
     payload = report.to_dict()
     click.echo(json.dumps(payload, indent=2, sort_keys=True, default=float))
@@ -98,9 +95,7 @@ def experiment(name, config_path, out_dir):
     try:
         with open(config_path) as fh:
             config = json.load(fh)
-    except OSError as exc:
-        _fail_io(exc)
-    except json.JSONDecodeError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         _fail_io(exc)
     try:
         summary = assembly.run_experiment(name, config, out_dir)

@@ -21,8 +21,6 @@ import numpy as np
 from .errors import AssumptionError
 from .sim import Circuit
 
-NORM_TOL = 1e-12
-
 
 def validate_raw(values):
     """Check a raw series: finite entries, length a power of two >= 2."""
@@ -104,22 +102,6 @@ class StateDecompositionTree:
         child = self.levels[level + 1]
         return 2.0 * np.arctan2(child[1::2], child[0::2])
 
-    def leaf_probabilities(self):
-        root = self.root
-        if root == 0.0:
-            raise ValueError("zero tree")
-        return (self.leaves / root) ** 2
-
-    def to_dict(self):
-        return {
-            "levels": [list(map(float, lev)) for lev in self.levels],
-            "angles": [list(map(float, self.angles(l))) for l in range(self.n)],
-        }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
 
 def build_tree(series_or_values):
     """Build the norm tree bottom-up from a NormalizedSeries or raw vector."""
@@ -144,14 +126,13 @@ class AmplitudeLoader:
     """
 
     def __init__(self, tree):
-        self.tree = tree
-        self.n = tree.n
-        self.width = self.n
-        self.primary = tuple(range(self.n))  # LSB first
-        circ = Circuit(self.n)
-        for level in range(self.n):
-            target = self.n - 1 - level
-            controls = tuple(range(self.n - 1, target, -1))  # MSB first
+        n = tree.n
+        self.width = n
+        self.primary = tuple(range(n))  # LSB first
+        circ = Circuit(n)
+        for level in range(n):
+            target = n - 1 - level
+            controls = tuple(range(n - 1, target, -1))  # MSB first
             angles = tree.angles(level)
             if controls:
                 circ.ucry(controls, target, angles)
@@ -161,33 +142,6 @@ class AmplitudeLoader:
 
     def inverse(self):
         return self.circuit.inverse()
-
-    def gate_count(self):
-        return sum(len(g[3]) if g[0] == "ucry" else 1 for g in self.circuit.gates)
-
-    def depth_layers(self):
-        return self.n
-
-
-@dataclass(frozen=True)
-class BoeLayout:
-    """Qubit bookkeeping for a BOE block (all indices local to the block).
-
-    primary/copy are LSB-first: primary[i] carries bit i of the data index.
-    """
-
-    s: int
-    n: int
-    width: int
-    primary: tuple
-    copy: tuple
-    amp_regs: tuple      # tuple of per-block amplitude register tuples
-    node_qubits: tuple   # heap order: node (l, pos) -> 2^l - 1 + pos
-
-    @property
-    def side(self):
-        prim = set(self.primary)
-        return tuple(q for q in range(self.width) if q not in prim)
 
 
 def boe_width(n_leaves, s):
@@ -218,13 +172,8 @@ class BoeLoader:
         n = tree.n
         if not 1 <= s <= n:
             raise ValueError(f"split level must be in [1, {n}], got {s}")
-        self.tree = tree
-        self.n = n
-        self.s = s
         m = n - s                     # depth of the top tree
         M = 1 << m                    # number of blocks
-        self.m = m
-        self.M = M
 
         amp_regs = tuple(tuple(range(r * s, (r + 1) * s)) for r in range(M))
         node_base = M * s
@@ -232,7 +181,6 @@ class BoeLoader:
         def node_q(level, pos):
             return node_base + ((1 << level) - 1) + pos
 
-        node_qubits = tuple(node_q(l, p) for l in range(m) for p in range(1 << l))
         copy_base = node_base + (M - 1)
         copy = tuple(range(copy_base, copy_base + n))
 
@@ -284,9 +232,6 @@ class BoeLoader:
         self.circuit = circ
         self.width = width
         self.primary = primary
-        self.layout = BoeLayout(s=s, n=n, width=width, primary=primary,
-                                copy=copy, amp_regs=amp_regs,
-                                node_qubits=node_qubits)
 
     def inverse(self):
         return self.circuit.inverse()
@@ -298,24 +243,6 @@ def load_amplitude(tree):
 
 def load_boe(tree, s):
     return BoeLoader(tree, s)
-
-
-def side_state_matrix(state, layout, offset=0):
-    """Matrix V with V[side_value, j] = amplitude of |j>_primary |side>.
-
-    Columns, normalized, are the side states; their Gram matrix should be
-    the identity for a proper BOE.  `offset` shifts the block within a
-    wider state.
-    """
-    from .sim import _register_values
-
-    prim = tuple(q + offset for q in layout.primary)
-    side = tuple(q + offset for q in layout.side)
-    pv = _register_values(state.n_qubits, prim)
-    sv = _register_values(state.n_qubits, side)
-    out = np.zeros((1 << len(side), 1 << len(prim)), dtype=complex)
-    np.add.at(out, (sv, pv), state.amplitudes)
-    return out
 
 
 def read_series(path):

@@ -78,6 +78,8 @@ class QaeConfig:
     shots: int = 100           # shots per IQAE round / per canonical run
 
     def __post_init__(self):
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
         if self.medians < 1 or self.medians % 2 == 0:
             raise ValueError("medians must be odd and >= 1")
         if self.m < 1:
@@ -107,7 +109,7 @@ def build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s):
     pc = qhp.power_circuit(series_Tsqrt, k, encoding="boe", s=s)
     test = build_swap_test(pc, qhp.make_loader(series_Esqrt, "boe", s))
     flag = test.width
-    z_controls = [(q, 0) for _r, reg in pc.measured for q in reg]
+    z_controls = [(q, 0) for reg in pc.measured for q in reg]
 
     circ_u = Circuit(flag + 1, test.circuit.gates)
     circ_u.mcx(z_controls + [(test.ancilla, 0)], flag)
@@ -148,8 +150,7 @@ def canonical_qae(oracle, m, medians, rng, shots_per_run=30):
         counts = rng.multinomial(shots_per_run, probs)
         x = int(np.argmax(counts))
         estimates.append(math.sin(math.pi * x / (1 << m)) ** 2)
-    z_hat = float(np.median(estimates))
-    return z_hat, estimates
+    return float(np.median(estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,8 @@ def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
     oracle = build_oracle_variant_c(series_T, series_E, k)
     calls = 0
     if config.engine == "canonical":
-        z_hat, _runs = canonical_qae(oracle, config.m, config.medians, rng,
-                                     shots_per_run=config.shots)
+        z_hat = canonical_qae(oracle, config.m, config.medians, rng,
+                              shots_per_run=config.shots)
         calls = config.medians * ((1 << config.m) - 1)
     else:
         pilot = iqae(oracle, max(PILOT_EPSILON, epsilon / 2), PILOT_ALPHA, rng,
@@ -292,9 +293,7 @@ def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
     y = math.sqrt(max(z_hat, 0.0))
     scale = series_T.rho ** -k * series_E.rho ** -1
     return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=calls,
-                         tallies={"z_hat": z_hat, "oracle_calls": calls,
-                                  "z_exact": oracle.z_exact()},
-                         method="variant_c", epsilon=epsilon, alpha=alpha)
+                         method="variant_c")
 
 
 def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
@@ -303,10 +302,10 @@ def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
     oracle_u, oracle_up = build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s)
     eps_half = min(0.45, epsilon / 2.0)
     if config.engine == "canonical":
-        z_hat, _ = canonical_qae(oracle_u, config.m, config.medians, rng,
-                                 shots_per_run=config.shots)
-        zp_hat, _ = canonical_qae(oracle_up, config.m, config.medians, rng,
-                                  shots_per_run=config.shots)
+        z_hat = canonical_qae(oracle_u, config.m, config.medians, rng,
+                              shots_per_run=config.shots)
+        zp_hat = canonical_qae(oracle_up, config.m, config.medians, rng,
+                               shots_per_run=config.shots)
         calls = 2 * config.medians * ((1 << config.m) - 1)
     else:
         z_hat, c1 = _iqae_median(oracle_u, eps_half, alpha, config.medians, rng,
@@ -317,8 +316,4 @@ def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
     y_tilde = 2.0 * z_hat - zp_hat
     scale = series_Tsqrt.rho ** (-2 * k) * series_Esqrt.rho ** -2
     return InnerEstimate(y_hat=float(y_tilde), y_prime_hat=float(scale * y_tilde),
-                         shots_used=calls,
-                         tallies={"z_hat": z_hat, "z_prime_hat": zp_hat,
-                                  "z_exact": oracle_u.z_exact(),
-                                  "z_prime_exact": oracle_up.z_exact()},
-                         method="variant_d", epsilon=epsilon, alpha=alpha)
+                         shots_used=calls, method="variant_d")

@@ -14,8 +14,7 @@ Conditional on every tagged register measuring 0, the surviving primary
 register holds the normalized power state a_k * T_j^k.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +49,10 @@ class QhpOutcome:
 
 @dataclass
 class PowerCircuit:
-    plan: PowerPlan
-    n: int                      # lg N
-    block_width: int
     width: int
     circuit: Circuit
     primary: tuple              # survivor's primary, global qubits, LSB first
-    measured: list              # (round, global primary tuple) per consumed block
-    rounds: int
-    loader: object
+    measured: list              # global primary tuple of each consumed block
 
 
 def norm_constant_ak(series, k):
@@ -125,55 +119,27 @@ def build_power_circuit(plan, loader):
         circ.extend(loader.circuit.remapped(block_map(b), width))
 
     measured = []
-    rounds = 0
     if plan.style == "mid_reset":
         for t in range(1, k):
             circ.cnot_layer(primary(0), primary(t))
-            measured.append((t, primary(t)))
-        rounds = k - 1
+            measured.append(primary(t))
         survivor = 0
     else:
         active = list(range(k))
         while len(active) > 1:
-            rounds += 1
             nxt = []
             for i in range(0, len(active) - 1, 2):
                 c, t = active[i], active[i + 1]
                 circ.cnot_layer(primary(c), primary(t))
-                measured.append((rounds, primary(t)))
+                measured.append(primary(t))
                 nxt.append(c)
             if len(active) % 2 == 1:
                 nxt.append(active[-1])
             active = nxt
         survivor = active[0]
 
-    return PowerCircuit(plan=plan, n=loader.primary.__len__(),
-                        block_width=bw, width=width, circuit=circ,
-                        primary=primary(survivor),
-                        measured=measured, rounds=rounds, loader=loader)
-
-
-def postselected_power_state(pc):
-    """(joint success probability, conditional state with full width)."""
-    st = Statevector.zero(pc.width)
-    pc.circuit.apply_unitary(st)
-    prob = 1.0
-    for _round, reg in pc.measured:
-        p, st = sim.project_bits(st, reg, 0)
-        prob *= p
-    return prob, st
-
-
-def survivor_amplitudes(pc, state):
-    """Amplitudes of the surviving primary register (real part).
-
-    Valid after post-selection, when the rest of an amplitude-encoded
-    state is |0>.  For BOE use marginal probabilities instead.
-    """
-    vals = sim._register_values(state.n_qubits, pc.primary)
-    out = np.zeros(1 << len(pc.primary), dtype=complex)
-    np.add.at(out, vals, state.amplitudes)
-    return out
+    return PowerCircuit(width=width, circuit=circ, primary=primary(survivor),
+                        measured=measured)
 
 
 def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):

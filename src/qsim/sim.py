@@ -58,9 +58,6 @@ class RngStream:
         return self.split(1)[0]
 
     # convenience passthroughs
-    def uniform(self, *args, **kwargs):
-        return self.generator.uniform(*args, **kwargs)
-
     def binomial(self, n, p):
         return self.generator.binomial(n, p)
 
@@ -71,7 +68,7 @@ class RngStream:
 class Statevector:
     """Dense complex amplitude vector over n_qubits."""
 
-    def __init__(self, n_qubits, amplitudes=None, check=True):
+    def __init__(self, n_qubits, amplitudes=None):
         self.n_qubits = int(n_qubits)
         dim = 1 << self.n_qubits
         if 16 * dim > MAX_STATE_BYTES:
@@ -84,10 +81,9 @@ class Statevector:
             amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
             if amps.size != dim:
                 raise ValueError(f"expected {dim} amplitudes, got {amps.size}")
-            if check:
-                norm = np.sum(np.abs(amps) ** 2)
-                if abs(norm - 1.0) > NORM_TOL:
-                    raise ValueError(f"state not normalized: |amps|^2 = {norm}")
+            norm = np.sum(np.abs(amps) ** 2)
+            if abs(norm - 1.0) > NORM_TOL:
+                raise ValueError(f"state not normalized: |amps|^2 = {norm}")
         self.amplitudes = amps
 
     @classmethod
@@ -99,12 +95,6 @@ class Statevector:
         out.n_qubits = self.n_qubits
         out.amplitudes = self.amplitudes.copy()
         return out
-
-    def norm_sq(self):
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def probabilities(self):
-        return np.abs(self.amplitudes) ** 2
 
 
 def _as_qubits(reg):
@@ -120,23 +110,20 @@ def _check_qubits(space, qubits):
             raise ValueError(f"qubit {q} out of range for {space.n_qubits} qubits")
 
 
-def _register_values(n_qubits, qubits):
-    """For every basis index, the value held by the given register."""
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    val = np.zeros_like(idx)
-    for pos, q in enumerate(qubits):
-        val |= ((idx >> q) & 1) << pos
-    return val
-
-
 def marginal_probabilities(state, qubits):
-    """Born probabilities of the register's 2^len outcomes."""
+    """Born probabilities of the register's 2^len outcomes.
+
+    The probabilities are laid out as (other qubits, register qubits), each
+    axis most-significant qubit first, and summed down the rows in basis
+    index order; cumsum keeps that order, where sum would pair the terms.
+    """
     qubits = _as_qubits(qubits)
     _check_qubits(state, qubits)
-    vals = _register_values(state.n_qubits, qubits)
-    probs = np.zeros(1 << len(qubits))
-    np.add.at(probs, vals, np.abs(state.amplitudes) ** 2)
-    return probs
+    n = state.n_qubits
+    others = [q for q in range(n) if q not in qubits]
+    axes = [n - 1 - q for q in others[::-1] + list(qubits[::-1])]
+    table = (np.abs(state.amplitudes) ** 2).reshape((2,) * n).transpose(axes)
+    return np.cumsum(table.reshape(1 << len(others), 1 << len(qubits)), axis=0)[-1]
 
 
 def _select(n_qubits, qubits, value):
@@ -200,8 +187,9 @@ def postselect(state, reg, value):
     the remaining qubits.
     """
     if not isinstance(reg, QubitRange):
-        reg = QubitRange(int(reg[0]), len(tuple(reg)))
-        if reg.qubits() != tuple(range(reg.start, reg.start + reg.len)):
+        qubits = _as_qubits(reg)
+        reg = QubitRange(qubits[0], len(qubits))
+        if reg.qubits() != qubits:
             raise ValueError("postselect requires a contiguous register")
     if value >= (1 << reg.len):
         raise ValueError("value out of range for register")

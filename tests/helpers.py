@@ -1,0 +1,76 @@
+"""Statevector references the tests compare qsim against.
+
+They read a fully simulated state through per-index register values and
+np.add.at, the direct readout that qsim's strided readouts must match.
+"""
+
+import numpy as np
+
+from qsim import inner, sim
+from qsim.assembly import _pair_with_overlap
+from qsim.encoding import normalize_affine
+from qsim.sim import Statevector
+
+
+def pair_with_overlap(p):
+    """Two normalized positive series on 2 points with inner product p."""
+    return tuple(normalize_affine(v, 0.0) for v in _pair_with_overlap(p))
+
+
+def register_values(n_qubits, qubits):
+    """For every basis index, the value held by the given register."""
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    val = np.zeros_like(idx)
+    for pos, q in enumerate(qubits):
+        val |= ((idx >> q) & 1) << pos
+    return val
+
+
+def marginal_probabilities(state, qubits):
+    """Born probabilities of the register's outcomes, added up in basis
+    index order."""
+    probs = np.zeros(1 << len(qubits))
+    np.add.at(probs, register_values(state.n_qubits, qubits),
+              np.abs(state.amplitudes) ** 2)
+    return probs
+
+
+def postselected_power_state(pc):
+    """(joint probability that every consumed register reads 0, the
+    conditional state at full width) for a power circuit."""
+    st = pc.circuit.apply_unitary(Statevector.zero(pc.width))
+    prob = 1.0
+    for reg in pc.measured:
+        p, st = sim.project_bits(st, reg, 0)
+        prob *= p
+    return prob, st
+
+
+def survivor_amplitudes(pc, state):
+    """Amplitudes of the surviving primary register of a post-selected,
+    amplitude-encoded power state (every other qubit is then |0>)."""
+    out = np.zeros(1 << len(pc.primary), dtype=complex)
+    np.add.at(out, register_values(state.n_qubits, pc.primary), state.amplitudes)
+    return out
+
+
+def side_state_matrix(state, loader):
+    """V[side, j] = amplitude of |j>_primary |side> for a BOE loader, whose
+    side register is every qubit outside the primary.  Normalized, the
+    columns are the side states, orthonormal for a proper BOE."""
+    side = tuple(q for q in range(loader.width) if q not in loader.primary)
+    out = np.zeros((1 << len(side), 1 << len(loader.primary)), dtype=complex)
+    np.add.at(out, (register_values(state.n_qubits, side),
+                    register_values(state.n_qubits, loader.primary)),
+              state.amplitudes)
+    return out
+
+
+def swap_probabilities(pc, e_loader):
+    """(P(Z=0), P(Z=0 and ancilla=0)) for a power circuit followed by a swap
+    test against `e_loader`, where Z is every consumed register."""
+    test = inner.build_swap_test(pc, e_loader)
+    st = test.circuit.apply_unitary(Statevector.zero(test.width))
+    z_qubits = tuple(q for reg in pc.measured for q in reg)
+    p_z0 = sim.probability_of_bits(st, z_qubits, 0) if z_qubits else 1.0
+    return p_z0, sim.probability_of_bits(st, z_qubits + (test.ancilla,), 0)

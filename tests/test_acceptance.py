@@ -8,11 +8,11 @@ import json
 import math
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 from scipy import stats
 
-from qsim import assembly, classical, encoding, inner, qae, qhp, sim
+import helpers
+from qsim import inner, qhp, sim
 from qsim.assembly import VariantConfig, evaluate, run_experiment
 from qsim.classical import DEFAULT_PARAMS, fit_polynomial
 from qsim.cli import main as cli_main
@@ -25,12 +25,6 @@ def _report(num, ok):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'}"
     print(line)
     assert ok, line
-
-
-def _pair_with_overlap(p):
-    phi = 0.5 * math.asin(p)
-    return (normalize_affine([math.cos(phi), math.sin(phi)], 0.0),
-            normalize_affine([math.sin(phi), math.cos(phi)], 0.0))
 
 
 def test_criterion_01_qhp_correctness():
@@ -46,9 +40,9 @@ def test_criterion_01_qhp_correctness():
         series = normalize_affine(raw, 0.0)
         loader = qhp.make_loader(series)
         pc = qhp.build_power_circuit(qhp.PowerPlan(k=k, style=style), loader)
-        prob, state = qhp.postselected_power_state(pc)
+        prob, state = helpers.postselected_power_state(pc)
         a_k = qhp.norm_constant_ak(series, k)
-        amps = qhp.survivor_amplitudes(pc, state)
+        amps = helpers.survivor_amplitudes(pc, state)
         ok &= bool(np.allclose(amps.real, a_k * series.values**k, atol=1e-10))
         ok &= bool(np.allclose(amps.imag, 0.0, atol=1e-10))
         # measured success frequency vs a_k^-2 at 1e5 shots
@@ -91,7 +85,7 @@ def test_criterion_02_inner_product_identities():
 
 
 def test_criterion_03_variance_separation():
-    a, b = _pair_with_overlap(0.072)
+    a, b = helpers.pair_with_overlap(0.072)
     rng = RngStream(31)
     swap_est, free_est = [], []
     for _ in range(100):
@@ -177,7 +171,7 @@ def test_criterion_07_boe_structure():
             loader.circuit.apply_unitary(st)
             marg = sim.marginal_probabilities(st, list(loader.primary))
             ok &= bool(np.allclose(marg, vals**2, atol=1e-10))
-            V = encoding.side_state_matrix(st, loader.layout)
+            V = helpers.side_state_matrix(st, loader)
             V = V / np.linalg.norm(V, axis=0, keepdims=True)
             ok &= bool(np.allclose(V.conj().T @ V, np.eye(n_vals), atol=1e-10))
     _report(7, ok)

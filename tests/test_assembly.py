@@ -1,16 +1,16 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
-from qsim import assembly, classical
+from qsim import classical
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            constant_term_y0, delta_gross_margin, evaluate,
                            resource_report, run_experiment)
 from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine
 from qsim.errors import AssumptionError
+from qsim.qae import QaeConfig
 
 RAW_T = np.array([12.0, 17.0, 23.0, 28.0])
 RAW_E = np.array([30.0, 24.0, 36.0, 28.0])
@@ -38,14 +38,13 @@ class TestBudget:
         assert budget.alpha_k[1] == pytest.approx((2 - 1 + 0.9) / 2)
 
     def test_zero_coefficients_skipped(self):
-        coeffs = classical.PolyCoeffs(K=2, b=np.array([1.0, 0.0, 2.0]),
-                                      eta=0.0, fit_mode="taylor")
+        coeffs = classical.PolyCoeffs(b=np.array([1.0, 0.0, 2.0]), eta=0.0,
+                                      fit_mode="taylor")
         budget = allocate_budget(coeffs, 0.1, 0.1, 0.9, 2)
         assert budget.skipped == [1]
 
     def test_all_zero_rejected(self):
-        coeffs = classical.PolyCoeffs(K=1, b=np.zeros(2), eta=0.0,
-                                      fit_mode="taylor")
+        coeffs = classical.PolyCoeffs(b=np.zeros(2), eta=0.0, fit_mode="taylor")
         with pytest.raises(ValueError):
             allocate_budget(coeffs, 0.1, 0.1, 0.9, 1)
 
@@ -91,6 +90,14 @@ class TestEvaluate:
     def test_non_positive_forced_epsilon_rejected(self, forced):
         with pytest.raises(ValueError):
             VariantConfig(variant="b", K=2, eta=10.0, forced_epsilon_k=forced)
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_non_positive_shots_rejected(self, shots):
+        # checked once, in QaeConfig, which VariantConfig builds
+        with pytest.raises(ValueError, match="shots"):
+            QaeConfig(shots=shots)
+        with pytest.raises(ValueError, match="shots"):
+            VariantConfig(variant="c", K=1, eta=10.0, shots=shots)
 
     def test_forced_epsilon_used_for_every_power(self):
         cfg = VariantConfig(variant="b", K=2, eta=10.0, forced_epsilon_k=0.04)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim import classical
 from qsim.classical import (DEFAULT_PARAMS, SampleAccess, SigmoidParams,
                             classical_poly_value, estimate_yk_sampling,
                             exact_value, fit_polynomial, sampling_group_count,

@@ -133,6 +133,15 @@ class TestExperiment:
                                       "--config", str(tmp_path / "nope.json")])
         assert result.exit_code == 3
 
+    def test_zero_shots_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shots": 0}))
+        result = runner.invoke(main, ["experiment", "end_to_end",
+                                      "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "shots" in result.output
+
     def test_unknown_name_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")

@@ -9,6 +9,12 @@ The variant-b, variant-d, canonical and BOE swap-test digests were computed
 before the readout circuits were given a single construction in
 `inner.build_swap_test` and `inner.build_ancilla_free`, and that rewrite
 reproduces them.
+
+The BOE swap-test digest covers the estimate as it was recorded when the
+digest was taken, with the inputs epsilon and alpha and a tallies record
+that the estimate no longer carries.  Those fields are rebuilt here: the
+counts from the estimator's own multinomial draw, repeated on the same seed,
+and the probabilities from a statevector pass.
 """
 
 import dataclasses
@@ -18,6 +24,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from qsim import assembly, inner, qhp
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.sim import RngStream
@@ -51,10 +58,16 @@ def _evaluate(variant, K, seed, **options):
 
 
 def _boe_swap(k, s, shots, seed):
-    est = inner.estimate_ytilde_boe_swap(
-        normalize_sqrt(FIXTURE_T, ETA), normalize_sqrt(FIXTURE_E, 0.0), k, s,
-        0.1, 0.9, RngStream(seed), shots=shots)
-    return dataclasses.asdict(est)
+    series_t, series_e = normalize_sqrt(FIXTURE_T, ETA), normalize_sqrt(FIXTURE_E, 0.0)
+    est = inner.estimate_ytilde_boe_swap(series_t, series_e, k, s, 0.1, 0.9,
+                                         RngStream(seed), shots=shots)
+    pc = qhp.power_circuit(series_t, k, encoding="boe", s=s)
+    e_loader = qhp.make_loader(series_e, "boe", s)
+    c00, c01, _ = RngStream(seed).multinomial(shots, inner._qhp_swap_probabilities(pc, e_loader))
+    p_z0, p_z0_x0 = helpers.swap_probabilities(pc, e_loader)
+    return {**dataclasses.asdict(est), "epsilon": 0.1, "alpha": 0.9,
+            "tallies": {"zz_and_x0": int(c00), "zz_and_x1": int(c01), "shots": shots,
+                        "p_z0": p_z0, "p_z0_x0": p_z0_x0}}
 
 
 CASES = {

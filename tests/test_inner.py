@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qsim import inner, qhp, sim
+from helpers import pair_with_overlap
+from qsim import inner, sim
 from qsim.encoding import build_tree, load_amplitude, normalize_affine, normalize_sqrt
 from qsim.inner import (build_ancilla_free, build_swap_test,
                         estimate_yk_swap, estimate_yk_variant_ab,
                         estimate_ytilde_boe_swap, phi_inverse,
-                        shots_ancilla_free, shots_sqrt_estimator, shots_swap)
+                        shots_ancilla_free, shots_swap)
 from qsim.sim import RngStream, Statevector
-
-
-def pair_with_overlap(p):
-    phi = 0.5 * math.asin(p)
-    return (normalize_affine([math.cos(phi), math.sin(phi)], 0.0),
-            normalize_affine([math.sin(phi), math.cos(phi)], 0.0))
 
 
 def random_pair(n_vals, seed):
@@ -53,15 +48,6 @@ class TestSampleSizes:
             (1 - p**4) / (4 * eps**2 * p**2) * q * q)
         assert shots_ancilla_free(p, eps, 0.95) == math.ceil(
             (1 - p**2) / (4 * eps**2) * q * q)
-
-    def test_sqrt_estimator_zero_variance(self):
-        assert shots_sqrt_estimator(1.0, 0.0, 0.3, 0.0, 0.01, 0.95) == 0
-
-    def test_sqrt_estimator_validation(self):
-        with pytest.raises(ValueError):
-            shots_sqrt_estimator(0.0, 0.0, 0.3, 0.1, 0.01, 0.95)
-        with pytest.raises(ValueError):
-            shots_sqrt_estimator(1.0, -1.0, 0.3, 0.1, 0.01, 0.95)
 
     def test_swap_requires_positive_p(self):
         with pytest.raises(ValueError):

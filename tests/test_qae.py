@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qsim import qae, sim
-from qsim.encoding import build_tree, load_amplitude, normalize_affine, normalize_sqrt
+from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.qae import (GroverOracle, QaeConfig, build_oracle_variant_c,
                       build_oracles_variant_d, canonical_qae,
                       estimate_yk_variant_c, estimate_ytilde_variant_d, iqae)
-from qsim.sim import Circuit, RngStream, Statevector
+from qsim.sim import Circuit, RngStream
 
 
 def simple_oracle(z):
@@ -54,15 +53,15 @@ class TestCanonicalQae:
         # z on the QPE grid is read out exactly
         x = 5
         z = math.sin(math.pi * x / (1 << m)) ** 2
-        z_hat, _ = canonical_qae(simple_oracle(z), m, 1, RngStream(0),
-                                 shots_per_run=200)
+        z_hat = canonical_qae(simple_oracle(z), m, 1, RngStream(0),
+                              shots_per_run=200)
         assert z_hat == pytest.approx(z, abs=1e-10)
 
     def test_off_grid_within_resolution(self):
         m = 6
         z = 0.25
-        z_hat, _ = canonical_qae(simple_oracle(z), m, 3, RngStream(1),
-                                 shots_per_run=100)
+        z_hat = canonical_qae(simple_oracle(z), m, 3, RngStream(1),
+                              shots_per_run=100)
         assert abs(z_hat - z) < 0.02
 
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim import qhp, sim
+from helpers import postselected_power_state, survivor_amplitudes
+from qsim import sim
 from qsim.encoding import boe_width, normalize_affine, normalize_sqrt
 from qsim.errors import ZeroBranchError
 from qsim.qhp import (PowerPlan, QhpOutcome, build_power_circuit, depth_bound,
                       expected_loads, make_loader, norm_constant_ak,
-                      postselected_power_state, run_with_dynamic_stopping,
-                      success_probability, survivor_amplitudes, width_formula)
+                      run_with_dynamic_stopping, success_probability,
+                      width_formula)
 from qsim.sim import Circuit, RngStream, Statevector
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from qsim import sim
 from qsim.errors import ZeroBranchError
 from qsim.kernels import apply_cswap_pair, apply_ctrl_1q, backend
@@ -26,13 +27,8 @@ def random_unitary(seed=0):
 
 def _ref_indices(n_qubits, fixed_mask, fixed_val):
     """Indices i in [0, 2^n) with i & fixed_mask == fixed_val, increasing."""
-    idx = np.array([fixed_val], dtype=np.int64)
-    for b in range(n_qubits):
-        bit = 1 << b
-        if fixed_mask & bit:
-            continue
-        idx = np.concatenate([idx, idx | bit])
-    return idx
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    return idx[(idx & fixed_mask) == fixed_val]
 
 
 def ref_ctrl_1q(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u11):
@@ -114,6 +110,20 @@ def register_cases(draw):
     qubits = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
     value = draw(st.integers(-1, (1 << len(qubits)) + 1))
     return n, tuple(qubits), value
+
+
+@st.composite
+def marginal_cases(draw):
+    """(state, register): n in 1..12, a register of 0..n distinct qubits in
+    any order (one qubit in at least half the draws), and a state with a
+    drawn share of its amplitudes set to zero."""
+    n = draw(st.integers(1, 12))
+    size = draw(st.one_of(st.just(1), st.integers(0, n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    state = random_state(n, seed)
+    zero = np.random.default_rng(seed).random(1 << n) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    state.amplitudes[zero] = 0.0
+    return state, tuple(draw(st.permutations(range(n)))[:size])
 
 
 def random_gate_case(rng):
@@ -238,7 +248,7 @@ class TestGates:
 
     def test_cnot_layer_entangles(self):
         circ = Circuit(2).h(0).cnot_layer((0,), (1,))
-        probs = circ.apply_unitary(Statevector.zero(2)).probabilities()
+        probs = np.abs(circ.apply_unitary(Statevector.zero(2)).amplitudes) ** 2
         np.testing.assert_allclose(probs[[0b00, 0b11]], [0.5, 0.5], atol=1e-14)
 
     def test_width_guard_refuses_before_allocating(self):
@@ -274,7 +284,7 @@ class TestMeasurement:
         # bit for bit against selecting by the per-index register values
         n, qubits, value = case
         state = random_state(n, seed)
-        sel = sim._register_values(n, qubits) == value
+        sel = helpers.register_values(n, qubits) == value
         p_ref = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
         assert sim.probability_of_bits(state, qubits, value) == p_ref
         if p_ref < sim.ZERO_BRANCH_CUTOFF:
@@ -288,11 +298,20 @@ class TestMeasurement:
         assert p == p_ref
         np.testing.assert_array_equal(bits(out.amplitudes), bits(expected))
 
+    @given(marginal_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_marginal_matches_register_values(self, case):
+        # bit for bit against accumulating with np.add.at in index order
+        state, qubits = case
+        np.testing.assert_array_equal(
+            bits(sim.marginal_probabilities(state, qubits)),
+            bits(helpers.marginal_probabilities(state, qubits)))
+
     def test_project_bits_renormalizes(self):
         state = random_state(3, 7)
         p, cond = sim.project_bits(state, (1,), 0)
         assert 0 < p < 1
-        assert cond.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(cond.amplitudes) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_postselect_reduces_width(self):
         state = random_state(3, 8)
@@ -300,6 +319,13 @@ class TestMeasurement:
         assert reduced.n_qubits == 1
         assert p == pytest.approx(
             sim.probability_of_bits(state, (1, 2), 0), abs=1e-12)
+
+    def test_postselect_rejects_non_contiguous_register(self):
+        # qubits 0 and 2 of |010> read 0 with probability 1, but a
+        # non-contiguous register is refused rather than read as (0, 1)
+        state = Circuit(3).x(1).apply_unitary(Statevector.zero(3))
+        with pytest.raises(ValueError, match="contiguous"):
+            sim.postselect(state, (0, 2), 0)
 
     def test_measure_statistics(self):
         state = Circuit(1).h(0).apply_unitary(Statevector.zero(1))
@@ -310,20 +336,21 @@ class TestMeasurement:
 
 class TestRngStream:
     def test_reproducible(self):
-        a = RngStream(5).uniform(size=4)
-        b = RngStream(5).uniform(size=4)
+        a = RngStream(5).generator.uniform(size=4)
+        b = RngStream(5).generator.uniform(size=4)
         np.testing.assert_array_equal(a, b)
 
     def test_split_streams_differ(self):
         s1, s2 = RngStream(5).split(2)
-        assert not np.array_equal(s1.uniform(size=4), s2.uniform(size=4))
+        assert not np.array_equal(s1.generator.uniform(size=4),
+                                  s2.generator.uniform(size=4))
 
     def test_split_independent_of_consumption(self):
         r1 = RngStream(5)
-        r1.uniform(size=10)
+        r1.generator.uniform(size=10)
         # split identity depends only on the seed path, not on draws
-        a = RngStream(5).split(3)[2].uniform(size=4)
-        b = r1.split(3)[2].uniform(size=4)
+        a = RngStream(5).split(3)[2].generator.uniform(size=4)
+        b = r1.split(3)[2].generator.uniform(size=4)
         np.testing.assert_array_equal(a, b)
 
 
@@ -354,7 +381,7 @@ class TestCircuit:
     def test_ry_preserves_norm(self, qubit, angle):
         state = random_state(3, 42)
         Circuit(3).ry(qubit, angle).apply_unitary(state)
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(state.amplitudes) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     @given(st.integers(0, 60))
     @settings(max_examples=25, deadline=None)
