@@ -162,6 +162,9 @@ def _estimate_power(config, k, series_T, series_E, sqrtT, sqrtE,
 
 
 def _per_k_resources(config, k, n):
+    # The c/d widths count the flag qubit a hardware oracle copies its good
+    # outcome onto; the simulator reflects about that outcome in place and
+    # allocates one qubit fewer.  Golden digests pin these rows.
     if config.variant == "a":
         return {"width": qhp.width_formula(k, "mid_reset", True, n),
                 "depth_bound": qhp.depth_bound(k, "mid_reset", True, n, n)}

@@ -13,21 +13,27 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from . import qhp, sim
+from . import kernels, qhp, sim
 from .encoding import build_tree, load_amplitude
 from .inner import InnerEstimate, build_ancilla_free, build_swap_test
-from .sim import Circuit, Statevector
+from .sim import Statevector
 
 
 class GroverOracle:
-    """State preparation F = R(A x I) plus the derived reflections."""
+    """State preparation F plus the derived reflections.
 
-    def __init__(self, prepare, good_qubit):
+    The good outcome is the all-zero reading of the qubits in `good`; an
+    empty tuple makes every outcome good.
+    """
+
+    def __init__(self, prepare, good):
         self.prepare = prepare
-        self.good_qubit = good_qubit
+        self.good = tuple(good)
         self.n_qubits = prepare.n_qubits
         self._inverse = prepare.inverse()
         self._last_power = None  # cache: (k, state) for monotone schedules
+        mask = sum(1 << q for q in self.good)
+        self._good_view = kernels._view_plan(self.n_qubits, mask, 0, 0)[:2]
 
     def chi(self):
         st = Statevector.zero(self.n_qubits)
@@ -35,16 +41,14 @@ class GroverOracle:
         return st
 
     def z_exact(self):
-        return self.flag_probability(self.chi())
+        return self.good_probability(self.chi())
 
-    def flag_probability(self, state):
-        return sim.probability_of_bits(state, (self.good_qubit,), 1)
+    def good_probability(self, state):
+        return sim.probability_of_bits(state, self.good, 0)
 
     def _flip_good(self, state):
-        q = self.good_qubit
-        low = 1 << q
-        high = 1 << (self.n_qubits - q - 1)
-        state.amplitudes.reshape(high, 2, low)[:, 1, :] *= -1.0
+        shape, idx = self._good_view
+        state.amplitudes.reshape(shape)[idx] *= -1.0
 
     def grover(self, state):
         """Apply Q in place."""
@@ -66,8 +70,8 @@ class GroverOracle:
         self._last_power = (j, st)
         return st
 
-    def flag_probability_after(self, k):
-        return self.flag_probability(self.state_after(k))
+    def good_probability_after(self, k):
+        return self.good_probability(self.state_after(k))
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,8 @@ class QaeConfig:
     shots: int = 100           # shots per IQAE round / per canonical run
 
     def __post_init__(self):
+        if self.engine not in ("iqae", "canonical"):
+            raise ValueError(f"unknown QAE engine {self.engine!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.medians < 1 or self.medians % 2 == 0:
@@ -91,35 +97,24 @@ class QaeConfig:
 # ---------------------------------------------------------------------------
 
 def build_oracle_variant_c(series_T, series_E, k):
-    """QHP + ancilla-free oracle: flag on the all-zero state, z = y_k^2."""
+    """QHP + ancilla-free oracle: good is the all-zero readout, z = y_k^2."""
     pc = qhp.power_circuit(series_T, k)
     readout = build_ancilla_free(pc, load_amplitude(build_tree(series_E)))
-    flag = pc.width
-    circ = Circuit(flag + 1, readout.gates)
-    circ.mcx([(q, 0) for q in range(pc.width)], flag)
-    return GroverOracle(circ, flag)
+    return GroverOracle(readout, range(pc.width))
 
 
 def build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s):
     """BOE + QHP + swap-test oracles.
 
-    U flags QHP success and a good swap ancilla, z = (ytilde_k + atilde_k^-2)/2;
-    U' flags QHP success alone, z' = atilde_k^-2.
+    U marks QHP success (Z = 0) with a good swap ancilla,
+    z = (ytilde_k + atilde_k^-2)/2; U' marks QHP success alone,
+    z' = atilde_k^-2.  At k = 1 no register is consumed, so z' = 1.
     """
     pc = qhp.power_circuit(series_Tsqrt, k, encoding="boe", s=s)
     test = build_swap_test(pc, qhp.make_loader(series_Esqrt, "boe", s))
-    flag = test.width
-    z_controls = [(q, 0) for reg in pc.measured for q in reg]
-
-    circ_u = Circuit(flag + 1, test.circuit.gates)
-    circ_u.mcx(z_controls + [(test.ancilla, 0)], flag)
-
-    circ_up = Circuit(flag + 1, test.circuit.gates)
-    if z_controls:
-        circ_up.mcx(z_controls, flag)
-    else:
-        circ_up.x(flag)
-    return GroverOracle(circ_u, flag), GroverOracle(circ_up, flag)
+    z_qubits = tuple(q for reg in pc.measured for q in reg)
+    return (GroverOracle(test.circuit, z_qubits + (test.ancilla,)),
+            GroverOracle(test.circuit, z_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +215,7 @@ def iqae(oracle, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
             break
         k, up = _find_next_k(k, up, theta_l, theta_u)
         big_k = 4 * k + 2
-        p_exact = oracle.flag_probability_after(k)
+        p_exact = oracle.good_probability_after(k)
         ones = int(rng.binomial(shots_per_round, min(max(p_exact, 0.0), 1.0)))
         tally = tallies.setdefault(k, [0, 0])
         tally[0] += ones

@@ -25,7 +25,6 @@ MAX_STATE_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -219,11 +218,13 @@ class Circuit:
       ("ucry", controls, target, angles)   -- uniformly controlled Ry;
           controls[0] carries the most-significant bit of the pattern index
       ("layer", controls, targets)         -- CNOT layer
-      ("mcx", ((qubit, polarity), ...), target)
       ("cswap", control, regA, regB)
 
-    The builder methods check their qubits against n_qubits, so a bad gate
-    fails where it is added rather than where it is applied.
+    The builder methods check their qubits against n_qubits, refuse a qubit
+    named twice in one gate and give ucry one angle per control pattern, so
+    a bad gate fails where it is added rather than where it is applied.
+    Reflections about a register value, such as a QAE oracle's good
+    subspace, are applied in place by qae.GroverOracle, not as gates.
     """
 
     def __init__(self, n_qubits, gates=None):
@@ -249,11 +250,13 @@ class Circuit:
     def h(self, qubit):
         return self.u(qubit, HADAMARD)
 
-    def x(self, qubit):
-        return self.u(qubit, PAULI_X)
-
     def ucry(self, controls, target, angles):
         controls = tuple(controls)
+        if len(set(controls)) != len(controls) or target in controls:
+            raise ValueError("duplicate qubit indices in uniformly controlled Ry")
+        if len(angles) != 1 << len(controls):
+            raise ValueError(f"{len(controls)} controls need {1 << len(controls)} "
+                             f"angles, got {len(angles)}")
         _check_qubits(self, controls + (target,))
         self.gates.append(("ucry", controls, target,
                            tuple(float(a) for a in angles)))
@@ -269,17 +272,6 @@ class Circuit:
             raise ValueError("controls and targets overlap")
         _check_qubits(self, controls + targets)
         self.gates.append(("layer", controls, targets))
-        return self
-
-    def mcx(self, controls, target):
-        """X on target conditioned on every (qubit, polarity) control matching."""
-        controls = tuple((int(q), int(p)) for q, p in controls)
-        target = int(target)
-        qubits = tuple(q for q, _pol in controls)
-        if len(set(qubits)) != len(qubits) or target in qubits:
-            raise ValueError("duplicate qubit indices in multi-controlled X")
-        _check_qubits(self, qubits + (target,))
-        self.gates.append(("mcx", controls, target))
         return self
 
     def cswap(self, control, a, b):
@@ -314,7 +306,7 @@ class Circuit:
                 inv.gates.append(("ry", g[1], -g[2]))
             elif kind == "ucry":
                 inv.gates.append(("ucry", g[1], g[2], tuple(-a for a in g[3])))
-            else:  # layer, mcx and cswap are their own inverses
+            else:  # layer and cswap are their own inverses
                 inv.gates.append(g)
         return inv
 
@@ -331,8 +323,6 @@ class Circuit:
             elif kind == "layer":
                 out.gates.append((kind, tuple(m[q] for q in g[1]),
                                   tuple(m[q] for q in g[2])))
-            elif kind == "mcx":
-                out.gates.append((kind, tuple((m[q], p) for q, p in g[1]), m[g[2]]))
             else:  # cswap
                 out.gates.append((kind, m[g[1]], tuple(m[q] for q in g[2]),
                                   tuple(m[q] for q in g[3])))
@@ -367,15 +357,6 @@ class Circuit:
             for c, t in zip(gate[1], gate[2]):
                 kernels.apply_ctrl_1q(amps, n, 1 << c, 1 << c, t,
                                       0.0, 1.0, 1.0, 0.0)
-        elif kind == "mcx":
-            mask = 0
-            val = 0
-            for q, pol in gate[1]:
-                mask |= 1 << q
-                if pol:
-                    val |= 1 << q
-            kernels.apply_ctrl_1q(amps, n, mask, val, gate[2],
-                                  0.0, 1.0, 1.0, 0.0)
         elif kind == "cswap":
             control = gate[1]
             for qa, qb in zip(gate[2], gate[3]):

@@ -11,6 +11,9 @@ from qsim.assembly import _pair_with_overlap
 from qsim.encoding import normalize_affine
 from qsim.sim import Statevector
 
+# Pauli X, for Circuit.u: qsim has no X gate of its own.
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
 
 def pair_with_overlap(p):
     """Two normalized positive series on 2 points with inner product p."""

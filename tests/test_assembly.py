@@ -99,6 +99,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="shots"):
             VariantConfig(variant="c", K=1, eta=10.0, shots=shots)
 
+    def test_unknown_engine_rejected(self):
+        # a misspelt engine used to run IQAE silently
+        with pytest.raises(ValueError, match="engine"):
+            QaeConfig(engine="canonicl")
+        with pytest.raises(ValueError, match="engine"):
+            VariantConfig(variant="c", K=1, eta=10.0, engine="canonicl", seed=1)
+
     def test_forced_epsilon_used_for_every_power(self):
         cfg = VariantConfig(variant="b", K=2, eta=10.0, forced_epsilon_k=0.04)
         report = evaluate(cfg, RAW_T, RAW_E)

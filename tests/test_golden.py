@@ -9,6 +9,9 @@ The variant-b, variant-d, canonical and BOE swap-test digests were computed
 before the readout circuits were given a single construction in
 `inner.build_swap_test` and `inner.build_ancilla_free`, and that rewrite
 reproduces them.
+The variant-d K=2 digests were computed while the QAE oracles still copied
+their good outcome onto a flag qubit, and marking the readout's own outcome
+reproduces them; at K=2 the variant-d good register is not contiguous.
 
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
@@ -95,6 +98,12 @@ CASES = {
     "variant-d-K1-s1": (
         lambda: _evaluate("d", 1, 3, s=1),
         "2c9e43662c7a0411003f9a1ababdc449386904c240aebd8942a67f16aab1cce8"),
+    "variant-d-K2-s1": (
+        lambda: _evaluate("d", 2, 3, s=1, forced_epsilon_k=0.02),
+        "b8d39a98d2d66e24019e84986f62c680e0dcf8aef3bd6d0550bdbe7ab3266505"),
+    "canonical-d-K2-s1": (
+        lambda: _evaluate("d", 2, 3, s=1, engine="canonical"),
+        "adac51a187df10959ce010a31b76c9e7a0aeaa1f5f0126600461dea0a770cfcd"),
     "canonical-c": (
         lambda: _evaluate("c", 2, 3, engine="canonical"),
         "89af932b34bdb1549556da902479d05821d0fe92afb111598064ce91ae7fe850"),

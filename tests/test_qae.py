@@ -11,10 +11,10 @@ from qsim.sim import Circuit, RngStream
 
 
 def simple_oracle(z):
-    """Single-qubit oracle with flag probability z."""
+    """Single-qubit oracle whose good state |0> has probability z."""
     circ = Circuit(1)
-    circ.ry(0, 2.0 * math.asin(math.sqrt(z)))
-    return GroverOracle(prepare=circ, good_qubit=0)
+    circ.ry(0, 2.0 * math.acos(math.sqrt(z)))
+    return GroverOracle(prepare=circ, good=(0,))
 
 
 def series_pair(eta=10.0):
@@ -34,14 +34,14 @@ class TestGroverOracle:
         z = 0.2
         oracle = simple_oracle(z)
         theta = math.asin(math.sqrt(z))
-        p = oracle.flag_probability_after(j)
+        p = oracle.good_probability_after(j)
         assert p == pytest.approx(math.sin((2 * j + 1) * theta) ** 2, abs=1e-12)
 
     def test_state_cache_consistent(self):
         oracle = simple_oracle(0.15)
-        p3 = oracle.flag_probability_after(3)
-        p1 = oracle.flag_probability_after(1)   # forces recompute
-        p3_again = oracle.flag_probability_after(3)
+        p3 = oracle.good_probability_after(3)
+        p1 = oracle.good_probability_after(1)   # forces recompute
+        p3_again = oracle.good_probability_after(3)
         assert p3 == pytest.approx(p3_again, abs=1e-12)
         theta = math.asin(math.sqrt(0.15))
         assert p1 == pytest.approx(math.sin(3 * theta) ** 2, abs=1e-12)
@@ -101,7 +101,33 @@ class TestIqae:
         assert calls[1] / calls[0] < 10.0
 
 
+def sqrt_series_pair():
+    return (normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0),
+            normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0))
+
+
+# (builder, id): variant c at k 1-3, and both variant-d oracles (U, U')
+# at k 1-2 and s 1-2
+VARIANT_ORACLES = [
+    *[pytest.param(lambda k=k: build_oracle_variant_c(*series_pair(), k), id=f"c-k{k}")
+      for k in (1, 2, 3)],
+    *[pytest.param(lambda k=k, s=s, i=i: build_oracles_variant_d(*sqrt_series_pair(), k, s)[i],
+                   id=f"d-k{k}-s{s}-{name}")
+      for k in (1, 2) for s in (1, 2) for i, name in enumerate(("U", "Uprime"))],
+]
+
+
 class TestVariantOracles:
+    @pytest.mark.parametrize("build", VARIANT_ORACLES)
+    def test_grover_spectrum(self, build):
+        # multi-qubit and empty good registers: P(good after Q^j) =
+        # sin^2((2j+1) theta) with sin^2(theta) = z
+        oracle = build()
+        theta = math.asin(math.sqrt(min(oracle.z_exact(), 1.0)))
+        for j in range(6):
+            assert oracle.good_probability_after(j) == pytest.approx(
+                math.sin((2 * j + 1) * theta) ** 2, abs=1e-12)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_variant_c_z_is_yk_squared(self, k):
         t, e = series_pair()
@@ -111,8 +137,7 @@ class TestVariantOracles:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_variant_d_z_identities(self, k):
-        t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
-        e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+        t, e = sqrt_series_pair()
         u, u_prime = build_oracles_variant_d(t, e, k, 1)
         y_tilde = float(np.sum(t.values ** (2 * k) * e.values**2))
         a_inv_sq = float(np.sum(t.values ** (2 * k)))

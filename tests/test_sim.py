@@ -202,12 +202,14 @@ BAD_GATES = {
     "u-out-of-range": (lambda c: c.u(3, sim.HADAMARD), "out of range"),
     "ry-out-of-range": (lambda c: c.ry(-1, 0.3), "out of range"),
     "ucry-out-of-range": (lambda c: c.ucry([3], 0, [0.1, 0.2]), "out of range"),
+    "ucry-repeated-control": (lambda c: c.ucry([1, 1], 0, [0.1, 0.2, 0.3, 0.4]),
+                              "duplicate"),
+    "ucry-target-is-control": (lambda c: c.ucry([0], 0, [0.1, 0.2]), "duplicate"),
+    "ucry-too-few-angles": (lambda c: c.ucry([1], 0, [0.1]), "angles"),
+    "ucry-too-few-angles-2c": (lambda c: c.ucry([1, 2], 0, [0.1, 0.2]), "angles"),
     "layer-unequal-lengths": (lambda c: c.cnot_layer((0, 1), (2,)), "equal length"),
     "layer-overlap": (lambda c: c.cnot_layer((0, 1), (1, 2)), "overlap"),
     "layer-out-of-range": (lambda c: c.cnot_layer((0,), (3,)), "out of range"),
-    "mcx-duplicate-control": (lambda c: c.mcx([(0, 1), (0, 0)], 1), "duplicate"),
-    "mcx-target-is-control": (lambda c: c.mcx([(0, 1), (1, 1)], 1), "duplicate"),
-    "mcx-out-of-range": (lambda c: c.mcx([(0, 1)], 5), "out of range"),
     "cswap-unequal-sizes": (lambda c: c.cswap(2, (0,), ()), "sizes differ"),
     "cswap-overlap": (lambda c: c.cswap(2, (0,), (0,)), "overlapping"),
     "cswap-control-in-register": (lambda c: c.cswap(1, (0,), (1,)), "overlapping"),
@@ -238,13 +240,8 @@ class TestGates:
                                    [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
 
     def test_qubit0_is_lsb(self):
-        state = Circuit(2).x(0).apply_unitary(Statevector.zero(2))
+        state = Circuit(2).u(0, helpers.PAULI_X).apply_unitary(Statevector.zero(2))
         assert abs(state.amplitudes[0b01]) == pytest.approx(1.0)
-
-    def test_mcx_polarity(self):
-        # open control on qubit 0 flips the target from |00>
-        state = Circuit(2).mcx([(0, 0)], 1).apply_unitary(Statevector.zero(2))
-        assert abs(state.amplitudes[0b10]) == pytest.approx(1.0)
 
     def test_cnot_layer_entangles(self):
         circ = Circuit(2).h(0).cnot_layer((0,), (1,))
@@ -262,7 +259,7 @@ class TestGates:
         assert peak < 1 << 20
 
     def test_controlled_swap(self):
-        circ = Circuit(3).x(0).x(2).cswap(2, (0,), (1,))
+        circ = Circuit(3).u(0, helpers.PAULI_X).u(2, helpers.PAULI_X).cswap(2, (0,), (1,))
         state = circ.apply_unitary(Statevector.zero(3))
         assert abs(state.amplitudes[0b110]) == pytest.approx(1.0)
 
@@ -274,7 +271,7 @@ class TestMeasurement:
         assert probs.sum() == pytest.approx(1.0)
 
     def test_project_bits_zero_branch(self):
-        state = Circuit(2).x(0).apply_unitary(Statevector.zero(2))
+        state = Circuit(2).u(0, helpers.PAULI_X).apply_unitary(Statevector.zero(2))
         with pytest.raises(ZeroBranchError):
             sim.project_bits(state, (0,), 0)
 
@@ -323,7 +320,7 @@ class TestMeasurement:
     def test_postselect_rejects_non_contiguous_register(self):
         # qubits 0 and 2 of |010> read 0 with probability 1, but a
         # non-contiguous register is refused rather than read as (0, 1)
-        state = Circuit(3).x(1).apply_unitary(Statevector.zero(3))
+        state = Circuit(3).u(1, helpers.PAULI_X).apply_unitary(Statevector.zero(3))
         with pytest.raises(ValueError, match="contiguous"):
             sim.postselect(state, (0, 2), 0)
 
@@ -360,7 +357,6 @@ class TestCircuit:
         circ.h(0)
         circ.ry(1, 0.7)
         circ.ucry([2], 1, [0.3, 1.1])
-        circ.mcx([(0, 1), (2, 0)], 1)
         circ.cswap(2, (0,), (1,))
         circ.extend(circ.inverse())
         state = random_state(3, 1)
@@ -370,7 +366,7 @@ class TestCircuit:
 
     def test_remapped(self):
         circ = Circuit(1)
-        circ.x(0)
+        circ.u(0, helpers.PAULI_X)
         wide = circ.remapped([2], 3)
         state = Statevector.zero(3)
         wide.apply_unitary(state)
@@ -394,9 +390,9 @@ class TestCircuit:
         for pattern in range(4):
             prep = Circuit(3)
             if pattern & 0b10:
-                prep.x(2)
+                prep.u(2, helpers.PAULI_X)
             if pattern & 0b01:
-                prep.x(1)
+                prep.u(1, helpers.PAULI_X)
             state = circ.apply_unitary(prep.apply_unitary(Statevector.zero(3)))
             p1 = sim.marginal_probabilities(state, [0])[1]
             assert p1 == pytest.approx(np.sin(angles[pattern] / 2.0) ** 2,
