@@ -5,6 +5,11 @@ The Grover iterate is Q = (2|chi><chi| - I)(I - 2 P_good) with
 |chi> = F|0>, realized as -F Z F^dag S_good.  Its eigenphases are +-2theta
 with sin^2(theta) = z, so an m-qubit phase readout x maps to
 z = sin^2(pi x / 2^m).
+
+IQAE reads the Grover spectrum in closed form: the good-outcome
+probability after Q^k is sin^2((2k+1)theta), with theta taken from one
+statevector pass of F per oracle.  Canonical QAE still simulates the
+2^m - 1 Grover powers its phase readout superposes.
 """
 
 import math
@@ -31,7 +36,7 @@ class GroverOracle:
         self.good = tuple(good)
         self.n_qubits = prepare.n_qubits
         self._inverse = prepare.inverse()
-        self._last_power = None  # cache: (k, state) for monotone schedules
+        self._theta = None
         mask = sum(1 << q for q in self.good)
         self._good_view = kernels._view_plan(self.n_qubits, mask, 0, 0)[:2]
 
@@ -59,19 +64,13 @@ class GroverOracle:
         state.amplitudes *= -1.0
         return state
 
-    def state_after(self, k):
-        """Q^k F|0>, advancing from the previous power when possible."""
-        if self._last_power is None or self._last_power[0] > k:
-            self._last_power = (0, self.chi())
-        j, st = self._last_power
-        while j < k:
-            self.grover(st)
-            j += 1
-        self._last_power = (j, st)
-        return st
-
     def good_probability_after(self, k):
-        return self.good_probability(self.state_after(k))
+        """P(good) after Q^k F|0> = sin^2((2k+1) theta), sin^2(theta) = z."""
+        if self._theta is None:
+            # z is 1 up to rounding when every outcome is good (U' at k = 1)
+            z = min(max(self.z_exact(), 0.0), 1.0)
+            self._theta = math.asin(math.sqrt(z))
+        return math.sin((2 * k + 1) * self._theta) ** 2
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,7 @@ def iqae(oracle, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
             break
         k, up = _find_next_k(k, up, theta_l, theta_u)
         big_k = 4 * k + 2
-        p_exact = oracle.good_probability_after(k)
-        ones = int(rng.binomial(shots_per_round, min(max(p_exact, 0.0), 1.0)))
+        ones = int(rng.binomial(shots_per_round, oracle.good_probability_after(k)))
         tally = tallies.setdefault(k, [0, 0])
         tally[0] += ones
         tally[1] += shots_per_round
@@ -277,8 +275,8 @@ def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
                               shots_per_run=config.shots)
         calls = config.medians * ((1 << config.m) - 1)
     else:
-        pilot = iqae(oracle, max(PILOT_EPSILON, epsilon / 2), PILOT_ALPHA, rng,
-                     shots_per_round=PILOT_SHOTS)
+        pilot = iqae(oracle, min(0.45, max(PILOT_EPSILON, epsilon / 2)),
+                     PILOT_ALPHA, rng, shots_per_round=PILOT_SHOTS)
         calls += pilot.oracle_calls
         y_pilot = math.sqrt(max(pilot.z_hat, 0.0))
         eps_z = min(0.45, epsilon * max(y_pilot, epsilon))

@@ -77,3 +77,12 @@ def swap_probabilities(pc, e_loader):
     z_qubits = tuple(q for reg in pc.measured for q in reg)
     p_z0 = sim.probability_of_bits(st, z_qubits, 0) if z_qubits else 1.0
     return p_z0, sim.probability_of_bits(st, z_qubits + (test.ancilla,), 0)
+
+
+def grover_probability_after(oracle, j):
+    """P(good) after j Grover iterates, each simulated on the statevector:
+    the reference for GroverOracle.good_probability_after."""
+    st = oracle.chi()
+    for _ in range(j):
+        oracle.grover(st)
+    return oracle.good_probability(st)

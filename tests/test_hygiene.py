@@ -27,7 +27,6 @@ UNREACHED_KEPT = {
     "ContractSpec": "the energy-contract input of delta_gross_margin (ROADMAP item 5)",
     "delta_gross_margin": "the paper's energy-economics application (ROADMAP item 5)",
     "expected_loads": "the dynamic-stopping load experiment (ROADMAP items 4 and 5)",
-    "z_exact": "the amplitude a closed-form QAE reads theta from (ROADMAP item 2)",
     "shots_swap": "the swap-test shot count the acceptance criteria check",
     "shots_ancilla_free": "the ancilla-free shot count the acceptance criteria check",
 }

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import grover_probability_after
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.qae import (GroverOracle, QaeConfig, build_oracle_variant_c,
                       build_oracles_variant_d, canonical_qae,
@@ -30,21 +32,51 @@ class TestGroverOracle:
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_grover_spectrum(self, j):
-        # P(good after Q^j) = sin^2((2j+1) theta)
-        z = 0.2
-        oracle = simple_oracle(z)
-        theta = math.asin(math.sqrt(z))
-        p = oracle.good_probability_after(j)
-        assert p == pytest.approx(math.sin((2 * j + 1) * theta) ** 2, abs=1e-12)
+        # the closed form sin^2((2j+1) theta) against j simulated iterates
+        oracle = simple_oracle(0.2)
+        assert oracle.good_probability_after(j) == pytest.approx(
+            grover_probability_after(oracle, j), abs=1e-12)
 
     def test_state_cache_consistent(self):
+        # theta is cached on first use: powers asked out of order, and the
+        # same power twice, still match the statevector
         oracle = simple_oracle(0.15)
-        p3 = oracle.good_probability_after(3)
-        p1 = oracle.good_probability_after(1)   # forces recompute
-        p3_again = oracle.good_probability_after(3)
-        assert p3 == pytest.approx(p3_again, abs=1e-12)
-        theta = math.asin(math.sqrt(0.15))
-        assert p1 == pytest.approx(math.sin(3 * theta) ** 2, abs=1e-12)
+        for j in (3, 1, 5, 0, 3):
+            assert oracle.good_probability_after(j) == pytest.approx(
+                grover_probability_after(oracle, j), abs=1e-12)
+
+
+@st.composite
+def prepare_circuits(draw):
+    """(prepare, good): a random circuit of ry, u and CNOT-layer gates on
+    1-8 qubits, and a good register that may be empty or every qubit."""
+    n = draw(st.integers(1, 8))
+    angle = st.floats(-math.pi, math.pi)
+    circ = Circuit(n)
+    for _ in range(draw(st.integers(1, 3 * n))):
+        kind = draw(st.sampled_from(["ry", "u", "layer"] if n > 1 else ["ry", "u"]))
+        if kind == "ry":
+            circ.ry(draw(st.integers(0, n - 1)), draw(angle))
+        elif kind == "u":
+            a, b, c = draw(angle), draw(angle), draw(angle)
+            circ.u(draw(st.integers(0, n - 1)),
+                   [[math.cos(a), -np.exp(1j * c) * math.sin(a)],
+                    [np.exp(1j * b) * math.sin(a), np.exp(1j * (b + c)) * math.cos(a)]])
+        else:
+            qubits = draw(st.permutations(range(n)))
+            pairs = draw(st.integers(1, n // 2))
+            circ.cnot_layer(qubits[:pairs], qubits[pairs:2 * pairs])
+    size = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    return circ, tuple(draw(st.permutations(range(n)))[:size])
+
+
+@given(prepare_circuits())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_statevector(case):
+    oracle = GroverOracle(*case)
+    for j in range(21):
+        assert oracle.good_probability_after(j) == pytest.approx(
+            grover_probability_after(oracle, j), abs=1e-10)
 
 
 class TestCanonicalQae:
@@ -123,10 +155,9 @@ class TestVariantOracles:
         # multi-qubit and empty good registers: P(good after Q^j) =
         # sin^2((2j+1) theta) with sin^2(theta) = z
         oracle = build()
-        theta = math.asin(math.sqrt(min(oracle.z_exact(), 1.0)))
         for j in range(6):
             assert oracle.good_probability_after(j) == pytest.approx(
-                math.sin((2 * j + 1) * theta) ** 2, abs=1e-12)
+                grover_probability_after(oracle, j), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_variant_c_z_is_yk_squared(self, k):
@@ -170,6 +201,14 @@ class TestVariantEstimators:
                                         RngStream(2))
         y_tilde = float(np.sum(t.values ** (2 * k) * e.values**2))
         assert abs(est.y_hat - y_tilde) < 0.04
+
+    def test_variant_c_pilot_epsilon_capped(self):
+        # at epsilon >= 1 the pilot's epsilon / 2 would leave IQAE's
+        # (0, 0.5) domain; it is capped at 0.45 like the main run
+        t, e = series_pair()
+        est = estimate_yk_variant_c(t, e, 1, 1.0, 0.9, QaeConfig(), RngStream(0))
+        assert est.shots_used > 0
+        assert 0.0 <= est.y_hat <= 1.0
 
     def test_medians_must_be_odd(self):
         with pytest.raises(ValueError):
