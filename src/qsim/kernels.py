@@ -1,4 +1,4 @@
-"""NumPy gate kernels: the two primitives the simulator is built on.
+"""NumPy gate kernels: the primitives the simulator is built on.
 
 Convention: qubit 0 is the least-significant bit of the basis index, so in
 the plain (2,)*n view of the amplitudes qubit q sits on axis n-1-q.
@@ -8,10 +8,16 @@ Each kernel reshapes the amplitudes to one length-2 axis per fixed qubit
 them, then selects the two halves it pairs up by basic indexing.  Those are
 views into the state (amps must be C-contiguous, so that the reshape is a
 view too), so no index arrays are built and nothing is gathered or
-scattered.  Every output amplitude is the elementwise complex128
+scattered.
+
+apply_ctrl_1q computes every output amplitude as the elementwise complex128
 expression u00*a0 + u01*a1 (or u10*a0 + u11*a1), evaluated in that order;
 BLAS routines such as matmul are avoided because they may fuse multiply-adds
 and change the rounding, and outputs must be reproducible bit for bit.
+The permutations, apply_cnot and apply_cswap_pair, exchange the two halves
+through one swap body and do no arithmetic, so each amplitude is moved
+unchanged.  A CNOT run as the matrix [[0, 1], [1, 0]] through apply_ctrl_1q
+gives the same bits, except that a zero amplitude may differ in sign.
 """
 
 from functools import lru_cache
@@ -63,6 +69,25 @@ def apply_ctrl_1q(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u1
     a0[...] = n0
 
 
+def _swap(amps, shape, idx0, idx1):
+    """Exchange the halves amps.reshape(shape)[idx0] and [idx1] in place."""
+    view = amps.reshape(shape)
+    a0 = view[idx0]
+    a1 = view[idx1]
+    tmp = a0.copy()
+    a0[...] = a1
+    a1[...] = tmp
+
+
+def apply_cnot(amps, n_qubits, control, target):
+    """Flip `target` where `control` is 1: swap the target's two halves of
+    the control-1 subspace.  Operates in place.
+    """
+    cbit = 1 << control
+    tbit = 1 << target
+    _swap(amps, *_view_plan(n_qubits, cbit | tbit, cbit, cbit | tbit))
+
+
 def apply_cswap_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
     """Swap qubits qa and qb on the subspace selected by the control bits.
 
@@ -70,11 +95,5 @@ def apply_cswap_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
     """
     abit = 1 << qa
     bbit = 1 << qb
-    shape, idx0, idx1 = _view_plan(n_qubits, ctrl_mask | abit | bbit,
-                                   ctrl_val | abit, ctrl_val | bbit)
-    view = amps.reshape(shape)
-    a0 = view[idx0]
-    a1 = view[idx1]
-    tmp = a0.copy()
-    a0[...] = a1
-    a1[...] = tmp
+    _swap(amps, *_view_plan(n_qubits, ctrl_mask | abit | bbit,
+                            ctrl_val | abit, ctrl_val | bbit))

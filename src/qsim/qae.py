@@ -33,7 +33,7 @@ class GroverOracle:
 
     def __init__(self, prepare, good):
         self.prepare = prepare
-        self.good = tuple(good)
+        self.good = sim.register_qubits(prepare, good)
         self.n_qubits = prepare.n_qubits
         self._inverse = prepare.inverse()
         self._theta = None

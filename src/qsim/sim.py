@@ -7,6 +7,21 @@ with q_0 as the least-significant bit.
 Gates reach the kernels only through Circuit.apply_unitary, which mutates
 the amplitude array in place and returns the same Statevector object;
 callers that need the original state must copy() first.
+
+A Statevector records `live`, the number of low qubits outside which every
+amplitude is zero: amplitude i is zero whenever i >= 2**live.  zero() starts
+at live = 0; a state built from amplitudes, and the state postselect
+returns, start at n_qubits; copy() keeps it.  While live < n_qubits,
+apply_unitary raises live to each gate's highest qubit + 1 and applies the
+gate to the contiguous prefix amplitudes[:2**live] as a live-qubit state,
+so loading one register after another does not sweep the still-empty upper
+blocks.  This is exact: every skipped amplitude is zero and the gate maps
+zeros to zeros, and every other amplitude sees the same complex128
+operations in the same order as on the full array (a zero may keep +0.0
+where the full pass would write -0.0).  In-place updates outside
+apply_unitary (project_bits, the QAE reflections) only scale amplitudes or
+set them to zero, so live stays valid.  Once live == n_qubits the gates run
+on the whole array.
 """
 
 import os
@@ -84,6 +99,7 @@ class Statevector:
             if abs(norm - 1.0) > NORM_TOL:
                 raise ValueError(f"state not normalized: |amps|^2 = {norm}")
         self.amplitudes = amps
+        self.live = 0 if amplitudes is None else self.n_qubits
 
     @classmethod
     def zero(cls, n_qubits):
@@ -93,6 +109,7 @@ class Statevector:
         out = Statevector.__new__(Statevector)
         out.n_qubits = self.n_qubits
         out.amplitudes = self.amplitudes.copy()
+        out.live = self.live
         return out
 
 
@@ -109,6 +126,16 @@ def _check_qubits(space, qubits):
             raise ValueError(f"qubit {q} out of range for {space.n_qubits} qubits")
 
 
+def register_qubits(space, qubits):
+    """The qubit tuple of a register on `space`; raise unless each qubit
+    indexes `space` and appears once."""
+    qubits = _as_qubits(qubits)
+    _check_qubits(space, qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"register {qubits} names a qubit more than once")
+    return qubits
+
+
 def marginal_probabilities(state, qubits):
     """Born probabilities of the register's 2^len outcomes.
 
@@ -116,8 +143,7 @@ def marginal_probabilities(state, qubits):
     axis most-significant qubit first, and summed down the rows in basis
     index order; cumsum keeps that order, where sum would pair the terms.
     """
-    qubits = _as_qubits(qubits)
-    _check_qubits(state, qubits)
+    qubits = register_qubits(state, qubits)
     n = state.n_qubits
     others = [q for q in range(n) if q not in qubits]
     axes = [n - 1 - q for q in others[::-1] + list(qubits[::-1])]
@@ -141,8 +167,7 @@ def _select(n_qubits, qubits, value):
 
 
 def probability_of_bits(state, qubits, value):
-    qubits = _as_qubits(qubits)
-    _check_qubits(state, qubits)
+    qubits = register_qubits(state, qubits)
     sel = _select(state.n_qubits, qubits, value)
     return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
 
@@ -152,8 +177,7 @@ def project_bits(state, qubits, value):
 
     Returns (probability, state); the input state is mutated.
     """
-    qubits = _as_qubits(qubits)
-    _check_qubits(state, qubits)
+    qubits = register_qubits(state, qubits)
     sel = _select(state.n_qubits, qubits, value)
     prob = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
     if prob < ZERO_BRANCH_CUTOFF:
@@ -202,6 +226,7 @@ def postselect(state, reg, value):
     reduced = Statevector.__new__(Statevector)
     reduced.n_qubits = state.n_qubits - reg.len
     reduced.amplitudes = (block / np.sqrt(prob)).reshape(-1).copy()
+    reduced.live = reduced.n_qubits
     return prob, reduced
 
 
@@ -328,10 +353,9 @@ class Circuit:
                                   tuple(m[q] for q in g[3])))
         return out
 
-    def _apply_gate(self, state, gate):
+    @staticmethod
+    def _apply_gate(amps, n, gate):
         kind = gate[0]
-        amps = state.amplitudes
-        n = state.n_qubits
         if kind == "u":
             u00, u01, u10, u11 = gate[2]
             kernels.apply_ctrl_1q(amps, n, 0, 0, gate[1], u00, u01, u10, u11)
@@ -355,8 +379,7 @@ class Circuit:
                 kernels.apply_ctrl_1q(amps, n, mask, val, target, c, -s, s, c)
         elif kind == "layer":
             for c, t in zip(gate[1], gate[2]):
-                kernels.apply_ctrl_1q(amps, n, 1 << c, 1 << c, t,
-                                      0.0, 1.0, 1.0, 0.0)
+                kernels.apply_cnot(amps, n, c, t)
         elif kind == "cswap":
             control = gate[1]
             for qa, qb in zip(gate[2], gate[3]):
@@ -366,6 +389,30 @@ class Circuit:
             raise ValueError(f"unexpected gate in unitary application: {kind}")
 
     def apply_unitary(self, state):
-        for g in self.gates:
-            self._apply_gate(state, g)
+        gates = iter(self.gates)
+        # live prefix (module docstring): until the state is live on every
+        # qubit, run each gate on the amplitudes its qubits can reach
+        while state.live < state.n_qubits:
+            gate = next(gates, None)
+            if gate is None:
+                return state
+            state.live = max(state.live, _top_qubit(gate) + 1)
+            self._apply_gate(state.amplitudes[:1 << state.live], state.live, gate)
+        for g in gates:
+            self._apply_gate(state.amplitudes, state.n_qubits, g)
         return state
+
+
+def _top_qubit(gate):
+    """Highest qubit a gate tuple names; -1 for an empty CNOT layer and for
+    an unknown kind, which _apply_gate then refuses."""
+    kind = gate[0]
+    if kind in ("u", "ry"):
+        return gate[1]
+    if kind == "ucry":
+        return max(gate[1] + (gate[2],))
+    if kind == "layer":
+        return max(gate[1] + gate[2], default=-1)
+    if kind == "cswap":
+        return max((gate[1],) + gate[2] + gate[3])
+    return -1

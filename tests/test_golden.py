@@ -12,6 +12,10 @@ reproduces them.
 The variant-d K=2 digests were computed while the QAE oracles still copied
 their good outcome onto a flag qubit, and marking the readout's own outcome
 reproduces them; at K=2 the variant-d good register is not contiguous.
+The variant-a and variant-b K=3 digests on a seeded 32-point series were
+computed while every gate still swept the whole amplitude array and CNOTs
+ran as the matrix [[0, 1], [1, 0]]; they pin states of up to 21 qubits
+(a) and 15 qubits (b), where the 4-point fixture's registers have 2.
 
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
@@ -60,6 +64,15 @@ def _evaluate(variant, K, seed, **options):
     return assembly.evaluate(config, FIXTURE_T, FIXTURE_E).to_dict()
 
 
+def _evaluate_series32(variant, K, seed, data_seed):
+    rng = np.random.default_rng(data_seed)
+    T = rng.uniform(12.0, 28.0, size=32)
+    E = rng.uniform(20.0, 40.0, size=32)
+    config = assembly.VariantConfig(variant=variant, K=K, eta=ETA,
+                                    epsilon=0.1, seed=seed)
+    return assembly.evaluate(config, T, E).to_dict()
+
+
 def _boe_swap(k, s, shots, seed):
     series_t, series_e = normalize_sqrt(FIXTURE_T, ETA), normalize_sqrt(FIXTURE_E, 0.0)
     est = inner.estimate_ytilde_boe_swap(series_t, series_e, k, s, 0.1, 0.9,
@@ -95,6 +108,12 @@ CASES = {
     "variant-b": (
         lambda: _evaluate("b", 2, 3),
         "ec5723bc454f0ddbcc8366cfdba0ed2f8b3bbc29db806142a89bd3ac55c8d4f2"),
+    "variant-a-K3-N32": (
+        lambda: _evaluate_series32("a", 3, 3, 32),
+        "3dc7f69458ef56802aab30ce87124658a412b9dfdff4d7b1f6ba5964948de59b"),
+    "variant-b-K3-N32": (
+        lambda: _evaluate_series32("b", 3, 3, 32),
+        "a12aaf4f8b249a7f26dd23b91d91238c6b40b00223d76721f4901baa40bfd5ad"),
     "variant-d-K1-s1": (
         lambda: _evaluate("d", 1, 3, s=1),
         "2c9e43662c7a0411003f9a1ababdc449386904c240aebd8942a67f16aab1cce8"),

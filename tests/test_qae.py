@@ -37,6 +37,12 @@ class TestGroverOracle:
         assert oracle.good_probability_after(j) == pytest.approx(
             grover_probability_after(oracle, j), abs=1e-12)
 
+    def test_repeated_good_qubit_rejected(self):
+        # (0, 0) once read qubit 1 through the mask 0b10: z = 0.2919 for a
+        # qubit 0 that reads 0 with probability 1
+        with pytest.raises(ValueError, match="more than once"):
+            GroverOracle(Circuit(2).ry(1, 2.0), (0, 0))
+
     def test_state_cache_consistent(self):
         # theta is cached on first use: powers asked out of order, and the
         # same power twice, still match the statevector

@@ -126,6 +126,51 @@ def marginal_cases(draw):
     return state, tuple(draw(st.permutations(range(n)))[:size])
 
 
+@st.composite
+def live_circuits(draw):
+    """(circuit, touched): a circuit of 0 to 3n gates on n in 1..8 qubits,
+    drawn from u, ry, ucry, CNOT layers and controlled swaps, and the set of
+    qubits its gates name.  Each gate draws its qubits from a low block of
+    random size, so circuits that leave the top qubits alone are common."""
+    n = draw(st.integers(1, 8))
+    angle = st.floats(-np.pi, np.pi)
+    kinds = ["u", "ry", "ucry"] + ["layer"] * (n >= 2) + ["cswap"] * (n >= 3)
+    circ = Circuit(n)
+    touched = set()
+    for _ in range(draw(st.integers(0, 3 * n))):
+        kind = draw(st.sampled_from(kinds))
+        need = {"layer": 2, "cswap": 3}.get(kind, 1)
+        qubits = draw(st.permutations(range(draw(st.integers(need, n)))))
+        if kind == "u":
+            qubits = qubits[:1]
+            circ.u(qubits[0], random_unitary(draw(st.integers(0, 2**32 - 1))))
+        elif kind == "ry":
+            qubits = qubits[:1]
+            circ.ry(qubits[0], draw(angle))
+        elif kind == "ucry":
+            nc = draw(st.integers(0, min(len(qubits) - 1, 3)))
+            qubits = qubits[:nc + 1]
+            circ.ucry(qubits[:nc], qubits[nc],
+                      draw(st.lists(angle, min_size=1 << nc, max_size=1 << nc)))
+        elif kind == "layer":
+            m = draw(st.integers(1, len(qubits) // 2))
+            qubits = qubits[:2 * m]
+            circ.cnot_layer(qubits[:m], qubits[m:])
+        else:
+            m = draw(st.integers(1, (len(qubits) - 1) // 2))
+            qubits = qubits[:2 * m + 1]
+            circ.cswap(qubits[0], qubits[1:m + 1], qubits[m + 1:])
+        touched.update(qubits)
+    return circ, touched
+
+
+def full_width_zero(n):
+    """|0...0> built from amplitudes, so it starts live on every qubit."""
+    e0 = np.zeros(1 << n, dtype=complex)
+    e0[0] = 1.0
+    return Statevector(n, e0)
+
+
 def random_gate_case(rng):
     """A random controlled gate on a random state of 1 to 6 qubits."""
     n = int(rng.integers(1, 7))
@@ -193,6 +238,28 @@ class TestKernels:
             apply_cswap_pair(st_a, n, mask, val, qa, qb)
             ref_cswap_pair(st_b, n, mask, val, qa, qb)
             np.testing.assert_array_equal(bits(st_a), bits(st_b))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cnot_swap_matches_x_matrix(self, seed):
+        # a CNOT layer, run as swaps, against the same CNOTs run as the X
+        # matrix through apply_ctrl_1q: equal amplitudes, and equal bits
+        # wherever the amplitude is not zero (only a zero's sign may differ)
+        rng = np.random.default_rng(seed + 20)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            perm = [int(q) for q in rng.permutation(n)]
+            m = int(rng.integers(1, n // 2 + 1))
+            controls, targets = perm[:m], perm[m:2 * m]
+            state = random_state(n, int(rng.integers(2**32)))
+            state.amplitudes[rng.random(1 << n) < 0.3] = 0.0
+            expected = state.amplitudes.copy()
+            for c, t in zip(controls, targets):
+                apply_ctrl_1q(expected, n, 1 << c, 1 << c, t, 0.0, 1.0, 1.0, 0.0)
+            Circuit(n).cnot_layer(controls, targets).apply_unitary(state)
+            np.testing.assert_array_equal(state.amplitudes, expected)
+            nonzero = expected != 0
+            np.testing.assert_array_equal(bits(state.amplitudes[nonzero]),
+                                          bits(expected[nonzero]))
 
 
 # (builder call, error message) for each gate a Circuit(3) must refuse as it
@@ -304,6 +371,16 @@ class TestMeasurement:
             bits(sim.marginal_probabilities(state, qubits)),
             bits(helpers.marginal_probabilities(state, qubits)))
 
+    @pytest.mark.parametrize("readout", ["probability_of_bits", "project_bits",
+                                         "marginal_probabilities"])
+    def test_repeated_qubit_rejected(self, readout):
+        # (0, 0) once built the mask 0b10 and read qubit 1: P(q0 = 0) came
+        # out 0.2919 where it is 1, and the marginal failed inside NumPy
+        state = Circuit(2).ry(1, 2.0).apply_unitary(Statevector.zero(2))
+        args = ((0, 0),) if readout == "marginal_probabilities" else ((0, 0), 0)
+        with pytest.raises(ValueError, match="more than once"):
+            getattr(sim, readout)(state, *args)
+
     def test_project_bits_renormalizes(self):
         state = random_state(3, 7)
         p, cond = sim.project_bits(state, (1,), 0)
@@ -329,6 +406,50 @@ class TestMeasurement:
         rng = RngStream(11)
         outcomes = [sim.measure(state.copy(), (0,), rng)[0] for _ in range(400)]
         assert 0.4 < np.mean(outcomes) < 0.6
+
+
+class TestLivePrefix:
+    """Statevector.zero starts live on no qubit and each gate widens the
+    live prefix; the bits must match a state that is live everywhere."""
+
+    def test_starting_width(self):
+        assert Statevector.zero(3).live == 0
+        assert full_width_zero(3).live == 3
+        assert random_state(3).live == 3
+
+    @given(live_circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_matches_full_width(self, case):
+        circ, touched = case
+        n = circ.n_qubits
+        prefix = circ.apply_unitary(Statevector.zero(n))
+        full = circ.apply_unitary(full_width_zero(n))
+        # equal as numbers: a zero may differ in sign only
+        np.testing.assert_array_equal(prefix.amplitudes, full.amplitudes)
+        assert prefix.live == max(touched, default=-1) + 1
+        assert full.live == n
+        assert not prefix.amplitudes[1 << prefix.live:].any()
+
+    @given(live_circuits(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_copy_and_postselect_propagate(self, case, seed):
+        circ, _touched = case
+        n = circ.n_qubits
+        state = circ.apply_unitary(Statevector.zero(n))
+        twin = state.copy()
+        assert twin.live == state.live
+        # the copy goes on from its prefix as a full-width state would
+        more = Circuit(n).u(n - 1, random_unitary(seed))
+        reference = more.apply_unitary(circ.apply_unitary(full_width_zero(n)))
+        np.testing.assert_array_equal(more.apply_unitary(twin).amplitudes,
+                                      reference.amplitudes)
+        assert twin.live == n
+        rng = np.random.default_rng(seed)
+        start = int(rng.integers(n))
+        reg = tuple(range(start, int(rng.integers(start, n)) + 1))
+        value = int(np.argmax(sim.marginal_probabilities(state, reg)))
+        _p, reduced = sim.postselect(state, reg, value)
+        assert reduced.live == reduced.n_qubits == n - len(reg)
 
 
 class TestRngStream:
