@@ -43,8 +43,6 @@ class VariantConfig:
     s: int = 1                   # BOE split level (variant d)
     style: str = "no_mid_reset"  # QHP style for variants a/b
     engine: str = "iqae"         # QAE engine for variants c/d
-    eval_qubits: int = 6
-    medians: int = 1
     shots: int = 100             # IQAE shots per round / canonical per run
     fit_mode: str = "taylor"
     fit_domain: tuple = None
@@ -62,11 +60,10 @@ class VariantConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
             raise ValueError("forced_epsilon_k must be positive")
-        self.qae_config()  # checks shots, medians and eval_qubits
+        self.qae_config()  # checks engine and shots
 
     def qae_config(self):
-        return qae.QaeConfig(engine=self.engine, m=self.eval_qubits,
-                             medians=self.medians, shots=self.shots)
+        return qae.QaeConfig(engine=self.engine, shots=self.shots)
 
 
 @dataclass
@@ -180,14 +177,13 @@ def _per_k_resources(config, k, n):
     return {}
 
 
-def evaluate(config, rawT, rawE, contract=None, coeffs=None):
+def evaluate(config, rawT, rawE, contract=None):
     """Estimate V = sum_k b_k y'_k for the requested variant."""
     t = validate_raw(rawT)
     e = validate_raw(rawE)
     params = contract.params if contract is not None else DEFAULT_PARAMS
-    if coeffs is None:
-        coeffs = classical.fit_polynomial(params, config.eta, config.K,
-                                          config.fit_mode, config.fit_domain)
+    coeffs = classical.fit_polynomial(params, config.eta, config.K,
+                                      config.fit_mode, config.fit_domain)
 
     try:
         v_exact = classical.exact_value(t, e, params)
@@ -302,29 +298,25 @@ def delta_gross_margin(config, rawT, contract, rawE):
     pieces = []
     for i, (tt, ee) in enumerate([(rawT, asp_series), (rawT, e),
                                   (tau, asp_series), (tau, e)]):
-        sub = VariantConfig(**{**asdict(config), "seed": config.seed + i,
-                               "fit_domain": config.fit_domain})
+        sub = VariantConfig(**{**asdict(config), "seed": config.seed + i})
         pieces.append(evaluate(sub, tt, ee, contract=contract).V)
     return (pieces[0] - pieces[1]) - (pieces[2] - pieces[3])
 
 
-def resource_report(config, N, K=None, s=None, epsilon=None, coeffs=None):
+def resource_report(config, N):
     """Closed-form width/depth/sample entries per power k.
 
     Exact values where a closed formula exists for our constructions;
     symbolic strings otherwise.  Since no data series is attached,
     epsilon_k entries are reported at unit normalization (rho = 1).
     """
-    K = K if K is not None else config.K
-    s = s if s is not None else config.s
-    epsilon = epsilon if epsilon is not None else config.epsilon
+    K, s, epsilon = config.K, config.s, config.epsilon
     n = int(math.log2(N))
     if (1 << n) != N:
         raise ValueError("N must be a power of two")
     if config.variant == "d" and not 1 <= s <= n:
         raise ValueError(f"split level must be in [1, {n}], got {s}")
-    if coeffs is None:
-        coeffs = classical.fit_polynomial(DEFAULT_PARAMS, config.eta, K, "taylor")
+    coeffs = classical.fit_polynomial(DEFAULT_PARAMS, config.eta, K, "taylor")
     variant = config.variant
     rows = []
     for k in range(1, K + 1):
@@ -384,9 +376,32 @@ def _pair_with_overlap(p):
     return [math.cos(phi), math.sin(phi)], [math.sin(phi), math.cos(phi)]
 
 
+def _number(config, name, default, cast=float):
+    """cast(config[name]) with the default filled in; ValueError if cast fails."""
+    value = config.setdefault(name, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config field {name!r} must be a number, "
+                         f"got {value!r}") from None
+
+
+def _numbers(config, name, default):
+    """config[name] with the default filled in; ValueError unless a list of numbers."""
+    values = config.setdefault(name, default)
+    if not (isinstance(values, list)
+            and all(isinstance(v, (int, float)) for v in values)):
+        raise ValueError(f"config field {name!r} must be a list of numbers, "
+                         f"got {values!r}")
+    return values
+
+
 def run_experiment(name, config, out_dir):
     """Run a named experiment; writes <name>.csv and the <name>.json sidecar
     (the config with its defaults filled in, and the summary)."""
+    if not isinstance(config, dict):
+        raise ValueError("an experiment config must be a JSON object, "
+                         f"not a {type(config).__name__}")
     os.makedirs(out_dir, exist_ok=True)
     handlers = {
         "compare_inner": _experiment_compare_inner,
@@ -412,10 +427,10 @@ def run_experiment(name, config, out_dir):
 
 
 def _experiment_compare_inner(config):
-    seed = int(config.setdefault("seed", 0))
-    shots = int(config.setdefault("shots", 10000))
-    repeats = int(config.setdefault("repeats", 100))
-    ps = config.setdefault("p_values", [0.072, 0.767])
+    seed = _number(config, "seed", 0, int)
+    shots = _number(config, "shots", 10000, int)
+    repeats = _number(config, "repeats", 100, int)
+    ps = _numbers(config, "p_values", [0.072, 0.767])
     rng = RngStream(seed)
     rows = []
     summary = {}
@@ -453,16 +468,16 @@ def _base_fixture(N):
 
 
 def _experiment_error_scaling_k(config):
-    seed = int(config.setdefault("seed", 0))
-    Ns = config.setdefault("N_values", [4, 8, 16, 32])
-    ks = config.setdefault("k_values", [1, 2])
-    repeats = int(config.setdefault("repeats", 20))
-    eps0 = float(config.setdefault("epsilon0", 0.1))
-    eta = float(config.setdefault("eta", 0.0))
+    seed = _number(config, "seed", 0, int)
+    Ns = _numbers(config, "N_values", [4, 8, 16, 32])
+    ks = _numbers(config, "k_values", [1, 2])
+    repeats = _number(config, "repeats", 20, int)
+    eps0 = _number(config, "epsilon0", 0.1)
+    eta = _number(config, "eta", 0.0)
     rng = RngStream(seed)
     rows = []
     summary = {"ratios": {}}
-    qcfg = qae.QaeConfig(engine="iqae", shots=int(config.setdefault("shots", 100)))
+    qcfg = qae.QaeConfig(engine="iqae", shots=_number(config, "shots", 100, int))
     for k in ks:
         means = {}
         for N in Ns:
@@ -488,19 +503,19 @@ def _experiment_error_scaling_k(config):
 
 
 def _experiment_qae_vs_classical(config):
-    seed = int(config.setdefault("seed", 0))
-    k = int(config.setdefault("k", 2))
-    repeats = int(config.setdefault("repeats", 12))
-    epsilons = config.setdefault(
-        "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177])
-    eta = float(config.setdefault("eta", 0.0))
+    seed = _number(config, "seed", 0, int)
+    k = _number(config, "k", 2, int)
+    repeats = _number(config, "repeats", 12, int)
+    epsilons = _numbers(
+        config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177])
+    eta = _number(config, "eta", 0.0)
     rng = RngStream(seed)
     t, e = _base_fixture(4)
     ser_t = normalize_affine(t, eta)
     ser_e = normalize_affine(e, 0.0)
     y_exact = float(np.sum(ser_e.values * ser_t.values**k))
     y_prime_exact = y_exact / (ser_t.rho**k * ser_e.rho)
-    qcfg = qae.QaeConfig(engine="iqae", shots=int(config.setdefault("shots", 100)))
+    qcfg = qae.QaeConfig(engine="iqae", shots=_number(config, "shots", 100, int))
 
     rows = []
     curves = {"iqae": [], "classical": []}
@@ -530,14 +545,15 @@ def _experiment_qae_vs_classical(config):
 
 
 def _experiment_end_to_end(config):
-    seeds = config.setdefault("seeds", [0, 1, 2, 3, 4])
-    K = int(config.setdefault("K", 3))
+    seeds = _numbers(config, "seeds", [0, 1, 2, 3, 4])
+    K = _number(config, "K", 3, int)
     variant = config.setdefault("variant", "c")
-    forced = config.setdefault("forced_epsilon_k", 0.04)
-    eta = float(config.setdefault("eta", 0.0))
-    shots = int(config.setdefault("shots", 100))
-    t = np.asarray(config.setdefault("rawT", [5.0, 8.0, 11.0, 14.0]), dtype=float)
-    e = np.asarray(config.setdefault("rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
+    forced = _number(config, "forced_epsilon_k", 0.04,
+                     lambda v: v if v is None else float(v))
+    eta = _number(config, "eta", 0.0)
+    shots = _number(config, "shots", 100, int)
+    t = np.asarray(_numbers(config, "rawT", [5.0, 8.0, 11.0, 14.0]), dtype=float)
+    e = np.asarray(_numbers(config, "rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
     rows = []
     rels = []
     for seed in seeds:
@@ -554,15 +570,15 @@ def _experiment_end_to_end(config):
 
 
 def _experiment_resource_table(config):
-    N = int(config.setdefault("N", 16))
-    K = int(config.setdefault("K", 3))
-    s = int(config.setdefault("s", 2))
-    epsilon = float(config.setdefault("epsilon", 0.05))
+    N = _number(config, "N", 16, int)
+    K = _number(config, "K", 3, int)
+    s = _number(config, "s", 2, int)
+    epsilon = _number(config, "epsilon", 0.05)
     tables = {}
     rows = []
     for variant in QUANTUM_VARIANTS:
         cfg = VariantConfig(variant=variant, K=K, s=s, epsilon=epsilon)
-        table = resource_report(cfg, N, K=K, s=s, epsilon=epsilon)
+        table = resource_report(cfg, N)
         tables[variant] = table
         for row in table["rows"]:
             rows.append([variant, row["k"], row.get("width"),

@@ -67,6 +67,8 @@ def fit_polynomial(params, eta, K, mode="taylor", domain=None):
     taylor: Richardson-refined central finite differences at eta;
     least_squares: ordinary least squares on 512 uniform domain points.
     """
+    if K < 0:
+        raise ValueError(f"degree must be >= 0, got {K}")
     if domain is None:
         domain = (eta - 40.0, min(eta + 39.0, params.T0 - 1.0))
     lo, hi = domain

@@ -120,7 +120,7 @@ def resources(variant, N, K, s, epsilon):
     try:
         config = assembly.VariantConfig(variant=VARIANT_ALIASES[variant], K=K,
                                         s=s, epsilon=epsilon)
-        table = assembly.resource_report(config, N, K=K, s=s, epsilon=epsilon)
+        table = assembly.resource_report(config, N)
     except ValueError as exc:
         _fail_assumption(exc)
     click.echo(json.dumps(table, indent=2, sort_keys=True, default=float))

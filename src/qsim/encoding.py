@@ -117,31 +117,29 @@ def build_tree(series_or_values):
     return StateDecompositionTree(levels=list(reversed(levels)))
 
 
+def _load_block(circ, tree, reg, top_level, block):
+    """Append the Ry ladder loading the subtree rooted at node `block` of
+    tree level `top_level` onto `reg` (LSB first): its level l is one
+    uniformly controlled Ry on reg[-1-l], controlled by the qubits above
+    it, most-significant first."""
+    for level in range(len(reg)):
+        width = 1 << level
+        angles = tree.angles(top_level + level)[block * width:(block + 1) * width]
+        circ.ucry(reg[:-1 - level:-1], reg[-1 - level], angles)
+
+
 class AmplitudeLoader:
     """Uniformly controlled Ry ladder preparing sum_j D_j |j>.
 
-    Local qubit n-1 holds the most-significant bit of j.  The handle
-    exposes both the loading circuit and its inverse for the ancilla-free
-    inner-product method.
+    Local qubit n-1 holds the most-significant bit of j.
     """
 
     def __init__(self, tree):
         n = tree.n
         self.width = n
         self.primary = tuple(range(n))  # LSB first
-        circ = Circuit(n)
-        for level in range(n):
-            target = n - 1 - level
-            controls = tuple(range(n - 1, target, -1))  # MSB first
-            angles = tree.angles(level)
-            if controls:
-                circ.ucry(controls, target, angles)
-            else:
-                circ.ry(target, angles[0])
-        self.circuit = circ
-
-    def inverse(self):
-        return self.circuit.inverse()
+        self.circuit = Circuit(n)
+        _load_block(self.circuit, tree, self.primary, 0, 0)
 
 
 def boe_width(n_leaves, s):
@@ -186,11 +184,7 @@ class BoeLoader:
 
         # primary bits: low s bits from amplitude register 0, then the
         # leftmost spine node of each level, bottom level first
-        primary = list(amp_regs[0])
-        for b in range(s, n):
-            level = n - 1 - b
-            primary.append(node_q(level, 0))
-        primary = tuple(primary)
+        primary = amp_regs[0] + tuple(node_q(n - 1 - b, 0) for b in range(s, n))
 
         width = boe_width(1 << n, s)
         assert width == copy_base + n
@@ -203,15 +197,7 @@ class BoeLoader:
                 circ.ry(node_q(level, pos), angles[pos])
         # 2. each block loads its (implicitly normalized) sub-vector
         for r in range(M):
-            reg = amp_regs[r]
-            for level in range(s):
-                target = reg[s - 1 - level]
-                controls = tuple(reg[s - 1 - j] for j in range(level))
-                angles = tree.angles(m + level)[r * (1 << level):(r + 1) * (1 << level)]
-                if controls:
-                    circ.ucry(controls, target, angles)
-                else:
-                    circ.ry(target, angles[0])
+            _load_block(circ, tree, amp_regs[r], m, r)
 
         # 3. bottom-up CSWAP combine: route each selected branch onto the
         # left spine of its parent
@@ -233,9 +219,6 @@ class BoeLoader:
         self.width = width
         self.primary = primary
 
-    def inverse(self):
-        return self.circuit.inverse()
-
 
 def load_amplitude(tree):
     return AmplitudeLoader(tree)
@@ -251,6 +234,9 @@ def read_series(path):
     if text_path.endswith(".json"):
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
+            raise ValueError("a JSON series must be a flat array of numbers")
         return validate_raw(data)
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]

@@ -83,9 +83,8 @@ def build_swap_test(prep_a, prep_b):
     wa, wb = prep_a.width, prep_b.width
     width = wa + wb + 1
     anc = width - 1
-    circ = Circuit(width)
-    circ.extend(prep_a.circuit.remapped(list(range(wa)), width))
-    circ.extend(prep_b.circuit.remapped(list(range(wa, wa + wb)), width))
+    circ = prep_a.circuit.remapped(range(wa), width)
+    circ.extend(prep_b.circuit.remapped(range(wa, wa + wb), width))
     circ.h(anc)
     circ.cswap(anc, prep_a.primary, [q + wa for q in prep_b.primary])
     circ.h(anc)
@@ -96,9 +95,8 @@ def build_ancilla_free(prep_a, loader_b):
     """Apply U_B^dagger after preparing |psi_A>; P(all-zero) = p^2."""
     if loader_b.width != len(prep_a.primary):
         raise ValueError("loader width must match the primary register")
-    circ = Circuit(prep_a.width)
-    circ.extend(prep_a.circuit.remapped(list(range(prep_a.width)), prep_a.width))
-    circ.extend(loader_b.inverse().remapped(list(prep_a.primary), prep_a.width))
+    circ = prep_a.circuit.remapped(range(prep_a.width), prep_a.width)
+    circ.extend(loader_b.circuit.inverse().remapped(prep_a.primary, prep_a.width))
     return circ
 
 

@@ -109,14 +109,11 @@ def build_power_circuit(plan, loader):
     width = k * bw
     circ = Circuit(width)
 
-    def block_map(b):
-        return [b * bw + q for q in range(bw)]
-
     def primary(b):
         return tuple(b * bw + q for q in loader.primary)
 
     for b in range(k):
-        circ.extend(loader.circuit.remapped(block_map(b), width))
+        circ.extend(loader.circuit.remapped(range(b * bw, (b + 1) * bw), width))
 
     measured = []
     if plan.style == "mid_reset":
@@ -161,7 +158,7 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
     if plan.encoding == "amplitude":
         width, preloaded = 2 * bw, 1
         reg = tuple(q + bw for q in loader.primary)
-        step = loader.circuit.remapped(list(range(bw, 2 * bw)), width)
+        step = loader.circuit.remapped(range(bw, 2 * bw), width)
         steps = [(step.cnot_layer(prim[0], reg), reg)] * (k - 1)
     else:
         width, preloaded = k * bw, k
@@ -170,8 +167,7 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
 
     base = Statevector.zero(width)
     for b in range(preloaded):
-        loader.circuit.remapped(list(range(b * bw, (b + 1) * bw)),
-                                width).apply_unitary(base)
+        loader.circuit.remapped(range(b * bw, (b + 1) * bw), width).apply_unitary(base)
 
     chain = []               # per round simulated: (state, register, cumsum)
     branch = {(0, 0): base}  # (round, outcome) drawn -> state if outcome is 0

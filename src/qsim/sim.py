@@ -4,9 +4,10 @@ Qubit 0 is the least-significant bit of the basis index, everywhere.
 A register described by a qubit sequence (q_0, q_1, ...) stores its value
 with q_0 as the least-significant bit.
 
-Gates reach the kernels only through Circuit.apply_unitary, which mutates
-the amplitude array in place and returns the same Statevector object;
-callers that need the original state must copy() first.
+Gates, of the three kinds Circuit lists, reach the kernels only through
+Circuit.apply_unitary, which mutates the amplitude array in place and
+returns the same Statevector object; callers that need the original state
+must copy() first.
 
 A Statevector records `live`, the number of low qubits outside which every
 amplitude is zero: amplitude i is zero whenever i >= 2**live.  zero() starts
@@ -194,12 +195,11 @@ def measure(state, reg, rng):
     Returns (outcome, collapsed, probability); the collapsed state keeps its
     full width, with the measured register left in the outcome basis state.
     """
-    qubits = _as_qubits(reg)
-    probs = marginal_probabilities(state, qubits)
+    probs = marginal_probabilities(state, reg)
     cum = np.cumsum(probs)
     u = rng.generator.random() * cum[-1]
     outcome = min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
-    prob, state = project_bits(state, qubits, outcome)
+    prob, state = project_bits(state, reg, outcome)
     return outcome, state, prob
 
 
@@ -237,19 +237,21 @@ def postselect(state, reg, value):
 class Circuit:
     """A flat gate list over n_qubits.
 
-    Gate tuples:
-      ("u", qubit, (u00, u01, u10, u11))
-      ("ry", qubit, angle)
-      ("ucry", controls, target, angles)   -- uniformly controlled Ry;
-          controls[0] carries the most-significant bit of the pattern index
-      ("layer", controls, targets)         -- CNOT layer
-      ("cswap", control, regA, regB)
+    Every gate is one (kind, qubits, payload) tuple:
+      ("u", controls + (target,), matrices)  -- uniformly controlled 2x2,
+          one (u00, u01, u10, u11) per control pattern; controls[0] carries
+          the pattern's most-significant bit
+      ("layer", controls + targets, None)    -- CNOTs control_i -> target_i
+      ("cswap", (control,) + a + b, None)    -- swap a and b where control=1
 
-    The builder methods check their qubits against n_qubits, refuse a qubit
-    named twice in one gate and give ucry one angle per control pattern, so
-    a bad gate fails where it is added rather than where it is applied.
-    Reflections about a register value, such as a QAE oracle's good
-    subspace, are applied in place by qae.GroverOracle, not as gates.
+    u, ry and ucry all build "u" gates; an Ry's (c, -s, s, c) is computed
+    as the gate is built.  Entries are Python numbers, not NumPy scalars,
+    because inverse() conjugates those several times faster.  The builder
+    methods check their qubits against n_qubits, refuse a qubit named twice
+    in one gate and give ucry one angle per control pattern, so a bad gate
+    fails where it is added rather than where it is applied.  Reflections
+    about a register value, such as a QAE oracle's good subspace, are
+    applied in place by qae.GroverOracle, not as gates.
     """
 
     def __init__(self, n_qubits, gates=None):
@@ -264,27 +266,28 @@ class Circuit:
         dev = np.linalg.norm(m.conj().T @ m - np.eye(2))
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (Frobenius deviation {dev:.2e})")
-        self.gates.append(("u", qubit, (m[0, 0], m[0, 1], m[1, 0], m[1, 1])))
+        self.gates.append(("u", (qubit,), (tuple(m.ravel().tolist()),)))
         return self
 
     def ry(self, qubit, angle):
-        _check_qubits(self, (qubit,))
-        self.gates.append(("ry", qubit, float(angle)))
-        return self
+        return self.ucry((), qubit, (angle,))
 
     def h(self, qubit):
         return self.u(qubit, HADAMARD)
 
     def ucry(self, controls, target, angles):
-        controls = tuple(controls)
-        if len(set(controls)) != len(controls) or target in controls:
+        qubits = tuple(controls) + (target,)
+        if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate qubit indices in uniformly controlled Ry")
         if len(angles) != 1 << len(controls):
             raise ValueError(f"{len(controls)} controls need {1 << len(controls)} "
                              f"angles, got {len(angles)}")
-        _check_qubits(self, controls + (target,))
-        self.gates.append(("ucry", controls, target,
-                           tuple(float(a) for a in angles)))
+        _check_qubits(self, qubits)
+        matrices = []
+        for a in angles:
+            c, s = float(np.cos(float(a) / 2.0)), float(np.sin(float(a) / 2.0))
+            matrices.append((c, -s, s, c))
+        self.gates.append(("u", qubits, tuple(matrices)))
         return self
 
     def cnot_layer(self, controls, targets):
@@ -296,7 +299,7 @@ class Circuit:
         if set(controls) & set(targets):
             raise ValueError("controls and targets overlap")
         _check_qubits(self, controls + targets)
-        self.gates.append(("layer", controls, targets))
+        self.gates.append(("layer", controls + targets, None))
         return self
 
     def cswap(self, control, a, b):
@@ -310,7 +313,7 @@ class Circuit:
         if len(a) + len(b) != len(touched) or control in touched:
             raise ValueError("overlapping registers in controlled swap")
         _check_qubits(self, a + b + (control,))
-        self.gates.append(("cswap", control, a, b))
+        self.gates.append(("cswap", (control,) + a + b, None))
         return self
 
     def extend(self, other):
@@ -320,71 +323,45 @@ class Circuit:
         return self
 
     def inverse(self):
+        """Gates in reverse order, each u matrix conjugate-transposed; a CNOT
+        layer and a controlled swap are their own inverses."""
         inv = Circuit(self.n_qubits)
-        for g in reversed(self.gates):
-            kind = g[0]
+        for kind, qubits, payload in reversed(self.gates):
             if kind == "u":
-                u00, u01, u10, u11 = g[2]
-                inv.gates.append(("u", g[1], (np.conj(u00), np.conj(u10),
-                                              np.conj(u01), np.conj(u11))))
-            elif kind == "ry":
-                inv.gates.append(("ry", g[1], -g[2]))
-            elif kind == "ucry":
-                inv.gates.append(("ucry", g[1], g[2], tuple(-a for a in g[3])))
-            else:  # layer and cswap are their own inverses
-                inv.gates.append(g)
+                payload = tuple((u00.conjugate(), u10.conjugate(), u01.conjugate(),
+                                 u11.conjugate()) for u00, u01, u10, u11 in payload)
+            inv.gates.append((kind, qubits, payload))
         return inv
 
     def remapped(self, qubit_map, n_qubits):
-        """Copy with local qubit i renamed to qubit_map[i]."""
-        m = list(qubit_map)
-        out = Circuit(n_qubits)
-        for g in self.gates:
-            kind = g[0]
-            if kind in ("u", "ry"):
-                out.gates.append((kind, m[g[1]], g[2]))
-            elif kind == "ucry":
-                out.gates.append((kind, tuple(m[q] for q in g[1]), m[g[2]], g[3]))
-            elif kind == "layer":
-                out.gates.append((kind, tuple(m[q] for q in g[1]),
-                                  tuple(m[q] for q in g[2])))
-            else:  # cswap
-                out.gates.append((kind, m[g[1]], tuple(m[q] for q in g[2]),
-                                  tuple(m[q] for q in g[3])))
-        return out
+        """Copy with local qubit i renamed to qubit_map[i] (a sequence)."""
+        return Circuit(n_qubits, [(kind, tuple(qubit_map[q] for q in qubits), payload)
+                                  for kind, qubits, payload in self.gates])
 
     @staticmethod
     def _apply_gate(amps, n, gate):
-        kind = gate[0]
+        kind, qubits, payload = gate
         if kind == "u":
-            u00, u01, u10, u11 = gate[2]
-            kernels.apply_ctrl_1q(amps, n, 0, 0, gate[1], u00, u01, u10, u11)
-        elif kind == "ry":
-            c = np.cos(gate[2] / 2.0)
-            s = np.sin(gate[2] / 2.0)
-            kernels.apply_ctrl_1q(amps, n, 0, 0, gate[1], c, -s, s, c)
-        elif kind == "ucry":
-            controls, target, angles = gate[1], gate[2], gate[3]
-            nc = len(controls)
+            target = qubits[-1]
+            controls = qubits[-2::-1]  # least-significant pattern bit first
             mask = 0
             for q in controls:
                 mask |= 1 << q
-            for pattern, angle in enumerate(angles):
+            for pattern, (u00, u01, u10, u11) in enumerate(payload):
                 val = 0
                 for j, q in enumerate(controls):
-                    if (pattern >> (nc - 1 - j)) & 1:
+                    if (pattern >> j) & 1:
                         val |= 1 << q
-                c = np.cos(angle / 2.0)
-                s = np.sin(angle / 2.0)
-                kernels.apply_ctrl_1q(amps, n, mask, val, target, c, -s, s, c)
+                kernels.apply_ctrl_1q(amps, n, mask, val, target, u00, u01, u10, u11)
         elif kind == "layer":
-            for c, t in zip(gate[1], gate[2]):
+            half = len(qubits) // 2
+            for c, t in zip(qubits[:half], qubits[half:]):
                 kernels.apply_cnot(amps, n, c, t)
         elif kind == "cswap":
-            control = gate[1]
-            for qa, qb in zip(gate[2], gate[3]):
-                kernels.apply_cswap_pair(amps, n, 1 << control, 1 << control,
-                                         qa, qb)
+            control = 1 << qubits[0]
+            half = (len(qubits) + 1) // 2
+            for qa, qb in zip(qubits[1:half], qubits[half:]):
+                kernels.apply_cswap_pair(amps, n, control, control, qa, qb)
         else:
             raise ValueError(f"unexpected gate in unitary application: {kind}")
 
@@ -396,23 +373,8 @@ class Circuit:
             gate = next(gates, None)
             if gate is None:
                 return state
-            state.live = max(state.live, _top_qubit(gate) + 1)
+            state.live = max(state.live, max(gate[1], default=-1) + 1)
             self._apply_gate(state.amplitudes[:1 << state.live], state.live, gate)
         for g in gates:
             self._apply_gate(state.amplitudes, state.n_qubits, g)
         return state
-
-
-def _top_qubit(gate):
-    """Highest qubit a gate tuple names; -1 for an empty CNOT layer and for
-    an unknown kind, which _apply_gate then refuses."""
-    kind = gate[0]
-    if kind in ("u", "ry"):
-        return gate[1]
-    if kind == "ucry":
-        return max(gate[1] + (gate[2],))
-    if kind == "layer":
-        return max(gate[1] + gate[2], default=-1)
-    if kind == "cswap":
-        return max((gate[1],) + gate[2] + gate[3])
-    return -1

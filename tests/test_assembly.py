@@ -162,7 +162,7 @@ class TestResources:
 
     def test_variant_d_boe_width(self):
         cfg = VariantConfig(variant="d", K=1, s=2)
-        table = resource_report(cfg, 16, s=2)
+        table = resource_report(cfg, 16)
         assert table["rows"][0]["boe_width"] == 3 * 4 - 1 + 4
 
     def test_mcx_decomposition(self):

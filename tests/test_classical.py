@@ -120,6 +120,13 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_polynomial(DEFAULT_PARAMS, 0.0, 3, "spline")
 
+    @pytest.mark.parametrize("mode", ["taylor", "least_squares"])
+    def test_negative_degree_rejected(self, mode):
+        # taylor once returned b = [] for K = -1, and only NumPy's polyfit
+        # refused it in least-squares mode
+        with pytest.raises(ValueError, match="degree"):
+            fit_polynomial(DEFAULT_PARAMS, 10.0, -1, mode)
+
 
 class TestValues:
     def test_exact_value(self):

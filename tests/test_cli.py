@@ -73,6 +73,19 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "power of two" in result.output
 
+    @pytest.mark.parametrize("series", ['{"a": 1}', "[[12, 17], [23, 28]]"])
+    def test_json_series_not_a_flat_array_exit_2(self, runner, data_files,
+                                                  tmp_path, series):
+        # an object once raised a TypeError; a nested array was flattened
+        # and valued as if it were [12, 17, 23, 28]
+        _t, e = data_files
+        t = tmp_path / "t.json"
+        t.write_text(series)
+        result = runner.invoke(main, ["evaluate", "--variant", "poly",
+                                      "--input-t", str(t), "--input-e", e])
+        assert result.exit_code == 2
+        assert "flat array of numbers" in result.output
+
     def test_oversized_request_exit_2(self, runner, tmp_path):
         # variant a at degree 3 on 4096 points needs a 49-qubit statevector;
         # it is refused before any state is allocated
@@ -142,6 +155,24 @@ class TestExperiment:
         assert result.exit_code == 2
         assert "shots" in result.output
 
+    @pytest.mark.parametrize("name, config, message", [
+        ("end_to_end", [1, 2], "JSON object"),
+        ("compare_inner", {"p_values": 5}, "'p_values' must be a list"),
+        ("compare_inner", {"p_values": [0.5, {}]}, "'p_values' must be a list"),
+        ("compare_inner", {"repeats": [1]}, "'repeats' must be a number"),
+        ("end_to_end", {"seeds": 3}, "'seeds' must be a list"),
+        ("end_to_end", {"forced_epsilon_k": "x"},
+         "'forced_epsilon_k' must be a number"),
+    ])
+    def test_config_of_wrong_type_exit_2(self, runner, tmp_path, name, config,
+                                          message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["experiment", name, "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_unknown_name_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")
@@ -205,7 +236,8 @@ class TestFit:
                                       ["--params", "1,2,3,4"],
                                       ["--params", "20000,35,3,6000,40"],
                                       ["--domain", "0,x"],
-                                      ["--domain", "0,1,2"]])
+                                      ["--domain", "0,1,2"],
+                                      ["--degree", "-1"]])
     def test_bad_option_exit_2(self, runner, args):
         result = runner.invoke(main, ["fit", "--eta", "0"] + args)
         assert result.exit_code == 2

@@ -70,7 +70,7 @@ class TestAmplitudeLoader:
         loader = load_amplitude(build_tree(vals))
         state = Statevector.zero(loader.width)
         loader.circuit.apply_unitary(state)
-        loader.inverse().apply_unitary(state)
+        loader.circuit.inverse().apply_unitary(state)
         assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(0, 200))

@@ -493,6 +493,26 @@ class TestCircuit:
         wide.apply_unitary(state)
         assert abs(state.amplitudes[0b100]) == pytest.approx(1.0)
 
+    @given(live_circuits(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_and_remapped(self, case, seed):
+        circ, _touched = case
+        n = circ.n_qubits
+        state = random_state(n, seed)
+        start = state.amplitudes.copy()
+        circ.inverse().apply_unitary(circ.apply_unitary(state))
+        np.testing.assert_allclose(state.amplitudes, start, rtol=0, atol=1e-12)
+        # local qubit i becomes perm[i]: in the (2,)*n view, where qubit q
+        # is axis n-1-q, the output's axis n-1-perm[i] is the original's n-1-i
+        perm = [int(q) for q in np.random.default_rng(seed).permutation(n)]
+        axes = [0] * n
+        for i, q in enumerate(perm):
+            axes[n - 1 - q] = n - 1 - i
+        out = circ.apply_unitary(full_width_zero(n)).amplitudes
+        expected = out.reshape((2,) * n).transpose(axes).reshape(-1)
+        moved = circ.remapped(perm, n).apply_unitary(full_width_zero(n))
+        np.testing.assert_array_equal(bits(moved.amplitudes), bits(expected))
+
     @given(st.integers(0, 2), st.floats(-3.0, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_ry_preserves_norm(self, qubit, angle):
