@@ -240,4 +240,6 @@ def read_series(path):
         return validate_raw(data)
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
+    if any(len(row) != 1 for row in rows):
+        raise ValueError("a CSV series must hold one value per row")
     return validate_raw([float(row[0]) for row in rows])

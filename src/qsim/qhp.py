@@ -20,6 +20,7 @@ import numpy as np
 
 from . import sim
 from .encoding import build_tree, load_amplitude, load_boe
+from .errors import ZeroBranchError
 from .sim import Circuit, Statevector
 
 
@@ -145,8 +146,10 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
     Amplitude encoding runs on 2 registers, reloading the consumed one after
     each successful round; BOE loads all k blocks up front and measures only
     the primaries.  Every shot that reaches round t sees the same state, so
-    each round is simulated once, when a shot first reaches it, and each shot
-    only draws its outcomes, from its own split stream, as sim.measure would.
+    each round is simulated once and the outcomes of all shots still running
+    are drawn together, as sim.measure would.  Shot i reads row i of one
+    (shots, k - 1) draw of uniforms, so a run's first m shots do not depend
+    on how many follow.
     """
     if plan.style != "mid_reset":
         raise ValueError("dynamic stopping requires the mid_reset style")
@@ -165,41 +168,37 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
         steps = [(Circuit(width).cnot_layer(prim[0], prim[t]), prim[t])
                  for t in range(1, k)]
 
-    base = Statevector.zero(width)
+    st = Statevector.zero(width)
     for b in range(preloaded):
-        loader.circuit.remapped(range(b * bw, (b + 1) * bw), width).apply_unitary(base)
+        loader.circuit.remapped(range(b * bw, (b + 1) * bw), width).apply_unitary(st)
 
-    chain = []               # per round simulated: (state, register, cumsum)
-    branch = {(0, 0): base}  # (round, outcome) drawn -> state if outcome is 0
+    u = rng.generator.random((shots, k - 1))
+    rounds = np.full(shots, k - 1)  # a shot that fails stops at that round
+    alive = np.arange(shots)        # shots that have read 0 in every round
+    errors = {}                     # first shot to draw a vanishing branch -> error
+    for t, (step, reg) in enumerate(steps, start=1):
+        if alive.size == 0:
+            break
+        step.apply_unitary(st)
+        cum = np.cumsum(sim.marginal_probabilities(st, reg))
+        drawn = np.minimum(np.searchsorted(cum, u[alive, t - 1] * cum[-1], side="right"),
+                           len(cum) - 1)
+        # outcome 0 comes last, so it collapses st in place for the next round
+        for outcome in np.unique(drawn)[::-1].tolist():
+            try:
+                sim.project_bits(st if outcome == 0 else st.copy(), reg, outcome)
+            except ZeroBranchError as exc:
+                errors[int(alive[drawn == outcome][0])] = exc
+                drawn[drawn == outcome] = -1
+        rounds[alive[drawn > 0]] = t
+        alive = alive[drawn == 0]
+    if errors:  # as in a per-shot loop, the lowest such shot raises
+        raise errors[min(errors)]
 
-    outcomes = []
-    for stream in rng.split(shots):
-        success = True
-        rounds = 0
-        loads = 1
-        for t in range(1, k):
-            if len(chain) < t:
-                step, reg = steps[t - 1]
-                st = step.apply_unitary(branch[t - 1, 0].copy())
-                chain.append((st, reg, np.cumsum(sim.marginal_probabilities(st, reg))))
-            st, reg, cum = chain[t - 1]
-            u = stream.generator.random() * cum[-1]
-            outcome = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-            if (t, outcome) not in branch:
-                # raises ZeroBranchError for the first shot that draws a
-                # vanishing branch, as sim.measure would
-                _p, collapsed = sim.project_bits(st.copy(), reg, outcome)
-                branch[t, outcome] = collapsed if outcome == 0 else None
-            rounds += 1
-            loads += 1
-            if outcome != 0:
-                success = False
-                loads = t
-                break
-        state = branch[k - 1, 0].copy() if keep_states and success else None
-        outcomes.append(QhpOutcome(success=success, rounds_executed=rounds,
-                                   loads=loads, state=state))
-    return outcomes
+    success = np.isin(np.arange(shots), alive)
+    return [QhpOutcome(success=ok, rounds_executed=r, loads=k if ok else r,
+                       state=st.copy() if keep_states and ok else None)
+            for ok, r in zip(success.tolist(), rounds.tolist())]
 
 
 def width_formula(k, style, swap, n):

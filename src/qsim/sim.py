@@ -58,8 +58,9 @@ class RngStream:
     """Seeded counter-based random stream (Philox) with explicit splitting.
 
     Identical seeds give bit-identical sample sequences.  split() derives
-    independent child streams deterministically, so parallel shots can each
-    own a stream without coordination.
+    independent child streams deterministically, so independent parts of a
+    run, such as the power indices, can each own a stream without
+    coordination.
     """
 
     def __init__(self, seed=None, _seq=None):
@@ -296,8 +297,8 @@ class Circuit:
         targets = _as_qubits(targets)
         if len(controls) != len(targets):
             raise ValueError("controls and targets must have equal length")
-        if set(controls) & set(targets):
-            raise ValueError("controls and targets overlap")
+        if len(set(controls + targets)) != 2 * len(controls):
+            raise ValueError("controls and targets overlap or repeat a qubit")
         _check_qubits(self, controls + targets)
         self.gates.append(("layer", controls + targets, None))
         return self

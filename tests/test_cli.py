@@ -86,6 +86,18 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "flat array of numbers" in result.output
 
+    def test_csv_row_of_several_values_exit_2(self, runner, tmp_path):
+        # only the first field of each row was read: 12,17 / 23,28 was
+        # valued as the 2-point series [12, 23]
+        t = tmp_path / "t.csv"
+        e = tmp_path / "e.json"
+        t.write_text("12,17\n23,28\n")
+        e.write_text("[30, 24]")
+        result = runner.invoke(main, ["evaluate", "--variant", "poly",
+                                      "--input-t", str(t), "--input-e", str(e)])
+        assert result.exit_code == 2
+        assert "one value per row" in result.output
+
     def test_oversized_request_exit_2(self, runner, tmp_path):
         # variant a at degree 3 on 4096 points needs a 49-qubit statevector;
         # it is refused before any state is allocated

@@ -2,9 +2,20 @@
 
 Each digest pins the exact bits a fixed-seed run produces, so a change that
 alters any output (a draw order, a summation order, a rounding) fails here
-even when every statistical test still passes.  The dynstop, sampling,
-variant-a and variant-c digests were computed before the dynamic-stopping
-chain and the Tang walk were batched, and those rewrites reproduce them.
+even when every statistical test still passes.  The sampling, variant-a
+and variant-c digests were computed before the dynamic-stopping chain and
+the Tang walk were batched, and those rewrites reproduce them.
+The two dynstop digests changed once, on purpose, when dynamic stopping
+stopped splitting one Philox stream per shot and began to read shot i's
+uniforms as row i of one (shots, k - 1) draw from the caller's stream:
+  dynstop-amplitude-k3
+    was 46c21c322f4760a5c54ce36e2051bb5ed102dfb2761423678a53921d1f706734
+    now 0ee1f460ad539a859dc9ae12229ec4795b08be8fa350d092fe17a7977b65641e
+  dynstop-boe-s1-k3
+    was f1b260d40b4edcac1241d1e0b9384954d8950fba9c5ebca52297acd1d4821c0f
+    now ab1279caa82c82787617134a73f20f0892903c08ea94d7cd23eda85b569191b2
+Only the draws changed; tests/test_qhp.py checks the new outcomes bit for
+bit against a per-shot loop that reads the same rows.
 The variant-b, variant-d, canonical and BOE swap-test digests were computed
 before the readout circuits were given a single construction in
 `inner.build_swap_test` and `inner.build_ancilla_free`, and that rewrite
@@ -89,10 +100,10 @@ def _boe_swap(k, s, shots, seed):
 CASES = {
     "dynstop-amplitude-k3": (
         lambda: _dynstop("amplitude", 3, 1, 1000, 11),
-        "46c21c322f4760a5c54ce36e2051bb5ed102dfb2761423678a53921d1f706734"),
+        "0ee1f460ad539a859dc9ae12229ec4795b08be8fa350d092fe17a7977b65641e"),
     "dynstop-boe-s1-k3": (
         lambda: _dynstop("boe", 3, 1, 500, 12),
-        "f1b260d40b4edcac1241d1e0b9384954d8950fba9c5ebca52297acd1d4821c0f"),
+        "ab1279caa82c82787617134a73f20f0892903c08ea94d7cd23eda85b569191b2"),
     "sampling-K2": (
         lambda: _evaluate("classical_sampling", 2, 5),
         "47eaf97735c1d0611064f00aef7cc3ce37814bda9d1ea7e4ca9540fde882866f"),

@@ -19,10 +19,22 @@ def series_fixture(n_vals=4, seed=0, eta=10.0):
     return normalize_affine(raw, eta)
 
 
+def measure(state, reg, uniform):
+    """Mid-circuit measurement of a register on a given uniform in [0, 1).
+
+    Returns (outcome, collapsed); the collapsed state keeps its full width.
+    """
+    cum = np.cumsum(sim.marginal_probabilities(state, reg))
+    outcome = min(int(np.searchsorted(cum, uniform * cum[-1], side="right")),
+                  len(cum) - 1)
+    _p, state = sim.project_bits(state, reg, outcome)
+    return outcome, state
+
+
 def ref_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
     """Per-shot loop that simulates every shot's rounds on its own copy of
-    the state; run_with_dynamic_stopping must reproduce its outcomes bit for
-    bit."""
+    the state, shot i reading row i of one (shots, k - 1) draw of uniforms;
+    run_with_dynamic_stopping must reproduce its outcomes bit for bit."""
     k = plan.k
     bw = loader.width
     if plan.encoding == "amplitude":
@@ -41,7 +53,7 @@ def ref_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
                                     width).apply_unitary(base)
         prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
     outcomes = []
-    for stream in rng.split(shots):
+    for row in rng.generator.random((shots, k - 1)):
         st_ = base.copy()
         success = True
         rounds = 0
@@ -54,7 +66,7 @@ def ref_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
             else:
                 Circuit(width).cnot_layer(prim[0], prim[t]).apply_unitary(st_)
                 reg = prim[t]
-            outcome, st_, _p = sim.measure(st_, reg, stream)
+            outcome, st_ = measure(st_, reg, row[t - 1])
             rounds += 1
             loads += 1
             if outcome != 0:
@@ -74,9 +86,9 @@ DYNSTOP_CASES += [("boe", n_vals, s, k) for n_vals in (2, 4, 8) for s in (1, 2)
                   if (1 << s) <= n_vals and k * boe_width(n_vals, s) <= 16]
 
 
-def _run(fn, plan, loader, shots, seed):
+def _run(fn, plan, loader, shots, seed, stream=RngStream):
     try:
-        return fn(plan, loader, shots, RngStream(seed), keep_states=True)
+        return fn(plan, loader, shots, stream(seed), keep_states=True)
     except ZeroBranchError as exc:
         return str(exc)
 
@@ -221,6 +233,42 @@ class TestDynamicStopping:
                 kept.append(o.state.amplitudes)
         # every successful shot owns its state
         assert not any(np.shares_memory(a, b) for a, b in zip(kept, kept[1:]))
+
+    @given(st.sampled_from(DYNSTOP_CASES), st.integers(1, 100), st.integers(0, 100),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_first_shots_do_not_depend_on_shot_count(self, case, m, extra, seed):
+        encoding, n_vals, s, k = case
+        loader = make_loader(series_fixture(n_vals, seed % 97), encoding, s)
+        plan = PowerPlan(k=k, style="mid_reset", encoding=encoding, s=s)
+        few, many = (run_with_dynamic_stopping(plan, loader, n, RngStream(seed))
+                     for n in (m, m + extra))
+        assert ([(o.success, o.rounds_executed, o.loads) for o in few]
+                == [(o.success, o.rounds_executed, o.loads) for o in many[:m]])
+
+    def test_vanishing_branch_raises_for_lowest_shot(self):
+        # with T = (1, 3e-8) the top uniform draws outcome 1, whose
+        # probability is 1.8e-15 in round 1 and 9e-16 in round 2; shot 1
+        # reaches its vanishing branch in a later round than shot 2 but
+        # comes first, so a per-shot loop raises for it
+        class Uniforms:
+            """A stream whose generator returns the given rows."""
+
+            def __init__(self, rows):
+                self.generator = self
+                self.rows = np.array(rows)
+
+            def random(self, shape):
+                assert shape == self.rows.shape
+                return self.rows.copy()
+
+        top = np.nextafter(1.0, 0.0)
+        loader = make_loader(normalize_affine([1.0, 3e-8], 0.0))
+        plan = PowerPlan(k=3, style="mid_reset")
+        rows = [[0.5, 0.5], [0.5, top], [top, 0.5]]
+        got = _run(run_with_dynamic_stopping, plan, loader, 3, rows, Uniforms)
+        assert got == _run(ref_dynamic_stopping, plan, loader, 3, rows, Uniforms)
+        assert got == "branch value=1 has probability 9.000e-16"
 
     def test_requires_mid_reset(self):
         series = series_fixture()

@@ -276,6 +276,8 @@ BAD_GATES = {
     "ucry-too-few-angles-2c": (lambda c: c.ucry([1, 2], 0, [0.1, 0.2]), "angles"),
     "layer-unequal-lengths": (lambda c: c.cnot_layer((0, 1), (2,)), "equal length"),
     "layer-overlap": (lambda c: c.cnot_layer((0, 1), (1, 2)), "overlap"),
+    "layer-repeated-control": (lambda c: c.cnot_layer((0, 0), (1, 2)), "repeat"),
+    "layer-repeated-target": (lambda c: c.cnot_layer((0, 1), (2, 2)), "repeat"),
     "layer-out-of-range": (lambda c: c.cnot_layer((0,), (3,)), "out of range"),
     "cswap-unequal-sizes": (lambda c: c.cswap(2, (0,), ()), "sizes differ"),
     "cswap-overlap": (lambda c: c.cswap(2, (0,), (0,)), "overlapping"),
