@@ -45,7 +45,6 @@ class VariantConfig:
     engine: str = "iqae"         # QAE engine for variants c/d
     shots: int = 100             # IQAE shots per round / canonical per run
     fit_mode: str = "taylor"
-    fit_domain: tuple = None
     seed: int = 0
     forced_epsilon_k: float = None
 
@@ -182,8 +181,7 @@ def evaluate(config, rawT, rawE, contract=None):
     t = validate_raw(rawT)
     e = validate_raw(rawE)
     params = contract.params if contract is not None else DEFAULT_PARAMS
-    coeffs = classical.fit_polynomial(params, config.eta, config.K,
-                                      config.fit_mode, config.fit_domain)
+    coeffs = classical.fit_polynomial(params, config.eta, config.K, config.fit_mode)
 
     try:
         v_exact = classical.exact_value(t, e, params)
@@ -386,13 +384,21 @@ def _number(config, name, default, cast=float):
                          f"got {value!r}") from None
 
 
+def _count(config, name, default):
+    """_number cast to int; ValueError unless it is >= 1."""
+    value = _number(config, name, default, int)
+    if value < 1:
+        raise ValueError(f"config field {name!r} must be >= 1, got {value!r}")
+    return value
+
+
 def _numbers(config, name, default):
     """config[name] with the default filled in; ValueError unless a list of numbers."""
     values = config.setdefault(name, default)
-    if not (isinstance(values, list)
+    if not (isinstance(values, list) and values
             and all(isinstance(v, (int, float)) for v in values)):
-        raise ValueError(f"config field {name!r} must be a list of numbers, "
-                         f"got {values!r}")
+        raise ValueError(f"config field {name!r} must be a list of one or more "
+                         f"numbers, got {values!r}")
     return values
 
 
@@ -428,8 +434,8 @@ def run_experiment(name, config, out_dir):
 
 def _experiment_compare_inner(config):
     seed = _number(config, "seed", 0, int)
-    shots = _number(config, "shots", 10000, int)
-    repeats = _number(config, "repeats", 100, int)
+    shots = _count(config, "shots", 10000)
+    repeats = _count(config, "repeats", 100)
     ps = _numbers(config, "p_values", [0.072, 0.767])
     rng = RngStream(seed)
     rows = []
@@ -471,13 +477,13 @@ def _experiment_error_scaling_k(config):
     seed = _number(config, "seed", 0, int)
     Ns = _numbers(config, "N_values", [4, 8, 16, 32])
     ks = _numbers(config, "k_values", [1, 2])
-    repeats = _number(config, "repeats", 20, int)
+    repeats = _count(config, "repeats", 20)
     eps0 = _number(config, "epsilon0", 0.1)
     eta = _number(config, "eta", 0.0)
     rng = RngStream(seed)
     rows = []
     summary = {"ratios": {}}
-    qcfg = qae.QaeConfig(engine="iqae", shots=_number(config, "shots", 100, int))
+    qcfg = qae.QaeConfig(engine="iqae", shots=_count(config, "shots", 100))
     for k in ks:
         means = {}
         for N in Ns:
@@ -505,7 +511,7 @@ def _experiment_error_scaling_k(config):
 def _experiment_qae_vs_classical(config):
     seed = _number(config, "seed", 0, int)
     k = _number(config, "k", 2, int)
-    repeats = _number(config, "repeats", 12, int)
+    repeats = _count(config, "repeats", 12)
     epsilons = _numbers(
         config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177])
     eta = _number(config, "eta", 0.0)
@@ -515,7 +521,7 @@ def _experiment_qae_vs_classical(config):
     ser_e = normalize_affine(e, 0.0)
     y_exact = float(np.sum(ser_e.values * ser_t.values**k))
     y_prime_exact = y_exact / (ser_t.rho**k * ser_e.rho)
-    qcfg = qae.QaeConfig(engine="iqae", shots=_number(config, "shots", 100, int))
+    qcfg = qae.QaeConfig(engine="iqae", shots=_count(config, "shots", 100))
 
     rows = []
     curves = {"iqae": [], "classical": []}
@@ -551,7 +557,7 @@ def _experiment_end_to_end(config):
     forced = _number(config, "forced_epsilon_k", 0.04,
                      lambda v: v if v is None else float(v))
     eta = _number(config, "eta", 0.0)
-    shots = _number(config, "shots", 100, int)
+    shots = _count(config, "shots", 100)
     t = np.asarray(_numbers(config, "rawT", [5.0, 8.0, 11.0, 14.0]), dtype=float)
     e = np.asarray(_numbers(config, "rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
     rows = []

@@ -9,7 +9,8 @@ z = sin^2(pi x / 2^m).
 IQAE reads the Grover spectrum in closed form: the good-outcome
 probability after Q^k is sin^2((2k+1)theta), with theta taken from one
 statevector pass of F per oracle.  Canonical QAE still simulates the
-2^m - 1 Grover powers its phase readout superposes.
+2^m - 1 Grover powers its phase readout superposes; the variant estimators
+run it once on a CANONICAL_M-qubit phase register.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from . import kernels, qhp, sim
+from . import qhp, sim
 from .encoding import build_tree, load_amplitude
 from .inner import InnerEstimate, build_ancilla_free, build_swap_test
 from .sim import Statevector
@@ -37,23 +38,15 @@ class GroverOracle:
         self.n_qubits = prepare.n_qubits
         self._inverse = prepare.inverse()
         self._theta = None
-        mask = sum(1 << q for q in self.good)
-        self._good_view = kernels._view_plan(self.n_qubits, mask, 0, 0)[:2]
 
     def chi(self):
-        st = Statevector.zero(self.n_qubits)
-        self.prepare.apply_unitary(st)
-        return st
+        return self.prepare.apply_unitary(Statevector.zero(self.n_qubits))
 
     def z_exact(self):
-        return self.good_probability(self.chi())
-
-    def good_probability(self, state):
-        return sim.probability_of_bits(state, self.good, 0)
+        return sim.probability_of_bits(self.chi(), self.good, 0)
 
     def _flip_good(self, state):
-        shape, idx = self._good_view
-        state.amplitudes.reshape(shape)[idx] *= -1.0
+        sim.register_view(state, self.good, 0)[...] *= -1.0
 
     def grover(self, state):
         """Apply Q in place."""
@@ -76,8 +69,6 @@ class GroverOracle:
 @dataclass(frozen=True)
 class QaeConfig:
     engine: str = "iqae"       # or "canonical"
-    m: int = 6                 # eval qubits (canonical)
-    medians: int = 1           # odd number of independent runs
     shots: int = 100           # shots per IQAE round / per canonical run
 
     def __post_init__(self):
@@ -85,10 +76,6 @@ class QaeConfig:
             raise ValueError(f"unknown QAE engine {self.engine!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.medians < 1 or self.medians % 2 == 0:
-            raise ValueError("medians must be odd and >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +191,8 @@ def iqae(oracle, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
     oracle_calls = 0
     rounds = []
     tallies = {}  # k -> [ones, total]
-
-    def a_bounds():
-        return math.sin(theta_l) ** 2, math.sin(theta_u) ** 2
-
     for _ in range(max_rounds):
-        a_l, a_u = a_bounds()
+        a_l, a_u = math.sin(theta_l) ** 2, math.sin(theta_u) ** 2
         if a_u - a_l <= 2 * epsilon:
             break
         k, up = _find_next_k(k, up, theta_l, theta_u)
@@ -237,56 +220,50 @@ def iqae(oracle, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
         rounds.append({"k": k, "shots": shots_per_round, "ones": ones,
                        "theta_l": theta_l, "theta_u": theta_u})
 
-    a_l, a_u = a_bounds()
+    a_l, a_u = math.sin(theta_l) ** 2, math.sin(theta_u) ** 2
     return IqaeResult(z_hat=(a_l + a_u) / 2.0, z_lo=a_l, z_hi=a_u,
                       oracle_calls=oracle_calls, rounds=rounds)
-
-
-def _iqae_median(oracle, epsilon, alpha, medians, rng, shots_per_round):
-    zs = []
-    calls = 0
-    for _ in range(medians):
-        res = iqae(oracle, epsilon, alpha, rng, shots_per_round=shots_per_round)
-        zs.append(res.z_hat)
-        calls += res.oracle_calls
-    return float(np.median(zs)), calls
 
 
 # ---------------------------------------------------------------------------
 # Variant estimators
 # ---------------------------------------------------------------------------
 
+CANONICAL_M = 6  # phase-register qubits of the canonical engine
 PILOT_EPSILON = 0.05
 PILOT_ALPHA = 0.7
 PILOT_SHOTS = 32
 
 
+def _estimate_z(oracle, epsilon, alpha, config, rng):
+    """(z_hat, oracle calls) of one config.engine run; canonical ignores epsilon, alpha."""
+    if config.engine == "canonical":
+        z_hat = canonical_qae(oracle, CANONICAL_M, 1, rng, shots_per_run=config.shots)
+        return z_hat, (1 << CANONICAL_M) - 1
+    res = iqae(oracle, epsilon, alpha, rng, shots_per_round=config.shots)
+    return res.z_hat, res.oracle_calls
+
+
 def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
     """Variant (c): y_k = sqrt(z) with z from amplitude estimation.
 
-    The requested accuracy on y is converted to an amplitude accuracy
-    eps_z = epsilon * max(y_pilot, epsilon), where y_pilot comes from a
-    short warm-up IQAE run.
+    Under IQAE the requested accuracy on y is converted to an amplitude
+    accuracy eps_z = epsilon * max(y_pilot, epsilon), where y_pilot comes
+    from a short warm-up IQAE run.
     """
     oracle = build_oracle_variant_c(series_T, series_E, k)
-    calls = 0
-    if config.engine == "canonical":
-        z_hat = canonical_qae(oracle, config.m, config.medians, rng,
-                              shots_per_run=config.shots)
-        calls = config.medians * ((1 << config.m) - 1)
-    else:
+    pilot_calls, eps_z = 0, None
+    if config.engine == "iqae":
         pilot = iqae(oracle, min(0.45, max(PILOT_EPSILON, epsilon / 2)),
                      PILOT_ALPHA, rng, shots_per_round=PILOT_SHOTS)
-        calls += pilot.oracle_calls
+        pilot_calls = pilot.oracle_calls
         y_pilot = math.sqrt(max(pilot.z_hat, 0.0))
         eps_z = min(0.45, epsilon * max(y_pilot, epsilon))
-        z_hat, c = _iqae_median(oracle, eps_z, alpha, config.medians, rng,
-                                config.shots)
-        calls += c
+    z_hat, calls = _estimate_z(oracle, eps_z, alpha, config, rng)
     y = math.sqrt(max(z_hat, 0.0))
     scale = series_T.rho ** -k * series_E.rho ** -1
-    return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=calls,
-                         method="variant_c")
+    return InnerEstimate(y_hat=y, y_prime_hat=scale * y,
+                         shots_used=pilot_calls + calls, method="variant_c")
 
 
 def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
@@ -294,19 +271,9 @@ def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
     """Variant (d): ytilde_k = 2z - z', each amplitude estimated at eps/2."""
     oracle_u, oracle_up = build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s)
     eps_half = min(0.45, epsilon / 2.0)
-    if config.engine == "canonical":
-        z_hat = canonical_qae(oracle_u, config.m, config.medians, rng,
-                              shots_per_run=config.shots)
-        zp_hat = canonical_qae(oracle_up, config.m, config.medians, rng,
-                               shots_per_run=config.shots)
-        calls = 2 * config.medians * ((1 << config.m) - 1)
-    else:
-        z_hat, c1 = _iqae_median(oracle_u, eps_half, alpha, config.medians, rng,
-                                 config.shots)
-        zp_hat, c2 = _iqae_median(oracle_up, eps_half, alpha, config.medians, rng,
-                                  config.shots)
-        calls = c1 + c2
+    z_hat, c1 = _estimate_z(oracle_u, eps_half, alpha, config, rng)
+    zp_hat, c2 = _estimate_z(oracle_up, eps_half, alpha, config, rng)
     y_tilde = 2.0 * z_hat - zp_hat
     scale = series_Tsqrt.rho ** (-2 * k) * series_Esqrt.rho ** -2
     return InnerEstimate(y_hat=float(y_tilde), y_prime_hat=float(scale * y_tilde),
-                         shots_used=calls, method="variant_d")
+                         shots_used=c1 + c2, method="variant_d")

@@ -22,7 +22,9 @@ operations in the same order as on the full array (a zero may keep +0.0
 where the full pass would write -0.0).  In-place updates outside
 apply_unitary (project_bits, the QAE reflections) only scale amplitudes or
 set them to zero, so live stays valid.  Once live == n_qubits the gates run
-on the whole array.
+on the whole array.  Register readouts read and write register_view, a
+strided view of the amplitudes that hold one register value, so they build
+no 2^n index or mask array.
 """
 
 import os
@@ -153,25 +155,26 @@ def marginal_probabilities(state, qubits):
     return np.cumsum(table.reshape(1 << len(others), 1 << len(qubits)), axis=0)[-1]
 
 
-def _select(n_qubits, qubits, value):
-    """Boolean mask of the basis states whose register holds `value`.
+def register_view(state, qubits, value):
+    """The amplitudes whose register holds `value` (empty when out of range)
+    as a strided view into state.amplitudes, in basis-index order; 0-d when
+    the register holds every qubit."""
+    qubits = register_qubits(state, qubits)
+    if not 0 <= value < 1 << len(qubits):
+        return state.amplitudes[:0]
+    mask = sum(1 << q for q in qubits)
+    bits = sum(((value >> pos) & 1) << q for pos, q in enumerate(qubits))
+    shape, idx, _ = kernels._view_plan(state.n_qubits, mask, bits, bits)
+    return state.amplitudes.reshape(shape)[idx]
 
-    Set through a strided view (kernels._view_plan), so no per-index
-    register values are computed; a value out of range selects nothing.
-    """
-    sel = np.zeros(1 << n_qubits, dtype=bool)
-    if 0 <= value < 1 << len(qubits):
-        mask = sum(1 << q for q in qubits)
-        bits = sum(((value >> pos) & 1) << q for pos, q in enumerate(qubits))
-        shape, idx, _ = kernels._view_plan(n_qubits, mask, bits, bits)
-        sel.reshape(shape)[idx] = True
-    return sel
+
+def _probability(view):
+    # flattened first: squaring a 0-d view would take scalar pow's rounding
+    return float(np.sum(np.abs(view.reshape(-1)) ** 2))
 
 
 def probability_of_bits(state, qubits, value):
-    qubits = register_qubits(state, qubits)
-    sel = _select(state.n_qubits, qubits, value)
-    return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+    return _probability(register_view(state, qubits, value))
 
 
 def project_bits(state, qubits, value):
@@ -179,14 +182,14 @@ def project_bits(state, qubits, value):
 
     Returns (probability, state); the input state is mutated.
     """
-    qubits = register_qubits(state, qubits)
-    sel = _select(state.n_qubits, qubits, value)
-    prob = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+    view = register_view(state, qubits, value)
+    prob = _probability(view)
     if prob < ZERO_BRANCH_CUTOFF:
         raise ZeroBranchError(
             f"branch value={value} has probability {prob:.3e}")
-    state.amplitudes[~sel] = 0.0
-    state.amplitudes /= np.sqrt(prob)
+    kept = view / np.sqrt(prob)
+    state.amplitudes[:] = 0.0
+    view[...] = kept
     return prob, state
 
 

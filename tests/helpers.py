@@ -85,4 +85,4 @@ def grover_probability_after(oracle, j):
     st = oracle.chi()
     for _ in range(j):
         oracle.grover(st)
-    return oracle.good_probability(st)
+    return sim.probability_of_bits(st, oracle.good, 0)

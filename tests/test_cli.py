@@ -175,6 +175,18 @@ class TestExperiment:
         ("end_to_end", {"seeds": 3}, "'seeds' must be a list"),
         ("end_to_end", {"forced_epsilon_k": "x"},
          "'forced_epsilon_k' must be a number"),
+        # counts below 1 and empty lists once ran, writing NaN summaries or
+        # failing inside LAPACK
+        ("compare_inner", {"repeats": 0}, "'repeats' must be >= 1"),
+        ("compare_inner", {"shots": 0}, "'shots' must be >= 1"),
+        ("error_scaling_k", {"repeats": 0}, "'repeats' must be >= 1"),
+        ("qae_vs_classical", {"repeats": 0}, "'repeats' must be >= 1"),
+        ("qae_vs_classical", {"shots": 0}, "'shots' must be >= 1"),
+        ("end_to_end", {"seeds": []}, "'seeds' must be a list of one or more"),
+        ("compare_inner", {"p_values": []}, "'p_values' must be a list of one or more"),
+        ("qae_vs_classical", {"epsilons": []}, "'epsilons' must be a list of one or more"),
+        ("error_scaling_k", {"N_values": []}, "'N_values' must be a list of one or more"),
+        ("error_scaling_k", {"k_values": []}, "'k_values' must be a list of one or more"),
     ])
     def test_config_of_wrong_type_exit_2(self, runner, tmp_path, name, config,
                                           message):

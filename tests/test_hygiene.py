@@ -1,4 +1,4 @@
-"""Two checks on the syntax trees of the package and the tests.
+"""Three checks on the syntax trees of the package and the tests.
 
 Every name that a module in src/qsim or tests/ imports is used there: it
 appears as a name elsewhere in the module's syntax tree, or in its __all__.
@@ -6,9 +6,13 @@ appears as a name elsewhere in the module's syntax tree, or in its __all__.
 Every function and class that src/qsim defines is reached: src/qsim or
 perfbench code names it, the benchmark tracer wraps it, it is a click
 command, or UNREACHED_KEPT lists it with the reason it stays.
+
+Every field of VariantConfig and QaeConfig is set by name in src/qsim or
+perfbench, so no setting keeps a single value that nothing can change.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,10 +21,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "qsim").glob("*.py"))
 MODULES = SRC + sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer  # noqa: E402
+from qsim.assembly import VariantConfig  # noqa: E402
+from qsim.qae import QaeConfig  # noqa: E402
 
 # Functions and classes that only tests call, with the reason each stays.
 UNREACHED_KEPT = {
@@ -61,7 +68,7 @@ def unreached_definitions():
     """{name: "module.py:line"} for each function and class of src/qsim that
     nothing outside the tests reaches."""
     named = {t[2] for t in tracer.targets()}
-    for path in SRC + sorted((ROOT / "perfbench").glob("*.py")):
+    for path in SRC + PERFBENCH:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -84,3 +91,37 @@ def test_every_definition_is_reached():
             if name not in UNREACHED_KEPT} == {}
     # a kept entry that is now reached, or gone, is stale
     assert set(UNREACHED_KEPT) <= set(unreached)
+
+
+CONFIGS = {"VariantConfig": VariantConfig, "QaeConfig": QaeConfig}
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def config_fields_set():
+    """{config class: field names set by name in src/qsim or perfbench}.
+
+    A field counts when it is a keyword of a constructor call, or a string
+    key of a dict literal in a module that passes a dict to that
+    constructor with **.
+    """
+    named = {name: set() for name in CONFIGS}
+    for path in SRC + PERFBENCH:
+        tree = ast.parse(path.read_text())
+        keys = {key.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node) in CONFIGS:
+                for kw in node.keywords:
+                    named[_callee(node)].update([kw.arg] if kw.arg else keys)
+    return named
+
+
+def test_every_config_field_is_set():
+    named = config_fields_set()
+    unset = [f"{name}.{f.name}" for name, cls in CONFIGS.items()
+             for f in dataclasses.fields(cls) if f.name not in named[name]]
+    assert unset == []

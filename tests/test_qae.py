@@ -194,10 +194,24 @@ class TestVariantEstimators:
 
     def test_variant_c_canonical_engine(self):
         t, e = series_pair()
-        cfg = QaeConfig(engine="canonical", m=7, medians=3, shots=60)
+        cfg = QaeConfig(engine="canonical", shots=60)
         est = estimate_yk_variant_c(t, e, 1, 0.05, 0.9, cfg, RngStream(1))
         y = float(np.sum(t.values * e.values))
         assert abs(est.y_hat - y) < 0.05
+
+    @pytest.mark.parametrize("variant, calls", [("c", 63), ("d", 126)])
+    def test_canonical_call_count(self, variant, calls):
+        # one run of 2^6 - 1 Grover powers per amplitude (c reads z, d reads
+        # z and z'), the count the benchmark tracer charges per run
+        cfg = QaeConfig(engine="canonical")
+        if variant == "c":
+            t, e = series_pair()
+            est = estimate_yk_variant_c(t, e, 1, 0.05, 0.9, cfg, RngStream(0))
+        else:
+            t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
+            e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+            est = estimate_ytilde_variant_d(t, e, 1, 1, 0.1, 0.9, cfg, RngStream(0))
+        assert est.shots_used == calls
 
     def test_variant_d_estimate(self):
         t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
@@ -215,7 +229,3 @@ class TestVariantEstimators:
         est = estimate_yk_variant_c(t, e, 1, 1.0, 0.9, QaeConfig(), RngStream(0))
         assert est.shots_used > 0
         assert 0.0 <= est.y_hat <= 1.0
-
-    def test_medians_must_be_odd(self):
-        with pytest.raises(ValueError):
-            QaeConfig(medians=2)
