@@ -402,6 +402,15 @@ def _numbers(config, name, default):
     return values
 
 
+def _integers(config, name, default, valid, what):
+    """_numbers whose entries are ints (bools refused) that pass valid;
+    ValueError naming the field and `what` it must hold otherwise."""
+    values = _numbers(config, name, default)
+    if not all(type(v) is int and valid(v) for v in values):
+        raise ValueError(f"config field {name!r} must hold {what}, got {values!r}")
+    return values
+
+
 def run_experiment(name, config, out_dir):
     """Run a named experiment; writes <name>.csv and the <name>.json sidecar
     (the config with its defaults filled in, and the summary)."""
@@ -475,8 +484,11 @@ def _base_fixture(N):
 
 def _experiment_error_scaling_k(config):
     seed = _number(config, "seed", 0, int)
-    Ns = _numbers(config, "N_values", [4, 8, 16, 32])
-    ks = _numbers(config, "k_values", [1, 2])
+    # _base_fixture tiles a 4-point block, so N must be a multiple of 4,
+    # and the Grover states need a power of two
+    Ns = _integers(config, "N_values", [4, 8, 16, 32],
+                   lambda n: n >= 4 and n & (n - 1) == 0, "powers of two >= 4")
+    ks = _integers(config, "k_values", [1, 2], lambda k: k >= 1, "integers >= 1")
     repeats = _count(config, "repeats", 20)
     eps0 = _number(config, "epsilon0", 0.1)
     eta = _number(config, "eta", 0.0)

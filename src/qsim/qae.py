@@ -8,16 +8,19 @@ z = sin^2(pi x / 2^m).
 
 IQAE reads the Grover spectrum in closed form: the good-outcome
 probability after Q^k is sin^2((2k+1)theta), with theta taken from one
-statevector pass of F per oracle.  Canonical QAE still simulates the
-2^m - 1 Grover powers its phase readout superposes; the variant estimators
-run it once on a CANONICAL_M-qubit phase register.
+statevector pass of F per oracle.  Canonical QAE reads its phase
+distribution off the plane span{chi, Q chi}, which Q keeps invariant: it
+simulates Q chi and Q^2 chi, checks that Q acts on the plane as a product
+of two reflections, and raises its 2x2 matrix there to the 2^m powers the
+readout superposes.
+The variant estimators run it once on a CANONICAL_M-qubit phase register.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from . import qhp, sim
 from .encoding import build_tree, load_amplitude
@@ -107,17 +110,43 @@ def build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s):
 # Canonical QAE (phase estimation readout)
 # ---------------------------------------------------------------------------
 
+PLANE_TOL = 1e-9  # largest |Q^2 chi - 2 Re(lam) Q chi + chi| accepted
+
+
 def _qpe_distribution(oracle, m):
-    """Exact outcome distribution of an m-qubit phase estimation on Q."""
+    """Exact outcome distribution of an m-qubit phase estimation on Q.
+
+    Q is a product of two reflections whose planes both hold chi, so every
+    Q^y chi lies in span{chi, Q chi}.  The distribution is computed on that
+    plane from two simulated iterates; ValueError if Q does not act there
+    as such a product.
+    """
     dim = 1 << m
-    states = np.empty((dim, 1 << oracle.n_qubits), dtype=complex)
     st = oracle.chi()
-    states[0] = st.amplitudes
-    for y in range(1, dim):
-        oracle.grover(st)
-        states[y] = st.amplitudes
+    chi = st.amplitudes.copy()
+    q_chi = oracle.grover(st).amplitudes.copy()
+    lam = np.vdot(chi, q_chi)
+    r_norm = np.linalg.norm(q_chi - lam * chi)
+    if r_norm < 1e-12:
+        # z is 0 or 1 (U' at k = 1), chi is an eigenvector: Q^y chi = lam^y chi
+        coeffs = (lam ** np.arange(dim))[:, None]
+    else:
+        # Each reflection has determinant -1 on the plane, so there
+        # Q^2 = 2 Re(lam) Q - I, and Q's matrix in the orthonormal basis
+        # (chi, (Q chi - lam chi) / r_norm) is
+        # [[lam, -r_norm], [r_norm, conj(lam)]].
+        residual = np.linalg.norm(oracle.grover(st).amplitudes
+                                  - 2.0 * lam.real * q_chi + chi)
+        if residual > PLANE_TOL:
+            raise ValueError("the Grover iterate is not a product of two "
+                             f"reflections on span{{chi, Q chi}} (residual {residual:.3g})")
+        qm = np.array([[lam, -r_norm], [r_norm, np.conj(lam)]])
+        coeffs = np.empty((dim, 2), dtype=complex)
+        coeffs[0] = (1.0, 0.0)
+        for y in range(1, dim):
+            coeffs[y] = qm @ coeffs[y - 1]
     # amplitude(x, .) = 2^-m sum_y exp(-2 pi i x y / 2^m) Q^y |chi>
-    amps = np.fft.fft(states, axis=0) / dim
+    amps = np.fft.fft(coeffs, axis=0) / dim
     return np.sum(np.abs(amps) ** 2, axis=1)
 
 
@@ -150,8 +179,8 @@ class IqaeResult:
 def _clopper_pearson(ones, total, alpha_fail):
     if total == 0:
         return 0.0, 1.0
-    lo = 0.0 if ones == 0 else float(beta_dist.ppf(alpha_fail / 2, ones, total - ones + 1))
-    hi = 1.0 if ones == total else float(beta_dist.ppf(1 - alpha_fail / 2, ones + 1, total - ones))
+    lo = 0.0 if ones == 0 else float(betaincinv(ones, total - ones + 1, alpha_fail / 2))
+    hi = 1.0 if ones == total else float(betaincinv(ones + 1, total - ones, 1 - alpha_fail / 2))
     return lo, hi
 
 

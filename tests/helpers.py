@@ -86,3 +86,19 @@ def grover_probability_after(oracle, j):
     for _ in range(j):
         oracle.grover(st)
     return sim.probability_of_bits(st, oracle.good, 0)
+
+
+def qpe_distribution_reference(oracle, m):
+    """Outcome distribution of an m-qubit phase estimation on Q from all
+    2^m - 1 Grover iterates, each simulated on the statevector, and an FFT
+    over the stack of states: the reference for qae._qpe_distribution."""
+    dim = 1 << m
+    states = np.empty((dim, 1 << oracle.n_qubits), dtype=complex)
+    st = oracle.chi()
+    states[0] = st.amplitudes
+    for y in range(1, dim):
+        oracle.grover(st)
+        states[y] = st.amplitudes
+    # amplitude(x, .) = 2^-m sum_y exp(-2 pi i x y / 2^m) Q^y |chi>
+    amps = np.fft.fft(states, axis=0) / dim
+    return np.sum(np.abs(amps) ** 2, axis=1)

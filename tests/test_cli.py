@@ -187,6 +187,18 @@ class TestExperiment:
         ("qae_vs_classical", {"epsilons": []}, "'epsilons' must be a list of one or more"),
         ("error_scaling_k", {"N_values": []}, "'N_values' must be a list of one or more"),
         ("error_scaling_k", {"k_values": []}, "'k_values' must be a list of one or more"),
+        # a float k once ended in a TypeError traceback, and N = 6 ran on
+        # the 4 points _base_fixture(6) tiles while its rows said N = 6
+        ("error_scaling_k", {"k_values": [1.5], "repeats": 1, "N_values": [4]},
+         "'k_values' must hold integers >= 1"),
+        ("error_scaling_k", {"k_values": [True], "repeats": 1, "N_values": [4]},
+         "'k_values' must hold integers >= 1"),
+        ("error_scaling_k", {"N_values": [6], "repeats": 1, "k_values": [1]},
+         "'N_values' must hold powers of two >= 4"),
+        ("error_scaling_k", {"N_values": [8.0], "repeats": 1, "k_values": [1]},
+         "'N_values' must hold powers of two >= 4"),
+        ("error_scaling_k", {"N_values": [2], "repeats": 1, "k_values": [1]},
+         "'N_values' must hold powers of two >= 4"),
     ])
     def test_config_of_wrong_type_exit_2(self, runner, tmp_path, name, config,
                                           message):

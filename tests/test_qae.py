@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import beta as beta_dist
 
-from helpers import grover_probability_after
+from helpers import grover_probability_after, qpe_distribution_reference
 from qsim.encoding import normalize_affine, normalize_sqrt
-from qsim.qae import (GroverOracle, QaeConfig, build_oracle_variant_c,
+from qsim.qae import (GroverOracle, QaeConfig, _clopper_pearson,
+                      _qpe_distribution, build_oracle_variant_c,
                       build_oracles_variant_d, canonical_qae,
                       estimate_yk_variant_c, estimate_ytilde_variant_d, iqae)
 from qsim.sim import Circuit, RngStream
@@ -103,7 +105,58 @@ class TestCanonicalQae:
         assert abs(z_hat - z) < 0.02
 
 
+class PhaseFlippedOracle(GroverOracle):
+    """Q followed by a phase flip of basis state 0: no longer a product of
+    two reflections that both hold chi."""
+
+    def grover(self, state):
+        super().grover(state)
+        state.amplitudes[0] *= -1.0
+        return state
+
+
+class TestQpeDistribution:
+    @given(z=st.floats(0.0, 1.0), m=st.integers(1, 6))
+    @example(z=0.0, m=6)
+    @example(z=1.0, m=6)
+    @settings(max_examples=60, deadline=None)
+    def test_plane_matches_statevector_simple(self, z, m):
+        oracle = simple_oracle(z)
+        np.testing.assert_allclose(_qpe_distribution(oracle, m),
+                                   qpe_distribution_reference(oracle, m),
+                                   rtol=0, atol=1e-12)
+
+    # U' at k = 1 has z' = 1: chi is an eigenvector of Q
+    @pytest.mark.parametrize("build", [
+        *[pytest.param(lambda k=k: build_oracle_variant_c(*series_pair(), k), id=f"c-k{k}")
+          for k in (1, 2)],
+        *[pytest.param(lambda k=k, i=i: build_oracles_variant_d(*sqrt_series_pair(), k, 1)[i],
+                       id=f"d-k{k}-s1-{name}")
+          for k in (1, 2) for i, name in enumerate(("U", "Uprime"))],
+    ])
+    def test_plane_matches_statevector_variants(self, build):
+        oracle = build()
+        np.testing.assert_allclose(_qpe_distribution(oracle, 6),
+                                   qpe_distribution_reference(oracle, 6),
+                                   rtol=0, atol=1e-12)
+
+    def test_iterate_off_the_plane_raises(self):
+        circ = Circuit(2).ry(0, 1.1).ry(1, 0.7)
+        with pytest.raises(ValueError, match="two reflections"):
+            _qpe_distribution(PhaseFlippedOracle(circ, (0,)), 6)
+
+
 class TestIqae:
+    def test_clopper_pearson_matches_beta_ppf(self):
+        gen = np.random.default_rng(2024)
+        for _ in range(2000):
+            total = int(gen.integers(1, 5000))
+            ones = int(gen.choice([0, total, gen.integers(0, total + 1)]))
+            alpha_fail = float(gen.uniform(1e-6, 0.5))
+            lo = 0.0 if ones == 0 else float(beta_dist.ppf(alpha_fail / 2, ones, total - ones + 1))
+            hi = 1.0 if ones == total else float(beta_dist.ppf(1 - alpha_fail / 2, ones + 1, total - ones))
+            assert _clopper_pearson(ones, total, alpha_fail) == (lo, hi)
+
     @pytest.mark.parametrize("z", [0.04, 0.2, 0.5, 0.83])
     def test_interval_contains_truth(self, z):
         res = iqae(simple_oracle(z), 0.01, 0.95, RngStream(3))
