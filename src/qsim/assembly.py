@@ -140,8 +140,7 @@ def constant_term_y0(series_E):
     return y0, y0 / series_E.rho
 
 
-def _estimate_power(config, k, series_T, series_E, sqrtT, sqrtE,
-                    eps_k, alpha_k, rng):
+def _estimate_power(config, k, series_T, series_E, eps_k, alpha_k, rng):
     variant = config.variant
     if variant == "a":
         return inner.estimate_yk_swap(series_T, series_E, k, eps_k, alpha_k, rng)
@@ -152,7 +151,7 @@ def _estimate_power(config, k, series_T, series_E, sqrtT, sqrtE,
         return qae.estimate_yk_variant_c(series_T, series_E, k, eps_k, alpha_k,
                                          config.qae_config(), rng)
     if variant == "d":
-        return qae.estimate_ytilde_variant_d(sqrtT, sqrtE, k, config.s, eps_k,
+        return qae.estimate_ytilde_variant_d(series_T, series_E, k, config.s, eps_k,
                                              alpha_k, config.qae_config(), rng)
     raise ValueError(f"no quantum estimator for variant {variant!r}")
 
@@ -161,23 +160,27 @@ def _per_k_resources(config, k, n):
     # The c/d widths count the flag qubit a hardware oracle copies its good
     # outcome onto; the simulator reflects about that outcome in place and
     # allocates one qubit fewer.  Golden digests pin these rows.
-    if config.variant == "a":
-        return {"width": qhp.width_formula(k, "mid_reset", True, n),
-                "depth_bound": qhp.depth_bound(k, "mid_reset", True, n, n)}
-    if config.variant == "b":
-        return {"width": qhp.width_formula(k, config.style, False, n),
-                "depth_bound": qhp.depth_bound(k, config.style, False, n, n)}
+    if config.variant in ("a", "b"):
+        # a reports the mid_reset swap-test row, though its estimator builds
+        # no_mid_reset; golden digests pin the row as it is
+        style, swap = (("mid_reset", True) if config.variant == "a"
+                       else (config.style, False))
+        return {"width": qhp.width_formula(k, style, swap, n),
+                "depth_bound": qhp.depth_bound(k, style, swap, n, n)}
     if config.variant == "c":
         return {"width": k * n + 1, "depth_bound": (k + 1) * n + k + 1}
-    if config.variant == "d":
-        w = boe_width(1 << n, config.s)
-        return {"width": (k + 1) * w + 2,
-                "depth_bound": None}
-    return {}
+    return {"width": (k + 1) * boe_width(1 << n, config.s) + 2, "depth_bound": None}
 
 
 def evaluate(config, rawT, rawE, contract=None):
-    """Estimate V = sum_k b_k y'_k for the requested variant."""
+    """Estimate V = sum_k b_k y'_k for the requested variant.
+
+    classical_exact and classical_poly report their direct sums.  Every
+    other variant estimates one y'_k per power k and sums b_k y'_k from
+    k = 0 upward.  Sampling reads the raw series, reports the raw y_0 and
+    runs every power at config.epsilon, not at its per-k budget; its T is
+    normalised only for the budget's skipped powers and confidences.
+    """
     t = validate_raw(rawT)
     e = validate_raw(rawE)
     params = contract.params if contract is not None else DEFAULT_PARAMS
@@ -192,90 +195,51 @@ def evaluate(config, rawT, rawE, contract=None):
     base = {"K": config.K, "eta": config.eta, "epsilon": config.epsilon,
             "beta": config.beta, "variant": config.variant,
             "fit_mode": coeffs.fit_mode, "b": [float(x) for x in coeffs.b]}
-
-    if config.variant == "classical_exact":
-        return RunReport(variant=config.variant, seed=config.seed, V=v_exact,
-                         v_star=v_star, v_exact=v_exact, config=base)
-    if config.variant == "classical_poly":
-        return RunReport(variant=config.variant, seed=config.seed, V=v_star,
-                         v_star=v_star, v_exact=v_exact, config=base)
-
-    rng = RngStream(config.seed)
-    streams = rng.split(config.K + 1)
-
-    if config.variant == "classical_sampling":
-        total = 0.0
-        per_k = []
-        b = coeffs.b
-        for k in range(config.K + 1):
-            if b[k] == 0.0:
-                continue
-            if k == 0:
-                y_prime = float(np.sum(e))
-                per_k.append({"k": 0, "y_prime_hat": y_prime, "queries": 0,
-                              "method": "classical"})
-            else:
-                eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None
-                         else config.epsilon)
-                alpha_k = (config.K - 1 + config.beta) / config.K
-                y_prime, queries = classical.estimate_yk_sampling(
-                    t, e, config.eta, k, eps_k, alpha_k, streams[k])
-                per_k.append({"k": k, "y_prime_hat": y_prime, "queries": queries,
-                              "method": "sampling"})
-            total += float(b[k]) * per_k[-1]["y_prime_hat"]
-        return RunReport(variant=config.variant, seed=config.seed, V=total,
-                         v_star=v_star, v_exact=v_exact, per_k=per_k, config=base)
-
-    # quantum variants
-    series_T = normalize_affine(t, config.eta)
-    series_E = normalize_affine(e, 0.0)
-    sqrtT = sqrtE = None
-    if config.variant == "d":
-        sqrtT = normalize_sqrt(t, config.eta)
-        sqrtE = normalize_sqrt(e, 0.0)
-        budget = allocate_budget(coeffs, sqrtT.rho, config.epsilon, config.beta,
-                                 config.K, quadratic=True)
-    else:
-        budget = allocate_budget(coeffs, series_T.rho, config.epsilon,
-                                 config.beta, config.K)
-
-    n = series_T.n_qubits
-    per_k = []
-    total = 0.0
-    tasks = []
-    for k in range(config.K + 1):
-        if k in budget.skipped:
-            continue
-        bk = float(coeffs.b[k])
-        if k == 0:
-            _y0, y0_prime = constant_term_y0(series_E)
-            per_k.append({"k": 0, "y_hat": None, "y_prime_hat": y0_prime,
-                          "epsilon_k": 0.0, "alpha_k": 1.0, "cost": 0,
-                          "method": "classical"})
-            total += bk * y0_prime
-            continue
-        eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None
-                 else budget.epsilon_k[k])
-        tasks.append((k, bk, eps_k, budget.alpha_k[k]))
-
+    direct = {"classical_exact": v_exact, "classical_poly": v_star}
+    sampling = config.variant == "classical_sampling"
+    rows, powers = {}, []
+    if config.variant not in direct:
+        normalize = normalize_sqrt if config.variant == "d" else normalize_affine
+        series_T = normalize(t, config.eta)
+        series_E = None if sampling else normalize(e, 0.0)
+        budget = allocate_budget(coeffs, series_T.rho, config.epsilon, config.beta,
+                                 config.K, quadratic=config.variant == "d")
+        streams = RngStream(config.seed).split(config.K + 1)
+        powers = sorted(budget.epsilon_k, reverse=True)
     # Each power has its own pre-split stream, so results do not depend on
     # the order of the powers.  The widest (highest) power runs first, so
-    # that a request too wide for memory fails before any other.
-    estimates = {}
-    for k, _bk, eps_k, alpha_k in sorted(tasks, reverse=True):
-        estimates[k] = _estimate_power(config, k, series_T, series_E, sqrtT,
-                                       sqrtE, eps_k, alpha_k, streams[k])
-
-    for k, bk, eps_k, alpha_k in tasks:
-        est = estimates[k]
-        row = {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
-               "epsilon_k": eps_k, "alpha_k": alpha_k,
-               "cost": est.shots_used, "method": est.method}
-        row.update(_per_k_resources(config, k, n))
-        per_k.append(row)
-        total += bk * est.y_prime_hat
-
-    return RunReport(variant=config.variant, seed=config.seed, V=total,
+    # that a request too wide for memory fails before any state is allocated.
+    for k in powers:
+        alpha_k = budget.alpha_k[k]
+        eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None
+                 else config.epsilon if sampling else budget.epsilon_k[k])
+        if sampling and k == 0:
+            rows[0] = {"k": 0, "y_prime_hat": float(np.sum(e)), "queries": 0,
+                       "method": "classical"}
+        elif sampling:
+            y_prime, queries = classical.estimate_yk_sampling(
+                t, e, config.eta, k, eps_k, alpha_k, streams[k])
+            rows[k] = {"k": k, "y_prime_hat": y_prime, "queries": queries,
+                       "method": "sampling"}
+        elif k == 0:
+            # y'_0 through the affine E for every quantum variant, d included:
+            # golden digests pin its rounding
+            y0_prime = constant_term_y0(normalize_affine(e, 0.0))[1]
+            rows[0] = {"k": 0, "y_hat": None, "y_prime_hat": y0_prime,
+                       "epsilon_k": 0.0, "alpha_k": 1.0, "cost": 0,
+                       "method": "classical"}
+        else:
+            est = _estimate_power(config, k, series_T, series_E, eps_k, alpha_k,
+                                  streams[k])
+            rows[k] = {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
+                       "epsilon_k": eps_k, "alpha_k": alpha_k,
+                       "cost": est.shots_used, "method": est.method,
+                       **_per_k_resources(config, k, series_T.n_qubits)}
+    per_k = [rows[k] for k in sorted(rows)]
+    V = direct.get(config.variant, 0.0)
+    for row in per_k:
+        V += float(coeffs.b[row["k"]]) * row["y_prime_hat"]
+    return RunReport(variant=config.variant, seed=config.seed, V=V,
                      v_star=v_star, v_exact=v_exact, per_k=per_k, config=base)
 
 
@@ -374,41 +338,36 @@ def _pair_with_overlap(p):
     return [math.cos(phi), math.sin(phi)], [math.sin(phi), math.cos(phi)]
 
 
-def _number(config, name, default, cast=float):
-    """cast(config[name]) with the default filled in; ValueError if cast fails."""
+def _number(config, name, default, integer=False, least=None):
+    """config[name] with the default filled in, checked, not cast: an int
+    when `integer`, else an int or a float (a bool is neither), and >= `least`
+    when given; ValueError naming the field otherwise."""
     value = config.setdefault(name, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config field {name!r} must be a number, "
-                         f"got {value!r}") from None
+    if type(value) not in ((int,) if integer else (int, float)):
+        what = "a number (an integer)" if integer else "a number"
+        raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"config field {name!r} must be >= {least}, got {value!r}")
+    return value if integer else float(value)
 
 
-def _count(config, name, default):
-    """_number cast to int; ValueError unless it is >= 1."""
-    value = _number(config, name, default, int)
-    if value < 1:
-        raise ValueError(f"config field {name!r} must be >= 1, got {value!r}")
-    return value
-
-
-def _numbers(config, name, default):
-    """config[name] with the default filled in; ValueError unless a list of numbers."""
+def _numbers(config, name, default, valid=lambda v: type(v) in (int, float),
+             what="numbers"):
+    """config[name] with the default filled in: a list of one or more
+    numbers, each of which passes `valid`; ValueError naming the field and
+    `what` it must hold otherwise."""
     values = config.setdefault(name, default)
     if not (isinstance(values, list) and values
             and all(isinstance(v, (int, float)) for v in values)):
         raise ValueError(f"config field {name!r} must be a list of one or more "
                          f"numbers, got {values!r}")
-    return values
-
-
-def _integers(config, name, default, valid, what):
-    """_numbers whose entries are ints (bools refused) that pass valid;
-    ValueError naming the field and `what` it must hold otherwise."""
-    values = _numbers(config, name, default)
-    if not all(type(v) is int and valid(v) for v in values):
+    if not all(valid(v) for v in values):
         raise ValueError(f"config field {name!r} must hold {what}, got {values!r}")
     return values
+
+
+def _is_int(value):
+    return type(value) is int
 
 
 def run_experiment(name, config, out_dir):
@@ -442,9 +401,9 @@ def run_experiment(name, config, out_dir):
 
 
 def _experiment_compare_inner(config):
-    seed = _number(config, "seed", 0, int)
-    shots = _count(config, "shots", 10000)
-    repeats = _count(config, "repeats", 100)
+    seed = _number(config, "seed", 0, integer=True)
+    shots = _number(config, "shots", 10000, integer=True, least=1)
+    repeats = _number(config, "repeats", 100, integer=True, least=1)
     ps = _numbers(config, "p_values", [0.072, 0.767])
     rng = RngStream(seed)
     rows = []
@@ -483,19 +442,22 @@ def _base_fixture(N):
 
 
 def _experiment_error_scaling_k(config):
-    seed = _number(config, "seed", 0, int)
+    seed = _number(config, "seed", 0, integer=True)
     # _base_fixture tiles a 4-point block, so N must be a multiple of 4,
     # and the Grover states need a power of two
-    Ns = _integers(config, "N_values", [4, 8, 16, 32],
-                   lambda n: n >= 4 and n & (n - 1) == 0, "powers of two >= 4")
-    ks = _integers(config, "k_values", [1, 2], lambda k: k >= 1, "integers >= 1")
-    repeats = _count(config, "repeats", 20)
+    Ns = _numbers(config, "N_values", [4, 8, 16, 32],
+                  lambda n: _is_int(n) and n >= 4 and n & (n - 1) == 0,
+                  "powers of two >= 4")
+    ks = _numbers(config, "k_values", [1, 2], lambda k: _is_int(k) and k >= 1,
+                  "integers >= 1")
+    repeats = _number(config, "repeats", 20, integer=True, least=1)
     eps0 = _number(config, "epsilon0", 0.1)
     eta = _number(config, "eta", 0.0)
     rng = RngStream(seed)
     rows = []
     summary = {"ratios": {}}
-    qcfg = qae.QaeConfig(engine="iqae", shots=_count(config, "shots", 100))
+    qcfg = qae.QaeConfig(engine="iqae",
+                         shots=_number(config, "shots", 100, integer=True, least=1))
     for k in ks:
         means = {}
         for N in Ns:
@@ -521,9 +483,9 @@ def _experiment_error_scaling_k(config):
 
 
 def _experiment_qae_vs_classical(config):
-    seed = _number(config, "seed", 0, int)
-    k = _number(config, "k", 2, int)
-    repeats = _count(config, "repeats", 12)
+    seed = _number(config, "seed", 0, integer=True)
+    k = _number(config, "k", 2, integer=True)
+    repeats = _number(config, "repeats", 12, integer=True, least=1)
     epsilons = _numbers(
         config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177])
     eta = _number(config, "eta", 0.0)
@@ -533,7 +495,8 @@ def _experiment_qae_vs_classical(config):
     ser_e = normalize_affine(e, 0.0)
     y_exact = float(np.sum(ser_e.values * ser_t.values**k))
     y_prime_exact = y_exact / (ser_t.rho**k * ser_e.rho)
-    qcfg = qae.QaeConfig(engine="iqae", shots=_count(config, "shots", 100))
+    qcfg = qae.QaeConfig(engine="iqae",
+                         shots=_number(config, "shots", 100, integer=True, least=1))
 
     rows = []
     curves = {"iqae": [], "classical": []}
@@ -563,20 +526,20 @@ def _experiment_qae_vs_classical(config):
 
 
 def _experiment_end_to_end(config):
-    seeds = _numbers(config, "seeds", [0, 1, 2, 3, 4])
-    K = _number(config, "K", 3, int)
+    seeds = _numbers(config, "seeds", [0, 1, 2, 3, 4], _is_int, "integers")
+    K = _number(config, "K", 3, integer=True)
     variant = config.setdefault("variant", "c")
-    forced = _number(config, "forced_epsilon_k", 0.04,
-                     lambda v: v if v is None else float(v))
+    forced = (None if config.setdefault("forced_epsilon_k", 0.04) is None
+              else _number(config, "forced_epsilon_k", 0.04))
     eta = _number(config, "eta", 0.0)
-    shots = _count(config, "shots", 100)
+    shots = _number(config, "shots", 100, integer=True, least=1)
     t = np.asarray(_numbers(config, "rawT", [5.0, 8.0, 11.0, 14.0]), dtype=float)
     e = np.asarray(_numbers(config, "rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
     rows = []
     rels = []
     for seed in seeds:
         cfg = VariantConfig(variant=variant, K=K, eta=eta, epsilon=0.05,
-                            beta=0.9, seed=int(seed), shots=shots,
+                            beta=0.9, seed=seed, shots=shots,
                             forced_epsilon_k=forced)
         report = evaluate(cfg, t, e)
         rel = report.rel_error_vs_exact()
@@ -588,9 +551,9 @@ def _experiment_end_to_end(config):
 
 
 def _experiment_resource_table(config):
-    N = _number(config, "N", 16, int)
-    K = _number(config, "K", 3, int)
-    s = _number(config, "s", 2, int)
+    N = _number(config, "N", 16, integer=True)
+    K = _number(config, "K", 3, integer=True)
+    s = _number(config, "s", 2, integer=True)
     epsilon = _number(config, "epsilon", 0.05)
     tables = {}
     rows = []

@@ -28,7 +28,6 @@ no 2^n index or mask array.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +42,6 @@ MAX_STATE_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class QubitRange:
-    """A contiguous block of qubits [start, start+len)."""
-
-    start: int
-    len: int
-
-    def qubits(self):
-        return tuple(range(self.start, self.start + self.len))
 
 
 class RngStream:
@@ -118,8 +106,6 @@ class Statevector:
 
 
 def _as_qubits(reg):
-    if isinstance(reg, QubitRange):
-        return reg.qubits()
     return tuple(int(q) for q in reg)
 
 
@@ -213,22 +199,21 @@ def postselect(state, reg, value):
     Returns (probability, renormalized) where the renormalized state spans
     the remaining qubits.
     """
-    if not isinstance(reg, QubitRange):
-        qubits = _as_qubits(reg)
-        reg = QubitRange(qubits[0], len(qubits))
-        if reg.qubits() != qubits:
-            raise ValueError("postselect requires a contiguous register")
-    if value >= (1 << reg.len):
+    qubits = _as_qubits(reg)
+    start, width = qubits[0], len(qubits)
+    if qubits != tuple(range(start, start + width)):
+        raise ValueError("postselect requires a contiguous register")
+    if value >= (1 << width):
         raise ValueError("value out of range for register")
-    low = 1 << reg.start
-    mid = 1 << reg.len
-    high = 1 << (state.n_qubits - reg.start - reg.len)
+    low = 1 << start
+    mid = 1 << width
+    high = 1 << (state.n_qubits - start - width)
     block = state.amplitudes.reshape(high, mid, low)[:, value, :]
     prob = float(np.sum(np.abs(block) ** 2))
     if prob < ZERO_BRANCH_CUTOFF:
         raise ZeroBranchError(f"branch value={value} has probability {prob:.3e}")
     reduced = Statevector.__new__(Statevector)
-    reduced.n_qubits = state.n_qubits - reg.len
+    reduced.n_qubits = state.n_qubits - width
     reduced.amplitudes = (block / np.sqrt(prob)).reshape(-1).copy()
     reduced.live = reduced.n_qubits
     return prob, reduced

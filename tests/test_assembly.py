@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsim import classical
+from qsim import assembly, classical
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            constant_term_y0, delta_gross_margin, evaluate,
                            resource_report, run_experiment)
@@ -126,6 +126,40 @@ class TestEvaluate:
         data = json.loads(path.read_text())
         assert data["V"] == report.V
         assert data["seed"] == 1
+
+
+class TestPowerLoop:
+    """Every estimating variant runs its powers widest first, reports them
+    in ascending k, and sums V = sum_k b_k y'_k in row order."""
+
+    @pytest.mark.parametrize("variant, options", [
+        ("a", {}), ("b", {"style": "mid_reset"}), ("c", {}), ("d", {"s": 1}),
+        ("classical_sampling", {"forced_epsilon_k": 0.1})])
+    def test_widest_first_ascending_rows_row_order_sum(self, monkeypatch, variant,
+                                                       options):
+        order = []
+        estimate_power = assembly._estimate_power
+        estimate_sampling = classical.estimate_yk_sampling
+
+        def power(config, k, *args):
+            order.append(k)
+            return estimate_power(config, k, *args)
+
+        def sampling(rawT, rawE, eta, k, *args):
+            order.append(k)
+            return estimate_sampling(rawT, rawE, eta, k, *args)
+
+        monkeypatch.setattr(assembly, "_estimate_power", power)
+        monkeypatch.setattr(classical, "estimate_yk_sampling", sampling)
+        cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=2,
+                            **options)
+        report = evaluate(cfg, RAW_T, RAW_E)
+        assert order == [3, 2, 1]
+        assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
+        expected = 0.0
+        for row in report.per_k:
+            expected += report.config["b"][row["k"]] * row["y_prime_hat"]
+        assert report.V == expected
 
 
 class TestDeltaGrossMargin:

@@ -199,6 +199,32 @@ class TestExperiment:
          "'N_values' must hold powers of two >= 4"),
         ("error_scaling_k", {"N_values": [2], "repeats": 1, "k_values": [1]},
          "'N_values' must hold powers of two >= 4"),
+        # integer fields were cast with int(): 2.9 repeats ran 2 while the
+        # sidecar said 2.9, seed 0.5 ran seed 0, and true was read as 1
+        ("error_scaling_k", {"repeats": 2.9, "N_values": [4], "k_values": [1]},
+         "'repeats' must be a number (an integer)"),
+        ("error_scaling_k", {"repeats": True, "N_values": [4], "k_values": [1]},
+         "'repeats' must be a number (an integer)"),
+        ("qae_vs_classical", {"shots": 50.5, "repeats": 1, "epsilons": [0.2, 0.1]},
+         "'shots' must be a number (an integer)"),
+        ("compare_inner", {"seed": 1.5, "repeats": 3, "shots": 100},
+         "'seed' must be a number (an integer)"),
+        ("qae_vs_classical", {"k": 1.5, "repeats": 1, "epsilons": [0.2, 0.1]},
+         "'k' must be a number (an integer)"),
+        ("resource_table", {"N": 16.5}, "'N' must be a number (an integer)"),
+        ("resource_table", {"s": True}, "'s' must be a number (an integer)"),
+        ("end_to_end", {"seeds": [0.5], "K": 2}, "'seeds' must hold integers"),
+        ("end_to_end", {"seeds": [True], "K": 2}, "'seeds' must hold integers"),
+        ("end_to_end", {"seeds": [0], "K": 2.7}, "'K' must be a number (an integer)"),
+        ("end_to_end", {"seeds": [0], "K": 2, "forced_epsilon_k": True},
+         "'forced_epsilon_k' must be a number"),
+        # number fields were cast with float(): "0" and true ran as 0.0 and
+        # 1.0, and p = 1 then divided a zero variance by a zero variance
+        ("end_to_end", {"seeds": [0], "K": 2, "eta": "0"}, "'eta' must be a number"),
+        ("error_scaling_k", {"epsilon0": True, "repeats": 1, "N_values": [4],
+                             "k_values": [1]}, "'epsilon0' must be a number"),
+        ("compare_inner", {"p_values": [True], "repeats": 1, "shots": 10},
+         "'p_values' must hold numbers"),
     ])
     def test_config_of_wrong_type_exit_2(self, runner, tmp_path, name, config,
                                           message):

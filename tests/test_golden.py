@@ -27,6 +27,9 @@ The variant-a and variant-b K=3 digests on a seeded 32-point series were
 computed while every gate still swept the whole amplitude array and CNOTs
 ran as the matrix [[0, 1], [1, 0]]; they pin states of up to 21 qubits
 (a) and 15 qubits (b), where the 4-point fixture's registers have 2.
+The variant-b mid_reset, forced-epsilon sampling, exact, poly and variant-d
+K=2 s=2 digests were computed while `assembly.evaluate` still built its
+reports on four separate paths, and the single per-k path reproduces them.
 
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
@@ -140,6 +143,21 @@ CASES = {
     "canonical-d-K1-s1": (
         lambda: _evaluate("d", 1, 3, s=1, engine="canonical"),
         "c97ea5033bebbc96890ced4c86344d817546f6c977de7f27980061ad8711215f"),
+    "variant-b-mid-reset": (
+        lambda: _evaluate("b", 2, 3, style="mid_reset"),
+        "4541d11e74eb5fc5a1c9500a08d4dce83d25ea2f274656d4b6bc5cda675818e2"),
+    "sampling-K3-forced": (
+        lambda: _evaluate("classical_sampling", 3, 5, forced_epsilon_k=0.08),
+        "c223320c66218bc281574b55a395817e622d8911ce250862aead48cad90851ed"),
+    "exact-K3": (
+        lambda: _evaluate("classical_exact", 3, 0),
+        "5ef9e92241f8bd8b9f7d9a7ff3cb564bc802829acd5c1d8a5e222ac2fb6500ff"),
+    "poly-K3": (
+        lambda: _evaluate("classical_poly", 3, 0),
+        "ec0b3d365ca98519e030074ef22ebc5845557b843a9a0d427ab7044f1e512d8f"),
+    "variant-d-K2-s2": (
+        lambda: _evaluate("d", 2, 3, s=2),
+        "2b816711f39587f95d6aa76ad2b16dbc08d837f1ea9429e028e53ac7a186fd59"),
     "boe-swap-k1-s1": (
         lambda: _boe_swap(1, 1, 2000, 13),
         "1ce8aa1e5fa727477045e516557cc351cde00bb0488259b7e02bc9f85cbe1d3c"),

@@ -396,7 +396,7 @@ class TestMeasurement:
 
     def test_postselect_reduces_width(self):
         state = random_state(3, 8)
-        p, reduced = sim.postselect(state, sim.QubitRange(1, 2), 0)
+        p, reduced = sim.postselect(state, (1, 2), 0)
         assert reduced.n_qubits == 1
         assert p == pytest.approx(
             sim.probability_of_bits(state, (1, 2), 0), abs=1e-12)
