@@ -428,8 +428,10 @@ def _experiment_compare_inner(config):
             summary[f"var_{method}_p{p}"] = float(np.var(estimates))
             summary[f"mean_{method}_p{p}"] = float(np.mean(estimates))
     for p in ps:
-        summary[f"variance_ratio_p{p}"] = (summary[f"var_swap_p{p}"]
-                                           / summary[f"var_ancilla_free_p{p}"])
+        # null when every ancilla-free estimate came out the same
+        free = summary[f"var_ancilla_free_p{p}"]
+        summary[f"variance_ratio_p{p}"] = (summary[f"var_swap_p{p}"] / free
+                                           if free else None)
     return ["method", "p", "repeat", "estimate"], rows, summary
 
 

@@ -4,6 +4,15 @@ Measurement statistics are drawn from the exact Born distribution of the
 simulated circuit (binomial/multinomial sampling over the final outcome
 categories), which is equivalent to shot-by-shot execution of the
 deferred-measurement circuit.
+
+Every consumed power register Z is post-selected on 0 before the readout,
+and the readout gates (the swap test, or U_E^dagger on the survivor) never
+touch it.  So the power circuit is simulated alone, and the readout runs
+only on the unnormalised branch where Z reads 0.  That branch sees the same
+complex128 operations, in the same order, as its slice of the full
+deferred-measurement state, so the probabilities keep their bits.  With
+n = lg N, variant b allocates k n qubits (the power state), and variant a
+max(k n, 2n + 1) rather than (k + 1) n + 1.
 """
 
 import math
@@ -104,18 +113,53 @@ def build_ancilla_free(prep_a, loader_b):
 # Estimators
 # ---------------------------------------------------------------------------
 
+def _zero_branch(pc, pad):
+    """(prep, state) for a readout that runs after power circuit pc and acts
+    on the survivor and on `pad` qubits above the branch.
+
+    With consumed registers, pc is simulated alone and state is its
+    unnormalised branch where every consumed register reads 0: the remaining
+    qubits in ascending order, zero-padded by `pad` qubits.  prep is that
+    branch's power circuit, with no gates and no consumed register.  The
+    survivor is block 0, below every consumed register, so its primary keeps
+    its qubits on the branch.  With no consumed register (k = 1) the branch
+    is the whole power state: prep is pc, whose gates the readout circuit
+    runs first, and state is |0> at the padded width.
+    """
+    if not pc.measured:
+        return pc, Statevector.zero(pc.width + pad)
+    z_qubits = tuple(q for reg in pc.measured for q in reg)
+    width = pc.width - len(z_qubits)
+    st = pc.circuit.apply_unitary(Statevector.zero(pc.width))
+    survivor = qhp.PowerCircuit(width=width, circuit=Circuit(width),
+                                primary=pc.primary, measured=[])
+    return survivor, sim.branch(st, z_qubits, 0, width + pad)
+
+
+def _ancilla_free_readout(pc, loader_b):
+    """P(every register reads 0) after QHP and U_B^dagger on the survivor:
+    |amplitude 0|^2 of the Z=0 branch, Z being every consumed register."""
+    prep, st = _zero_branch(pc, 0)
+    build_ancilla_free(prep, loader_b).apply_unitary(st)
+    return float(abs(st.amplitudes[0]) ** 2)
+
+
+def _swap_readout(pc, e_loader):
+    """(P(Z=0), P(Z=0 and ancilla=0)) for QHP followed by a swap test against
+    `e_loader`, where Z is every consumed register.  The swap test runs on
+    the Z=0 branch padded with the E register and the ancilla, so P(Z=0) is
+    that state's total probability."""
+    prep, st = _zero_branch(pc, e_loader.width + 1)
+    test = build_swap_test(prep, e_loader)
+    test.circuit.apply_unitary(st)
+    p_z0 = sim.probability_of_bits(st, (), 0) if pc.measured else 1.0
+    return p_z0, sim.probability_of_bits(st, (test.ancilla,), 0)
+
+
 def _qhp_swap_probabilities(pc, e_loader):
     """Multinomial pvals of QHP followed by a swap test, over the outcomes
     (Z=0, ancilla=0), (Z=0, ancilla=1) and Z!=0."""
-    test = build_swap_test(pc, e_loader)
-    st = Statevector.zero(test.width)
-    test.circuit.apply_unitary(st)
-    z_qubits = tuple(q for reg in pc.measured for q in reg)
-    if z_qubits:
-        p_z0 = sim.probability_of_bits(st, z_qubits, 0)
-    else:
-        p_z0 = 1.0
-    p_z0_x0 = sim.probability_of_bits(st, z_qubits + (test.ancilla,), 0)
+    p_z0, p_z0_x0 = _swap_readout(pc, e_loader)
     pvals = np.clip([p_z0_x0, max(p_z0 - p_z0_x0, 0.0), max(1.0 - p_z0, 0.0)],
                     0.0, None)
     return pvals / pvals.sum()
@@ -129,10 +173,7 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
     the per-shot success probability is exactly y_k^2.
     """
     pc = qhp.power_circuit(series_T, k, style)
-    e_loader = load_amplitude(build_tree(series_E))
-    st = Statevector.zero(pc.width)
-    build_ancilla_free(pc, e_loader).apply_unitary(st)
-    p = float(abs(st.amplitudes[0]) ** 2)
+    p = _ancilla_free_readout(pc, load_amplitude(build_tree(series_E)))
 
     S = shots if shots is not None else _shots_p_free(epsilon, alpha)
     S = max(MIN_SHOTS, S)

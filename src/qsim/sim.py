@@ -11,12 +11,12 @@ must copy() first.
 
 A Statevector records `live`, the number of low qubits outside which every
 amplitude is zero: amplitude i is zero whenever i >= 2**live.  zero() starts
-at live = 0; a state built from amplitudes, and the state postselect
-returns, start at n_qubits; copy() keeps it.  While live < n_qubits,
-apply_unitary raises live to each gate's highest qubit + 1 and applies the
-gate to the contiguous prefix amplitudes[:2**live] as a live-qubit state,
-so loading one register after another does not sweep the still-empty upper
-blocks.  This is exact: every skipped amplitude is zero and the gate maps
+at live = 0; a state built from amplitudes starts at n_qubits, and one
+branch() returns at the width of the branch before padding; copy() keeps
+it.  While live < n_qubits, apply_unitary raises live to each gate's
+highest qubit + 1 and applies the gate to the contiguous prefix
+amplitudes[:2**live] as a live-qubit state, so loading one register
+after another does not sweep the still-empty upper blocks.  This is exact: every skipped amplitude is zero and the gate maps
 zeros to zeros, and every other amplitude sees the same complex128
 operations in the same order as on the full array (a zero may keep +0.0
 where the full pass would write -0.0).  In-place updates outside
@@ -193,6 +193,30 @@ def measure(state, reg, rng):
     return outcome, state, prob
 
 
+def branch(state, qubits, value, n_qubits=None):
+    """The unnormalised branch where the register holds `value`, as a state
+    over the remaining qubits in ascending order.
+
+    The branch is zero-padded to n_qubits (by default its own width), with
+    its live prefix set to the branch width.  With an empty register and no
+    padding it is `state` itself, not a copy.
+    """
+    qubits = register_qubits(state, qubits)
+    width = state.n_qubits - len(qubits)
+    n_qubits = width if n_qubits is None else n_qubits
+    if not 0 <= value < 1 << len(qubits):
+        raise ValueError("value out of range for register")
+    if n_qubits < width:
+        raise ValueError(f"a {width}-qubit branch does not fit in {n_qubits} qubits")
+    if not qubits and n_qubits == width:
+        return state
+    view = register_view(state, qubits, value)
+    out = Statevector.zero(n_qubits)
+    out.amplitudes[:1 << width].reshape(view.shape)[...] = view
+    out.live = width
+    return out
+
+
 def postselect(state, reg, value):
     """Condition on a contiguous register reading `value` and drop it.
 
@@ -203,19 +227,11 @@ def postselect(state, reg, value):
     start, width = qubits[0], len(qubits)
     if qubits != tuple(range(start, start + width)):
         raise ValueError("postselect requires a contiguous register")
-    if value >= (1 << width):
-        raise ValueError("value out of range for register")
-    low = 1 << start
-    mid = 1 << width
-    high = 1 << (state.n_qubits - start - width)
-    block = state.amplitudes.reshape(high, mid, low)[:, value, :]
-    prob = float(np.sum(np.abs(block) ** 2))
+    reduced = branch(state, qubits, value)
+    prob = _probability(reduced.amplitudes)
     if prob < ZERO_BRANCH_CUTOFF:
         raise ZeroBranchError(f"branch value={value} has probability {prob:.3e}")
-    reduced = Statevector.__new__(Statevector)
-    reduced.n_qubits = state.n_qubits - width
-    reduced.amplitudes = (block / np.sqrt(prob)).reshape(-1).copy()
-    reduced.live = reduced.n_qubits
+    reduced.amplitudes /= np.sqrt(prob)
     return prob, reduced
 
 

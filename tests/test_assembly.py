@@ -11,6 +11,7 @@ from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine
 from qsim.errors import AssumptionError
 from qsim.qae import QaeConfig
+from qsim.sim import Statevector
 
 RAW_T = np.array([12.0, 17.0, 23.0, 28.0])
 RAW_E = np.array([30.0, 24.0, 36.0, 28.0])
@@ -160,6 +161,41 @@ class TestPowerLoop:
         for row in report.per_k:
             expected += report.config["b"][row["k"]] * row["y_prime_hat"]
         assert report.V == expected
+
+
+class TestReadoutWidth:
+    """a and b run their readouts on the branch where every consumed register
+    reads 0, so no state holds the consumed registers and the readout
+    registers at once."""
+
+    @pytest.mark.parametrize("variant, K, widest", [
+        ("b", 3, 3 * 4),       # k n: the k = 3 power state
+        ("a", 3, 3 * 4),       # max(k n, 2n + 1), not (k + 1) n + 1 = 17
+        ("a", 2, 2 * 4 + 1),   # the swap test on the survivor, 2n + 1
+    ])
+    def test_widest_state_allocated(self, monkeypatch, variant, K, widest):
+        widths = []
+        init = Statevector.__init__
+
+        def recording_init(self, n_qubits, amplitudes=None):
+            widths.append(n_qubits)
+            init(self, n_qubits, amplitudes)
+
+        monkeypatch.setattr(Statevector, "__init__", recording_init)
+        rng = np.random.default_rng(3)
+        cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1, seed=4)
+        evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
+        assert max(widths) == widest
+
+    def test_variant_a_at_128_points(self):
+        # the full deferred-measurement swap test needs 29 qubits (8 GiB);
+        # the k = 3 power state, the widest the branch readout needs, has 21
+        rng = np.random.default_rng(5)
+        cfg = VariantConfig(variant="a", K=3, eta=10.0, epsilon=0.1, seed=6)
+        report = evaluate(cfg, rng.uniform(12.0, 28.0, 128),
+                          rng.uniform(20.0, 40.0, 128))
+        assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
+        assert np.isfinite(report.V)
 
 
 class TestDeltaGrossMargin:

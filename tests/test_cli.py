@@ -99,8 +99,8 @@ class TestEvaluate:
         assert "one value per row" in result.output
 
     def test_oversized_request_exit_2(self, runner, tmp_path):
-        # variant a at degree 3 on 4096 points needs a 49-qubit statevector;
-        # it is refused before any state is allocated
+        # variant a at degree 3 on 4096 points needs a 36-qubit power state
+        # before its swap test; it is refused before any state is allocated
         rng = np.random.default_rng(0)
         t = tmp_path / "t.json"
         e = tmp_path / "e.json"
@@ -115,7 +115,7 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 2
-        assert "49-qubit" in result.output
+        assert "36-qubit" in result.output
         assert peak < 64 << 20
 
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
@@ -234,6 +234,27 @@ class TestExperiment:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert message in result.output
+
+    @pytest.mark.parametrize("config, ratios", [
+        # p = 0.072 at 10 shots reads 0 in both ancilla-free repeats
+        ({"seed": 1, "repeats": 2, "shots": 10}, {"p0.072": None}),
+        # p = 1 reads 1 in every repeat of both methods
+        ({"p_values": [1], "repeats": 3, "shots": 100}, {"p1": None}),
+    ])
+    def test_compare_inner_zero_variance_ratio_null(self, runner, tmp_path,
+                                                    config, ratios):
+        # a zero ancilla-free variance once ended in a ZeroDivisionError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "compare_inner",
+                                      "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0
+        sidecar = json.loads((out / "compare_inner.json").read_text())
+        for summary in (json.loads(result.output)["summary"], sidecar["summary"]):
+            for p, ratio in ratios.items():
+                assert summary[f"var_ancilla_free_{p}"] == 0.0
+                assert summary[f"variance_ratio_{p}"] is ratio
 
     def test_unknown_name_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import helpers
 from helpers import pair_with_overlap
-from qsim import inner, sim
-from qsim.encoding import build_tree, load_amplitude, normalize_affine, normalize_sqrt
+from qsim import inner, qhp, sim
+from qsim.encoding import (boe_width, build_tree, load_amplitude, normalize_affine,
+                           normalize_sqrt)
 from qsim.inner import (build_ancilla_free, build_swap_test,
                         estimate_yk_swap, estimate_yk_variant_ab,
                         estimate_ytilde_boe_swap, phi_inverse,
@@ -75,6 +78,50 @@ class TestProbabilityIdentities:
         circ.apply_unitary(state)
         p = float(np.dot(a.values, b.values))
         assert abs(state.amplitudes[0]) ** 2 == pytest.approx(p * p, abs=1e-10)
+
+
+def _readout_cases():
+    """(kind, k, N, style, s) for every readout of k = 1-4, N = 2-32 and BOE
+    s = 1-2 whose full-width reference circuit has at most 16 qubits."""
+    cases = []
+    for k in range(1, 5):
+        for n in range(1, 6):
+            if k * n <= 16:
+                cases += [("b", k, 1 << n, style, 1)
+                          for style in ("no_mid_reset", "mid_reset")]
+            if (k + 1) * n + 1 <= 16:
+                cases.append(("a", k, 1 << n, "no_mid_reset", 1))
+            cases += [("boe", k, 1 << n, "no_mid_reset", s) for s in (1, 2)
+                      if s <= n and (k + 1) * boe_width(1 << n, s) + 1 <= 16]
+    return cases
+
+
+class TestBranchReadouts:
+    """The readouts run on the branch where every consumed register reads 0;
+    the full deferred-measurement circuit is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("kind, k, N, style, s", _readout_cases())
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_branch_readout_equals_full_width(self, kind, k, N, style, s, seed):
+        rng = np.random.default_rng(seed)
+        t_raw, e_raw = rng.uniform(0.5, 3.0, size=(2, N))
+        if kind == "boe":
+            t, e = normalize_sqrt(t_raw, 0.0), normalize_sqrt(e_raw, 0.0)
+            pc = qhp.power_circuit(t, k, encoding="boe", s=s)
+            e_loader = qhp.make_loader(e, "boe", s)
+        else:
+            t, e = normalize_affine(t_raw, 0.0), normalize_affine(e_raw, 0.0)
+            pc = qhp.power_circuit(t, k, style)
+            e_loader = load_amplitude(build_tree(e))
+        if kind == "b":
+            full = build_ancilla_free(pc, e_loader).apply_unitary(
+                Statevector.zero(pc.width))
+            assert inner._ancilla_free_readout(pc, e_loader) == float(
+                abs(full.amplitudes[0]) ** 2)
+        else:
+            assert inner._swap_readout(pc, e_loader) == helpers.swap_probabilities(
+                pc, e_loader)
 
 
 class TestEstimators:
