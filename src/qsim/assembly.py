@@ -161,8 +161,10 @@ def _per_k_resources(config, k, n):
     # outcome onto; the simulator reflects about that outcome in place and
     # allocates one qubit fewer.  Golden digests pin these rows.
     if config.variant in ("a", "b"):
-        # a reports the mid_reset swap-test row, though its estimator builds
-        # no_mid_reset; golden digests pin the row as it is
+        # a reports the mid_reset swap-test row, 2n + 1: its estimator builds
+        # no_mid_reset, but simulates the power state as a chain of rounds on
+        # two registers, so the swap test on the survivor is its widest
+        # state at every k
         style, swap = (("mid_reset", True) if config.variant == "a"
                        else (config.style, False))
         return {"width": qhp.width_formula(k, style, swap, n),

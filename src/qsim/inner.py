@@ -7,12 +7,21 @@ deferred-measurement circuit.
 
 Every consumed power register Z is post-selected on 0 before the readout,
 and the readout gates (the swap test, or U_E^dagger on the survivor) never
-touch it.  So the power circuit is simulated alone, and the readout runs
-only on the unnormalised branch where Z reads 0.  That branch sees the same
-complex128 operations, in the same order, as its slice of the full
-deferred-measurement state, so the probabilities keep their bits.  With
-n = lg N, variant b allocates k n qubits (the power state), and variant a
-max(k n, 2n + 1) rather than (k + 1) n + 1.
+touch it.  So the readout runs only on the unnormalised branch where Z
+reads 0, and that branch is built as the paper's dynamic circuit runs it:
+load block 0, then per round load the next block above the branch, CNOT
+the survivor's primary into it and keep the branch where it reads 0.
+
+The bits are those of the full deferred-measurement state.  Each Ry of a
+tree or BOE loader acts on a qubit in |0>, so u00*a0 + u01*a1 adds an exact
+zero and every loaded amplitude is a left fold of rotation factors; swaps
+and CNOTs move amplitudes and do no arithmetic.  The full state's diagonal
+(x, x, ..., x) is the fold over blocks 0, 1, ..., k-1 in that order, and
+the chain computes exactly that fold.  With n = lg N and amplitude
+encoding, variant b allocates 2n qubits and variant a 2n + 1, rather than
+k n and (k + 1) n + 1.  A BOE block of width w keeps its side qubits on the
+branch, so for k >= 2 the BOE chain allocates at most k w - (k - 2) n
+qubits and its swap test (k + 1) w - (k - 1) n + 1.
 """
 
 import math
@@ -117,23 +126,34 @@ def _zero_branch(pc, pad):
     """(prep, state) for a readout that runs after power circuit pc and acts
     on the survivor and on `pad` qubits above the branch.
 
-    With consumed registers, pc is simulated alone and state is its
-    unnormalised branch where every consumed register reads 0: the remaining
-    qubits in ascending order, zero-padded by `pad` qubits.  prep is that
-    branch's power circuit, with no gates and no consumed register.  The
-    survivor is block 0, below every consumed register, so its primary keeps
-    its qubits on the branch.  With no consumed register (k = 1) the branch
-    is the whole power state: prep is pc, whose gates the readout circuit
-    runs first, and state is |0> at the padded width.
+    With consumed registers, state is pc's unnormalised branch where every
+    consumed register reads 0: the remaining qubits in ascending order,
+    zero-padded by `pad` qubits.  It is built as a chain of k - 1 rounds
+    (qhp.chain_round) on the branch so far, each round loading one block
+    above it, CNOT-ing the survivor's primary into that block's primary and
+    keeping the branch where that primary reads 0, so no state holds more
+    than one block beyond the branch.  prep is that branch's power circuit,
+    with no gates and no consumed register.  The survivor is block 0, below
+    every consumed register, so its primary keeps its qubits on the branch.
+    With no consumed register (k = 1) the branch is the whole power state:
+    prep is pc, whose gates the readout circuit runs first, and state is |0>
+    at the padded width.
     """
     if not pc.measured:
         return pc, Statevector.zero(pc.width + pad)
-    z_qubits = tuple(q for reg in pc.measured for q in reg)
-    width = pc.width - len(z_qubits)
-    st = pc.circuit.apply_unitary(Statevector.zero(pc.width))
+    loader = pc.loader
+    bw = loader.width
+    st = loader.circuit.apply_unitary(Statevector.zero(2 * bw))
+    width = bw
+    rounds = len(pc.measured)
+    for t in range(1, rounds + 1):
+        step, reg = qhp.chain_round(loader, width, width + bw)
+        step.apply_unitary(st)
+        width += bw - len(reg)
+        st = sim.branch(st, reg, 0, width + (bw if t < rounds else pad))
     survivor = qhp.PowerCircuit(width=width, circuit=Circuit(width),
-                                primary=pc.primary, measured=[])
-    return survivor, sim.branch(st, z_qubits, 0, width + pad)
+                                primary=pc.primary, measured=[], loader=loader)
+    return survivor, st
 
 
 def _ancilla_free_readout(pc, loader_b):

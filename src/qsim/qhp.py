@@ -11,7 +11,14 @@ Two execution styles:
   equivalent because consumed registers are post-selected to |0>.
 
 Conditional on every tagged register measuring 0, the surviving primary
-register holds the normalized power state a_k * T_j^k.
+register holds the normalized power state a_k * T_j^k.  Both styles keep
+block 0 as the survivor, so that branch is also the end of a chain of
+rounds (chain_round): load the next copy above the survivor, CNOT the
+survivor's primary into the copy's primary, keep the branch where the copy
+reads 0.  The inner-product readouts simulate the power state that way, and
+so does run_with_dynamic_stopping for amplitude encoding, on two registers.
+The chain's branch has the bits of the full deferred-measurement state's
+branch; qsim.inner gives the argument.
 """
 
 from dataclasses import dataclass
@@ -54,6 +61,7 @@ class PowerCircuit:
     circuit: Circuit
     primary: tuple              # survivor's primary, global qubits, LSB first
     measured: list              # global primary tuple of each consumed block
+    loader: object              # the loader each block runs
 
 
 def norm_constant_ak(series, k):
@@ -137,7 +145,17 @@ def build_power_circuit(plan, loader):
         survivor = active[0]
 
     return PowerCircuit(width=width, circuit=circ, primary=primary(survivor),
-                        measured=measured)
+                        measured=measured, loader=loader)
+
+
+def chain_round(loader, base, width):
+    """(circuit, register) of one QHP round on `width` qubits: load a copy of
+    `loader` onto qubits base .. base + width(loader) - 1, then CNOT the
+    survivor's primary, block 0's, into the copy's primary, the register
+    the round measures.  Block 0 must lie below `base`."""
+    reg = tuple(base + q for q in loader.primary)
+    circ = loader.circuit.remapped(range(base, base + loader.width), width)
+    return circ.cnot_layer(loader.primary, reg), reg
 
 
 def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
@@ -155,16 +173,14 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
         raise ValueError("dynamic stopping requires the mid_reset style")
     k = plan.k
     bw = loader.width
-    prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
 
     # steps[t - 1]: (circuit of round t, register it measures)
     if plan.encoding == "amplitude":
         width, preloaded = 2 * bw, 1
-        reg = tuple(q + bw for q in loader.primary)
-        step = loader.circuit.remapped(range(bw, 2 * bw), width)
-        steps = [(step.cnot_layer(prim[0], reg), reg)] * (k - 1)
+        steps = [chain_round(loader, bw, width)] * (k - 1)
     else:
         width, preloaded = k * bw, k
+        prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
         steps = [(Circuit(width).cnot_layer(prim[0], prim[t]), prim[t])
                  for t in range(1, k)]
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsim import assembly, classical
+from qsim import assembly, classical, inner
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            constant_term_y0, delta_gross_margin, evaluate,
                            resource_report, run_experiment)
@@ -11,7 +11,7 @@ from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine
 from qsim.errors import AssumptionError
 from qsim.qae import QaeConfig
-from qsim.sim import Statevector
+from qsim.sim import RngStream, Statevector
 
 RAW_T = np.array([12.0, 17.0, 23.0, 28.0])
 RAW_E = np.array([30.0, 24.0, 36.0, 28.0])
@@ -163,37 +163,54 @@ class TestPowerLoop:
         assert report.V == expected
 
 
+def _recorded_widths(monkeypatch):
+    """The qubit count of every Statevector allocated from here on."""
+    widths = []
+    init = Statevector.__init__
+
+    def recording_init(self, n_qubits, amplitudes=None):
+        widths.append(n_qubits)
+        init(self, n_qubits, amplitudes)
+
+    monkeypatch.setattr(Statevector, "__init__", recording_init)
+    return widths
+
+
 class TestReadoutWidth:
-    """a and b run their readouts on the branch where every consumed register
-    reads 0, so no state holds the consumed registers and the readout
-    registers at once."""
+    """a and b build the power state's zero branch as a chain of rounds that
+    load one block above the survivor, and run their readouts on that branch,
+    so no state holds more than two registers and the readout qubits."""
 
     @pytest.mark.parametrize("variant, K, widest", [
-        ("b", 3, 3 * 4),       # k n: the k = 3 power state
-        ("a", 3, 3 * 4),       # max(k n, 2n + 1), not (k + 1) n + 1 = 17
-        ("a", 2, 2 * 4 + 1),   # the swap test on the survivor, 2n + 1
+        ("b", 3, 2 * 4),       # 2n: the survivor and the block loaded above it
+        ("a", 3, 2 * 4 + 1),   # 2n + 1: the swap test on the survivor
+        ("a", 2, 2 * 4 + 1),
     ])
     def test_widest_state_allocated(self, monkeypatch, variant, K, widest):
-        widths = []
-        init = Statevector.__init__
-
-        def recording_init(self, n_qubits, amplitudes=None):
-            widths.append(n_qubits)
-            init(self, n_qubits, amplitudes)
-
-        monkeypatch.setattr(Statevector, "__init__", recording_init)
+        widths = _recorded_widths(monkeypatch)
         rng = np.random.default_rng(3)
         cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1, seed=4)
         evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
         assert max(widths) == widest
 
-    def test_variant_a_at_128_points(self):
-        # the full deferred-measurement swap test needs 29 qubits (8 GiB);
-        # the k = 3 power state, the widest the branch readout needs, has 21
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_variant_a_width_row_is_widest_state(self, monkeypatch, k):
+        rng = np.random.default_rng(7)
+        t = normalize_affine(rng.uniform(12.0, 28.0, 16), 10.0)
+        e = normalize_affine(rng.uniform(20.0, 40.0, 16), 0.0)
+        row = assembly._per_k_resources(VariantConfig(variant="a", K=3), k, 4)
+        widths = _recorded_widths(monkeypatch)
+        inner.estimate_yk_swap(t, e, k, 0.1, 0.9, RngStream(8), shots=100)
+        assert row["width"] == max(widths)
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_degree_3_at_1024_points(self, variant):
+        # the k = 3 power state alone has 30 qubits (16 GiB); the chain
+        # allocates at most 21
         rng = np.random.default_rng(5)
-        cfg = VariantConfig(variant="a", K=3, eta=10.0, epsilon=0.1, seed=6)
-        report = evaluate(cfg, rng.uniform(12.0, 28.0, 128),
-                          rng.uniform(20.0, 40.0, 128))
+        cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)
+        report = evaluate(cfg, rng.uniform(12.0, 28.0, 1024),
+                          rng.uniform(20.0, 40.0, 1024))
         assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
         assert np.isfinite(report.V)
 

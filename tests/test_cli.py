@@ -99,13 +99,14 @@ class TestEvaluate:
         assert "one value per row" in result.output
 
     def test_oversized_request_exit_2(self, runner, tmp_path):
-        # variant a at degree 3 on 4096 points needs a 36-qubit power state
-        # before its swap test; it is refused before any state is allocated
+        # variant a at degree 3 on 2^15 points starts its chain of rounds on a
+        # 30-qubit state (16 GiB), over half the memory of any machine with
+        # less than 32 GiB; it is refused before any state is allocated
         rng = np.random.default_rng(0)
         t = tmp_path / "t.json"
         e = tmp_path / "e.json"
-        t.write_text(json.dumps(rng.uniform(12.0, 28.0, 4096).tolist()))
-        e.write_text(json.dumps(rng.uniform(20.0, 40.0, 4096).tolist()))
+        t.write_text(json.dumps(rng.uniform(12.0, 28.0, 1 << 15).tolist()))
+        e.write_text(json.dumps(rng.uniform(20.0, 40.0, 1 << 15).tolist()))
         tracemalloc.start()
         try:
             result = runner.invoke(main, ["evaluate", "--variant", "a",
@@ -115,7 +116,7 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 2
-        assert "36-qubit" in result.output
+        assert "30-qubit" in result.output
         assert peak < 64 << 20
 
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],

@@ -96,6 +96,44 @@ def _readout_cases():
     return cases
 
 
+def _branch_cases():
+    """(encoding, k, N, style, s, pad) for every power circuit of k = 1-4,
+    N = 2-32 and BOE s = 1-2, padded by nothing (the ancilla-free readout)
+    or by a loader's width and an ancilla (the swap test), whose full-width
+    reference allocates at most 16 qubits."""
+    cases = []
+    for k in range(1, 5):
+        for n in range(1, 6):
+            widths = [("amplitude", 1, n)] + [("boe", s, boe_width(1 << n, s))
+                                              for s in (1, 2) if s <= n]
+            for encoding, s, bw in widths:
+                for pad in (0, bw + 1):
+                    if max(k * bw, k * bw - (k - 1) * n + pad) > 16:
+                        continue
+                    cases += [(encoding, k, 1 << n, style, s, pad)
+                              for style in ("no_mid_reset", "mid_reset")]
+    return cases
+
+
+class TestZeroBranch:
+    """The chain of rounds gives the zero branch of the whole power state,
+    bit for bit: every amplitude is the same fold of rotation factors."""
+
+    @pytest.mark.parametrize("encoding, k, N, style, s, pad", _branch_cases())
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=2, deadline=None)
+    def test_chain_equals_full_state(self, encoding, k, N, style, s, pad, seed):
+        raw = np.random.default_rng(seed).uniform(0.5, 3.0, N)
+        normalize = normalize_affine if encoding == "amplitude" else normalize_sqrt
+        pc = qhp.power_circuit(normalize(raw, 0.0), k, style, encoding=encoding, s=s)
+        assert pad in (0, pc.loader.width + 1)
+        prep, state = inner._zero_branch(pc, pad)
+        ref_prep, ref = helpers.full_zero_branch(pc, pad)
+        assert (state.n_qubits, state.live) == (ref.n_qubits, ref.live)
+        assert np.array_equal(state.amplitudes, ref.amplitudes)
+        assert (prep.width, prep.primary) == (ref_prep.width, ref_prep.primary)
+
+
 class TestBranchReadouts:
     """The readouts run on the branch where every consumed register reads 0;
     the full deferred-measurement circuit is the reference, bit for bit."""
