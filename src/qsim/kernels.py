@@ -13,7 +13,18 @@ scattered.
 apply_ctrl_1q computes every output amplitude as the elementwise complex128
 expression u00*a0 + u01*a1 (or u10*a0 + u11*a1), evaluated in that order;
 BLAS routines such as matmul are avoided because they may fuse multiply-adds
-and change the rounding, and outputs must be reproducible bit for bit.
+and change the rounding, and outputs must be reproducible bit for bit.  A
+uniformly controlled gate runs in one call: its control qubits stay
+length-2 axes of the same two views, and each coefficient is an array over
+the control patterns, broadcast over the free axes.  Every amplitude still
+gets that expression with its own pattern's coefficients, and a real
+coefficient enters it as c + 0j whether it comes as a Python float or as an
+array entry.  Nothing is summed across amplitudes, so one call per pattern
+and one call for all of them differ only in the order in which amplitudes
+are visited, and give the same bits.  So does cutting a wide state's
+halves into blocks of BLOCK pairs, which keeps each block's temporaries in
+cache.
+
 The permutations, apply_cnot and apply_cswap_pair, exchange the two halves
 through one swap body and do no arithmetic, so each amplitude is moved
 unchanged.  A CNOT run as the matrix [[0, 1], [1, 0]] through apply_ctrl_1q
@@ -21,56 +32,125 @@ gives the same bits, except that a zero amplitude may differ in sign.
 """
 
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 backend = "numpy"
+# Amplitude pairs apply_ctrl_1q updates per step: a step's two halves and
+# its three temporaries (80 bytes a pair, 1.25 MiB) stay in a 2 MiB L2, and
+# temporaries never grow with the state.
+BLOCK = 1 << 14
 
 
 @lru_cache(maxsize=4096)
-def _view_plan(n_qubits, fixed_mask, val0, val1):
-    """(shape, idx0, idx1) such that amps.reshape(shape)[idx0] views the basis
-    states i with i & fixed_mask == val0, and [idx1] those with val1, both in
-    increasing order of i.
+def _view_plan(n_qubits, fixed_mask, val0, val1, kept_mask=0):
+    """(shape, idx0, idx1, kept_shape) such that amps.reshape(shape)[idx0]
+    views the basis states i with i & fixed_mask == val0, and [idx1] those
+    with val1, both in increasing order of i.
+
+    Each qubit of kept_mask (disjoint from fixed_mask) keeps a length-2 axis
+    of its own in both views instead of being fixed to one value.
+    kept_shape is the shape, 2 on those axes and 1 on every merged free
+    axis, to which an array of per-pattern entries (pattern bit j the j-th
+    lowest kept qubit) reshapes to broadcast against the views.
     """
-    shape, idx0, idx1 = [], [], []
+    shape, idx0, idx1, kept = [], [], [], []
     run = 0
     for q in range(n_qubits - 1, -1, -1):
         bit = 1 << q
-        if not fixed_mask & bit:
+        if not (fixed_mask | kept_mask) & bit:
             run += 1
             continue
         if run:
             shape.append(1 << run)
             idx0.append(slice(None))
             idx1.append(slice(None))
+            kept.append(1)
             run = 0
         shape.append(2)
-        idx0.append(1 if val0 & bit else 0)
-        idx1.append(1 if val1 & bit else 0)
+        if kept_mask & bit:
+            idx0.append(slice(None))
+            idx1.append(slice(None))
+            kept.append(2)
+        else:
+            idx0.append(1 if val0 & bit else 0)
+            idx1.append(1 if val1 & bit else 0)
     if run:
         shape.append(1 << run)
+        kept.append(1)
     # Ellipsis covers the trailing free axis, and keeps the selection a view
     # (not a scalar) when every qubit is fixed.
-    return tuple(shape), tuple(idx0) + (Ellipsis,), tuple(idx1) + (Ellipsis,)
+    return (tuple(shape), tuple(idx0) + (Ellipsis,), tuple(idx1) + (Ellipsis,),
+            tuple(kept))
+
+
+@lru_cache(maxsize=4096)
+def _blocks(shape, kept):
+    """(halves index, coefficient index) pairs that cut halves of this shape,
+    more than BLOCK pairs, into blocks of at most BLOCK: one index on each
+    leading axis and slices of the last axis cut.  kept is the coefficient
+    arrays' shape, or None for scalar coefficients, which take no index; the
+    arrays' length-1 axes are not indexed, and broadcast."""
+    inner, lead = prod(shape), 0
+    while inner > BLOCK:
+        inner //= shape[lead]
+        lead += 1
+    step = max(1, BLOCK // inner)
+    out = []
+    for head in product(*map(range, shape[:lead - 1])):
+        for j in range(0, shape[lead - 1], step):
+            blk = head + (slice(j, j + step),)
+            out.append((blk, None if kept is None else
+                        tuple(i if n > 1 else slice(None) for i, n in zip(blk, kept))))
+    return tuple(out)
+
+
+def _pair_update(a0, a1, u00, u01, u10, u11):
+    """The 2x2 update of the halves a0 and a1, in place."""
+    n0 = u00 * a0 + u01 * a1
+    a1[...] = u10 * a0 + u11 * a1
+    a0[...] = n0
 
 
 def apply_ctrl_1q(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u11):
     """Apply a 2x2 matrix to `target` on the subspace where the control
     bits (ctrl_mask) equal ctrl_val.  ctrl_mask == 0 gives a plain
     single-qubit gate.  Operates in place.
+
+    With ctrl_val None the gate is uniformly controlled: u00 ... u11 are
+    arrays of 2^c entries, one per control pattern, with pattern bit j the
+    value of the j-th lowest control qubit, and every pattern is applied in
+    this one call (c = 0 takes scalars as well).  States wider than BLOCK
+    pairs are updated block by block.  Each block's coefficient arrays are
+    cast to complex (a real c to c + 0j) before its products, as NumPy would
+    cast them within each product, but once instead of per buffer of each.
     """
     tbit = 1 << target
-    shape, idx0, idx1 = _view_plan(n_qubits, ctrl_mask | tbit, ctrl_val,
-                                   ctrl_val | tbit)
+    if ctrl_val is None and ctrl_mask:
+        shape, idx0, idx1, kept = _view_plan(n_qubits, tbit, 0, tbit, ctrl_mask)
+    else:  # one pattern, as is a uniformly controlled gate with no controls
+        val = ctrl_val or 0
+        shape, idx0, idx1, _ = _view_plan(n_qubits, ctrl_mask | tbit, val, val | tbit)
+        kept = None
     view = amps.reshape(shape)
     a0 = view[idx0]
     a1 = view[idx1]
-    n0 = u00 * a0 + u01 * a1
-    a1[...] = u10 * a0 + u11 * a1
-    a0[...] = n0
+    coeffs = (u00, u01, u10, u11)
+    if kept is not None:
+        coeffs = [u.reshape(kept) for u in coeffs]
+    if a0.size <= BLOCK:
+        _pair_update(a0, a1, *(coeffs if kept is None else
+                               [u.astype(complex) for u in coeffs]))
+        return
+    for blk, ublk in _blocks(a0.shape, kept):
+        _pair_update(a0[blk], a1[blk], *(coeffs if ublk is None else
+                                         [u[ublk].astype(complex) for u in coeffs]))
 
 
-def _swap(amps, shape, idx0, idx1):
-    """Exchange the halves amps.reshape(shape)[idx0] and [idx1] in place."""
+def _swap(amps, plan):
+    """Exchange the halves amps.reshape(shape)[idx0] and [idx1] of a view
+    plan (shape, idx0, idx1, _) in place."""
+    shape, idx0, idx1, _ = plan
     view = amps.reshape(shape)
     a0 = view[idx0]
     a1 = view[idx1]
@@ -85,7 +165,7 @@ def apply_cnot(amps, n_qubits, control, target):
     """
     cbit = 1 << control
     tbit = 1 << target
-    _swap(amps, *_view_plan(n_qubits, cbit | tbit, cbit, cbit | tbit))
+    _swap(amps, _view_plan(n_qubits, cbit | tbit, cbit, cbit | tbit))
 
 
 def apply_cswap_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
@@ -95,5 +175,5 @@ def apply_cswap_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
     """
     abit = 1 << qa
     bbit = 1 << qb
-    _swap(amps, *_view_plan(n_qubits, ctrl_mask | abit | bbit,
-                            ctrl_val | abit, ctrl_val | bbit))
+    _swap(amps, _view_plan(n_qubits, ctrl_mask | abit | bbit,
+                           ctrl_val | abit, ctrl_val | bbit))

@@ -28,6 +28,7 @@ no 2^n index or mask array.
 """
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,7 +151,7 @@ def register_view(state, qubits, value):
         return state.amplitudes[:0]
     mask = sum(1 << q for q in qubits)
     bits = sum(((value >> pos) & 1) << q for pos, q in enumerate(qubits))
-    shape, idx, _ = kernels._view_plan(state.n_qubits, mask, bits, bits)
+    shape, idx, _, _ = kernels._view_plan(state.n_qubits, mask, bits, bits)
     return state.amplitudes.reshape(shape)[idx]
 
 
@@ -239,24 +240,47 @@ def postselect(state, reg, value):
 # Circuit representation
 # ---------------------------------------------------------------------------
 
+def _frozen(*entries):
+    """The payload entries, each array among them made read-only."""
+    for u in entries:
+        if isinstance(u, np.ndarray):
+            u.setflags(write=False)
+    return entries
+
+
+@lru_cache(maxsize=4096)
+def _pattern_axes(controls):
+    """(mask, axes) for a u gate's controls.  A payload entry with one axis
+    per control, controls[0] first, transposed by axes has the highest
+    control qubit first, the kernel's pattern order; axes is None when the
+    controls already descend."""
+    axes = tuple(sorted(range(len(controls)), key=lambda k: -controls[k]))
+    return (sum(1 << q for q in controls),
+            None if axes == tuple(range(len(controls))) else axes)
+
+
 class Circuit:
     """A flat gate list over n_qubits.
 
     Every gate is one (kind, qubits, payload) tuple:
-      ("u", controls + (target,), matrices)  -- uniformly controlled 2x2,
-          one (u00, u01, u10, u11) per control pattern; controls[0] carries
-          the pattern's most-significant bit
+      ("u", controls + (target,), (u00, u01, u10, u11))  -- uniformly
+          controlled 2x2; with c controls each entry is a read-only array
+          of 2^c coefficients, one per control pattern, controls[0] the
+          pattern's most-significant bit; with none, a Python number
       ("layer", controls + targets, None)    -- CNOTs control_i -> target_i
       ("cswap", (control,) + a + b, None)    -- swap a and b where control=1
 
     u, ry and ucry all build "u" gates; an Ry's (c, -s, s, c) is computed
-    as the gate is built.  Entries are Python numbers, not NumPy scalars,
-    because inverse() conjugates those several times faster.  The builder
-    methods check their qubits against n_qubits, refuse a qubit named twice
-    in one gate and give ucry one angle per control pattern, so a bad gate
-    fails where it is added rather than where it is applied.  Reflections
-    about a register value, such as a QAE oracle's good subspace, are
-    applied in place by qae.GroverOracle, not as gates.
+    as the gate is built, by one cos and one sin over all of its angles.
+    Entries are immutable (numbers, read-only arrays) because remapped()
+    and extend() share them between circuits; inverse() conjugates them,
+    and a real entry's conjugate is the entry itself.  A gate reaches the
+    kernel in one call, whatever its number of control patterns.  The
+    builder methods check their qubits against n_qubits, refuse a qubit
+    named twice in one gate and give ucry one angle per control pattern, so
+    a bad gate fails where it is added rather than where it is applied.
+    Reflections about a register value, such as a QAE oracle's good
+    subspace, are applied in place by qae.GroverOracle, not as gates.
     """
 
     def __init__(self, n_qubits, gates=None):
@@ -271,7 +295,7 @@ class Circuit:
         dev = np.linalg.norm(m.conj().T @ m - np.eye(2))
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (Frobenius deviation {dev:.2e})")
-        self.gates.append(("u", (qubit,), (tuple(m.ravel().tolist()),)))
+        self.gates.append(("u", (qubit,), tuple(m.ravel().tolist())))
         return self
 
     def ry(self, qubit, angle):
@@ -288,11 +312,15 @@ class Circuit:
             raise ValueError(f"{len(controls)} controls need {1 << len(controls)} "
                              f"angles, got {len(angles)}")
         _check_qubits(self, qubits)
-        matrices = []
-        for a in angles:
-            c, s = float(np.cos(float(a) / 2.0)), float(np.sin(float(a) / 2.0))
-            matrices.append((c, -s, s, c))
-        self.gates.append(("u", qubits, tuple(matrices)))
+        if controls:
+            half = np.multiply(angles, 0.5)  # a * 0.5 rounds as a / 2 does
+            c, s = np.cos(half), np.sin(half)
+            payload = _frozen(c, -s, s, c)
+        else:
+            half = float(angles[0]) / 2.0
+            c, s = float(np.cos(half)), float(np.sin(half))
+            payload = (c, -s, s, c)
+        self.gates.append(("u", qubits, payload))
         return self
 
     def cnot_layer(self, controls, targets):
@@ -333,8 +361,9 @@ class Circuit:
         inv = Circuit(self.n_qubits)
         for kind, qubits, payload in reversed(self.gates):
             if kind == "u":
-                payload = tuple((u00.conjugate(), u10.conjugate(), u01.conjugate(),
-                                 u11.conjugate()) for u00, u01, u10, u11 in payload)
+                u00, u01, u10, u11 = payload
+                payload = _frozen(u00.conjugate(), u10.conjugate(), u01.conjugate(),
+                                  u11.conjugate())
             inv.gates.append((kind, qubits, payload))
         return inv
 
@@ -347,17 +376,11 @@ class Circuit:
     def _apply_gate(amps, n, gate):
         kind, qubits, payload = gate
         if kind == "u":
-            target = qubits[-1]
-            controls = qubits[-2::-1]  # least-significant pattern bit first
-            mask = 0
-            for q in controls:
-                mask |= 1 << q
-            for pattern, (u00, u01, u10, u11) in enumerate(payload):
-                val = 0
-                for j, q in enumerate(controls):
-                    if (pattern >> j) & 1:
-                        val |= 1 << q
-                kernels.apply_ctrl_1q(amps, n, mask, val, target, u00, u01, u10, u11)
+            mask, axes = _pattern_axes(qubits[:-1])
+            if axes is not None:
+                payload = [u.reshape((2,) * len(axes)).transpose(axes).ravel()
+                           for u in payload]
+            kernels.apply_ctrl_1q(amps, n, mask, None, qubits[-1], *payload)
         elif kind == "layer":
             half = len(qubits) // 2
             for c, t in zip(qubits[:half], qubits[half:]):

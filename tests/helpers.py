@@ -6,7 +6,7 @@ np.add.at, the direct readout that qsim's strided readouts must match.
 
 import numpy as np
 
-from qsim import inner, qhp, sim
+from qsim import inner, kernels, qhp, sim
 from qsim.assembly import _pair_with_overlap
 from qsim.encoding import normalize_affine
 from qsim.sim import Circuit, Statevector
@@ -27,6 +27,23 @@ def register_values(n_qubits, qubits):
     for pos, q in enumerate(qubits):
         val |= ((idx >> q) & 1) << pos
     return val
+
+
+def apply_u_per_pattern(amps, n_qubits, gate, kernel=kernels.apply_ctrl_1q):
+    """Apply a ("u", controls + (target,), payload) gate to amps in place by
+    one controlled-gate kernel call per control pattern, each with that
+    pattern's coefficients as Python numbers: the reference whose bits the
+    single uniformly controlled call must keep."""
+    _kind, qubits, payload = gate
+    target = qubits[-1]
+    controls = qubits[-2::-1]  # least-significant pattern bit first
+    mask = sum(1 << q for q in controls)
+    for pattern, coeffs in enumerate(zip(*(np.ravel(u).tolist() for u in payload))):
+        val = 0
+        for j, q in enumerate(controls):
+            if (pattern >> j) & 1:
+                val |= 1 << q
+        kernel(amps, n_qubits, mask, val, target, *coeffs)
 
 
 def marginal_probabilities(state, qubits):

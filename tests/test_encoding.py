@@ -129,6 +129,26 @@ class TestBoe:
             load_boe(tree, 0)
 
 
+@given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_loader_then_inverse_returns_input(n, s, seed):
+    # a random amplitude (s = 0) or BOE loader, run on a random input state
+    # and then undone by its inverse
+    s = min(s, n)
+    if s and boe_width(1 << n, s) > 12:
+        s = n
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.0, 3.0, size=1 << n)
+    vals /= np.linalg.norm(vals)
+    tree = build_tree(vals)
+    loader = load_boe(tree, s) if s else load_amplitude(tree)
+    amps = rng.normal(size=1 << loader.width) + 1j * rng.normal(size=1 << loader.width)
+    state = Statevector(loader.width, amps / np.linalg.norm(amps))
+    start = state.amplitudes.copy()
+    loader.circuit.inverse().apply_unitary(loader.circuit.apply_unitary(state))
+    np.testing.assert_allclose(state.amplitudes, start, rtol=0, atol=1e-12)
+
+
 class TestReadSeries:
     def test_csv(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
-from qsim import sim
+from qsim import kernels, sim
 from qsim.errors import ZeroBranchError
 from qsim.kernels import apply_cswap_pair, apply_ctrl_1q, backend
 from qsim.sim import Circuit, RngStream, Statevector
@@ -164,6 +164,49 @@ def live_circuits(draw):
     return circ, touched
 
 
+@st.composite
+def u_gate_cases(draw):
+    """(state, gate): a u gate with 0 to 5 controls in any order and its
+    target below, between or above them, on n <= 12 qubits.  The payload is
+    a real Ry (angles include 0 and +-pi, so coefficients include signed
+    zeros) or complex (H or a random unitary per pattern).  The state is
+    full-width with a drawn share of zero amplitudes, each part +0.0 or
+    -0.0, or a live-prefix state from Statevector.zero with Ry on its lowest
+    0 to n qubits."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.integers(0, min(5, n - 1)))
+    chosen = draw(st.permutations(range(n)))[:c + 1]
+    target = sorted(chosen)[draw(st.integers(0, c))]
+    controls = tuple(q for q in chosen if q != target)
+    angle = st.one_of(st.floats(-2 * np.pi, 2 * np.pi),
+                      st.sampled_from([0.0, -0.0, np.pi, -np.pi]))
+    if draw(st.booleans()):
+        angles = draw(st.lists(angle, min_size=1 << c, max_size=1 << c))
+        gate = Circuit(n).ucry(controls, target, angles).gates[0]
+    else:
+        mats = [sim.HADAMARD if draw(st.booleans())
+                else random_unitary(draw(st.integers(0, 2**32 - 1)))
+                for _ in range(1 << c)]
+        if c == 0:
+            gate = Circuit(n).u(target, mats[0]).gates[0]
+        else:
+            gate = ("u", controls + (target,),
+                    tuple(np.array([m[i, j] for m in mats]) for i in (0, 1) for j in (0, 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        state = random_state(n, seed)
+        rng = np.random.default_rng(seed)
+        zero = rng.random(1 << n) < draw(st.sampled_from([0.0, 0.5]))
+        signed = np.copysign(0.0, rng.normal(size=(int(zero.sum()), 2)))
+        state.amplitudes[zero] = signed.view(complex)[:, 0]
+    else:
+        prep = Circuit(n)
+        for q in range(draw(st.integers(0, n))):
+            prep.ry(q, draw(angle))
+        state = prep.apply_unitary(Statevector.zero(n))
+    return state, gate
+
+
 def full_width_zero(n):
     """|0...0> built from amplitudes, so it starts live on every qubit."""
     e0 = np.zeros(1 << n, dtype=complex)
@@ -197,6 +240,42 @@ class TestKernels:
         expected = dense_ctrl_1q(n, mask, val, target, u) @ amps
         apply_ctrl_1q(amps, n, mask, val, target, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
         np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+    @given(u_gate_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_u_gate_matches_per_pattern_reference(self, case):
+        # one uniformly controlled kernel call against one call per control
+        # pattern, bit for bit (signed zeros included)
+        state, gate = case
+        n = state.n_qubits
+        expected = state.copy()
+        live = max(expected.live, max(gate[1]) + 1)  # as apply_unitary runs it
+        helpers.apply_u_per_pattern(expected.amplitudes[:1 << live], live, gate)
+        Circuit(n, [gate]).apply_unitary(state)
+        assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("target,controls", [
+        (0, ()), (15, ()), (0, (15,)), (7, (15, 14)), (3, (0, 1, 2)),
+        (0, tuple(range(9, 0, -1))), (15, (0, 1)), (8, (2, 12, 5))])
+    def test_blocked_states_match_python(self, target, controls):
+        # at 16 qubits both kernel forms update the state block by block;
+        # bit for bit against the gather/scatter formula, pattern by pattern
+        n = 16
+        assert 1 << (n - 1) > kernels.BLOCK
+        rng = np.random.default_rng(target + 16 * len(controls))
+        angles = rng.uniform(-np.pi, np.pi, 1 << len(controls))
+        gate = Circuit(n).ucry(controls, target, angles).gates[0]
+        state = random_state(n, len(controls))
+        expected = state.amplitudes.copy()
+        helpers.apply_u_per_pattern(expected, n, gate, kernel=ref_ctrl_1q)
+        Circuit(n, [gate]).apply_unitary(state)
+        assert state.amplitudes.tobytes() == expected.tobytes()
+        u = random_unitary(target)
+        mask = sum(1 << q for q in controls)
+        coeffs = (u[0, 0], u[0, 1], u[1, 0], u[1, 1])
+        apply_ctrl_1q(state.amplitudes, n, mask, mask, target, *coeffs)
+        ref_ctrl_1q(expected, n, mask, mask, target, *coeffs)
+        assert state.amplitudes.tobytes() == expected.tobytes()
 
     @given(controlled_gates(2), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -541,6 +620,38 @@ class TestCircuit:
         ref = state.amplitudes.copy()
         circ.apply_unitary(state)
         np.testing.assert_allclose(state.amplitudes, ref, atol=1e-12)
+
+    def test_payloads_are_immutable(self):
+        # controlled gates hold read-only arrays and uncontrolled ones Python
+        # numbers, in a circuit and in its inverse; the complex controlled
+        # gate's conjugates are new arrays
+        circ = Circuit(3).h(0).ry(1, 0.7).ucry([2, 0], 1, [0.1, 0.2, 0.3, 0.4])
+        entries = tuple(np.full(2, x) for x in sim.HADAMARD.ravel())
+        for entry in entries:
+            entry.setflags(write=False)
+        circ.gates.append(("u", (2, 0), entries))
+        for _kind, qubits, payload in circ.gates + circ.inverse().gates:
+            for entry in payload:
+                if len(qubits) == 1:
+                    assert type(entry) in (float, complex)
+                    continue
+                with pytest.raises(ValueError, match="read-only"):
+                    entry[0] = 1.0
+
+    @given(live_circuits())
+    @settings(max_examples=100, deadline=None)
+    def test_double_inverse_reproduces_payloads(self, case):
+        circ, _touched = case
+        again = circ.inverse().inverse()
+        assert len(again.gates) == len(circ.gates)
+        for (kind, qubits, payload), (kind2, qubits2, payload2) in zip(circ.gates,
+                                                                       again.gates):
+            assert (kind2, qubits2) == (kind, qubits)
+            if kind == "u":
+                assert ([np.asarray(u).tobytes() for u in payload2]
+                        == [np.asarray(u).tobytes() for u in payload])
+            else:
+                assert payload2 is payload
 
     def test_remapped(self):
         circ = Circuit(1)
