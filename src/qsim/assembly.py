@@ -16,8 +16,8 @@ import numpy as np
 
 from . import classical, inner, qae, qhp
 from .classical import DEFAULT_PARAMS, SigmoidParams
-from .encoding import (boe_depth, boe_width, normalize_affine, normalize_sqrt,
-                       validate_raw)
+from .encoding import (boe_depth, boe_width, check_length, normalize_affine,
+                       normalize_sqrt, validate_raw)
 from .errors import AssumptionError
 from .sim import RngStream
 
@@ -162,9 +162,9 @@ def _per_k_resources(config, k, n):
     # allocates one qubit fewer.  Golden digests pin these rows.
     if config.variant in ("a", "b"):
         # a reports the mid_reset swap-test row, 2n + 1: its estimator builds
-        # no_mid_reset, but simulates the power state as a chain of rounds on
-        # two registers, so the swap test on the survivor is its widest
-        # state at every k
+        # no_mid_reset, but writes the power state's zero branch on the
+        # survivor alone, so the swap test on the survivor, E's register and
+        # the ancilla is its widest state at every k
         style, swap = (("mid_reset", True) if config.variant == "a"
                        else (config.style, False))
         return {"width": qhp.width_formula(k, style, swap, n),
@@ -275,9 +275,8 @@ def resource_report(config, N):
     epsilon_k entries are reported at unit normalization (rho = 1).
     """
     K, s, epsilon = config.K, config.s, config.epsilon
+    check_length(N)
     n = int(math.log2(N))
-    if (1 << n) != N:
-        raise ValueError("N must be a power of two")
     if config.variant == "d" and not 1 <= s <= n:
         raise ValueError(f"split level must be in [1, {n}], got {s}")
     coeffs = classical.fit_polynomial(DEFAULT_PARAMS, config.eta, K, "taylor")

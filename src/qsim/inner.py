@@ -8,19 +8,24 @@ deferred-measurement circuit.
 Every consumed power register Z is post-selected on 0 before the readout,
 and the readout gates (the swap test, or U_E^dagger on the survivor) never
 touch it.  So the readout runs only on the unnormalised branch where Z
-reads 0, and that branch is built as the paper's dynamic circuit runs it:
-load block 0, then per round load the next block above the branch, CNOT
-the survivor's primary into it and keep the branch where it reads 0.
+reads 0.
 
 The bits are those of the full deferred-measurement state.  Each Ry of a
 tree or BOE loader acts on a qubit in |0>, so u00*a0 + u01*a1 adds an exact
 zero and every loaded amplitude is a left fold of rotation factors; swaps
 and CNOTs move amplitudes and do no arithmetic.  The full state's diagonal
-(x, x, ..., x) is the fold over blocks 0, 1, ..., k-1 in that order, and
-the chain computes exactly that fold.  With n = lg N and amplitude
-encoding, variant b allocates 2n qubits and variant a 2n + 1, rather than
-k n and (k + 1) n + 1.  A BOE block of width w keeps its side qubits on the
-branch, so for k >= 2 the BOE chain allocates at most k w - (k - 2) n
+(x, x, ..., x) is the fold over blocks 0, 1, ..., k-1 in that order.  For
+amplitude encoding the branch is computed as that fold, k folds of x's path
+factors (AmplitudeLoader.fold) starting from 1, and the swap test's E
+register is written above it by E's fold of each branch amplitude; only the
+readout gates (U_E^dagger, or H, cswap, H) run on the statevector.  With
+n = lg N, variant b allocates n qubits and variant a 2n + 1, rather than
+k n and (k + 1) n + 1.  A BOE block keeps its side qubits on the branch,
+whose fold is not a product over the primary's path, so the BOE branch is
+built as the paper's dynamic circuit runs it: load block 0, then per round
+load the next block above the branch, CNOT the survivor's primary into it
+and keep the branch where it reads 0.  That chain computes the same fold.
+For a BOE block of width w and k >= 2 it allocates at most k w - (k - 2) n
 qubits and its swap test (k + 1) w - (k - 1) n + 1.
 """
 
@@ -122,38 +127,59 @@ def build_ancilla_free(prep_a, loader_b):
 # Estimators
 # ---------------------------------------------------------------------------
 
+def _folds(loader):
+    """Whether `loader` has no side register (amplitude encoding), so that
+    loading it onto qubits in |0> above a real branch is its fold."""
+    return loader.width == len(loader.primary)
+
+
+def _written(loader, width, primary):
+    """A prep with no gates, for a register already written on the state."""
+    return qhp.PowerCircuit(width=width, circuit=Circuit(width), primary=primary,
+                            measured=[], loader=loader)
+
+
 def _zero_branch(pc, pad):
     """(prep, state) for a readout that runs after power circuit pc and acts
     on the survivor and on `pad` qubits above the branch.
 
     With consumed registers, state is pc's unnormalised branch where every
     consumed register reads 0: the remaining qubits in ascending order,
-    zero-padded by `pad` qubits.  It is built as a chain of k - 1 rounds
-    (qhp.chain_round) on the branch so far, each round loading one block
-    above it, CNOT-ing the survivor's primary into that block's primary and
-    keeping the branch where that primary reads 0, so no state holds more
-    than one block beyond the branch.  prep is that branch's power circuit,
-    with no gates and no consumed register.  The survivor is block 0, below
-    every consumed register, so its primary keeps its qubits on the branch.
-    With no consumed register (k = 1) the branch is the whole power state:
-    prep is pc, whose gates the readout circuit runs first, and state is |0>
-    at the padded width.
+    zero-padded by `pad` qubits, allocated before any work so that the width
+    guard refuses an oversized request first.  For a loader with no side
+    register that branch is k folds (AmplitudeLoader.fold) of a ones vector,
+    written into the padded state.  A BOE branch is built as a chain of
+    k - 1 rounds (qhp.chain_round) on the branch so far, each round loading
+    one block above it, CNOT-ing the survivor's primary into that block's
+    primary and keeping the branch where that primary reads 0, so no state
+    holds more than one block beyond the branch.  prep is that branch's
+    power circuit, with no gates and no consumed register.  The survivor is
+    block 0, below every consumed register, so its primary keeps its qubits
+    on the branch.  With no consumed register (k = 1) the branch is the
+    whole power state: prep is pc, whose gates the readout circuit runs
+    first, and state is |0> at the padded width.
     """
     if not pc.measured:
         return pc, Statevector.zero(pc.width + pad)
     loader = pc.loader
     bw = loader.width
+    rounds = len(pc.measured)
+    if _folds(loader):
+        st = Statevector.zero(bw + pad)
+        branch = st.amplitudes[:1 << bw].real
+        branch[...] = 1.0
+        for _ in range(rounds + 1):
+            loader.fold(branch)
+        st.live = bw
+        return _written(loader, bw, pc.primary), st
     st = loader.circuit.apply_unitary(Statevector.zero(2 * bw))
     width = bw
-    rounds = len(pc.measured)
     for t in range(1, rounds + 1):
         step, reg = qhp.chain_round(loader, width, width + bw)
         step.apply_unitary(st)
         width += bw - len(reg)
         st = sim.branch(st, reg, 0, width + (bw if t < rounds else pad))
-    survivor = qhp.PowerCircuit(width=width, circuit=Circuit(width),
-                                primary=pc.primary, measured=[], loader=loader)
-    return survivor, st
+    return _written(loader, width, pc.primary), st
 
 
 def _ancilla_free_readout(pc, loader_b):
@@ -168,8 +194,17 @@ def _swap_readout(pc, e_loader):
     """(P(Z=0), P(Z=0 and ancilla=0)) for QHP followed by a swap test against
     `e_loader`, where Z is every consumed register.  The swap test runs on
     the Z=0 branch padded with the E register and the ancilla, so P(Z=0) is
-    that state's total probability."""
+    that state's total probability.  When E's loader folds, its register is
+    written above the branch in place (amp[e, x] is E's fold of branch[x]
+    along e's path) and the test runs H, cswap, H with no E gates."""
     prep, st = _zero_branch(pc, e_loader.width + 1)
+    if pc.measured and _folds(e_loader):
+        wa, wb = prep.width, e_loader.width
+        rows = st.amplitudes[:1 << (wa + wb)].reshape(1 << wb, 1 << wa).real
+        rows[1:] = rows[0]
+        e_loader.fold(rows)
+        st.live = wa + wb
+        e_loader = _written(e_loader, wb, e_loader.primary)
     test = build_swap_test(prep, e_loader)
     test.circuit.apply_unitary(st)
     p_z0 = sim.probability_of_bits(st, (), 0) if pc.measured else 1.0

@@ -15,10 +15,11 @@ register holds the normalized power state a_k * T_j^k.  Both styles keep
 block 0 as the survivor, so that branch is also the end of a chain of
 rounds (chain_round): load the next copy above the survivor, CNOT the
 survivor's primary into the copy's primary, keep the branch where the copy
-reads 0.  The inner-product readouts simulate the power state that way, and
-so does run_with_dynamic_stopping for amplitude encoding, on two registers.
-The chain's branch has the bits of the full deferred-measurement state's
-branch; qsim.inner gives the argument.
+reads 0.  run_with_dynamic_stopping runs amplitude encoding that way, on two
+registers, and the inner-product readouts simulate the BOE power state so.
+For amplitude encoding the readouts compute that branch as a fold of the
+loader's rotation factors and run no chain_round.  Both have the bits of
+the full deferred-measurement state's branch; qsim.inner gives the argument.
 """
 
 from dataclasses import dataclass

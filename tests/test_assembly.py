@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,12 +178,12 @@ def _recorded_widths(monkeypatch):
 
 
 class TestReadoutWidth:
-    """a and b build the power state's zero branch as a chain of rounds that
-    load one block above the survivor, and run their readouts on that branch,
-    so no state holds more than two registers and the readout qubits."""
+    """a and b write the power state's zero branch as folds of the loader's
+    rotation factors and run their readouts on that branch: b's widest state
+    is the survivor alone, a's the survivor, E's register and the ancilla."""
 
     @pytest.mark.parametrize("variant, K, widest", [
-        ("b", 3, 2 * 4),       # 2n: the survivor and the block loaded above it
+        ("b", 3, 4),           # n: U_B^dagger on the survivor
         ("a", 3, 2 * 4 + 1),   # 2n + 1: the swap test on the survivor
         ("a", 2, 2 * 4 + 1),
     ])
@@ -213,6 +214,23 @@ class TestReadoutWidth:
                           rng.uniform(20.0, 40.0, 1024))
         assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
         assert np.isfinite(report.V)
+
+    @pytest.mark.parametrize("variant", ["b"])
+    def test_degree_3_at_65536_points(self, variant):
+        # the k = 3 power state alone has 48 qubits; the fold and the readout
+        # run on the 16-qubit survivor
+        rng = np.random.default_rng(5)
+        t, e = rng.uniform(12.0, 28.0, 1 << 16), rng.uniform(20.0, 40.0, 1 << 16)
+        cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)
+        tracemalloc.start()
+        try:
+            report = evaluate(cfg, t, e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
+        assert np.isfinite(report.V)
+        assert peak < 64 << 20
 
 
 class TestDeltaGrossMargin:

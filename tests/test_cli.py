@@ -99,9 +99,9 @@ class TestEvaluate:
         assert "one value per row" in result.output
 
     def test_oversized_request_exit_2(self, runner, tmp_path):
-        # variant a at degree 3 on 2^15 points starts its chain of rounds on a
-        # 30-qubit state (16 GiB), over half the memory of any machine with
-        # less than 32 GiB; it is refused before any state is allocated
+        # variant a at degree 3 on 2^15 points runs its swap test on a
+        # 31-qubit state (32 GiB), over half the memory of any machine with
+        # less than 64 GiB; it is refused before any state is allocated
         rng = np.random.default_rng(0)
         t = tmp_path / "t.json"
         e = tmp_path / "e.json"
@@ -116,7 +116,7 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 2
-        assert "30-qubit" in result.output
+        assert "31-qubit" in result.output
         assert peak < 64 << 20
 
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
@@ -278,6 +278,14 @@ class TestResources:
         result = runner.invoke(main, ["resources", "--variant", "b",
                                       "--n", "12"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n", ["1", "0", "-4"])
+    def test_n_below_two_exit_2(self, runner, n):
+        # the rule and message of a series that evaluate refuses
+        result = runner.invoke(main, ["resources", "--variant", "a", "--n", n])
+        assert result.exit_code == 2
+        assert (f"series length must be a power of two >= 2, got {n}"
+                in result.output)
 
     @pytest.mark.parametrize("s", ["0", "5", "9"])
     def test_split_level_out_of_range_exit_2(self, runner, s):
