@@ -158,6 +158,8 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
 
     Uses 6*ceil(lg 1/(1-alpha)) groups of ceil(4/eps^2) samples each; the
     single-sample estimator is X = ||v||^2 w_J / v_J with J ~ v_j^2/||v||^2.
+    Uniforms are drawn as group-major rows, whole groups per draw of at most
+    max(size lg N, 2^22) doubles, from one stream, so chunking keeps the bits.
     """
     if v_access.norm == 0.0:
         raise ValueError("zero vector")
@@ -165,12 +167,14 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     groups = sampling_group_count(alpha)
     size = sampling_group_size(epsilon)
     tree = v_access.tree
-    norm_sq = v_access.norm**2
+    chunk = max(1, (1 << 22) // (size * max(tree.n, 1)))  # groups per draw
     means = []
-    for _ in range(groups):
-        j = tang_walk(tree, rng.generator.random((size, tree.n)))
-        # cumsum adds in draw order; np.sum's pairwise order would change bits
-        means.append(np.cumsum(norm_sq * w[j] / v_access.leaf_value(j))[-1] / size)
+    for first in range(0, groups, chunk):
+        rows = min(chunk, groups - first) * size
+        j = tang_walk(tree, rng.generator.random((rows, tree.n)))
+        x = (v_access.norm**2 * w[j] / v_access.leaf_value(j)).reshape(-1, size)
+        # row-wise cumsum adds each group in draw order; np.sum's pairs change bits
+        means.extend(np.cumsum(x, axis=1)[:, -1] / size)
     return float(np.median(means))
 
 

@@ -48,7 +48,7 @@ class PowerPlan:
             raise ValueError(f"unknown encoding {self.encoding!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QhpOutcome:
     success: bool
     rounds_executed: int   # QHP measurements actually performed
@@ -166,9 +166,10 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
     each successful round; BOE loads all k blocks up front and measures only
     the primaries.  Every shot that reaches round t sees the same state, so
     each round is simulated once and the outcomes of all shots still running
-    are drawn together, as sim.measure would.  Shot i reads row i of one
-    (shots, k - 1) draw of uniforms, so a run's first m shots do not depend
-    on how many follow.
+    are drawn together; a non-zero outcome only needs sim.checked_branch on
+    its view, not a projected copy.  Shot i reads row i of one (shots, k - 1)
+    draw of uniforms, so a run's first m shots do not depend on how many
+    follow.  Shots that end alike share one QhpOutcome unless it keeps a state.
     """
     if plan.style != "mid_reset":
         raise ValueError("dynamic stopping requires the mid_reset style")
@@ -190,7 +191,7 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
         loader.circuit.remapped(range(b * bw, (b + 1) * bw), width).apply_unitary(st)
 
     u = rng.generator.random((shots, k - 1))
-    rounds = np.full(shots, k - 1)  # a shot that fails stops at that round
+    end = np.full(shots, k)         # the round a shot fails at, k on success
     alive = np.arange(shots)        # shots that have read 0 in every round
     errors = {}                     # first shot to draw a vanishing branch -> error
     for t, (step, reg) in enumerate(steps, start=1):
@@ -203,19 +204,18 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
         # outcome 0 comes last, so it collapses st in place for the next round
         for outcome in np.unique(drawn)[::-1].tolist():
             try:
-                sim.project_bits(st if outcome == 0 else st.copy(), reg, outcome)
+                (sim.checked_branch if outcome else sim.project_bits)(st, reg, outcome)
             except ZeroBranchError as exc:
                 errors[int(alive[drawn == outcome][0])] = exc
                 drawn[drawn == outcome] = -1
-        rounds[alive[drawn > 0]] = t
+        end[alive[drawn > 0]] = t
         alive = alive[drawn == 0]
     if errors:  # as in a per-shot loop, the lowest such shot raises
         raise errors[min(errors)]
 
-    success = np.isin(np.arange(shots), alive)
-    return [QhpOutcome(success=ok, rounds_executed=r, loads=k if ok else r,
-                       state=st.copy() if keep_states and ok else None)
-            for ok, r in zip(success.tolist(), rounds.tolist())]
+    ends = [QhpOutcome(False, t, t) for t in range(k)] + [QhpOutcome(True, k - 1, k)]
+    return [QhpOutcome(True, k - 1, k, st.copy()) if keep_states and e == k else ends[e]
+            for e in end.tolist()]
 
 
 def width_formula(k, style, swap, n):

@@ -43,6 +43,7 @@ MAX_STATE_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
+_HADAMARD_PAYLOAD = tuple(HADAMARD.ravel().tolist())
 
 
 class RngStream:
@@ -164,16 +165,21 @@ def probability_of_bits(state, qubits, value):
     return _probability(register_view(state, qubits, value))
 
 
+def checked_branch(state, qubits, value):
+    """(probability, register_view) of register == value, or ZeroBranchError."""
+    view = register_view(state, qubits, value)
+    prob = _probability(view)
+    if prob < ZERO_BRANCH_CUTOFF:
+        raise ZeroBranchError(f"branch value={value} has probability {prob:.3e}")
+    return prob, view
+
+
 def project_bits(state, qubits, value):
     """Keep-width projection onto register == value, renormalized.
 
     Returns (probability, state); the input state is mutated.
     """
-    view = register_view(state, qubits, value)
-    prob = _probability(view)
-    if prob < ZERO_BRANCH_CUTOFF:
-        raise ZeroBranchError(
-            f"branch value={value} has probability {prob:.3e}")
+    prob, view = checked_branch(state, qubits, value)
     kept = view / np.sqrt(prob)
     state.amplitudes[:] = 0.0
     view[...] = kept
@@ -229,9 +235,7 @@ def postselect(state, reg, value):
     if qubits != tuple(range(start, start + width)):
         raise ValueError("postselect requires a contiguous register")
     reduced = branch(state, qubits, value)
-    prob = _probability(reduced.amplitudes)
-    if prob < ZERO_BRANCH_CUTOFF:
-        raise ZeroBranchError(f"branch value={value} has probability {prob:.3e}")
+    prob = checked_branch(state, qubits, value)[0]  # the sum over reduced, bit for bit
     reduced.amplitudes /= np.sqrt(prob)
     return prob, reduced
 
@@ -302,7 +306,9 @@ class Circuit:
         return self.ucry((), qubit, (angle,))
 
     def h(self, qubit):
-        return self.u(qubit, HADAMARD)
+        _check_qubits(self, (qubit,))
+        self.gates.append(("u", (qubit,), _HADAMARD_PAYLOAD))
+        return self
 
     def ucry(self, controls, target, angles):
         qubits = tuple(controls) + (target,)

@@ -165,6 +165,53 @@ class TestSampling:
         assert (_outcome(tang_inner, access, w, eps, alpha, RngStream(seed))
                 == _outcome(ref_tang_inner, access, w, eps, alpha, RngStream(seed)))
 
+    @pytest.mark.parametrize("n_vals,eps,alpha", [(1, 0.5, 0.6), (8, 0.2, 0.9),
+                                                  (4, 0.3, 0.99)])
+    def test_tang_inner_consumes_stream_as_scalar_walk(self, n_vals, eps, alpha):
+        # the next uniform after the estimate is the same, so a caller that
+        # keeps drawing from the stream sees the same values
+        access = SampleAccess.from_values(np.linspace(1.0, 2.0, n_vals))
+        w = np.linspace(-1.0, 3.0, n_vals)
+        streams = RngStream(17), RngStream(17)
+        tang_inner(access, w, eps, alpha, streams[0])
+        ref_tang_inner(access, w, eps, alpha, streams[1])
+        assert streams[0].generator.random() == streams[1].generator.random()
+
+    def test_tang_inner_draws_whole_groups_under_cap(self):
+        # 6 groups of 367,310 samples on a 2-level tree: 734,620 doubles per
+        # group, so a 2^22-double draw holds 5 groups and a second draw the 6th
+        eps, alpha = 0.0033, 0.5
+        groups, size = sampling_group_count(alpha), sampling_group_size(eps)
+        access = SampleAccess.from_values([1.0, 2.0, 3.0, 4.0])
+        w = np.array([0.5, -1.0, 2.0, 1.5])
+
+        class Recorder:
+            """A generator that records the shape of every draw."""
+
+            def __init__(self, generator):
+                self.generator, self.shapes = generator, []
+
+            def random(self, shape):
+                self.shapes.append(shape)
+                return self.generator.random(shape)
+
+        rng = RngStream(4)
+        rng.generator = Recorder(rng.generator)
+        got = tang_inner(access, w, eps, alpha, rng)
+        rows = [r for r, _ in rng.generator.shapes]
+        assert all(cols == 2 for _, cols in rng.generator.shapes)
+        assert all(r % size == 0 and r * 2 <= max(size * 2, 1 << 22) for r in rows)
+        assert sum(rows) == groups * size
+        assert rows == [5 * size, size]
+        # one draw, walk and cumsum per group gives the same bits
+        ref = RngStream(4)
+        means = []
+        for _ in range(groups):
+            j = tang_walk(access.tree, ref.generator.random((size, 2)))
+            x = access.norm**2 * w[j] / access.leaf_value(j)
+            means.append(np.cumsum(x)[-1] / size)
+        assert repr(got) == repr(float(np.median(means)))
+
     def test_tang_inner_zero_subtree(self):
         # the root's left child has weight but both of its children are zero
         tree = StateDecompositionTree(levels=[np.array([1.0]), np.array([1.0, 0.0]),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,25 @@ class TestDynamicStopping:
                      for n in (m, m + extra))
         assert ([(o.success, o.rounds_executed, o.loads) for o in few]
                 == [(o.success, o.rounds_executed, o.loads) for o in many[:m]])
+
+    @pytest.mark.parametrize("encoding,s", [("amplitude", 1), ("boe", 1)])
+    def test_outcomes_are_shared_and_frozen(self, encoding, s):
+        k = 3
+        loader = make_loader(series_fixture(4, 5), encoding, s)
+        plan = PowerPlan(k=k, style="mid_reset", encoding=encoding, s=s)
+        outcomes = run_with_dynamic_stopping(plan, loader, 400, RngStream(11))
+        # one object per (success, rounds): at most k distinct outcomes
+        assert len({id(o) for o in outcomes}) <= k
+        assert {(o.success, o.rounds_executed, o.loads) for o in outcomes} <= (
+            {(False, t, t) for t in range(1, k)} | {(True, k - 1, k)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcomes[0].loads = 0
+        kept = [o for o in run_with_dynamic_stopping(plan, loader, 400, RngStream(11),
+                                                     keep_states=True) if o.success]
+        assert len(kept) > 1
+        assert len({id(o.state) for o in kept}) == len(kept)
+        assert not any(np.shares_memory(a.state.amplitudes, b.state.amplitudes)
+                       for a, b in zip(kept, kept[1:]))
 
     def test_vanishing_branch_raises_for_lowest_shot(self):
         # with T = (1, 3e-8) the top uniform draws outcome 1, whose

@@ -346,6 +346,7 @@ class TestKernels:
 BAD_GATES = {
     "u-not-2x2": (lambda c: c.u(0, np.eye(3)), "2x2"),
     "u-out-of-range": (lambda c: c.u(3, sim.HADAMARD), "out of range"),
+    "h-out-of-range": (lambda c: c.h(3), "out of range"),
     "ry-out-of-range": (lambda c: c.ry(-1, 0.3), "out of range"),
     "ucry-out-of-range": (lambda c: c.ucry([3], 0, [0.1, 0.2]), "out of range"),
     "ucry-repeated-control": (lambda c: c.ucry([1, 1], 0, [0.1, 0.2, 0.3, 0.4]),
@@ -377,6 +378,16 @@ class TestGates:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             Circuit(1).u(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("qubit", [0, 2])
+    def test_h_appends_the_u_payload_of_hadamard(self, qubit):
+        # h skips u's unitarity check but must append the same gate bits
+        (kind, qubits, payload), = Circuit(3).h(qubit).gates
+        (kind_u, qubits_u, payload_u), = Circuit(3).u(qubit, sim.HADAMARD).gates
+        assert (kind, qubits) == (kind_u, qubits_u) == ("u", (qubit,))
+        assert [type(x) for x in payload] == [type(x) for x in payload_u]
+        np.testing.assert_array_equal(np.array(payload).view(np.uint64),
+                                      np.array(payload_u).view(np.uint64))
 
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError):
