@@ -224,9 +224,10 @@ def evaluate(config, rawT, rawE, contract=None):
             rows[k] = {"k": k, "y_prime_hat": y_prime, "queries": queries,
                        "method": "sampling"}
         elif k == 0:
-            # y'_0 through the affine E for every quantum variant, d included:
-            # golden digests pin its rounding
-            y0_prime = constant_term_y0(normalize_affine(e, 0.0))[1]
+            # y'_0 through the affine E for every quantum variant, d included
+            # (golden digests pin its rounding); d's series_E is sqrt-normalised
+            affine_E = normalize_affine(e, 0.0) if config.variant == "d" else series_E
+            y0_prime = constant_term_y0(affine_E)[1]
             rows[0] = {"k": 0, "y_hat": None, "y_prime_hat": y0_prime,
                        "epsilon_k": 0.0, "alpha_k": 1.0, "cost": 0,
                        "method": "classical"}

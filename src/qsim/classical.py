@@ -3,6 +3,7 @@ and the tree-based sampling inner-product estimator."""
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,7 +67,15 @@ def fit_polynomial(params, eta, K, mode="taylor", domain=None):
 
     taylor: Richardson-refined central finite differences at eta;
     least_squares: ordinary least squares on 512 uniform domain points.
+    Fits are memoised on the arguments: calls with equal arguments share
+    one read-only coefficient array b.
     """
+    b = _fitted_b(params, eta, K, mode, None if domain is None else tuple(domain))
+    return PolyCoeffs(b=b, eta=float(eta), fit_mode=mode)
+
+
+@lru_cache(maxsize=256)
+def _fitted_b(params, eta, K, mode, domain):
     if K < 0:
         raise ValueError(f"degree must be >= 0, got {K}")
     if domain is None:
@@ -89,7 +98,8 @@ def fit_polynomial(params, eta, K, mode="taylor", domain=None):
         b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K)
     else:
         raise ValueError(f"unknown fit mode {mode!r}")
-    return PolyCoeffs(b=b, eta=float(eta), fit_mode=mode)
+    b.setflags(write=False)
+    return b
 
 
 def exact_value(rawT, rawE, params):

@@ -40,10 +40,23 @@ def validate_raw(values):
 
 @dataclass
 class NormalizedSeries:
+    """Normalised values (read-only) with their scale rho and shift eta.
+
+    `loaders` holds the loaders qhp.make_loader built for this series, one
+    per (encoding, split level), so one evaluation loads a series with one
+    loader at every power and in every readout.
+    """
+
     values: np.ndarray
     rho: float
     eta: float
     mode: str  # "affine" or "sqrt"
+    loaders: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        # a kept loader is only valid for the values it was built from
+        self.values.setflags(write=False)
 
     @property
     def n_qubits(self):
@@ -145,6 +158,12 @@ class AmplitudeLoader:
         self.primary = tuple(range(n))  # LSB first
         self.circuit = Circuit(n)
         _load_block(self.circuit, tree, self.primary, 0, 0)
+
+    @cached_property
+    def adjoint(self):
+        """The loader's inverse circuit, built on first use and kept: an
+        ancilla-free readout unloads this register at every power."""
+        return self.circuit.inverse()
 
     @cached_property
     def _factors(self):

@@ -36,7 +36,6 @@ from statistics import NormalDist
 import numpy as np
 
 from . import qhp, sim
-from .encoding import build_tree, load_amplitude
 from .sim import Circuit, Statevector
 
 MIN_SHOTS = 16
@@ -115,11 +114,12 @@ def build_swap_test(prep_a, prep_b):
 
 
 def build_ancilla_free(prep_a, loader_b):
-    """Apply U_B^dagger after preparing |psi_A>; P(all-zero) = p^2."""
+    """Apply U_B^dagger, loader_b's kept adjoint, after preparing |psi_A>;
+    P(all-zero) = p^2."""
     if loader_b.width != len(prep_a.primary):
         raise ValueError("loader width must match the primary register")
     circ = prep_a.circuit.remapped(range(prep_a.width), prep_a.width)
-    circ.extend(loader_b.circuit.inverse().remapped(prep_a.primary, prep_a.width))
+    circ.extend(loader_b.adjoint.remapped(prep_a.primary, prep_a.width))
     return circ
 
 
@@ -135,8 +135,7 @@ def _folds(loader):
 
 def _written(loader, width, primary):
     """A prep with no gates, for a register already written on the state."""
-    return qhp.PowerCircuit(width=width, circuit=Circuit(width), primary=primary,
-                            measured=[], loader=loader)
+    return qhp.PowerCircuit(width=width, primary=primary, measured=[], loader=loader)
 
 
 def _zero_branch(pc, pad):
@@ -228,7 +227,7 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
     the per-shot success probability is exactly y_k^2.
     """
     pc = qhp.power_circuit(series_T, k, style)
-    p = _ancilla_free_readout(pc, load_amplitude(build_tree(series_E)))
+    p = _ancilla_free_readout(pc, qhp.make_loader(series_E))
 
     S = shots if shots is not None else _shots_p_free(epsilon, alpha)
     S = max(MIN_SHOTS, S)
@@ -247,7 +246,7 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
     clamped at 0 and the event recorded.
     """
     pc = qhp.power_circuit(series_T, k)
-    e_loader = load_amplitude(build_tree(series_E))
+    e_loader = qhp.make_loader(series_E)
     pvals = _qhp_swap_probabilities(pc, e_loader)
 
     def draw(S):

@@ -8,7 +8,8 @@ z = sin^2(pi x / 2^m).
 
 IQAE reads the Grover spectrum in closed form: the good-outcome
 probability after Q^k is sin^2((2k+1)theta), with theta taken from one
-statevector pass of F per oracle.  Canonical QAE reads its phase
+statevector pass of F, shared by the oracles that share F (variant d's U
+and U'); it builds no F^dag.  Canonical QAE reads its phase
 distribution off the plane span{chi, Q chi}, which Q keeps invariant: it
 simulates Q chi and Q^2 chi, checks that Q acts on the plane as a product
 of two reflections, and raises its 2x2 matrix there to the 2^m powers the
@@ -23,7 +24,6 @@ import numpy as np
 from scipy.special import betaincinv
 
 from . import qhp, sim
-from .encoding import build_tree, load_amplitude
 from .inner import InnerEstimate, build_ancilla_free, build_swap_test
 from .sim import Statevector
 
@@ -35,18 +35,31 @@ class GroverOracle:
     empty tuple makes every outcome good.
     """
 
-    def __init__(self, prepare, good):
+    def __init__(self, prepare, good, _built=None):
         self.prepare = prepare
         self.good = sim.register_qubits(prepare, good)
         self.n_qubits = prepare.n_qubits
-        self._inverse = prepare.inverse()
+        # F|0> and F^dag, each made on first use; with_good shares them
+        self._built = {} if _built is None else _built
         self._theta = None
 
+    def with_good(self, good):
+        """The oracle with the same F and another good register; it shares
+        this oracle's simulated chi and F^dag."""
+        return GroverOracle(self.prepare, good, self._built)
+
+    def _chi(self):
+        if "chi" not in self._built:
+            self._built["chi"] = self.prepare.apply_unitary(
+                Statevector.zero(self.n_qubits))
+        return self._built["chi"]
+
     def chi(self):
-        return self.prepare.apply_unitary(Statevector.zero(self.n_qubits))
+        """A new Statevector holding |chi> = F|0>."""
+        return self._chi().copy()
 
     def z_exact(self):
-        return sim.probability_of_bits(self.chi(), self.good, 0)
+        return sim.probability_of_bits(self._chi(), self.good, 0)
 
     def _flip_good(self, state):
         sim.register_view(state, self.good, 0)[...] *= -1.0
@@ -54,7 +67,9 @@ class GroverOracle:
     def grover(self, state):
         """Apply Q in place."""
         self._flip_good(state)
-        self._inverse.apply_unitary(state)
+        if "inverse" not in self._built:
+            self._built["inverse"] = self.prepare.inverse()
+        self._built["inverse"].apply_unitary(state)
         state.amplitudes[0] *= -1.0
         self.prepare.apply_unitary(state)
         state.amplitudes *= -1.0
@@ -88,7 +103,7 @@ class QaeConfig:
 def build_oracle_variant_c(series_T, series_E, k):
     """QHP + ancilla-free oracle: good is the all-zero readout, z = y_k^2."""
     pc = qhp.power_circuit(series_T, k)
-    readout = build_ancilla_free(pc, load_amplitude(build_tree(series_E)))
+    readout = build_ancilla_free(pc, qhp.make_loader(series_E))
     return GroverOracle(readout, range(pc.width))
 
 
@@ -97,13 +112,14 @@ def build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s):
 
     U marks QHP success (Z = 0) with a good swap ancilla,
     z = (ytilde_k + atilde_k^-2)/2; U' marks QHP success alone,
-    z' = atilde_k^-2.  At k = 1 no register is consumed, so z' = 1.
+    z' = atilde_k^-2.  At k = 1 no register is consumed, so z' = 1.  Both
+    prepare the same state, so they share one simulated chi.
     """
     pc = qhp.power_circuit(series_Tsqrt, k, encoding="boe", s=s)
     test = build_swap_test(pc, qhp.make_loader(series_Esqrt, "boe", s))
     z_qubits = tuple(q for reg in pc.measured for q in reg)
-    return (GroverOracle(test.circuit, z_qubits + (test.ancilla,)),
-            GroverOracle(test.circuit, z_qubits))
+    oracle_u = GroverOracle(test.circuit, z_qubits + (test.ancilla,))
+    return oracle_u, oracle_u.with_good(z_qubits)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ the full deferred-measurement state's branch; qsim.inner gives the argument.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +59,34 @@ class QhpOutcome:
 
 @dataclass
 class PowerCircuit:
+    """`loads` copies of `loader`, block b on qubits b w .. (b + 1) w - 1,
+    then one CNOT layer per round, from the control block's primary to the
+    target block's.  `circuit` is built on first read: a readout of the
+    consumed branch computes that branch from the loader and never runs it.
+    """
+
     width: int
-    circuit: Circuit
     primary: tuple              # survivor's primary, global qubits, LSB first
     measured: list              # global primary tuple of each consumed block
     loader: object              # the loader each block runs
+    loads: int = 0
+    rounds: tuple = ()          # (control block, target block) of each layer
+
+    @cached_property
+    def circuit(self):
+        bw = self.loader.width
+        circ = Circuit(self.width)
+        for b in range(self.loads):
+            circ.extend(self.loader.circuit.remapped(range(b * bw, (b + 1) * bw),
+                                                     self.width))
+        for c, t in self.rounds:
+            circ.cnot_layer(_block_primary(self.loader, c),
+                            _block_primary(self.loader, t))
+        return circ
+
+
+def _block_primary(loader, b):
+    return tuple(b * loader.width + q for q in loader.primary)
 
 
 def norm_constant_ak(series, k):
@@ -95,10 +119,16 @@ def expected_loads(series, k):
 
 
 def make_loader(series, encoding="amplitude", s=1):
-    tree = build_tree(series)
-    if encoding == "amplitude":
-        return load_amplitude(tree)
-    return load_boe(tree, s)
+    """The loader of `series` for `encoding` (BOE at split level s).  It is
+    built on first use and kept in series.loaders, so every power circuit
+    and readout on one series shares one loader, and with it the loader's
+    folds and adjoint.  Loaders and their circuits are never mutated."""
+    key = ("amplitude", None) if encoding == "amplitude" else ("boe", s)
+    if key not in series.loaders:
+        tree = build_tree(series)
+        series.loaders[key] = (load_amplitude(tree) if key[0] == "amplitude"
+                               else load_boe(tree, s))
+    return series.loaders[key]
 
 
 def power_circuit(series, k, style="no_mid_reset", encoding="amplitude", s=1):
@@ -112,41 +142,21 @@ def build_power_circuit(plan, loader):
     """Assemble the deferred-measurement power circuit.
 
     The circuit is unitary; consumed primaries are listed in `measured`
-    and are post-selected (or measured) by the caller.
+    and are post-selected (or measured) by the caller.  Both styles keep
+    block 0 as the survivor.
     """
     k = plan.k
-    bw = loader.width
-    width = k * bw
-    circ = Circuit(width)
-
-    def primary(b):
-        return tuple(b * bw + q for q in loader.primary)
-
-    for b in range(k):
-        circ.extend(loader.circuit.remapped(range(b * bw, (b + 1) * bw), width))
-
-    measured = []
     if plan.style == "mid_reset":
-        for t in range(1, k):
-            circ.cnot_layer(primary(0), primary(t))
-            measured.append(primary(t))
-        survivor = 0
+        rounds = [(0, t) for t in range(1, k)]
     else:
-        active = list(range(k))
+        rounds, active = [], list(range(k))
         while len(active) > 1:
-            nxt = []
-            for i in range(0, len(active) - 1, 2):
-                c, t = active[i], active[i + 1]
-                circ.cnot_layer(primary(c), primary(t))
-                measured.append(primary(t))
-                nxt.append(c)
-            if len(active) % 2 == 1:
-                nxt.append(active[-1])
-            active = nxt
-        survivor = active[0]
-
-    return PowerCircuit(width=width, circuit=circ, primary=primary(survivor),
-                        measured=measured, loader=loader)
+            # pair neighbours; each pair's control and an odd block out go on
+            rounds += [(active[i], active[i + 1]) for i in range(0, len(active) - 1, 2)]
+            active = active[::2]
+    return PowerCircuit(width=k * loader.width, primary=_block_primary(loader, 0),
+                        measured=[_block_primary(loader, t) for _c, t in rounds],
+                        loader=loader, loads=k, rounds=tuple(rounds))
 
 
 def chain_round(loader, base, width):
@@ -182,7 +192,7 @@ def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
         steps = [chain_round(loader, bw, width)] * (k - 1)
     else:
         width, preloaded = k * bw, k
-        prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
+        prim = [_block_primary(loader, b) for b in range(k)]
         steps = [(Circuit(width).cnot_layer(prim[0], prim[t]), prim[t])
                  for t in range(1, k)]
 

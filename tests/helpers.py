@@ -9,7 +9,7 @@ import numpy as np
 from qsim import inner, kernels, qhp, sim
 from qsim.assembly import _pair_with_overlap
 from qsim.encoding import normalize_affine
-from qsim.sim import Circuit, Statevector
+from qsim.sim import Statevector
 
 # Pauli X, for Circuit.u: qsim has no X gate of its own.
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -18,6 +18,19 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def pair_with_overlap(p):
     """Two normalized positive series on 2 points with inner product p."""
     return tuple(normalize_affine(v, 0.0) for v in _pair_with_overlap(p))
+
+
+def recorded_calls(monkeypatch, owner, name):
+    """The positional arguments of every call of owner.name from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 def register_values(n_qubits, qubits):
@@ -75,8 +88,8 @@ def full_zero_branch(pc, pad):
     z_qubits = tuple(q for reg in pc.measured for q in reg)
     width = pc.width - len(z_qubits)
     st = pc.circuit.apply_unitary(Statevector.zero(pc.width))
-    survivor = qhp.PowerCircuit(width=width, circuit=Circuit(width),
-                                primary=pc.primary, measured=[], loader=pc.loader)
+    survivor = qhp.PowerCircuit(width=width, primary=pc.primary, measured=[],
+                                loader=pc.loader)
     return survivor, sim.branch(st, z_qubits, 0, width + pad)
 
 

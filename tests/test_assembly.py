@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsim import assembly, classical, inner
+from helpers import recorded_calls
+from qsim import assembly, classical, encoding, inner, sim
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            constant_term_y0, delta_gross_margin, evaluate,
                            resource_report, run_experiment)
@@ -162,6 +163,58 @@ class TestPowerLoop:
         for row in report.per_k:
             expected += report.config["b"][row["k"]] * row["y_prime_hat"]
         assert report.V == expected
+
+
+class TestBuildOnce:
+    """evaluate builds each object derived from its inputs once: a tree and
+    a loader per series, E's adjoint, and the fit, which later evaluations
+    with the same arguments reuse."""
+
+    def test_one_tree_loader_and_adjoint_per_series(self, monkeypatch):
+        trees = recorded_calls(monkeypatch, encoding.StateDecompositionTree, "__init__")
+        loaders = recorded_calls(monkeypatch, encoding.AmplitudeLoader, "__init__")
+        inverses = recorded_calls(monkeypatch, sim.Circuit, "inverse")
+        evaluate(VariantConfig(variant="b", K=3, eta=10.0, epsilon=0.1, seed=1),
+                 RAW_T, RAW_E)
+        assert len(trees) == 2
+        leaves = sorted(tuple(tree.leaves) for _self, tree in loaders)
+        expected = sorted(tuple(normalize_affine(raw, eta).values)
+                          for raw, eta in ((RAW_T, 10.0), (RAW_E, 0.0)))
+        assert leaves == expected
+        assert len(inverses) == 1  # E's adjoint, shared by k = 1, 2, 3
+
+    def test_second_evaluate_runs_no_fit(self):
+        cfg = VariantConfig(variant="c", K=2, eta=7.5, epsilon=0.1, seed=1)
+        first = evaluate(cfg, RAW_T, RAW_E)
+        misses = classical._fitted_b.cache_info().misses
+        second = evaluate(cfg, RAW_T[::-1].copy(), RAW_E)
+        assert classical._fitted_b.cache_info().misses == misses
+        assert second.config["b"] == first.config["b"]
+
+    @pytest.mark.parametrize("variant, options", [
+        ("a", {}), ("b", {}), ("c", {}), ("d", {"s": 1}),
+        ("c", {"engine": "canonical"}), ("d", {"s": 2, "engine": "canonical"})])
+    def test_interleaved_evaluations_match_fresh_ones(self, variant, options):
+        # X, then Y (other series, and at the same or another eta), then X
+        # again in one process: each report equals the one from a fresh
+        # state, so no stale loader or fit is served.  Loaders live on the
+        # series evaluate makes, so the fit memo is the only state to clear.
+        x = (VariantConfig(variant=variant, K=2, eta=10.0, epsilon=0.1, seed=3,
+                           **options), RAW_T, RAW_E)
+        ys = [(VariantConfig(variant=variant, K=2, eta=eta, epsilon=0.1, seed=4,
+                             **options), RAW_T + 1.0, RAW_E[::-1].copy())
+              for eta in (10.0, 5.0)]
+
+        def fresh(case):
+            classical._fitted_b.cache_clear()
+            return evaluate(*case).to_dict()
+
+        want_x = fresh(x)
+        want_ys = [fresh(y) for y in ys]
+        for y, want_y in zip(ys, want_ys):
+            assert evaluate(*x).to_dict() == want_x
+            assert evaluate(*y).to_dict() == want_y
+            assert evaluate(*x).to_dict() == want_x
 
 
 def _recorded_widths(monkeypatch):

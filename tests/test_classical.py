@@ -120,6 +120,21 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_polynomial(DEFAULT_PARAMS, 0.0, 3, "spline")
 
+    @pytest.mark.parametrize("mode, domain", [("taylor", None),
+                                              ("least_squares", [-15.0, 30.0])])
+    def test_fit_is_memoised_and_read_only(self, mode, domain):
+        # equal arguments share one b (a list domain is keyed as a tuple),
+        # and neither writing into b nor replacing it reaches the memo
+        first = fit_polynomial(DEFAULT_PARAMS, 3.0, 3, mode, domain)
+        kept = first.b.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            first.b[0] = 0.0
+        first.b = np.zeros(4)
+        again = fit_polynomial(DEFAULT_PARAMS, 3.0, 3, mode, domain)
+        assert again is not first
+        assert again.b.tobytes() == kept.tobytes()
+        assert again.b is fit_polynomial(DEFAULT_PARAMS, 3.0, 3, mode, domain).b
+
     @pytest.mark.parametrize("mode", ["taylor", "least_squares"])
     def test_negative_degree_rejected(self, mode):
         # taylor once returned b = [] for K = -1, and only NumPy's polyfit

@@ -128,6 +128,7 @@ class TestZeroBranch:
         pc = qhp.power_circuit(normalize(raw, 0.0), k, style, encoding=encoding, s=s)
         assert pad in (0, pc.loader.width + 1)
         prep, state = inner._zero_branch(pc, pad)
+        assert "circuit" not in vars(pc)  # pc's gates are never built for it
         ref_prep, ref = helpers.full_zero_branch(pc, pad)
         assert (state.n_qubits, state.live) == (ref.n_qubits, ref.live)
         assert np.array_equal(state.amplitudes, ref.amplitudes)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta as beta_dist
 
-from helpers import grover_probability_after, qpe_distribution_reference
+from helpers import (grover_probability_after, qpe_distribution_reference,
+                     recorded_calls)
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.qae import (GroverOracle, QaeConfig, _clopper_pearson,
                       _qpe_distribution, build_oracle_variant_c,
@@ -234,6 +235,34 @@ class TestVariantOracles:
         assert u.z_exact() == pytest.approx(0.5 * (y_tilde + a_inv_sq),
                                             abs=1e-10)
         assert u_prime.z_exact() == pytest.approx(a_inv_sq, abs=1e-10)
+
+
+class TestSharedPreparation:
+    """Variant d's U and U' prepare one chi: IQAE simulates it once per k
+    and builds no F^dag; canonical QAE iterates a copy of it."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_iqae_variant_d_one_chi_no_inverse(self, monkeypatch, k):
+        applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
+        inverted = recorded_calls(monkeypatch, Circuit, "inverse")
+        estimate_ytilde_variant_d(*sqrt_series_pair(), k, 1, 0.1, 0.9,
+                                  QaeConfig(), RngStream(0))
+        assert len(applied) == 1
+        assert inverted == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_canonical_after_shared_chi_matches_reference(self, k):
+        u, u_prime = build_oracles_variant_d(*sqrt_series_pair(), k, 1)
+        z, z_prime = u.z_exact(), u_prime.z_exact()
+        for i, oracle in enumerate((u, u_prime)):
+            fresh = build_oracles_variant_d(*sqrt_series_pair(), k, 1)[i]
+            got = _qpe_distribution(oracle, 6)
+            assert got.tobytes() == _qpe_distribution(fresh, 6).tobytes()
+            np.testing.assert_allclose(got, qpe_distribution_reference(fresh, 6),
+                                       rtol=0, atol=1e-12)
+        # the Grover iterates ran on copies: the shared chi is untouched
+        assert (u.z_exact(), u_prime.z_exact()) == (z, z_prime)
+        assert u.chi() is not u.chi()
 
 
 class TestVariantEstimators:

@@ -159,6 +159,22 @@ class TestPowerStates:
         a_k = norm_constant_ak(series, k)
         assert prob == pytest.approx(a_k**-2, abs=1e-12)
 
+    @pytest.mark.parametrize("style, rounds", [
+        ("mid_reset", [(0, 1), (0, 2), (0, 3), (0, 4)]),
+        ("no_mid_reset", [(0, 1), (2, 3), (0, 2), (0, 4)])])
+    def test_circuit_loads_then_cnot_rounds(self, style, rounds):
+        # k = 5: every block loaded, then one CNOT layer per round from the
+        # control block's primary to the target's; block 0 survives
+        loader = make_loader(series_fixture(4, 3))
+        pc = build_power_circuit(PowerPlan(k=5, style=style), loader)
+        blocks = [(2 * b, 2 * b + 1) for b in range(5)]
+        loads = [(kind, tuple(2 * b + q for q in qubits), payload)
+                 for b in range(5) for kind, qubits, payload in loader.circuit.gates]
+        layers = [("layer", blocks[c] + blocks[t], None) for c, t in rounds]
+        assert pc.circuit.gates == loads + layers
+        assert (pc.width, pc.primary) == (10, blocks[0])
+        assert pc.measured == [blocks[t] for _c, t in rounds]
+
     def test_invalid_plan(self):
         with pytest.raises(ValueError):
             PowerPlan(k=0, style="no_mid_reset")
