@@ -161,10 +161,9 @@ def _per_k_resources(config, k, n):
     # outcome onto; the simulator reflects about that outcome in place and
     # allocates one qubit fewer.  Golden digests pin these rows.
     if config.variant in ("a", "b"):
-        # a reports the mid_reset swap-test row, 2n + 1: its estimator builds
-        # no_mid_reset, but writes the power state's zero branch on the
-        # survivor alone, so the swap test on the survivor, E's register and
-        # the ancilla is its widest state at every k
+        # a reports the mid_reset swap-test row, 2n + 1: the state of its
+        # k = 1 swap test, the only one it simulates; at k >= 2 it reads the
+        # consumed branch in closed form and allocates nothing
         style, swap = (("mid_reset", True) if config.variant == "a"
                        else (config.style, False))
         return {"width": qhp.width_formula(k, style, swap, n),

@@ -161,35 +161,10 @@ class AmplitudeLoader:
 
     @cached_property
     def adjoint(self):
-        """The loader's inverse circuit, built on first use and kept: an
-        ancilla-free readout unloads this register at every power."""
+        """The loader's inverse circuit, built on first use and kept: every
+        ancilla-free readout of this register (b at k = 1, c's oracle at
+        each power) appends it."""
         return self.circuit.inverse()
-
-    @cached_property
-    def _factors(self):
-        """(u00, u10) of each level's Ry, root first, one row per tree node."""
-        return [(np.reshape(u00, (-1, 1)), np.reshape(u10, (-1, 1)))
-                for _kind, _qubits, (u00, _u01, u10, _u11) in self.circuit.gates]
-
-    def fold(self, values):
-        """Load this register onto qubits in |0> above real amplitudes, in
-        place: multiply each entry of `values` by the factor of each tree
-        level on the path of its leading index, root first, one product per
-        level (u00 where the path bit is 0, u10 where it is 1).
-
-        Row x of `values` holds the amplitudes whose register reads x, and
-        the loader's Ry gates would give it exactly these products: each
-        acts on a qubit in |0>, so u00*a0 + u01*a1 adds an exact zero, and a
-        real amplitude times c + 0j rounds as the real product.  A zero may
-        differ in sign.  The factors are the gates' own payloads, and the
-        products are taken level by level, as the gates apply them;
-        multiplying by the loaded state instead rounds differently.
-        """
-        for level, (u00, u10) in enumerate(self._factors):
-            nodes = values.reshape(1 << level, 2, -1)
-            nodes[:, 0] *= u00
-            nodes[:, 1] *= u10
-        return values
 
 
 def boe_width(n_leaves, s):

@@ -1,32 +1,26 @@
 """Inner-product circuits, shot estimators and sample-size calculators.
 
 Measurement statistics are drawn from the exact Born distribution of the
-simulated circuit (binomial/multinomial sampling over the final outcome
-categories), which is equivalent to shot-by-shot execution of the
-deferred-measurement circuit.
+readout (binomial/multinomial sampling over the final outcome categories),
+which is equivalent to shot-by-shot execution of the deferred-measurement
+circuit.
 
 Every consumed power register Z is post-selected on 0 before the readout,
 and the readout gates (the swap test, or U_E^dagger on the survivor) never
-touch it.  So the readout runs only on the unnormalised branch where Z
-reads 0.
+touch it, so each readout is fixed by the branch where Z reads 0.  With
+k >= 2 that branch's probabilities are read in closed form, as O(N) sums
+over the normalised values, with y_k = sum_j E_j T_j^k:
 
-The bits are those of the full deferred-measurement state.  Each Ry of a
-tree or BOE loader acts on a qubit in |0>, so u00*a0 + u01*a1 adds an exact
-zero and every loaded amplitude is a left fold of rotation factors; swaps
-and CNOTs move amplitudes and do no arithmetic.  The full state's diagonal
-(x, x, ..., x) is the fold over blocks 0, 1, ..., k-1 in that order.  For
-amplitude encoding the branch is computed as that fold, k folds of x's path
-factors (AmplitudeLoader.fold) starting from 1, and the swap test's E
-register is written above it by E's fold of each branch amplitude; only the
-readout gates (U_E^dagger, or H, cswap, H) run on the statevector.  With
-n = lg N, variant b allocates n qubits and variant a 2n + 1, rather than
-k n and (k + 1) n + 1.  A BOE block keeps its side qubits on the branch,
-whose fold is not a product over the primary's path, so the BOE branch is
-built as the paper's dynamic circuit runs it: load block 0, then per round
-load the next block above the branch, CNOT the survivor's primary into it
-and keep the branch where it reads 0.  That chain computes the same fold.
-For a BOE block of width w and k >= 2 it allocates at most k w - (k - 2) n
-qubits and its swap test (k + 1) w - (k - 1) n + 1.
+* P(Z=0) = a_k^-2 = sum_j T_j^{2k};
+* the ancilla-free readout (variant b) succeeds with y_k^2;
+* the swap test (variant a) reads Z=0 and ancilla 0 with
+  (a_k^-2 + y_k^2) / 2;
+* the BOE swap test reads the same pair on the sqrt-normalised values,
+  with sum_j E_j^2 T_j^{2k} in place of y_k^2: the side states are
+  orthonormal, so the swap only sees the diagonal of each primary.
+
+At k = 1 nothing is consumed, and the readout circuit (the power circuit
+followed by U_E^dagger or by the swap test) runs on the statevector.
 """
 
 import math
@@ -127,93 +121,45 @@ def build_ancilla_free(prep_a, loader_b):
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _folds(loader):
-    """Whether `loader` has no side register (amplitude encoding), so that
-    loading it onto qubits in |0> above a real branch is its fold."""
-    return loader.width == len(loader.primary)
+def _consumed_branch(series_T, series_E, k, boe=False):
+    """(P(Z=0), overlap) of the branch where every consumed register Z
+    reads 0, for k >= 2: sum_j T_j^{2k}, and y_k^2, or with BOE
+    sum_j E_j^2 T_j^{2k} (module docstring)."""
+    t, e = series_T.values, series_E.values
+    p_z0 = float(np.sum(t ** (2 * k)))
+    overlap = np.sum(e * e * t ** (2 * k)) if boe else np.dot(e, t ** k) ** 2
+    return p_z0, float(overlap)
 
 
-def _written(loader, width, primary):
-    """A prep with no gates, for a register already written on the state."""
-    return qhp.PowerCircuit(width=width, primary=primary, measured=[], loader=loader)
-
-
-def _zero_branch(pc, pad):
-    """(prep, state) for a readout that runs after power circuit pc and acts
-    on the survivor and on `pad` qubits above the branch.
-
-    With consumed registers, state is pc's unnormalised branch where every
-    consumed register reads 0: the remaining qubits in ascending order,
-    zero-padded by `pad` qubits, allocated before any work so that the width
-    guard refuses an oversized request first.  For a loader with no side
-    register that branch is k folds (AmplitudeLoader.fold) of a ones vector,
-    written into the padded state.  A BOE branch is built as a chain of
-    k - 1 rounds (qhp.chain_round) on the branch so far, each round loading
-    one block above it, CNOT-ing the survivor's primary into that block's
-    primary and keeping the branch where that primary reads 0, so no state
-    holds more than one block beyond the branch.  prep is that branch's
-    power circuit, with no gates and no consumed register.  The survivor is
-    block 0, below every consumed register, so its primary keeps its qubits
-    on the branch.  With no consumed register (k = 1) the branch is the
-    whole power state: prep is pc, whose gates the readout circuit runs
-    first, and state is |0> at the padded width.
-    """
-    if not pc.measured:
-        return pc, Statevector.zero(pc.width + pad)
-    loader = pc.loader
-    bw = loader.width
-    rounds = len(pc.measured)
-    if _folds(loader):
-        st = Statevector.zero(bw + pad)
-        branch = st.amplitudes[:1 << bw].real
-        branch[...] = 1.0
-        for _ in range(rounds + 1):
-            loader.fold(branch)
-        st.live = bw
-        return _written(loader, bw, pc.primary), st
-    st = loader.circuit.apply_unitary(Statevector.zero(2 * bw))
-    width = bw
-    for t in range(1, rounds + 1):
-        step, reg = qhp.chain_round(loader, width, width + bw)
-        step.apply_unitary(st)
-        width += bw - len(reg)
-        st = sim.branch(st, reg, 0, width + (bw if t < rounds else pad))
-    return _written(loader, width, pc.primary), st
-
-
-def _ancilla_free_readout(pc, loader_b):
-    """P(every register reads 0) after QHP and U_B^dagger on the survivor:
-    |amplitude 0|^2 of the Z=0 branch, Z being every consumed register."""
-    prep, st = _zero_branch(pc, 0)
-    build_ancilla_free(prep, loader_b).apply_unitary(st)
+def _ancilla_free_readout(series_T, series_E, k, style):
+    """P(every register reads 0) after QHP and U_E^dagger on the survivor:
+    y_k^2."""
+    if k > 1:
+        qhp.PowerPlan(k=k, style=style)  # refuses an unknown style at every k
+        return _consumed_branch(series_T, series_E, k)[1]
+    pc = qhp.power_circuit(series_T, 1, style)
+    st = build_ancilla_free(pc, qhp.make_loader(series_E)).apply_unitary(
+        Statevector.zero(pc.width))
     return float(abs(st.amplitudes[0]) ** 2)
 
 
-def _swap_readout(pc, e_loader):
-    """(P(Z=0), P(Z=0 and ancilla=0)) for QHP followed by a swap test against
-    `e_loader`, where Z is every consumed register.  The swap test runs on
-    the Z=0 branch padded with the E register and the ancilla, so P(Z=0) is
-    that state's total probability.  When E's loader folds, its register is
-    written above the branch in place (amp[e, x] is E's fold of branch[x]
-    along e's path) and the test runs H, cswap, H with no E gates."""
-    prep, st = _zero_branch(pc, e_loader.width + 1)
-    if pc.measured and _folds(e_loader):
-        wa, wb = prep.width, e_loader.width
-        rows = st.amplitudes[:1 << (wa + wb)].reshape(1 << wb, 1 << wa).real
-        rows[1:] = rows[0]
-        e_loader.fold(rows)
-        st.live = wa + wb
-        e_loader = _written(e_loader, wb, e_loader.primary)
-    test = build_swap_test(prep, e_loader)
-    test.circuit.apply_unitary(st)
-    p_z0 = sim.probability_of_bits(st, (), 0) if pc.measured else 1.0
-    return p_z0, sim.probability_of_bits(st, (test.ancilla,), 0)
+def _swap_readout(series_T, series_E, k, encoding="amplitude", s=1):
+    """(P(Z=0), P(Z=0 and ancilla=0)) for QHP followed by a swap test
+    against E's loader, where Z is every consumed register."""
+    e_loader = qhp.make_loader(series_E, encoding, s)  # refuses a bad split level
+    if k > 1:
+        p_z0, overlap = _consumed_branch(series_T, series_E, k, encoding == "boe")
+        return p_z0, (p_z0 + overlap) / 2
+    test = build_swap_test(qhp.power_circuit(series_T, 1, encoding=encoding, s=s),
+                           e_loader)
+    st = test.circuit.apply_unitary(Statevector.zero(test.width))
+    return 1.0, sim.probability_of_bits(st, (test.ancilla,), 0)
 
 
-def _qhp_swap_probabilities(pc, e_loader):
+def _qhp_swap_probabilities(series_T, series_E, k, encoding="amplitude", s=1):
     """Multinomial pvals of QHP followed by a swap test, over the outcomes
     (Z=0, ancilla=0), (Z=0, ancilla=1) and Z!=0."""
-    p_z0, p_z0_x0 = _swap_readout(pc, e_loader)
+    p_z0, p_z0_x0 = _swap_readout(series_T, series_E, k, encoding, s)
     pvals = np.clip([p_z0_x0, max(p_z0 - p_z0_x0, 0.0), max(1.0 - p_z0, 0.0)],
                     0.0, None)
     return pvals / pvals.sum()
@@ -226,8 +172,7 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
     X_i = 1 iff every measured register and the survivor read all zeros;
     the per-shot success probability is exactly y_k^2.
     """
-    pc = qhp.power_circuit(series_T, k, style)
-    p = _ancilla_free_readout(pc, qhp.make_loader(series_E))
+    p = _ancilla_free_readout(series_T, series_E, k, style)
 
     S = shots if shots is not None else _shots_p_free(epsilon, alpha)
     S = max(MIN_SHOTS, S)
@@ -245,9 +190,7 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
     max{4, a_k^-2 y^-2} eps^-2 [Phi^-1((3+alpha)/4)]^2; the square root is
     clamped at 0 and the event recorded.
     """
-    pc = qhp.power_circuit(series_T, k)
-    e_loader = qhp.make_loader(series_E)
-    pvals = _qhp_swap_probabilities(pc, e_loader)
+    pvals = _qhp_swap_probabilities(series_T, series_E, k)
 
     def draw(S):
         c00, c01, _rest = rng.multinomial(S, pvals)
@@ -280,9 +223,7 @@ def estimate_ytilde_boe_swap(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
     """BOE + swap-test estimator for ytilde_k (no square root)."""
     if series_Tsqrt.mode != "sqrt" or series_Esqrt.mode != "sqrt":
         raise ValueError("BOE estimation requires sqrt-normalized series")
-    pc = qhp.power_circuit(series_Tsqrt, k, encoding="boe", s=s)
-    e_loader = qhp.make_loader(series_Esqrt, "boe", s)
-    pvals = _qhp_swap_probabilities(pc, e_loader)
+    pvals = _qhp_swap_probabilities(series_Tsqrt, series_Esqrt, k, "boe", s)
 
     if shots is None:
         q = phi_inverse((3.0 + alpha) / 4.0)

@@ -138,8 +138,8 @@ def _qpe_distribution(oracle, m):
     as such a product.
     """
     dim = 1 << m
+    chi = oracle._chi().amplitudes  # shared and never written; st is the copy
     st = oracle.chi()
-    chi = st.amplitudes.copy()
     q_chi = oracle.grover(st).amplitudes.copy()
     lam = np.vdot(chi, q_chi)
     r_norm = np.linalg.norm(q_chi - lam * chi)

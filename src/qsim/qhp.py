@@ -11,19 +11,17 @@ Two execution styles:
   equivalent because consumed registers are post-selected to |0>.
 
 Conditional on every tagged register measuring 0, the surviving primary
-register holds the normalized power state a_k * T_j^k.  Both styles keep
-block 0 as the survivor, so that branch is also the end of a chain of
-rounds (chain_round): load the next copy above the survivor, CNOT the
-survivor's primary into the copy's primary, keep the branch where the copy
-reads 0.  run_with_dynamic_stopping runs amplitude encoding that way, on two
-registers, and the inner-product readouts simulate the BOE power state so.
-For amplitude encoding the readouts compute that branch as a fold of the
-loader's rotation factors and run no chain_round.  Both have the bits of
-the full deferred-measurement state's branch; qsim.inner gives the argument.
+register holds the normalized power state a_k * T_j^k, reached with
+probability a_k^-2 = sum_j T_j^{2k}.  Both styles keep block 0 as the
+survivor, so that branch is also the end of a chain of rounds
+(chain_round): load the next copy above the survivor, CNOT the survivor's
+primary into the copy's primary, keep the branch where the copy reads 0.
+run_with_dynamic_stopping runs amplitude encoding that way, on two
+registers.  The inner-product readouts of a consumed branch (k >= 2) use
+its closed form and build no power circuit; qsim.inner gives them.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,30 +57,10 @@ class QhpOutcome:
 
 @dataclass
 class PowerCircuit:
-    """`loads` copies of `loader`, block b on qubits b w .. (b + 1) w - 1,
-    then one CNOT layer per round, from the control block's primary to the
-    target block's.  `circuit` is built on first read: a readout of the
-    consumed branch computes that branch from the loader and never runs it.
-    """
-
     width: int
+    circuit: Circuit
     primary: tuple              # survivor's primary, global qubits, LSB first
     measured: list              # global primary tuple of each consumed block
-    loader: object              # the loader each block runs
-    loads: int = 0
-    rounds: tuple = ()          # (control block, target block) of each layer
-
-    @cached_property
-    def circuit(self):
-        bw = self.loader.width
-        circ = Circuit(self.width)
-        for b in range(self.loads):
-            circ.extend(self.loader.circuit.remapped(range(b * bw, (b + 1) * bw),
-                                                     self.width))
-        for c, t in self.rounds:
-            circ.cnot_layer(_block_primary(self.loader, c),
-                            _block_primary(self.loader, t))
-        return circ
 
 
 def _block_primary(loader, b):
@@ -122,7 +100,7 @@ def make_loader(series, encoding="amplitude", s=1):
     """The loader of `series` for `encoding` (BOE at split level s).  It is
     built on first use and kept in series.loaders, so every power circuit
     and readout on one series shares one loader, and with it the loader's
-    folds and adjoint.  Loaders and their circuits are never mutated."""
+    adjoint.  Loaders and their circuits are never mutated."""
     key = ("amplitude", None) if encoding == "amplitude" else ("boe", s)
     if key not in series.loaders:
         tree = build_tree(series)
@@ -139,13 +117,15 @@ def power_circuit(series, k, style="no_mid_reset", encoding="amplitude", s=1):
 
 
 def build_power_circuit(plan, loader):
-    """Assemble the deferred-measurement power circuit.
+    """Assemble the deferred-measurement power circuit: k copies of
+    `loader`, block b on qubits b w .. (b + 1) w - 1, then one CNOT layer
+    per round, from the control block's primary to the target block's.
 
     The circuit is unitary; consumed primaries are listed in `measured`
     and are post-selected (or measured) by the caller.  Both styles keep
     block 0 as the survivor.
     """
-    k = plan.k
+    k, bw = plan.k, loader.width
     if plan.style == "mid_reset":
         rounds = [(0, t) for t in range(1, k)]
     else:
@@ -154,9 +134,14 @@ def build_power_circuit(plan, loader):
             # pair neighbours; each pair's control and an odd block out go on
             rounds += [(active[i], active[i + 1]) for i in range(0, len(active) - 1, 2)]
             active = active[::2]
-    return PowerCircuit(width=k * loader.width, primary=_block_primary(loader, 0),
-                        measured=[_block_primary(loader, t) for _c, t in rounds],
-                        loader=loader, loads=k, rounds=tuple(rounds))
+    width = k * bw
+    circ = Circuit(width)
+    for b in range(k):
+        circ.extend(loader.circuit.remapped(range(b * bw, (b + 1) * bw), width))
+    for c, t in rounds:
+        circ.cnot_layer(_block_primary(loader, c), _block_primary(loader, t))
+    return PowerCircuit(width=width, circuit=circ, primary=_block_primary(loader, 0),
+                        measured=[_block_primary(loader, t) for _c, t in rounds])
 
 
 def chain_round(loader, base, width):

@@ -11,8 +11,7 @@ must copy() first.
 
 A Statevector records `live`, the number of low qubits outside which every
 amplitude is zero: amplitude i is zero whenever i >= 2**live.  zero() starts
-at live = 0; a state built from amplitudes starts at n_qubits, and one
-branch() returns at the width of the branch before padding; copy() keeps
+at live = 0; a state built from amplitudes starts at n_qubits; copy() keeps
 it.  While live < n_qubits, apply_unitary raises live to each gate's
 highest qubit + 1 and applies the gate to the contiguous prefix
 amplitudes[:2**live] as a live-qubit state, so loading one register
@@ -200,30 +199,6 @@ def measure(state, reg, rng):
     return outcome, state, prob
 
 
-def branch(state, qubits, value, n_qubits=None):
-    """The unnormalised branch where the register holds `value`, as a state
-    over the remaining qubits in ascending order.
-
-    The branch is zero-padded to n_qubits (by default its own width), with
-    its live prefix set to the branch width.  With an empty register and no
-    padding it is `state` itself, not a copy.
-    """
-    qubits = register_qubits(state, qubits)
-    width = state.n_qubits - len(qubits)
-    n_qubits = width if n_qubits is None else n_qubits
-    if not 0 <= value < 1 << len(qubits):
-        raise ValueError("value out of range for register")
-    if n_qubits < width:
-        raise ValueError(f"a {width}-qubit branch does not fit in {n_qubits} qubits")
-    if not qubits and n_qubits == width:
-        return state
-    view = register_view(state, qubits, value)
-    out = Statevector.zero(n_qubits)
-    out.amplitudes[:1 << width].reshape(view.shape)[...] = view
-    out.live = width
-    return out
-
-
 def postselect(state, reg, value):
     """Condition on a contiguous register reading `value` and drop it.
 
@@ -234,9 +209,10 @@ def postselect(state, reg, value):
     start, width = qubits[0], len(qubits)
     if qubits != tuple(range(start, start + width)):
         raise ValueError("postselect requires a contiguous register")
-    reduced = branch(state, qubits, value)
-    prob = checked_branch(state, qubits, value)[0]  # the sum over reduced, bit for bit
-    reduced.amplitudes /= np.sqrt(prob)
+    prob, view = checked_branch(state, qubits, value)
+    reduced = Statevector.zero(state.n_qubits - width)
+    reduced.amplitudes[:] = (view / np.sqrt(prob)).reshape(-1)
+    reduced.live = reduced.n_qubits
     return prob, reduced
 
 

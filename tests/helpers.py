@@ -6,7 +6,7 @@ np.add.at, the direct readout that qsim's strided readouts must match.
 
 import numpy as np
 
-from qsim import inner, kernels, qhp, sim
+from qsim import inner, kernels, sim
 from qsim.assembly import _pair_with_overlap
 from qsim.encoding import normalize_affine
 from qsim.sim import Statevector
@@ -77,20 +77,6 @@ def postselected_power_state(pc):
         p, st = sim.project_bits(st, reg, 0)
         prob *= p
     return prob, st
-
-
-def full_zero_branch(pc, pad):
-    """(prep, state) as inner._zero_branch returns them, read off the whole
-    power state: pc simulated at its full width, then one branch where every
-    consumed register reads 0, zero-padded by `pad` qubits."""
-    if not pc.measured:
-        return pc, Statevector.zero(pc.width + pad)
-    z_qubits = tuple(q for reg in pc.measured for q in reg)
-    width = pc.width - len(z_qubits)
-    st = pc.circuit.apply_unitary(Statevector.zero(pc.width))
-    survivor = qhp.PowerCircuit(width=width, primary=pc.primary, measured=[],
-                                loader=pc.loader)
-    return survivor, sim.branch(st, z_qubits, 0, width + pad)
 
 
 def survivor_amplitudes(pc, state):

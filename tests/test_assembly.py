@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import recorded_calls
-from qsim import assembly, classical, encoding, inner, sim
+from qsim import assembly, classical, encoding, inner, qhp, sim
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            constant_term_y0, delta_gross_margin, evaluate,
                            resource_report, run_experiment)
 from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
-from qsim.encoding import normalize_affine
+from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.errors import AssumptionError
 from qsim.qae import QaeConfig
 from qsim.sim import RngStream, Statevector
@@ -231,9 +231,10 @@ def _recorded_widths(monkeypatch):
 
 
 class TestReadoutWidth:
-    """a and b write the power state's zero branch as folds of the loader's
-    rotation factors and run their readouts on that branch: b's widest state
-    is the survivor alone, a's the survivor, E's register and the ancilla."""
+    """a and b read each consumed branch (k >= 2) in closed form and
+    simulate only their k = 1 readout: b's widest state is U_E^dagger on
+    the survivor, a's the swap test on the survivor, E's register and the
+    ancilla."""
 
     @pytest.mark.parametrize("variant, K, widest", [
         ("b", 3, 4),           # n: U_B^dagger on the survivor
@@ -247,20 +248,35 @@ class TestReadoutWidth:
         evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
         assert max(widths) == widest
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_variant_a_width_row_is_widest_state(self, monkeypatch, k):
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_variant_a_width_row_is_widest_state(self, monkeypatch, K):
+        # every row of a reports the state of its k = 1 swap test, the
+        # widest (and only) state one evaluate of a allocates
         rng = np.random.default_rng(7)
-        t = normalize_affine(rng.uniform(12.0, 28.0, 16), 10.0)
-        e = normalize_affine(rng.uniform(20.0, 40.0, 16), 0.0)
-        row = assembly._per_k_resources(VariantConfig(variant="a", K=3), k, 4)
+        cfg = VariantConfig(variant="a", K=K, eta=10.0, epsilon=0.1, seed=8)
         widths = _recorded_widths(monkeypatch)
-        inner.estimate_yk_swap(t, e, k, 0.1, 0.9, RngStream(8), shots=100)
-        assert row["width"] == max(widths)
+        report = evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
+        assert {row["width"] for row in report.per_k[1:]} == {max(widths)}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_consumed_powers_allocate_nothing(self, monkeypatch, k):
+        rng = np.random.default_rng(9)
+        t_raw, e_raw = rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16)
+        t, e = normalize_affine(t_raw, 10.0), normalize_affine(e_raw, 0.0)
+        t_sqrt, e_sqrt = normalize_sqrt(t_raw, 10.0), normalize_sqrt(e_raw, 0.0)
+        widths = _recorded_widths(monkeypatch)
+        builds = recorded_calls(monkeypatch, qhp, "build_power_circuit")
+        inner.estimate_yk_variant_ab(t, e, k, "no_mid_reset", 0.1, 0.9, RngStream(1),
+                                     shots=100)
+        inner.estimate_yk_swap(t, e, k, 0.1, 0.9, RngStream(2), shots=100)
+        inner.estimate_ytilde_boe_swap(t_sqrt, e_sqrt, k, 1, 0.1, 0.9, RngStream(3),
+                                       shots=100)
+        assert (widths, builds) == ([], [])
 
     @pytest.mark.parametrize("variant", ["a", "b"])
     def test_degree_3_at_1024_points(self, variant):
-        # the k = 3 power state alone has 30 qubits (16 GiB); the chain
-        # allocates at most 21
+        # the k = 3 power state alone has 30 qubits (16 GiB); k = 2 and 3
+        # are read in closed form, and a's k = 1 swap test allocates 21
         rng = np.random.default_rng(5)
         cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)
         report = evaluate(cfg, rng.uniform(12.0, 28.0, 1024),
@@ -270,8 +286,8 @@ class TestReadoutWidth:
 
     @pytest.mark.parametrize("variant", ["b"])
     def test_degree_3_at_65536_points(self, variant):
-        # the k = 3 power state alone has 48 qubits; the fold and the readout
-        # run on the 16-qubit survivor
+        # the k = 3 power state alone has 48 qubits; k = 2 and 3 are read in
+        # closed form, and the k = 1 readout runs on the 16-qubit survivor
         rng = np.random.default_rng(5)
         t, e = rng.uniform(12.0, 28.0, 1 << 16), rng.uniform(20.0, 40.0, 1 << 16)
         cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)

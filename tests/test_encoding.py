@@ -85,73 +85,6 @@ class TestAmplitudeLoader:
         np.testing.assert_allclose(probs, vals**2, atol=1e-10)
 
 
-def _loaded_above(loader, branch, cnot=False):
-    """The loader's circuit run on qubits in |0> above a live branch of real
-    amplitudes: the amplitudes as a (2^n, len(branch)) array, register value
-    first.  With `cnot` the branch's primary is then CNOT-ed into the loaded
-    register and the branch where that register reads 0 is returned, one QHP
-    round: a vector over the branch's register values."""
-    m, n = len(branch).bit_length() - 1, loader.width
-    state = Statevector.zero(m + n)
-    state.amplitudes[:len(branch)] = branch
-    state.live = m
-    circ = loader.circuit.remapped(range(m, m + n), m + n)
-    if cnot:
-        circ.cnot_layer(range(m), range(m, m + n))
-    circ.apply_unitary(state)
-    if cnot:
-        return sim.branch(state, range(m, m + n), 0).amplitudes
-    return state.amplitudes.reshape(1 << n, len(branch))
-
-
-def _random_branch(rng, size):
-    """Random real amplitudes, about one in eight of them +0.0 or -0.0."""
-    out = rng.normal(size=size)
-    zero = rng.random(size) < 0.125
-    out[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
-    return out
-
-
-class TestFold:
-    """AmplitudeLoader.fold has the bits of the loader's gates run on qubits
-    in |0> above a live branch (a zero may differ in sign)."""
-
-    @given(n=st.integers(1, 6), m=st.integers(1, 6), zero_child=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_fold_matches_loader_circuit(self, n, m, zero_child, seed):
-        rng = np.random.default_rng(seed)
-        vals = rng.uniform(0.5, 3.0, size=1 << n)
-        if zero_child:  # a zero child gives an Ry angle of 0 or pi
-            vals[rng.random(vals.size) < 0.5] = 0.0
-        loader = load_amplitude(build_tree(vals))
-
-        # one QHP round: the branch over the loader's own register
-        branch = _random_branch(rng, 1 << n)
-        ref = _loaded_above(loader, branch, cnot=True)
-        assert np.all(ref.imag == 0.0)
-        assert np.array_equal(loader.fold(branch.copy()), ref.real)
-
-        # a register written above a branch of m qubits
-        branch = _random_branch(rng, 1 << m)
-        ref = _loaded_above(loader, branch)
-        rows = np.tile(branch, (1 << n, 1))
-        assert np.all(ref.imag == 0.0)
-        assert np.array_equal(loader.fold(rows), ref.real)
-
-    def test_fold_is_not_the_loaded_state_times_the_branch(self):
-        # amp[e, x] = ((branch[x] * f0(e)) * f1(e)), as the gates round it;
-        # branch[x] * (f0(e) * f1(e)) differs in the last bit at e = 1
-        loader = load_amplitude(build_tree([1.0, 2.0, 3.0, 4.0]))
-        branch = np.array([0.1, 0.3])
-        ref = _loaded_above(loader, branch).real
-        assert np.array_equal(loader.fold(np.tile(branch, (4, 1))), ref)
-        loaded = loader.fold(np.ones(4))
-        kron = loaded[:, None] * branch[None, :]
-        assert ref[1, 0] == 0.03651483716701107
-        assert kron[1, 0] == 0.036514837167011066
-
-
 class TestBoe:
     @pytest.mark.parametrize("n_vals,s", [(4, 1), (4, 2), (16, 1), (16, 2),
                                           (16, 3), (16, 4)])

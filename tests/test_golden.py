@@ -93,7 +93,8 @@ def _boe_swap(k, s, shots, seed):
                                          RngStream(seed), shots=shots)
     pc = qhp.power_circuit(series_t, k, encoding="boe", s=s)
     e_loader = qhp.make_loader(series_e, "boe", s)
-    c00, c01, _ = RngStream(seed).multinomial(shots, inner._qhp_swap_probabilities(pc, e_loader))
+    c00, c01, _ = RngStream(seed).multinomial(
+        shots, inner._qhp_swap_probabilities(series_t, series_e, k, "boe", s))
     p_z0, p_z0_x0 = helpers.swap_probabilities(pc, e_loader)
     return {**dataclasses.asdict(est), "epsilon": 0.1, "alpha": 0.9,
             "tallies": {"zz_and_x0": int(c00), "zz_and_x1": int(c01), "shots": shots,

@@ -115,9 +115,33 @@ def _branch_cases():
     return cases
 
 
+def _chain_branch(loader, k, pad):
+    """(P(Z=0), state) of a chain of k - 1 QHP rounds (qhp.chain_round)
+    after block 0's load, each round's register projected on 0, on `pad`
+    extra qubits left in |0>.  Amplitude encoding reloads one copy block,
+    as dynamic stopping does; BOE keeps every block, whose side qubits stay
+    entangled with the survivor."""
+    bw = loader.width
+    blocks = 2 if loader.width == len(loader.primary) else k
+    width = min(blocks, k) * bw + pad
+    st = loader.circuit.remapped(range(bw), width).apply_unitary(
+        Statevector.zero(width))
+    prob = 1.0
+    for t in range(1, k):
+        base = bw if blocks == 2 else t * bw
+        step, reg = qhp.chain_round(loader, base, width)
+        step.apply_unitary(st)
+        p, st = sim.project_bits(st, reg, 0)
+        prob *= p
+    return prob, st
+
+
 class TestZeroBranch:
-    """The chain of rounds gives the zero branch of the whole power state,
-    bit for bit: every amplitude is the same fold of rotation factors."""
+    """The branch where every consumed register reads 0, which the k >= 2
+    readouts take in closed form: on the whole power state, padded by the
+    readout's qubits, and at the end of a chain of rounds it is reached with
+    P(Z=0) = sum_j T_j^{2k}, its survivor's primary reads j with
+    T_j^{2k} / P(Z=0), and the padding still reads 0."""
 
     @pytest.mark.parametrize("encoding, k, N, style, s, pad", _branch_cases())
     @given(seed=st.integers(0, 2**32 - 1))
@@ -125,19 +149,32 @@ class TestZeroBranch:
     def test_chain_equals_full_state(self, encoding, k, N, style, s, pad, seed):
         raw = np.random.default_rng(seed).uniform(0.5, 3.0, N)
         normalize = normalize_affine if encoding == "amplitude" else normalize_sqrt
-        pc = qhp.power_circuit(normalize(raw, 0.0), k, style, encoding=encoding, s=s)
-        assert pad in (0, pc.loader.width + 1)
-        prep, state = inner._zero_branch(pc, pad)
-        assert "circuit" not in vars(pc)  # pc's gates are never built for it
-        ref_prep, ref = helpers.full_zero_branch(pc, pad)
-        assert (state.n_qubits, state.live) == (ref.n_qubits, ref.live)
-        assert np.array_equal(state.amplitudes, ref.amplitudes)
-        assert (prep.width, prep.primary) == (ref_prep.width, ref_prep.primary)
+        series = normalize(raw, 0.0)
+        loader = qhp.make_loader(series, encoding, s)
+        pc = qhp.power_circuit(series, k, style, encoding=encoding, s=s)
+        assert pad in (0, loader.width + 1)
+        width = pc.width + pad
+        full = pc.circuit.remapped(range(pc.width), width).apply_unitary(
+            Statevector.zero(width))
+        z_qubits = tuple(q for reg in pc.measured for q in reg)
+        p_full, full = sim.project_bits(full, z_qubits, 0)
+        p_chain, chain = _chain_branch(loader, k, pad)
+
+        t2k = series.values ** (2 * k)
+        p_z0 = inner._consumed_branch(series, series, k)[0] if k > 1 else 1.0
+        np.testing.assert_allclose([p_full, p_chain], p_z0, rtol=0.0, atol=1e-12)
+        for state in (full, chain):
+            np.testing.assert_allclose(sim.marginal_probabilities(state, pc.primary),
+                                       t2k / p_z0, rtol=0.0, atol=1e-12)
+            pad_qubits = range(state.n_qubits - pad, state.n_qubits)
+            assert sim.probability_of_bits(state, pad_qubits, 0) == pytest.approx(
+                1.0, abs=1e-12)
 
 
 class TestBranchReadouts:
-    """The readouts run on the branch where every consumed register reads 0;
-    the full deferred-measurement circuit is the reference, bit for bit."""
+    """At k = 1 the readouts run the full circuit, bit for bit.  At k >= 2
+    they read the branch where every consumed register reads 0 in closed
+    form; the full deferred-measurement circuit checks them to 1e-12."""
 
     @pytest.mark.parametrize("kind, k, N, style, s", _readout_cases())
     @given(seed=st.integers(0, 2**32 - 1))
@@ -156,11 +193,16 @@ class TestBranchReadouts:
         if kind == "b":
             full = build_ancilla_free(pc, e_loader).apply_unitary(
                 Statevector.zero(pc.width))
-            assert inner._ancilla_free_readout(pc, e_loader) == float(
-                abs(full.amplitudes[0]) ** 2)
+            got = inner._ancilla_free_readout(t, e, k, style)
+            want = float(abs(full.amplitudes[0]) ** 2)
         else:
-            assert inner._swap_readout(pc, e_loader) == helpers.swap_probabilities(
-                pc, e_loader)
+            encoding = "boe" if kind == "boe" else "amplitude"
+            got = inner._swap_readout(t, e, k, encoding, s)
+            want = helpers.swap_probabilities(pc, e_loader)
+        if k == 1:
+            assert got == want
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestEstimators:
@@ -196,6 +238,26 @@ class TestEstimators:
         y = float(np.sum(t.values ** (2 * k) * e.values**2))
         assert abs(est.y_hat - y) < 0.03
         assert est.method == "boe_swap"
+
+    def test_boe_swap_at_64_points(self):
+        # the k = 2 branch is read in closed form; built as a chain of BOE
+        # loads it would need 69-qubit blocks
+        rng = np.random.default_rng(11)
+        t = normalize_sqrt(rng.uniform(12.0, 28.0, 64), 10.0)
+        e = normalize_sqrt(rng.uniform(20.0, 40.0, 64), 0.0)
+        est = estimate_ytilde_boe_swap(t, e, 2, 1, 0.05, 0.9, RngStream(12))
+        y = float(np.sum(e.values**2 * t.values**4))
+        assert np.isfinite(est.y_hat)
+        assert abs(est.y_hat - y) < 0.05
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bad_style_and_split_level_rejected(self, k):
+        t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
+        e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+        with pytest.raises(ValueError, match="unknown style"):
+            estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
+        with pytest.raises(ValueError, match="split level"):
+            estimate_ytilde_boe_swap(t, e, k, 3, 0.1, 0.9, RngStream(0))
 
     def test_boe_swap_rejects_affine_series(self):
         t = normalize_affine([12.0, 17.0], 10.0)

@@ -498,56 +498,6 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="contiguous"):
             sim.postselect(state, (0, 2), 0)
 
-    @given(register_cases(), st.integers(0, 2), st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_branch_matches_reference(self, case, pad, seed):
-        # the amplitudes whose register holds value, unscaled and in basis
-        # order, at the bottom of a state padded by `pad` qubits
-        n, qubits, value = case
-        state = random_state(n, seed)
-        if not 0 <= value < 1 << len(qubits):
-            with pytest.raises(ValueError, match="out of range"):
-                sim.branch(state, qubits, value)
-            return
-        width = n - len(qubits)
-        out = sim.branch(state, qubits, value, width + pad)
-        expected = state.amplitudes[helpers.register_values(n, qubits) == value]
-        assert (out.n_qubits, out.live) == (width + pad, width)
-        np.testing.assert_array_equal(bits(out.amplitudes[:1 << width]), bits(expected))
-        assert not out.amplitudes[1 << width:].any()
-        assert (out is state) == (not qubits and not pad)
-
-    def test_branch_of_non_contiguous_register(self):
-        state = random_state(3, 9)
-        out = sim.branch(state, (2, 0), 1)  # q2 = 1, q0 = 0: indices 4 and 6
-        assert out.n_qubits == 1
-        np.testing.assert_array_equal(out.amplitudes, state.amplitudes[[4, 6]])
-
-    def test_branch_is_not_renormalized(self):
-        state = random_state(4, 10)
-        out = sim.branch(state, (1, 3), 2)
-        assert sim.probability_of_bits(out, (), 0) == sim.probability_of_bits(
-            state, (1, 3), 2) < 1.0
-
-    def test_branch_padding_sets_live_prefix(self):
-        state = random_state(3, 11)
-        out = sim.branch(state, (1,), 0, 4)
-        assert (out.n_qubits, out.live) == (4, 2)
-        # a gate on a padded qubit widens the prefix as on a fresh state
-        Circuit(4).h(3).apply_unitary(out)
-        assert out.live == 4
-
-    def test_branch_of_empty_register_is_the_state(self):
-        state = random_state(3, 12)
-        assert sim.branch(state, (), 0) is state
-        padded = sim.branch(state, (), 0, 4)
-        assert padded is not state and (padded.n_qubits, padded.live) == (4, 3)
-        np.testing.assert_array_equal(padded.amplitudes[:8], state.amplitudes)
-
-    def test_branch_wider_than_target_rejected(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            sim.branch(random_state(3), (0,), 0, 1)
-
     def test_measure_statistics(self):
         state = Circuit(1).h(0).apply_unitary(Statevector.zero(1))
         rng = RngStream(11)
