@@ -123,10 +123,10 @@ def build_ancilla_free(prep_a, loader_b):
 
 def _consumed_branch(series_T, series_E, k, boe=False):
     """(P(Z=0), overlap) of the branch where every consumed register Z
-    reads 0, for k >= 2: sum_j T_j^{2k}, and y_k^2, or with BOE
-    sum_j E_j^2 T_j^{2k} (module docstring)."""
+    reads 0, for k >= 2: S_k = sum_j T_j^{2k} (qhp.success_probability),
+    and y_k^2, or with BOE sum_j E_j^2 T_j^{2k} (module docstring)."""
     t, e = series_T.values, series_E.values
-    p_z0 = float(np.sum(t ** (2 * k)))
+    p_z0 = qhp.success_probability(series_T, k)
     overlap = np.sum(e * e * t ** (2 * k)) if boe else np.dot(e, t ** k) ** 2
     return p_z0, float(overlap)
 

@@ -12,13 +12,15 @@ Two execution styles:
 
 Conditional on every tagged register measuring 0, the surviving primary
 register holds the normalized power state a_k * T_j^k, reached with
-probability a_k^-2 = sum_j T_j^{2k}.  Both styles keep block 0 as the
-survivor, so that branch is also the end of a chain of rounds
-(chain_round): load the next copy above the survivor, CNOT the survivor's
-primary into the copy's primary, keep the branch where the copy reads 0.
-run_with_dynamic_stopping runs amplitude encoding that way, on two
-registers.  The inner-product readouts of a consumed branch (k >= 2) use
-its closed form and build no power circuit; qsim.inner gives them.
+probability S_k = a_k^-2 = sum_j T_j^{2k}.  Both styles keep block 0 as the
+survivor, so that branch is also the end of a chain of rounds: load the
+next copy, CNOT the survivor's primary into the copy's primary, keep the
+branch where the copy reads 0.  A shot that has survived t - 1 rounds
+survives round t with probability S_{t+1} / S_t, so
+run_with_dynamic_stopping draws its shots from that chain and simulates one
+loaded block only.  The inner-product readouts of a consumed branch
+(k >= 2) use its closed form and build no power circuit; qsim.inner gives
+them.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import sim
 from .encoding import build_tree, load_amplitude, load_boe
-from .errors import ZeroBranchError
 from .sim import Circuit, Statevector
 
 
@@ -52,7 +53,6 @@ class QhpOutcome:
     success: bool
     rounds_executed: int   # QHP measurements actually performed
     loads: int             # serial loads m: t at the first failed round, k on success
-    state: object = None   # surviving conditional state when requested
 
 
 @dataclass
@@ -68,32 +68,26 @@ def _block_primary(loader, b):
 
 
 def norm_constant_ak(series, k):
-    """a_k = (sum_j values_j^{2k})^{-1/2}; a_1 = 1 for normalized input."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return float(np.sum(series.values ** (2 * k)) ** -0.5)
+    """a_k = S_k^{-1/2}; a_1 = 1 for normalized input."""
+    return success_probability(series, k) ** -0.5
 
 
 def success_probability(series, k):
-    """Joint probability that every QHP measurement reads 0."""
-    return norm_constant_ak(series, k) ** -2
+    """Joint probability that every QHP measurement reads 0:
+    S_k = sum_j values_j^{2k}."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return float(np.sum(series.values ** (2 * k)))
 
 
 def expected_loads(series, k):
     """Expected serial loads m(k) under dynamic stopping.
 
-    Exact chain expectation: the first t rounds all succeed with
-    probability a_{t+1}^{-2}, a shot failing at round t counts t loads,
-    full success counts k.
+    Exact chain expectation: a shot failing at round t counts t loads and
+    full success counts k, so m(k) sums P(m >= t) = P(the first t - 1
+    rounds succeed) = S_t over t = 1 .. k, where S_1 = 1.
     """
-    if k == 1:
-        return 1.0
-    succ = [norm_constant_ak(series, t) ** -2 for t in range(1, k + 1)]
-    # succ[t] = P(first t rounds succeed) = a_{t+1}^{-2}
-    total = k * succ[k - 1]
-    for t in range(1, k):
-        total += t * (succ[t - 1] - succ[t])
-    return total
+    return 1.0 + sum(success_probability(series, t) for t in range(2, k + 1))
 
 
 def make_loader(series, encoding="amplitude", s=1):
@@ -144,73 +138,29 @@ def build_power_circuit(plan, loader):
                         measured=[_block_primary(loader, t) for _c, t in rounds])
 
 
-def chain_round(loader, base, width):
-    """(circuit, register) of one QHP round on `width` qubits: load a copy of
-    `loader` onto qubits base .. base + width(loader) - 1, then CNOT the
-    survivor's primary, block 0's, into the copy's primary, the register
-    the round measures.  Block 0 must lie below `base`."""
-    reg = tuple(base + q for q in loader.primary)
-    circ = loader.circuit.remapped(range(base, base + loader.width), width)
-    return circ.cnot_layer(loader.primary, reg), reg
-
-
-def run_with_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
+def run_with_dynamic_stopping(plan, loader, shots, rng):
     """Execute mid-reset QHP shots with per-shot abort on failure.
 
-    Amplitude encoding runs on 2 registers, reloading the consumed one after
-    each successful round; BOE loads all k blocks up front and measures only
-    the primaries.  Every shot that reaches round t sees the same state, so
-    each round is simulated once and the outcomes of all shots still running
-    are drawn together; a non-zero outcome only needs sim.checked_branch on
-    its view, not a projected copy.  Shot i reads row i of one (shots, k - 1)
-    draw of uniforms, so a run's first m shots do not depend on how many
-    follow.  Shots that end alike share one QhpOutcome unless it keeps a state.
+    With p the Born distribution of one loaded block's primary, a shot that
+    has read 0 in rounds 1 .. t - 1 reads 0 in round t with probability
+    q_t = sum_j p_j^{t+1} / sum_j p_j^t, for amplitude encoding and for BOE,
+    whose side states are orthonormal.  So one block is simulated, and shot
+    i ends at the first round t whose uniform u[i, t - 1] >= q_t, or at k.
+    Shot i reads row i of one (shots, k - 1) draw of uniforms, so a run's
+    first m shots do not depend on how many follow.  Shots that end alike
+    share one QhpOutcome.
     """
     if plan.style != "mid_reset":
         raise ValueError("dynamic stopping requires the mid_reset style")
     k = plan.k
-    bw = loader.width
-
-    # steps[t - 1]: (circuit of round t, register it measures)
-    if plan.encoding == "amplitude":
-        width, preloaded = 2 * bw, 1
-        steps = [chain_round(loader, bw, width)] * (k - 1)
-    else:
-        width, preloaded = k * bw, k
-        prim = [_block_primary(loader, b) for b in range(k)]
-        steps = [(Circuit(width).cnot_layer(prim[0], prim[t]), prim[t])
-                 for t in range(1, k)]
-
-    st = Statevector.zero(width)
-    for b in range(preloaded):
-        loader.circuit.remapped(range(b * bw, (b + 1) * bw), width).apply_unitary(st)
-
-    u = rng.generator.random((shots, k - 1))
-    end = np.full(shots, k)         # the round a shot fails at, k on success
-    alive = np.arange(shots)        # shots that have read 0 in every round
-    errors = {}                     # first shot to draw a vanishing branch -> error
-    for t, (step, reg) in enumerate(steps, start=1):
-        if alive.size == 0:
-            break
-        step.apply_unitary(st)
-        cum = np.cumsum(sim.marginal_probabilities(st, reg))
-        drawn = np.minimum(np.searchsorted(cum, u[alive, t - 1] * cum[-1], side="right"),
-                           len(cum) - 1)
-        # outcome 0 comes last, so it collapses st in place for the next round
-        for outcome in np.unique(drawn)[::-1].tolist():
-            try:
-                (sim.checked_branch if outcome else sim.project_bits)(st, reg, outcome)
-            except ZeroBranchError as exc:
-                errors[int(alive[drawn == outcome][0])] = exc
-                drawn[drawn == outcome] = -1
-        end[alive[drawn > 0]] = t
-        alive = alive[drawn == 0]
-    if errors:  # as in a per-shot loop, the lowest such shot raises
-        raise errors[min(errors)]
-
+    st = loader.circuit.apply_unitary(Statevector.zero(loader.width))
+    p = sim.marginal_probabilities(st, loader.primary)
+    q = [float(np.dot(p ** t, p) / np.sum(p ** t)) for t in range(1, k)]
+    # a last column of failures makes a shot that survives every round end at k
+    fails = np.column_stack([rng.generator.random((shots, k - 1)) >= q,
+                             np.ones(shots, bool)])
     ends = [QhpOutcome(False, t, t) for t in range(k)] + [QhpOutcome(True, k - 1, k)]
-    return [QhpOutcome(True, k - 1, k, st.copy()) if keep_states and e == k else ends[e]
-            for e in end.tolist()]
+    return [ends[e] for e in (fails.argmax(axis=1) + 1).tolist()]
 
 
 def width_formula(k, style, swap, n):

@@ -27,7 +27,7 @@ no 2^n index or mask array.
 """
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,12 +51,16 @@ class RngStream:
     Identical seeds give bit-identical sample sequences.  split() derives
     independent child streams deterministically, so independent parts of a
     run, such as the power indices, can each own a stream without
-    coordination.
+    coordination.  A stream builds its generator on first use, so streams
+    that are split off but never drawn from cost no Philox state.
     """
 
     def __init__(self, seed=None, _seq=None):
         self._seq = _seq if _seq is not None else np.random.SeedSequence(seed)
-        self.generator = np.random.Generator(np.random.Philox(self._seq))
+
+    @cached_property
+    def generator(self):
+        return np.random.Generator(np.random.Philox(self._seq))
 
     def split(self, n):
         return [RngStream(_seq=s) for s in self._seq.spawn(n)]

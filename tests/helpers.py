@@ -9,7 +9,8 @@ import numpy as np
 from qsim import inner, kernels, sim
 from qsim.assembly import _pair_with_overlap
 from qsim.encoding import normalize_affine
-from qsim.sim import Statevector
+from qsim.qhp import QhpOutcome
+from qsim.sim import Circuit, Statevector
 
 # Pauli X, for Circuit.u: qsim has no X gate of its own.
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -84,6 +85,55 @@ def survivor_amplitudes(pc, state):
     amplitude-encoded power state (every other qubit is then |0>)."""
     out = np.zeros(1 << len(pc.primary), dtype=complex)
     np.add.at(out, register_values(state.n_qubits, pc.primary), state.amplitudes)
+    return out
+
+
+def chain_round(loader, base, width):
+    """(circuit, register) of one QHP round on `width` qubits: load a copy of
+    `loader` onto qubits base .. base + width(loader) - 1, then CNOT the
+    survivor's primary, block 0's, into the copy's primary, the register
+    the round measures.  Block 0 must lie below `base`."""
+    reg = tuple(base + q for q in loader.primary)
+    circ = loader.circuit.remapped(range(base, base + loader.width), width)
+    return circ.cnot_layer(loader.primary, reg), reg
+
+
+def ref_dynamic_stopping(plan, loader, shots, rng):
+    """The statevector chain that qhp.run_with_dynamic_stopping draws in
+    closed form: one (QhpOutcome, state) per shot, where state is the
+    surviving conditional state of a successful shot and None otherwise.
+
+    Shot i simulates its rounds on its own copy of the state and measures
+    each round's register on row i of one (shots, k - 1) draw of uniforms.
+    Amplitude encoding runs on 2 registers, reloading the consumed one each
+    round; BOE loads all k blocks up front and measures only the primaries.
+    A drawn outcome of vanishing probability raises ZeroBranchError."""
+    k, bw = plan.k, loader.width
+    if plan.encoding == "amplitude":
+        width, preloaded = 2 * bw, 1
+        steps = [chain_round(loader, bw, width)] * (k - 1)
+    else:
+        width, preloaded = k * bw, k
+        prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
+        steps = [(Circuit(width).cnot_layer(prim[0], prim[t]), prim[t])
+                 for t in range(1, k)]
+    base = Statevector.zero(width)
+    for b in range(preloaded):
+        loader.circuit.remapped(range(b * bw, (b + 1) * bw), width).apply_unitary(base)
+    out = []
+    for row in rng.generator.random((shots, k - 1)):
+        st = base.copy()
+        for t, (step, reg) in enumerate(steps, start=1):
+            step.apply_unitary(st)
+            cum = np.cumsum(sim.marginal_probabilities(st, reg))
+            outcome = min(int(np.searchsorted(cum, row[t - 1] * cum[-1], side="right")),
+                          len(cum) - 1)
+            sim.project_bits(st, reg, outcome)
+            if outcome:
+                out.append((QhpOutcome(False, t, t), None))
+                break
+        else:
+            out.append((QhpOutcome(True, k - 1, k), st))
     return out
 
 

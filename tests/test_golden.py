@@ -14,8 +14,10 @@ uniforms as row i of one (shots, k - 1) draw from the caller's stream:
   dynstop-boe-s1-k3
     was f1b260d40b4edcac1241d1e0b9384954d8950fba9c5ebca52297acd1d4821c0f
     now ab1279caa82c82787617134a73f20f0892903c08ea94d7cd23eda85b569191b2
-Only the draws changed; tests/test_qhp.py checks the new outcomes bit for
-bit against a per-shot loop that reads the same rows.
+Only the draws changed.  Since dynamic stopping draws its shots from the
+closed-form survival chain and keeps no states, both digests run on the
+statevector chain helpers.ref_dynamic_stopping, which reproduces them, and
+each asserts that qhp.run_with_dynamic_stopping gives the same outcomes.
 The variant-b, variant-d, canonical and BOE swap-test digests were computed
 before the readout circuits were given a single construction in
 `inner.build_swap_test` and `inner.build_ancilla_free`, and that rewrite
@@ -64,12 +66,13 @@ def _dynstop(encoding, k, s, shots, seed):
     series = normalize_affine(FIXTURE_T, ETA)
     loader = qhp.make_loader(series, encoding, s)
     plan = qhp.PowerPlan(k=k, style="mid_reset", encoding=encoding, s=s)
-    outcomes = qhp.run_with_dynamic_stopping(plan, loader, shots,
-                                             RngStream(seed), keep_states=True)
-    states = [hashlib.sha256(o.state.amplitudes.tobytes()).hexdigest()
-              for o in outcomes if o.success]
-    return {"shots": [[o.success, o.rounds_executed, o.loads] for o in outcomes],
-            "states": states}
+    ref = helpers.ref_dynamic_stopping(plan, loader, shots, RngStream(seed))
+    got = qhp.run_with_dynamic_stopping(plan, loader, shots, RngStream(seed))
+    outcomes = [[o.success, o.rounds_executed, o.loads] for o, _state in ref]
+    assert [[o.success, o.rounds_executed, o.loads] for o in got] == outcomes
+    states = [hashlib.sha256(state.amplitudes.tobytes()).hexdigest()
+              for _o, state in ref if state is not None]
+    return {"shots": outcomes, "states": states}
 
 
 def _evaluate(variant, K, seed, **options):

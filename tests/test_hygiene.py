@@ -31,9 +31,9 @@ from qsim.qae import QaeConfig  # noqa: E402
 
 # Functions and classes that only tests call, with the reason each stays.
 UNREACHED_KEPT = {
-    "ContractSpec": "the energy-contract input of delta_gross_margin (ROADMAP item 5)",
-    "delta_gross_margin": "the paper's energy-economics application (ROADMAP item 5)",
-    "expected_loads": "the dynamic-stopping load experiment (ROADMAP items 4 and 5)",
+    "ContractSpec": "the energy-contract input of delta_gross_margin (ROADMAP item 10)",
+    "delta_gross_margin": "the paper's energy-economics application (ROADMAP item 10)",
+    "expected_loads": "the dynamic-stopping load experiment (ROADMAP item 8)",
     "shots_swap": "the swap-test shot count the acceptance criteria check",
     "shots_ancilla_free": "the ancilla-free shot count the acceptance criteria check",
 }

@@ -116,11 +116,11 @@ def _branch_cases():
 
 
 def _chain_branch(loader, k, pad):
-    """(P(Z=0), state) of a chain of k - 1 QHP rounds (qhp.chain_round)
+    """(P(Z=0), state) of a chain of k - 1 QHP rounds (helpers.chain_round)
     after block 0's load, each round's register projected on 0, on `pad`
     extra qubits left in |0>.  Amplitude encoding reloads one copy block,
-    as dynamic stopping does; BOE keeps every block, whose side qubits stay
-    entangled with the survivor."""
+    as helpers.ref_dynamic_stopping does; BOE keeps every block, whose side
+    qubits stay entangled with the survivor."""
     bw = loader.width
     blocks = 2 if loader.width == len(loader.primary) else k
     width = min(blocks, k) * bw + pad
@@ -129,7 +129,7 @@ def _chain_branch(loader, k, pad):
     prob = 1.0
     for t in range(1, k):
         base = bw if blocks == 2 else t * bw
-        step, reg = qhp.chain_round(loader, base, width)
+        step, reg = helpers.chain_round(loader, base, width)
         step.apply_unitary(st)
         p, st = sim.project_bits(st, reg, 0)
         prob *= p

@@ -3,82 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
+import helpers
 from helpers import postselected_power_state, survivor_amplitudes
-from qsim import sim
 from qsim.encoding import boe_width, normalize_affine, normalize_sqrt
 from qsim.errors import ZeroBranchError
-from qsim.qhp import (PowerPlan, QhpOutcome, build_power_circuit, depth_bound,
-                      expected_loads, make_loader, norm_constant_ak,
-                      run_with_dynamic_stopping, success_probability,
-                      width_formula)
-from qsim.sim import Circuit, RngStream, Statevector
+from qsim.qhp import (PowerPlan, build_power_circuit, depth_bound, expected_loads,
+                      make_loader, norm_constant_ak, run_with_dynamic_stopping,
+                      success_probability, width_formula)
+from qsim.sim import RngStream, Statevector
 
 
 def series_fixture(n_vals=4, seed=0, eta=10.0):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(12.0, 30.0, size=n_vals)
     return normalize_affine(raw, eta)
-
-
-def measure(state, reg, uniform):
-    """Mid-circuit measurement of a register on a given uniform in [0, 1).
-
-    Returns (outcome, collapsed); the collapsed state keeps its full width.
-    """
-    cum = np.cumsum(sim.marginal_probabilities(state, reg))
-    outcome = min(int(np.searchsorted(cum, uniform * cum[-1], side="right")),
-                  len(cum) - 1)
-    _p, state = sim.project_bits(state, reg, outcome)
-    return outcome, state
-
-
-def ref_dynamic_stopping(plan, loader, shots, rng, keep_states=False):
-    """Per-shot loop that simulates every shot's rounds on its own copy of
-    the state, shot i reading row i of one (shots, k - 1) draw of uniforms;
-    run_with_dynamic_stopping must reproduce its outcomes bit for bit."""
-    k = plan.k
-    bw = loader.width
-    if plan.encoding == "amplitude":
-        width = 2 * bw
-        load_a = loader.circuit.remapped(list(range(bw)), width)
-        load_b = loader.circuit.remapped(list(range(bw, 2 * bw)), width)
-        prim_a = tuple(loader.primary)
-        prim_b = tuple(q + bw for q in loader.primary)
-        base = Statevector.zero(width)
-        load_a.apply_unitary(base)
-    else:
-        width = k * bw
-        base = Statevector.zero(width)
-        for b in range(k):
-            loader.circuit.remapped([b * bw + q for q in range(bw)],
-                                    width).apply_unitary(base)
-        prim = [tuple(b * bw + q for q in loader.primary) for b in range(k)]
-    outcomes = []
-    for row in rng.generator.random((shots, k - 1)):
-        st_ = base.copy()
-        success = True
-        rounds = 0
-        loads = 1
-        for t in range(1, k):
-            if plan.encoding == "amplitude":
-                load_b.apply_unitary(st_)
-                Circuit(width).cnot_layer(prim_a, prim_b).apply_unitary(st_)
-                reg = prim_b
-            else:
-                Circuit(width).cnot_layer(prim[0], prim[t]).apply_unitary(st_)
-                reg = prim[t]
-            outcome, st_ = measure(st_, reg, row[t - 1])
-            rounds += 1
-            loads += 1
-            if outcome != 0:
-                success = False
-                loads = t
-                break
-        outcomes.append(QhpOutcome(success=success, rounds_executed=rounds,
-                                   loads=loads,
-                                   state=st_ if (keep_states and success) else None))
-    return outcomes
 
 
 # (encoding, N, s, k) with the chain at most 16 qubits wide
@@ -88,11 +28,8 @@ DYNSTOP_CASES += [("boe", n_vals, s, k) for n_vals in (2, 4, 8) for s in (1, 2)
                   if (1 << s) <= n_vals and k * boe_width(n_vals, s) <= 16]
 
 
-def _run(fn, plan, loader, shots, seed, stream=RngStream):
-    try:
-        return fn(plan, loader, shots, stream(seed), keep_states=True)
-    except ZeroBranchError as exc:
-        return str(exc)
+def _triples(outcomes):
+    return [(o.success, o.rounds_executed, o.loads) for o in outcomes]
 
 
 class TestConstants:
@@ -209,12 +146,11 @@ class TestDynamicStopping:
         k = 2
         loader = make_loader(series)
         plan = PowerPlan(k=k, style="mid_reset")
-        outcomes = run_with_dynamic_stopping(plan, loader, 50, RngStream(1),
-                                             keep_states=True)
+        ref = helpers.ref_dynamic_stopping(plan, loader, 50, RngStream(1))
         a_k = norm_constant_ak(series, k)
-        for o in outcomes:
+        for o, state in ref:
             if o.success:
-                amps = o.state.amplitudes.reshape(-1)[:series.values.size]
+                amps = state.amplitudes.reshape(-1)[:series.values.size]
                 np.testing.assert_allclose(np.abs(amps), a_k * series.values**k,
                                            atol=1e-10)
                 break
@@ -235,22 +171,17 @@ class TestDynamicStopping:
         loader = make_loader(normalize_affine(raw, 0.0, require_positive=False),
                              encoding, s)
         plan = PowerPlan(k=k, style="mid_reset", encoding=encoding, s=s)
-        got = _run(run_with_dynamic_stopping, plan, loader, shots, seed)
-        ref = _run(ref_dynamic_stopping, plan, loader, shots, seed)
-        if isinstance(ref, str):
-            assert got == ref
+        got = _triples(run_with_dynamic_stopping(plan, loader, shots, RngStream(seed)))
+        try:
+            ref = helpers.ref_dynamic_stopping(plan, loader, shots, RngStream(seed))
+        except ZeroBranchError:
+            # the chain drew a vanishing branch; the closed form, which
+            # renormalizes none, still ends every shot at a round of the chain
+            assert len(got) == shots
+            assert set(got) <= ({(False, t, t) for t in range(1, k)}
+                                | {(True, k - 1, k)})
             return
-        assert ([(o.success, o.rounds_executed, o.loads) for o in got]
-                == [(o.success, o.rounds_executed, o.loads) for o in ref])
-        kept = []
-        for o, r in zip(got, ref):
-            assert (o.state is None) == (r.state is None)
-            if o.state is not None:
-                np.testing.assert_array_equal(o.state.amplitudes.view(np.uint64),
-                                              r.state.amplitudes.view(np.uint64))
-                kept.append(o.state.amplitudes)
-        # every successful shot owns its state
-        assert not any(np.shares_memory(a, b) for a, b in zip(kept, kept[1:]))
+        assert got == _triples(o for o, _state in ref)
 
     @given(st.sampled_from(DYNSTOP_CASES), st.integers(1, 100), st.integers(0, 100),
            st.integers(0, 2**32 - 1))
@@ -261,8 +192,7 @@ class TestDynamicStopping:
         plan = PowerPlan(k=k, style="mid_reset", encoding=encoding, s=s)
         few, many = (run_with_dynamic_stopping(plan, loader, n, RngStream(seed))
                      for n in (m, m + extra))
-        assert ([(o.success, o.rounds_executed, o.loads) for o in few]
-                == [(o.success, o.rounds_executed, o.loads) for o in many[:m]])
+        assert _triples(few) == _triples(many[:m])
 
     @pytest.mark.parametrize("encoding,s", [("amplitude", 1), ("boe", 1)])
     def test_outcomes_are_shared_and_frozen(self, encoding, s):
@@ -272,40 +202,37 @@ class TestDynamicStopping:
         outcomes = run_with_dynamic_stopping(plan, loader, 400, RngStream(11))
         # one object per (success, rounds): at most k distinct outcomes
         assert len({id(o) for o in outcomes}) <= k
-        assert {(o.success, o.rounds_executed, o.loads) for o in outcomes} <= (
+        assert set(_triples(outcomes)) <= (
             {(False, t, t) for t in range(1, k)} | {(True, k - 1, k)})
         with pytest.raises(dataclasses.FrozenInstanceError):
             outcomes[0].loads = 0
-        kept = [o for o in run_with_dynamic_stopping(plan, loader, 400, RngStream(11),
-                                                     keep_states=True) if o.success]
-        assert len(kept) > 1
-        assert len({id(o.state) for o in kept}) == len(kept)
-        assert not any(np.shares_memory(a.state.amplitudes, b.state.amplitudes)
-                       for a, b in zip(kept, kept[1:]))
 
-    def test_vanishing_branch_raises_for_lowest_shot(self):
-        # with T = (1, 3e-8) the top uniform draws outcome 1, whose
-        # probability is 1.8e-15 in round 1 and 9e-16 in round 2; shot 1
-        # reaches its vanishing branch in a later round than shot 2 but
-        # comes first, so a per-shot loop raises for it
-        class Uniforms:
-            """A stream whose generator returns the given rows."""
+    def test_single_load_always_succeeds(self):
+        loader = make_loader(series_fixture(4, 6))
+        outcomes = run_with_dynamic_stopping(PowerPlan(k=1, style="mid_reset"),
+                                             loader, 5, RngStream(2))
+        assert _triples(outcomes) == [(True, 0, 1)] * 5
 
-            def __init__(self, rows):
-                self.generator = self
-                self.rows = np.array(rows)
+    @pytest.mark.parametrize("encoding, n_vals, s", [("amplitude", 8, 1),
+                                                     ("boe", 4, 1), ("boe", 8, 2)])
+    def test_simulates_one_block(self, monkeypatch, encoding, n_vals, s):
+        loader = make_loader(series_fixture(n_vals, 7), encoding, s)
+        plan = PowerPlan(k=3, style="mid_reset", encoding=encoding, s=s)
+        calls = helpers.recorded_calls(monkeypatch, Statevector, "__init__")
+        run_with_dynamic_stopping(plan, loader, 200, RngStream(3))
+        assert [args[1] for args in calls] == [loader.width]
 
-            def random(self, shape):
-                assert shape == self.rows.shape
-                return self.rows.copy()
-
-        top = np.nextafter(1.0, 0.0)
-        loader = make_loader(normalize_affine([1.0, 3e-8], 0.0))
-        plan = PowerPlan(k=3, style="mid_reset")
-        rows = [[0.5, 0.5], [0.5, top], [top, 0.5]]
-        got = _run(run_with_dynamic_stopping, plan, loader, 3, rows, Uniforms)
-        assert got == _run(ref_dynamic_stopping, plan, loader, 3, rows, Uniforms)
-        assert got == "branch value=1 has probability 9.000e-16"
+    def test_boe_at_64_points(self, monkeypatch):
+        # three 12-qubit blocks: a statevector chain would need 36 qubits
+        series = normalize_affine(0.7 ** np.arange(64), 0.0)
+        loader = make_loader(series, "boe", 6)
+        plan = PowerPlan(k=3, style="mid_reset", encoding="boe", s=6)
+        calls = helpers.recorded_calls(monkeypatch, Statevector, "__init__")
+        outcomes = run_with_dynamic_stopping(plan, loader, 2000, RngStream(17))
+        assert [args[1] for args in calls] == [loader.width] == [12]
+        # correct code leaves this exact binomial interval with probability < 1e-6
+        lo, hi = stats.binom.interval(1 - 1e-6, 2000, success_probability(series, 3))
+        assert lo <= sum(o.success for o in outcomes) <= hi
 
     def test_requires_mid_reset(self):
         series = series_fixture()

@@ -568,6 +568,18 @@ class TestRngStream:
         b = r1.split(3)[2].generator.uniform(size=4)
         np.testing.assert_array_equal(a, b)
 
+    def test_generator_built_on_first_draw(self, monkeypatch):
+        built = helpers.recorded_calls(monkeypatch, np.random, "Philox")
+        streams = RngStream(5).split(4)
+        assert built == []
+        drawn = streams[1:3]
+        draws = [s.generator.uniform(size=4) for s in drawn]
+        assert len(built) == 2 and all(s.generator is s.generator for s in drawn)
+        # the bits of a generator built with its stream
+        for seq, got in zip(np.random.SeedSequence(5).spawn(4)[1:3], draws):
+            np.testing.assert_array_equal(
+                got, np.random.Generator(np.random.Philox(seq)).uniform(size=4))
+
 
 class TestCircuit:
     def test_inverse_is_identity(self):
