@@ -143,15 +143,17 @@ def tang_walk(tree, u):
 
     Row i walks the tree from the root, going right at level l when
     u[i, l] * (left^2 + right^2) >= left^2 for the children of its node.
+    Each level's left^2 and left^2 + right^2 are computed once per node and
+    gathered per row: the same float operations, so the same bits.
     """
     pos = np.zeros(u.shape[0], dtype=np.int64)
     for level in range(tree.n):
-        left = tree.levels[level + 1][2 * pos]
-        right = tree.levels[level + 1][2 * pos + 1]
-        total = left * left + right * right
+        child = tree.levels[level + 1]
+        left_sq = child[0::2] * child[0::2]
+        total = (left_sq + child[1::2] * child[1::2])[pos]
         if np.any(total == 0.0):
             raise ValueError("zero subtree during sampling")
-        pos = 2 * pos + (u[:, level] * total >= left * left)
+        pos = 2 * pos + (u[:, level] * total >= left_sq[pos])
     return pos
 
 
@@ -168,8 +170,11 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
 
     Uses 6*ceil(lg 1/(1-alpha)) groups of ceil(4/eps^2) samples each; the
     single-sample estimator is X = ||v||^2 w_J / v_J with J ~ v_j^2/||v||^2.
-    Uniforms are drawn as group-major rows, whole groups per draw of at most
-    max(size lg N, 2^22) doubles, from one stream, so chunking keeps the bits.
+    X is computed once per leaf and gathered per sample, with the same
+    float operations, so the same bits; zero leaves, which the walk never
+    draws, are skipped.  Uniforms are drawn as group-major rows, whole
+    groups per draw of at most max(size lg N, 2^22) doubles, from one
+    stream, so chunking keeps the bits.
     """
     if v_access.norm == 0.0:
         raise ValueError("zero vector")
@@ -177,12 +182,15 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     groups = sampling_group_count(alpha)
     size = sampling_group_size(epsilon)
     tree = v_access.tree
+    leaf = v_access.leaf_value(np.arange(tree.leaves.size))
+    x_leaf = np.divide(v_access.norm**2 * w, leaf, out=np.zeros_like(leaf),
+                       where=leaf != 0.0)
     chunk = max(1, (1 << 22) // (size * max(tree.n, 1)))  # groups per draw
     means = []
     for first in range(0, groups, chunk):
         rows = min(chunk, groups - first) * size
         j = tang_walk(tree, rng.generator.random((rows, tree.n)))
-        x = (v_access.norm**2 * w[j] / v_access.leaf_value(j)).reshape(-1, size)
+        x = x_leaf[j].reshape(-1, size)
         # row-wise cumsum adds each group in draw order; np.sum's pairs change bits
         means.extend(np.cumsum(x, axis=1)[:, -1] / size)
     return float(np.median(means))

@@ -38,24 +38,28 @@ def validate_raw(values):
     return arr
 
 
-@dataclass
+@dataclass(eq=False)
 class NormalizedSeries:
     """Normalised values (read-only) with their scale rho and shift eta.
 
     `loaders` holds the loaders qhp.make_loader built for this series, one
     per (encoding, split level), so one evaluation loads a series with one
-    loader at every power and in every readout.
+    loader at every power and in every readout.  `readouts` holds the
+    readout laws qsim.inner computed with this series as the powered one,
+    keyed by the partner series and the readout, so repeated estimates on
+    one pair compute each law once.  Series compare and hash by identity:
+    a distinct series with equal values gets its own entries.
     """
 
     values: np.ndarray
     rho: float
     eta: float
     mode: str  # "affine" or "sqrt"
-    loaders: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    loaders: dict = field(default_factory=dict, init=False, repr=False)
+    readouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # a kept loader is only valid for the values it was built from
+        # a kept loader or law is only valid for the values it came from
         self.values.setflags(write=False)
 
     @property

@@ -23,6 +23,7 @@ At k = 1 nothing is consumed, and the readout circuit (the power circuit
 followed by U_E^dagger or by the swap test) runs on the statevector.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -131,6 +132,22 @@ def _consumed_branch(series_T, series_E, k, boe=False):
     return p_z0, float(overlap)
 
 
+def _kept_per_pair(law):
+    """Keep law(series_T, series_E, *args) in series_T.readouts, keyed by
+    law's name, the partner series_E and args, and read it from there on
+    every later call.  Series values are read-only, so a kept law cannot go
+    stale; a call whose arguments law refuses raises and keeps nothing."""
+    @functools.wraps(law)
+    def kept(series_T, series_E, *args):
+        key = (law.__name__, series_E, *args)
+        laws = series_T.readouts
+        if key not in laws:
+            laws[key] = law(series_T, series_E, *args)
+        return laws[key]
+    return kept
+
+
+@_kept_per_pair
 def _ancilla_free_readout(series_T, series_E, k, style):
     """P(every register reads 0) after QHP and U_E^dagger on the survivor:
     y_k^2."""
@@ -156,13 +173,17 @@ def _swap_readout(series_T, series_E, k, encoding="amplitude", s=1):
     return 1.0, sim.probability_of_bits(st, (test.ancilla,), 0)
 
 
+@_kept_per_pair
 def _qhp_swap_probabilities(series_T, series_E, k, encoding="amplitude", s=1):
     """Multinomial pvals of QHP followed by a swap test, over the outcomes
-    (Z=0, ancilla=0), (Z=0, ancilla=1) and Z!=0."""
+    (Z=0, ancilla=0), (Z=0, ancilla=1) and Z!=0; read-only, as they are
+    kept."""
     p_z0, p_z0_x0 = _swap_readout(series_T, series_E, k, encoding, s)
     pvals = np.clip([p_z0_x0, max(p_z0 - p_z0_x0, 0.0), max(1.0 - p_z0, 0.0)],
                     0.0, None)
-    return pvals / pvals.sum()
+    pvals /= pvals.sum()
+    pvals.setflags(write=False)
+    return pvals
 
 
 def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,

@@ -160,8 +160,11 @@ def register_view(state, qubits, value):
 
 
 def _probability(view):
-    # flattened first: squaring a 0-d view would take scalar pow's rounding
-    return float(np.sum(np.abs(view.reshape(-1)) ** 2))
+    # flattened first: squaring a 0-d view would take scalar pow's rounding;
+    # squared in place, so one float temporary of the view's size is live
+    probs = np.abs(view.reshape(-1))
+    np.square(probs, out=probs)
+    return float(np.sum(probs))
 
 
 def probability_of_bits(state, qubits, value):

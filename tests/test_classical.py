@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +236,15 @@ class TestSampling:
         access = SampleAccess(tree=tree, norm=1.0)
         with pytest.raises(ValueError, match="zero subtree"):
             tang_inner(access, np.ones(4), 0.5, 0.9, RngStream(0))
+
+    def test_tang_inner_zero_leaves_raise_no_warning(self):
+        # the per-leaf estimator table skips the zero leaves, never drawn
+        access = SampleAccess.from_values([0.0, 2.0, 0.0, 1.0])
+        w = np.array([0.0, -1.0, 3.0, 1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tang_inner(access, w, 0.3, 0.9, RngStream(2))
+        assert repr(got) == repr(ref_tang_inner(access, w, 0.3, 0.9, RngStream(2)))
 
     def test_tang_inner_accuracy(self):
         rng = np.random.default_rng(1)

@@ -283,3 +283,81 @@ class TestEstimators:
         est = estimate_yk_variant_ab(t, e, 1, "no_mid_reset", 0.5, 0.5,
                                      RngStream(0))
         assert est.shots_used >= inner.MIN_SHOTS
+
+
+FIXTURE_T, FIXTURE_E = [12.0, 17.0, 23.0, 28.0], [30.0, 24.0, 36.0, 28.0]
+
+
+def _fixture_pair(encoding):
+    normalize = normalize_sqrt if encoding == "boe" else normalize_affine
+    return normalize(FIXTURE_T, 10.0), normalize(FIXTURE_E, 0.0)
+
+
+def _estimate(method, t, e, k, rng, s=1):
+    """One fixed-shot estimate by `method`: "swap", "boe", or "ab-<style>"."""
+    if method == "swap":
+        return estimate_yk_swap(t, e, k, 0.1, 0.9, rng, shots=2000)
+    if method == "boe":
+        return estimate_ytilde_boe_swap(t, e, k, s, 0.1, 0.9, rng, shots=2000)
+    return estimate_yk_variant_ab(t, e, k, method[3:], 0.1, 0.9, rng, shots=2000)
+
+
+class TestKeptLaws:
+    """A pair's readout law is computed on its first estimate and kept on
+    the powered series, keyed by the partner series object."""
+
+    @pytest.mark.parametrize("method", ["swap", "boe", "ab-no_mid_reset"])
+    def test_repeated_estimates_simulate_once(self, method, monkeypatch):
+        t, e = _fixture_pair(method)
+        builds = helpers.recorded_calls(monkeypatch, qhp, "build_power_circuit")
+        runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
+        rng = RngStream(3)
+        for _ in range(5):
+            _estimate(method, t, e, 1, rng.child())
+        assert (len(builds), len(runs)) == (1, 1)
+
+    @pytest.mark.parametrize("method, s", [("swap", 1), ("boe", 1), ("boe", 2),
+                                           ("ab-no_mid_reset", 1),
+                                           ("ab-mid_reset", 1)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_kept_law_gives_fresh_bits(self, method, s, k):
+        kept = _fixture_pair(method)
+        _estimate(method, *kept, k, RngStream(1), s)
+        hit = _estimate(method, *kept, k, RngStream(8), s)
+        fresh = _estimate(method, *_fixture_pair(method), k, RngStream(8), s)
+        assert repr(hit) == repr(fresh)
+
+    def test_kept_pvals_are_read_only(self):
+        t, e = _fixture_pair("boe")
+        pvals = inner._qhp_swap_probabilities(t, e, 2, "boe", 1)
+        assert inner._qhp_swap_probabilities(t, e, 2, "boe", 1) is pvals
+        with pytest.raises(ValueError, match="read-only"):
+            pvals[0] = 1.0
+
+    def test_equal_partner_gets_own_entry(self, monkeypatch):
+        t, e1 = _fixture_pair("amplitude")
+        e2 = normalize_affine(FIXTURE_E, 0.0)
+        assert e1 != e2 and len({e1, e2}) == 2
+        runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
+        p1 = inner._qhp_swap_probabilities(t, e1, 1)
+        p2 = inner._qhp_swap_probabilities(t, e2, 1)
+        assert p1 is not p2 and p1.tobytes() == p2.tobytes()
+        assert len(runs) == 2 and len(t.readouts) == 2
+        assert {key[1] for key in t.readouts} == {e1, e2}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bad_arguments_refused_and_not_kept(self, k):
+        t, e = _fixture_pair("boe")
+        with pytest.raises(ValueError, match="unknown style"):
+            estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
+        with pytest.raises(ValueError, match="split level"):
+            estimate_ytilde_boe_swap(t, e, k, 3, 0.1, 0.9, RngStream(0))
+        assert t.readouts == {}
+        # a kept law for good arguments does not let bad ones through
+        _estimate("ab-no_mid_reset", t, e, k, RngStream(0))
+        _estimate("boe", t, e, k, RngStream(0))
+        with pytest.raises(ValueError, match="unknown style"):
+            estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
+        with pytest.raises(ValueError, match="split level"):
+            estimate_ytilde_boe_swap(t, e, k, 3, 0.1, 0.9, RngStream(0))
+        assert len(t.readouts) == 2

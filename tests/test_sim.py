@@ -468,6 +468,29 @@ class TestMeasurement:
             bits(sim.marginal_probabilities(state, qubits)),
             bits(helpers.marginal_probabilities(state, qubits)))
 
+    def test_probability_squares_in_place_with_old_bits(self):
+        # np.square in place must give the bits of the np.abs(v) ** 2 it
+        # replaced on every length, around np.sum's pairwise blocks too
+        rng = np.random.default_rng(5)
+        sizes = list(range(1, 300)) + [(1 << e) + d for e in range(9, 21)
+                                       for d in (-1, 0, 3)]
+        for size in sizes:
+            v = rng.normal(size=size) + 1j * rng.normal(size=size)
+            assert sim._probability(v) == float(np.sum(np.abs(v) ** 2)), size
+        state = random_state(10, 4)
+        view = sim.register_view(state, (0, 7, 3), 5)
+        assert sim._probability(view) == float(np.sum(np.abs(view.reshape(-1)) ** 2))
+
+    def test_probability_keeps_one_float_temporary(self):
+        v = random_state(18, 6).amplitudes
+        tracemalloc.start()
+        try:
+            sim._probability(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * v.size
+
     @pytest.mark.parametrize("readout", ["probability_of_bits", "project_bits",
                                          "marginal_probabilities"])
     def test_repeated_qubit_rejected(self, readout):
