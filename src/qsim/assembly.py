@@ -38,7 +38,7 @@ class VariantConfig:
     variant: str
     K: int = 2
     eta: float = 0.0
-    epsilon: float = 0.05        # target relative error on V
+    epsilon: float = 0.05        # error budget scale; see allocate_budget
     beta: float = 0.9            # overall confidence
     s: int = 1                   # BOE split level (variant d)
     style: str = "no_mid_reset"  # QHP style for variants a/b
@@ -69,7 +69,6 @@ class VariantConfig:
 class ErrorBudget:
     epsilon_k: dict
     alpha_k: dict
-    skipped: list
 
 
 @dataclass
@@ -112,26 +111,21 @@ class RunReport:
 
 
 def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
-    """Per-k accuracy eps_k = eps rho_T^{k-1} K^{-1} |b_k|^{-1} and default
-    confidences alpha_k = (K-1+beta)/K.
-
-    quadratic=True applies the sqrt-encoding scaling rho^{2(k-1)}.
+    """Per-k accuracy eps_k = eps rho_T^{k-1} K^{-1} |b_k|^{-1} on the
+    normalised y_k, for every k with b_k != 0, and default confidences
+    alpha_k = (K-1+beta)/K; quadratic=True applies the sqrt-encoding
+    scaling rho^{2(k-1)}.  As y'_k = y_k / (rho_T^k rho_E), squared under the
+    sqrt encoding, sum_{k>=1} |b_k| |dy'_k| <= eps ||T-eta||_2 ||E||_2, or
+    eps sum(T-eta) sum(E): an absolute bound, not one relative to V.
     """
     b = np.asarray(coeffs.b, dtype=float)
     if np.all(b == 0.0):
         raise ValueError("all polynomial coefficients are zero")
-    epsilon_k = {}
-    skipped = []
+    scaling = 2 if quadratic else 1
+    epsilon_k = {k: epsilon * rho_T ** (scaling * (k - 1)) / (K * abs(b[k]))
+                 for k in range(min(K + 1, b.size)) if b[k] != 0.0}
     alpha = (K - 1 + beta) / K
-    for k in range(K + 1):
-        bk = b[k] if k < b.size else 0.0
-        if bk == 0.0:
-            skipped.append(k)
-            continue
-        power = 2 * (k - 1) if quadratic else (k - 1)
-        epsilon_k[k] = epsilon * rho_T**power / (K * abs(bk))
-    return ErrorBudget(epsilon_k=epsilon_k,
-                       alpha_k={k: alpha for k in epsilon_k}, skipped=skipped)
+    return ErrorBudget(epsilon_k=epsilon_k, alpha_k={k: alpha for k in epsilon_k})
 
 
 def constant_term_y0(series_E):

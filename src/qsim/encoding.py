@@ -73,14 +73,14 @@ class NormalizedSeries:
         return (self.values / self.rho) ** 2 + self.eta
 
 
-def normalize_affine(raw, eta, require_positive=True):
+def normalize_affine(raw, eta):
     """values_j = rho * (raw_j - eta) with rho = (sum (raw-eta)^2)^(-1/2)."""
     arr = validate_raw(raw)
     shifted = arr - eta
     sq = float(np.sum(shifted**2))
     if sq <= 0.0:
         raise ValueError("all entries equal eta: zero norm")
-    if require_positive and np.any(shifted <= 0.0):
+    if np.any(shifted <= 0.0):
         raise AssumptionError("normalized entries must be positive (shift eta below the data)")
     rho = 1.0 / math.sqrt(sq)
     return NormalizedSeries(values=rho * shifted, rho=rho, eta=float(eta), mode="affine")

@@ -6,14 +6,13 @@ The Grover iterate is Q = (2|chi><chi| - I)(I - 2 P_good) with
 with sin^2(theta) = z, so an m-qubit phase readout x maps to
 z = sin^2(pi x / 2^m).
 
-IQAE reads the Grover spectrum in closed form: the good-outcome
-probability after Q^k is sin^2((2k+1)theta), with theta taken from one
-statevector pass of F, shared by the oracles that share F (variant d's U
-and U'); it builds no F^dag.  Canonical QAE reads its phase
-distribution off the plane span{chi, Q chi}, which Q keeps invariant: it
-simulates Q chi and Q^2 chi, checks that Q acts on the plane as a product
-of two reflections, and raises its 2x2 matrix there to the 2^m powers the
-readout superposes.
+IQAE reads the Grover spectrum in closed form, sin^2((2k+1)theta) after
+Q^k (grover_probability), so it takes the amplitude z and no circuit; the
+variant estimators read z from qsim.inner's readout laws.  Canonical QAE,
+the one engine that builds oracles, reads its phase distribution off the
+plane span{chi, Q chi}, which Q keeps invariant: it simulates Q chi and
+Q^2 chi, checks that Q acts on the plane as a product of two reflections,
+and raises its 2x2 matrix there to the 2^m powers the readout superposes.
 The variant estimators run it once on a CANONICAL_M-qubit phase register.
 """
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaincinv
 
-from . import qhp, sim
+from . import inner, qhp, sim
 from .inner import InnerEstimate, build_ancilla_free, build_swap_test
 from .sim import Statevector
 
@@ -41,7 +40,6 @@ class GroverOracle:
         self.n_qubits = prepare.n_qubits
         # F|0> and F^dag, each made on first use; with_good shares them
         self._built = {} if _built is None else _built
-        self._theta = None
 
     def with_good(self, good):
         """The oracle with the same F and another good register; it shares
@@ -58,9 +56,6 @@ class GroverOracle:
         """A new Statevector holding |chi> = F|0>."""
         return self._chi().copy()
 
-    def z_exact(self):
-        return sim.probability_of_bits(self._chi(), self.good, 0)
-
     def _flip_good(self, state):
         sim.register_view(state, self.good, 0)[...] *= -1.0
 
@@ -75,13 +70,12 @@ class GroverOracle:
         state.amplitudes *= -1.0
         return state
 
-    def good_probability_after(self, k):
-        """P(good) after Q^k F|0> = sin^2((2k+1) theta), sin^2(theta) = z."""
-        if self._theta is None:
-            # z is 1 up to rounding when every outcome is good (U' at k = 1)
-            z = min(max(self.z_exact(), 0.0), 1.0)
-            self._theta = math.asin(math.sqrt(z))
-        return math.sin((2 * k + 1) * self._theta) ** 2
+
+def grover_probability(z, k):
+    """P(good) after Q^k F|0> = sin^2((2k+1) theta), sin^2(theta) = z."""
+    # z is 1 up to rounding when every outcome is good (U' at k = 1)
+    theta = math.asin(math.sqrt(min(max(z, 0.0), 1.0)))
+    return math.sin((2 * k + 1) * theta) ** 2
 
 
 @dataclass(frozen=True)
@@ -218,8 +212,9 @@ def _find_next_k(k, up, theta_l, theta_u, r=2):
     return k, up
 
 
-def iqae(oracle, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
-    """Iterative amplitude estimation.
+def iqae(z, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
+    """Iterative amplitude estimation of the amplitude z, whose round at
+    power k draws its good outcomes with grover_probability(z, k).
 
     Returns an IqaeResult whose interval [z_lo, z_hi] contains z with
     confidence >= alpha; z_hat is the midpoint, |z_hat - z| <= epsilon.
@@ -242,7 +237,7 @@ def iqae(oracle, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
             break
         k, up = _find_next_k(k, up, theta_l, theta_u)
         big_k = 4 * k + 2
-        ones = int(rng.binomial(shots_per_round, oracle.good_probability_after(k)))
+        ones = int(rng.binomial(shots_per_round, grover_probability(z, k)))
         tally = tallies.setdefault(k, [0, 0])
         tally[0] += ones
         tally[1] += shots_per_round
@@ -280,44 +275,51 @@ PILOT_ALPHA = 0.7
 PILOT_SHOTS = 32
 
 
-def _estimate_z(oracle, epsilon, alpha, config, rng):
-    """(z_hat, oracle calls) of one config.engine run; canonical ignores epsilon, alpha."""
-    if config.engine == "canonical":
-        z_hat = canonical_qae(oracle, CANONICAL_M, 1, rng, shots_per_run=config.shots)
-        return z_hat, (1 << CANONICAL_M) - 1
-    res = iqae(oracle, epsilon, alpha, rng, shots_per_round=config.shots)
-    return res.z_hat, res.oracle_calls
+def _canonical_z(oracle, config, rng):
+    """(z_hat, oracle calls) of one canonical QAE run on `oracle`."""
+    z_hat = canonical_qae(oracle, CANONICAL_M, 1, rng, shots_per_run=config.shots)
+    return z_hat, (1 << CANONICAL_M) - 1
 
 
 def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
     """Variant (c): y_k = sqrt(z) with z from amplitude estimation.
 
-    Under IQAE the requested accuracy on y is converted to an amplitude
-    accuracy eps_z = epsilon * max(y_pilot, epsilon), where y_pilot comes
-    from a short warm-up IQAE run.
+    Under IQAE, z = y_k^2 is the ancilla-free readout, and the requested
+    accuracy on y is converted to an amplitude accuracy
+    eps_z = epsilon * max(y_pilot, epsilon), where y_pilot comes from a
+    short warm-up IQAE run.
     """
-    oracle = build_oracle_variant_c(series_T, series_E, k)
-    pilot_calls, eps_z = 0, None
-    if config.engine == "iqae":
-        pilot = iqae(oracle, min(0.45, max(PILOT_EPSILON, epsilon / 2)),
+    if config.engine == "canonical":
+        z_hat, calls = _canonical_z(build_oracle_variant_c(series_T, series_E, k),
+                                    config, rng)
+    else:
+        z = inner._ancilla_free_readout(series_T, series_E, k, "no_mid_reset")
+        pilot = iqae(z, min(0.45, max(PILOT_EPSILON, epsilon / 2)),
                      PILOT_ALPHA, rng, shots_per_round=PILOT_SHOTS)
-        pilot_calls = pilot.oracle_calls
         y_pilot = math.sqrt(max(pilot.z_hat, 0.0))
-        eps_z = min(0.45, epsilon * max(y_pilot, epsilon))
-    z_hat, calls = _estimate_z(oracle, eps_z, alpha, config, rng)
+        res = iqae(z, min(0.45, epsilon * max(y_pilot, epsilon)), alpha, rng,
+                   shots_per_round=config.shots)
+        z_hat, calls = res.z_hat, pilot.oracle_calls + res.oracle_calls
     y = math.sqrt(max(z_hat, 0.0))
     scale = series_T.rho ** -k * series_E.rho ** -1
-    return InnerEstimate(y_hat=y, y_prime_hat=scale * y,
-                         shots_used=pilot_calls + calls, method="variant_c")
+    return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=calls,
+                         method="variant_c")
 
 
 def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
                               config, rng):
-    """Variant (d): ytilde_k = 2z - z', each amplitude estimated at eps/2."""
-    oracle_u, oracle_up = build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s)
-    eps_half = min(0.45, epsilon / 2.0)
-    z_hat, c1 = _estimate_z(oracle_u, eps_half, alpha, config, rng)
-    zp_hat, c2 = _estimate_z(oracle_up, eps_half, alpha, config, rng)
+    """Variant (d): ytilde_k = 2z - z', each amplitude estimated at eps/2,
+    z first.  Under IQAE, (z', z) is the BOE swap test's readout."""
+    if config.engine == "canonical":
+        u, u_prime = build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s)
+        z_hat, c1 = _canonical_z(u, config, rng)
+        zp_hat, c2 = _canonical_z(u_prime, config, rng)
+    else:
+        zp, z = inner._swap_readout(series_Tsqrt, series_Esqrt, k, "boe", s)
+        eps_half = min(0.45, epsilon / 2.0)
+        res = iqae(z, eps_half, alpha, rng, shots_per_round=config.shots)
+        res_p = iqae(zp, eps_half, alpha, rng, shots_per_round=config.shots)
+        z_hat, c1, zp_hat, c2 = res.z_hat, res.oracle_calls, res_p.z_hat, res_p.oracle_calls
     y_tilde = 2.0 * z_hat - zp_hat
     scale = series_Tsqrt.rho ** (-2 * k) * series_Esqrt.rho ** -2
     return InnerEstimate(y_hat=float(y_tilde), y_prime_hat=float(scale * y_tilde),

@@ -159,9 +159,15 @@ def swap_probabilities(pc, e_loader):
     return p_z0, sim.probability_of_bits(st, z_qubits + (test.ancilla,), 0)
 
 
+def z_exact(oracle):
+    """P(good) in the oracle's simulated chi = F|0>: the statevector
+    reference for the readout laws that IQAE reads z from."""
+    return sim.probability_of_bits(oracle._chi(), oracle.good, 0)
+
+
 def grover_probability_after(oracle, j):
     """P(good) after j Grover iterates, each simulated on the statevector:
-    the reference for GroverOracle.good_probability_after."""
+    the reference for qae.grover_probability."""
     st = oracle.chi()
     for _ in range(j):
         oracle.grover(st)

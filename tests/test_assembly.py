@@ -35,6 +35,29 @@ class TestBudget:
         # powers rho^{2(k-1)} vs rho^{k-1}: one extra factor of rho at k=2
         assert quad.epsilon_k[2] == pytest.approx(lin.epsilon_k[2] * 0.1)
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["c", "d"])
+    def test_epsilon_bounds_weighted_power_error(self, K, variant):
+        # epsilon bounds sum_{k>=1} |b_k| |dy'_k|, in absolute terms: y_k
+        # within eps_k moves y'_k by at most eps_k / (rho_T^k rho_E), squared
+        # under d's sqrt encoding; each power with b_k != 0 takes 1/K of
+        # eps ||T-eta||_2 ||E||_2, or of eps sum(T-eta) sum(E) for d
+        eta, eps = 10.0, 0.05
+        coeffs = fit_polynomial(DEFAULT_PARAMS, eta, K, "taylor")
+        if variant == "d":
+            t, e, power = normalize_sqrt(RAW_T, eta), normalize_sqrt(RAW_E, 0.0), 2
+            bound = eps * np.sum(RAW_T - eta) * np.sum(RAW_E)
+        else:
+            t, e, power = normalize_affine(RAW_T, eta), normalize_affine(RAW_E, 0.0), 1
+            bound = eps * np.linalg.norm(RAW_T - eta) * np.linalg.norm(RAW_E)
+        budget = allocate_budget(coeffs, t.rho, eps, 0.9, K, quadratic=variant == "d")
+        powers = [k for k in budget.epsilon_k if k >= 1]
+        total = sum(abs(coeffs.b[k]) * budget.epsilon_k[k] / (t.rho ** k * e.rho) ** power
+                    for k in powers)
+        assert powers
+        assert total == pytest.approx(bound * len(powers) / K, rel=1e-12)
+        assert total <= bound * (1 + 1e-12)
+
     def test_alpha_k(self):
         coeffs = fit_polynomial(DEFAULT_PARAMS, 0.0, 2, "taylor")
         budget = allocate_budget(coeffs, 0.1, 0.1, 0.9, 2)
@@ -44,7 +67,8 @@ class TestBudget:
         coeffs = classical.PolyCoeffs(b=np.array([1.0, 0.0, 2.0]), eta=0.0,
                                       fit_mode="taylor")
         budget = allocate_budget(coeffs, 0.1, 0.1, 0.9, 2)
-        assert budget.skipped == [1]
+        assert sorted(budget.epsilon_k) == [0, 2]
+        assert sorted(budget.alpha_k) == [0, 2]
 
     def test_all_zero_rejected(self):
         coeffs = classical.PolyCoeffs(b=np.zeros(2), eta=0.0, fit_mode="taylor")

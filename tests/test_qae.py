@@ -6,13 +6,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta as beta_dist
 
 from helpers import (grover_probability_after, qpe_distribution_reference,
-                     recorded_calls)
+                     recorded_calls, z_exact)
+from qsim import inner, qhp
+from qsim.assembly import VariantConfig, evaluate
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.qae import (GroverOracle, QaeConfig, _clopper_pearson,
                       _qpe_distribution, build_oracle_variant_c,
                       build_oracles_variant_d, canonical_qae,
-                      estimate_yk_variant_c, estimate_ytilde_variant_d, iqae)
-from qsim.sim import Circuit, RngStream
+                      estimate_yk_variant_c, estimate_ytilde_variant_d,
+                      grover_probability, iqae)
+from qsim.sim import Circuit, RngStream, Statevector
 
 
 def simple_oracle(z):
@@ -30,29 +33,25 @@ def series_pair(eta=10.0):
 
 class TestGroverOracle:
     def test_z_exact(self):
-        oracle = simple_oracle(0.3)
-        assert oracle.z_exact() == pytest.approx(0.3, abs=1e-12)
+        assert z_exact(simple_oracle(0.3)) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_grover_spectrum(self, j):
         # the closed form sin^2((2j+1) theta) against j simulated iterates
         oracle = simple_oracle(0.2)
-        assert oracle.good_probability_after(j) == pytest.approx(
+        assert grover_probability(z_exact(oracle), j) == pytest.approx(
             grover_probability_after(oracle, j), abs=1e-12)
+
+    @pytest.mark.parametrize("z", [-1e-17, 1.0 + 2e-16])
+    def test_grover_probability_clamps_rounded_z(self, z):
+        # a z just outside [0, 1] by rounding reads as its nearest end
+        assert grover_probability(z, 3) == grover_probability(min(max(z, 0.0), 1.0), 3)
 
     def test_repeated_good_qubit_rejected(self):
         # (0, 0) once read qubit 1 through the mask 0b10: z = 0.2919 for a
         # qubit 0 that reads 0 with probability 1
         with pytest.raises(ValueError, match="more than once"):
             GroverOracle(Circuit(2).ry(1, 2.0), (0, 0))
-
-    def test_state_cache_consistent(self):
-        # theta is cached on first use: powers asked out of order, and the
-        # same power twice, still match the statevector
-        oracle = simple_oracle(0.15)
-        for j in (3, 1, 5, 0, 3):
-            assert oracle.good_probability_after(j) == pytest.approx(
-                grover_probability_after(oracle, j), abs=1e-12)
 
 
 @st.composite
@@ -83,8 +82,9 @@ def prepare_circuits(draw):
 @settings(max_examples=60, deadline=None)
 def test_closed_form_matches_statevector(case):
     oracle = GroverOracle(*case)
+    z = z_exact(oracle)
     for j in range(21):
-        assert oracle.good_probability_after(j) == pytest.approx(
+        assert grover_probability(z, j) == pytest.approx(
             grover_probability_after(oracle, j), abs=1e-10)
 
 
@@ -160,12 +160,12 @@ class TestIqae:
 
     @pytest.mark.parametrize("z", [0.04, 0.2, 0.5, 0.83])
     def test_interval_contains_truth(self, z):
-        res = iqae(simple_oracle(z), 0.01, 0.95, RngStream(3))
+        res = iqae(z, 0.01, 0.95, RngStream(3))
         assert res.z_lo - 1e-9 <= z <= res.z_hi + 1e-9
         assert res.z_hi - res.z_lo <= 2 * 0.01 + 1e-12
 
     def test_oracle_call_accounting(self):
-        res = iqae(simple_oracle(0.3), 0.02, 0.9, RngStream(5))
+        res = iqae(0.3, 0.02, 0.9, RngStream(5))
         assert res.oracle_calls > 0
         assert len(res.rounds) >= 1
 
@@ -175,20 +175,20 @@ class TestIqae:
         trials = 40
         rng = RngStream(17)
         for _ in range(trials):
-            res = iqae(simple_oracle(z), 0.02, 0.9, rng.child())
+            res = iqae(z, 0.02, 0.9, rng.child())
             hits += abs(res.z_hat - z) <= 0.02
         assert hits / trials >= 0.85
 
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
-            iqae(simple_oracle(0.3), 0.6, 0.9, RngStream(0))
+            iqae(0.3, 0.6, 0.9, RngStream(0))
 
     def test_scaling_beats_sampling(self):
         # oracle calls grow roughly like 1/eps, not 1/eps^2
         z = 0.3
         calls = []
         for eps in (0.04, 0.01):
-            res = iqae(simple_oracle(z), eps, 0.9, RngStream(2))
+            res = iqae(z, eps, 0.9, RngStream(2))
             calls.append(res.oracle_calls)
         assert calls[1] / calls[0] < 10.0
 
@@ -215,8 +215,9 @@ class TestVariantOracles:
         # multi-qubit and empty good registers: P(good after Q^j) =
         # sin^2((2j+1) theta) with sin^2(theta) = z
         oracle = build()
+        z = z_exact(oracle)
         for j in range(6):
-            assert oracle.good_probability_after(j) == pytest.approx(
+            assert grover_probability(z, j) == pytest.approx(
                 grover_probability_after(oracle, j), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -224,7 +225,7 @@ class TestVariantOracles:
         t, e = series_pair()
         oracle = build_oracle_variant_c(t, e, k)
         y = float(np.sum(t.values**k * e.values))
-        assert oracle.z_exact() == pytest.approx(y * y, abs=1e-10)
+        assert z_exact(oracle) == pytest.approx(y * y, abs=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_variant_d_z_identities(self, k):
@@ -232,28 +233,46 @@ class TestVariantOracles:
         u, u_prime = build_oracles_variant_d(t, e, k, 1)
         y_tilde = float(np.sum(t.values ** (2 * k) * e.values**2))
         a_inv_sq = float(np.sum(t.values ** (2 * k)))
-        assert u.z_exact() == pytest.approx(0.5 * (y_tilde + a_inv_sq),
-                                            abs=1e-10)
-        assert u_prime.z_exact() == pytest.approx(a_inv_sq, abs=1e-10)
+        assert z_exact(u) == pytest.approx(0.5 * (y_tilde + a_inv_sq), abs=1e-10)
+        assert z_exact(u_prime) == pytest.approx(a_inv_sq, abs=1e-10)
+
+    # IQAE reads z from qsim.inner's readout laws, canonical QAE from these
+    # oracles: the two agree
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_variant_c_law_matches_oracle(self, k):
+        t, e = series_pair()
+        law = inner._ancilla_free_readout(t, e, k, "no_mid_reset")
+        assert law == pytest.approx(z_exact(build_oracle_variant_c(t, e, k)), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_variant_d_law_matches_oracles(self, k, s):
+        t, e = sqrt_series_pair()
+        z_prime, z = inner._swap_readout(t, e, k, "boe", s)
+        u, u_prime = build_oracles_variant_d(t, e, k, s)
+        assert z == pytest.approx(z_exact(u), abs=1e-12)
+        assert z_prime == pytest.approx(z_exact(u_prime), abs=1e-12)
 
 
 class TestSharedPreparation:
-    """Variant d's U and U' prepare one chi: IQAE simulates it once per k
-    and builds no F^dag; canonical QAE iterates a copy of it."""
+    """Under canonical QAE, variant d's U and U' prepare one chi, and the
+    Grover iterates run on copies of it; IQAE builds no oracle."""
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_iqae_variant_d_one_chi_no_inverse(self, monkeypatch, k):
+        # the k = 1 swap test is the one state simulated; k >= 2 reads the
+        # law in closed form
         applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
         inverted = recorded_calls(monkeypatch, Circuit, "inverse")
         estimate_ytilde_variant_d(*sqrt_series_pair(), k, 1, 0.1, 0.9,
                                   QaeConfig(), RngStream(0))
-        assert len(applied) == 1
+        assert len(applied) == (1 if k == 1 else 0)
         assert inverted == []
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_canonical_after_shared_chi_matches_reference(self, k):
         u, u_prime = build_oracles_variant_d(*sqrt_series_pair(), k, 1)
-        z, z_prime = u.z_exact(), u_prime.z_exact()
+        z, z_prime = z_exact(u), z_exact(u_prime)
         for i, oracle in enumerate((u, u_prime)):
             fresh = build_oracles_variant_d(*sqrt_series_pair(), k, 1)[i]
             got = _qpe_distribution(oracle, 6)
@@ -261,8 +280,34 @@ class TestSharedPreparation:
             np.testing.assert_allclose(got, qpe_distribution_reference(fresh, 6),
                                        rtol=0, atol=1e-12)
         # the Grover iterates ran on copies: the shared chi is untouched
-        assert (u.z_exact(), u_prime.z_exact()) == (z, z_prime)
+        assert (z_exact(u), z_exact(u_prime)) == (z, z_prime)
         assert u.chi() is not u.chi()
+
+
+def series_16(seed=0):
+    gen = np.random.default_rng(seed)
+    return gen.uniform(12.0, 28.0, 16), gen.uniform(20.0, 40.0, 16)
+
+
+class TestIqaeReach:
+    """Under IQAE, c and d simulate only their k = 1 readouts."""
+
+    def test_variant_d_k2_allocates_only_its_k1_swap_test(self, monkeypatch):
+        states = recorded_calls(monkeypatch, Statevector, "__init__")
+        evaluate(VariantConfig(variant="d", K=2, s=4), *series_16())
+        # two 8-qubit BOE blocks and the ancilla; the k = 2 oracle would
+        # hold 25 qubits
+        assert max(n_qubits for _state, n_qubits, *_rest in states) == 17
+
+    def test_variant_c_builds_a_power_circuit_only_at_k1(self, monkeypatch):
+        built = recorded_calls(monkeypatch, qhp, "build_power_circuit")
+        evaluate(VariantConfig(variant="c", K=3), *series_16())
+        assert [plan.k for plan, _loader in built] == [1]
+
+    def test_canonical_still_builds_every_power(self, monkeypatch):
+        built = recorded_calls(monkeypatch, qhp, "build_power_circuit")
+        evaluate(VariantConfig(variant="c", K=2, engine="canonical"), *series_16())
+        assert sorted(plan.k for plan, _loader in built) == [1, 2]
 
 
 class TestVariantEstimators:

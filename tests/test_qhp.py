@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import stats
 
 import helpers
 from helpers import postselected_power_state, survivor_amplitudes
-from qsim.encoding import boe_width, normalize_affine, normalize_sqrt
+from qsim.encoding import NormalizedSeries, boe_width, normalize_affine, normalize_sqrt
 from qsim.errors import ZeroBranchError
 from qsim.qhp import (PowerPlan, build_power_circuit, depth_bound, expected_loads,
                       make_loader, norm_constant_ak, run_with_dynamic_stopping,
@@ -168,8 +169,11 @@ class TestDynamicStopping:
         width = (2 * (n_vals.bit_length() - 1) if encoding == "amplitude"
                  else k * boe_width(n_vals, s))
         shots = data.draw(st.integers(1, 300 if width <= 12 else 30))
-        loader = make_loader(normalize_affine(raw, 0.0, require_positive=False),
-                             encoding, s)
+        # normalize_affine refuses zero entries, so the series is built here
+        values = np.array(raw)
+        rho = 1.0 / math.sqrt(float(np.sum(values ** 2)))
+        loader = make_loader(NormalizedSeries(values=rho * values, rho=rho, eta=0.0,
+                                              mode="affine"), encoding, s)
         plan = PowerPlan(k=k, style="mid_reset", encoding=encoding, s=s)
         got = _triples(run_with_dynamic_stopping(plan, loader, shots, RngStream(seed)))
         try:
