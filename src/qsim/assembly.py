@@ -9,6 +9,7 @@ carry the seed and no timestamps.
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -51,6 +52,10 @@ class VariantConfig:
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("K", "s", "seed", "shots"):
+            value = getattr(self, name)  # a Python or NumPy int, not a bool
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if not self.epsilon > 0:
@@ -59,6 +64,7 @@ class VariantConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
             raise ValueError("forced_epsilon_k must be positive")
+        qhp.PowerPlan(k=1, style=self.style)  # checks style, for every variant
         self.qae_config()  # checks engine and shots
 
     def qae_config(self):
@@ -202,8 +208,10 @@ def evaluate(config, rawT, rawE, contract=None):
         streams = RngStream(config.seed).split(config.K + 1)
         powers = sorted(budget.epsilon_k, reverse=True)
     # Each power has its own pre-split stream, so results do not depend on
-    # the order of the powers.  The widest (highest) power runs first, so
-    # that a request too wide for memory fails before any state is allocated.
+    # the order of the powers.  The highest power runs first: canonical QAE
+    # builds an oracle at every k, widest at the highest, so a request too
+    # wide for memory fails before any state is allocated.  Elsewhere only
+    # the k = 1 swap tests of a and d allocate.
     for k in powers:
         alpha_k = budget.alpha_k[k]
         eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None

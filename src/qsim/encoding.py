@@ -15,7 +15,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -162,13 +161,6 @@ class AmplitudeLoader:
         self.primary = tuple(range(n))  # LSB first
         self.circuit = Circuit(n)
         _load_block(self.circuit, tree, self.primary, 0, 0)
-
-    @cached_property
-    def adjoint(self):
-        """The loader's inverse circuit, built on first use and kept: every
-        ancilla-free readout of this register (b at k = 1, c's oracle at
-        each power) appends it."""
-        return self.circuit.inverse()
 
 
 def boe_width(n_leaves, s):

@@ -7,20 +7,21 @@ circuit.
 
 Every consumed power register Z is post-selected on 0 before the readout,
 and the readout gates (the swap test, or U_E^dagger on the survivor) never
-touch it, so each readout is fixed by the branch where Z reads 0.  With
-k >= 2 that branch's probabilities are read in closed form, as O(N) sums
-over the normalised values, with y_k = sum_j E_j T_j^k:
+touch it, so each readout is fixed by the branch where Z reads 0.  That
+branch's probabilities are O(N) sums over the normalised values, with
+y_k = sum_j E_j T_j^k:
 
 * P(Z=0) = a_k^-2 = sum_j T_j^{2k};
-* the ancilla-free readout (variant b) succeeds with y_k^2;
+* the ancilla-free readout (variants b and c) succeeds with y_k^2;
 * the swap test (variant a) reads Z=0 and ancilla 0 with
   (a_k^-2 + y_k^2) / 2;
 * the BOE swap test reads the same pair on the sqrt-normalised values,
   with sum_j E_j^2 T_j^{2k} in place of y_k^2: the side states are
   orthonormal, so the swap only sees the diagonal of each primary.
 
-At k = 1 nothing is consumed, and the readout circuit (the power circuit
-followed by U_E^dagger or by the swap test) runs on the statevector.
+The ancilla-free readout takes its closed form at every k, the swap tests
+at k >= 2; at k = 1 their power circuit and swap test run on the
+statevector.
 """
 
 import functools
@@ -109,12 +110,12 @@ def build_swap_test(prep_a, prep_b):
 
 
 def build_ancilla_free(prep_a, loader_b):
-    """Apply U_B^dagger, loader_b's kept adjoint, after preparing |psi_A>;
+    """Apply U_B^dagger, loader_b's inverse, after preparing |psi_A>;
     P(all-zero) = p^2."""
     if loader_b.width != len(prep_a.primary):
         raise ValueError("loader width must match the primary register")
     circ = prep_a.circuit.remapped(range(prep_a.width), prep_a.width)
-    circ.extend(loader_b.adjoint.remapped(prep_a.primary, prep_a.width))
+    circ.extend(loader_b.circuit.inverse().remapped(prep_a.primary, prep_a.width))
     return circ
 
 
@@ -124,7 +125,7 @@ def build_ancilla_free(prep_a, loader_b):
 
 def _consumed_branch(series_T, series_E, k, boe=False):
     """(P(Z=0), overlap) of the branch where every consumed register Z
-    reads 0, for k >= 2: S_k = sum_j T_j^{2k} (qhp.success_probability),
+    reads 0 (none at k = 1): S_k = sum_j T_j^{2k} (qhp.success_probability),
     and y_k^2, or with BOE sum_j E_j^2 T_j^{2k} (module docstring)."""
     t, e = series_T.values, series_E.values
     p_z0 = qhp.success_probability(series_T, k)
@@ -150,14 +151,9 @@ def _kept_per_pair(law):
 @_kept_per_pair
 def _ancilla_free_readout(series_T, series_E, k, style):
     """P(every register reads 0) after QHP and U_E^dagger on the survivor:
-    y_k^2."""
-    if k > 1:
-        qhp.PowerPlan(k=k, style=style)  # refuses an unknown style at every k
-        return _consumed_branch(series_T, series_E, k)[1]
-    pc = qhp.power_circuit(series_T, 1, style)
-    st = build_ancilla_free(pc, qhp.make_loader(series_E)).apply_unitary(
-        Statevector.zero(pc.width))
-    return float(abs(st.amplitudes[0]) ** 2)
+    y_k^2 at every k, whatever the style."""
+    qhp.PowerPlan(k=k, style=style)  # refuses an unknown style
+    return _consumed_branch(series_T, series_E, k)[1]
 
 
 def _swap_readout(series_T, series_E, k, encoding="amplitude", s=1):

@@ -284,8 +284,8 @@ def _canonical_z(oracle, config, rng):
 def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
     """Variant (c): y_k = sqrt(z) with z from amplitude estimation.
 
-    Under IQAE, z = y_k^2 is the ancilla-free readout, and the requested
-    accuracy on y is converted to an amplitude accuracy
+    Under IQAE, z = y_k^2 is the closed-form ancilla-free readout law, and
+    the requested accuracy on y is converted to an amplitude accuracy
     eps_z = epsilon * max(y_pilot, epsilon), where y_pilot comes from a
     short warm-up IQAE run.
     """

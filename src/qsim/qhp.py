@@ -18,9 +18,9 @@ next copy, CNOT the survivor's primary into the copy's primary, keep the
 branch where the copy reads 0.  A shot that has survived t - 1 rounds
 survives round t with probability S_{t+1} / S_t, so
 run_with_dynamic_stopping draws its shots from that chain and simulates one
-loaded block only.  The inner-product readouts of a consumed branch
-(k >= 2) use its closed form and build no power circuit; qsim.inner gives
-them.
+loaded block only.  The inner-product readouts (qsim.inner) use that
+branch's closed form; only the k = 1 swap tests and canonical QAE's oracles
+build a power circuit.
 """
 
 from dataclasses import dataclass
@@ -93,8 +93,8 @@ def expected_loads(series, k):
 def make_loader(series, encoding="amplitude", s=1):
     """The loader of `series` for `encoding` (BOE at split level s).  It is
     built on first use and kept in series.loaders, so every power circuit
-    and readout on one series shares one loader, and with it the loader's
-    adjoint.  Loaders and their circuits are never mutated."""
+    and readout on one series shares one loader.  Loaders and their
+    circuits are never mutated."""
     key = ("amplitude", None) if encoding == "amplitude" else ("boe", s)
     if key not in series.loaders:
         tree = build_tree(series)
@@ -103,11 +103,10 @@ def make_loader(series, encoding="amplitude", s=1):
     return series.loaders[key]
 
 
-def power_circuit(series, k, style="no_mid_reset", encoding="amplitude", s=1):
-    """Load `series` and build the circuit for its k-th power."""
+def power_circuit(series, k, encoding="amplitude", s=1):
+    """Load `series` and build the no_mid_reset circuit for its k-th power."""
     loader = make_loader(series, encoding, s)
-    return build_power_circuit(PowerPlan(k=k, style=style, encoding=encoding, s=s),
-                               loader)
+    return build_power_circuit(PowerPlan(k=k, encoding=encoding, s=s), loader)
 
 
 def build_power_circuit(plan, loader):

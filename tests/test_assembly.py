@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import recorded_calls
-from qsim import assembly, classical, encoding, inner, qhp, sim
+from qsim import assembly, classical, encoding, inner, qhp
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            constant_term_y0, delta_gross_margin, evaluate,
                            resource_report, run_experiment)
@@ -133,6 +133,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="engine"):
             VariantConfig(variant="c", K=1, eta=10.0, engine="canonicl", seed=1)
 
+    @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
+    @pytest.mark.parametrize("field, value", [
+        ("style", "bogus"), ("K", 2.5), ("K", True), ("s", 1.5), ("s", False),
+        ("seed", 1.5), ("seed", True), ("shots", 2.5), ("shots", np.float64(100.0))])
+    def test_bad_field_rejected_at_construction(self, variant, field, value):
+        # refused at construction for every variant, whether or not it reads
+        # the field, and not deep in the fit, the BOE width or SeedSequence
+        with pytest.raises(ValueError, match=field):
+            VariantConfig(**{"variant": variant, "K": 2, "eta": 10.0, field: value})
+
+    @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
+    def test_numpy_integer_fields_accepted(self, variant):
+        cfg = VariantConfig(variant=variant, K=np.int64(2), eta=10.0,
+                            s=np.int32(1), seed=np.uint8(3), shots=np.int64(50))
+        assert evaluate(cfg, RAW_T, RAW_E).to_dict() == evaluate(
+            VariantConfig(variant=variant, K=2, eta=10.0, s=1, seed=3, shots=50),
+            RAW_T, RAW_E).to_dict()
+
     def test_forced_epsilon_used_for_every_power(self):
         cfg = VariantConfig(variant="b", K=2, eta=10.0, forced_epsilon_k=0.04)
         report = evaluate(cfg, RAW_T, RAW_E)
@@ -191,21 +209,21 @@ class TestPowerLoop:
 
 class TestBuildOnce:
     """evaluate builds each object derived from its inputs once: a tree and
-    a loader per series, E's adjoint, and the fit, which later evaluations
-    with the same arguments reuse."""
+    a loader per series, and the fit, which later evaluations with the same
+    arguments reuse."""
 
-    def test_one_tree_loader_and_adjoint_per_series(self, monkeypatch):
+    def test_one_tree_and_loader_per_series(self, monkeypatch):
+        # a loads T for its k = 1 swap test and E for the swap test and the
+        # closed forms at k = 2, 3
         trees = recorded_calls(monkeypatch, encoding.StateDecompositionTree, "__init__")
         loaders = recorded_calls(monkeypatch, encoding.AmplitudeLoader, "__init__")
-        inverses = recorded_calls(monkeypatch, sim.Circuit, "inverse")
-        evaluate(VariantConfig(variant="b", K=3, eta=10.0, epsilon=0.1, seed=1),
+        evaluate(VariantConfig(variant="a", K=3, eta=10.0, epsilon=0.1, seed=1),
                  RAW_T, RAW_E)
         assert len(trees) == 2
         leaves = sorted(tuple(tree.leaves) for _self, tree in loaders)
         expected = sorted(tuple(normalize_affine(raw, eta).values)
                           for raw, eta in ((RAW_T, 10.0), (RAW_E, 0.0)))
         assert leaves == expected
-        assert len(inverses) == 1  # E's adjoint, shared by k = 1, 2, 3
 
     def test_second_evaluate_runs_no_fit(self):
         cfg = VariantConfig(variant="c", K=2, eta=7.5, epsilon=0.1, seed=1)
@@ -255,13 +273,12 @@ def _recorded_widths(monkeypatch):
 
 
 class TestReadoutWidth:
-    """a and b read each consumed branch (k >= 2) in closed form and
-    simulate only their k = 1 readout: b's widest state is U_E^dagger on
-    the survivor, a's the swap test on the survivor, E's register and the
-    ancilla."""
+    """a reads each consumed branch (k >= 2) in closed form and simulates
+    only its k = 1 swap test, on the survivor, E's register and the
+    ancilla.  b, and c under IQAE, read y_k^2 in closed form at every k and
+    simulate nothing."""
 
     @pytest.mark.parametrize("variant, K, widest", [
-        ("b", 3, 4),           # n: U_B^dagger on the survivor
         ("a", 3, 2 * 4 + 1),   # 2n + 1: the swap test on the survivor
         ("a", 2, 2 * 4 + 1),
     ])
@@ -271,6 +288,20 @@ class TestReadoutWidth:
         cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1, seed=4)
         evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
         assert max(widths) == widest
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("variant, style", [
+        ("b", "no_mid_reset"), ("b", "mid_reset"), ("c", "no_mid_reset")])
+    def test_ancilla_free_variants_simulate_nothing(self, monkeypatch, variant,
+                                                    style, K):
+        rng = np.random.default_rng(2)
+        cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1,
+                            style=style, seed=5)
+        states = recorded_calls(monkeypatch, Statevector, "__init__")
+        builds = recorded_calls(monkeypatch, qhp, "build_power_circuit")
+        report = evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
+        assert [row["k"] for row in report.per_k] == list(range(K + 1))
+        assert (states, builds) == ([], [])
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_variant_a_width_row_is_widest_state(self, monkeypatch, K):
@@ -310,8 +341,8 @@ class TestReadoutWidth:
 
     @pytest.mark.parametrize("variant", ["b"])
     def test_degree_3_at_65536_points(self, variant):
-        # the k = 3 power state alone has 48 qubits; k = 2 and 3 are read in
-        # closed form, and the k = 1 readout runs on the 16-qubit survivor
+        # the k = 3 power state alone has 48 qubits; every power is read in
+        # closed form, and no state is allocated
         rng = np.random.default_rng(5)
         t, e = rng.uniform(12.0, 28.0, 1 << 16), rng.uniform(20.0, 40.0, 1 << 16)
         cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)

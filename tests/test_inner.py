@@ -151,7 +151,8 @@ class TestZeroBranch:
         normalize = normalize_affine if encoding == "amplitude" else normalize_sqrt
         series = normalize(raw, 0.0)
         loader = qhp.make_loader(series, encoding, s)
-        pc = qhp.power_circuit(series, k, style, encoding=encoding, s=s)
+        pc = qhp.build_power_circuit(
+            qhp.PowerPlan(k=k, style=style, encoding=encoding, s=s), loader)
         assert pad in (0, loader.width + 1)
         width = pc.width + pad
         full = pc.circuit.remapped(range(pc.width), width).apply_unitary(
@@ -172,9 +173,11 @@ class TestZeroBranch:
 
 
 class TestBranchReadouts:
-    """At k = 1 the readouts run the full circuit, bit for bit.  At k >= 2
-    they read the branch where every consumed register reads 0 in closed
-    form; the full deferred-measurement circuit checks them to 1e-12."""
+    """At k = 1 the swap tests run the full circuit, bit for bit.  At k >= 2
+    they, and the ancilla-free readout at every k, read the branch where
+    every consumed register reads 0 in closed form; the full
+    deferred-measurement circuit, in both styles for the ancilla-free
+    readout, checks them to 1e-12."""
 
     @pytest.mark.parametrize("kind, k, N, style, s", _readout_cases())
     @given(seed=st.integers(0, 2**32 - 1))
@@ -188,7 +191,8 @@ class TestBranchReadouts:
             e_loader = qhp.make_loader(e, "boe", s)
         else:
             t, e = normalize_affine(t_raw, 0.0), normalize_affine(e_raw, 0.0)
-            pc = qhp.power_circuit(t, k, style)
+            pc = qhp.build_power_circuit(qhp.PowerPlan(k=k, style=style),
+                                         qhp.make_loader(t))
             e_loader = load_amplitude(build_tree(e))
         if kind == "b":
             full = build_ancilla_free(pc, e_loader).apply_unitary(
@@ -199,7 +203,7 @@ class TestBranchReadouts:
             encoding = "boe" if kind == "boe" else "amplitude"
             got = inner._swap_readout(t, e, k, encoding, s)
             want = helpers.swap_probabilities(pc, e_loader)
-        if k == 1:
+        if k == 1 and kind != "b":
             assert got == want
         else:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -308,13 +312,17 @@ class TestKeptLaws:
 
     @pytest.mark.parametrize("method", ["swap", "boe", "ab-no_mid_reset"])
     def test_repeated_estimates_simulate_once(self, method, monkeypatch):
+        # at k = 1 the swap tests simulate one circuit; the ancilla-free law
+        # is one closed-form sum and simulates none
         t, e = _fixture_pair(method)
         builds = helpers.recorded_calls(monkeypatch, qhp, "build_power_circuit")
         runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
+        sums = helpers.recorded_calls(monkeypatch, inner, "_consumed_branch")
         rng = RngStream(3)
         for _ in range(5):
             _estimate(method, t, e, 1, rng.child())
-        assert (len(builds), len(runs)) == (1, 1)
+        want = (0, 0, 1) if method.startswith("ab") else (1, 1, 0)
+        assert (len(builds), len(runs), len(sums)) == want
 
     @pytest.mark.parametrize("method, s", [("swap", 1), ("boe", 1), ("boe", 2),
                                            ("ab-no_mid_reset", 1),

@@ -290,7 +290,8 @@ def series_16(seed=0):
 
 
 class TestIqaeReach:
-    """Under IQAE, c and d simulate only their k = 1 readouts."""
+    """Under IQAE, d simulates only its k = 1 swap test, and c nothing
+    (TestReadoutWidth in test_assembly)."""
 
     def test_variant_d_k2_allocates_only_its_k1_swap_test(self, monkeypatch):
         states = recorded_calls(monkeypatch, Statevector, "__init__")
@@ -298,11 +299,6 @@ class TestIqaeReach:
         # two 8-qubit BOE blocks and the ancilla; the k = 2 oracle would
         # hold 25 qubits
         assert max(n_qubits for _state, n_qubits, *_rest in states) == 17
-
-    def test_variant_c_builds_a_power_circuit_only_at_k1(self, monkeypatch):
-        built = recorded_calls(monkeypatch, qhp, "build_power_circuit")
-        evaluate(VariantConfig(variant="c", K=3), *series_16())
-        assert [plan.k for plan, _loader in built] == [1]
 
     def test_canonical_still_builds_every_power(self, monkeypatch):
         built = recorded_calls(monkeypatch, qhp, "build_power_circuit")
