@@ -52,10 +52,14 @@ class VariantConfig:
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("K", "s", "seed", "shots"):
-            value = getattr(self, name)  # a Python or NumPy int, not a bool
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        reals = ("eta", "epsilon", "beta") + (
+            () if self.forced_epsilon_k is None else ("forced_epsilon_k",))
+        for names, kind, noun in ((("K", "s", "seed", "shots"), numbers.Integral, "an integer"),
+                                  (reals, numbers.Real, "a real number")):
+            for name in names:
+                value = getattr(self, name)  # a Python or NumPy number, not a bool
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {noun}, got {value!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if not self.epsilon > 0:

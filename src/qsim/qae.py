@@ -2,9 +2,11 @@
 and iterative QAE, plus the variant (c)/(d) per-power estimators.
 
 The Grover iterate is Q = (2|chi><chi| - I)(I - 2 P_good) with
-|chi> = F|0>, realized as -F Z F^dag S_good.  Its eigenphases are +-2theta
-with sin^2(theta) = z, so an m-qubit phase readout x maps to
-z = sin^2(pi x / 2^m).
+|chi> = F|0>.  Since F(2|0><0| - I)F^dag = 2|chi><chi| - I, the reflection
+about chi is the rank-1 update v -> 2<chi|v> chi - v on the kept chi, so an
+iterate simulates neither F nor F^dag; chi itself is simulated once from
+F's circuit.  Q's eigenphases are +-2theta with sin^2(theta) = z, so an
+m-qubit phase readout x maps to z = sin^2(pi x / 2^m).
 
 IQAE reads the Grover spectrum in closed form, sin^2((2k+1)theta) after
 Q^k (grover_probability), so it takes the amplitude z and no circuit; the
@@ -12,7 +14,8 @@ variant estimators read z from qsim.inner's readout laws.  Canonical QAE,
 the one engine that builds oracles, reads its phase distribution off the
 plane span{chi, Q chi}, which Q keeps invariant: it simulates Q chi and
 Q^2 chi, checks that Q acts on the plane as a product of two reflections,
-and raises its 2x2 matrix there to the 2^m powers the readout superposes.
+and builds the 2^m powers of its 2x2 matrix there, which the readout
+superposes, from m squarings.
 The variant estimators run it once on a CANONICAL_M-qubit phase register.
 """
 
@@ -31,19 +34,20 @@ class GroverOracle:
     """State preparation F plus the derived reflections.
 
     The good outcome is the all-zero reading of the qubits in `good`; an
-    empty tuple makes every outcome good.
+    empty tuple makes every outcome good.  The reflection about chi = F|0>
+    is a rank-1 update on chi's kept amplitudes, so F is simulated once.
     """
 
     def __init__(self, prepare, good, _built=None):
         self.prepare = prepare
         self.good = sim.register_qubits(prepare, good)
         self.n_qubits = prepare.n_qubits
-        # F|0> and F^dag, each made on first use; with_good shares them
+        # F|0>, made on first use; with_good shares it
         self._built = {} if _built is None else _built
 
     def with_good(self, good):
         """The oracle with the same F and another good register; it shares
-        this oracle's simulated chi and F^dag."""
+        this oracle's simulated chi."""
         return GroverOracle(self.prepare, good, self._built)
 
     def _chi(self):
@@ -60,14 +64,14 @@ class GroverOracle:
         sim.register_view(state, self.good, 0)[...] *= -1.0
 
     def grover(self, state):
-        """Apply Q in place."""
+        """Apply Q in place: flip the good register's sign, then reflect
+        about chi, v -> 2<chi|v> chi - v."""
         self._flip_good(state)
-        if "inverse" not in self._built:
-            self._built["inverse"] = self.prepare.inverse()
-        self._built["inverse"].apply_unitary(state)
-        state.amplitudes[0] *= -1.0
-        self.prepare.apply_unitary(state)
-        state.amplitudes *= -1.0
+        chi = self._chi()
+        amps = state.amplitudes
+        amps -= (2.0 * np.vdot(chi.amplitudes, amps)) * chi.amplitudes
+        amps *= -1.0
+        state.live = max(state.live, chi.live)
         return state
 
 
@@ -150,11 +154,15 @@ def _qpe_distribution(oracle, m):
         if residual > PLANE_TOL:
             raise ValueError("the Grover iterate is not a product of two "
                              f"reflections on span{{chi, Q chi}} (residual {residual:.3g})")
+        # Row y of coeffs is Q^y chi in that basis; rows h .. 2h - 1 are
+        # rows 0 .. h - 1 moved on by Q^h, and m squarings give Q^h.
         qm = np.array([[lam, -r_norm], [r_norm, np.conj(lam)]])
         coeffs = np.empty((dim, 2), dtype=complex)
         coeffs[0] = (1.0, 0.0)
-        for y in range(1, dim):
-            coeffs[y] = qm @ coeffs[y - 1]
+        for i in range(m):
+            h = 1 << i
+            coeffs[h:2 * h] = coeffs[:h] @ qm.T
+            qm = qm @ qm
     # amplitude(x, .) = 2^-m sum_y exp(-2 pi i x y / 2^m) Q^y |chi>
     amps = np.fft.fft(coeffs, axis=0) / dim
     return np.sum(np.abs(amps) ** 2, axis=1)

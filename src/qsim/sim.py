@@ -15,13 +15,15 @@ at live = 0; a state built from amplitudes starts at n_qubits; copy() keeps
 it.  While live < n_qubits, apply_unitary raises live to each gate's
 highest qubit + 1 and applies the gate to the contiguous prefix
 amplitudes[:2**live] as a live-qubit state, so loading one register
-after another does not sweep the still-empty upper blocks.  This is exact: every skipped amplitude is zero and the gate maps
-zeros to zeros, and every other amplitude sees the same complex128
-operations in the same order as on the full array (a zero may keep +0.0
-where the full pass would write -0.0).  In-place updates outside
-apply_unitary (project_bits, the QAE reflections) only scale amplitudes or
-set them to zero, so live stays valid.  Once live == n_qubits the gates run
-on the whole array.  Register readouts read and write register_view, a
+after another does not sweep the still-empty upper blocks.  This is
+exact: every skipped amplitude is zero and the gate maps zeros to zeros,
+and every other amplitude sees the same complex128 operations in the same
+order as on the full array (a zero may keep +0.0 where the full pass would
+write -0.0).  In-place updates outside apply_unitary keep live valid:
+project_bits and the QAE good-register flip only scale amplitudes or set
+them to zero, and the QAE reflection about chi, which adds a multiple of
+chi, raises live to chi's.  Once live == n_qubits the gates run on the
+whole array.  Register readouts read and write register_view, a
 strided view of the amplitudes that hold one register value, so they build
 no 2^n index or mask array.
 """

@@ -165,25 +165,39 @@ def z_exact(oracle):
     return sim.probability_of_bits(oracle._chi(), oracle.good, 0)
 
 
+def grover_circuit_iterate(oracle, state):
+    """Apply Q = -F Z F^dag S_good to state in place, F^dag and F simulated
+    gate by gate: the circuit form that GroverOracle.grover's rank-1
+    reflection about chi must match.  S_good flips the sign of every
+    amplitude whose good register reads 0, and Z that of amplitude 0."""
+    good = register_values(state.n_qubits, oracle.good) == 0
+    state.amplitudes[good] *= -1.0
+    oracle.prepare.inverse().apply_unitary(state)
+    state.amplitudes[0] *= -1.0
+    oracle.prepare.apply_unitary(state)
+    state.amplitudes *= -1.0
+    return state
+
+
 def grover_probability_after(oracle, j):
-    """P(good) after j Grover iterates, each simulated on the statevector:
+    """P(good) after j Grover iterates, each simulated in circuit form:
     the reference for qae.grover_probability."""
     st = oracle.chi()
     for _ in range(j):
-        oracle.grover(st)
+        grover_circuit_iterate(oracle, st)
     return sim.probability_of_bits(st, oracle.good, 0)
 
 
 def qpe_distribution_reference(oracle, m):
     """Outcome distribution of an m-qubit phase estimation on Q from all
-    2^m - 1 Grover iterates, each simulated on the statevector, and an FFT
+    2^m - 1 Grover iterates, each simulated in circuit form, and an FFT
     over the stack of states: the reference for qae._qpe_distribution."""
     dim = 1 << m
     states = np.empty((dim, 1 << oracle.n_qubits), dtype=complex)
     st = oracle.chi()
     states[0] = st.amplitudes
     for y in range(1, dim):
-        oracle.grover(st)
+        grover_circuit_iterate(oracle, st)
         states[y] = st.amplitudes
     # amplitude(x, .) = 2^-m sum_y exp(-2 pi i x y / 2^m) Q^y |chi>
     amps = np.fft.fft(states, axis=0) / dim

@@ -136,10 +136,14 @@ class TestEvaluate:
     @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
     @pytest.mark.parametrize("field, value", [
         ("style", "bogus"), ("K", 2.5), ("K", True), ("s", 1.5), ("s", False),
-        ("seed", 1.5), ("seed", True), ("shots", 2.5), ("shots", np.float64(100.0))])
+        ("seed", 1.5), ("seed", True), ("shots", 2.5), ("shots", np.float64(100.0)),
+        ("epsilon", True), ("epsilon", "0.05"), ("beta", True), ("beta", "0.9"),
+        ("eta", "10"), ("eta", False), ("eta", 10j),
+        ("forced_epsilon_k", True), ("forced_epsilon_k", "0.04")])
     def test_bad_field_rejected_at_construction(self, variant, field, value):
         # refused at construction for every variant, whether or not it reads
-        # the field, and not deep in the fit, the BOE width or SeedSequence
+        # the field, and not deep in the fit, the BOE width or SeedSequence;
+        # a bool epsilon once ran as 1 and a str eta failed inside evaluate
         with pytest.raises(ValueError, match=field):
             VariantConfig(**{"variant": variant, "K": 2, "eta": 10.0, field: value})
 
@@ -149,6 +153,14 @@ class TestEvaluate:
                             s=np.int32(1), seed=np.uint8(3), shots=np.int64(50))
         assert evaluate(cfg, RAW_T, RAW_E).to_dict() == evaluate(
             VariantConfig(variant=variant, K=2, eta=10.0, s=1, seed=3, shots=50),
+            RAW_T, RAW_E).to_dict()
+
+    @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
+    def test_numpy_and_int_real_fields_accepted(self, variant):
+        cfg = VariantConfig(variant=variant, K=2, eta=np.float64(10.0), epsilon=np.float64(0.05),
+                            beta=np.float64(0.9), forced_epsilon_k=np.float64(0.04))
+        assert evaluate(cfg, RAW_T, RAW_E).to_dict() == evaluate(
+            VariantConfig(variant=variant, K=2, eta=10, forced_epsilon_k=0.04),
             RAW_T, RAW_E).to_dict()
 
     def test_forced_epsilon_used_for_every_power(self):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta as beta_dist
 
-from helpers import (grover_probability_after, qpe_distribution_reference,
-                     recorded_calls, z_exact)
+from helpers import (grover_circuit_iterate, grover_probability_after,
+                     qpe_distribution_reference, recorded_calls, z_exact)
 from qsim import inner, qhp
 from qsim.assembly import VariantConfig, evaluate
 from qsim.encoding import normalize_affine, normalize_sqrt
@@ -141,6 +141,15 @@ class TestQpeDistribution:
                                    qpe_distribution_reference(oracle, 6),
                                    rtol=0, atol=1e-12)
 
+    # near both ends Q's plane rotation is by 2 theta ~ 2e-10 or pi - 2e-7:
+    # the m squarings keep the powers' errors at rounding
+    @pytest.mark.parametrize("z", [1e-20, 1e-12, 0.3, 1 - 1e-12, 1 - 1e-14])
+    def test_squarings_near_degenerate_z(self, z):
+        oracle = simple_oracle(z)
+        np.testing.assert_allclose(_qpe_distribution(oracle, 6),
+                                   qpe_distribution_reference(oracle, 6),
+                                   rtol=0, atol=1e-12)
+
     def test_iterate_off_the_plane_raises(self):
         circ = Circuit(2).ry(0, 1.1).ry(1, 0.7)
         with pytest.raises(ValueError, match="two reflections"):
@@ -220,6 +229,30 @@ class TestVariantOracles:
             assert grover_probability(z, j) == pytest.approx(
                 grover_probability_after(oracle, j), abs=1e-12)
 
+    @pytest.mark.parametrize("build", VARIANT_ORACLES)
+    def test_rank1_iterate_matches_circuit_form(self, build):
+        # the reflection about the kept chi against F^dag and F simulated
+        # gate by gate, on chi, on a seeded random unit state, and on |0>,
+        # whose live qubits the update must raise to chi's
+        oracle = build()
+        gen = np.random.default_rng(26)
+        amps = gen.normal(size=(2, 1 << oracle.n_qubits)).T @ (1.0, 1j)
+        for state in (oracle.chi(), Statevector(oracle.n_qubits, amps / np.linalg.norm(amps)),
+                      Statevector.zero(oracle.n_qubits)):
+            got = oracle.grover(state.copy())
+            np.testing.assert_allclose(got.amplitudes,
+                                       grover_circuit_iterate(oracle, state).amplitudes,
+                                       rtol=0, atol=1e-12)
+            assert got.live >= oracle._chi().live
+
+    @pytest.mark.parametrize("build", VARIANT_ORACLES)
+    def test_qpe_simulates_chi_once_and_inverts_nothing(self, monkeypatch, build):
+        oracle = build()
+        applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
+        inverted = recorded_calls(monkeypatch, Circuit, "inverse")
+        _qpe_distribution(oracle, 6)
+        assert (len(applied), inverted) == (1, [])
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_variant_c_z_is_yk_squared(self, k):
         t, e = series_pair()
@@ -287,6 +320,16 @@ class TestSharedPreparation:
 def series_16(seed=0):
     gen = np.random.default_rng(seed)
     return gen.uniform(12.0, 28.0, 16), gen.uniform(20.0, 40.0, 16)
+
+
+@pytest.mark.parametrize("variant, K, runs", [("c", 2, 2), ("d", 1, 1), ("d", 2, 2)])
+def test_canonical_evaluate_simulates_each_f_once(monkeypatch, variant, K, runs):
+    # one circuit simulation per prepared F (d's U and U' share one); the
+    # Grover iterates simulate neither F nor F^dag, which took 10, 7 and 16
+    applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
+    evaluate(VariantConfig(variant=variant, K=K, s=1, engine="canonical"),
+             [12.0, 17.0, 23.0, 28.0], [30.0, 24.0, 36.0, 28.0])
+    assert len(applied) == runs
 
 
 class TestIqaeReach:
