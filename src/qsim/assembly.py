@@ -129,7 +129,7 @@ def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
     eps sum(T-eta) sum(E): an absolute bound, not one relative to V.
     """
     b = np.asarray(coeffs.b, dtype=float)
-    if np.all(b == 0.0):
+    if (b == 0.0).all():
         raise ValueError("all polynomial coefficients are zero")
     scaling = 2 if quadratic else 1
     epsilon_k = {k: epsilon * rho_T ** (scaling * (k - 1)) / (K * abs(b[k]))
@@ -140,7 +140,7 @@ def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
 
 def constant_term_y0(series_E):
     """y_0 = sum_j E_j (classical); y'_0 = rho_E^{-1} y_0 = sum_j E'_j."""
-    y0 = float(np.sum(series_E.values))
+    y0 = float(series_E.values.sum())
     return y0, y0 / series_E.rho
 
 
@@ -221,7 +221,7 @@ def evaluate(config, rawT, rawE, contract=None):
         eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None
                  else config.epsilon if sampling else budget.epsilon_k[k])
         if sampling and k == 0:
-            rows[0] = {"k": 0, "y_prime_hat": float(np.sum(e)), "queries": 0,
+            rows[0] = {"k": 0, "y_prime_hat": float(e.sum()), "queries": 0,
                        "method": "classical"}
         elif sampling:
             y_prime, queries = classical.estimate_yk_sampling(

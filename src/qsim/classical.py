@@ -29,7 +29,7 @@ DEFAULT_PARAMS = SigmoidParams(A=20000.0, B=-35.0, C=3.0, D=6000.0, T0=40.0)
 def sigmoid_volume(tp, params):
     """Temperature-to-volume curve f(T') = A / (1 + (B/(T'-T0))^C) + D."""
     tp = np.asarray(tp, dtype=float)
-    if np.any(tp >= params.T0):
+    if (tp >= params.T0).any():
         raise ValueError(f"temperature must stay below T0={params.T0}")
     ratio = params.B / (tp - params.T0)
     out = params.A / (1.0 + ratio**params.C) + params.D
@@ -43,8 +43,17 @@ class PolyCoeffs:
     fit_mode: str
 
     def __call__(self, x_shifted):
-        """Evaluate the polynomial at T' - eta."""
-        return np.polynomial.polynomial.polyval(x_shifted, self.b)
+        """Evaluate the polynomial at T' - eta, a float or a float array.
+
+        The Horner recurrence of np.polynomial.polynomial.polyval, with the
+        same float operations in the same order, so the same bits, without
+        its argument handling.
+        """
+        b = self.b
+        c0 = b[-1] + x_shifted * 0
+        for i in range(2, b.size + 1):
+            c0 = b[-i] + c0 * x_shifted
+        return c0
 
 
 def _central_derivative(f, x, order, h):
@@ -106,14 +115,14 @@ def exact_value(rawT, rawE, params):
     """v = sum_j f(T'_j) E'_j by direct summation."""
     t = np.asarray(rawT, dtype=float)
     e = np.asarray(rawE, dtype=float)
-    return float(np.sum(sigmoid_volume(t, params) * e))
+    return float((sigmoid_volume(t, params) * e).sum())
 
 
 def classical_poly_value(rawT, rawE, coeffs):
     """v* = sum_{j,k} b_k E'_j (T'_j - eta)^k by direct double sum."""
     t = np.asarray(rawT, dtype=float)
     e = np.asarray(rawE, dtype=float)
-    return float(np.sum(coeffs(t - coeffs.eta) * e))
+    return float((coeffs(t - coeffs.eta) * e).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +153,44 @@ def tang_walk(tree, u):
     Row i walks the tree from the root, going right at level l when
     u[i, l] * (left^2 + right^2) >= left^2 for the children of its node.
     Each level's left^2 and left^2 + right^2 are computed once per node and
-    gathered per row: the same float operations, so the same bits.
+    gathered per row: the same float operations, so the same bits.  Level 0
+    has one node, so its row comparisons read its two scalars and gather
+    nothing.  ValueError when a row reaches a node whose subtree is zero; a
+    zero subtree no row reaches, or an empty u, raises nothing.
     """
     pos = np.zeros(u.shape[0], dtype=np.int64)
     for level in range(tree.n):
         child = tree.levels[level + 1]
         left_sq = child[0::2] * child[0::2]
-        total = (left_sq + child[1::2] * child[1::2])[pos]
-        if np.any(total == 0.0):
-            raise ValueError("zero subtree during sampling")
-        pos = 2 * pos + (u[:, level] * total >= left_sq[pos])
+        total = left_sq + child[1::2] * child[1::2]
+        if level == 0:
+            if total[0] == 0.0 and pos.size:
+                raise ValueError("zero subtree during sampling")
+            pos += u[:, 0] * total[0] >= left_sq[0]
+        else:
+            zero = total == 0.0
+            if zero.any() and zero[pos].any():
+                raise ValueError("zero subtree during sampling")
+            right = u[:, level] * total[pos] >= left_sq[pos]
+            pos *= 2
+            pos += right
     return pos
+
+
+def _median(values):
+    """np.median of a sequence of floats, bit for bit, as a Python float.
+
+    The middle value, or the mean of the two middle values, of the sorted
+    values; like NumPy's mean, the sum starts from +0.0, so a middle of
+    -0.0 values gives +0.0.  NaN when any value is NaN.
+    """
+    s = sorted(values)
+    if any(map(math.isnan, s)):
+        return math.nan
+    h = len(s) // 2
+    if len(s) % 2:
+        return 0.0 + s[h]
+    return (0.0 + s[h - 1] + s[h]) / 2
 
 
 def sampling_group_count(alpha):
@@ -174,7 +210,8 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     float operations, so the same bits; zero leaves, which the walk never
     draws, are skipped.  Uniforms are drawn as group-major rows, whole
     groups per draw of at most max(size lg N, 2^22) doubles, from one
-    stream, so chunking keeps the bits.
+    stream, so chunking keeps the bits.  The median of the group means is
+    _median's, which equals np.median's bits.
     """
     if v_access.norm == 0.0:
         raise ValueError("zero vector")
@@ -192,8 +229,8 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
         j = tang_walk(tree, rng.generator.random((rows, tree.n)))
         x = x_leaf[j].reshape(-1, size)
         # row-wise cumsum adds each group in draw order; np.sum's pairs change bits
-        means.extend(np.cumsum(x, axis=1)[:, -1] / size)
-    return float(np.median(means))
+        means.extend((np.cumsum(x, axis=1)[:, -1] / size).tolist())
+    return _median(means)
 
 
 def estimate_yk_sampling(rawT, rawE, eta, k, epsilon, alpha, rng):
@@ -203,7 +240,7 @@ def estimate_yk_sampling(rawT, rawE, eta, k, epsilon, alpha, rng):
     """
     t = validate_raw(rawT) - eta
     e = np.asarray(rawE, dtype=float)
-    if np.any(t <= 0):
+    if (t <= 0).any():
         raise ValueError("requires T'_j - eta > 0")
     access = SampleAccess.from_values(t)
     w = e * t ** (k - 1)

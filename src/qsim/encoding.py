@@ -32,7 +32,7 @@ def validate_raw(values):
     """Check a raw series: finite entries, length a power of two >= 2."""
     arr = np.asarray(values, dtype=float).reshape(-1)
     check_length(arr.size)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("series contains non-finite entries")
     return arr
 
@@ -76,10 +76,10 @@ def normalize_affine(raw, eta):
     """values_j = rho * (raw_j - eta) with rho = (sum (raw-eta)^2)^(-1/2)."""
     arr = validate_raw(raw)
     shifted = arr - eta
-    sq = float(np.sum(shifted**2))
+    sq = float((shifted**2).sum())
     if sq <= 0.0:
         raise ValueError("all entries equal eta: zero norm")
-    if np.any(shifted <= 0.0):
+    if (shifted <= 0.0).any():
         raise AssumptionError("normalized entries must be positive (shift eta below the data)")
     rho = 1.0 / math.sqrt(sq)
     return NormalizedSeries(values=rho * shifted, rho=rho, eta=float(eta), mode="affine")
@@ -89,9 +89,9 @@ def normalize_sqrt(raw, eta):
     """values_j = rho * sqrt(raw_j - eta) with rho = (sum (raw-eta))^(-1/2)."""
     arr = validate_raw(raw)
     shifted = arr - eta
-    if np.any(shifted <= 0.0):
+    if (shifted <= 0.0).any():
         raise AssumptionError("sqrt normalization requires raw_j - eta > 0")
-    rho = 1.0 / math.sqrt(float(np.sum(shifted)))
+    rho = 1.0 / math.sqrt(float(shifted.sum()))
     return NormalizedSeries(values=rho * np.sqrt(shifted), rho=rho,
                             eta=float(eta), mode="sqrt")
 

@@ -129,7 +129,7 @@ def _consumed_branch(series_T, series_E, k, boe=False):
     and y_k^2, or with BOE sum_j E_j^2 T_j^{2k} (module docstring)."""
     t, e = series_T.values, series_E.values
     p_z0 = qhp.success_probability(series_T, k)
-    overlap = np.sum(e * e * t ** (2 * k)) if boe else np.dot(e, t ** k) ** 2
+    overlap = (e * e * t ** (2 * k)).sum() if boe else np.dot(e, t ** k) ** 2
     return p_z0, float(overlap)
 
 

@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special.cython_special import betaincinv
 
 from . import inner, qhp, sim
+from .classical import _median
 from .inner import InnerEstimate, build_ancilla_free, build_swap_test
 from .sim import Statevector
 
@@ -140,7 +141,12 @@ def _qpe_distribution(oracle, m):
     st = oracle.chi()
     q_chi = oracle.grover(st).amplitudes.copy()
     lam = np.vdot(chi, q_chi)
-    r_norm = np.linalg.norm(q_chi - lam * chi)
+    # Both differences are formed in place, with the same float operations,
+    # so at most three state-sized arrays besides chi are live at once.
+    diff = lam * chi
+    np.subtract(q_chi, diff, out=diff)
+    r_norm = np.linalg.norm(diff)
+    del diff
     if r_norm < 1e-12:
         # z is 0 or 1 (U' at k = 1), chi is an eigenvector: Q^y chi = lam^y chi
         coeffs = (lam ** np.arange(dim))[:, None]
@@ -149,8 +155,11 @@ def _qpe_distribution(oracle, m):
         # Q^2 = 2 Re(lam) Q - I, and Q's matrix in the orthonormal basis
         # (chi, (Q chi - lam chi) / r_norm) is
         # [[lam, -r_norm], [r_norm, conj(lam)]].
-        residual = np.linalg.norm(oracle.grover(st).amplitudes
-                                  - 2.0 * lam.real * q_chi + chi)
+        q_chi *= 2.0 * lam.real
+        diff = oracle.grover(st).amplitudes
+        diff -= q_chi
+        diff += chi
+        residual = np.linalg.norm(diff)
         if residual > PLANE_TOL:
             raise ValueError("the Grover iterate is not a product of two "
                              f"reflections on span{{chi, Q chi}} (residual {residual:.3g})")
@@ -170,7 +179,8 @@ def _qpe_distribution(oracle, m):
 
 def canonical_qae(oracle, m, medians, rng, shots_per_run=30):
     """Median over runs of the modal phase readout, mapped through
-    z = sin^2(pi x / 2^m)."""
+    z = sin^2(pi x / 2^m); the median is classical._median's, which equals
+    np.median's bits."""
     probs = _qpe_distribution(oracle, m)
     probs = probs / probs.sum()
     estimates = []
@@ -178,7 +188,7 @@ def canonical_qae(oracle, m, medians, rng, shots_per_run=30):
         counts = rng.multinomial(shots_per_run, probs)
         x = int(np.argmax(counts))
         estimates.append(math.sin(math.pi * x / (1 << m)) ** 2)
-    return float(np.median(estimates))
+    return _median(estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +205,17 @@ class IqaeResult:
 
 
 def _clopper_pearson(ones, total, alpha_fail):
+    """Two-sided Clopper-Pearson interval at level 1 - alpha_fail for `ones`
+    successes in `total` trials.  The quantiles come from
+    scipy.special.cython_special.betaincinv, the scalar form of the
+    scipy.special ufunc, which returns the same bits without the ufunc's
+    dispatch; it takes floats only."""
     if total == 0:
         return 0.0, 1.0
-    lo = 0.0 if ones == 0 else float(betaincinv(ones, total - ones + 1, alpha_fail / 2))
-    hi = 1.0 if ones == total else float(betaincinv(ones + 1, total - ones, 1 - alpha_fail / 2))
+    lo = 0.0 if ones == 0 else betaincinv(float(ones), float(total - ones + 1),
+                                          alpha_fail / 2)
+    hi = 1.0 if ones == total else betaincinv(float(ones + 1), float(total - ones),
+                                              1 - alpha_fail / 2)
     return lo, hi
 
 

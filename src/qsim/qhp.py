@@ -77,7 +77,7 @@ def success_probability(series, k):
     S_k = sum_j values_j^{2k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return float(np.sum(series.values ** (2 * k)))
+    return float((series.values ** (2 * k)).sum())
 
 
 def expected_loads(series, k):

@@ -166,7 +166,7 @@ def _probability(view):
     # squared in place, so one float temporary of the view's size is live
     probs = np.abs(view.reshape(-1))
     np.square(probs, out=probs)
-    return float(np.sum(probs))
+    return float(probs.sum())
 
 
 def probability_of_bits(state, qubits, value):

@@ -1,14 +1,15 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsim.classical import (DEFAULT_PARAMS, SampleAccess, SigmoidParams,
-                            classical_poly_value, estimate_yk_sampling,
-                            exact_value, fit_polynomial, sampling_group_count,
-                            sampling_group_size, sigmoid_volume, tang_inner,
-                            tang_walk)
+from qsim.classical import (DEFAULT_PARAMS, PolyCoeffs, SampleAccess,
+                            SigmoidParams, _median, classical_poly_value,
+                            estimate_yk_sampling, exact_value, fit_polynomial,
+                            sampling_group_count, sampling_group_size,
+                            sigmoid_volume, tang_inner, tang_walk)
 from qsim.encoding import StateDecompositionTree
 from qsim.sim import RngStream
 
@@ -161,6 +162,45 @@ class TestValues:
         assert classical_poly_value(t, e, coeffs) == pytest.approx(direct)
 
 
+class TestPolyCoeffs:
+    # finite values only: an inf input meets x * 0 and warns on both paths
+    @given(b=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=7),
+           x=st.one_of(
+               st.floats(allow_nan=False, allow_infinity=False),
+               st.floats(allow_nan=False, allow_infinity=False).map(np.array),
+               st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                                  st.floats(allow_nan=False, allow_infinity=False)),
+                        max_size=9).map(np.array)))
+    @settings(max_examples=300, deadline=None)
+    def test_call_matches_polyval(self, b, x):
+        coeffs = PolyCoeffs(b=np.array(b), eta=0.0, fit_mode="taylor")
+        # large values overflow to inf, and then to nan, the same on both paths
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = coeffs(x)
+            want = np.polynomial.polynomial.polyval(x, coeffs.b)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestMedian:
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf,
+                                               -math.inf, math.nan]),
+                              st.floats()),
+                    min_size=1, max_size=41))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_np_median(self, values):
+        # inf - inf and huge sums warn in NumPy; Python floats do not
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.median(np.array(values)))
+        # repr tells -0.0 from 0.0
+        assert repr(_median(values)) == repr(want)
+
+    def test_middle_of_negative_zeros_is_positive_zero(self):
+        assert repr(_median([-0.0])) == repr(_median([-0.0, -0.0])) == "0.0"
+
+
 class TestSampling:
     def test_tang_sample_distribution(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
@@ -236,6 +276,25 @@ class TestSampling:
         access = SampleAccess(tree=tree, norm=1.0)
         with pytest.raises(ValueError, match="zero subtree"):
             tang_inner(access, np.ones(4), 0.5, 0.9, RngStream(0))
+
+    def test_tang_walk_unreached_zero_subtree(self):
+        # the root's right child has no weight, so no row reaches its zero
+        # subtree, and the rows walk as the scalar walk does
+        tree = StateDecompositionTree(levels=[np.array([1.0]), np.array([1.0, 0.0]),
+                                              np.array([0.6, 0.8, 0.0, 0.0])])
+        access = SampleAccess(tree=tree, norm=1.0)
+        got = tang_walk(tree, RngStream(5).generator.random((400, 2)))
+        ref = RngStream(5)
+        assert got.tolist() == [ref_tang_sample(access, ref) for _ in range(400)]
+
+    def test_tang_walk_zero_tree(self):
+        # a zero root raises once a row walks, and a walk of no rows raises
+        # nothing
+        tree = StateDecompositionTree(levels=[np.array([0.0]), np.zeros(2), np.zeros(4)])
+        got = tang_walk(tree, np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.int64
+        with pytest.raises(ValueError, match="zero subtree"):
+            tang_walk(tree, np.full((3, 2), 0.5))
 
     def test_tang_inner_zero_leaves_raise_no_warning(self):
         # the per-leaf estimator table skips the zero leaves, never drawn

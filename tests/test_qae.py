@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import betaincinv as betaincinv_ufunc
+from scipy.special.cython_special import betaincinv as betaincinv_scalar
 from scipy.stats import beta as beta_dist
 
 from helpers import (grover_circuit_iterate, grover_probability_after,
@@ -150,6 +153,23 @@ class TestQpeDistribution:
                                    qpe_distribution_reference(oracle, 6),
                                    rtol=0, atol=1e-12)
 
+    def test_peak_memory_beyond_chi(self):
+        # an 18-qubit product state: besides chi, only the iterated copy,
+        # Q chi and the second iterate's temporary are live at once
+        n = 18
+        circ = Circuit(n)
+        for q in range(n):
+            circ.ry(q, 0.3 + 0.1 * q)
+        oracle = GroverOracle(circ, (0,))
+        oracle._chi()
+        tracemalloc.start()
+        try:
+            _qpe_distribution(oracle, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * (16 << n)
+
     def test_iterate_off_the_plane_raises(self):
         circ = Circuit(2).ry(0, 1.1).ry(1, 0.7)
         with pytest.raises(ValueError, match="two reflections"):
@@ -166,6 +186,23 @@ class TestIqae:
             lo = 0.0 if ones == 0 else float(beta_dist.ppf(alpha_fail / 2, ones, total - ones + 1))
             hi = 1.0 if ones == total else float(beta_dist.ppf(1 - alpha_fail / 2, ones + 1, total - ones))
             assert _clopper_pearson(ones, total, alpha_fail) == (lo, hi)
+
+    def test_scalar_betaincinv_matches_ufunc(self):
+        # the arguments _clopper_pearson passes for the tallies iqae keeps:
+        # 0 <= ones <= total and alpha_fail in (0, 1)
+        gen = np.random.default_rng(27)
+        total = gen.integers(1, 10_001, size=60_000)
+        ones = gen.integers(0, total + 1)
+        alpha_fail = 10.0 ** gen.uniform(-9.0, 0.0, size=total.size)
+        a = np.concatenate([ones, ones + 1])
+        b = np.concatenate([total - ones + 1, total - ones])
+        p = np.concatenate([alpha_fail / 2, 1 - alpha_fail / 2])
+        keep = (a > 0) & (b > 0)
+        a, b, p = a[keep].astype(float), b[keep].astype(float), p[keep]
+        want = betaincinv_ufunc(a, b, p)
+        got = np.array([betaincinv_scalar(*args)
+                        for args in zip(a.tolist(), b.tolist(), p.tolist())])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("z", [0.04, 0.2, 0.5, 0.83])
     def test_interval_contains_truth(self, z):
