@@ -62,6 +62,8 @@ class VariantConfig:
                     raise ValueError(f"{name} must be {noun}, got {value!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.beta < 1.0:
@@ -207,6 +209,7 @@ def evaluate(config, rawT, rawE, contract=None):
         normalize = normalize_sqrt if config.variant == "d" else normalize_affine
         series_T = normalize(t, config.eta)
         series_E = None if sampling else normalize(e, 0.0)
+        access = classical.sampling_access(t, config.eta) if sampling else None
         budget = allocate_budget(coeffs, series_T.rho, config.epsilon, config.beta,
                                  config.K, quadratic=config.variant == "d")
         streams = RngStream(config.seed).split(config.K + 1)
@@ -225,7 +228,7 @@ def evaluate(config, rawT, rawE, contract=None):
                        "method": "classical"}
         elif sampling:
             y_prime, queries = classical.estimate_yk_sampling(
-                t, e, config.eta, k, eps_k, alpha_k, streams[k])
+                t, e, config.eta, k, eps_k, alpha_k, streams[k], access)
             rows[k] = {"k": k, "y_prime_hat": y_prime, "queries": queries,
                        "method": "sampling"}
         elif k == 0:
@@ -502,6 +505,7 @@ def _experiment_qae_vs_classical(config):
     t, e = _base_fixture(4)
     ser_t = normalize_affine(t, eta)
     ser_e = normalize_affine(e, 0.0)
+    access = classical.sampling_access(t, eta)
     y_exact = float(np.sum(ser_e.values * ser_t.values**k))
     y_prime_exact = y_exact / (ser_t.rho**k * ser_e.rho)
     qcfg = qae.QaeConfig(engine="iqae",
@@ -518,7 +522,7 @@ def _experiment_qae_vs_classical(config):
             calls_q.append(est.shots_used)
             rows.append(["iqae", eps, rep, est.shots_used, errs_q[-1]])
             val, queries = classical.estimate_yk_sampling(t, e, eta, k, eps, 0.9,
-                                                          rng.child())
+                                                          rng.child(), access)
             errs_c.append(abs(val - y_prime_exact) / y_prime_exact)
             calls_c.append(queries)
             rows.append(["classical", eps, rep, queries, errs_c[-1]])

@@ -233,16 +233,26 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     return _median(means)
 
 
-def estimate_yk_sampling(rawT, rawE, eta, k, epsilon, alpha, rng):
+def sampling_access(rawT, eta):
+    """SampleAccess to T' - eta, which the sampling estimator needs positive;
+    its tree's leaves are T' - eta itself."""
+    t = validate_raw(rawT) - eta
+    if (t <= 0).any():
+        raise ValueError("requires T'_j - eta > 0")
+    return SampleAccess.from_values(t)
+
+
+def estimate_yk_sampling(rawT, rawE, eta, k, epsilon, alpha, rng, access=None):
     """Sampling estimate of y'_k = sum_j E'_j (T'_j - eta)^k.
 
     Returns (estimate, queries).  The sample count does not depend on k.
+    A caller that estimates several powers passes access =
+    sampling_access(rawT, eta), built once, for the same bits.
     """
-    t = validate_raw(rawT) - eta
+    if access is None:
+        access = sampling_access(rawT, eta)
+    t = access.tree.leaves
     e = np.asarray(rawE, dtype=float)
-    if (t <= 0).any():
-        raise ValueError("requires T'_j - eta > 0")
-    access = SampleAccess.from_values(t)
     w = e * t ** (k - 1)
     est = tang_inner(access, w, epsilon, alpha, rng)
     queries = sampling_group_count(alpha) * sampling_group_size(epsilon)

@@ -136,7 +136,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
     @pytest.mark.parametrize("field, value", [
         ("style", "bogus"), ("K", 2.5), ("K", True), ("s", 1.5), ("s", False),
-        ("seed", 1.5), ("seed", True), ("shots", 2.5), ("shots", np.float64(100.0)),
+        ("seed", 1.5), ("seed", True), ("seed", -1),
+        ("shots", 2.5), ("shots", np.float64(100.0)),
         ("epsilon", True), ("epsilon", "0.05"), ("beta", True), ("beta", "0.9"),
         ("eta", "10"), ("eta", False), ("eta", 10j),
         ("forced_epsilon_k", True), ("forced_epsilon_k", "0.04")])
@@ -236,6 +237,13 @@ class TestBuildOnce:
         expected = sorted(tuple(normalize_affine(raw, eta).values)
                           for raw, eta in ((RAW_T, 10.0), (RAW_E, 0.0)))
         assert leaves == expected
+
+    def test_one_sampling_tree_per_evaluate(self, monkeypatch):
+        # every power's Tang estimate samples from the same tree over T' - eta
+        trees = recorded_calls(monkeypatch, encoding.StateDecompositionTree, "__init__")
+        evaluate(VariantConfig(variant="classical_sampling", K=3, eta=10.0,
+                               epsilon=0.1, seed=1), RAW_T, RAW_E)
+        assert len(trees) == 1
 
     def test_second_evaluate_runs_no_fit(self):
         cfg = VariantConfig(variant="c", K=2, eta=7.5, epsilon=0.1, seed=1)

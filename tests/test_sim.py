@@ -603,6 +603,71 @@ class TestRngStream:
             np.testing.assert_array_equal(
                 got, np.random.Generator(np.random.Philox(seq)).uniform(size=4))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5])
+           | st.integers(0, 2**160),
+           depth=st.integers(1, 4), data=st.data())
+    def test_streams_match_numpy_seed_sequence(self, seed, depth, data):
+        # NumPy is the reference: each stream draws what
+        # Generator(Philox(SeedSequence(seed).spawn(..)[i]...)) draws, on a
+        # spawn tree whose numbering continues across split calls, with
+        # draws interleaved between parents and children
+        def node(stream, seq, level):
+            return stream, seq, np.random.Generator(np.random.Philox(seq)), level
+
+        nodes = [node(RngStream(seed), np.random.SeedSequence(seed), 0)]
+        kinds = st.sampled_from(["split", "random", "binomial", "multinomial"])
+        # a chain of splits down to `depth` (-1 picks the newest node), then
+        # splits and draws anywhere in the tree
+        steps = [("split", -1)] * depth + data.draw(
+            st.lists(st.tuples(kinds, st.integers(0, 10**6)), max_size=12))
+        for kind, pick in steps:
+            stream, seq, ref, level = nodes[pick % len(nodes)]
+            if kind == "split" and level < 4:
+                n = data.draw(st.integers(1, 5))
+                nodes += [node(s, q, level + 1)
+                          for s, q in zip(stream.split(n), seq.spawn(n))]
+            elif kind == "binomial":
+                n, p = data.draw(st.integers(0, 1000)), data.draw(st.floats(0.0, 1.0))
+                assert stream.binomial(n, p) == ref.binomial(n, p)
+            elif kind == "multinomial":
+                weights = np.array(data.draw(st.lists(st.integers(1, 9), min_size=1,
+                                                      max_size=5)), dtype=float)
+                n, pvals = data.draw(st.integers(0, 1000)), weights / weights.sum()
+                np.testing.assert_array_equal(stream.multinomial(n, pvals),
+                                              ref.multinomial(n, pvals))
+            else:
+                size = data.draw(st.integers(1, 5))
+                np.testing.assert_array_equal(stream.generator.random(size),
+                                              ref.random(size))
+        for stream, seq, _ref, _level in nodes:
+            for n_words in (0, 1, 2, 3, 4, 5, 8):
+                for dtype in (np.uint32, np.uint64):
+                    got = stream.seed_seq.generate_state(n_words, dtype)
+                    want = seq.generate_state(n_words, dtype)
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+
+    def test_child_indices_stop_below_2_to_32(self):
+        # a child index is one 32-bit entropy word, as in NumPy
+        stream = RngStream(9)
+        stream.seed_seq.n_children_spawned = 2**32 - 2
+        ref = np.random.SeedSequence(9, n_children_spawned=2**32 - 2).spawn(1)[0]
+        np.testing.assert_array_equal(
+            stream.child().generator.random(3),
+            np.random.Generator(np.random.Philox(ref)).random(3))
+        with pytest.raises(ValueError, match="2\\^32"):
+            stream.split(2)
+
+    @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, np.float64(2.0), "3", [1, 2]])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RngStream(seed)
+
+    def test_seedless_stream_draws(self):
+        # None takes fresh OS entropy, as SeedSequence() does
+        assert 0.0 <= RngStream().generator.random() < 1.0
+
 
 class TestCircuit:
     def test_inverse_is_identity(self):
