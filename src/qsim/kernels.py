@@ -3,43 +3,44 @@
 Convention: qubit 0 is the least-significant bit of the basis index, so in
 the plain (2,)*n view of the amplitudes qubit q sits on axis n-1-q.
 
-Each kernel reshapes the amplitudes to one length-2 axis per fixed qubit
-(controls, targets) and one merged axis per run of free qubits between
-them, then selects the two halves it pairs up by basic indexing.  Those are
-views into the state (amps must be C-contiguous, so that the reshape is a
-view too), so no index arrays are built and nothing is gathered or
-scattered.
+apply_ctrl_1q and apply_cnot reshape the amplitudes to one length-2 axis
+per fixed qubit (controls, targets) and one merged axis per run of free
+qubits between them, then select the two halves they pair up by basic
+indexing; apply_cswap_pair indexes the plain view.  Those are views into
+the state (amps must be C-contiguous, so that the reshape is a view too),
+so no index arrays are built and nothing is gathered or scattered.
 
-apply_ctrl_1q computes every output amplitude as the elementwise complex128
-expression u00*a0 + u01*a1 (or u10*a0 + u11*a1), evaluated in that order;
-BLAS routines such as matmul are avoided because they may fuse multiply-adds
-and change the rounding, and outputs must be reproducible bit for bit.  A
-uniformly controlled gate runs in one call: its control qubits stay
-length-2 axes of the same two views, and each coefficient is an array over
-the control patterns, broadcast over the free axes.  Every amplitude still
-gets that expression with its own pattern's coefficients, and a real
-coefficient enters it as c + 0j whether it comes as a Python float or as an
-array entry.  Nothing is summed across amplitudes, so one call per pattern
-and one call for all of them differ only in the order in which amplitudes
-are visited, and give the same bits.  So does cutting a wide state's
-halves into blocks of BLOCK pairs, which keeps each block's temporaries in
-cache.
+Amplitudes are float64, because every gate the simulator builds is real
+(see sim).  apply_ctrl_1q computes every output amplitude as the
+elementwise expression u00*a0 + u01*a1 (or u10*a0 + u11*a1), evaluated in
+that order, with its coefficients as they come, Python floats or float64
+arrays; BLAS routines such as matmul are avoided because they may fuse
+multiply-adds and change the rounding, and outputs must be reproducible
+bit for bit.  A uniformly controlled gate runs in one call: its control
+qubits stay length-2 axes of the same two views, and each coefficient is
+an array over the control patterns, broadcast over the free axes.  Every
+amplitude still gets that expression with its own pattern's coefficients.
+Nothing is summed across amplitudes, so one call per pattern and one call
+for all of them differ only in the order in which amplitudes are visited,
+and give the same bits.  So does cutting a wide state's halves into blocks
+of BLOCK pairs, which keeps each block's temporaries in cache.
 
-The permutations, apply_cnot and apply_cswap_pair, exchange the two halves
-through one swap body and do no arithmetic, so each amplitude is moved
-unchanged.  A CNOT run as the matrix [[0, 1], [1, 0]] through apply_ctrl_1q
-gives the same bits, except that a zero amplitude may differ in sign.
+The permutations, apply_cnot and apply_cswap_pair, move amplitudes and do
+no arithmetic, so each amplitude is moved unchanged.  A CNOT run as the
+matrix [[0, 1], [1, 0]] through apply_ctrl_1q gives the same bits, except
+that a zero amplitude may differ in sign.
 """
 
+import numbers
 from functools import lru_cache
 from itertools import product
 from math import prod
 
 backend = "numpy"
 # Amplitude pairs apply_ctrl_1q updates per step: a step's two halves and
-# its three temporaries (80 bytes a pair, 1.25 MiB) stay in a 2 MiB L2, and
+# its three temporaries (40 bytes a pair, 1.25 MiB) stay in a 2 MiB L2, and
 # temporaries never grow with the state.
-BLOCK = 1 << 14
+BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=4096)
@@ -121,9 +122,8 @@ def apply_ctrl_1q(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u1
     arrays of 2^c entries, one per control pattern, with pattern bit j the
     value of the j-th lowest control qubit, and every pattern is applied in
     this one call (c = 0 takes scalars as well).  States wider than BLOCK
-    pairs are updated block by block.  Each block's coefficient arrays are
-    cast to complex (a real c to c + 0j) before its products, as NumPy would
-    cast them within each product, but once instead of per buffer of each.
+    pairs are updated block by block, each with the views of its own
+    coefficient entries.
     """
     tbit = 1 << target
     if ctrl_val is None and ctrl_mask:
@@ -139,24 +139,11 @@ def apply_ctrl_1q(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u1
     if kept is not None:
         coeffs = [u.reshape(kept) for u in coeffs]
     if a0.size <= BLOCK:
-        _pair_update(a0, a1, *(coeffs if kept is None else
-                               [u.astype(complex) for u in coeffs]))
+        _pair_update(a0, a1, *coeffs)
         return
     for blk, ublk in _blocks(a0.shape, kept):
         _pair_update(a0[blk], a1[blk], *(coeffs if ublk is None else
-                                         [u[ublk].astype(complex) for u in coeffs]))
-
-
-def _swap(amps, plan):
-    """Exchange the halves amps.reshape(shape)[idx0] and [idx1] of a view
-    plan (shape, idx0, idx1, _) in place."""
-    shape, idx0, idx1, _ = plan
-    view = amps.reshape(shape)
-    a0 = view[idx0]
-    a1 = view[idx1]
-    tmp = a0.copy()
-    a0[...] = a1
-    a1[...] = tmp
+                                         [u[ublk] for u in coeffs]))
 
 
 def apply_cnot(amps, n_qubits, control, target):
@@ -165,15 +152,33 @@ def apply_cnot(amps, n_qubits, control, target):
     """
     cbit = 1 << control
     tbit = 1 << target
-    _swap(amps, _view_plan(n_qubits, cbit | tbit, cbit, cbit | tbit))
+    shape, idx0, idx1, _ = _view_plan(n_qubits, cbit | tbit, cbit, cbit | tbit)
+    view = amps.reshape(shape)
+    a0 = view[idx0]
+    a1 = view[idx1]
+    tmp = a0.copy()
+    a0[...] = a1
+    a1[...] = tmp
+
+
+@lru_cache(maxsize=4096)
+def _swap_plan(n_qubits, ctrl_mask, ctrl_val, qa, qb):
+    """(idx, axes): in the (2,)*n view, [idx] fixes each control axis to its
+    value, kept as length 1, and axes exchanges qa[i]'s axis with qb[i]'s."""
+    idx = tuple(slice(ctrl_val >> q & 1, (ctrl_val >> q & 1) + 1) if ctrl_mask >> q & 1
+                else slice(None) for q in range(n_qubits - 1, -1, -1))
+    axes = list(range(n_qubits))
+    for a, b in zip(qa, qb):
+        axes[n_qubits - 1 - a], axes[n_qubits - 1 - b] = n_qubits - 1 - b, n_qubits - 1 - a
+    return idx, tuple(axes)
 
 
 def apply_cswap_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
-    """Swap qubits qa and qb on the subspace selected by the control bits.
-
-    A controlled register swap is a product of these pairwise swaps.
-    """
-    abit = 1 << qa
-    bbit = 1 << qb
-    _swap(amps, _view_plan(n_qubits, ctrl_mask | abit | bbit,
-                           ctrl_val | abit, ctrl_val | bbit))
+    """Swap registers qa and qb (equal-length qubit sequences, or single
+    qubits) in place where the control bits (ctrl_mask) equal ctrl_val: one
+    copy of that subspace, written back with the registers' axes exchanged."""
+    qa = (qa,) if isinstance(qa, numbers.Integral) else tuple(qa)
+    qb = (qb,) if isinstance(qb, numbers.Integral) else tuple(qb)
+    idx, axes = _swap_plan(n_qubits, ctrl_mask, ctrl_val, qa, qb)
+    sub = amps.reshape((2,) * n_qubits)[idx]
+    sub[...] = sub.copy().transpose(axes)

@@ -134,7 +134,9 @@ def _qpe_distribution(oracle, m):
     Q is a product of two reflections whose planes both hold chi, so every
     Q^y chi lies in span{chi, Q chi}.  The distribution is computed on that
     plane from two simulated iterates; ValueError if Q does not act there
-    as such a product.
+    as such a product.  BLAS adds np.vdot's and np.linalg.norm's terms in
+    another order for float64 than for complex128 amplitudes, so the last
+    bits depend on the amplitude type.
     """
     dim = 1 << m
     chi = oracle._chi().amplitudes  # shared and never written; st is the copy
@@ -152,10 +154,10 @@ def _qpe_distribution(oracle, m):
         coeffs = (lam ** np.arange(dim))[:, None]
     else:
         # Each reflection has determinant -1 on the plane, so there
-        # Q^2 = 2 Re(lam) Q - I, and Q's matrix in the orthonormal basis
-        # (chi, (Q chi - lam chi) / r_norm) is
-        # [[lam, -r_norm], [r_norm, conj(lam)]].
-        q_chi *= 2.0 * lam.real
+        # Q^2 = 2 lam Q - I (lam is real, as chi and Q are), and Q's matrix
+        # in the orthonormal basis (chi, (Q chi - lam chi) / r_norm) is
+        # [[lam, -r_norm], [r_norm, lam]].
+        q_chi *= 2.0 * lam
         diff = oracle.grover(st).amplitudes
         diff -= q_chi
         diff += chi
@@ -165,7 +167,7 @@ def _qpe_distribution(oracle, m):
                              f"reflections on span{{chi, Q chi}} (residual {residual:.3g})")
         # Row y of coeffs is Q^y chi in that basis; rows h .. 2h - 1 are
         # rows 0 .. h - 1 moved on by Q^h, and m squarings give Q^h.
-        qm = np.array([[lam, -r_norm], [r_norm, np.conj(lam)]])
+        qm = np.array([[lam, -r_norm], [r_norm, lam]])
         coeffs = np.empty((dim, 2), dtype=complex)
         coeffs[0] = (1.0, 0.0)
         for i in range(m):

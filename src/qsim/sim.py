@@ -17,7 +17,7 @@ highest qubit + 1 and applies the gate to the contiguous prefix
 amplitudes[:2**live] as a live-qubit state, so loading one register
 after another does not sweep the still-empty upper blocks.  This is
 exact: every skipped amplitude is zero and the gate maps zeros to zeros,
-and every other amplitude sees the same complex128 operations in the same
+and every other amplitude sees the same float64 operations in the same
 order as on the full array (a zero may keep +0.0 where the full pass would
 write -0.0).  In-place updates outside apply_unitary keep live valid:
 project_bits and the QAE good-register flip only scale amplitudes or set
@@ -26,6 +26,13 @@ chi, raises live to chi's.  Once live == n_qubits the gates run on the
 whole array.  Register readouts read and write register_view, a
 strided view of the amplitudes that hold one register value, so they build
 no 2^n index or mask array.
+
+Amplitudes are float64: every gate is a real matrix and every in-place
+update (a sign flip, the reflection about a real chi, a projection) keeps a
+real state real, so complex amplitudes would carry zero imaginary parts at
+twice the bytes.  Float64 arithmetic gives complex128's real-part bits,
+except in division: NumPy divides a complex a by a real p as a * (1 / p),
+so project_bits and postselect scale by 1.0 / sqrt(prob).
 """
 
 import numbers
@@ -39,13 +46,12 @@ from . import kernels
 from .errors import ZeroBranchError
 
 NORM_TOL = 1e-10
-UNITARY_TOL = 1e-8
 ZERO_BRANCH_CUTOFF = 1e-14
 # Widest state a Statevector may allocate: half of physical memory.
 MAX_STATE_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
-HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
+HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
 _HADAMARD_PAYLOAD = tuple(HADAMARD.ravel().tolist())
 
 
@@ -168,19 +174,25 @@ class RngStream:
 
 
 class Statevector:
-    """Dense complex amplitude vector over n_qubits."""
+    """Dense real (float64) amplitude vector over n_qubits.
+
+    Amplitudes given as a complex array must have zero imaginary parts.
+    """
 
     def __init__(self, n_qubits, amplitudes=None):
         self.n_qubits = int(n_qubits)
         dim = 1 << self.n_qubits
-        if 16 * dim > MAX_STATE_BYTES:
-            raise ValueError(f"a {self.n_qubits}-qubit statevector needs {16 * dim} "
+        if 8 * dim > MAX_STATE_BYTES:
+            raise ValueError(f"a {self.n_qubits}-qubit statevector needs {8 * dim} "
                              f"bytes, over half of physical memory ({MAX_STATE_BYTES})")
         if amplitudes is None:
-            amps = np.zeros(dim, dtype=np.complex128)
+            amps = np.zeros(dim)
             amps[0] = 1.0
         else:
-            amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+            amps = np.asarray(amplitudes)
+            if np.iscomplexobj(amps) and amps.imag.any():
+                raise ValueError("amplitudes must be real")
+            amps = amps.real.astype(np.float64).reshape(-1)
             if amps.size != dim:
                 raise ValueError(f"expected {dim} amplitudes, got {amps.size}")
             norm = np.sum(np.abs(amps) ** 2)
@@ -233,7 +245,7 @@ def marginal_probabilities(state, qubits):
     n = state.n_qubits
     others = [q for q in range(n) if q not in qubits]
     axes = [n - 1 - q for q in others[::-1] + list(qubits[::-1])]
-    table = (np.abs(state.amplitudes) ** 2).reshape((2,) * n).transpose(axes)
+    table = np.square(state.amplitudes).reshape((2,) * n).transpose(axes)
     return np.cumsum(table.reshape(1 << len(others), 1 << len(qubits)), axis=0)[-1]
 
 
@@ -251,11 +263,8 @@ def register_view(state, qubits, value):
 
 
 def _probability(view):
-    # flattened first: squaring a 0-d view would take scalar pow's rounding;
-    # squared in place, so one float temporary of the view's size is live
-    probs = np.abs(view.reshape(-1))
-    np.square(probs, out=probs)
-    return float(probs.sum())
+    # flattened first, so that a 0-d view squares as an array does
+    return float(np.square(view.reshape(-1)).sum())
 
 
 def probability_of_bits(state, qubits, value):
@@ -277,7 +286,7 @@ def project_bits(state, qubits, value):
     Returns (probability, state); the input state is mutated.
     """
     prob, view = checked_branch(state, qubits, value)
-    kept = view / np.sqrt(prob)
+    kept = view * (1.0 / np.sqrt(prob))  # the reciprocal: module docstring
     state.amplitudes[:] = 0.0
     view[...] = kept
     return prob, state
@@ -309,7 +318,7 @@ def postselect(state, reg, value):
         raise ValueError("postselect requires a contiguous register")
     prob, view = checked_branch(state, qubits, value)
     reduced = Statevector.zero(state.n_qubits - width)
-    reduced.amplitudes[:] = (view / np.sqrt(prob)).reshape(-1)
+    reduced.amplitudes[:] = (view * (1.0 / np.sqrt(prob))).reshape(-1)
     reduced.live = reduced.n_qubits
     return prob, reduced
 
@@ -317,14 +326,6 @@ def postselect(state, reg, value):
 # ---------------------------------------------------------------------------
 # Circuit representation
 # ---------------------------------------------------------------------------
-
-def _frozen(*entries):
-    """The payload entries, each array among them made read-only."""
-    for u in entries:
-        if isinstance(u, np.ndarray):
-            u.setflags(write=False)
-    return entries
-
 
 @lru_cache(maxsize=4096)
 def _pattern_axes(controls):
@@ -348,15 +349,15 @@ class Circuit:
       ("layer", controls + targets, None)    -- CNOTs control_i -> target_i
       ("cswap", (control,) + a + b, None)    -- swap a and b where control=1
 
-    u, ry and ucry all build "u" gates; an Ry's (c, -s, s, c) is computed
-    as the gate is built, by one cos and one sin over all of its angles.
-    Entries are immutable (numbers, read-only arrays) because remapped()
-    and extend() share them between circuits; inverse() conjugates them,
-    and a real entry's conjugate is the entry itself.  A gate reaches the
-    kernel in one call, whatever its number of control patterns.  The
-    builder methods check their qubits against n_qubits, refuse a qubit
-    named twice in one gate and give ucry one angle per control pattern, so
-    a bad gate fails where it is added rather than where it is applied.
+    h, ry and ucry build the "u" gates, all real; an Ry's (c, -s, s, c) is
+    computed as the gate is built, by one cos and one sin over all of its
+    angles.  Entries are immutable (Python floats, read-only float64
+    arrays) because remapped(), extend() and inverse() share them between
+    circuits.  A gate reaches the kernel in one call, whatever its number
+    of control patterns.  The builder methods check their qubits against
+    n_qubits, refuse a qubit named twice in one gate and give ucry one
+    angle per control pattern, so a bad gate fails where it is added rather
+    than where it is applied.
     Reflections about a register value, such as a QAE oracle's good
     subspace, are applied in place by qae.GroverOracle, not as gates.
     """
@@ -364,17 +365,6 @@ class Circuit:
     def __init__(self, n_qubits, gates=None):
         self.n_qubits = n_qubits
         self.gates = list(gates) if gates else []
-
-    def u(self, qubit, mat):
-        _check_qubits(self, (qubit,))
-        m = np.asarray(mat, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("u must be 2x2")
-        dev = np.linalg.norm(m.conj().T @ m - np.eye(2))
-        if dev > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (Frobenius deviation {dev:.2e})")
-        self.gates.append(("u", (qubit,), tuple(m.ravel().tolist())))
-        return self
 
     def ry(self, qubit, angle):
         return self.ucry((), qubit, (angle,))
@@ -395,7 +385,9 @@ class Circuit:
         if controls:
             half = np.multiply(angles, 0.5)  # a * 0.5 rounds as a / 2 does
             c, s = np.cos(half), np.sin(half)
-            payload = _frozen(c, -s, s, c)
+            payload = (c, -s, s, c)
+            for u in payload:
+                u.setflags(write=False)
         else:
             half = float(angles[0]) / 2.0
             c, s = float(np.cos(half)), float(np.sin(half))
@@ -436,14 +428,13 @@ class Circuit:
         return self
 
     def inverse(self):
-        """Gates in reverse order, each u matrix conjugate-transposed; a CNOT
+        """Gates in reverse order, each (real) u matrix transposed; a CNOT
         layer and a controlled swap are their own inverses."""
         inv = Circuit(self.n_qubits)
         for kind, qubits, payload in reversed(self.gates):
             if kind == "u":
                 u00, u01, u10, u11 = payload
-                payload = _frozen(u00.conjugate(), u10.conjugate(), u01.conjugate(),
-                                  u11.conjugate())
+                payload = (u00, u10, u01, u11)
             inv.gates.append((kind, qubits, payload))
         return inv
 
@@ -468,8 +459,8 @@ class Circuit:
         elif kind == "cswap":
             control = 1 << qubits[0]
             half = (len(qubits) + 1) // 2
-            for qa, qb in zip(qubits[1:half], qubits[half:]):
-                kernels.apply_cswap_pair(amps, n, control, control, qa, qb)
+            kernels.apply_cswap_pair(amps, n, control, control, qubits[1:half],
+                                     qubits[half:])
         else:
             raise ValueError(f"unexpected gate in unitary application: {kind}")
 

@@ -12,8 +12,16 @@ from qsim.encoding import normalize_affine
 from qsim.qhp import QhpOutcome
 from qsim.sim import Circuit, Statevector
 
-# Pauli X, for Circuit.u: qsim has no X gate of its own.
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# Pauli X, for u_gate: qsim has no X gate of its own.
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def u_gate(circ, qubit, mat):
+    """Append the uncontrolled u gate of the real 2x2 matrix `mat` on
+    `qubit`, its entries as Python floats, and return circ: qsim's builders
+    make Ry and H only."""
+    circ.gates.append(("u", (qubit,), tuple(np.asarray(mat, dtype=float).ravel().tolist())))
+    return circ
 
 
 def pair_with_overlap(p):
@@ -60,6 +68,22 @@ def apply_u_per_pattern(amps, n_qubits, gate, kernel=kernels.apply_ctrl_1q):
         kernel(amps, n_qubits, mask, val, target, *coeffs)
 
 
+def cswap_per_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
+    """Swap registers qa and qb in place where the control bits equal
+    ctrl_val, one qubit pair at a time, each by exchanging the halves of the
+    subspace that hold (1, 0) and (0, 1) on the pair: the reference whose
+    bits kernels.apply_cswap_pair's single permutation must keep."""
+    for a, b in zip(qa, qb):
+        abit, bbit = 1 << a, 1 << b
+        shape, idx0, idx1, _ = kernels._view_plan(n_qubits, ctrl_mask | abit | bbit,
+                                                  ctrl_val | abit, ctrl_val | bbit)
+        view = amps.reshape(shape)
+        a0, a1 = view[idx0], view[idx1]
+        tmp = a0.copy()
+        a0[...] = a1
+        a1[...] = tmp
+
+
 def marginal_probabilities(state, qubits):
     """Born probabilities of the register's outcomes, added up in basis
     index order."""
@@ -83,7 +107,7 @@ def postselected_power_state(pc):
 def survivor_amplitudes(pc, state):
     """Amplitudes of the surviving primary register of a post-selected,
     amplitude-encoded power state (every other qubit is then |0>)."""
-    out = np.zeros(1 << len(pc.primary), dtype=complex)
+    out = np.zeros(1 << len(pc.primary))
     np.add.at(out, register_values(state.n_qubits, pc.primary), state.amplitudes)
     return out
 
@@ -142,7 +166,7 @@ def side_state_matrix(state, loader):
     side register is every qubit outside the primary.  Normalized, the
     columns are the side states, orthonormal for a proper BOE."""
     side = tuple(q for q in range(loader.width) if q not in loader.primary)
-    out = np.zeros((1 << len(side), 1 << len(loader.primary)), dtype=complex)
+    out = np.zeros((1 << len(side), 1 << len(loader.primary)))
     np.add.at(out, (register_values(state.n_qubits, side),
                     register_values(state.n_qubits, loader.primary)),
               state.amplitudes)
@@ -193,7 +217,7 @@ def qpe_distribution_reference(oracle, m):
     2^m - 1 Grover iterates, each simulated in circuit form, and an FFT
     over the stack of states: the reference for qae._qpe_distribution."""
     dim = 1 << m
-    states = np.empty((dim, 1 << oracle.n_qubits), dtype=complex)
+    states = np.empty((dim, 1 << oracle.n_qubits))
     st = oracle.chi()
     states[0] = st.amplitudes
     for y in range(1, dim):

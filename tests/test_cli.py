@@ -100,8 +100,9 @@ class TestEvaluate:
 
     def test_oversized_request_exit_2(self, runner, tmp_path):
         # variant a at degree 3 on 2^15 points runs its swap test on a
-        # 31-qubit state (32 GiB), over half the memory of any machine with
-        # less than 64 GiB; it is refused before any state is allocated
+        # 31-qubit state (16 GiB of float64), over half the memory of any
+        # machine with less than 32 GiB; it is refused before any state is
+        # allocated
         rng = np.random.default_rng(0)
         t = tmp_path / "t.json"
         e = tmp_path / "e.json"

@@ -142,7 +142,7 @@ def test_loader_then_inverse_returns_input(n, s, seed):
     vals /= np.linalg.norm(vals)
     tree = build_tree(vals)
     loader = load_boe(tree, s) if s else load_amplitude(tree)
-    amps = rng.normal(size=1 << loader.width) + 1j * rng.normal(size=1 << loader.width)
+    amps = rng.normal(size=1 << loader.width)
     state = Statevector(loader.width, amps / np.linalg.norm(amps))
     start = state.amplitudes.copy()
     loader.circuit.inverse().apply_unitary(loader.circuit.apply_unitary(state))

@@ -18,6 +18,9 @@ Only the draws changed.  Since dynamic stopping draws its shots from the
 closed-form survival chain and keeps no states, both digests run on the
 statevector chain helpers.ref_dynamic_stopping, which reproduces them, and
 each asserts that qhp.run_with_dynamic_stopping gives the same outcomes.
+Their state hashes were taken while amplitudes were complex128; amplitudes
+are now float64, and each state is hashed cast back to complex128, whose
+bytes are the same as then.
 The variant-b, variant-d, canonical and BOE swap-test digests were computed
 before the readout circuits were given a single construction in
 `inner.build_swap_test` and `inner.build_ancilla_free`, and that rewrite
@@ -70,7 +73,7 @@ def _dynstop(encoding, k, s, shots, seed):
     got = qhp.run_with_dynamic_stopping(plan, loader, shots, RngStream(seed))
     outcomes = [[o.success, o.rounds_executed, o.loads] for o, _state in ref]
     assert [[o.success, o.rounds_executed, o.loads] for o in got] == outcomes
-    states = [hashlib.sha256(state.amplitudes.tobytes()).hexdigest()
+    states = [hashlib.sha256(state.amplitudes.astype(complex).tobytes()).hexdigest()
               for _o, state in ref if state is not None]
     return {"shots": outcomes, "states": states}
 

@@ -9,7 +9,7 @@ from scipy.special.cython_special import betaincinv as betaincinv_scalar
 from scipy.stats import beta as beta_dist
 
 from helpers import (grover_circuit_iterate, grover_probability_after,
-                     qpe_distribution_reference, recorded_calls, z_exact)
+                     qpe_distribution_reference, recorded_calls, u_gate, z_exact)
 from qsim import inner, qhp
 from qsim.assembly import VariantConfig, evaluate
 from qsim.encoding import normalize_affine, normalize_sqrt
@@ -60,7 +60,8 @@ class TestGroverOracle:
 @st.composite
 def prepare_circuits(draw):
     """(prepare, good): a random circuit of ry, u and CNOT-layer gates on
-    1-8 qubits, and a good register that may be empty or every qubit."""
+    1-8 qubits, each u a real orthogonal matrix (a rotation or a
+    reflection), and a good register that may be empty or every qubit."""
     n = draw(st.integers(1, 8))
     angle = st.floats(-math.pi, math.pi)
     circ = Circuit(n)
@@ -69,10 +70,10 @@ def prepare_circuits(draw):
         if kind == "ry":
             circ.ry(draw(st.integers(0, n - 1)), draw(angle))
         elif kind == "u":
-            a, b, c = draw(angle), draw(angle), draw(angle)
-            circ.u(draw(st.integers(0, n - 1)),
-                   [[math.cos(a), -np.exp(1j * c) * math.sin(a)],
-                    [np.exp(1j * b) * math.sin(a), np.exp(1j * (b + c)) * math.cos(a)]])
+            sign = st.sampled_from([1.0, -1.0])
+            a, b, c = draw(angle), draw(sign), draw(sign)
+            u_gate(circ, draw(st.integers(0, n - 1)),
+                   [[math.cos(a), -c * math.sin(a)], [b * math.sin(a), b * c * math.cos(a)]])
         else:
             qubits = draw(st.permutations(range(n)))
             pairs = draw(st.integers(1, n // 2))
@@ -273,7 +274,7 @@ class TestVariantOracles:
         # whose live qubits the update must raise to chi's
         oracle = build()
         gen = np.random.default_rng(26)
-        amps = gen.normal(size=(2, 1 << oracle.n_qubits)).T @ (1.0, 1j)
+        amps = gen.normal(size=1 << oracle.n_qubits)
         for state in (oracle.chi(), Statevector(oracle.n_qubits, amps / np.linalg.norm(amps)),
                       Statevector.zero(oracle.n_qubits)):
             got = oracle.grover(state.copy())

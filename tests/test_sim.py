@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
-from qsim import kernels, sim
+from qsim import inner, kernels, qae, qhp, sim
+from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.errors import ZeroBranchError
 from qsim.kernels import apply_cswap_pair, apply_ctrl_1q, backend
 from qsim.sim import Circuit, RngStream, Statevector
@@ -13,15 +14,14 @@ from qsim.sim import Circuit, RngStream, Statevector
 
 def random_state(n, seed=0):
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps = rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     return Statevector(n, amps)
 
 
-def random_unitary(seed=0):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(m)
+def random_orthogonal(seed=0):
+    """A random real orthogonal 2x2 matrix, a rotation or a reflection."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2)))
     return q
 
 
@@ -56,7 +56,7 @@ def dense_ctrl_1q(n_qubits, ctrl_mask, ctrl_val, target, u):
     """The full 2^n x 2^n matrix of a controlled single-qubit gate."""
     dim = 1 << n_qubits
     tbit = 1 << target
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((dim, dim))
     for i in range(dim):
         if i & ctrl_mask != ctrl_val:
             mat[i, i] = 1.0
@@ -143,7 +143,7 @@ def live_circuits(draw):
         qubits = draw(st.permutations(range(draw(st.integers(need, n)))))
         if kind == "u":
             qubits = qubits[:1]
-            circ.u(qubits[0], random_unitary(draw(st.integers(0, 2**32 - 1))))
+            helpers.u_gate(circ, qubits[0], random_orthogonal(draw(st.integers(0, 2**32 - 1))))
         elif kind == "ry":
             qubits = qubits[:1]
             circ.ry(qubits[0], draw(angle))
@@ -168,11 +168,11 @@ def live_circuits(draw):
 def u_gate_cases(draw):
     """(state, gate): a u gate with 0 to 5 controls in any order and its
     target below, between or above them, on n <= 12 qubits.  The payload is
-    a real Ry (angles include 0 and +-pi, so coefficients include signed
-    zeros) or complex (H or a random unitary per pattern).  The state is
-    full-width with a drawn share of zero amplitudes, each part +0.0 or
-    -0.0, or a live-prefix state from Statevector.zero with Ry on its lowest
-    0 to n qubits."""
+    an Ry (angles include 0 and +-pi, so coefficients include signed zeros)
+    or H or a random orthogonal matrix per pattern.  The state is full-width
+    with a drawn share of zero amplitudes, each +0.0 or -0.0, or a
+    live-prefix state from Statevector.zero with Ry on its lowest 0 to n
+    qubits."""
     n = draw(st.integers(1, 12))
     c = draw(st.integers(0, min(5, n - 1)))
     chosen = draw(st.permutations(range(n)))[:c + 1]
@@ -185,10 +185,10 @@ def u_gate_cases(draw):
         gate = Circuit(n).ucry(controls, target, angles).gates[0]
     else:
         mats = [sim.HADAMARD if draw(st.booleans())
-                else random_unitary(draw(st.integers(0, 2**32 - 1)))
+                else random_orthogonal(draw(st.integers(0, 2**32 - 1)))
                 for _ in range(1 << c)]
         if c == 0:
-            gate = Circuit(n).u(target, mats[0]).gates[0]
+            gate = helpers.u_gate(Circuit(n), target, mats[0]).gates[0]
         else:
             gate = ("u", controls + (target,),
                     tuple(np.array([m[i, j] for m in mats]) for i in (0, 1) for j in (0, 1)))
@@ -197,8 +197,7 @@ def u_gate_cases(draw):
         state = random_state(n, seed)
         rng = np.random.default_rng(seed)
         zero = rng.random(1 << n) < draw(st.sampled_from([0.0, 0.5]))
-        signed = np.copysign(0.0, rng.normal(size=(int(zero.sum()), 2)))
-        state.amplitudes[zero] = signed.view(complex)[:, 0]
+        state.amplitudes[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
     else:
         prep = Circuit(n)
         for q in range(draw(st.integers(0, n))):
@@ -209,7 +208,7 @@ def u_gate_cases(draw):
 
 def full_width_zero(n):
     """|0...0> built from amplitudes, so it starts live on every qubit."""
-    e0 = np.zeros(1 << n, dtype=complex)
+    e0 = np.zeros(1 << n)
     e0[0] = 1.0
     return Statevector(n, e0)
 
@@ -236,7 +235,7 @@ class TestKernels:
     def test_ctrl_1q_matches_dense(self, case, seed):
         n, mask, val, (target,) = case
         amps = random_state(n, seed).amplitudes
-        u = random_unitary(seed)
+        u = random_orthogonal(seed)
         expected = dense_ctrl_1q(n, mask, val, target, u) @ amps
         apply_ctrl_1q(amps, n, mask, val, target, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
         np.testing.assert_allclose(amps, expected, atol=1e-12)
@@ -258,9 +257,9 @@ class TestKernels:
         (0, ()), (15, ()), (0, (15,)), (7, (15, 14)), (3, (0, 1, 2)),
         (0, tuple(range(9, 0, -1))), (15, (0, 1)), (8, (2, 12, 5))])
     def test_blocked_states_match_python(self, target, controls):
-        # at 16 qubits both kernel forms update the state block by block;
+        # at 17 qubits both kernel forms update the state block by block;
         # bit for bit against the gather/scatter formula, pattern by pattern
-        n = 16
+        n = 17
         assert 1 << (n - 1) > kernels.BLOCK
         rng = np.random.default_rng(target + 16 * len(controls))
         angles = rng.uniform(-np.pi, np.pi, 1 << len(controls))
@@ -270,7 +269,7 @@ class TestKernels:
         helpers.apply_u_per_pattern(expected, n, gate, kernel=ref_ctrl_1q)
         Circuit(n, [gate]).apply_unitary(state)
         assert state.amplitudes.tobytes() == expected.tobytes()
-        u = random_unitary(target)
+        u = random_orthogonal(target)
         mask = sum(1 << q for q in controls)
         coeffs = (u[0, 0], u[0, 1], u[1, 0], u[1, 1])
         apply_ctrl_1q(state.amplitudes, n, mask, mask, target, *coeffs)
@@ -289,11 +288,11 @@ class TestKernels:
     @pytest.mark.parametrize("seed", range(5))
     def test_ctrl_1q_matches_python(self, seed):
         # bit for bit against the gather/scatter formula, for a random
-        # unitary, a real rotation (Python floats) and X
+        # orthogonal matrix (NumPy floats), a rotation (Python floats) and X
         rng = np.random.default_rng(seed)
         for _ in range(40):
             n, mask, val, target = random_gate_case(rng)
-            u = random_unitary(int(rng.integers(2**32)))
+            u = random_orthogonal(int(rng.integers(2**32)))
             c, s = np.cos(0.37), np.sin(0.37)
             for coeffs in ((u[0, 0], u[0, 1], u[1, 0], u[1, 1]),
                            (c, -s, s, c), (0.0, 1.0, 1.0, 0.0)):
@@ -302,6 +301,28 @@ class TestKernels:
                 apply_ctrl_1q(st_a, n, mask, val, target, *coeffs)
                 ref_ctrl_1q(st_b, n, mask, val, target, *coeffs)
                 np.testing.assert_array_equal(bits(st_a), bits(st_b))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cswap_registers_match_per_pair_loop(self, data):
+        # one permutation of the control subspace against one halves swap
+        # per qubit pair, bit for bit, for registers of any qubits in any
+        # order and any controls among the other qubits
+        n = data.draw(st.integers(2, 10))
+        qubits = data.draw(st.permutations(range(n)))
+        m = data.draw(st.integers(1, n // 2))
+        qa, qb = tuple(qubits[:m]), tuple(qubits[m:2 * m])
+        mask = val = 0
+        for q in qubits[2 * m:]:
+            if data.draw(st.booleans()):
+                mask |= 1 << q
+                if data.draw(st.booleans()):
+                    val |= 1 << q
+        amps = random_state(n, data.draw(st.integers(0, 2**32 - 1))).amplitudes
+        expected = amps.copy()
+        helpers.cswap_per_pair(expected, n, mask, val, qa, qb)
+        apply_cswap_pair(amps, n, mask, val, qa, qb)
+        assert amps.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cswap_matches_python(self, seed):
@@ -342,10 +363,8 @@ class TestKernels:
 
 
 # (builder call, error message) for each gate a Circuit(3) must refuse as it
-# is built; a non-unitary matrix is test_non_unitary_rejected.
+# is built.
 BAD_GATES = {
-    "u-not-2x2": (lambda c: c.u(0, np.eye(3)), "2x2"),
-    "u-out-of-range": (lambda c: c.u(3, sim.HADAMARD), "out of range"),
     "h-out-of-range": (lambda c: c.h(3), "out of range"),
     "ry-out-of-range": (lambda c: c.ry(-1, 0.3), "out of range"),
     "ucry-out-of-range": (lambda c: c.ucry([3], 0, [0.1, 0.2]), "out of range"),
@@ -375,19 +394,14 @@ class TestGates:
             build(circ)
         assert circ.gates == []
 
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            Circuit(1).u(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
-
     @pytest.mark.parametrize("qubit", [0, 2])
     def test_h_appends_the_u_payload_of_hadamard(self, qubit):
-        # h skips u's unitarity check but must append the same gate bits
+        # the u gate of HADAMARD's entries, as Python floats, bit for bit
         (kind, qubits, payload), = Circuit(3).h(qubit).gates
-        (kind_u, qubits_u, payload_u), = Circuit(3).u(qubit, sim.HADAMARD).gates
-        assert (kind, qubits) == (kind_u, qubits_u) == ("u", (qubit,))
-        assert [type(x) for x in payload] == [type(x) for x in payload_u]
+        assert (kind, qubits) == ("u", (qubit,))
+        assert [type(x) for x in payload] == [float] * 4
         np.testing.assert_array_equal(np.array(payload).view(np.uint64),
-                                      np.array(payload_u).view(np.uint64))
+                                      sim.HADAMARD.ravel().view(np.uint64))
 
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError):
@@ -399,7 +413,8 @@ class TestGates:
                                    [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
 
     def test_qubit0_is_lsb(self):
-        state = Circuit(2).u(0, helpers.PAULI_X).apply_unitary(Statevector.zero(2))
+        state = helpers.u_gate(Circuit(2), 0, helpers.PAULI_X).apply_unitary(
+            Statevector.zero(2))
         assert abs(state.amplitudes[0b01]) == pytest.approx(1.0)
 
     def test_cnot_layer_entangles(self):
@@ -418,9 +433,78 @@ class TestGates:
         assert peak < 1 << 20
 
     def test_controlled_swap(self):
-        circ = Circuit(3).u(0, helpers.PAULI_X).u(2, helpers.PAULI_X).cswap(2, (0,), (1,))
+        circ = helpers.u_gate(helpers.u_gate(Circuit(3), 0, helpers.PAULI_X), 2,
+                              helpers.PAULI_X).cswap(2, (0,), (1,))
         state = circ.apply_unitary(Statevector.zero(3))
         assert abs(state.amplitudes[0b110]) == pytest.approx(1.0)
+
+
+@st.composite
+def built_circuits(draw):
+    """Every kind of circuit qsim builds, for a drawn pair of series of N in
+    2..64 points, a power k in 1..3 and a split level s in 1..lg N: both
+    loaders, power circuits of both styles, their swap tests, the
+    ancilla-free readout, and the canonical c and d oracles' preparations."""
+    n = draw(st.integers(1, 6))
+    k, s = draw(st.integers(1, 3)), draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_raw, e_raw = rng.uniform(12.0, 28.0, 1 << n), rng.uniform(20.0, 40.0, 1 << n)
+    t, e = normalize_affine(t_raw, 10.0), normalize_affine(e_raw, 0.0)
+    t_sqrt, e_sqrt = normalize_sqrt(t_raw, 10.0), normalize_sqrt(e_raw, 0.0)
+    circuits = []
+    for encoding, (series_t, series_e) in (("amplitude", (t, e)),
+                                           ("boe", (t_sqrt, e_sqrt))):
+        loader_t = qhp.make_loader(series_t, encoding, s)
+        loader_e = qhp.make_loader(series_e, encoding, s)
+        circuits.append(loader_t.circuit)
+        for style in ("no_mid_reset", "mid_reset"):
+            plan = qhp.PowerPlan(k=k, style=style, encoding=encoding, s=s)
+            pc = qhp.build_power_circuit(plan, loader_t)
+            circuits += [pc.circuit, inner.build_swap_test(pc, loader_e).circuit]
+            if encoding == "amplitude":
+                circuits.append(inner.build_ancilla_free(pc, loader_e))
+    circuits.append(qae.build_oracle_variant_c(t, e, k).prepare)
+    circuits += [oracle.prepare for oracle in
+                 qae.build_oracles_variant_d(t_sqrt, e_sqrt, k, s)]
+    return circuits
+
+
+class TestRealAmplitudes:
+    """Every gate qsim builds is real, so amplitudes are float64."""
+
+    @given(built_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_every_built_payload_is_real(self, circuits):
+        # a u gate's entries are Python floats without controls and
+        # read-only float64 arrays of one entry per control pattern with
+        # them, in each circuit and in its inverse
+        for circ in circuits:
+            for kind, qubits, payload in circ.gates + circ.inverse().gates:
+                if kind != "u":
+                    assert payload is None
+                    continue
+                for entry in payload:
+                    if len(qubits) == 1:
+                        assert type(entry) is float
+                    else:
+                        assert entry.dtype == np.float64
+                        assert entry.shape == (1 << (len(qubits) - 1),)
+                        assert not entry.flags.writeable
+
+    def test_non_real_amplitudes_refused(self):
+        with pytest.raises(ValueError, match="real"):
+            Statevector(1, np.array([sim.SQRT1_2, 1j * sim.SQRT1_2]))
+        # a complex vector with zero imaginary parts keeps its real bits
+        amps = random_state(3, 2).amplitudes
+        state = Statevector(3, amps.astype(complex))
+        assert state.amplitudes.dtype == np.float64
+        assert state.amplitudes.tobytes() == amps.tobytes()
+
+    def test_width_guard_counts_eight_bytes(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_STATE_BYTES", 8 << 10)
+        assert Statevector(10).amplitudes.nbytes == 8 << 10
+        with pytest.raises(ValueError, match="11-qubit statevector needs 16384 bytes"):
+            Statevector(11)
 
 
 class TestMeasurement:
@@ -430,7 +514,8 @@ class TestMeasurement:
         assert probs.sum() == pytest.approx(1.0)
 
     def test_project_bits_zero_branch(self):
-        state = Circuit(2).u(0, helpers.PAULI_X).apply_unitary(Statevector.zero(2))
+        state = helpers.u_gate(Circuit(2), 0, helpers.PAULI_X).apply_unitary(
+            Statevector.zero(2))
         with pytest.raises(ZeroBranchError):
             sim.project_bits(state, (0,), 0)
 
@@ -452,12 +537,14 @@ class TestMeasurement:
             with pytest.raises(ZeroBranchError):
                 sim.project_bits(state.copy(), qubits, value)
             return
-        expected = state.amplitudes.copy()
+        # renormalized as complex128 division by a real renormalizes: the
+        # real parts' bits
+        expected = state.amplitudes.astype(complex)
         expected[~sel] = 0.0
         expected /= np.sqrt(p_ref)
         p, out = sim.project_bits(state.copy(), qubits, value)
         assert p == p_ref
-        np.testing.assert_array_equal(bits(out.amplitudes), bits(expected))
+        np.testing.assert_array_equal(bits(out.amplitudes), bits(expected.real.copy()))
 
     @given(marginal_cases())
     @settings(max_examples=200, deadline=None)
@@ -475,7 +562,7 @@ class TestMeasurement:
         sizes = list(range(1, 300)) + [(1 << e) + d for e in range(9, 21)
                                        for d in (-1, 0, 3)]
         for size in sizes:
-            v = rng.normal(size=size) + 1j * rng.normal(size=size)
+            v = rng.normal(size=size)
             assert sim._probability(v) == float(np.sum(np.abs(v) ** 2)), size
         state = random_state(10, 4)
         view = sim.register_view(state, (0, 7, 3), 5)
@@ -517,7 +604,8 @@ class TestMeasurement:
     def test_postselect_rejects_non_contiguous_register(self):
         # qubits 0 and 2 of |010> read 0 with probability 1, but a
         # non-contiguous register is refused rather than read as (0, 1)
-        state = Circuit(3).u(1, helpers.PAULI_X).apply_unitary(Statevector.zero(3))
+        state = helpers.u_gate(Circuit(3), 1, helpers.PAULI_X).apply_unitary(
+            Statevector.zero(3))
         with pytest.raises(ValueError, match="contiguous"):
             sim.postselect(state, (0, 2), 0)
 
@@ -559,7 +647,7 @@ class TestLivePrefix:
         twin = state.copy()
         assert twin.live == state.live
         # the copy goes on from its prefix as a full-width state would
-        more = Circuit(n).u(n - 1, random_unitary(seed))
+        more = helpers.u_gate(Circuit(n), n - 1, random_orthogonal(seed))
         reference = more.apply_unitary(circ.apply_unitary(full_width_zero(n)))
         np.testing.assert_array_equal(more.apply_unitary(twin).amplitudes,
                                       reference.amplitudes)
@@ -684,8 +772,7 @@ class TestCircuit:
 
     def test_payloads_are_immutable(self):
         # controlled gates hold read-only arrays and uncontrolled ones Python
-        # numbers, in a circuit and in its inverse; the complex controlled
-        # gate's conjugates are new arrays
+        # floats, in a circuit and in its inverse
         circ = Circuit(3).h(0).ry(1, 0.7).ucry([2, 0], 1, [0.1, 0.2, 0.3, 0.4])
         entries = tuple(np.full(2, x) for x in sim.HADAMARD.ravel())
         for entry in entries:
@@ -694,7 +781,7 @@ class TestCircuit:
         for _kind, qubits, payload in circ.gates + circ.inverse().gates:
             for entry in payload:
                 if len(qubits) == 1:
-                    assert type(entry) in (float, complex)
+                    assert type(entry) is float
                     continue
                 with pytest.raises(ValueError, match="read-only"):
                     entry[0] = 1.0
@@ -715,8 +802,7 @@ class TestCircuit:
                 assert payload2 is payload
 
     def test_remapped(self):
-        circ = Circuit(1)
-        circ.u(0, helpers.PAULI_X)
+        circ = helpers.u_gate(Circuit(1), 0, helpers.PAULI_X)
         wide = circ.remapped([2], 3)
         state = Statevector.zero(3)
         wide.apply_unitary(state)
@@ -760,9 +846,9 @@ class TestCircuit:
         for pattern in range(4):
             prep = Circuit(3)
             if pattern & 0b10:
-                prep.u(2, helpers.PAULI_X)
+                helpers.u_gate(prep, 2, helpers.PAULI_X)
             if pattern & 0b01:
-                prep.u(1, helpers.PAULI_X)
+                helpers.u_gate(prep, 1, helpers.PAULI_X)
             state = circ.apply_unitary(prep.apply_unitary(Statevector.zero(3)))
             p1 = sim.marginal_probabilities(state, [0])[1]
             assert p1 == pytest.approx(np.sin(angles[pattern] / 2.0) ** 2,
