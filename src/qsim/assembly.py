@@ -42,7 +42,6 @@ class VariantConfig:
     epsilon: float = 0.05        # error budget scale; see allocate_budget
     beta: float = 0.9            # overall confidence
     s: int = 1                   # BOE split level (variant d)
-    style: str = "no_mid_reset"  # QHP style for variants a/b
     engine: str = "iqae"         # QAE engine for variants c/d
     shots: int = 100             # IQAE shots per round / canonical per run
     fit_mode: str = "taylor"
@@ -70,7 +69,6 @@ class VariantConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
             raise ValueError("forced_epsilon_k must be positive")
-        qhp.PowerPlan(k=1, style=self.style)  # checks style, for every variant
         self.qae_config()  # checks engine and shots
 
     def qae_config(self):
@@ -151,7 +149,7 @@ def _estimate_power(config, k, series_T, series_E, eps_k, alpha_k, rng):
     if variant == "a":
         return inner.estimate_yk_swap(series_T, series_E, k, eps_k, alpha_k, rng)
     if variant == "b":
-        return inner.estimate_yk_variant_ab(series_T, series_E, k, config.style,
+        return inner.estimate_yk_variant_ab(series_T, series_E, k, "no_mid_reset",
                                             eps_k, alpha_k, rng)
     if variant == "c":
         return qae.estimate_yk_variant_c(series_T, series_E, k, eps_k, alpha_k,
@@ -171,7 +169,7 @@ def _per_k_resources(config, k, n):
         # k = 1 swap test, the only one it simulates; at k >= 2 it reads the
         # consumed branch in closed form and allocates nothing
         style, swap = (("mid_reset", True) if config.variant == "a"
-                       else (config.style, False))
+                       else ("no_mid_reset", False))
         return {"width": qhp.width_formula(k, style, swap, n),
                 "depth_bound": qhp.depth_bound(k, style, swap, n, n)}
     if config.variant == "c":
@@ -196,6 +194,8 @@ def evaluate(config, rawT, rawE, contract=None):
     try:
         v_exact = classical.exact_value(t, e, params)
     except ValueError:
+        if config.variant == "classical_exact":
+            raise  # it has no value to report
         v_exact = None
     v_star = classical.classical_poly_value(t, e, coeffs)
 
@@ -546,7 +546,10 @@ def _experiment_end_to_end(config):
               else _number(config, "forced_epsilon_k", 0.04))
     eta = _number(config, "eta", 0.0)
     shots = _number(config, "shots", 100, integer=True, least=1)
-    t = np.asarray(_numbers(config, "rawT", [5.0, 8.0, 11.0, 14.0]), dtype=float)
+    # each seed's error is against the exact value, which needs T < T0
+    t = np.asarray(_numbers(config, "rawT", [5.0, 8.0, 11.0, 14.0],
+                            lambda v: type(v) in (int, float) and v < DEFAULT_PARAMS.T0,
+                            f"numbers below T0 = {DEFAULT_PARAMS.T0:g}"), dtype=float)
     e = np.asarray(_numbers(config, "rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
     rows = []
     rels = []

@@ -50,15 +50,13 @@ def main():
 @click.option("--beta", default=0.9, show_default=True, type=float)
 @click.option("--split-level", "s", default=1, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--style", default="no_mid_reset", show_default=True,
-              type=click.Choice(["no_mid_reset", "mid_reset"]))
 @click.option("--engine", default="iqae", show_default=True,
               type=click.Choice(["iqae", "canonical"]))
 @click.option("--fit-mode", default="taylor", show_default=True,
               type=click.Choice(["taylor", "lsq"]))
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
-             style, engine, fit_mode, out_dir):
+             engine, fit_mode, out_dir):
     """Estimate V = sum_k b_k y'_k for one variant and one data pair."""
     try:
         raw_t = read_series(input_t)
@@ -71,7 +69,7 @@ def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
     try:
         config = assembly.VariantConfig(
             variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
-            beta=beta, s=s, style=style, engine=engine, fit_mode=mode, seed=seed)
+            beta=beta, s=s, engine=engine, fit_mode=mode, seed=seed)
         report = assembly.evaluate(config, raw_t, raw_e)
     except (AssumptionError, ValueError) as exc:
         _fail_assumption(exc)

@@ -65,12 +65,6 @@ class NormalizedSeries:
     def n_qubits(self):
         return int(math.log2(self.values.size))
 
-    def raw(self):
-        """Invert the normalization."""
-        if self.mode == "affine":
-            return self.values / self.rho + self.eta
-        return (self.values / self.rho) ** 2 + self.eta
-
 
 def normalize_affine(raw, eta):
     """values_j = rho * (raw_j - eta) with rho = (sum (raw-eta)^2)^(-1/2)."""

@@ -123,16 +123,6 @@ def build_ancilla_free(prep_a, loader_b):
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _consumed_branch(series_T, series_E, k, boe=False):
-    """(P(Z=0), overlap) of the branch where every consumed register Z
-    reads 0 (none at k = 1): S_k = sum_j T_j^{2k} (qhp.success_probability),
-    and y_k^2, or with BOE sum_j E_j^2 T_j^{2k} (module docstring)."""
-    t, e = series_T.values, series_E.values
-    p_z0 = qhp.success_probability(series_T, k)
-    overlap = (e * e * t ** (2 * k)).sum() if boe else np.dot(e, t ** k) ** 2
-    return p_z0, float(overlap)
-
-
 def _kept_per_pair(law):
     """Keep law(series_T, series_E, *args) in series_T.readouts, keyed by
     law's name, the partner series_E and args, and read it from there on
@@ -149,20 +139,25 @@ def _kept_per_pair(law):
 
 
 @_kept_per_pair
-def _ancilla_free_readout(series_T, series_E, k, style):
+def _ancilla_free_readout(series_T, series_E, k):
     """P(every register reads 0) after QHP and U_E^dagger on the survivor:
-    y_k^2 at every k, whatever the style."""
-    qhp.PowerPlan(k=k, style=style)  # refuses an unknown style
-    return _consumed_branch(series_T, series_E, k)[1]
+    y_k^2 at every k, in either QHP style.  Variants b and c share it."""
+    qhp.PowerPlan(k=k)  # refuses k < 1
+    return float(np.dot(series_E.values, series_T.values ** k) ** 2)
 
 
 def _swap_readout(series_T, series_E, k, encoding="amplitude", s=1):
     """(P(Z=0), P(Z=0 and ancilla=0)) for QHP followed by a swap test
-    against E's loader, where Z is every consumed register."""
+    against E's loader, where Z is every consumed register: at k >= 2,
+    S_k = sum_j T_j^{2k} and (S_k + y_k^2) / 2, or with BOE
+    sum_j E_j^2 T_j^{2k} in place of y_k^2 (module docstring)."""
     e_loader = qhp.make_loader(series_E, encoding, s)  # refuses a bad split level
     if k > 1:
-        p_z0, overlap = _consumed_branch(series_T, series_E, k, encoding == "boe")
-        return p_z0, (p_z0 + overlap) / 2
+        t, e = series_T.values, series_E.values
+        p_z0 = qhp.success_probability(series_T, k)
+        overlap = ((e * e * t ** (2 * k)).sum() if encoding == "boe"
+                   else np.dot(e, t ** k) ** 2)
+        return p_z0, (p_z0 + float(overlap)) / 2
     test = build_swap_test(qhp.power_circuit(series_T, 1, encoding=encoding, s=s),
                            e_loader)
     st = test.circuit.apply_unitary(Statevector.zero(test.width))
@@ -187,9 +182,12 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
     """QHP + ancilla-free estimator Y_S = sqrt(Xbar).
 
     X_i = 1 iff every measured register and the survivor read all zeros;
-    the per-shot success probability is exactly y_k^2.
+    the per-shot success probability is exactly y_k^2 in either QHP style,
+    so `style` is only checked.
     """
-    p = _ancilla_free_readout(series_T, series_E, k, style)
+    if style not in qhp.STYLES:
+        raise ValueError(f"unknown style {style!r}")
+    p = _ancilla_free_readout(series_T, series_E, k)
 
     S = shots if shots is not None else _shots_p_free(epsilon, alpha)
     S = max(MIN_SHOTS, S)

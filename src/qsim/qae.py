@@ -320,7 +320,7 @@ def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
         z_hat, calls = _canonical_z(build_oracle_variant_c(series_T, series_E, k),
                                     config, rng)
     else:
-        z = inner._ancilla_free_readout(series_T, series_E, k, "no_mid_reset")
+        z = inner._ancilla_free_readout(series_T, series_E, k)
         pilot = iqae(z, min(0.45, max(PILOT_EPSILON, epsilon / 2)),
                      PILOT_ALPHA, rng, shots_per_round=PILOT_SHOTS)
         y_pilot = math.sqrt(max(pilot.z_hat, 0.0))

@@ -32,6 +32,9 @@ from .encoding import build_tree, load_amplitude, load_boe
 from .sim import Circuit, Statevector
 
 
+STYLES = ("mid_reset", "no_mid_reset")
+
+
 @dataclass(frozen=True)
 class PowerPlan:
     k: int
@@ -42,7 +45,7 @@ class PowerPlan:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1 (k=0 is the classical constant term)")
-        if self.style not in ("mid_reset", "no_mid_reset"):
+        if self.style not in STYLES:
             raise ValueError(f"unknown style {self.style!r}")
         if self.encoding not in ("amplitude", "boe"):
             raise ValueError(f"unknown encoding {self.encoding!r}")

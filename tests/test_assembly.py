@@ -144,8 +144,11 @@ class TestEvaluate:
     def test_bad_field_rejected_at_construction(self, variant, field, value):
         # refused at construction for every variant, whether or not it reads
         # the field, and not deep in the fit, the BOE width or SeedSequence;
-        # a bool epsilon once ran as 1 and a str eta failed inside evaluate
-        with pytest.raises(ValueError, match=field):
+        # a bool epsilon once ran as 1 and a str eta failed inside evaluate.
+        # style is no longer a field (b's readout law is y_k^2 in either
+        # style), so it is refused as an unknown keyword
+        error = TypeError if field == "style" else ValueError
+        with pytest.raises(error, match=field):
             VariantConfig(**{"variant": variant, "K": 2, "eta": 10.0, field: value})
 
     @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
@@ -191,7 +194,7 @@ class TestPowerLoop:
     in ascending k, and sums V = sum_k b_k y'_k in row order."""
 
     @pytest.mark.parametrize("variant, options", [
-        ("a", {}), ("b", {"style": "mid_reset"}), ("c", {}), ("d", {"s": 1}),
+        ("a", {}), ("b", {}), ("c", {}), ("d", {"s": 1}),
         ("classical_sampling", {"forced_epsilon_k": 0.1})])
     def test_widest_first_ascending_rows_row_order_sum(self, monkeypatch, variant,
                                                        options):
@@ -310,13 +313,10 @@ class TestReadoutWidth:
         assert max(widths) == widest
 
     @pytest.mark.parametrize("K", [1, 2, 3])
-    @pytest.mark.parametrize("variant, style", [
-        ("b", "no_mid_reset"), ("b", "mid_reset"), ("c", "no_mid_reset")])
-    def test_ancilla_free_variants_simulate_nothing(self, monkeypatch, variant,
-                                                    style, K):
+    @pytest.mark.parametrize("variant", ["b", "c"])
+    def test_ancilla_free_variants_simulate_nothing(self, monkeypatch, variant, K):
         rng = np.random.default_rng(2)
-        cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1,
-                            style=style, seed=5)
+        cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1, seed=5)
         states = recorded_calls(monkeypatch, Statevector, "__init__")
         builds = recorded_calls(monkeypatch, qhp, "build_power_circuit")
         report = evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import helpers
+from qsim import assembly
 from qsim.cli import main
 
 
@@ -56,6 +58,27 @@ class TestEvaluate:
                                       "--input-t", t, "--input-e", e,
                                       "--eta", "30"])
         assert result.exit_code == 2
+
+    def test_style_option_refused_exit_2(self, runner, data_files):
+        # evaluate has no QHP style: b's readout law is y_k^2 in either one
+        t, e = data_files
+        result = runner.invoke(main, ["evaluate", "--variant", "b",
+                                      "--style", "mid_reset",
+                                      "--input-t", t, "--input-e", e])
+        assert result.exit_code == 2
+        assert "No such option '--style'" in result.output
+
+    def test_exact_at_or_above_t0_exit_2(self, runner, data_files, tmp_path):
+        # the exact value's refusal once ended in a TypeError traceback, as
+        # the report took a relative error of the missing V
+        _t, e = data_files
+        t = tmp_path / "t-hot.csv"
+        t.write_text("12\n17\n23\n45\n")
+        result = runner.invoke(main, ["evaluate", "--variant", "exact",
+                                      "--input-t", str(t), "--input-e", e])
+        assert result.exit_code == 2
+        assert result.output == ("assumption violated: temperature must stay "
+                                 "below T0=40.0\n")
 
     def test_missing_file_exit_3(self, runner, data_files):
         _t, e = data_files
@@ -154,6 +177,21 @@ class TestExperiment:
             outputs.append((out / "end_to_end.csv").read_bytes()
                            + (out / "end_to_end.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_rawt_at_or_above_t0_refused_before_evaluating(self, runner, tmp_path,
+                                                           monkeypatch):
+        # every seed's relative error is against the exact value, which needs
+        # T < T0; a missing error once ended in a TypeError inside np.mean
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rawT": [12, 17, 23, 45]}))
+        evaluations = helpers.recorded_calls(monkeypatch, assembly, "evaluate")
+        result = runner.invoke(main, ["experiment", "end_to_end",
+                                      "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output == ("assumption violated: config field 'rawT' must "
+                                 "hold numbers below T0 = 40, got [12, 17, 23, 45]\n")
+        assert evaluations == []
 
     def test_bad_config_exit_3(self, runner, tmp_path):
         result = runner.invoke(main, ["experiment", "end_to_end",

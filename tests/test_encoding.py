@@ -35,7 +35,8 @@ class TestNormalization:
         raw = np.array([12.0, 17.0, 23.0, 28.0])
         series = normalize_affine(raw, 10.0)
         assert np.linalg.norm(series.values) == pytest.approx(1.0)
-        np.testing.assert_allclose(series.raw(), raw, atol=1e-12)
+        np.testing.assert_allclose(series.values / series.rho + series.eta, raw,
+                                   atol=1e-12)
 
     def test_affine_requires_positive(self):
         with pytest.raises(AssumptionError):
@@ -45,7 +46,8 @@ class TestNormalization:
         raw = np.array([12.0, 17.0, 23.0, 28.0])
         series = normalize_sqrt(raw, 10.0)
         assert np.linalg.norm(series.values) == pytest.approx(1.0)
-        np.testing.assert_allclose(series.raw(), raw, atol=1e-12)
+        np.testing.assert_allclose((series.values / series.rho) ** 2 + series.eta,
+                                   raw, atol=1e-12)
 
     def test_sqrt_rho_value(self):
         raw = np.array([12.0, 17.0, 23.0, 28.0])

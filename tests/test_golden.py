@@ -32,9 +32,13 @@ The variant-a and variant-b K=3 digests on a seeded 32-point series were
 computed while every gate still swept the whole amplitude array and CNOTs
 ran as the matrix [[0, 1], [1, 0]]; they pin states of up to 21 qubits
 (a) and 15 qubits (b), where the 4-point fixture's registers have 2.
-The variant-b mid_reset, forced-epsilon sampling, exact, poly and variant-d
-K=2 s=2 digests were computed while `assembly.evaluate` still built its
-reports on four separate paths, and the single per-k path reproduces them.
+The forced-epsilon sampling, exact, poly and variant-d K=2 s=2 digests
+were computed while `assembly.evaluate` still built its reports on four
+separate paths, and the single per-k path reproduces them.
+A variant-b-mid-reset digest (4541d11e...) was dropped when `evaluate` lost
+its QHP style: it had the same V and y estimates as variant-b, and differed
+only in two resource rows, the k = 1 width (4, not 2) and the k = 2 depth
+bound (8, not 6).
 
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
@@ -150,9 +154,6 @@ CASES = {
     "canonical-d-K1-s1": (
         lambda: _evaluate("d", 1, 3, s=1, engine="canonical"),
         "c97ea5033bebbc96890ced4c86344d817546f6c977de7f27980061ad8711215f"),
-    "variant-b-mid-reset": (
-        lambda: _evaluate("b", 2, 3, style="mid_reset"),
-        "4541d11e74eb5fc5a1c9500a08d4dce83d25ea2f274656d4b6bc5cda675818e2"),
     "sampling-K3-forced": (
         lambda: _evaluate("classical_sampling", 3, 5, forced_epsilon_k=0.08),
         "c223320c66218bc281574b55a395817e622d8911ce250862aead48cad90851ed"),

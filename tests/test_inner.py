@@ -7,7 +7,7 @@ from scipy import stats
 
 import helpers
 from helpers import pair_with_overlap
-from qsim import inner, qhp, sim
+from qsim import inner, qae, qhp, sim
 from qsim.encoding import (boe_width, build_tree, load_amplitude, normalize_affine,
                            normalize_sqrt)
 from qsim.inner import (build_ancilla_free, build_swap_test,
@@ -162,7 +162,7 @@ class TestZeroBranch:
         p_chain, chain = _chain_branch(loader, k, pad)
 
         t2k = series.values ** (2 * k)
-        p_z0 = inner._consumed_branch(series, series, k)[0] if k > 1 else 1.0
+        p_z0 = qhp.success_probability(series, k) if k > 1 else 1.0
         np.testing.assert_allclose([p_full, p_chain], p_z0, rtol=0.0, atol=1e-12)
         for state in (full, chain):
             np.testing.assert_allclose(sim.marginal_probabilities(state, pc.primary),
@@ -176,8 +176,9 @@ class TestBranchReadouts:
     """At k = 1 the swap tests run the full circuit, bit for bit.  At k >= 2
     they, and the ancilla-free readout at every k, read the branch where
     every consumed register reads 0 in closed form; the full
-    deferred-measurement circuit, in both styles for the ancilla-free
-    readout, checks them to 1e-12."""
+    deferred-measurement circuit checks them to 1e-12.  The ancilla-free
+    law takes no style: its reference circuit is built in both styles, and
+    the law must match either one."""
 
     @pytest.mark.parametrize("kind, k, N, style, s", _readout_cases())
     @given(seed=st.integers(0, 2**32 - 1))
@@ -197,7 +198,7 @@ class TestBranchReadouts:
         if kind == "b":
             full = build_ancilla_free(pc, e_loader).apply_unitary(
                 Statevector.zero(pc.width))
-            got = inner._ancilla_free_readout(t, e, k, style)
+            got = inner._ancilla_free_readout(t, e, k)
             want = float(abs(full.amplitudes[0]) ** 2)
         else:
             encoding = "boe" if kind == "boe" else "amplitude"
@@ -306,6 +307,18 @@ def _estimate(method, t, e, k, rng, s=1):
     return estimate_yk_variant_ab(t, e, k, method[3:], 0.1, 0.9, rng, shots=2000)
 
 
+class _LoggedLaws(dict):
+    """A series' readouts that log the key of every law stored in them."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, law):
+        self.stored.append(key)
+        super().__setitem__(key, law)
+
+
 class TestKeptLaws:
     """A pair's readout law is computed on its first estimate and kept on
     the powered series, keyed by the partner series object."""
@@ -313,16 +326,27 @@ class TestKeptLaws:
     @pytest.mark.parametrize("method", ["swap", "boe", "ab-no_mid_reset"])
     def test_repeated_estimates_simulate_once(self, method, monkeypatch):
         # at k = 1 the swap tests simulate one circuit; the ancilla-free law
-        # is one closed-form sum and simulates none
+        # is one closed-form sum and simulates none; each law is computed once
         t, e = _fixture_pair(method)
+        t.readouts = laws = _LoggedLaws()
         builds = helpers.recorded_calls(monkeypatch, qhp, "build_power_circuit")
         runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
-        sums = helpers.recorded_calls(monkeypatch, inner, "_consumed_branch")
         rng = RngStream(3)
         for _ in range(5):
             _estimate(method, t, e, 1, rng.child())
-        want = (0, 0, 1) if method.startswith("ab") else (1, 1, 0)
-        assert (len(builds), len(runs), len(sums)) == want
+        want = (0, 0, 1) if method.startswith("ab") else (1, 1, 1)
+        assert (len(builds), len(runs), len(laws.stored)) == want
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_variants_b_and_c_share_one_law(self, k):
+        # the ancilla-free law is y_k^2 in either style, and IQAE reads c's
+        # z from it
+        t, e = _fixture_pair("amplitude")
+        t.readouts = laws = _LoggedLaws()
+        for style in qhp.STYLES:
+            estimate_yk_variant_ab(t, e, k, style, 0.1, 0.9, RngStream(0))
+        qae.estimate_yk_variant_c(t, e, k, 0.1, 0.9, qae.QaeConfig(), RngStream(0))
+        assert laws.stored == [("_ancilla_free_readout", e, k)]
 
     @pytest.mark.parametrize("method, s", [("swap", 1), ("boe", 1), ("boe", 2),
                                            ("ab-no_mid_reset", 1),
@@ -341,6 +365,12 @@ class TestKeptLaws:
         assert inner._qhp_swap_probabilities(t, e, 2, "boe", 1) is pvals
         with pytest.raises(ValueError, match="read-only"):
             pvals[0] = 1.0
+
+    def test_power_zero_refused_and_not_kept(self):
+        t, e = _fixture_pair("amplitude")
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            estimate_yk_variant_ab(t, e, 0, "no_mid_reset", 0.1, 0.9, RngStream(0))
+        assert t.readouts == {}
 
     def test_equal_partner_gets_own_entry(self, monkeypatch):
         t, e1 = _fixture_pair("amplitude")

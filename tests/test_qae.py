@@ -312,7 +312,7 @@ class TestVariantOracles:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_variant_c_law_matches_oracle(self, k):
         t, e = series_pair()
-        law = inner._ancilla_free_readout(t, e, k, "no_mid_reset")
+        law = inner._ancilla_free_readout(t, e, k)
         assert law == pytest.approx(z_exact(build_oracle_variant_c(t, e, k)), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
