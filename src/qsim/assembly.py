@@ -214,11 +214,11 @@ def evaluate(config, rawT, rawE, contract=None):
                                  config.K, quadratic=config.variant == "d")
         streams = RngStream(config.seed).split(config.K + 1)
         powers = sorted(budget.epsilon_k, reverse=True)
-    # Each power has its own pre-split stream, so results do not depend on
-    # the order of the powers.  The highest power runs first: canonical QAE
-    # builds an oracle at every k, widest at the highest, so a request too
-    # wide for memory fails before any state is allocated.  Elsewhere only
-    # the k = 1 swap tests of a and d allocate.
+    # Power k draws from the stream at path (k + 1,), whatever the order of
+    # the powers.  The highest power runs first: canonical QAE builds an
+    # oracle at every k, widest at the highest, so a request too wide for
+    # memory fails before any state is allocated.  Elsewhere only the k = 1
+    # swap tests of a and d allocate.
     for k in powers:
         alpha_k = budget.alpha_k[k]
         eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None

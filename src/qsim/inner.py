@@ -151,6 +151,7 @@ def _swap_readout(series_T, series_E, k, encoding="amplitude", s=1):
     against E's loader, where Z is every consumed register: at k >= 2,
     S_k = sum_j T_j^{2k} and (S_k + y_k^2) / 2, or with BOE
     sum_j E_j^2 T_j^{2k} in place of y_k^2 (module docstring)."""
+    qhp.PowerPlan(k=k)  # refuses k < 1
     e_loader = qhp.make_loader(series_E, encoding, s)  # refuses a bad split level
     if k > 1:
         t, e = series_T.values, series_E.values

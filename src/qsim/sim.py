@@ -40,7 +40,7 @@ import os
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
 from .errors import ZeroBranchError
@@ -55,115 +55,63 @@ HADAMARD = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
 _HADAMARD_PAYLOAD = tuple(HADAMARD.ravel().tolist())
 
 
-# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_UINT32, _UINT64 = np.dtype(np.uint32), np.dtype(np.uint64)
+MAX_PATH = 3  # split depth: Philox counter words 1..3 hold a stream's path
 
 
-class PathSeedSequence(ISpawnableSeedSequence):
-    """NumPy's SeedSequence(seed, spawn_key=path), pool size 4, in Python ints.
+class _PhiloxKey(ISeedSequence):
+    """A fixed Philox key as a seed: Philox asks it for generate_state(2,
+    uint64), so Philox(_PhiloxKey(key), counter=c) is Philox(key=key,
+    counter=c) without the OS entropy key= reads for a SeedSequence it drops."""
 
-    mix_entropy reads its entropy words in order: the seed's, zero-padded
-    to the pool size, then one per child index of the path.  So a root's
-    pool is SeedSequence(seed).pool, and a child's pool and running hash
-    constant are its parent's with its index hashed in: spawning re-mixes
-    nothing and builds no NumPy SeedSequence.  generate_state hashes the
-    pool as SeedSequence's does, so np.random.Philox(seq) gets the key
-    Philox(SeedSequence(seed).spawn(...)[i]...) gets.
-    """
-
-    def __init__(self, pool, hash_const):
-        self.pool = pool
-        self.hash_const = hash_const
-        self.n_children_spawned = 0
-
-    @classmethod
-    def from_seed(cls, seed):
-        """The root sequence of a non-negative int seed: SeedSequence(seed)'s
-        own pool, and the hash constant mix_entropy leaves after its
-        hashmixes, 4 * 4 over the first four words and 4 per word beyond."""
-        hashmixes = _POOL_SIZE * max(_POOL_SIZE, (seed.bit_length() + 31) // 32)
-        return cls(np.random.SeedSequence(seed).pool.tolist(),
-                   _INIT_A * pow(_MULT_A, hashmixes, 1 << 32) & _MASK32)
-
-    def spawn(self, n_children):
-        first = self.n_children_spawned
-        if first + n_children > 1 << 32:
-            raise ValueError("child indices must stay below 2^32, one entropy word each")
-        self.n_children_spawned += n_children
-        return [self._child(i) for i in range(first, first + n_children)]
-
-    def _child(self, index):
-        """The sequence whose entropy is this one's with `index` appended:
-        mix_entropy hashes each word past the pool size into every pool
-        word, pool[dst] = mix(pool[dst], hashmix(word))."""
-        pool, hash_const = [], self.hash_const
-        for word in self.pool:
-            hashed = index ^ hash_const  # hashmix
-            hash_const = hash_const * _MULT_A & _MASK32
-            hashed = hashed * hash_const & _MASK32
-            mixed = _MIX_MULT_L * word - _MIX_MULT_R * (hashed ^ hashed >> 16) & _MASK32
-            pool.append(mixed ^ mixed >> 16)  # mix
-        return PathSeedSequence(pool, hash_const)
+    def __init__(self, key):
+        self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        dtype = np.dtype(dtype)
-        if dtype == _UINT64:
-            n_words *= 2
-        elif dtype != _UINT32:
-            raise ValueError("only support uint32 or uint64")
-        words, hash_const = [], _INIT_B
-        for i in range(n_words):
-            value = self.pool[i % _POOL_SIZE] ^ hash_const
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * hash_const & _MASK32
-            words.append(value ^ value >> 16)
-        state = np.array(words, dtype="<u4")
-        if dtype == _UINT64:  # word pairs read little-endian, as SeedSequence reads them
-            state = state.view("<u8")
-        return state.astype(dtype, copy=False)
+        return self.key
 
 
 class RngStream:
     """Seeded counter-based random stream (Philox) with explicit splitting.
 
-    Identical seeds give bit-identical sample sequences.  split() derives
-    independent child streams deterministically, so independent parts of a
-    run, such as the power indices, can each own a stream without
-    coordination; child numbering continues across split() calls.  A
-    stream's generator is Generator(Philox(SeedSequence(seed).spawn(..)[i]
-    ...spawn(..)[j])) along its path i, ..., j of child indices, NumPy's
-    SeedSequence algorithm with pool size 4; `seed_seq`, a
-    PathSeedSequence, derives each child's pool from its parent's without
-    building NumPy SeedSequence objects.  A stream builds its generator on
-    first use, so streams that are split off but never drawn from cost no
-    Philox state.  The seed is a non-negative integer (ValueError
-    otherwise); None takes fresh entropy from the OS, as SeedSequence()
-    does.
+    A seed fixes one Philox key, SeedSequence(seed).generate_state(2,
+    uint64), kept as uint64 words (a Python-int key loses bits above 2^53).
+    A stream draws what Generator(Philox(key=key, counter=[0, *path, 0...]))
+    draws, where path holds i + 1 for its child index i at each depth.  Word
+    0 is the block counter, so streams on different paths cannot overlap
+    below 2^64 blocks each, and the root, on counter zero, draws what
+    Philox(SeedSequence(seed)) draws.  Child numbering continues across
+    split() calls, which go at most MAX_PATH deep.  The generator is built
+    on first use, so a stream never drawn from costs no Philox state.  The
+    seed is a non-negative integer (ValueError otherwise); None takes fresh
+    OS entropy, as SeedSequence() does.
     """
 
-    def __init__(self, seed=None, _seq=None):
-        if _seq is None:
-            if seed is None:
-                seed = np.random.SeedSequence().entropy
-            if not isinstance(seed, numbers.Integral) or seed < 0:
-                raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-            _seq = PathSeedSequence.from_seed(int(seed))
-        self.seed_seq = _seq
+    def __init__(self, seed=None):
+        if seed is not None and (not isinstance(seed, numbers.Integral) or seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        seq = np.random.SeedSequence(None if seed is None else int(seed))
+        self.key = _PhiloxKey(seq.generate_state(2, np.uint64))
+        self.path, self.n_children = (), 0
 
     @cached_property
     def generator(self):
-        return np.random.Generator(np.random.Philox(self.seed_seq))
+        counter = (0, *self.path, *(0,) * (MAX_PATH - len(self.path)))
+        return np.random.Generator(np.random.Philox(self.key, counter=counter))
 
     def split(self, n):
-        return [RngStream(_seq=s) for s in self.seed_seq.spawn(n)]
+        if len(self.path) == MAX_PATH:
+            raise ValueError(f"streams split at most {MAX_PATH} levels deep")
+        first = self.n_children
+        self.n_children += n
+        return [self._child(i + 1) for i in range(first, first + n)]
 
     def child(self):
         return self.split(1)[0]
+
+    def _child(self, word):
+        out = RngStream.__new__(RngStream)
+        out.key, out.path, out.n_children = self.key, (*self.path, word), 0
+        return out
 
     # convenience passthroughs
     def binomial(self, n, p):

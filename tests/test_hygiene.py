@@ -32,7 +32,6 @@ from qsim.qae import QaeConfig  # noqa: E402
 # Functions and classes that src/qsim and perfbench never name, with the
 # reason each stays.
 UNREACHED_KEPT = {
-    "generate_state": "NumPy's seed-sequence interface: np.random.Philox calls it",
     "ContractSpec": "the energy-contract input of delta_gross_margin (ROADMAP item 10)",
     "delta_gross_margin": "the paper's energy-economics application (ROADMAP item 10)",
     "expected_loads": "the dynamic-stopping load experiment (ROADMAP item 8)",

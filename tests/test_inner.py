@@ -372,6 +372,16 @@ class TestKeptLaws:
             estimate_yk_variant_ab(t, e, 0, "no_mid_reset", 0.1, 0.9, RngStream(0))
         assert t.readouts == {}
 
+    @pytest.mark.parametrize("method", ["swap", "boe"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_swap_power_below_one_refused_and_not_kept(self, method, k):
+        # the swap law once read k = 0 as k = 1 and the BOE estimate then
+        # scaled it as k = 0
+        t, e = _fixture_pair(method)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            _estimate(method, t, e, k, RngStream(0))
+        assert t.readouts == {}
+
     def test_equal_partner_gets_own_entry(self, monkeypatch):
         t, e1 = _fixture_pair("amplitude")
         e2 = normalize_affine(FIXTURE_E, 0.0)

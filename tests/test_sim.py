@@ -660,6 +660,13 @@ class TestLivePrefix:
         assert reduced.live == reduced.n_qubits == n - len(reg)
 
 
+def keyed(seed, path):
+    """The NumPy generator of the stream at `path` under `seed`."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    counter = [0, *path] + [0] * (sim.MAX_PATH - len(path))
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 class TestRngStream:
     def test_reproducible(self):
         a = RngStream(5).generator.uniform(size=4)
@@ -686,66 +693,81 @@ class TestRngStream:
         drawn = streams[1:3]
         draws = [s.generator.uniform(size=4) for s in drawn]
         assert len(built) == 2 and all(s.generator is s.generator for s in drawn)
-        # the bits of a generator built with its stream
-        for seq, got in zip(np.random.SeedSequence(5).spawn(4)[1:3], draws):
-            np.testing.assert_array_equal(
-                got, np.random.Generator(np.random.Philox(seq)).uniform(size=4))
+        # the bits of a generator built with its stream: child i on word i + 1
+        for word, got in zip((2, 3), draws):
+            np.testing.assert_array_equal(got, keyed(5, (word,)).uniform(size=4))
 
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5])
-           | st.integers(0, 2**160),
-           depth=st.integers(1, 4), data=st.data())
-    def test_streams_match_numpy_seed_sequence(self, seed, depth, data):
-        # NumPy is the reference: each stream draws what
-        # Generator(Philox(SeedSequence(seed).spawn(..)[i]...)) draws, on a
-        # spawn tree whose numbering continues across split calls, with
-        # draws interleaved between parents and children
-        def node(stream, seq, level):
-            return stream, seq, np.random.Generator(np.random.Philox(seq)), level
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**128 + 5])
+    def test_root_draws_seed_sequence_philox(self, seed):
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        root = RngStream(seed)
+        np.testing.assert_array_equal(root.generator.random(5), ref.random(5))
+        assert root.binomial(1000, 0.3) == ref.binomial(1000, 0.3)
+        np.testing.assert_array_equal(root.multinomial(100, [0.2, 0.3, 0.5]),
+                                      ref.multinomial(100, [0.2, 0.3, 0.5]))
 
-        nodes = [node(RngStream(seed), np.random.SeedSequence(seed), 0)]
-        kinds = st.sampled_from(["split", "random", "binomial", "multinomial"])
-        # a chain of splits down to `depth` (-1 picks the newest node), then
-        # splits and draws anywhere in the tree
-        steps = [("split", -1)] * depth + data.draw(
-            st.lists(st.tuples(kinds, st.integers(0, 10**6)), max_size=12))
-        for kind, pick in steps:
-            stream, seq, ref, level = nodes[pick % len(nodes)]
-            if kind == "split" and level < 4:
-                n = data.draw(st.integers(1, 5))
-                nodes += [node(s, q, level + 1)
-                          for s, q in zip(stream.split(n), seq.spawn(n))]
+    def test_split_draws_keyed_counter(self):
+        key = np.random.SeedSequence(7).generate_state(2, np.uint64)
+        ref = np.random.Philox(key=key, counter=[0, 3, 0, 0])
+        np.testing.assert_array_equal(RngStream(7).split(3)[2].generator.random(5),
+                                      np.random.Generator(ref).random(5))
+        # numbering continues across split calls
+        root = RngStream(7)
+        root.split(2)
+        np.testing.assert_array_equal(root.child().generator.random(5),
+                                      keyed(7, (3,)).random(5))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, 2**128 + 5])
+    def test_key_words_kept_exactly(self, seed):
+        # a key word above 2^53 loses bits as a float or a Python-int key
+        want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        assert (want > 2**53).all()
+        streams = [RngStream(seed)]
+        streams += streams[0].split(2)
+        streams += streams[-1].split(2)
+        for stream in streams:
+            got = stream.generator.bit_generator.state["state"]["key"]
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.sampled_from([0, 2**32, 2**64 + 3]) | st.integers(0, 2**160),
+           data=st.data())
+    def test_draws_depend_only_on_seed_and_path(self, seed, data):
+        # splits and draws anywhere in a tree, interleaved; each stream then
+        # replays its draws on a generator built from (seed, path) alone,
+        # streams in reverse order of creation
+        streams = [RngStream(seed)]
+        made = [[]]
+        for kind, pick in data.draw(st.lists(
+                st.tuples(st.sampled_from(["split", "random", "binomial"]),
+                          st.integers(0, 10**6)), max_size=16)):
+            i = pick % len(streams)
+            if kind == "split" and len(streams[i].path) < sim.MAX_PATH:
+                children = streams[i].split(data.draw(st.integers(1, 4)))
+                streams += children
+                made += [[] for _ in children]
             elif kind == "binomial":
-                n, p = data.draw(st.integers(0, 1000)), data.draw(st.floats(0.0, 1.0))
-                assert stream.binomial(n, p) == ref.binomial(n, p)
-            elif kind == "multinomial":
-                weights = np.array(data.draw(st.lists(st.integers(1, 9), min_size=1,
-                                                      max_size=5)), dtype=float)
-                n, pvals = data.draw(st.integers(0, 1000)), weights / weights.sum()
-                np.testing.assert_array_equal(stream.multinomial(n, pvals),
-                                              ref.multinomial(n, pvals))
+                made[i].append(("binomial", 50, streams[i].binomial(50, 0.4)))
             else:
-                size = data.draw(st.integers(1, 5))
-                np.testing.assert_array_equal(stream.generator.random(size),
-                                              ref.random(size))
-        for stream, seq, _ref, _level in nodes:
-            for n_words in (0, 1, 2, 3, 4, 5, 8):
-                for dtype in (np.uint32, np.uint64):
-                    got = stream.seed_seq.generate_state(n_words, dtype)
-                    want = seq.generate_state(n_words, dtype)
-                    assert got.dtype == want.dtype
-                    np.testing.assert_array_equal(got, want)
+                made[i].append(("random", 3, streams[i].generator.random(3)))
+        assert len({stream.path for stream in streams}) == len(streams)
+        for stream, draws in reversed(list(zip(streams, made))):
+            ref = keyed(seed, stream.path)
+            for name, arg, got in draws:
+                want = ref.binomial(arg, 0.4) if name == "binomial" else ref.random(arg)
+                np.testing.assert_array_equal(got, want)
 
-    def test_child_indices_stop_below_2_to_32(self):
-        # a child index is one 32-bit entropy word, as in NumPy
+    def test_fourth_split_level_refused(self):
         stream = RngStream(9)
-        stream.seed_seq.n_children_spawned = 2**32 - 2
-        ref = np.random.SeedSequence(9, n_children_spawned=2**32 - 2).spawn(1)[0]
-        np.testing.assert_array_equal(
-            stream.child().generator.random(3),
-            np.random.Generator(np.random.Philox(ref)).random(3))
-        with pytest.raises(ValueError, match="2\\^32"):
-            stream.split(2)
+        for _ in range(sim.MAX_PATH):
+            stream = stream.split(2)[1]
+        assert stream.path == (2, 2, 2)
+        assert 0.0 <= stream.generator.random() < 1.0
+        with pytest.raises(ValueError, match="levels deep"):
+            stream.split(1)
+        with pytest.raises(ValueError, match="levels deep"):
+            stream.child()
 
     @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, np.float64(2.0), "3", [1, 2]])
     def test_bad_seed_refused(self, seed):
