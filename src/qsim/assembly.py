@@ -228,7 +228,7 @@ def evaluate(config, rawT, rawE, contract=None):
                        "method": "classical"}
         elif sampling:
             y_prime, queries = classical.estimate_yk_sampling(
-                t, e, config.eta, k, eps_k, alpha_k, streams[k], access)
+                access, e, k, eps_k, alpha_k, streams[k])
             rows[k] = {"k": k, "y_prime_hat": y_prime, "queries": queries,
                        "method": "sampling"}
         elif k == 0:
@@ -521,8 +521,8 @@ def _experiment_qae_vs_classical(config):
             errs_q.append(abs(est.y_prime_hat - y_prime_exact) / y_prime_exact)
             calls_q.append(est.shots_used)
             rows.append(["iqae", eps, rep, est.shots_used, errs_q[-1]])
-            val, queries = classical.estimate_yk_sampling(t, e, eta, k, eps, 0.9,
-                                                          rng.child(), access)
+            val, queries = classical.estimate_yk_sampling(access, e, k, eps, 0.9,
+                                                          rng.child())
             errs_c.append(abs(val - y_prime_exact) / y_prime_exact)
             calls_c.append(queries)
             rows.append(["classical", eps, rep, queries, errs_c[-1]])

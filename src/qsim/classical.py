@@ -2,7 +2,7 @@
 and the tree-based sampling inner-product estimator."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -131,50 +131,26 @@ def classical_poly_value(rawT, rawE, coeffs):
 
 @dataclass
 class SampleAccess:
-    """Tree-backed l2 sampling access to a vector with known norm."""
+    """Tree-backed l2 sampling access to a vector with known norm; split[l][i]
+    is right^2/(left^2 + right^2) at node i of level l, NaN at a zero subtree."""
 
     tree: StateDecompositionTree
     norm: float
+    split: list = field(init=False, repr=False)  # computed once, at construction
+
+    def __post_init__(self):
+        self.split = []
+        for child in self.tree.levels[1:]:
+            right_sq = child[1::2] * child[1::2]
+            total = child[0::2] * child[0::2] + right_sq
+            self.split.append(np.divide(right_sq, total, out=np.full_like(total, np.nan),
+                                        where=total != 0.0))
 
     @classmethod
     def from_values(cls, values):
         values = np.asarray(values, dtype=float)
         tree = build_tree(values)
         return cls(tree=tree, norm=float(np.linalg.norm(values)))
-
-    def leaf_value(self, j):
-        """v_j for an index or an index array."""
-        return self.tree.leaves[j] * self.norm / self.tree.root
-
-
-def tang_walk(tree, u):
-    """Leaf indices drawn with probability leaf^2 / root^2, one per row of u.
-
-    Row i walks the tree from the root, going right at level l when
-    u[i, l] * (left^2 + right^2) >= left^2 for the children of its node.
-    Each level's left^2 and left^2 + right^2 are computed once per node and
-    gathered per row: the same float operations, so the same bits.  Level 0
-    has one node, so its row comparisons read its two scalars and gather
-    nothing.  ValueError when a row reaches a node whose subtree is zero; a
-    zero subtree no row reaches, or an empty u, raises nothing.
-    """
-    pos = np.zeros(u.shape[0], dtype=np.int64)
-    for level in range(tree.n):
-        child = tree.levels[level + 1]
-        left_sq = child[0::2] * child[0::2]
-        total = left_sq + child[1::2] * child[1::2]
-        if level == 0:
-            if total[0] == 0.0 and pos.size:
-                raise ValueError("zero subtree during sampling")
-            pos += u[:, 0] * total[0] >= left_sq[0]
-        else:
-            zero = total == 0.0
-            if zero.any() and zero[pos].any():
-                raise ValueError("zero subtree during sampling")
-            right = u[:, level] * total[pos] >= left_sq[pos]
-            pos *= 2
-            pos += right
-    return pos
 
 
 def _median(values):
@@ -198,19 +174,48 @@ def sampling_group_count(alpha):
 
 
 def sampling_group_size(epsilon):
-    return math.ceil(4.0 / (epsilon * epsilon))
+    """ceil(4/eps^2), at least 1; ValueError above 2^63 - 1, a binomial's limit."""
+    if not epsilon * epsilon > 2.0**-61:  # so 4/eps^2 < 2^63
+        raise ValueError(f"epsilon={epsilon!r} too small: ceil(4/epsilon^2) > 2^63 - 1")
+    return max(1, math.ceil(4.0 / (epsilon * epsilon)))
+
+
+def tang_counts(access, groups, size, rng):
+    """Leaf counts of `groups` groups of `size` samples from access's tree.
+
+    Where Tang's sample access walks each sample down the tree, a node
+    here sends Binomial(c, p) of its c samples right (p from access.split):
+    a group's leaf counts follow Multinomial(size, v_j^2/||v||^2), the law
+    of the walk's counts.  Each level makes one binomial draw over the live
+    (group, node) entries, sorted by group, then node, dropping empty ones.
+    Returns (key, count) over the live leaves, key = (group << n) | leaf.
+    ValueError when samples reach a zero subtree.
+    """
+    key = np.arange(groups)  # (group << l) | node at level l
+    count = np.full(groups, size)
+    for level, p_right in enumerate(access.split):
+        p = p_right[key & ((1 << level) - 1)]
+        if np.isnan(p).any():
+            raise ValueError("zero subtree during sampling")
+        right = rng.generator.binomial(count, p)
+        count = np.column_stack((count - right, right)).ravel()
+        live = count.nonzero()[0]
+        key, count = 2 * key[live >> 1] + (live & 1), count[live]
+    return key, count
+
+
+LIVE_ENTRIES = 1 << 20  # (group, node) entries one chunk of groups may hold
 
 
 def tang_inner(v_access, w_query, epsilon, alpha, rng):
     """Median-of-means estimate of <v, w> to additive error ||v|| ||w|| eps.
 
-    Uses 6*ceil(lg 1/(1-alpha)) groups of ceil(4/eps^2) samples each; the
-    single-sample estimator is X = ||v||^2 w_J / v_J with J ~ v_j^2/||v||^2.
-    X is computed once per leaf and gathered per sample, with the same
-    float operations, so the same bits; zero leaves, which the walk never
-    draws, are skipped.  Uniforms are drawn as group-major rows, whole
-    groups per draw of at most max(size lg N, 2^22) doubles, from one
-    stream, so chunking keeps the bits.  The median of the group means is
+    6*ceil(lg 1/(1-alpha)) groups of size = ceil(4/eps^2) samples; a group's
+    mean is sum_j c_j X_j / size over its leaf counts c_j (tang_counts),
+    X_j = ||v||^2 w_j / v_j.  Groups go in chunks of at most
+    LIVE_ENTRIES // min(N, size), in group order, so a call costs
+    O(groups N) at any eps, not a per-sample walk's O(groups size lg N),
+    which is less only where N is well above size.  The median is
     _median's, which equals np.median's bits.
     """
     if v_access.norm == 0.0:
@@ -219,17 +224,17 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     groups = sampling_group_count(alpha)
     size = sampling_group_size(epsilon)
     tree = v_access.tree
-    leaf = v_access.leaf_value(np.arange(tree.leaves.size))
+    leaf = tree.leaves * v_access.norm / tree.root
     x_leaf = np.divide(v_access.norm**2 * w, leaf, out=np.zeros_like(leaf),
                        where=leaf != 0.0)
-    chunk = max(1, (1 << 22) // (size * max(tree.n, 1)))  # groups per draw
+    chunk = max(1, LIVE_ENTRIES // min(leaf.size, size))
     means = []
     for first in range(0, groups, chunk):
-        rows = min(chunk, groups - first) * size
-        j = tang_walk(tree, rng.generator.random((rows, tree.n)))
-        x = x_leaf[j].reshape(-1, size)
-        # row-wise cumsum adds each group in draw order; np.sum's pairs change bits
-        means.extend((np.cumsum(x, axis=1)[:, -1] / size).tolist())
+        n_groups = min(chunk, groups - first)
+        key, count = tang_counts(v_access, n_groups, size, rng)
+        sums = np.bincount(key >> tree.n, count * x_leaf[key & (leaf.size - 1)],
+                           minlength=n_groups)
+        means.extend((sums / size).tolist())
     return _median(means)
 
 
@@ -242,18 +247,13 @@ def sampling_access(rawT, eta):
     return SampleAccess.from_values(t)
 
 
-def estimate_yk_sampling(rawT, rawE, eta, k, epsilon, alpha, rng, access=None):
-    """Sampling estimate of y'_k = sum_j E'_j (T'_j - eta)^k.
+def estimate_yk_sampling(access, rawE, k, epsilon, alpha, rng):
+    """Sampling estimate of y'_k = sum_j E'_j (T'_j - eta)^k, where access =
+    sampling_access(rawT, eta) is built once for every power.
 
     Returns (estimate, queries).  The sample count does not depend on k.
-    A caller that estimates several powers passes access =
-    sampling_access(rawT, eta), built once, for the same bits.
     """
-    if access is None:
-        access = sampling_access(rawT, eta)
-    t = access.tree.leaves
-    e = np.asarray(rawE, dtype=float)
-    w = e * t ** (k - 1)
+    w = np.asarray(rawE, dtype=float) * access.tree.leaves ** (k - 1)
     est = tang_inner(access, w, epsilon, alpha, rng)
     queries = sampling_group_count(alpha) * sampling_group_size(epsilon)
     return est, queries

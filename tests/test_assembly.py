@@ -206,9 +206,9 @@ class TestPowerLoop:
             order.append(k)
             return estimate_power(config, k, *args)
 
-        def sampling(rawT, rawE, eta, k, *args):
+        def sampling(access, rawE, k, *args):
             order.append(k)
-            return estimate_sampling(rawT, rawE, eta, k, *args)
+            return estimate_sampling(access, rawE, k, *args)
 
         monkeypatch.setattr(assembly, "_estimate_power", power)
         monkeypatch.setattr(classical, "estimate_yk_sampling", sampling)

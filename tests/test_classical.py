@@ -1,60 +1,39 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
+
+import helpers
+from qsim import classical
 
 from qsim.classical import (DEFAULT_PARAMS, PolyCoeffs, SampleAccess,
                             SigmoidParams, _median, classical_poly_value,
                             estimate_yk_sampling, exact_value, fit_polynomial,
-                            sampling_group_count, sampling_group_size,
-                            sigmoid_volume, tang_inner, tang_walk)
+                            sampling_access, sampling_group_count,
+                            sampling_group_size, sigmoid_volume, tang_counts,
+                            tang_inner)
 from qsim.encoding import StateDecompositionTree
 from qsim.sim import RngStream
 
 
-def ref_tang_sample(access, rng):
-    """Scalar tree walk: one uniform per level, one sample at a time."""
-    tree = access.tree
-    pos = 0
-    for level in range(tree.n):
-        left = tree.levels[level + 1][2 * pos]
-        right = tree.levels[level + 1][2 * pos + 1]
-        total = left * left + right * right
-        if total == 0.0:
-            raise ValueError("zero subtree during sampling")
-        go_right = rng.generator.random() * total >= left * left
-        pos = 2 * pos + int(go_right)
-    return pos
+def binomial_two_sided(k, n, p):
+    """Exact two-sided tail probability of k successes in n trials of
+    probability p: twice the smaller one-sided tail, at most 1."""
+    return min(1.0, 2.0 * min(binom.cdf(k, n, p), binom.sf(k - 1, n, p)))
 
 
-def ref_tang_inner(v_access, w_query, epsilon, alpha, rng):
-    """Per-sample median of means whose output bits tang_inner must keep."""
-    if v_access.norm == 0.0:
-        raise ValueError("zero vector")
-    w = np.asarray(w_query, dtype=float)
-    groups = sampling_group_count(alpha)
-    size = sampling_group_size(epsilon)
-    means = []
-    norm_sq = v_access.norm**2
-    root = v_access.tree.root
-    for _ in range(groups):
-        total = 0.0
-        for _ in range(size):
-            j = ref_tang_sample(v_access, rng)
-            leaf = float(v_access.tree.leaves[j] * v_access.norm / root)
-            total += norm_sq * w[j] / leaf
-        means.append(total / size)
-    return float(np.median(means))
-
-
-def _outcome(fn, *args):
-    """repr of the return value (exact for floats), or the ValueError raised."""
-    try:
-        return repr(fn(*args))
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+def reachable_nodes(access):
+    """Per tree level, the nodes a sample can reach: every split on the path
+    from the root sends it there with positive probability."""
+    reach = [np.array([True])]
+    for p in access.split:
+        live = reach[-1] & ~np.isnan(p)
+        reach.append(np.column_stack((live & (p < 1.0), live & (p > 0.0))).ravel())
+    return reach
 
 
 @st.composite
@@ -202,72 +181,84 @@ class TestMedian:
 
 
 class TestSampling:
-    def test_tang_sample_distribution(self):
-        vals = np.array([1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("vals", [[1.0, 2.0, 3.0, 4.0],
+                                      [0.0, 2.0, 0.0, 1.0, 3.0, 0.5, 0.0, 1.5]])
+    def test_tang_sample_distribution(self, vals):
+        # with q_j = v_j^2/||v||^2, over G groups of S samples leaf j's total
+        # count is Binomial(G S, q_j) and the number of groups holding it is
+        # Binomial(G, 1 - (1 - q_j)^S); all 2 N exact two-sided tests pass
+        # together at a false-failure rate of at most 1e-6 (Bonferroni)
+        vals = np.array(vals)
+        q = vals**2 / (vals**2).sum()
         access = SampleAccess.from_values(vals)
-        n = 4000
-        u = RngStream(0).generator.random((n, access.tree.n))
-        counts = np.bincount(tang_walk(access.tree, u), minlength=4)
-        target = vals**2 / np.sum(vals**2)
-        np.testing.assert_allclose(counts / n, target, atol=0.03)
+        groups, size = 2000, 20
+        key, count = tang_counts(access, groups, size, RngStream(0))
+        group, leaf = key >> access.tree.n, key & (vals.size - 1)
+        assert (np.diff(key) > 0).all() and (count > 0).all()
+        assert (np.bincount(group, count, minlength=groups) == size).all()
+        checks = [(np.bincount(leaf, count, minlength=vals.size), groups * size, q),
+                  (np.bincount(leaf, minlength=vals.size), groups, 1 - (1 - q)**size)]
+        for observed, trials, prob in checks:
+            for j in range(vals.size):
+                assert binomial_two_sided(observed[j], trials, prob[j]) > 1e-6 / (2 * vals.size)
 
     def test_group_formulas(self):
         assert sampling_group_size(0.1) == 400
         assert sampling_group_count(0.9) == 6 * 4  # ceil(lg 10) = 4
+        # a binomial draw takes at most 2^63 - 1 samples, and a group at
+        # least one, where 4/eps^2 rounds to zero
+        assert sampling_group_size(6.6e-10) < 2**63
+        assert sampling_group_size(1e160) == sampling_group_size(1e300) == 1
+        for eps in (6.5e-10, 1e-160, 1e-300):
+            with pytest.raises(ValueError, match="epsilon"):
+                sampling_group_size(eps)
 
-    @given(sampling_cases(), st.integers(0, 2**32 - 1))
+    @given(sampling_cases(), st.integers(0, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_tang_inner_matches_scalar_walk(self, case, seed):
-        access, w, eps, alpha = case
-        assert (_outcome(tang_inner, access, w, eps, alpha, RngStream(seed))
-                == _outcome(ref_tang_inner, access, w, eps, alpha, RngStream(seed)))
+    def test_tang_counts_invariants(self, case, groups, seed):
+        # sorted live entries, whole groups, reachable leaves only; a
+        # ValueError only when a reachable node has a zero subtree
+        access, _w, eps, _alpha = case
+        size = sampling_group_size(eps)
+        reach = reachable_nodes(access)
+        zero_reached = any((r & np.isnan(p)).any() for r, p in zip(reach, access.split))
+        try:
+            key, count = tang_counts(access, groups, size, RngStream(seed))
+        except ValueError as exc:
+            assert str(exc) == "zero subtree during sampling" and zero_reached
+            return
+        n = access.tree.n
+        assert (np.diff(key) > 0).all() and (count > 0).all()
+        assert (np.bincount(key >> n, count, minlength=groups) == size).all()
+        assert reach[-1][key & ((1 << n) - 1)].all()
+        # every sample reaches the root, so a zero root subtree raises
+        assert groups == 0 or not (access.split and np.isnan(access.split[0][0]))
 
-    @pytest.mark.parametrize("n_vals,eps,alpha", [(1, 0.5, 0.6), (8, 0.2, 0.9),
-                                                  (4, 0.3, 0.99)])
-    def test_tang_inner_consumes_stream_as_scalar_walk(self, n_vals, eps, alpha):
-        # the next uniform after the estimate is the same, so a caller that
-        # keeps drawing from the stream sees the same values
-        access = SampleAccess.from_values(np.linspace(1.0, 2.0, n_vals))
-        w = np.linspace(-1.0, 3.0, n_vals)
-        streams = RngStream(17), RngStream(17)
-        tang_inner(access, w, eps, alpha, streams[0])
-        ref_tang_inner(access, w, eps, alpha, streams[1])
-        assert streams[0].generator.random() == streams[1].generator.random()
-
-    def test_tang_inner_draws_whole_groups_under_cap(self):
-        # 6 groups of 367,310 samples on a 2-level tree: 734,620 doubles per
-        # group, so a 2^22-double draw holds 5 groups and a second draw the 6th
-        eps, alpha = 0.0033, 0.5
-        groups, size = sampling_group_count(alpha), sampling_group_size(eps)
+    def test_tang_inner_draws_whole_groups_under_cap(self, monkeypatch):
+        # a cap of 10 live entries on a 4-leaf tree holds 2 of the 24 groups
+        # of 400 samples; the estimate is the median over groups of
+        # sum_j c_j X_j / size, X_j = ||v||^2 w_j / v_j, each group's terms
+        # added in leaf order, and the stream is left where the chunks'
+        # draws leave it
+        monkeypatch.setattr(classical, "LIVE_ENTRIES", 10)
+        calls = helpers.recorded_calls(monkeypatch, classical, "tang_counts")
+        eps, alpha = 0.1, 0.9
+        size = sampling_group_size(eps)
         access = SampleAccess.from_values([1.0, 2.0, 3.0, 4.0])
         w = np.array([0.5, -1.0, 2.0, 1.5])
-
-        class Recorder:
-            """A generator that records the shape of every draw."""
-
-            def __init__(self, generator):
-                self.generator, self.shapes = generator, []
-
-            def random(self, shape):
-                self.shapes.append(shape)
-                return self.generator.random(shape)
-
         rng = RngStream(4)
-        rng.generator = Recorder(rng.generator)
         got = tang_inner(access, w, eps, alpha, rng)
-        rows = [r for r, _ in rng.generator.shapes]
-        assert all(cols == 2 for _, cols in rng.generator.shapes)
-        assert all(r % size == 0 and r * 2 <= max(size * 2, 1 << 22) for r in rows)
-        assert sum(rows) == groups * size
-        assert rows == [5 * size, size]
-        # one draw, walk and cumsum per group gives the same bits
-        ref = RngStream(4)
-        means = []
-        for _ in range(groups):
-            j = tang_walk(access.tree, ref.generator.random((size, 2)))
-            x = access.norm**2 * w[j] / access.leaf_value(j)
-            means.append(np.cumsum(x)[-1] / size)
+        assert [c[1:3] for c in calls] == [(2, size)] * 12
+        v = access.tree.leaves * access.norm / access.tree.root
+        ref, means = RngStream(4), []
+        for _ in calls:
+            key, count = tang_counts(access, 2, size, ref)
+            totals = [0.0, 0.0]
+            for k, c in zip(key.tolist(), count.tolist()):
+                totals[k >> 2] += c * (access.norm**2 * w[k & 3] / v[k & 3])
+            means += [t / size for t in totals]
         assert repr(got) == repr(float(np.median(means)))
+        assert rng.generator.random() == ref.generator.random()
 
     def test_tang_inner_zero_subtree(self):
         # the root's left child has weight but both of its children are zero
@@ -277,33 +268,50 @@ class TestSampling:
         with pytest.raises(ValueError, match="zero subtree"):
             tang_inner(access, np.ones(4), 0.5, 0.9, RngStream(0))
 
-    def test_tang_walk_unreached_zero_subtree(self):
-        # the root's right child has no weight, so no row reaches its zero
-        # subtree, and the rows walk as the scalar walk does
+    def test_tang_counts_unreached_zero_subtree(self):
+        # the root's right child has no weight, so no sample reaches its zero
+        # subtree, and every group's samples land on the two left leaves
         tree = StateDecompositionTree(levels=[np.array([1.0]), np.array([1.0, 0.0]),
                                               np.array([0.6, 0.8, 0.0, 0.0])])
-        access = SampleAccess(tree=tree, norm=1.0)
-        got = tang_walk(tree, RngStream(5).generator.random((400, 2)))
-        ref = RngStream(5)
-        assert got.tolist() == [ref_tang_sample(access, ref) for _ in range(400)]
+        key, count = tang_counts(SampleAccess(tree=tree, norm=1.0), 50, 8, RngStream(5))
+        assert set((key & 3).tolist()) == {0, 1}
+        assert (np.bincount(key >> 2, count) == 8).all()
 
-    def test_tang_walk_zero_tree(self):
-        # a zero root raises once a row walks, and a walk of no rows raises
+    def test_tang_counts_zero_tree(self):
+        # a zero root raises once a group has samples, and no groups raise
         # nothing
         tree = StateDecompositionTree(levels=[np.array([0.0]), np.zeros(2), np.zeros(4)])
-        got = tang_walk(tree, np.empty((0, 2)))
-        assert got.shape == (0,) and got.dtype == np.int64
+        access = SampleAccess(tree=tree, norm=1.0)
+        key, count = tang_counts(access, 0, 5, RngStream(0))
+        assert key.size == count.size == 0
         with pytest.raises(ValueError, match="zero subtree"):
-            tang_walk(tree, np.full((3, 2), 0.5))
+            tang_counts(access, 3, 5, RngStream(0))
 
     def test_tang_inner_zero_leaves_raise_no_warning(self):
-        # the per-leaf estimator table skips the zero leaves, never drawn
-        access = SampleAccess.from_values([0.0, 2.0, 0.0, 1.0])
+        # neither the split table of a tree with zero subtrees nor the
+        # per-leaf estimator table, which skips the zero leaves, warns
         w = np.array([0.0, -1.0, 3.0, 1.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            access = SampleAccess.from_values([0.0, 2.0, 0.0, 0.0])
+            assert math.isnan(access.split[1][1])
             got = tang_inner(access, w, 0.3, 0.9, RngStream(2))
-        assert repr(got) == repr(ref_tang_inner(access, w, 0.3, 0.9, RngStream(2)))
+        assert got == access.norm**2 * w[1] / 2.0
+
+    def test_tang_inner_memory_does_not_grow_with_precision(self):
+        # at N = 2^14 every group at eps = 1e-3 (4e6 samples) or 1e-6 (4e12)
+        # outnumbers the leaves, so both hold the same live entries
+        access = SampleAccess.from_values(np.linspace(1.0, 2.0, 1 << 14))
+        w = np.linspace(-1.0, 1.0, 1 << 14)
+        peaks = []
+        for eps in (1e-3, 1e-6):
+            tracemalloc.start()
+            try:
+                tang_inner(access, w, eps, 0.5, RngStream(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
     def test_tang_inner_accuracy(self):
         rng = np.random.default_rng(1)
@@ -319,7 +327,7 @@ class TestSampling:
         t = np.array([12.0, 17.0, 23.0, 28.0])
         e = np.array([30.0, 24.0, 36.0, 28.0])
         k = 2
-        est, queries = estimate_yk_sampling(t, e, 10.0, k, 0.05, 0.9,
+        est, queries = estimate_yk_sampling(sampling_access(t, 10.0), e, k, 0.05, 0.9,
                                             RngStream(0))
         truth = float(np.sum(e * (t - 10.0) ** k))
         v = t - 10.0
@@ -330,5 +338,4 @@ class TestSampling:
 
     def test_sampling_requires_positive_shift(self):
         with pytest.raises(ValueError):
-            estimate_yk_sampling([12.0, 17.0], [1.0, 1.0], 15.0, 1, 0.1, 0.9,
-                                 RngStream(0))
+            sampling_access([12.0, 17.0], 15.0)

@@ -143,6 +143,29 @@ class TestEvaluate:
         assert "31-qubit" in result.output
         assert peak < 64 << 20
 
+    def test_sampling_at_tiny_epsilon(self, runner, data_files):
+        # groups of 4e10 samples: split down the tree by binomial draws, not
+        # drawn one at a time (which once asked for 596 GiB of uniforms)
+        t, e = data_files
+        result = runner.invoke(main, ["evaluate", "--variant", "sampling",
+                                      "--input-t", t, "--input-e", e,
+                                      "--epsilon", "1e-5", "--eta", "10"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert all(row["queries"] == 30 * 40_000_000_000
+                   for row in payload["per_k"] if row["k"] > 0)
+        assert payload["rel_error_vs_star"] < 1e-5
+
+    @pytest.mark.parametrize("epsilon", ["6.5e-10", "1e-160", "1e-300"])
+    def test_sampling_group_above_int64_exit_2(self, runner, data_files, epsilon):
+        # ceil(4/epsilon^2) above 2^63 - 1 samples per group
+        t, e = data_files
+        result = runner.invoke(main, ["evaluate", "--variant", "sampling",
+                                      "--input-t", t, "--input-e", e,
+                                      "--epsilon", epsilon, "--eta", "10"])
+        assert result.exit_code == 2
+        assert "epsilon" in result.output
+
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
                                       ["--degree", "0"]])
     def test_bad_config_exit_2(self, runner, data_files, args):

@@ -84,6 +84,24 @@ as did the exact and poly digests, which draw nothing.  The canonical
 digests held too: at seed 3 canonical QAE's median of modal phase
 readouts reads the same estimates from the new draws.
 
+The three sampling digests changed once more, on purpose, when Tang
+sampling stopped walking its samples down the tree one at a time and began
+to split each group's sample count down it by binomial draws
+(classical.tang_counts); the estimator's law and query count are the same:
+  sampling-K2
+    was b0c7b1939e34e264fa7cde1c193e731a40b8cb547e67d4b03b4a39e3a1ab2d32
+    now 52a7e40f9cff2053cf90f9b61314e8edd7e715a551de570ae1ba47307edf9b4b
+  sampling-K3
+    was 8dc3c71cc5be8bcfa3c604d6c1ab04b9a1f1d5a7485a4badc5b48b66ce36b4d8
+    now 2faca0d53cc3475c187f5c1b2f496685cfed7e475150840933283947af054dd0
+  sampling-K3-forced
+    was 7539fc86cebc61434cbcce299df88b388efd9ae7953b25378ffe039f04ca83e0
+    now ba93d1941c516819f822e12809e26c8339500c31bdd4722e97b3d75db81dd228
+The canonical-qae-runs digest pins canonical QAE's draws from a child
+stream: every run's multinomial counts and modal estimate, and their
+median, on a one-qubit oracle whose modal readout varies between runs.
+The three canonical evaluate digests can hold when those draws change.
+
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
 that the estimate no longer carries.  Those fields are rebuilt here: the
@@ -94,14 +112,15 @@ and the probabilities from a statevector pass.
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 import helpers
-from qsim import assembly, inner, qhp
+from qsim import assembly, inner, qae, qhp
 from qsim.encoding import normalize_affine, normalize_sqrt
-from qsim.sim import RngStream
+from qsim.sim import Circuit, RngStream
 
 FIXTURE_T = np.array([12.0, 17.0, 23.0, 28.0])
 FIXTURE_E = np.array([30.0, 24.0, 36.0, 28.0])
@@ -155,6 +174,23 @@ def _boe_swap(k, s, shots, seed):
                         "p_z0": p_z0, "p_z0_x0": p_z0_x0}}
 
 
+def _canonical_runs(z, m, medians, seed):
+    """canonical_qae's multinomial counts and modal estimate per run, and its
+    median, on a one-qubit oracle whose good state has probability z."""
+    prepare = Circuit(1).ry(0, 2.0 * math.acos(math.sqrt(z)))
+    rng = RngStream(seed).child()
+    draw, counts = rng.multinomial, []
+    rng.multinomial = lambda n, pvals: counts.append(draw(n, pvals)) or counts[-1]
+    z_hat = qae.canonical_qae(qae.GroverOracle(prepare, (0,)), m, medians, rng)
+    modes = [int(np.argmax(c)) for c in counts]
+    # sin^2(pi x / 2^m) reads x and 2^m - x alike; the readout must vary
+    assert len({min(x, (1 << m) - x) for x in modes}) > 1
+    estimates = [math.sin(math.pi * x / (1 << m)) ** 2 for x in modes]
+    assert z_hat == float(np.median(estimates))
+    return {"counts": [c.tolist() for c in counts], "estimates": estimates,
+            "z_hat": z_hat}
+
+
 CASES = {
     "dynstop-amplitude-k3": (
         lambda: _dynstop("amplitude", 3, 1, 1000, 11),
@@ -164,10 +200,10 @@ CASES = {
         "ab1279caa82c82787617134a73f20f0892903c08ea94d7cd23eda85b569191b2"),
     "sampling-K2": (
         lambda: _evaluate("classical_sampling", 2, 5),
-        "b0c7b1939e34e264fa7cde1c193e731a40b8cb547e67d4b03b4a39e3a1ab2d32"),
+        "52a7e40f9cff2053cf90f9b61314e8edd7e715a551de570ae1ba47307edf9b4b"),
     "sampling-K3": (
         lambda: _evaluate("classical_sampling", 3, 6),
-        "8dc3c71cc5be8bcfa3c604d6c1ab04b9a1f1d5a7485a4badc5b48b66ce36b4d8"),
+        "2faca0d53cc3475c187f5c1b2f496685cfed7e475150840933283947af054dd0"),
     "variant-a": (
         lambda: _evaluate("a", 2, 3),
         "01ef03fc40edb46e2c25efbcc2bd1e0b8ba6420720669fafc9f7c2eb33ddb081"),
@@ -198,9 +234,12 @@ CASES = {
     "canonical-d-K1-s1": (
         lambda: _evaluate("d", 1, 3, s=1, engine="canonical"),
         "c97ea5033bebbc96890ced4c86344d817546f6c977de7f27980061ad8711215f"),
+    "canonical-qae-runs": (
+        lambda: _canonical_runs(0.3, 3, 9, 7),
+        "f11c5fa805d5b44c9119c9fd4d8da29e7c62da49d80b3f3c27963e845c425036"),
     "sampling-K3-forced": (
         lambda: _evaluate("classical_sampling", 3, 5, forced_epsilon_k=0.08),
-        "7539fc86cebc61434cbcce299df88b388efd9ae7953b25378ffe039f04ca83e0"),
+        "ba93d1941c516819f822e12809e26c8339500c31bdd4722e97b3d75db81dd228"),
     "exact-K3": (
         lambda: _evaluate("classical_exact", 3, 0),
         "5ef9e92241f8bd8b9f7d9a7ff3cb564bc802829acd5c1d8a5e222ac2fb6500ff"),
