@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import classical, inner, qae, qhp
+from . import classical, inner, qae
 from .classical import DEFAULT_PARAMS, SigmoidParams
 from .encoding import (boe_depth, boe_width, check_length, normalize_affine,
                        normalize_sqrt, validate_raw)
@@ -135,6 +135,9 @@ def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
     epsilon_k = {k: epsilon * rho_T ** (scaling * (k - 1)) / (K * abs(b[k]))
                  for k in range(min(K + 1, b.size)) if b[k] != 0.0}
     alpha = (K - 1 + beta) / K
+    if alpha >= 1.0:
+        raise ValueError(f"beta={beta!r} is too close to 1: the per-power "
+                         f"confidence (K - 1 + beta)/K rounds to 1 at K={K}")
     return ErrorBudget(epsilon_k=epsilon_k, alpha_k={k: alpha for k in epsilon_k})
 
 
@@ -160,21 +163,21 @@ def _estimate_power(config, k, series_T, series_E, eps_k, alpha_k, rng):
     raise ValueError(f"no quantum estimator for variant {variant!r}")
 
 
-def _per_k_resources(config, k, n):
-    # The c/d widths count the flag qubit a hardware oracle copies its good
-    # outcome onto; the simulator reflects about that outcome in place and
-    # allocates one qubit fewer.  Golden digests pin these rows.
-    if config.variant in ("a", "b"):
-        # a reports the mid_reset swap-test row, 2n + 1: the state of its
-        # k = 1 swap test, the only one it simulates; at k >= 2 it reads the
-        # consumed branch in closed form and allocates nothing
-        style, swap = (("mid_reset", True) if config.variant == "a"
-                       else ("no_mid_reset", False))
-        return {"width": qhp.width_formula(k, style, swap, n),
-                "depth_bound": qhp.depth_bound(k, style, swap, n, n)}
-    if config.variant == "c":
+def _per_k_resources(variant, k, n, s):
+    """Width and depth bound of power k, n = lg N: the one table that
+    evaluate's rows and resource_report read.  a reports the mid_reset swap
+    test (k serial loads), whose k = 1 state is the only one a simulates;
+    b the no_mid_reset circuit (2 serial loads).  The c/d widths
+    count the flag qubit a hardware oracle copies its good outcome onto;
+    the simulator reflects about that outcome in place and allocates one
+    qubit fewer.  Golden digests pin these rows."""
+    if variant == "a":
+        return {"width": 2 * n + 1, "depth_bound": k * n + k + 3 * n + 1}
+    if variant == "b":
+        return {"width": k * n, "depth_bound": 2 * n + k}
+    if variant == "c":
         return {"width": k * n + 1, "depth_bound": (k + 1) * n + k + 1}
-    return {"width": (k + 1) * boe_width(1 << n, config.s) + 2, "depth_bound": None}
+    return {"width": (k + 1) * boe_width(1 << n, s) + 2, "depth_bound": None}
 
 
 def evaluate(config, rawT, rawE, contract=None):
@@ -245,7 +248,8 @@ def evaluate(config, rawT, rawE, contract=None):
             rows[k] = {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
                        "epsilon_k": eps_k, "alpha_k": alpha_k,
                        "cost": est.shots_used, "method": est.method,
-                       **_per_k_resources(config, k, series_T.n_qubits)}
+                       **_per_k_resources(config.variant, k, series_T.n_qubits,
+                                          config.s)}
     per_k = [rows[k] for k in sorted(rows)]
     V = direct.get(config.variant, 0.0)
     for row in per_k:
@@ -297,17 +301,17 @@ def resource_report(config, N):
         if bk != 0.0:
             row["epsilon_k_unit_rho"] = epsilon / (K * abs(bk))
             row["epsilon_k_formula"] = "epsilon*rho_T^(k-1)/(K*|b_k|)"
+        res = _per_k_resources(variant, k, n, s) if variant in QUANTUM_VARIANTS else None
         if variant == "a":
             row["width"] = 2 * n
-            row["width_with_ancilla"] = qhp.width_formula(k, "mid_reset", True, n)
-            row["depth_bound"] = qhp.depth_bound(k, "mid_reset", True, n, n)
+            row["width_with_ancilla"] = res["width"]
+            row["depth_bound"] = res["depth_bound"]
             row["samples"] = "O(rho_E^2 rho_T^2k y'_k^-2 eps^-2)"
         elif variant == "b":
-            row["width"] = k * n
-            row["depth_bound"] = qhp.depth_bound(k, "no_mid_reset", False, n, n)
+            row.update(res)
             row["samples"] = "O(rho_E^2 rho_T^2k y'_k^-2 eps^-2)"
         elif variant == "c":
-            row["width"] = k * n + 1
+            row["width"] = res["width"]
             row["depth"] = "2*C_load + O_k(lg N)"
             row["oracle_complexity"] = "O(rho_E rho_T^k y'_k^-1 eps^-1)"
             row["samples"] = "O_alpha(1)"
@@ -315,10 +319,9 @@ def resource_report(config, N):
             row["mcx_decomposed"] = {"controls": k * n, "ancillas": max(0, c - 2),
                                      "toffolis": 2 * c - 3}
         elif variant == "d":
-            w = boe_width(N, s)
-            row["boe_width"] = w
+            row["boe_width"] = boe_width(N, s)
             row["boe_depth"] = boe_depth(N, s)
-            row["width"] = (k + 1) * w + 2
+            row["width"] = res["width"]
             row["oracle_complexity"] = "O(rho~_E rho~_T^k y~'_k^-1 eps^-1)"
             row["samples"] = "O_alpha(1)"
         elif variant == "classical_sampling":

@@ -170,6 +170,8 @@ def _median(values):
 
 
 def sampling_group_count(alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     return 6 * max(1, math.ceil(math.log2(1.0 / (1.0 - alpha))))
 
 

@@ -146,11 +146,13 @@ def _load_block(circ, tree, reg, top_level, block):
 class AmplitudeLoader:
     """Uniformly controlled Ry ladder preparing sum_j D_j |j>.
 
-    Local qubit n-1 holds the most-significant bit of j.
+    Local qubit n-1 holds the most-significant bit of j.  `leaves` are the
+    loaded |values|: the primary reads j with probability leaves_j^2.
     """
 
     def __init__(self, tree):
         n = tree.n
+        self.leaves = tree.leaves
         self.width = n
         self.primary = tuple(range(n))  # LSB first
         self.circuit = Circuit(n)
@@ -178,7 +180,8 @@ class BoeLoader:
     lg N copy register.  The primary register is the leftmost spine of node
     qubits plus amplitude register 0; a CSWAP network routes the selected
     block onto it, and the copy register receives the primary via CNOTs so
-    the side states are orthonormal.
+    the side states are orthonormal.  As for AmplitudeLoader, the primary
+    reads j with probability leaves_j^2.
     """
 
     def __init__(self, tree, s):
@@ -233,6 +236,7 @@ class BoeLoader:
         self.circuit = circ
         self.width = width
         self.primary = primary
+        self.leaves = tree.leaves
 
 
 def load_amplitude(tree):

@@ -16,9 +16,9 @@ probability S_k = a_k^-2 = sum_j T_j^{2k}.  Both styles keep block 0 as the
 survivor, so that branch is also the end of a chain of rounds: load the
 next copy, CNOT the survivor's primary into the copy's primary, keep the
 branch where the copy reads 0.  A shot that has survived t - 1 rounds
-survives round t with probability S_{t+1} / S_t, so
-run_with_dynamic_stopping draws its shots from that chain and simulates one
-loaded block only.  The inner-product readouts (qsim.inner) use that
+survives round t with probability S_{t+1} / S_t, which the loaded values
+fix, so run_with_dynamic_stopping draws its shots from that chain and
+simulates nothing.  The inner-product readouts (qsim.inner) use that
 branch's closed form; only the k = 1 swap tests and canonical QAE's oracles
 build a power circuit.
 """
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sim
 from .encoding import build_tree, load_amplitude, load_boe
-from .sim import Circuit, Statevector
+from .sim import Circuit
 
 
 STYLES = ("mid_reset", "no_mid_reset")
@@ -143,20 +142,19 @@ def build_power_circuit(plan, loader):
 def run_with_dynamic_stopping(plan, loader, shots, rng):
     """Execute mid-reset QHP shots with per-shot abort on failure.
 
-    With p the Born distribution of one loaded block's primary, a shot that
-    has read 0 in rounds 1 .. t - 1 reads 0 in round t with probability
-    q_t = sum_j p_j^{t+1} / sum_j p_j^t, for amplitude encoding and for BOE,
-    whose side states are orthonormal.  So one block is simulated, and shot
-    i ends at the first round t whose uniform u[i, t - 1] >= q_t, or at k.
-    Shot i reads row i of one (shots, k - 1) draw of uniforms, so a run's
-    first m shots do not depend on how many follow.  Shots that end alike
-    share one QhpOutcome.
+    One loaded block's primary reads j with probability p_j = leaves_j^2,
+    for amplitude encoding and for BOE, whose side states are orthonormal.
+    So a shot that has read 0 in rounds 1 .. t - 1 reads 0 in round t with
+    probability q_t = sum_j p_j^{t+1} / sum_j p_j^t = S_{t+1} / S_t, and no
+    state is simulated: shot i ends at the first round t whose uniform
+    u[i, t - 1] >= q_t, or at k.  Shot i reads row i of one (shots, k - 1)
+    draw of uniforms, so a run's first m shots do not depend on how many
+    follow.  Shots that end alike share one QhpOutcome.
     """
     if plan.style != "mid_reset":
         raise ValueError("dynamic stopping requires the mid_reset style")
     k = plan.k
-    st = loader.circuit.apply_unitary(Statevector.zero(loader.width))
-    p = sim.marginal_probabilities(st, loader.primary)
+    p = loader.leaves ** 2
     q = [float(np.dot(p ** t, p) / np.sum(p ** t)) for t in range(1, k)]
     # a last column of failures makes a shot that survives every round end at k
     fails = np.column_stack([rng.generator.random((shots, k - 1)) >= q,
@@ -164,16 +162,3 @@ def run_with_dynamic_stopping(plan, loader, shots, rng):
     ends = [QhpOutcome(False, t, t) for t in range(k)] + [QhpOutcome(True, k - 1, k)]
     return [ends[e] for e in (fails.argmax(axis=1) + 1).tolist()]
 
-
-def width_formula(k, style, swap, n):
-    """Register count r(k) lg N plus the swap ancilla when present."""
-    delta = 1 if swap else 0
-    r = 2 if style == "mid_reset" else k + delta
-    return r * n + delta
-
-
-def depth_bound(k, style, swap, n, c_load):
-    """Upper bound m(k) C_load + k + (3 lg N + 1) delta."""
-    delta = 1 if swap else 0
-    m = (k + (1 - delta)) if style == "mid_reset" else (1 + (1 - delta))
-    return m * c_load + k + (3 * n + 1) * delta

@@ -28,6 +28,13 @@ class TestBudget:
             expected = 0.1 * rho ** (k - 1) / (3 * abs(coeffs.b[k]))
             assert eps_k == pytest.approx(expected)
 
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_beta_whose_confidence_rounds_to_one_refused(self, K):
+        coeffs = fit_polynomial(DEFAULT_PARAMS, 0.0, K, "taylor")
+        assert allocate_budget(coeffs, 0.1, 0.1, 0.999, K).alpha_k[1] < 1.0
+        with pytest.raises(ValueError, match="beta"):
+            allocate_budget(coeffs, 0.1, 0.1, 1.0 - 2.0**-53, K)
+
     def test_quadratic_scaling(self):
         coeffs = fit_polynomial(DEFAULT_PARAMS, 0.0, 2, "taylor")
         lin = allocate_budget(coeffs, 0.1, 0.1, 0.9, 2)
@@ -427,6 +434,22 @@ class TestResources:
         cfg = VariantConfig(variant="a", K=2)
         with pytest.raises(ValueError):
             resource_report(cfg, 12)
+
+    @pytest.mark.parametrize("variant,s", [("a", 2), ("b", 2), ("c", 2), ("d", 4)])
+    def test_evaluate_rows_match_report(self, variant, s):
+        # d at s = 2 would simulate a 31-qubit swap test; s = 4 needs 17
+        gen = np.random.default_rng(5)
+        cfg = VariantConfig(variant=variant, K=3, s=s, eta=10.0, epsilon=0.1)
+        report = evaluate(cfg, gen.uniform(12.0, 28.0, 16), gen.uniform(20.0, 40.0, 16))
+        table = resource_report(cfg, 16)
+        width = "width_with_ancilla" if variant == "a" else "width"
+        for got, want in zip(report.per_k[1:], table["rows"], strict=True):
+            assert got["k"] == want["k"]
+            assert got["width"] == want[width]
+            if variant in ("a", "b"):
+                assert got["depth_bound"] == want["depth_bound"]
+            else:  # the report gives c's depth symbolically and d's not at all
+                assert "depth_bound" not in want
 
 
 class TestExperiments:

@@ -217,6 +217,10 @@ class TestSampling:
         for eps in (6.5e-10, 1e-160, 1e-300):
             with pytest.raises(ValueError, match="epsilon"):
                 sampling_group_size(eps)
+        # 1 - alpha must be a positive probability of failure
+        for alpha in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                sampling_group_count(alpha)
 
     @given(sampling_cases(), st.integers(0, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -166,6 +166,16 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "epsilon" in result.output
 
+    @pytest.mark.parametrize("variant", ["sampling", "b"])
+    def test_beta_near_one_exit_2(self, runner, data_files, variant):
+        # at K = 2, (K - 1 + beta)/K rounds to 1: no confidence below 1 is left
+        t, e = data_files
+        result = runner.invoke(main, ["evaluate", "--variant", variant,
+                                      "--input-t", t, "--input-e", e, "--eta", "10",
+                                      "--beta", "0.9999999999999999"])
+        assert result.exit_code == 2
+        assert "beta" in result.output
+
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
                                       ["--degree", "0"]])
     def test_bad_config_exit_2(self, runner, data_files, args):

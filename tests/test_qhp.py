@@ -8,11 +8,11 @@ from scipy import stats
 
 import helpers
 from helpers import postselected_power_state, survivor_amplitudes
+from qsim import sim
 from qsim.encoding import NormalizedSeries, boe_width, normalize_affine, normalize_sqrt
 from qsim.errors import ZeroBranchError
-from qsim.qhp import (PowerPlan, build_power_circuit, depth_bound, expected_loads,
-                      make_loader, norm_constant_ak, run_with_dynamic_stopping,
-                      success_probability, width_formula)
+from qsim.qhp import (PowerPlan, build_power_circuit, expected_loads, make_loader,
+                      norm_constant_ak, run_with_dynamic_stopping, success_probability)
 from qsim.sim import RngStream, Statevector
 
 
@@ -27,6 +27,12 @@ DYNSTOP_CASES = [("amplitude", n_vals, 1, k) for n_vals in (2, 4, 8) for k in (2
 DYNSTOP_CASES += [("boe", n_vals, s, k) for n_vals in (2, 4, 8) for s in (1, 2)
                   for k in (2, 3, 4)
                   if (1 << s) <= n_vals and k * boe_width(n_vals, s) <= 16]
+
+# (encoding, N, s) for N = 2 .. 64 and every split level whose loader fits
+# a statevector of at most 20 qubits
+LEAF_CASES = [("amplitude", 1 << n, 1) for n in range(1, 7)]
+LEAF_CASES += [("boe", 1 << n, s) for n in range(1, 7) for s in range(1, n + 1)
+               if boe_width(1 << n, s) <= 20]
 
 
 def _triples(outcomes):
@@ -187,6 +193,22 @@ class TestDynamicStopping:
             return
         assert got == _triples(o for o, _state in ref)
 
+    @given(st.sampled_from(LEAF_CASES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_leaves_are_the_simulated_marginal(self, case, data):
+        # dynamic stopping reads p = leaves^2; the statevector is its reference
+        encoding, n_vals, s = case
+        raw = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+                                 min_size=n_vals, max_size=n_vals).filter(any))
+        values = np.array(raw)
+        rho = 1.0 / math.sqrt(float(np.sum(values ** 2)))
+        loader = make_loader(NormalizedSeries(values=rho * values, rho=rho, eta=0.0,
+                                              mode="affine"), encoding, s)
+        state = loader.circuit.apply_unitary(Statevector.zero(loader.width))
+        np.testing.assert_allclose(loader.leaves ** 2,
+                                   sim.marginal_probabilities(state, loader.primary),
+                                   rtol=0, atol=1e-12)
+
     @given(st.sampled_from(DYNSTOP_CASES), st.integers(1, 100), st.integers(0, 100),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -219,12 +241,12 @@ class TestDynamicStopping:
 
     @pytest.mark.parametrize("encoding, n_vals, s", [("amplitude", 8, 1),
                                                      ("boe", 4, 1), ("boe", 8, 2)])
-    def test_simulates_one_block(self, monkeypatch, encoding, n_vals, s):
+    def test_simulates_nothing(self, monkeypatch, encoding, n_vals, s):
         loader = make_loader(series_fixture(n_vals, 7), encoding, s)
         plan = PowerPlan(k=3, style="mid_reset", encoding=encoding, s=s)
         calls = helpers.recorded_calls(monkeypatch, Statevector, "__init__")
         run_with_dynamic_stopping(plan, loader, 200, RngStream(3))
-        assert [args[1] for args in calls] == [loader.width]
+        assert calls == []
 
     def test_boe_at_64_points(self, monkeypatch):
         # three 12-qubit blocks: a statevector chain would need 36 qubits
@@ -233,7 +255,7 @@ class TestDynamicStopping:
         plan = PowerPlan(k=3, style="mid_reset", encoding="boe", s=6)
         calls = helpers.recorded_calls(monkeypatch, Statevector, "__init__")
         outcomes = run_with_dynamic_stopping(plan, loader, 2000, RngStream(17))
-        assert [args[1] for args in calls] == [loader.width] == [12]
+        assert calls == []
         # correct code leaves this exact binomial interval with probability < 1e-6
         lo, hi = stats.binom.interval(1 - 1e-6, 2000, success_probability(series, 3))
         assert lo <= sum(o.success for o in outcomes) <= hi
@@ -244,19 +266,3 @@ class TestDynamicStopping:
         with pytest.raises(ValueError):
             run_with_dynamic_stopping(PowerPlan(k=2, style="no_mid_reset"),
                                       loader, 1, RngStream(0))
-
-
-class TestResourceFormulas:
-    def test_width_mid_reset_constant_registers(self):
-        for k in range(2, 5):
-            assert width_formula(k, "mid_reset", False, 3) == 2 * 3
-
-    def test_width_no_mid_reset_grows(self):
-        assert width_formula(3, "no_mid_reset", False, 2) == 6
-        assert width_formula(3, "no_mid_reset", True, 2) == 9
-
-    def test_depth_bound_positive(self):
-        for k in range(1, 5):
-            for style in ("no_mid_reset", "mid_reset"):
-                for swap in (False, True):
-                    assert depth_bound(k, style, swap, 3, 10) > 0
