@@ -284,8 +284,11 @@ def resource_report(config, N):
     """Closed-form width/depth/sample entries per power k.
 
     Exact values where a closed formula exists for our constructions;
-    symbolic strings otherwise.  Since no data series is attached,
-    epsilon_k entries are reported at unit normalization (rho = 1).
+    symbolic strings otherwise.  a, b and c carry _per_k_resources' numeric
+    depth_bound (c also its symbolic depth); d has no bound, so the
+    resource_table experiment leaves its depth blank.  Since no data series
+    is attached, epsilon_k entries are reported at unit normalization
+    (rho = 1).
     """
     K, s, epsilon = config.K, config.s, config.epsilon
     check_length(N)
@@ -311,7 +314,7 @@ def resource_report(config, N):
             row.update(res)
             row["samples"] = "O(rho_E^2 rho_T^2k y'_k^-2 eps^-2)"
         elif variant == "c":
-            row["width"] = res["width"]
+            row.update(res)
             row["depth"] = "2*C_load + O_k(lg N)"
             row["oracle_complexity"] = "O(rho_E rho_T^k y'_k^-1 eps^-1)"
             row["samples"] = "O_alpha(1)"
@@ -581,7 +584,6 @@ def _experiment_resource_table(config):
         table = resource_report(cfg, N)
         tables[variant] = table
         for row in table["rows"]:
-            rows.append([variant, row["k"], row.get("width"),
-                         row.get("depth_bound", row.get("depth")),
+            rows.append([variant, row["k"], row.get("width"), row.get("depth_bound"),
                          row.get("samples", row.get("oracle_complexity"))])
     return ["variant", "k", "width", "depth", "cost"], rows, tables

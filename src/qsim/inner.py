@@ -71,10 +71,26 @@ def shots_ancilla_free(p, epsilon, alpha):
     return math.ceil((1.0 - p * p) / (4.0 * epsilon * epsilon) * q * q)
 
 
+def _shot_count(size):
+    """ceil(size()) shots, at least MIN_SHOTS, for a sample size that grows
+    as epsilon^-2.  ValueError naming epsilon unless the size is a finite
+    count of at most 2^63 - 1, the most NumPy's binomial and multinomial
+    draw; epsilon^2 may underflow to 0, so size() may divide by zero."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            shots = size()
+        except ZeroDivisionError:
+            shots = math.inf
+    if not shots <= 2**63 - 1:
+        raise ValueError(f"epsilon too small: the sample size {shots:.3g} is not "
+                         "a finite count of at most 2^63 - 1 shots")
+    return max(MIN_SHOTS, math.ceil(shots))
+
+
 def _shots_p_free(epsilon, alpha):
     """p-independent sample-size bound, also the pilot size for swap runs."""
     q = phi_inverse((1.0 + alpha) / 2.0)
-    return max(MIN_SHOTS, math.ceil(q * q / (4.0 * epsilon * epsilon)))
+    return _shot_count(lambda: q * q / (4.0 * epsilon * epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +236,7 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
                 "pilot estimate indistinguishable from 0 at the requested epsilon")
         a_k = qhp.norm_constant_ak(series_T, k)
         q = phi_inverse((3.0 + alpha) / 4.0)
-        S = math.ceil(max(4.0, 1.0 / (a_k**2 * y_pilot**2))
-                      / epsilon**2 * q * q)
-        S = max(MIN_SHOTS, S)
+        S = _shot_count(lambda: max(4.0, 1.0 / (a_k**2 * y_pilot**2)) / epsilon**2 * q * q)
         used = s_pilot + S
     else:
         S = max(MIN_SHOTS, shots)
@@ -243,7 +257,7 @@ def estimate_ytilde_boe_swap(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
 
     if shots is None:
         q = phi_inverse((3.0 + alpha) / 4.0)
-        S = max(MIN_SHOTS, math.ceil(16.0 / epsilon**2 * q * q))
+        S = _shot_count(lambda: 16.0 / epsilon**2 * q * q)
     else:
         S = max(MIN_SHOTS, shots)
     c00, c01, _rest = rng.multinomial(S, pvals)

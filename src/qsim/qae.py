@@ -13,9 +13,10 @@ Q^k (grover_probability), so it takes the amplitude z and no circuit; the
 variant estimators read z from qsim.inner's readout laws.  Canonical QAE,
 the one engine that builds oracles, reads its phase distribution off the
 plane span{chi, Q chi}, which Q keeps invariant: it simulates Q chi and
-Q^2 chi, checks that Q acts on the plane as a product of two reflections,
-and builds the 2^m powers of its 2x2 matrix there, which the readout
-superposes, from m squarings.
+Q^2 chi and checks that Q acts on the plane as a product of two
+reflections, that is a rotation by an angle phi = 2 theta (Brassard, Hoyer,
+Mosca and Tapp 2002, section 4); Q^y chi is then chi rotated by y phi, so
+the 2^m powers the readout superposes are (cos y phi, sin y phi).
 The variant estimators run it once on a CANONICAL_M-qubit phase register.
 """
 
@@ -72,7 +73,6 @@ class GroverOracle:
         amps = state.amplitudes
         amps -= (2.0 * np.vdot(chi.amplitudes, amps)) * chi.amplitudes
         amps *= -1.0
-        state.live = max(state.live, chi.live)
         return state
 
 
@@ -138,7 +138,6 @@ def _qpe_distribution(oracle, m):
     another order for float64 than for complex128 amplitudes, so the last
     bits depend on the amplitude type.
     """
-    dim = 1 << m
     chi = oracle._chi().amplitudes  # shared and never written; st is the copy
     st = oracle.chi()
     q_chi = oracle.grover(st).amplitudes.copy()
@@ -149,33 +148,24 @@ def _qpe_distribution(oracle, m):
     np.subtract(q_chi, diff, out=diff)
     r_norm = np.linalg.norm(diff)
     del diff
-    if r_norm < 1e-12:
-        # z is 0 or 1 (U' at k = 1), chi is an eigenvector: Q^y chi = lam^y chi
-        coeffs = (lam ** np.arange(dim))[:, None]
-    else:
-        # Each reflection has determinant -1 on the plane, so there
-        # Q^2 = 2 lam Q - I (lam is real, as chi and Q are), and Q's matrix
-        # in the orthonormal basis (chi, (Q chi - lam chi) / r_norm) is
-        # [[lam, -r_norm], [r_norm, lam]].
-        q_chi *= 2.0 * lam
-        diff = oracle.grover(st).amplitudes
-        diff -= q_chi
-        diff += chi
-        residual = np.linalg.norm(diff)
-        if residual > PLANE_TOL:
-            raise ValueError("the Grover iterate is not a product of two "
-                             f"reflections on span{{chi, Q chi}} (residual {residual:.3g})")
-        # Row y of coeffs is Q^y chi in that basis; rows h .. 2h - 1 are
-        # rows 0 .. h - 1 moved on by Q^h, and m squarings give Q^h.
-        qm = np.array([[lam, -r_norm], [r_norm, lam]])
-        coeffs = np.empty((dim, 2), dtype=complex)
-        coeffs[0] = (1.0, 0.0)
-        for i in range(m):
-            h = 1 << i
-            coeffs[h:2 * h] = coeffs[:h] @ qm.T
-            qm = qm @ qm
+    # Each reflection has determinant -1 on the plane, so there
+    # Q^2 = 2 lam Q - I (lam is real, as chi and Q are); when chi is an
+    # eigenvector (z = 0 or 1, U' at k = 1) both sides are lam^2 chi.
+    q_chi *= 2.0 * lam
+    diff = oracle.grover(st).amplitudes
+    diff -= q_chi
+    diff += chi
+    residual = np.linalg.norm(diff)
+    if residual > PLANE_TOL:
+        raise ValueError("the Grover iterate is not a product of two "
+                         f"reflections on span{{chi, Q chi}} (residual {residual:.3g})")
+    # In the orthonormal basis (chi, (Q chi - lam chi) / r_norm) Q is the
+    # rotation by phi, so row y of coeffs, Q^y chi, is (cos y phi, sin y phi);
+    # for an eigenvector r_norm = 0 and phi is 0 or pi.
+    y_phi = np.arange(1 << m) * math.atan2(r_norm, lam)
+    coeffs = np.column_stack((np.cos(y_phi), np.sin(y_phi)))
     # amplitude(x, .) = 2^-m sum_y exp(-2 pi i x y / 2^m) Q^y |chi>
-    amps = np.fft.fft(coeffs, axis=0) / dim
+    amps = np.fft.fft(coeffs, axis=0) / (1 << m)
     return np.sum(np.abs(amps) ** 2, axis=1)
 
 

@@ -9,23 +9,18 @@ Circuit.apply_unitary, which mutates the amplitude array in place and
 returns the same Statevector object; callers that need the original state
 must copy() first.
 
-A Statevector records `live`, the number of low qubits outside which every
-amplitude is zero: amplitude i is zero whenever i >= 2**live.  zero() starts
-at live = 0; a state built from amplitudes starts at n_qubits; copy() keeps
-it.  While live < n_qubits, apply_unitary raises live to each gate's
-highest qubit + 1 and applies the gate to the contiguous prefix
-amplitudes[:2**live] as a live-qubit state, so loading one register
-after another does not sweep the still-empty upper blocks.  This is
-exact: every skipped amplitude is zero and the gate maps zeros to zeros,
-and every other amplitude sees the same float64 operations in the same
-order as on the full array (a zero may keep +0.0 where the full pass would
-write -0.0).  In-place updates outside apply_unitary keep live valid:
-project_bits and the QAE good-register flip only scale amplitudes or set
-them to zero, and the QAE reflection about chi, which adds a multiple of
-chi, raises live to chi's.  Once live == n_qubits the gates run on the
-whole array.  Register readouts read and write register_view, a
-strided view of the amplitudes that hold one register value, so they build
-no 2^n index or mask array.
+Each apply_unitary call finds its own live prefix: `live` low qubits
+outside which every amplitude is zero.  live starts at 0 when no amplitude
+past index 0 is nonzero (as from zero()) and at n_qubits otherwise; each
+gate raises it to the gate's highest qubit + 1 and runs on the contiguous
+prefix amplitudes[:2**live] as a live-qubit state, so loading one register
+after another does not sweep the still-empty upper blocks.  This is exact:
+every skipped amplitude is zero and the gate maps zeros to zeros, and every
+other amplitude sees the same float64 operations in the same order as on
+the full array (a zero may keep +0.0 where the full pass would write -0.0).
+Register readouts read and write register_view, a strided view of the
+amplitudes that hold one register value, so they build no 2^n index or
+mask array.
 
 Amplitudes are float64: every gate is a real matrix and every in-place
 update (a sign flip, the reflection about a real chi, a projection) keeps a
@@ -147,7 +142,6 @@ class Statevector:
             if abs(norm - 1.0) > NORM_TOL:
                 raise ValueError(f"state not normalized: |amps|^2 = {norm}")
         self.amplitudes = amps
-        self.live = 0 if amplitudes is None else self.n_qubits
 
     @classmethod
     def zero(cls, n_qubits):
@@ -157,7 +151,6 @@ class Statevector:
         out = Statevector.__new__(Statevector)
         out.n_qubits = self.n_qubits
         out.amplitudes = self.amplitudes.copy()
-        out.live = self.live
         return out
 
 
@@ -267,7 +260,6 @@ def postselect(state, reg, value):
     prob, view = checked_branch(state, qubits, value)
     reduced = Statevector.zero(state.n_qubits - width)
     reduced.amplitudes[:] = (view * (1.0 / np.sqrt(prob))).reshape(-1)
-    reduced.live = reduced.n_qubits
     return prob, reduced
 
 
@@ -413,15 +405,10 @@ class Circuit:
             raise ValueError(f"unexpected gate in unitary application: {kind}")
 
     def apply_unitary(self, state):
-        gates = iter(self.gates)
-        # live prefix (module docstring): until the state is live on every
-        # qubit, run each gate on the amplitudes its qubits can reach
-        while state.live < state.n_qubits:
-            gate = next(gates, None)
-            if gate is None:
-                return state
-            state.live = max(state.live, max(gate[1], default=-1) + 1)
-            self._apply_gate(state.amplitudes[:1 << state.live], state.live, gate)
-        for g in gates:
-            self._apply_gate(state.amplitudes, state.n_qubits, g)
+        # live prefix (module docstring): from |0...0>, run each gate on the
+        # amplitudes its qubits and the earlier gates' can reach
+        live = state.n_qubits if state.amplitudes[1:].any() else 0
+        for gate in self.gates:
+            live = max(live, max(gate[1], default=-1) + 1)
+            self._apply_gate(state.amplitudes[:1 << live], live, gate)
         return state

@@ -446,10 +446,10 @@ class TestResources:
         for got, want in zip(report.per_k[1:], table["rows"], strict=True):
             assert got["k"] == want["k"]
             assert got["width"] == want[width]
-            if variant in ("a", "b"):
+            if variant == "d":  # no depth bound for d, in either
+                assert got["depth_bound"] is None and "depth_bound" not in want
+            else:
                 assert got["depth_bound"] == want["depth_bound"]
-            else:  # the report gives c's depth symbolically and d's not at all
-                assert "depth_bound" not in want
 
 
 class TestExperiments:

@@ -166,6 +166,19 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "epsilon" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["--variant", "b", "--epsilon", "1e-7"], ["--variant", "a", "--epsilon", "1e-7"],
+        ["--variant", "b", "--degree", "12"], ["--variant", "a", "--degree", "8"],
+        ["--variant", "a", "--epsilon", "1e-300"], ["--variant", "b", "--epsilon", "1e-300"]])
+    def test_shot_count_above_int64_exit_2(self, runner, data_files, args):
+        # a power's sample size above 2^63 - 1 shots, or not finite
+        t, e = data_files
+        result = runner.invoke(main, ["evaluate", "--input-t", t, "--input-e", e,
+                                      "--eta", "10"] + args)
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert "epsilon" in result.output
+
     @pytest.mark.parametrize("variant", ["sampling", "b"])
     def test_beta_near_one_exit_2(self, runner, data_files, variant):
         # at K = 2, (K - 1 + beta)/K rounds to 1: no confidence below 1 is left

@@ -289,6 +289,13 @@ class TestEstimators:
                                      RngStream(0))
         assert est.shots_used >= inner.MIN_SHOTS
 
+    def test_boe_swap_at_tiny_epsilon_refused(self):
+        # 16 / epsilon^2 underflows to a division by zero, not a count
+        t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
+        e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            estimate_ytilde_boe_swap(t, e, 1, 1, 1e-300, 0.9, RngStream(0))
+
 
 FIXTURE_T, FIXTURE_E = [12.0, 17.0, 23.0, 28.0], [30.0, 24.0, 36.0, 28.0]
 

@@ -146,9 +146,9 @@ class TestQpeDistribution:
                                    rtol=0, atol=1e-12)
 
     # near both ends Q's plane rotation is by 2 theta ~ 2e-10 or pi - 2e-7:
-    # the m squarings keep the powers' errors at rounding
+    # the angle atan2 reads off the plane keeps the powers' errors at rounding
     @pytest.mark.parametrize("z", [1e-20, 1e-12, 0.3, 1 - 1e-12, 1 - 1e-14])
-    def test_squarings_near_degenerate_z(self, z):
+    def test_rotation_angle_near_degenerate_z(self, z):
         oracle = simple_oracle(z)
         np.testing.assert_allclose(_qpe_distribution(oracle, 6),
                                    qpe_distribution_reference(oracle, 6),
@@ -169,7 +169,7 @@ class TestQpeDistribution:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1 * (16 << n)
+        assert peak <= 3.1 * (8 << n)
 
     def test_iterate_off_the_plane_raises(self):
         circ = Circuit(2).ry(0, 1.1).ry(1, 0.7)
@@ -270,8 +270,7 @@ class TestVariantOracles:
     @pytest.mark.parametrize("build", VARIANT_ORACLES)
     def test_rank1_iterate_matches_circuit_form(self, build):
         # the reflection about the kept chi against F^dag and F simulated
-        # gate by gate, on chi, on a seeded random unit state, and on |0>,
-        # whose live qubits the update must raise to chi's
+        # gate by gate, on chi, on a seeded random unit state, and on |0>
         oracle = build()
         gen = np.random.default_rng(26)
         amps = gen.normal(size=1 << oracle.n_qubits)
@@ -281,7 +280,6 @@ class TestVariantOracles:
             np.testing.assert_allclose(got.amplitudes,
                                        grover_circuit_iterate(oracle, state).amplitudes,
                                        rtol=0, atol=1e-12)
-            assert got.live >= oracle._chi().live
 
     @pytest.mark.parametrize("build", VARIANT_ORACLES)
     def test_qpe_simulates_chi_once_and_inverts_nothing(self, monkeypatch, build):

@@ -127,12 +127,13 @@ def marginal_cases(draw):
 
 
 @st.composite
-def live_circuits(draw):
-    """(circuit, touched): a circuit of 0 to 3n gates on n in 1..8 qubits,
-    drawn from u, ry, ucry, CNOT layers and controlled swaps, and the set of
-    qubits its gates name.  Each gate draws its qubits from a low block of
-    random size, so circuits that leave the top qubits alone are common."""
-    n = draw(st.integers(1, 8))
+def live_circuits(draw, n=None):
+    """(circuit, touched): a circuit of 0 to 3n gates on n qubits (drawn
+    from 1..8 unless given), drawn from u, ry, ucry, CNOT layers and
+    controlled swaps, and the set of qubits its gates name.  Each gate draws
+    its qubits from a low block of random size, so circuits that leave the
+    top qubits alone are common."""
+    n = draw(st.integers(1, 8)) if n is None else n
     angle = st.floats(-np.pi, np.pi)
     kinds = ["u", "ry", "ucry"] + ["layer"] * (n >= 2) + ["cswap"] * (n >= 3)
     circ = Circuit(n)
@@ -170,9 +171,9 @@ def u_gate_cases(draw):
     target below, between or above them, on n <= 12 qubits.  The payload is
     an Ry (angles include 0 and +-pi, so coefficients include signed zeros)
     or H or a random orthogonal matrix per pattern.  The state is full-width
-    with a drawn share of zero amplitudes, each +0.0 or -0.0, or a
-    live-prefix state from Statevector.zero with Ry on its lowest 0 to n
-    qubits."""
+    with a drawn share of zero amplitudes, each +0.0 or -0.0, or a state
+    from Statevector.zero with Ry on its lowest 0 to n qubits, zero above
+    them."""
     n = draw(st.integers(1, 12))
     c = draw(st.integers(0, min(5, n - 1)))
     chosen = draw(st.permutations(range(n)))[:c + 1]
@@ -204,13 +205,6 @@ def u_gate_cases(draw):
             prep.ry(q, draw(angle))
         state = prep.apply_unitary(Statevector.zero(n))
     return state, gate
-
-
-def full_width_zero(n):
-    """|0...0> built from amplitudes, so it starts live on every qubit."""
-    e0 = np.zeros(1 << n)
-    e0[0] = 1.0
-    return Statevector(n, e0)
 
 
 def random_gate_case(rng):
@@ -248,7 +242,9 @@ class TestKernels:
         state, gate = case
         n = state.n_qubits
         expected = state.copy()
-        live = max(expected.live, max(gate[1]) + 1)  # as apply_unitary runs it
+        # at the width apply_unitary runs it: the whole state, or from
+        # |0...0> the prefix up to the gate's highest qubit
+        live = n if state.amplitudes[1:].any() else max(gate[1]) + 1
         helpers.apply_u_per_pattern(expected.amplitudes[:1 << live], live, gate)
         Circuit(n, [gate]).apply_unitary(state)
         assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
@@ -617,47 +613,26 @@ class TestMeasurement:
 
 
 class TestLivePrefix:
-    """Statevector.zero starts live on no qubit and each gate widens the
-    live prefix; the bits must match a state that is live everywhere."""
+    """apply_unitary runs each gate on the live prefix it finds; the values
+    must match the same gates run one by one on the whole array."""
 
-    def test_starting_width(self):
-        assert Statevector.zero(3).live == 0
-        assert full_width_zero(3).live == 3
-        assert random_state(3).live == 3
-
-    @given(live_circuits())
+    @given(live_circuits(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_prefix_matches_full_width(self, case):
+    def test_prefix_matches_full_width(self, case, data):
         circ, touched = case
         n = circ.n_qubits
-        prefix = circ.apply_unitary(Statevector.zero(n))
-        full = circ.apply_unitary(full_width_zero(n))
-        # equal as numbers: a zero may differ in sign only
-        np.testing.assert_array_equal(prefix.amplitudes, full.amplitudes)
-        assert prefix.live == max(touched, default=-1) + 1
-        assert full.live == n
-        assert not prefix.amplitudes[1 << prefix.live:].any()
-
-    @given(live_circuits(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_copy_and_postselect_propagate(self, case, seed):
-        circ, _touched = case
-        n = circ.n_qubits
         state = circ.apply_unitary(Statevector.zero(n))
-        twin = state.copy()
-        assert twin.live == state.live
-        # the copy goes on from its prefix as a full-width state would
-        more = helpers.u_gate(Circuit(n), n - 1, random_orthogonal(seed))
-        reference = more.apply_unitary(circ.apply_unitary(full_width_zero(n)))
-        np.testing.assert_array_equal(more.apply_unitary(twin).amplitudes,
-                                      reference.amplitudes)
-        assert twin.live == n
-        rng = np.random.default_rng(seed)
-        start = int(rng.integers(n))
-        reg = tuple(range(start, int(rng.integers(start, n)) + 1))
-        value = int(np.argmax(sim.marginal_probabilities(state, reg)))
-        _p, reduced = sim.postselect(state, reg, value)
-        assert reduced.live == reduced.n_qubits == n - len(reg)
+        reference = Statevector.zero(n).amplitudes
+        for gate in circ.gates:
+            Circuit._apply_gate(reference, n, gate)
+        # equal as numbers: a zero may differ in sign only
+        np.testing.assert_array_equal(state.amplitudes, reference)
+        assert not state.amplitudes[1 << (max(touched, default=-1) + 1):].any()
+        # a second circuit goes on from the state the first one left
+        more, _touched = data.draw(live_circuits(n))
+        for gate in more.gates:
+            Circuit._apply_gate(reference, n, gate)
+        np.testing.assert_array_equal(more.apply_unitary(state).amplitudes, reference)
 
 
 def keyed(seed, path):
@@ -845,10 +820,15 @@ class TestCircuit:
         axes = [0] * n
         for i, q in enumerate(perm):
             axes[n - 1 - q] = n - 1 - i
-        out = circ.apply_unitary(full_width_zero(n)).amplitudes
-        expected = out.reshape((2,) * n).transpose(axes).reshape(-1)
-        moved = circ.remapped(perm, n).apply_unitary(full_width_zero(n))
-        np.testing.assert_array_equal(bits(moved.amplitudes), bits(expected))
+
+        def moved(amps):
+            return amps.reshape((2,) * n).transpose(axes).reshape(-1)
+
+        # from a full-width state every gate runs on the whole array, so the
+        # remapped circuit on the moved state must give the moved output's bits
+        out = circ.apply_unitary(Statevector(n, start)).amplitudes
+        got = circ.remapped(perm, n).apply_unitary(Statevector(n, moved(start)))
+        np.testing.assert_array_equal(bits(got.amplitudes), bits(moved(out)))
 
     @given(st.integers(0, 2), st.floats(-3.0, 3.0))
     @settings(max_examples=25, deadline=None)
