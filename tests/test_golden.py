@@ -102,6 +102,11 @@ stream: every run's multinomial counts and modal estimate, and their
 median, on a one-qubit oracle whose modal readout varies between runs.
 The three canonical evaluate digests can hold when those draws change.
 
+The resources-cli digest pins the exit code and output of 280 `qsim
+resources` requests, refusals included.  It was computed while each
+variant's resource rows were still written out on a per-variant if-chain
+in `assembly.resource_report`, and the `assembly.VARIANTS` table reproduces it.
+
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
 that the estimate no longer carries.  Those fields are rebuilt here: the
@@ -116,9 +121,11 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import helpers
 from qsim import assembly, inner, qae, qhp
+from qsim.cli import main
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.sim import Circuit, RngStream
 
@@ -191,6 +198,24 @@ def _canonical_runs(z, m, medians, seed):
             "z_hat": z_hat}
 
 
+def _resources():
+    """Exit code and output of `qsim resources` for every variant alias at
+    N = 4, 16, 256, K = 1, 3 and each split level from 0 to lg N + 1, so
+    that d's refusals are pinned too."""
+    runner = CliRunner()
+    results = []
+    for variant in ("a", "b", "c", "d", "sampling", "exact", "poly"):
+        for N in (4, 16, 256):
+            for K in (1, 3):
+                for s in range(N.bit_length() + 1):
+                    result = runner.invoke(main, [
+                        "resources", "--variant", variant, "--n", str(N),
+                        "--degree", str(K), "--split-level", str(s)])
+                    results.append([variant, N, K, s, result.exit_code, result.output])
+    assert len(results) == 280
+    return results
+
+
 CASES = {
     "dynstop-amplitude-k3": (
         lambda: _dynstop("amplitude", 3, 1, 1000, 11),
@@ -252,6 +277,9 @@ CASES = {
     "boe-swap-k1-s1": (
         lambda: _boe_swap(1, 1, 2000, 13),
         "1ce8aa1e5fa727477045e516557cc351cde00bb0488259b7e02bc9f85cbe1d3c"),
+    "resources-cli": (
+        _resources,
+        "a74a6d64957b2cdb716b383985ef681f8980c24e40f0354a7a17546d3a767d45"),
 }
 
 
