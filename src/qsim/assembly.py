@@ -12,6 +12,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -22,9 +23,74 @@ from .encoding import (boe_depth, boe_width, check_length, normalize_affine,
 from .errors import AssumptionError
 from .sim import RngStream
 
-QUANTUM_VARIANTS = ("a", "b", "c", "d")
-ALL_VARIANTS = QUANTUM_VARIANTS + (
-    "classical_exact", "classical_poly", "classical_sampling")
+
+@dataclass(frozen=True)
+class Variant:
+    """What evaluate, resource_report and the CLI know of one variant.
+
+    `normalize(raw, eta)` makes its series (the direct sums make none);
+    `estimate(config, k, series_T, series_E, eps_k, alpha_k, rng)`
+    estimates power k (the classical baselines estimate none);
+    `resources(k, n, s)` is power k's width and depth bound at n = lg N,
+    which evaluate's rows and resource_report share and golden digests pin;
+    `row(config, k, n, resources)` is the rest of resource_report's row.
+    Normalisers and estimators look their function up in its module when
+    called, so a wrapper set on the module attribute sees every call.
+    """
+    row: Callable
+    normalize: Callable = lambda raw, eta: normalize_affine(raw, eta)
+    estimate: Callable = None
+    resources: Callable = lambda k, n, s: {}
+
+
+AB_SAMPLES = "O(rho_E^2 rho_T^2k y'_k^-2 eps^-2)"
+DIRECT = Variant(row=lambda config, k, n, res: {
+    "note": "direct classical evaluation, O(N) per value"})
+
+# a reports the mid_reset swap test (k serial loads), whose k = 1 state is
+# the only one a simulates; b the no_mid_reset circuit (2 serial loads).
+# The c/d widths count the flag qubit a hardware oracle copies its good
+# outcome onto; the simulator reflects about that outcome in place and
+# allocates one qubit fewer.  d has no depth bound.
+VARIANTS = {
+    "a": Variant(
+        estimate=lambda config, k, T, E, eps_k, alpha_k, rng: inner.estimate_yk_swap(
+            T, E, k, eps_k, alpha_k, rng),
+        resources=lambda k, n, s: {"width": 2 * n + 1, "depth_bound": k * n + k + 3 * n + 1},
+        row=lambda config, k, n, res: {"width": 2 * n, "width_with_ancilla": res["width"],
+                                       "samples": AB_SAMPLES}),
+    "b": Variant(
+        estimate=lambda config, k, T, E, eps_k, alpha_k, rng: inner.estimate_yk_variant_ab(
+            T, E, k, "no_mid_reset", eps_k, alpha_k, rng),
+        resources=lambda k, n, s: {"width": k * n, "depth_bound": 2 * n + k},
+        row=lambda config, k, n, res: {"samples": AB_SAMPLES}),
+    "c": Variant(
+        estimate=lambda config, k, T, E, eps_k, alpha_k, rng: qae.estimate_yk_variant_c(
+            T, E, k, eps_k, alpha_k, config, rng),
+        resources=lambda k, n, s: {"width": k * n + 1, "depth_bound": (k + 1) * n + k + 1},
+        row=lambda config, k, n, res: {
+            "depth": "2*C_load + O_k(lg N)", "samples": "O_alpha(1)",
+            "oracle_complexity": "O(rho_E rho_T^k y'_k^-1 eps^-1)",
+            "mcx_decomposed": {"controls": k * n, "ancillas": max(0, k * n - 2),
+                               "toffolis": 2 * max(2, k * n) - 3}}),
+    "d": Variant(
+        normalize=lambda raw, eta: normalize_sqrt(raw, eta),
+        estimate=lambda config, k, T, E, eps_k, alpha_k, rng: qae.estimate_ytilde_variant_d(
+            T, E, k, config.s, eps_k, alpha_k, config, rng),
+        resources=lambda k, n, s: {"width": (k + 1) * boe_width(1 << n, s) + 2,
+                                   "depth_bound": None},
+        row=lambda config, k, n, res: {
+            "boe_width": boe_width(1 << n, config.s), "boe_depth": boe_depth(1 << n, config.s),
+            "oracle_complexity": "O(rho~_E rho~_T^k y~'_k^-1 eps^-1)",
+            "samples": "O_alpha(1)"}),
+    "classical_exact": DIRECT,
+    "classical_poly": DIRECT,
+    "classical_sampling": Variant(row=lambda config, k, n, res: {
+        "queries": (classical.sampling_group_count(config.beta)
+                    * classical.sampling_group_size(config.epsilon)),
+        "samples": "O(eps^-2 lg(1/(1-alpha)))"}),
+}
+QUANTUM_VARIANTS = tuple(name for name, v in VARIANTS.items() if v.estimate)
 
 
 @dataclass
@@ -42,14 +108,14 @@ class VariantConfig:
     epsilon: float = 0.05        # error budget scale; see allocate_budget
     beta: float = 0.9            # overall confidence
     s: int = 1                   # BOE split level (variant d)
-    engine: str = "iqae"         # QAE engine for variants c/d
+    engine: str = "iqae"         # QAE engine for variants c/d, or "canonical"
     shots: int = 100             # IQAE shots per round / canonical per run
     fit_mode: str = "taylor"
     seed: int = 0
     forced_epsilon_k: float = None
 
     def __post_init__(self):
-        if self.variant not in ALL_VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         reals = ("eta", "epsilon", "beta") + (
             () if self.forced_epsilon_k is None else ("forced_epsilon_k",))
@@ -69,10 +135,10 @@ class VariantConfig:
             raise ValueError("beta must be in (0, 1)")
         if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
             raise ValueError("forced_epsilon_k must be positive")
-        self.qae_config()  # checks engine and shots
-
-    def qae_config(self):
-        return qae.QaeConfig(engine=self.engine, shots=self.shots)
+        if self.engine not in ("iqae", "canonical"):
+            raise ValueError(f"unknown QAE engine {self.engine!r}")
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
 
 
 @dataclass
@@ -147,39 +213,6 @@ def constant_term_y0(series_E):
     return y0, y0 / series_E.rho
 
 
-def _estimate_power(config, k, series_T, series_E, eps_k, alpha_k, rng):
-    variant = config.variant
-    if variant == "a":
-        return inner.estimate_yk_swap(series_T, series_E, k, eps_k, alpha_k, rng)
-    if variant == "b":
-        return inner.estimate_yk_variant_ab(series_T, series_E, k, "no_mid_reset",
-                                            eps_k, alpha_k, rng)
-    if variant == "c":
-        return qae.estimate_yk_variant_c(series_T, series_E, k, eps_k, alpha_k,
-                                         config.qae_config(), rng)
-    if variant == "d":
-        return qae.estimate_ytilde_variant_d(series_T, series_E, k, config.s, eps_k,
-                                             alpha_k, config.qae_config(), rng)
-    raise ValueError(f"no quantum estimator for variant {variant!r}")
-
-
-def _per_k_resources(variant, k, n, s):
-    """Width and depth bound of power k, n = lg N: the one table that
-    evaluate's rows and resource_report read.  a reports the mid_reset swap
-    test (k serial loads), whose k = 1 state is the only one a simulates;
-    b the no_mid_reset circuit (2 serial loads).  The c/d widths
-    count the flag qubit a hardware oracle copies its good outcome onto;
-    the simulator reflects about that outcome in place and allocates one
-    qubit fewer.  Golden digests pin these rows."""
-    if variant == "a":
-        return {"width": 2 * n + 1, "depth_bound": k * n + k + 3 * n + 1}
-    if variant == "b":
-        return {"width": k * n, "depth_bound": 2 * n + k}
-    if variant == "c":
-        return {"width": k * n + 1, "depth_bound": (k + 1) * n + k + 1}
-    return {"width": (k + 1) * boe_width(1 << n, s) + 2, "depth_bound": None}
-
-
 def evaluate(config, rawT, rawE, contract=None):
     """Estimate V = sum_k b_k y'_k for the requested variant.
 
@@ -207,14 +240,14 @@ def evaluate(config, rawT, rawE, contract=None):
             "fit_mode": coeffs.fit_mode, "b": [float(x) for x in coeffs.b]}
     direct = {"classical_exact": v_exact, "classical_poly": v_star}
     sampling = config.variant == "classical_sampling"
+    spec = VARIANTS[config.variant]
     rows, powers = {}, []
     if config.variant not in direct:
-        normalize = normalize_sqrt if config.variant == "d" else normalize_affine
-        series_T = normalize(t, config.eta)
-        series_E = None if sampling else normalize(e, 0.0)
+        series_T = spec.normalize(t, config.eta)
+        series_E = None if sampling else spec.normalize(e, 0.0)
         access = classical.sampling_access(t, config.eta) if sampling else None
         budget = allocate_budget(coeffs, series_T.rho, config.epsilon, config.beta,
-                                 config.K, quadratic=config.variant == "d")
+                                 config.K, quadratic=series_T.mode == "sqrt")
         streams = RngStream(config.seed).split(config.K + 1)
         powers = sorted(budget.epsilon_k, reverse=True)
     # Power k draws from the stream at path (k + 1,), whatever the order of
@@ -235,21 +268,20 @@ def evaluate(config, rawT, rawE, contract=None):
             rows[k] = {"k": k, "y_prime_hat": y_prime, "queries": queries,
                        "method": "sampling"}
         elif k == 0:
-            # y'_0 through the affine E for every quantum variant, d included
-            # (golden digests pin its rounding); d's series_E is sqrt-normalised
-            affine_E = normalize_affine(e, 0.0) if config.variant == "d" else series_E
+            # y'_0 through the affine E for every quantum variant, also where
+            # series_E is sqrt-normalised (golden digests pin d's rounding)
+            affine_E = series_E if series_E.mode == "affine" else normalize_affine(e, 0.0)
             y0_prime = constant_term_y0(affine_E)[1]
             rows[0] = {"k": 0, "y_hat": None, "y_prime_hat": y0_prime,
                        "epsilon_k": 0.0, "alpha_k": 1.0, "cost": 0,
                        "method": "classical"}
         else:
-            est = _estimate_power(config, k, series_T, series_E, eps_k, alpha_k,
-                                  streams[k])
+            est = spec.estimate(config, k, series_T, series_E, eps_k, alpha_k,
+                                streams[k])
             rows[k] = {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
                        "epsilon_k": eps_k, "alpha_k": alpha_k,
                        "cost": est.shots_used, "method": est.method,
-                       **_per_k_resources(config.variant, k, series_T.n_qubits,
-                                          config.s)}
+                       **spec.resources(k, series_T.n_qubits, config.s)}
     per_k = [rows[k] for k in sorted(rows)]
     V = direct.get(config.variant, 0.0)
     for row in per_k:
@@ -284,57 +316,30 @@ def resource_report(config, N):
     """Closed-form width/depth/sample entries per power k.
 
     Exact values where a closed formula exists for our constructions;
-    symbolic strings otherwise.  a, b and c carry _per_k_resources' numeric
-    depth_bound (c also its symbolic depth); d has no bound, so the
-    resource_table experiment leaves its depth blank.  Since no data series
-    is attached, epsilon_k entries are reported at unit normalization
-    (rho = 1).
+    symbolic strings otherwise.  Each row is the variant's resources, less
+    the depth bound d does not have (the resource_table experiment leaves
+    its depth blank), then the rest of its row in VARIANTS.  Since no data
+    series is attached, epsilon_k entries are reported at unit
+    normalization (rho = 1).
     """
     K, s, epsilon = config.K, config.s, config.epsilon
     check_length(N)
     n = int(math.log2(N))
-    if config.variant == "d" and not 1 <= s <= n:
-        raise ValueError(f"split level must be in [1, {n}], got {s}")
+    spec = VARIANTS[config.variant]
+    # before the fit, so that d refuses a bad split level first
+    costs = [spec.resources(k, n, s) for k in range(1, K + 1)]
     coeffs = classical.fit_polynomial(DEFAULT_PARAMS, config.eta, K, "taylor")
-    variant = config.variant
     rows = []
-    for k in range(1, K + 1):
+    for k, res in enumerate(costs, 1):
         bk = float(coeffs.b[k])
         row = {"k": k, "b_k": bk}
         if bk != 0.0:
             row["epsilon_k_unit_rho"] = epsilon / (K * abs(bk))
             row["epsilon_k_formula"] = "epsilon*rho_T^(k-1)/(K*|b_k|)"
-        res = _per_k_resources(variant, k, n, s) if variant in QUANTUM_VARIANTS else None
-        if variant == "a":
-            row["width"] = 2 * n
-            row["width_with_ancilla"] = res["width"]
-            row["depth_bound"] = res["depth_bound"]
-            row["samples"] = "O(rho_E^2 rho_T^2k y'_k^-2 eps^-2)"
-        elif variant == "b":
-            row.update(res)
-            row["samples"] = "O(rho_E^2 rho_T^2k y'_k^-2 eps^-2)"
-        elif variant == "c":
-            row.update(res)
-            row["depth"] = "2*C_load + O_k(lg N)"
-            row["oracle_complexity"] = "O(rho_E rho_T^k y'_k^-1 eps^-1)"
-            row["samples"] = "O_alpha(1)"
-            c = max(2, k * n)
-            row["mcx_decomposed"] = {"controls": k * n, "ancillas": max(0, c - 2),
-                                     "toffolis": 2 * c - 3}
-        elif variant == "d":
-            row["boe_width"] = boe_width(N, s)
-            row["boe_depth"] = boe_depth(N, s)
-            row["width"] = res["width"]
-            row["oracle_complexity"] = "O(rho~_E rho~_T^k y~'_k^-1 eps^-1)"
-            row["samples"] = "O_alpha(1)"
-        elif variant == "classical_sampling":
-            row["queries"] = (classical.sampling_group_count(config.beta)
-                              * classical.sampling_group_size(epsilon))
-            row["samples"] = "O(eps^-2 lg(1/(1-alpha)))"
-        else:
-            row["note"] = "direct classical evaluation, O(N) per value"
+        row.update({key: value for key, value in res.items() if value is not None})
+        row.update(spec.row(config, k, n, res))
         rows.append(row)
-    return {"variant": variant, "N": N, "K": K, "s": s, "epsilon": epsilon,
+    return {"variant": config.variant, "N": N, "K": K, "s": s, "epsilon": epsilon,
             "rows": rows}
 
 
@@ -474,8 +479,7 @@ def _experiment_error_scaling_k(config):
     rng = RngStream(seed)
     rows = []
     summary = {"ratios": {}}
-    qcfg = qae.QaeConfig(engine="iqae",
-                         shots=_number(config, "shots", 100, integer=True, least=1))
+    qcfg = VariantConfig("c", shots=_number(config, "shots", 100, integer=True, least=1))
     for k in ks:
         means = {}
         for N in Ns:
@@ -514,8 +518,7 @@ def _experiment_qae_vs_classical(config):
     access = classical.sampling_access(t, eta)
     y_exact = float(np.sum(ser_e.values * ser_t.values**k))
     y_prime_exact = y_exact / (ser_t.rho**k * ser_e.rho)
-    qcfg = qae.QaeConfig(engine="iqae",
-                         shots=_number(config, "shots", 100, integer=True, least=1))
+    qcfg = VariantConfig("c", shots=_number(config, "shots", 100, integer=True, least=1))
 
     rows = []
     curves = {"iqae": [], "classical": []}

@@ -14,12 +14,7 @@ from .classical import SigmoidParams
 from .encoding import read_series
 from .errors import AssumptionError
 
-VARIANT_ALIASES = {
-    "a": "a", "b": "b", "c": "c", "d": "d",
-    "exact": "classical_exact",
-    "poly": "classical_poly",
-    "sampling": "classical_sampling",
-}
+VARIANT_ALIASES = {name.removeprefix("classical_"): name for name in assembly.VARIANTS}
 
 
 def _fail_io(exc):

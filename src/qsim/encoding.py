@@ -160,8 +160,10 @@ class AmplitudeLoader:
 
 
 def boe_width(n_leaves, s):
-    """(s+1) N 2^{-s} - 1 + lg N"""
+    """(s+1) N 2^{-s} - 1 + lg N; ValueError unless 1 <= s <= lg N."""
     n = int(math.log2(n_leaves))
+    if not 1 <= s <= n:
+        raise ValueError(f"split level must be in [1, {n}], got {s}")
     return (s + 1) * n_leaves // (1 << s) - 1 + n
 
 
@@ -186,8 +188,7 @@ class BoeLoader:
 
     def __init__(self, tree, s):
         n = tree.n
-        if not 1 <= s <= n:
-            raise ValueError(f"split level must be in [1, {n}], got {s}")
+        width = boe_width(1 << n, s)  # refuses a bad split level
         m = n - s                     # depth of the top tree
         M = 1 << m                    # number of blocks
 
@@ -204,7 +205,6 @@ class BoeLoader:
         # leftmost spine node of each level, bottom level first
         primary = amp_regs[0] + tuple(node_q(n - 1 - b, 0) for b in range(s, n))
 
-        width = boe_width(1 << n, s)
         assert width == copy_base + n
 
         circ = Circuit(width)

@@ -83,18 +83,6 @@ def grover_probability(z, k):
     return math.sin((2 * k + 1) * theta) ** 2
 
 
-@dataclass(frozen=True)
-class QaeConfig:
-    engine: str = "iqae"       # or "canonical"
-    shots: int = 100           # shots per IQAE round / per canonical run
-
-    def __post_init__(self):
-        if self.engine not in ("iqae", "canonical"):
-            raise ValueError(f"unknown QAE engine {self.engine!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # Oracle builders
 # ---------------------------------------------------------------------------
@@ -211,14 +199,19 @@ def _clopper_pearson(ones, total, alpha_fail):
     return lo, hi
 
 
-def _find_next_k(k, up, theta_l, theta_u, r=2):
+MAX_ROUNDS = 10000
+K_GROWTH = 2  # a new power K = 4k + 2 is at least this multiple of the last
+EPSILON_FLOOR = 2.0 ** -40  # smallest epsilon iqae accepts; see iqae
+
+
+def _find_next_k(k, up, theta_l, theta_u):
     k_cur = 4 * k + 2
     theta_span = theta_u - theta_l
     if theta_span <= 0:
         return k, up
     k_max = int(math.floor(math.pi / theta_span))
     k_try = k_max - (k_max - 2) % 4
-    while k_try >= r * k_cur:
+    while k_try >= K_GROWTH * k_cur:
         theta_min = (k_try * theta_l) % (2 * math.pi)
         theta_max = (k_try * theta_u) % (2 * math.pi)
         if theta_max <= math.pi and theta_min <= theta_max:
@@ -229,15 +222,22 @@ def _find_next_k(k, up, theta_l, theta_u, r=2):
     return k, up
 
 
-def iqae(z, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
+def iqae(z, epsilon, alpha, rng, shots_per_round=100):
     """Iterative amplitude estimation of the amplitude z, whose round at
     power k draws its good outcomes with grover_probability(z, k).
 
     Returns an IqaeResult whose interval [z_lo, z_hi] contains z with
     confidence >= alpha; z_hat is the midpoint, |z_hat - z| <= epsilon.
+
+    epsilon must lie in [EPSILON_FLOOR, 0.5).  At the floor, 2^-40, the
+    interval's sin^2 ends are rounded by a few units of 2^-53, 2^-13 of
+    epsilon.  A round runs only while theta_u - theta_l >= z_hi - z_lo >
+    2 epsilon, so its power K <= pi / (theta_u - theta_l) keeps K theta_l
+    below pi^2 / (4 epsilon) < 2^42, rounded by at most 2^-12 rad.  Near
+    epsilon = 1e-16 the interval misses z by an ulp.
     """
-    if not 0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 0.5)")
+    if not EPSILON_FLOOR <= epsilon < 0.5:
+        raise ValueError(f"IQAE epsilon must be in [2^-40, 0.5), got {epsilon:.3g}")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     theta_l, theta_u = 0.0, math.pi / 2
@@ -248,7 +248,7 @@ def iqae(z, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
     oracle_calls = 0
     rounds = []
     tallies = {}  # k -> [ones, total]
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         a_l, a_u = math.sin(theta_l) ** 2, math.sin(theta_u) ** 2
         if a_u - a_l <= 2 * epsilon:
             break
@@ -260,14 +260,11 @@ def iqae(z, epsilon, alpha, rng, shots_per_round=100, max_rounds=10000):
         tally[1] += shots_per_round
         oracle_calls += shots_per_round * (2 * k + 1)
         p_lo, p_hi = _clopper_pearson(tally[0], tally[1], alpha_fail)
-        # invert p = (1 - cos(omega)) / 2 with omega = big_k * theta mod 2pi
-        if up:
-            omega_min = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_lo)))
-            omega_max = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_hi)))
-            omega_min, omega_max = min(omega_min, omega_max), max(omega_min, omega_max)
-        else:
-            omega_min = 2 * math.pi - math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_hi)))
-            omega_max = 2 * math.pi - math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_lo)))
+        # invert p = (1 - cos(omega)) / 2, omega = big_k * theta mod 2pi: acos(1 - 2p),
+        # which rises with p, on the upper half-plane, and 2pi minus it on the lower
+        arc_lo, arc_hi = (math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p))) for p in (p_lo, p_hi))
+        omega_min, omega_max = ((arc_lo, arc_hi) if up
+                                else (2 * math.pi - arc_hi, 2 * math.pi - arc_lo))
         winding = math.floor(big_k * theta_l / (2 * math.pi))
         new_l = (2 * math.pi * winding + omega_min) / big_k
         new_u = (2 * math.pi * winding + omega_max) / big_k
@@ -301,6 +298,7 @@ def _canonical_z(oracle, config, rng):
 def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
     """Variant (c): y_k = sqrt(z) with z from amplitude estimation.
 
+    config (an assembly.VariantConfig) gives the engine and its shots.
     Under IQAE, z = y_k^2 is the closed-form ancilla-free readout law, and
     the requested accuracy on y is converted to an amplitude accuracy
     eps_z = epsilon * max(y_pilot, epsilon), where y_pilot comes from a
@@ -326,7 +324,8 @@ def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
 def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
                               config, rng):
     """Variant (d): ytilde_k = 2z - z', each amplitude estimated at eps/2,
-    z first.  Under IQAE, (z', z) is the BOE swap test's readout."""
+    z first, by config's engine and shots as for variant (c).  Under IQAE,
+    (z', z) is the BOE swap test's readout."""
     if config.engine == "canonical":
         u, u_prime = build_oracles_variant_d(series_Tsqrt, series_Esqrt, k, s)
         z_hat, c1 = _canonical_z(u, config, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -12,7 +13,6 @@ from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
 from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.errors import AssumptionError
-from qsim.qae import QaeConfig
 from qsim.sim import RngStream, Statevector
 
 RAW_T = np.array([12.0, 17.0, 23.0, 28.0])
@@ -127,20 +127,15 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("shots", [0, -5])
     def test_non_positive_shots_rejected(self, shots):
-        # checked once, in QaeConfig, which VariantConfig builds
-        with pytest.raises(ValueError, match="shots"):
-            QaeConfig(shots=shots)
         with pytest.raises(ValueError, match="shots"):
             VariantConfig(variant="c", K=1, eta=10.0, shots=shots)
 
     def test_unknown_engine_rejected(self):
         # a misspelt engine used to run IQAE silently
         with pytest.raises(ValueError, match="engine"):
-            QaeConfig(engine="canonicl")
-        with pytest.raises(ValueError, match="engine"):
             VariantConfig(variant="c", K=1, eta=10.0, engine="canonicl", seed=1)
 
-    @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", assembly.VARIANTS)
     @pytest.mark.parametrize("field, value", [
         ("style", "bogus"), ("K", 2.5), ("K", True), ("s", 1.5), ("s", False),
         ("seed", 1.5), ("seed", True), ("seed", -1),
@@ -158,7 +153,7 @@ class TestEvaluate:
         with pytest.raises(error, match=field):
             VariantConfig(**{"variant": variant, "K": 2, "eta": 10.0, field: value})
 
-    @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", assembly.VARIANTS)
     def test_numpy_integer_fields_accepted(self, variant):
         cfg = VariantConfig(variant=variant, K=np.int64(2), eta=10.0,
                             s=np.int32(1), seed=np.uint8(3), shots=np.int64(50))
@@ -166,7 +161,7 @@ class TestEvaluate:
             VariantConfig(variant=variant, K=2, eta=10.0, s=1, seed=3, shots=50),
             RAW_T, RAW_E).to_dict()
 
-    @pytest.mark.parametrize("variant", assembly.ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", assembly.VARIANTS)
     def test_numpy_and_int_real_fields_accepted(self, variant):
         cfg = VariantConfig(variant=variant, K=2, eta=np.float64(10.0), epsilon=np.float64(0.05),
                             beta=np.float64(0.9), forced_epsilon_k=np.float64(0.04))
@@ -206,18 +201,19 @@ class TestPowerLoop:
     def test_widest_first_ascending_rows_row_order_sum(self, monkeypatch, variant,
                                                        options):
         order = []
-        estimate_power = assembly._estimate_power
+        spec = assembly.VARIANTS[variant]
         estimate_sampling = classical.estimate_yk_sampling
 
         def power(config, k, *args):
             order.append(k)
-            return estimate_power(config, k, *args)
+            return spec.estimate(config, k, *args)
 
         def sampling(access, rawE, k, *args):
             order.append(k)
             return estimate_sampling(access, rawE, k, *args)
 
-        monkeypatch.setattr(assembly, "_estimate_power", power)
+        monkeypatch.setitem(assembly.VARIANTS, variant,
+                            dataclasses.replace(spec, estimate=power))
         monkeypatch.setattr(classical, "estimate_yk_sampling", sampling)
         cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=2,
                             **options)

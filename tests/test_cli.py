@@ -169,9 +169,11 @@ class TestEvaluate:
     @pytest.mark.parametrize("args", [
         ["--variant", "b", "--epsilon", "1e-7"], ["--variant", "a", "--epsilon", "1e-7"],
         ["--variant", "b", "--degree", "12"], ["--variant", "a", "--degree", "8"],
-        ["--variant", "a", "--epsilon", "1e-300"], ["--variant", "b", "--epsilon", "1e-300"]])
+        ["--variant", "a", "--epsilon", "1e-300"], ["--variant", "b", "--epsilon", "1e-300"],
+        ["--variant", "c", "--epsilon", "1e-300"], ["--variant", "d", "--epsilon", "1e-300"]])
     def test_shot_count_above_int64_exit_2(self, runner, data_files, args):
-        # a power's sample size above 2^63 - 1 shots, or not finite
+        # a power's sample size above 2^63 - 1 shots, or not finite; for c
+        # and d, an amplitude accuracy below IQAE's float64 floor
         t, e = data_files
         result = runner.invoke(main, ["evaluate", "--input-t", t, "--input-e", e,
                                       "--eta", "10"] + args)

@@ -7,8 +7,8 @@ Every function and class that src/qsim defines is reached: src/qsim or
 perfbench code names it, the benchmark tracer wraps it, it is a click
 command, or UNREACHED_KEPT lists it with the reason it stays.
 
-Every field of VariantConfig and QaeConfig is set by name in src/qsim or
-perfbench, so no setting keeps a single value that nothing can change.
+Every field of VariantConfig is set by name in src/qsim or perfbench, so
+no setting keeps a single value that nothing can change.
 """
 
 import ast
@@ -27,7 +27,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer  # noqa: E402
 from qsim.assembly import VariantConfig  # noqa: E402
-from qsim.qae import QaeConfig  # noqa: E402
 
 # Functions and classes that src/qsim and perfbench never name, with the
 # reason each stays.
@@ -94,7 +93,7 @@ def test_every_definition_is_reached():
     assert set(UNREACHED_KEPT) <= set(unreached)
 
 
-CONFIGS = {"VariantConfig": VariantConfig, "QaeConfig": QaeConfig}
+CONFIGS = {"VariantConfig": VariantConfig}
 
 
 def _callee(call):

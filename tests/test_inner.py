@@ -8,6 +8,7 @@ from scipy import stats
 import helpers
 from helpers import pair_with_overlap
 from qsim import inner, qae, qhp, sim
+from qsim.assembly import VariantConfig
 from qsim.encoding import (boe_width, build_tree, load_amplitude, normalize_affine,
                            normalize_sqrt)
 from qsim.inner import (build_ancilla_free, build_swap_test,
@@ -352,7 +353,7 @@ class TestKeptLaws:
         t.readouts = laws = _LoggedLaws()
         for style in qhp.STYLES:
             estimate_yk_variant_ab(t, e, k, style, 0.1, 0.9, RngStream(0))
-        qae.estimate_yk_variant_c(t, e, k, 0.1, 0.9, qae.QaeConfig(), RngStream(0))
+        qae.estimate_yk_variant_c(t, e, k, 0.1, 0.9, VariantConfig("c"), RngStream(0))
         assert laws.stored == [("_ancilla_free_readout", e, k)]
 
     @pytest.mark.parametrize("method, s", [("swap", 1), ("boe", 1), ("boe", 2),

@@ -13,7 +13,7 @@ from helpers import (grover_circuit_iterate, grover_probability_after,
 from qsim import inner, qhp
 from qsim.assembly import VariantConfig, evaluate
 from qsim.encoding import normalize_affine, normalize_sqrt
-from qsim.qae import (GroverOracle, QaeConfig, _clopper_pearson,
+from qsim.qae import (EPSILON_FLOOR, GroverOracle, _clopper_pearson,
                       _qpe_distribution, build_oracle_variant_c,
                       build_oracles_variant_d, canonical_qae,
                       estimate_yk_variant_c, estimate_ytilde_variant_d,
@@ -211,6 +211,16 @@ class TestIqae:
         assert res.z_lo - 1e-9 <= z <= res.z_hi + 1e-9
         assert res.z_hi - res.z_lo <= 2 * 0.01 + 1e-12
 
+    # z = 1/4, 1/2 and 3/4 are left out: there 4 theta is near a multiple of
+    # pi/3 or pi/2, and _find_next_k tries O(1/epsilon) powers one by one
+    # before it finds the next (ROADMAP item 22)
+    @pytest.mark.parametrize("z", [0.0, 0.01, 0.2, 0.3, 0.7, 0.8, 0.99, 1.0])
+    def test_interval_contains_truth_at_epsilon_floor(self, z):
+        # with no slack: below about 1e-16 the ends miss z by an ulp
+        res = iqae(z, EPSILON_FLOOR, 0.95, RngStream(0))
+        assert res.z_lo <= z <= res.z_hi
+        assert res.z_hi - res.z_lo <= 2 * EPSILON_FLOOR
+
     def test_oracle_call_accounting(self):
         res = iqae(0.3, 0.02, 0.9, RngStream(5))
         assert res.oracle_calls > 0
@@ -227,8 +237,10 @@ class TestIqae:
         assert hits / trials >= 0.85
 
     def test_epsilon_domain(self):
-        with pytest.raises(ValueError):
-            iqae(0.3, 0.6, 0.9, RngStream(0))
+        # at 1e-17 and 1e-300 the interval used to exclude z
+        for epsilon in (0.6, EPSILON_FLOOR / 2, 1e-17, 1e-300, 0.0):
+            with pytest.raises(ValueError, match="epsilon"):
+                iqae(0.3, epsilon, 0.9, RngStream(0))
 
     def test_scaling_beats_sampling(self):
         # oracle calls grow roughly like 1/eps, not 1/eps^2
@@ -334,7 +346,7 @@ class TestSharedPreparation:
         applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
         inverted = recorded_calls(monkeypatch, Circuit, "inverse")
         estimate_ytilde_variant_d(*sqrt_series_pair(), k, 1, 0.1, 0.9,
-                                  QaeConfig(), RngStream(0))
+                                  VariantConfig("d"), RngStream(0))
         assert len(applied) == (1 if k == 1 else 0)
         assert inverted == []
 
@@ -389,14 +401,14 @@ class TestVariantEstimators:
     def test_variant_c_estimate(self):
         t, e = series_pair()
         k = 2
-        est = estimate_yk_variant_c(t, e, k, 0.02, 0.9, QaeConfig(), RngStream(0))
+        est = estimate_yk_variant_c(t, e, k, 0.02, 0.9, VariantConfig("c"), RngStream(0))
         y = float(np.sum(t.values**k * e.values))
         assert abs(est.y_hat - y) < 0.02
         assert est.shots_used > 0
 
     def test_variant_c_canonical_engine(self):
         t, e = series_pair()
-        cfg = QaeConfig(engine="canonical", shots=60)
+        cfg = VariantConfig("c", engine="canonical", shots=60)
         est = estimate_yk_variant_c(t, e, 1, 0.05, 0.9, cfg, RngStream(1))
         y = float(np.sum(t.values * e.values))
         assert abs(est.y_hat - y) < 0.05
@@ -405,7 +417,7 @@ class TestVariantEstimators:
     def test_canonical_call_count(self, variant, calls):
         # one run of 2^6 - 1 Grover powers per amplitude (c reads z, d reads
         # z and z'), the count the benchmark tracer charges per run
-        cfg = QaeConfig(engine="canonical")
+        cfg = VariantConfig(variant, engine="canonical")
         if variant == "c":
             t, e = series_pair()
             est = estimate_yk_variant_c(t, e, 1, 0.05, 0.9, cfg, RngStream(0))
@@ -419,7 +431,7 @@ class TestVariantEstimators:
         t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
         e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
         k = 2
-        est = estimate_ytilde_variant_d(t, e, k, 1, 0.04, 0.9, QaeConfig(),
+        est = estimate_ytilde_variant_d(t, e, k, 1, 0.04, 0.9, VariantConfig("d"),
                                         RngStream(2))
         y_tilde = float(np.sum(t.values ** (2 * k) * e.values**2))
         assert abs(est.y_hat - y_tilde) < 0.04
@@ -428,6 +440,6 @@ class TestVariantEstimators:
         # at epsilon >= 1 the pilot's epsilon / 2 would leave IQAE's
         # (0, 0.5) domain; it is capped at 0.45 like the main run
         t, e = series_pair()
-        est = estimate_yk_variant_c(t, e, 1, 1.0, 0.9, QaeConfig(), RngStream(0))
+        est = estimate_yk_variant_c(t, e, 1, 1.0, 0.9, VariantConfig("c"), RngStream(0))
         assert est.shots_used > 0
         assert 0.0 <= est.y_hat <= 1.0
