@@ -425,7 +425,8 @@ def _experiment_compare_inner(config):
     seed = _number(config, "seed", 0, integer=True)
     shots = _number(config, "shots", 10000, integer=True, least=1)
     repeats = _number(config, "repeats", 100, integer=True, least=1)
-    ps = _numbers(config, "p_values", [0.072, 0.767])
+    ps = _numbers(config, "p_values", [0.072, 0.767],
+                  lambda p: type(p) in (int, float) and 0 < p <= 1, "numbers in (0, 1]")
     rng = RngStream(seed)
     rows = []
     summary = {}
@@ -475,6 +476,8 @@ def _experiment_error_scaling_k(config):
                   "integers >= 1")
     repeats = _number(config, "repeats", 20, integer=True, least=1)
     eps0 = _number(config, "epsilon0", 0.1)
+    if not eps0 > 0:
+        raise ValueError(f"config field 'epsilon0' must be > 0, got {eps0!r}")
     eta = _number(config, "eta", 0.0)
     rng = RngStream(seed)
     rows = []
@@ -509,7 +512,8 @@ def _experiment_qae_vs_classical(config):
     k = _number(config, "k", 2, integer=True)
     repeats = _number(config, "repeats", 12, integer=True, least=1)
     epsilons = _numbers(
-        config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177])
+        config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177],
+        lambda eps: type(eps) in (int, float) and eps > 0, "numbers > 0")
     eta = _number(config, "eta", 0.0)
     rng = RngStream(seed)
     t, e = _base_fixture(4)

@@ -144,13 +144,17 @@ def _kept_per_pair(law):
     law's name, the partner series_E and args, and read it from there on
     every later call.  Series values are read-only, so a kept law cannot go
     stale; a call whose arguments law refuses raises and keeps nothing."""
+    name = law.__name__
+
     @functools.wraps(law)
     def kept(series_T, series_E, *args):
-        key = (law.__name__, series_E, *args)
         laws = series_T.readouts
-        if key not in laws:
-            laws[key] = law(series_T, series_E, *args)
-        return laws[key]
+        key = (name, series_E, *args)
+        try:
+            return laws[key]
+        except KeyError:
+            laws[key] = value = law(series_T, series_E, *args)
+            return value
     return kept
 
 
@@ -194,6 +198,14 @@ def _qhp_swap_probabilities(series_T, series_E, k, encoding="amplitude", s=1):
     return pvals
 
 
+def _swap_radicand(rng, S, pvals):
+    """2 P(Z=0, ancilla=0) - P(Z=0), estimated from S multinomial shots over
+    pvals: y_k^2, or ytilde_k with BOE.  The counts are Python ints, which
+    round as NumPy's int64 and float64 scalars would."""
+    c00, c01, _rest = rng.generator.multinomial(S, pvals).tolist()
+    return (2.0 * c00 - (c00 + c01)) / S
+
+
 def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
                            shots=None):
     """QHP + ancilla-free estimator Y_S = sqrt(Xbar).
@@ -206,9 +218,8 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
         raise ValueError(f"unknown style {style!r}")
     p = _ancilla_free_readout(series_T, series_E, k)
 
-    S = shots if shots is not None else _shots_p_free(epsilon, alpha)
-    S = max(MIN_SHOTS, S)
-    ones = int(rng.binomial(S, min(p, 1.0)))
+    S = max(MIN_SHOTS, shots if shots is not None else _shots_p_free(epsilon, alpha))
+    ones = int(rng.generator.binomial(S, min(p, 1.0)))
     y = math.sqrt(ones / S)
     scale = series_T.rho ** -k * series_E.rho ** -1
     return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=S,
@@ -223,14 +234,9 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
     clamped at 0 and the event recorded.
     """
     pvals = _qhp_swap_probabilities(series_T, series_E, k)
-
-    def draw(S):
-        c00, c01, _rest = rng.multinomial(S, pvals)
-        return (2.0 * c00 - (c00 + c01)) / S
-
     if shots is None:
         s_pilot = _shots_p_free(epsilon, alpha)
-        y_pilot = math.sqrt(max(draw(s_pilot), 0.0))
+        y_pilot = math.sqrt(max(_swap_radicand(rng, s_pilot, pvals), 0.0))
         if y_pilot < epsilon:
             raise ValueError(
                 "pilot estimate indistinguishable from 0 at the requested epsilon")
@@ -241,7 +247,7 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
     else:
         S = max(MIN_SHOTS, shots)
         used = S
-    radicand = draw(S)
+    radicand = _swap_radicand(rng, S, pvals)
     y = math.sqrt(max(radicand, 0.0))
     scale = series_T.rho ** -k * series_E.rho ** -1
     return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=used,
@@ -260,8 +266,7 @@ def estimate_ytilde_boe_swap(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
         S = _shot_count(lambda: 16.0 / epsilon**2 * q * q)
     else:
         S = max(MIN_SHOTS, shots)
-    c00, c01, _rest = rng.multinomial(S, pvals)
-    y_tilde = (2.0 * c00 - (c00 + c01)) / S
+    y_tilde = _swap_radicand(rng, S, pvals)
     scale = series_Tsqrt.rho ** (-2 * k) * series_Esqrt.rho ** -2
-    return InnerEstimate(y_hat=float(y_tilde), y_prime_hat=float(scale * y_tilde),
-                         shots_used=S, method="boe_swap")
+    return InnerEstimate(y_hat=y_tilde, y_prime_hat=scale * y_tilde, shots_used=S,
+                         method="boe_swap")

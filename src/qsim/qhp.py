@@ -156,9 +156,13 @@ def run_with_dynamic_stopping(plan, loader, shots, rng):
     k = plan.k
     p = loader.leaves ** 2
     q = [float(np.dot(p ** t, p) / np.sum(p ** t)) for t in range(1, k)]
-    # a last column of failures makes a shot that survives every round end at k
-    fails = np.column_stack([rng.generator.random((shots, k - 1)) >= q,
-                             np.ones(shots, bool)])
-    ends = [QhpOutcome(False, t, t) for t in range(k)] + [QhpOutcome(True, k - 1, k)]
-    return [ends[e] for e in (fails.argmax(axis=1) + 1).tolist()]
+    # shot i fails round t + 1 where u[i, t] >= q_t; `lost` counts its rounds
+    # from the first failure on, so a shot that has lost f ends at round k - f
+    lost, dead = np.zeros(shots, np.intp), np.zeros(shots, bool)
+    for u, q_t in zip(rng.generator.random((shots, k - 1)).T, q):
+        dead |= u >= q_t
+        lost += dead
+    ends = np.array([QhpOutcome(True, k - 1, k)]
+                    + [QhpOutcome(False, t, t) for t in range(k - 1, 0, -1)], object)
+    return ends[lost].tolist()
 

@@ -32,7 +32,7 @@ so project_bits and postselect scale by 1.0 / sqrt(prob).
 
 import numbers
 import os
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -65,6 +65,21 @@ class _PhiloxKey(ISeedSequence):
         return self.key
 
 
+class _FirstDraw:
+    """RngStream.generator: a stream's first draw builds its Generator and
+    sets it as the plain instance attribute, which shadows this non-data
+    descriptor on every later draw."""
+
+    def __get__(self, stream, owner=None):
+        if stream is None:
+            return self
+        path = stream.path
+        counter = (0, *path, *(0,) * (MAX_PATH - len(path)))
+        stream.generator = gen = np.random.Generator(
+            np.random.Philox(stream.key, counter=counter))
+        return gen
+
+
 class RngStream:
     """Seeded counter-based random stream (Philox) with explicit splitting.
 
@@ -74,11 +89,12 @@ class RngStream:
     draws, where path holds i + 1 for its child index i at each depth.  Word
     0 is the block counter, so streams on different paths cannot overlap
     below 2^64 blocks each, and the root, on counter zero, draws what
-    Philox(SeedSequence(seed)) draws.  Child numbering continues across
-    split() calls, which go at most MAX_PATH deep.  The generator is built
-    on first use, so a stream never drawn from costs no Philox state.  The
-    seed is a non-negative integer (ValueError otherwise); None takes fresh
-    OS entropy, as SeedSequence() does.
+    Philox(SeedSequence(seed)) draws.  child() makes the next child; split(n)
+    makes n of them, so numbering continues across both, at most MAX_PATH
+    levels deep.  A child costs one Philox, built on its first draw and then
+    kept as the plain attribute `generator`, so a stream never drawn from
+    costs no Philox state.  The seed is a non-negative integer (ValueError
+    otherwise); None takes fresh OS entropy, as SeedSequence() does.
     """
 
     def __init__(self, seed=None):
@@ -88,24 +104,17 @@ class RngStream:
         self.key = _PhiloxKey(seq.generate_state(2, np.uint64))
         self.path, self.n_children = (), 0
 
-    @cached_property
-    def generator(self):
-        counter = (0, *self.path, *(0,) * (MAX_PATH - len(self.path)))
-        return np.random.Generator(np.random.Philox(self.key, counter=counter))
+    generator = _FirstDraw()
 
     def split(self, n):
-        if len(self.path) == MAX_PATH:
-            raise ValueError(f"streams split at most {MAX_PATH} levels deep")
-        first = self.n_children
-        self.n_children += n
-        return [self._child(i + 1) for i in range(first, first + n)]
+        return [self.child() for _ in range(n)]
 
     def child(self):
-        return self.split(1)[0]
-
-    def _child(self, word):
+        if len(self.path) == MAX_PATH:
+            raise ValueError(f"streams split at most {MAX_PATH} levels deep")
+        self.n_children += 1
         out = RngStream.__new__(RngStream)
-        out.key, out.path, out.n_children = self.key, (*self.path, word), 0
+        out.key, out.path, out.n_children = self.key, (*self.path, self.n_children), 0
         return out
 
     # convenience passthroughs

@@ -6,8 +6,12 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from qsim import assembly
+from qsim import assembly, inner, qae
 from qsim.cli import main
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("an estimate was drawn")
 
 
 @pytest.fixture
@@ -316,6 +320,40 @@ class TestExperiment:
     ])
     def test_config_of_wrong_type_exit_2(self, runner, tmp_path, name, config,
                                           message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["experiment", name, "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    @pytest.mark.parametrize("name, config, message", [
+        # each once ended in an estimator's own refusal, naming no field:
+        # p = 1.5 in a "math domain error", p = 0 in the normaliser's
+        # "normalized entries must be positive", and epsilon = -0.1 in
+        # IQAE's "epsilon must be in [2^-40, 0.5)"
+        ("compare_inner", {"p_values": [1.5], "repeats": 1, "shots": 10},
+         "'p_values' must hold numbers in (0, 1]"),
+        ("compare_inner", {"p_values": [0.0], "repeats": 1, "shots": 10},
+         "'p_values' must hold numbers in (0, 1]"),
+        ("compare_inner", {"p_values": [0.5, -0.2], "repeats": 1, "shots": 10},
+         "'p_values' must hold numbers in (0, 1]"),
+        ("qae_vs_classical", {"epsilons": [-0.1], "repeats": 1},
+         "'epsilons' must hold numbers > 0"),
+        ("qae_vs_classical", {"epsilons": [0.2, 0], "repeats": 1},
+         "'epsilons' must hold numbers > 0"),
+        ("error_scaling_k", {"epsilon0": 0, "repeats": 1, "N_values": [4],
+                             "k_values": [1]}, "'epsilon0' must be > 0"),
+        ("error_scaling_k", {"epsilon0": -0.1, "repeats": 1, "N_values": [4],
+                             "k_values": [1]}, "'epsilon0' must be > 0"),
+    ], ids=["p-above-1", "p-zero", "p-negative", "epsilon-negative", "epsilon-zero",
+            "epsilon0-zero", "epsilon0-negative"])
+    def test_config_out_of_range_names_field(self, runner, tmp_path, monkeypatch,
+                                             name, config, message):
+        # refused before any estimate is drawn
+        for estimator in ("estimate_yk_swap", "estimate_yk_variant_ab"):
+            monkeypatch.setattr(inner, estimator, _never_called)
+        monkeypatch.setattr(qae, "estimate_yk_variant_c", _never_called)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         result = runner.invoke(main, ["experiment", name, "--config", str(cfg),

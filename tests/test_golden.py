@@ -107,6 +107,13 @@ resources` requests, refusals included.  It was computed while each
 variant's resource rows were still written out on a per-variant if-chain
 in `assembly.resource_report`, and the `assembly.VARIANTS` table reproduces it.
 
+The compare-inner digest pins the compare_inner experiment's CSV and JSON
+at its defaults: 400 fixed-shot estimates of variants a and b's readouts,
+each drawn on its own child stream.  It was computed while a child stream
+was still made through `RngStream.split` and its generator held in a
+cached property, and while the estimators drew through the stream's
+binomial and multinomial passthroughs.
+
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
 that the estimate no longer carries.  Those fields are rebuilt here: the
@@ -118,6 +125,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +205,16 @@ def _canonical_runs(z, m, medians, seed):
     assert z_hat == float(np.median(estimates))
     return {"counts": [c.tolist() for c in counts], "estimates": estimates,
             "z_hat": z_hat}
+
+
+def _compare_inner():
+    """The compare_inner experiment's CSV and JSON at its defaults: 2 p
+    values x 2 methods x 100 fixed-shot estimates, each on its own child
+    stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assembly.run_experiment("compare_inner", {}, tmp)
+        return [(Path(tmp) / f"compare_inner.{ext}").read_text()
+                for ext in ("csv", "json")]
 
 
 def _resources():
@@ -277,6 +296,9 @@ CASES = {
     "boe-swap-k1-s1": (
         lambda: _boe_swap(1, 1, 2000, 13),
         "1ce8aa1e5fa727477045e516557cc351cde00bb0488259b7e02bc9f85cbe1d3c"),
+    "compare-inner": (
+        _compare_inner,
+        "c59f594b30016e997f81dbc4346411c315bd2a4453a9c36d4dcafefabdd34d6c"),
     "resources-cli": (
         _resources,
         "a74a6d64957b2cdb716b383985ef681f8980c24e40f0354a7a17546d3a767d45"),

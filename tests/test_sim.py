@@ -709,17 +709,18 @@ class TestRngStream:
     @given(seed=st.sampled_from([0, 2**32, 2**64 + 3]) | st.integers(0, 2**160),
            data=st.data())
     def test_draws_depend_only_on_seed_and_path(self, seed, data):
-        # splits and draws anywhere in a tree, interleaved; each stream then
-        # replays its draws on a generator built from (seed, path) alone,
-        # streams in reverse order of creation
+        # splits, single children and draws anywhere in a tree, interleaved;
+        # each stream then replays its draws on a generator built from (seed,
+        # path) alone, streams in reverse order of creation
         streams = [RngStream(seed)]
         made = [[]]
         for kind, pick in data.draw(st.lists(
-                st.tuples(st.sampled_from(["split", "random", "binomial"]),
+                st.tuples(st.sampled_from(["split", "child", "random", "binomial"]),
                           st.integers(0, 10**6)), max_size=16)):
             i = pick % len(streams)
-            if kind == "split" and len(streams[i].path) < sim.MAX_PATH:
-                children = streams[i].split(data.draw(st.integers(1, 4)))
+            if kind in ("split", "child") and len(streams[i].path) < sim.MAX_PATH:
+                children = (streams[i].split(data.draw(st.integers(1, 4)))
+                            if kind == "split" else [streams[i].child()])
                 streams += children
                 made += [[] for _ in children]
             elif kind == "binomial":
@@ -733,16 +734,30 @@ class TestRngStream:
                 want = ref.binomial(arg, 0.4) if name == "binomial" else ref.random(arg)
                 np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=30, deadline=None)
+    @given(steps=st.lists(st.sampled_from([None, 1, 3]), max_size=12))
+    def test_child_numbers_as_split_one(self, steps):
+        # child() is split(1)[0] across any mix of child() and split(n) calls:
+        # where one parent calls child() (None), the other calls split(1)
+        by_child, by_split = RngStream(4), RngStream(4)
+        for n in steps:
+            got = [by_child.child()] if n is None else by_child.split(n)
+            want = by_split.split(n or 1)
+            assert [s.path for s in got] == [s.path for s in want]
+        assert by_child.n_children == by_split.n_children
+
     def test_fourth_split_level_refused(self):
         stream = RngStream(9)
         for _ in range(sim.MAX_PATH):
             stream = stream.split(2)[1]
         assert stream.path == (2, 2, 2)
         assert 0.0 <= stream.generator.random() < 1.0
-        with pytest.raises(ValueError, match="levels deep"):
+        with pytest.raises(ValueError, match="levels deep") as by_split:
             stream.split(1)
-        with pytest.raises(ValueError, match="levels deep"):
+        with pytest.raises(ValueError, match="levels deep") as by_child:
             stream.child()
+        assert str(by_child.value) == str(by_split.value)
+        assert stream.n_children == 0
 
     @pytest.mark.parametrize("seed", [-1, -2**70, 1.5, np.float64(2.0), "3", [1, 2]])
     def test_bad_seed_refused(self, seed):
