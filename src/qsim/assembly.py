@@ -24,28 +24,67 @@ from .errors import AssumptionError
 from .sim import RngStream
 
 
+def _series_inputs(spec, config, t, e):
+    """T's and E's series, and y'_0 = sum_j E'_j through the affine E, also
+    where E is sqrt-normalised (golden digests pin d's rounding)."""
+    series_T, series_E = spec.normalize(t, config.eta), spec.normalize(e, 0.0)
+    affine_E = series_E if series_E.mode == "affine" else normalize_affine(e, 0.0)
+    return series_T, series_E, float(affine_E.values.sum()) / affine_E.rho
+
+
+def _estimated_power(spec, config, k, inputs, eps_k, alpha_k, rng):
+    series_T, series_E, y0_prime = inputs
+    if k == 0:
+        return {"k": 0, "y_hat": None, "y_prime_hat": y0_prime, "epsilon_k": 0.0,
+                "alpha_k": 1.0, "cost": 0, "method": "classical"}
+    est = spec.estimate(config, k, series_T, series_E, eps_k, alpha_k, rng)
+    return {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
+            "epsilon_k": eps_k, "alpha_k": alpha_k, "cost": est.shots_used,
+            "method": est.method, **spec.resources(k, series_T.n_qubits, config.s)}
+
+
+def _sampling_power(spec, config, k, inputs, eps_k, alpha_k, rng):
+    """Power k by Tang sampling over the raw series; every power runs at
+    the global epsilon unless forced, and y_0 is the raw sum of E."""
+    _series_T, access, e = inputs
+    if k == 0:
+        return {"k": 0, "y_prime_hat": float(e.sum()), "queries": 0, "method": "classical"}
+    eps = config.epsilon if config.forced_epsilon_k is None else eps_k
+    y_prime, queries = classical.estimate_yk_sampling(access, e, k, eps, alpha_k, rng)
+    return {"k": k, "y_prime_hat": y_prime, "queries": queries, "method": "sampling"}
+
+
 @dataclass(frozen=True)
 class Variant:
     """What evaluate, resource_report and the CLI know of one variant.
 
-    `normalize(raw, eta)` makes its series (the direct sums make none);
-    `estimate(config, k, series_T, series_E, eps_k, alpha_k, rng)`
-    estimates power k (the classical baselines estimate none);
+    A direct sum's V is `value(t, e, params, coeffs)`.  An estimating
+    variant's `inputs(spec, config, t, e)` makes what its powers read, once
+    per evaluate, T's series from `normalize(raw, eta)` first, for the
+    budget; `power(spec, config, k, inputs, eps_k, alpha_k, rng)` is power
+    k's per_k row, k = 0 included; a-d's reads power k >= 1 from
+    `estimate(config, k, series_T, series_E, eps_k, alpha_k, rng)`.
     `resources(k, n, s)` is power k's width and depth bound at n = lg N,
     which evaluate's rows and resource_report share and golden digests pin;
     `row(config, k, n, resources)` is the rest of resource_report's row.
-    Normalisers and estimators look their function up in its module when
-    called, so a wrapper set on the module attribute sees every call.
+    Records look their qsim functions up in the module when called, so a
+    wrapper set on the module attribute sees every call.
     """
     row: Callable
     normalize: Callable = lambda raw, eta: normalize_affine(raw, eta)
+    value: Callable = None
+    inputs: Callable = _series_inputs
+    power: Callable = _estimated_power
     estimate: Callable = None
     resources: Callable = lambda k, n, s: {}
 
 
+def _direct(value):
+    return Variant(value=value, row=lambda config, k, n, res: {
+        "note": "direct classical evaluation, O(N) per value"})
+
+
 AB_SAMPLES = "O(rho_E^2 rho_T^2k y'_k^-2 eps^-2)"
-DIRECT = Variant(row=lambda config, k, n, res: {
-    "note": "direct classical evaluation, O(N) per value"})
 
 # a reports the mid_reset swap test (k serial loads), whose k = 1 state is
 # the only one a simulates; b the no_mid_reset circuit (2 serial loads).
@@ -83,12 +122,17 @@ VARIANTS = {
             "boe_width": boe_width(1 << n, config.s), "boe_depth": boe_depth(1 << n, config.s),
             "oracle_complexity": "O(rho~_E rho~_T^k y~'_k^-1 eps^-1)",
             "samples": "O_alpha(1)"}),
-    "classical_exact": DIRECT,
-    "classical_poly": DIRECT,
-    "classical_sampling": Variant(row=lambda config, k, n, res: {
-        "queries": (classical.sampling_group_count(config.beta)
-                    * classical.sampling_group_size(config.epsilon)),
-        "samples": "O(eps^-2 lg(1/(1-alpha)))"}),
+    "classical_exact": _direct(lambda t, e, params, coeffs: classical.exact_value(t, e, params)),
+    "classical_poly": _direct(
+        lambda t, e, params, coeffs: classical.classical_poly_value(t, e, coeffs)),
+    "classical_sampling": Variant(
+        inputs=lambda spec, config, t, e: (spec.normalize(t, config.eta),
+                                           classical.sampling_access(t, config.eta), e),
+        power=_sampling_power,
+        row=lambda config, k, n, res: {
+            "queries": (classical.sampling_group_count(config.beta)
+                        * classical.sampling_group_size(config.epsilon)),
+            "samples": "O(eps^-2 lg(1/(1-alpha)))"}),
 }
 QUANTUM_VARIANTS = tuple(name for name, v in VARIANTS.items() if v.estimate)
 
@@ -207,85 +251,47 @@ def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
     return ErrorBudget(epsilon_k=epsilon_k, alpha_k={k: alpha for k in epsilon_k})
 
 
-def constant_term_y0(series_E):
-    """y_0 = sum_j E_j (classical); y'_0 = rho_E^{-1} y_0 = sum_j E'_j."""
-    y0 = float(series_E.values.sum())
-    return y0, y0 / series_E.rho
-
-
 def evaluate(config, rawT, rawE, contract=None):
     """Estimate V = sum_k b_k y'_k for the requested variant.
 
-    classical_exact and classical_poly report their direct sums.  Every
-    other variant estimates one y'_k per power k and sums b_k y'_k from
-    k = 0 upward.  Sampling reads the raw series, reports the raw y_0 and
-    runs every power at config.epsilon, not at its per-k budget; its T is
-    normalised only for the budget's skipped powers and confidences.
+    A direct sum reports its value.  Every other variant reports one per_k
+    row per power k with b_k != 0, from its record's `power`, and sums
+    b_k y'_k over the rows from k = 0 upward.
     """
     t = validate_raw(rawT)
     e = validate_raw(rawE)
     params = contract.params if contract is not None else DEFAULT_PARAMS
     coeffs = classical.fit_polynomial(params, config.eta, config.K, config.fit_mode)
-
     try:
         v_exact = classical.exact_value(t, e, params)
     except ValueError:
-        if config.variant == "classical_exact":
-            raise  # it has no value to report
         v_exact = None
     v_star = classical.classical_poly_value(t, e, coeffs)
 
     base = {"K": config.K, "eta": config.eta, "epsilon": config.epsilon,
             "beta": config.beta, "variant": config.variant,
             "fit_mode": coeffs.fit_mode, "b": [float(x) for x in coeffs.b]}
-    direct = {"classical_exact": v_exact, "classical_poly": v_star}
-    sampling = config.variant == "classical_sampling"
     spec = VARIANTS[config.variant]
-    rows, powers = {}, []
-    if config.variant not in direct:
-        series_T = spec.normalize(t, config.eta)
-        series_E = None if sampling else spec.normalize(e, 0.0)
-        access = classical.sampling_access(t, config.eta) if sampling else None
-        budget = allocate_budget(coeffs, series_T.rho, config.epsilon, config.beta,
-                                 config.K, quadratic=series_T.mode == "sqrt")
+    V, per_k = 0.0, []
+    if spec.value:
+        V = spec.value(t, e, params, coeffs)  # exact raises where it has no value
+    else:
+        inputs = spec.inputs(spec, config, t, e)
+        budget = allocate_budget(coeffs, inputs[0].rho, config.epsilon, config.beta,
+                                 config.K, quadratic=inputs[0].mode == "sqrt")
+        epsilon_k = (budget.epsilon_k if config.forced_epsilon_k is None
+                     else dict.fromkeys(budget.epsilon_k, config.forced_epsilon_k))
         streams = RngStream(config.seed).split(config.K + 1)
-        powers = sorted(budget.epsilon_k, reverse=True)
-    # Power k draws from the stream at path (k + 1,), whatever the order of
-    # the powers.  The highest power runs first: canonical QAE builds an
-    # oracle at every k, widest at the highest, so a request too wide for
-    # memory fails before any state is allocated.  Elsewhere only the k = 1
-    # swap tests of a and d allocate.
-    for k in powers:
-        alpha_k = budget.alpha_k[k]
-        eps_k = (config.forced_epsilon_k if config.forced_epsilon_k is not None
-                 else config.epsilon if sampling else budget.epsilon_k[k])
-        if sampling and k == 0:
-            rows[0] = {"k": 0, "y_prime_hat": float(e.sum()), "queries": 0,
-                       "method": "classical"}
-        elif sampling:
-            y_prime, queries = classical.estimate_yk_sampling(
-                access, e, k, eps_k, alpha_k, streams[k])
-            rows[k] = {"k": k, "y_prime_hat": y_prime, "queries": queries,
-                       "method": "sampling"}
-        elif k == 0:
-            # y'_0 through the affine E for every quantum variant, also where
-            # series_E is sqrt-normalised (golden digests pin d's rounding)
-            affine_E = series_E if series_E.mode == "affine" else normalize_affine(e, 0.0)
-            y0_prime = constant_term_y0(affine_E)[1]
-            rows[0] = {"k": 0, "y_hat": None, "y_prime_hat": y0_prime,
-                       "epsilon_k": 0.0, "alpha_k": 1.0, "cost": 0,
-                       "method": "classical"}
-        else:
-            est = spec.estimate(config, k, series_T, series_E, eps_k, alpha_k,
-                                streams[k])
-            rows[k] = {"k": k, "y_hat": est.y_hat, "y_prime_hat": est.y_prime_hat,
-                       "epsilon_k": eps_k, "alpha_k": alpha_k,
-                       "cost": est.shots_used, "method": est.method,
-                       **spec.resources(k, series_T.n_qubits, config.s)}
-    per_k = [rows[k] for k in sorted(rows)]
-    V = direct.get(config.variant, 0.0)
-    for row in per_k:
-        V += float(coeffs.b[row["k"]]) * row["y_prime_hat"]
+        # Power k draws from the stream at path (k + 1,), whatever the order
+        # of the powers.  The highest power runs first: canonical QAE builds
+        # an oracle at every k, widest at the highest, so a request too wide
+        # for memory fails before any state is allocated.  Elsewhere only the
+        # k = 1 swap tests of a and d allocate.
+        rows = {k: spec.power(spec, config, k, inputs, epsilon_k[k], budget.alpha_k[k],
+                              streams[k]) for k in sorted(epsilon_k, reverse=True)}
+        per_k = [rows[k] for k in sorted(rows)]
+        for row in per_k:
+            V += float(coeffs.b[row["k"]]) * row["y_prime_hat"]
     return RunReport(variant=config.variant, seed=config.seed, V=V,
                      v_star=v_star, v_exact=v_exact, per_k=per_k, config=base)
 
@@ -329,12 +335,12 @@ def resource_report(config, N):
     # before the fit, so that d refuses a bad split level first
     costs = [spec.resources(k, n, s) for k in range(1, K + 1)]
     coeffs = classical.fit_polynomial(DEFAULT_PARAMS, config.eta, K, "taylor")
+    unit_rho = allocate_budget(coeffs, 1.0, epsilon, config.beta, K).epsilon_k
     rows = []
     for k, res in enumerate(costs, 1):
-        bk = float(coeffs.b[k])
-        row = {"k": k, "b_k": bk}
-        if bk != 0.0:
-            row["epsilon_k_unit_rho"] = epsilon / (K * abs(bk))
+        row = {"k": k, "b_k": float(coeffs.b[k])}
+        if k in unit_rho:
+            row["epsilon_k_unit_rho"] = unit_rho[k]
             row["epsilon_k_formula"] = "epsilon*rho_T^(k-1)/(K*|b_k|)"
         row.update({key: value for key, value in res.items() if value is not None})
         row.update(spec.row(config, k, n, res))
@@ -359,16 +365,18 @@ def _pair_with_overlap(p):
     return [math.cos(phi), math.sin(phi)], [math.sin(phi), math.cos(phi)]
 
 
-def _number(config, name, default, integer=False, least=None):
+def _number(config, name, default, integer=False, least=None, below=None):
     """config[name] with the default filled in, checked, not cast: an int
-    when `integer`, else an int or a float (a bool is neither), and >= `least`
-    when given; ValueError naming the field otherwise."""
+    when `integer`, else an int or a float (a bool is neither), >= `least`
+    and < `below` when given; ValueError naming the field otherwise."""
     value = config.setdefault(name, default)
     if type(value) not in ((int,) if integer else (int, float)):
         what = "a number (an integer)" if integer else "a number"
         raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"config field {name!r} must be >= {least}, got {value!r}")
+    if below is not None and not value < below:
+        raise ValueError(f"config field {name!r} must be < {below}, got {value!r}")
     return value if integer else float(value)
 
 
@@ -478,7 +486,7 @@ def _experiment_error_scaling_k(config):
     eps0 = _number(config, "epsilon0", 0.1)
     if not eps0 > 0:
         raise ValueError(f"config field 'epsilon0' must be > 0, got {eps0!r}")
-    eta = _number(config, "eta", 0.0)
+    eta = _number(config, "eta", 0.0, below=12)  # the fixture's least T
     rng = RngStream(seed)
     rows = []
     summary = {"ratios": {}}
@@ -509,12 +517,12 @@ def _experiment_error_scaling_k(config):
 
 def _experiment_qae_vs_classical(config):
     seed = _number(config, "seed", 0, integer=True)
-    k = _number(config, "k", 2, integer=True)
+    k = _number(config, "k", 2, integer=True, least=1)
     repeats = _number(config, "repeats", 12, integer=True, least=1)
     epsilons = _numbers(
         config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177],
         lambda eps: type(eps) in (int, float) and eps > 0, "numbers > 0")
-    eta = _number(config, "eta", 0.0)
+    eta = _number(config, "eta", 0.0, below=12)  # the fixture's least T
     rng = RngStream(seed)
     t, e = _base_fixture(4)
     ser_t = normalize_affine(t, eta)

@@ -43,17 +43,8 @@ class PolyCoeffs:
     fit_mode: str
 
     def __call__(self, x_shifted):
-        """Evaluate the polynomial at T' - eta, a float or a float array.
-
-        The Horner recurrence of np.polynomial.polynomial.polyval, with the
-        same float operations in the same order, so the same bits, without
-        its argument handling.
-        """
-        b = self.b
-        c0 = b[-1] + x_shifted * 0
-        for i in range(2, b.size + 1):
-            c0 = b[-i] + c0 * x_shifted
-        return c0
+        """Evaluate the polynomial at T' - eta, a float or a float array."""
+        return np.polynomial.polynomial.polyval(x_shifted, self.b)
 
 
 def _central_derivative(f, x, order, h):

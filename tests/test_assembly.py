@@ -8,8 +8,8 @@ import pytest
 from helpers import recorded_calls
 from qsim import assembly, classical, encoding, inner, qhp
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
-                           constant_term_y0, delta_gross_margin, evaluate,
-                           resource_report, run_experiment)
+                           delta_gross_margin, evaluate, resource_report,
+                           run_experiment)
 from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.errors import AssumptionError
@@ -85,10 +85,22 @@ class TestBudget:
 
 class TestEvaluate:
     def test_constant_term(self):
+        # y'_0 = sum_j E'_j is power 0's row, at no cost: a-d take it through
+        # the affine E, d too, whose E is sqrt-normalised, so their rows hold
+        # the same bits; sampling sums the raw E
+        rows = {variant: evaluate(VariantConfig(variant=variant, K=1, eta=10.0,
+                                                epsilon=0.1, seed=1),
+                                  RAW_T, RAW_E).per_k[0]
+                for variant in ("a", "b", "c", "d", "classical_sampling")}
         series = normalize_affine(RAW_E, 0.0)
-        y0, y0_prime = constant_term_y0(series)
-        assert y0 == pytest.approx(float(np.sum(series.values)))
-        assert y0_prime == pytest.approx(float(RAW_E.sum()))
+        y0_prime = float(series.values.sum()) / series.rho
+        assert y0_prime == pytest.approx(float(RAW_E.sum()), rel=1e-12)
+        for variant in "abcd":
+            assert rows[variant] == {"k": 0, "y_hat": None, "y_prime_hat": y0_prime,
+                                     "epsilon_k": 0.0, "alpha_k": 1.0, "cost": 0,
+                                     "method": "classical"}
+        assert rows["classical_sampling"] == {"k": 0, "y_prime_hat": float(RAW_E.sum()),
+                                              "queries": 0, "method": "classical"}
 
     def test_classical_exact(self):
         cfg = VariantConfig(variant="classical_exact", K=2, eta=10.0)

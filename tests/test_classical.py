@@ -10,10 +10,9 @@ from scipy.stats import binom
 import helpers
 from qsim import classical
 
-from qsim.classical import (DEFAULT_PARAMS, PolyCoeffs, SampleAccess,
-                            SigmoidParams, _median, classical_poly_value,
-                            estimate_yk_sampling, exact_value, fit_polynomial,
-                            sampling_access, sampling_group_count,
+from qsim.classical import (DEFAULT_PARAMS, SampleAccess, SigmoidParams, _median,
+                            classical_poly_value, estimate_yk_sampling, exact_value,
+                            fit_polynomial, sampling_access, sampling_group_count,
                             sampling_group_size, sigmoid_volume, tang_counts,
                             tang_inner)
 from qsim.encoding import StateDecompositionTree
@@ -139,28 +138,6 @@ class TestValues:
         e = np.array([30.0, 24.0])
         direct = sum(coeffs.b[k] * np.sum(e * t**k) for k in range(3))
         assert classical_poly_value(t, e, coeffs) == pytest.approx(direct)
-
-
-class TestPolyCoeffs:
-    # finite values only: an inf input meets x * 0 and warns on both paths
-    @given(b=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                      min_size=1, max_size=7),
-           x=st.one_of(
-               st.floats(allow_nan=False, allow_infinity=False),
-               st.floats(allow_nan=False, allow_infinity=False).map(np.array),
-               st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]),
-                                  st.floats(allow_nan=False, allow_infinity=False)),
-                        max_size=9).map(np.array)))
-    @settings(max_examples=300, deadline=None)
-    def test_call_matches_polyval(self, b, x):
-        coeffs = PolyCoeffs(b=np.array(b), eta=0.0, fit_mode="taylor")
-        # large values overflow to inf, and then to nan, the same on both paths
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = coeffs(x)
-            want = np.polynomial.polynomial.polyval(x, coeffs.b)
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestMedian:

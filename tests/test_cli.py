@@ -346,8 +346,14 @@ class TestExperiment:
                              "k_values": [1]}, "'epsilon0' must be > 0"),
         ("error_scaling_k", {"epsilon0": -0.1, "repeats": 1, "N_values": [4],
                              "k_values": [1]}, "'epsilon0' must be > 0"),
+        # k = 0 once ended in the estimator's "k must be >= 1", and an eta at
+        # or above the fixture's least T (12) in the normaliser's refusal
+        ("qae_vs_classical", {"k": 0, "repeats": 1}, "'k' must be >= 1"),
+        ("qae_vs_classical", {"eta": 100, "repeats": 1}, "'eta' must be < 12"),
+        ("error_scaling_k", {"eta": 12, "repeats": 1, "N_values": [4],
+                             "k_values": [1]}, "'eta' must be < 12"),
     ], ids=["p-above-1", "p-zero", "p-negative", "epsilon-negative", "epsilon-zero",
-            "epsilon0-zero", "epsilon0-negative"])
+            "epsilon0-zero", "epsilon0-negative", "k-zero", "eta-100", "eta-12"])
     def test_config_out_of_range_names_field(self, runner, tmp_path, monkeypatch,
                                              name, config, message):
         # refused before any estimate is drawn

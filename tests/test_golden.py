@@ -2,117 +2,33 @@
 
 Each digest pins the exact bits a fixed-seed run produces, so a change that
 alters any output (a draw order, a summation order, a rounding) fails here
-even when every statistical test still passes.  The sampling, variant-a
-and variant-c digests were computed before the dynamic-stopping chain and
-the Tang walk were batched, and those rewrites reproduce them.
-The two dynstop digests changed once, on purpose, when dynamic stopping
-stopped splitting one Philox stream per shot and began to read shot i's
-uniforms as row i of one (shots, k - 1) draw from the caller's stream:
-  dynstop-amplitude-k3
-    was 46c21c322f4760a5c54ce36e2051bb5ed102dfb2761423678a53921d1f706734
-    now 0ee1f460ad539a859dc9ae12229ec4795b08be8fa350d092fe17a7977b65641e
-  dynstop-boe-s1-k3
-    was f1b260d40b4edcac1241d1e0b9384954d8950fba9c5ebca52297acd1d4821c0f
-    now ab1279caa82c82787617134a73f20f0892903c08ea94d7cd23eda85b569191b2
-Only the draws changed.  Since dynamic stopping draws its shots from the
-closed-form survival chain and keeps no states, both digests run on the
-statevector chain helpers.ref_dynamic_stopping, which reproduces them, and
-each asserts that qhp.run_with_dynamic_stopping gives the same outcomes.
-Their state hashes were taken while amplitudes were complex128; amplitudes
-are now float64, and each state is hashed cast back to complex128, whose
-bytes are the same as then.
-The variant-b, variant-d, canonical and BOE swap-test digests were computed
-before the readout circuits were given a single construction in
-`inner.build_swap_test` and `inner.build_ancilla_free`, and that rewrite
-reproduces them.
-The variant-d K=2 digests were computed while the QAE oracles still copied
-their good outcome onto a flag qubit, and marking the readout's own outcome
-reproduces them; at K=2 the variant-d good register is not contiguous.
-The variant-a and variant-b K=3 digests on a seeded 32-point series were
-computed while every gate still swept the whole amplitude array and CNOTs
-ran as the matrix [[0, 1], [1, 0]]; they pin states of up to 21 qubits
-(a) and 15 qubits (b), where the 4-point fixture's registers have 2.
-The forced-epsilon sampling, exact, poly and variant-d K=2 s=2 digests
-were computed while `assembly.evaluate` still built its reports on four
-separate paths, and the single per-k path reproduces them.
-A variant-b-mid-reset digest (4541d11e...) was dropped when `evaluate` lost
-its QHP style: it had the same V and y estimates as variant-b, and differed
-only in two resource rows, the k = 1 width (4, not 2) and the k = 2 depth
-bound (8, not 6).
+even when every statistical test still passes.  A digest moves only on
+purpose, for one stated cause; CHANGES.md names each move and each rewrite
+that reproduced a digest.
 
-The evaluate digests whose draws come from a child stream changed once,
-on purpose, when RngStream stopped deriving child streams through NumPy's
-SeedSequence spawn tree and began to run each on the seed's one Philox key
-with its path of child indices in counter words 1-3 (sim.RngStream):
-  sampling-K2
-    was 47eaf97735c1d0611064f00aef7cc3ce37814bda9d1ea7e4ca9540fde882866f
-    now b0c7b1939e34e264fa7cde1c193e731a40b8cb547e67d4b03b4a39e3a1ab2d32
-  sampling-K3
-    was 75ccd0ae3470496950d044a57e283b1057b1aebb555b4d06f0f92bfa6abe22ba
-    now 8dc3c71cc5be8bcfa3c604d6c1ab04b9a1f1d5a7485a4badc5b48b66ce36b4d8
-  sampling-K3-forced
-    was c223320c66218bc281574b55a395817e622d8911ce250862aead48cad90851ed
-    now 7539fc86cebc61434cbcce299df88b388efd9ae7953b25378ffe039f04ca83e0
-  variant-a
-    was b8b9fb6d77b509f5cda07e5b7d34ccf560de70ff16e8bf6bcb154a9a71cfdc5b
-    now 01ef03fc40edb46e2c25efbcc2bd1e0b8ba6420720669fafc9f7c2eb33ddb081
-  variant-a-K3-N32
-    was 3dc7f69458ef56802aab30ce87124658a412b9dfdff4d7b1f6ba5964948de59b
-    now 98eb706f08c450d9df5452e296893995cece331378bd906d0705b58b43de0035
-  variant-b
-    was ec5723bc454f0ddbcc8366cfdba0ed2f8b3bbc29db806142a89bd3ac55c8d4f2
-    now b3d6169741ce5eb2012c7bcd0c8651d1f369c044dc0e71de9fa710dde9a9ebd1
-  variant-b-K3-N32
-    was a12aaf4f8b249a7f26dd23b91d91238c6b40b00223d76721f4901baa40bfd5ad
-    now 7bc7ed75d058adafcb5d441f0321cad04e35af663f0a1af2d749631a87a705d1
-  variant-c
-    was 7d156e3e83d86d7b0ba8ef12e8b400669470b83790060bff8993e127d3d91b3a
-    now 8741f7703744b6a69b162d9ef992006ed1d534f0e737f6e08c2bb0c4c8b400b1
-  variant-d-K1-s1
-    was 2c9e43662c7a0411003f9a1ababdc449386904c240aebd8942a67f16aab1cce8
-    now aae3bb1f7c917ec39bfbc48b48290fd85565ffaaf4368651bd8f844c85b6f501
-  variant-d-K2-s1
-    was b8d39a98d2d66e24019e84986f62c680e0dcf8aef3bd6d0550bdbe7ab3266505
-    now 1dc9f7cb85580c3539b40fe5dd16012e1591d77e9d930b451b5510cea373c2cb
-  variant-d-K2-s2
-    was 2b816711f39587f95d6aa76ad2b16dbc08d837f1ea9429e028e53ac7a186fd59
-    now 926efe0b9eb5ea88131714ade6395560007da586a8bb94f23721c289d34733e5
-Only the draws changed; the notes above on rewrites that reproduced a
-digest speak of its "was" value.  A root stream draws what it drew before, so the
-dynstop and BOE swap-test digests, which read RngStream(seed) itself, held,
-as did the exact and poly digests, which draw nothing.  The canonical
-digests held too: at seed 3 canonical QAE's median of modal phase
-readouts reads the same estimates from the new draws.
+Since dynamic stopping draws its shots from the closed-form survival chain
+and keeps no states, the two dynstop digests run on the statevector chain
+helpers.ref_dynamic_stopping, which reproduces them, and each asserts that
+qhp.run_with_dynamic_stopping gives the same outcomes.  Their state hashes
+were taken while amplitudes were complex128; amplitudes are now float64,
+and each state is hashed cast back to complex128, whose bytes are the same
+as then.
 
-The three sampling digests changed once more, on purpose, when Tang
-sampling stopped walking its samples down the tree one at a time and began
-to split each group's sample count down it by binomial draws
-(classical.tang_counts); the estimator's law and query count are the same:
-  sampling-K2
-    was b0c7b1939e34e264fa7cde1c193e731a40b8cb547e67d4b03b4a39e3a1ab2d32
-    now 52a7e40f9cff2053cf90f9b61314e8edd7e715a551de570ae1ba47307edf9b4b
-  sampling-K3
-    was 8dc3c71cc5be8bcfa3c604d6c1ab04b9a1f1d5a7485a4badc5b48b66ce36b4d8
-    now 2faca0d53cc3475c187f5c1b2f496685cfed7e475150840933283947af054dd0
-  sampling-K3-forced
-    was 7539fc86cebc61434cbcce299df88b388efd9ae7953b25378ffe039f04ca83e0
-    now ba93d1941c516819f822e12809e26c8339500c31bdd4722e97b3d75db81dd228
+The variant-a and variant-b K=3 digests on a seeded 32-point series pin
+states of up to 21 qubits (a) and 15 qubits (b), where the 4-point
+fixture's registers have 2.  The exact and poly digests draw nothing.
+
 The canonical-qae-runs digest pins canonical QAE's draws from a child
 stream: every run's multinomial counts and modal estimate, and their
 median, on a one-qubit oracle whose modal readout varies between runs.
 The three canonical evaluate digests can hold when those draws change.
 
 The resources-cli digest pins the exit code and output of 280 `qsim
-resources` requests, refusals included.  It was computed while each
-variant's resource rows were still written out on a per-variant if-chain
-in `assembly.resource_report`, and the `assembly.VARIANTS` table reproduces it.
+resources` requests, refusals included.
 
 The compare-inner digest pins the compare_inner experiment's CSV and JSON
 at its defaults: 400 fixed-shot estimates of variants a and b's readouts,
-each drawn on its own child stream.  It was computed while a child stream
-was still made through `RngStream.split` and its generator held in a
-cached property, and while the estimators drew through the stream's
-binomial and multinomial passthroughs.
+each drawn on its own child stream.
 
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
