@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field, asdict
 from typing import Callable
 
@@ -58,11 +59,12 @@ def _sampling_power(spec, config, k, inputs, eps_k, alpha_k, rng):
 class Variant:
     """What evaluate, resource_report and the CLI know of one variant.
 
-    A direct sum's V is `value(t, e, params, coeffs)`.  An estimating
-    variant's `inputs(spec, config, t, e)` makes what its powers read, once
-    per evaluate, T's series from `normalize(raw, eta)` first, for the
-    budget; `power(spec, config, k, inputs, eps_k, alpha_k, rng)` is power
-    k's per_k row, k = 0 included; a-d's reads power k >= 1 from
+    A direct sum's V is the reference that `value` names, "v_exact" or
+    "v_star", which evaluate computes once for every variant.  An
+    estimating variant's `inputs(spec, config, t, e)` makes what its powers
+    read, once per evaluate, T's series from `normalize(raw, eta)` first,
+    for the budget; `power(spec, config, k, inputs, eps_k, alpha_k, rng)`
+    is power k's per_k row, k = 0 included; a-d's reads power k >= 1 from
     `estimate(config, k, series_T, series_E, eps_k, alpha_k, rng)`.
     `resources(k, n, s)` is power k's width and depth bound at n = lg N,
     which evaluate's rows and resource_report share and golden digests pin;
@@ -72,7 +74,7 @@ class Variant:
     """
     row: Callable
     normalize: Callable = lambda raw, eta: normalize_affine(raw, eta)
-    value: Callable = None
+    value: str = None
     inputs: Callable = _series_inputs
     power: Callable = _estimated_power
     estimate: Callable = None
@@ -122,9 +124,8 @@ VARIANTS = {
             "boe_width": boe_width(1 << n, config.s), "boe_depth": boe_depth(1 << n, config.s),
             "oracle_complexity": "O(rho~_E rho~_T^k y~'_k^-1 eps^-1)",
             "samples": "O_alpha(1)"}),
-    "classical_exact": _direct(lambda t, e, params, coeffs: classical.exact_value(t, e, params)),
-    "classical_poly": _direct(
-        lambda t, e, params, coeffs: classical.classical_poly_value(t, e, coeffs)),
+    "classical_exact": _direct("v_exact"),
+    "classical_poly": _direct("v_star"),
     "classical_sampling": Variant(
         inputs=lambda spec, config, t, e: (spec.normalize(t, config.eta),
                                            classical.sampling_access(t, config.eta), e),
@@ -159,8 +160,9 @@ class VariantConfig:
     forced_epsilon_k: float = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
+            raise ValueError(f"'variant' must be one of {sorted(VARIANTS)}, "
+                             f"got {self.variant!r}")
         reals = ("eta", "epsilon", "beta") + (
             () if self.forced_epsilon_k is None else ("forced_epsilon_k",))
         for names, kind, noun in ((("K", "s", "seed", "shots"), numbers.Integral, "an integer"),
@@ -175,14 +177,16 @@ class VariantConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.epsilon == math.inf:
+            raise ValueError("epsilon must be finite")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0, 1)")
         if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
             raise ValueError("forced_epsilon_k must be positive")
         if self.engine not in ("iqae", "canonical"):
             raise ValueError(f"unknown QAE engine {self.engine!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if not 1 <= self.shots < 2**63:  # a binomial's limit
+            raise ValueError(f"shots must be in [1, 2^63), got {self.shots}")
 
 
 @dataclass
@@ -254,27 +258,35 @@ def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
 def evaluate(config, rawT, rawE, contract=None):
     """Estimate V = sum_k b_k y'_k for the requested variant.
 
-    A direct sum reports its value.  Every other variant reports one per_k
-    row per power k with b_k != 0, from its record's `power`, and sums
+    A direct sum reports one of the references v_exact and v_star, which
+    are computed once and must be finite.  Every other variant reports one
+    per_k row per power k with b_k != 0, from its record's `power`, and sums
     b_k y'_k over the rows from k = 0 upward.
     """
     t = validate_raw(rawT)
     e = validate_raw(rawE)
     params = contract.params if contract is not None else DEFAULT_PARAMS
     coeffs = classical.fit_polynomial(params, config.eta, config.K, config.fit_mode)
-    try:
-        v_exact = classical.exact_value(t, e, params)
-    except ValueError:
-        v_exact = None
-    v_star = classical.classical_poly_value(t, e, coeffs)
+    spec = VARIANTS[config.variant]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            v_exact = classical.exact_value(t, e, params)
+        except ValueError:
+            if spec.value == "v_exact":
+                raise  # the exact variant's own refusal
+            v_exact = None
+        references = {"v_exact": v_exact,
+                      "v_star": classical.classical_poly_value(t, e, coeffs)}
+    for name, value in references.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} = {value} overflows float64: series or eta too large")
 
     base = {"K": config.K, "eta": config.eta, "epsilon": config.epsilon,
             "beta": config.beta, "variant": config.variant,
             "fit_mode": coeffs.fit_mode, "b": [float(x) for x in coeffs.b]}
-    spec = VARIANTS[config.variant]
     V, per_k = 0.0, []
     if spec.value:
-        V = spec.value(t, e, params, coeffs)  # exact raises where it has no value
+        V = references[spec.value]
     else:
         inputs = spec.inputs(spec, config, t, e)
         budget = allocate_budget(coeffs, inputs[0].rho, config.epsilon, config.beta,
@@ -293,7 +305,7 @@ def evaluate(config, rawT, rawE, contract=None):
         for row in per_k:
             V += float(coeffs.b[row["k"]]) * row["y_prime_hat"]
     return RunReport(variant=config.variant, seed=config.seed, V=V,
-                     v_star=v_star, v_exact=v_exact, per_k=per_k, config=base)
+                     per_k=per_k, config=base, **references)
 
 
 def delta_gross_margin(config, rawT, contract, rawE):
@@ -332,12 +344,11 @@ def resource_report(config, N):
     check_length(N)
     n = int(math.log2(N))
     spec = VARIANTS[config.variant]
-    # before the fit, so that d refuses a bad split level first
-    costs = [spec.resources(k, n, s) for k in range(1, K + 1)]
     coeffs = classical.fit_polynomial(DEFAULT_PARAMS, config.eta, K, "taylor")
     unit_rho = allocate_budget(coeffs, 1.0, epsilon, config.beta, K).epsilon_k
     rows = []
-    for k, res in enumerate(costs, 1):
+    for k in range(1, K + 1):
+        res = spec.resources(k, n, s)
         row = {"k": k, "b_k": float(coeffs.b[k])}
         if k in unit_rho:
             row["epsilon_k_unit_rho"] = unit_rho[k]
@@ -367,10 +378,12 @@ def _pair_with_overlap(p):
 
 def _number(config, name, default, integer=False, least=None, below=None):
     """config[name] with the default filled in, checked, not cast: an int
-    when `integer`, else an int or a float (a bool is neither), >= `least`
-    and < `below` when given; ValueError naming the field otherwise."""
+    when `integer`, else an int or a float (a bool is neither), finite,
+    >= `least` and < `below` when given; ValueError naming the field
+    otherwise."""
     value = config.setdefault(name, default)
-    if type(value) not in ((int,) if integer else (int, float)):
+    if (type(value) not in ((int,) if integer else (int, float))
+            or not abs(value) <= sys.float_info.max):
         what = "a number (an integer)" if integer else "a number"
         raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
     if least is not None and value < least:
@@ -383,11 +396,11 @@ def _number(config, name, default, integer=False, least=None, below=None):
 def _numbers(config, name, default, valid=lambda v: type(v) in (int, float),
              what="numbers"):
     """config[name] with the default filled in: a list of one or more
-    numbers, each of which passes `valid`; ValueError naming the field and
-    `what` it must hold otherwise."""
+    finite numbers, each of which passes `valid`; ValueError naming the
+    field and `what` it must hold otherwise."""
     values = config.setdefault(name, default)
-    if not (isinstance(values, list) and values
-            and all(isinstance(v, (int, float)) for v in values)):
+    if not (isinstance(values, list) and values and all(
+            isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in values)):
         raise ValueError(f"config field {name!r} must be a list of one or more "
                          f"numbers, got {values!r}")
     if not all(valid(v) for v in values):
@@ -431,7 +444,7 @@ def run_experiment(name, config, out_dir):
 
 def _experiment_compare_inner(config):
     seed = _number(config, "seed", 0, integer=True)
-    shots = _number(config, "shots", 10000, integer=True, least=1)
+    shots = _number(config, "shots", 10000, integer=True, least=1, below=2**63)
     repeats = _number(config, "repeats", 100, integer=True, least=1)
     ps = _numbers(config, "p_values", [0.072, 0.767],
                   lambda p: type(p) in (int, float) and 0 < p <= 1, "numbers in (0, 1]")
@@ -480,8 +493,9 @@ def _experiment_error_scaling_k(config):
     Ns = _numbers(config, "N_values", [4, 8, 16, 32],
                   lambda n: _is_int(n) and n >= 4 and n & (n - 1) == 0,
                   "powers of two >= 4")
-    ks = _numbers(config, "k_values", [1, 2], lambda k: _is_int(k) and k >= 1,
-                  "integers >= 1")
+    ks = _numbers(config, "k_values", [1, 2],
+                  lambda k: _is_int(k) and 1 <= k <= classical.MAX_DEGREE,
+                  f"integers >= 1 and <= {classical.MAX_DEGREE}")
     repeats = _number(config, "repeats", 20, integer=True, least=1)
     eps0 = _number(config, "epsilon0", 0.1)
     if not eps0 > 0:
@@ -517,7 +531,7 @@ def _experiment_error_scaling_k(config):
 
 def _experiment_qae_vs_classical(config):
     seed = _number(config, "seed", 0, integer=True)
-    k = _number(config, "k", 2, integer=True, least=1)
+    k = _number(config, "k", 2, integer=True, least=1, below=classical.MAX_DEGREE + 1)
     repeats = _number(config, "repeats", 12, integer=True, least=1)
     epsilons = _numbers(
         config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177],

@@ -24,6 +24,7 @@ class SigmoidParams:
 
 
 DEFAULT_PARAMS = SigmoidParams(A=20000.0, B=-35.0, C=3.0, D=6000.0, T0=40.0)
+MAX_DEGREE = 32  # far above a useful fit; below where least squares overflows (160)
 
 
 def sigmoid_volume(tp, params):
@@ -78,6 +79,8 @@ def fit_polynomial(params, eta, K, mode="taylor", domain=None):
 def _fitted_b(params, eta, K, mode, domain):
     if K < 0:
         raise ValueError(f"degree must be >= 0, got {K}")
+    if K > MAX_DEGREE:
+        raise ValueError(f"degree must be <= {MAX_DEGREE}, got {K}")
     if domain is None:
         domain = (eta - 40.0, min(eta + 39.0, params.T0 - 1.0))
     lo, hi = domain
@@ -218,8 +221,11 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     size = sampling_group_size(epsilon)
     tree = v_access.tree
     leaf = tree.leaves * v_access.norm / tree.root
-    x_leaf = np.divide(v_access.norm**2 * w, leaf, out=np.zeros_like(leaf),
-                       where=leaf != 0.0)
+    with np.errstate(over="ignore"):
+        x_leaf = np.divide(v_access.norm**2 * w, leaf, out=np.zeros_like(leaf),
+                           where=leaf != 0.0)
+    if not np.isfinite(x_leaf).all():
+        raise ValueError("||v||^2 w_j overflows float64: the series are too large to sample")
     chunk = max(1, LIVE_ENTRIES // min(leaf.size, size))
     means = []
     for first in range(0, groups, chunk):

@@ -1,33 +1,33 @@
-"""Command line interface.
-
-Exit codes: 0 success, 2 assumption violation, 3 I/O error.
-"""
+"""Command line interface; exit codes 0 success, 2 refusal, 3 I/O, 1 a bug."""
 
 import json
 import os
-import sys
 
 import click
 
 from . import assembly, classical
 from .classical import SigmoidParams
 from .encoding import read_series
-from .errors import AssumptionError
 
 VARIANT_ALIASES = {name.removeprefix("classical_"): name for name in assembly.VARIANTS}
 
 
-def _fail_io(exc):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(3)
+class _Main(click.Group):
+    """Maps every command's refusals to exit codes: I/O and malformed JSON to 3,
+    then any other ValueError (AssumptionError is one) to 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OSError, json.JSONDecodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(3)
+        except ValueError as exc:
+            click.echo(f"assumption violated: {exc}", err=True)
+            ctx.exit(2)
 
 
-def _fail_assumption(exc):
-    click.echo(f"assumption violated: {exc}", err=True)
-    sys.exit(2)
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Statevector simulation of hybrid bilinear risk evaluation."""
 
@@ -53,29 +53,17 @@ def main():
 def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
              engine, fit_mode, out_dir):
     """Estimate V = sum_k b_k y'_k for one variant and one data pair."""
-    try:
-        raw_t = read_series(input_t)
-        raw_e = read_series(input_e)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail_io(exc)
-    except ValueError as exc:
-        _fail_assumption(exc)
+    raw_t = read_series(input_t)
+    raw_e = read_series(input_e)
     mode = "least_squares" if fit_mode == "lsq" else "taylor"
-    try:
-        config = assembly.VariantConfig(
-            variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
-            beta=beta, s=s, engine=engine, fit_mode=mode, seed=seed)
-        report = assembly.evaluate(config, raw_t, raw_e)
-    except (AssumptionError, ValueError) as exc:
-        _fail_assumption(exc)
-    payload = report.to_dict()
-    click.echo(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    config = assembly.VariantConfig(
+        variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
+        beta=beta, s=s, engine=engine, fit_mode=mode, seed=seed)
+    report = assembly.evaluate(config, raw_t, raw_e)
+    click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True, default=float))
     if out_dir is not None:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            report.to_json(os.path.join(out_dir, f"evaluate_{variant}.json"))
-        except OSError as exc:
-            _fail_io(exc)
+        os.makedirs(out_dir, exist_ok=True)
+        report.to_json(os.path.join(out_dir, f"evaluate_{variant}.json"))
 
 
 @main.command()
@@ -85,17 +73,9 @@ def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
               type=click.Path())
 def experiment(name, config_path, out_dir):
     """Run a named experiment; writes CSV plus a JSON sidecar."""
-    try:
-        with open(config_path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail_io(exc)
-    try:
-        summary = assembly.run_experiment(name, config, out_dir)
-    except (AssumptionError, ValueError) as exc:
-        _fail_assumption(exc)
-    except OSError as exc:
-        _fail_io(exc)
+    with open(config_path) as fh:
+        config = json.load(fh)
+    summary = assembly.run_experiment(name, config, out_dir)
     click.echo(json.dumps({"experiment": name, "summary": summary},
                           indent=2, sort_keys=True, default=float))
 
@@ -110,12 +90,9 @@ def experiment(name, config_path, out_dir):
 @click.option("--epsilon", default=0.05, show_default=True, type=float)
 def resources(variant, N, K, s, epsilon):
     """Closed-form width/depth/sample counts per power k."""
-    try:
-        config = assembly.VariantConfig(variant=VARIANT_ALIASES[variant], K=K,
-                                        s=s, epsilon=epsilon)
-        table = assembly.resource_report(config, N)
-    except ValueError as exc:
-        _fail_assumption(exc)
+    config = assembly.VariantConfig(variant=VARIANT_ALIASES[variant], K=K,
+                                    s=s, epsilon=epsilon)
+    table = assembly.resource_report(config, N)
     click.echo(json.dumps(table, indent=2, sort_keys=True, default=float))
 
 
@@ -146,10 +123,7 @@ def fit(params, mode, K, eta, domain):
             raise click.BadParameter("expected LO,HI", param_hint="--domain") from None
         window = (lo, hi)
     fit_mode = "least_squares" if mode == "lsq" else "taylor"
-    try:
-        coeffs = classical.fit_polynomial(sig, eta, K, fit_mode, window)
-    except ValueError as exc:
-        _fail_assumption(exc)
+    coeffs = classical.fit_polynomial(sig, eta, K, fit_mode, window)
     click.echo(json.dumps({"K": K, "eta": eta, "mode": fit_mode,
                            "b": [float(x) for x in coeffs.b]},
                           indent=2, sort_keys=True))

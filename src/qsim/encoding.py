@@ -66,11 +66,21 @@ class NormalizedSeries:
         return int(math.log2(self.values.size))
 
 
+def _shifted(raw, eta, power):
+    """(raw - eta, sum (raw - eta)^power); ValueError where the sum overflows."""
+    arr = validate_raw(raw)
+    with np.errstate(over="ignore"):
+        shifted = arr - eta
+        total = float((shifted**power).sum())
+    if not math.isfinite(total):
+        raise ValueError(f"sum (x - eta)^{power} overflows float64 for the series "
+                         f"of largest entry {float(arr.max())!r} at eta={eta!r}")
+    return shifted, total
+
+
 def normalize_affine(raw, eta):
     """values_j = rho * (raw_j - eta) with rho = (sum (raw-eta)^2)^(-1/2)."""
-    arr = validate_raw(raw)
-    shifted = arr - eta
-    sq = float((shifted**2).sum())
+    shifted, sq = _shifted(raw, eta, 2)
     if sq <= 0.0:
         raise ValueError("all entries equal eta: zero norm")
     if (shifted <= 0.0).any():
@@ -81,11 +91,10 @@ def normalize_affine(raw, eta):
 
 def normalize_sqrt(raw, eta):
     """values_j = rho * sqrt(raw_j - eta) with rho = (sum (raw-eta))^(-1/2)."""
-    arr = validate_raw(raw)
-    shifted = arr - eta
+    shifted, total = _shifted(raw, eta, 1)
     if (shifted <= 0.0).any():
         raise AssumptionError("sqrt normalization requires raw_j - eta > 0")
-    rho = 1.0 / math.sqrt(float(shifted.sum()))
+    rho = 1.0 / math.sqrt(total)
     return NormalizedSeries(values=rho * np.sqrt(shifted), rho=rho,
                             eta=float(eta), mode="sqrt")
 
@@ -252,9 +261,8 @@ def read_series(path):
     text_path = str(path)
     if text_path.endswith(".json"):
         with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
+            data = json.load(fh, parse_int=float)  # an int beyond float64 reads inf
+        if not (isinstance(data, list) and all(type(x) is float for x in data)):
             raise ValueError("a JSON series must be a flat array of numbers")
         return validate_raw(data)
     with open(path, newline="") as fh:

@@ -1,13 +1,9 @@
 """Exception types shared across the package."""
 
 
-class QsimError(Exception):
-    """Base class for package-specific failures."""
+class AssumptionError(ValueError):
+    """Input violates a modelling assumption; a ValueError, as every refusal is."""
 
 
-class AssumptionError(QsimError):
-    """Input data violates a modelling assumption (positivity, domain, ...)."""
-
-
-class ZeroBranchError(QsimError):
+class ZeroBranchError(Exception):
     """Post-selection on a branch whose probability is numerically zero."""

@@ -142,6 +142,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="shots"):
             VariantConfig(variant="c", K=1, eta=10.0, shots=shots)
 
+    def test_shots_of_2_to_the_63_rejected(self):
+        # a binomial draw of 2^63 shots once ended in an OverflowError
+        with pytest.raises(ValueError, match="shots"):
+            VariantConfig(variant="c", K=1, eta=10.0, shots=2**63)
+
     def test_unknown_engine_rejected(self):
         # a misspelt engine used to run IQAE silently
         with pytest.raises(ValueError, match="engine"):
@@ -262,6 +267,18 @@ class TestBuildOnce:
         evaluate(VariantConfig(variant="classical_sampling", K=3, eta=10.0,
                                epsilon=0.1, seed=1), RAW_T, RAW_E)
         assert len(trees) == 1
+
+    @pytest.mark.parametrize("variant, reference", [
+        ("classical_exact", "v_exact"), ("classical_poly", "v_star"), ("b", None)])
+    def test_one_direct_sum_of_each_per_evaluate(self, monkeypatch, variant, reference):
+        # a direct sum's V is the reference already computed, not a second sum
+        exact = recorded_calls(monkeypatch, classical, "exact_value")
+        poly = recorded_calls(monkeypatch, classical, "classical_poly_value")
+        report = evaluate(VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1,
+                                        seed=1), RAW_T, RAW_E)
+        assert (len(exact), len(poly)) == (1, 1)
+        if reference:
+            assert report.V == getattr(report, reference)
 
     def test_second_evaluate_runs_no_fit(self):
         cfg = VariantConfig(variant="c", K=2, eta=7.5, epsilon=0.1, seed=1)

@@ -79,6 +79,12 @@ class TestFit:
         for b, target in zip(coeffs.b, targets):
             assert abs(b - target) / abs(target) < 0.01
 
+    @pytest.mark.parametrize("K", [33, 2**128])
+    def test_degree_above_32_refused(self, K):
+        # a degree of 2^128 once looped without end, and 320 overflowed
+        with pytest.raises(ValueError, match="degree must be <= 32"):
+            fit_polynomial(DEFAULT_PARAMS, 0.0, K, "taylor")
+
     def test_least_squares_coefficients(self):
         coeffs = fit_polynomial(DEFAULT_PARAMS, 0.0, 3, "least_squares",
                                 domain=(-15.0, 30.0))
@@ -253,6 +259,12 @@ class TestSampling:
         access = SampleAccess(tree=tree, norm=1.0)
         with pytest.raises(ValueError, match="zero subtree"):
             tang_inner(access, np.ones(4), 0.5, 0.9, RngStream(0))
+
+    def test_tang_inner_weight_overflowing_float64_refused(self):
+        # ||v||^2 w_j overflowed to inf, and evaluate reported V = -inf
+        access = SampleAccess.from_values([1e154, 1.0])
+        with pytest.raises(ValueError, match="overflows float64"):
+            tang_inner(access, [1e154, 1.0], 0.1, 0.9, RngStream(0))
 
     def test_tang_counts_unreached_zero_subtree(self):
         # the root's right child has no weight, so no sample reaches its zero

@@ -84,6 +84,26 @@ class TestEvaluate:
         assert result.output == ("assumption violated: temperature must stay "
                                  "below T0=40.0\n")
 
+    @pytest.mark.parametrize("variant, option", [
+        ("c", "--input-e"), ("d", "--input-e"), ("b", "--input-t"),
+        ("sampling", "--input-t"), ("poly", "--input-t")])
+    def test_series_overflowing_float64_exit_2(self, runner, data_files, tmp_path,
+                                               variant, option):
+        # c and d once ended in a ZeroDivisionError as rho was 0, b and
+        # sampling in one raising 0.0 to a negative power, and poly exited 0
+        # with V = -Infinity, which is not JSON
+        t, e = data_files
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1e308\n1e308\n12\n13\n")
+        files = {"--input-t": t, "--input-e": e, option: str(huge)}
+        result = runner.invoke(main, ["evaluate", "--variant", variant, "--eta", "10",
+                                      "--input-t", files["--input-t"],
+                                      "--input-e", files["--input-e"]])
+        assert result.exit_code == 2
+        assert result.output.startswith("assumption violated: ")
+        assert "overflows float64" in result.output
+        assert result.output.count("\n") == 1
+
     def test_missing_file_exit_3(self, runner, data_files):
         _t, e = data_files
         result = runner.invoke(main, ["evaluate", "--variant", "b",
@@ -317,6 +337,8 @@ class TestExperiment:
                              "k_values": [1]}, "'epsilon0' must be a number"),
         ("compare_inner", {"p_values": [True], "repeats": 1, "shots": 10},
          "'p_values' must hold numbers"),
+        # a list once ended in a TypeError traceback: unhashable type
+        ("end_to_end", {"seeds": [0], "K": 2, "variant": []}, "'variant' must be one of"),
     ])
     def test_config_of_wrong_type_exit_2(self, runner, tmp_path, name, config,
                                           message):
@@ -352,8 +374,18 @@ class TestExperiment:
         ("qae_vs_classical", {"eta": 100, "repeats": 1}, "'eta' must be < 12"),
         ("error_scaling_k", {"eta": 12, "repeats": 1, "N_values": [4],
                              "k_values": [1]}, "'eta' must be < 12"),
+        # each once ended in a traceback: a ZeroDivisionError at k = 2^128,
+        # and an OverflowError at shots = 2^128 or an integer beyond float64
+        ("qae_vs_classical", {"k": 2**128, "repeats": 1}, "'k' must be < 33"),
+        ("error_scaling_k", {"k_values": [2**128], "repeats": 1, "N_values": [4]},
+         "'k_values' must hold integers >= 1 and <= 32"),
+        ("compare_inner", {"shots": 2**128, "repeats": 1},
+         "'shots' must be < 9223372036854775808"),
+        ("end_to_end", {"seeds": [0], "rawE": [10**400, 1, 1, 1]},
+         "'rawE' must be a list of one or more numbers"),
     ], ids=["p-above-1", "p-zero", "p-negative", "epsilon-negative", "epsilon-zero",
-            "epsilon0-zero", "epsilon0-negative", "k-zero", "eta-100", "eta-12"])
+            "epsilon0-zero", "epsilon0-negative", "k-zero", "eta-100", "eta-12",
+            "k-2^128", "k_values-2^128", "shots-2^128", "rawE-10^400"])
     def test_config_out_of_range_names_field(self, runner, tmp_path, monkeypatch,
                                              name, config, message):
         # refused before any estimate is drawn
@@ -428,6 +460,13 @@ class TestResources:
         result = runner.invoke(main, ["resources", "--variant", "b",
                                       "--n", "16", "--epsilon", "-1"])
         assert result.exit_code == 2
+
+    def test_infinite_epsilon_exit_2(self, runner):
+        # once exited 0 with Infinity in the report, which is not JSON
+        result = runner.invoke(main, ["resources", "--variant", "b",
+                                      "--n", "16", "--epsilon", "inf"])
+        assert result.exit_code == 2
+        assert result.output == "assumption violated: epsilon must be finite\n"
 
     def test_split_level_lg_n_accepted(self, runner):
         result = runner.invoke(main, ["resources", "--variant", "d",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,14 @@ class TestNormalization:
         assert np.linalg.norm(series.values) == pytest.approx(1.0)
         np.testing.assert_allclose((series.values / series.rho) ** 2 + series.eta,
                                    raw, atol=1e-12)
+
+    @pytest.mark.parametrize("normalize, power", [(normalize_affine, 2), (normalize_sqrt, 1)])
+    def test_sum_overflowing_float64_refused(self, normalize, power):
+        # rho was 0 where the sum overflowed; no RuntimeWarning may escape
+        with pytest.raises(ValueError, match=re.escape(
+                f"sum (x - eta)^{power} overflows float64 for the series of "
+                "largest entry 1e+308 at eta=10.0")):
+            normalize([1e308, 1e308, 12.0, 13.0], 10.0)
 
     def test_sqrt_rho_value(self):
         raw = np.array([12.0, 17.0, 23.0, 28.0])

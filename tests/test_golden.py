@@ -28,7 +28,9 @@ resources` requests, refusals included.
 
 The compare-inner digest pins the compare_inner experiment's CSV and JSON
 at its defaults: 400 fixed-shot estimates of variants a and b's readouts,
-each drawn on its own child stream.
+each drawn on its own child stream.  The error-scaling-k, qae-vs-classical,
+end-to-end and resource-table digests pin the other four experiments' CSV
+and JSON at their defaults in the same way.
 
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
@@ -123,14 +125,11 @@ def _canonical_runs(z, m, medians, seed):
             "z_hat": z_hat}
 
 
-def _compare_inner():
-    """The compare_inner experiment's CSV and JSON at its defaults: 2 p
-    values x 2 methods x 100 fixed-shot estimates, each on its own child
-    stream."""
+def _experiment(name):
+    """The named experiment's CSV and JSON at its defaults."""
     with tempfile.TemporaryDirectory() as tmp:
-        assembly.run_experiment("compare_inner", {}, tmp)
-        return [(Path(tmp) / f"compare_inner.{ext}").read_text()
-                for ext in ("csv", "json")]
+        assembly.run_experiment(name, {}, tmp)
+        return [(Path(tmp) / f"{name}.{ext}").read_text() for ext in ("csv", "json")]
 
 
 def _resources():
@@ -213,8 +212,20 @@ CASES = {
         lambda: _boe_swap(1, 1, 2000, 13),
         "1ce8aa1e5fa727477045e516557cc351cde00bb0488259b7e02bc9f85cbe1d3c"),
     "compare-inner": (
-        _compare_inner,
+        lambda: _experiment("compare_inner"),
         "c59f594b30016e997f81dbc4346411c315bd2a4453a9c36d4dcafefabdd34d6c"),
+    "error-scaling-k": (
+        lambda: _experiment("error_scaling_k"),
+        "f6a70799746e5b72859e3d7eb2526acc3cbff37a5c04de62a8e51e1c6a0a08ec"),
+    "qae-vs-classical": (
+        lambda: _experiment("qae_vs_classical"),
+        "444b881991f2044056cd93a67693104aaec0b4719c13a724228eb7faea16f656"),
+    "end-to-end": (
+        lambda: _experiment("end_to_end"),
+        "0a5f3ecf66d4e7ab671b857f3426e5ff1d94721a25d4f8031f31dbaadca3364b"),
+    "resource-table": (
+        lambda: _experiment("resource_table"),
+        "1114fad0ba6158ba67b662b766afe6777d86f3a6e33115c08c3d8139fccd3c1e"),
     "resources-cli": (
         _resources,
         "a74a6d64957b2cdb716b383985ef681f8980c24e40f0354a7a17546d3a767d45"),
