@@ -7,6 +7,8 @@ carry the seed and no timestamps.
 """
 
 import csv
+import functools
+import itertools
 import json
 import math
 import numbers
@@ -21,7 +23,6 @@ from . import classical, inner, qae
 from .classical import DEFAULT_PARAMS, SigmoidParams
 from .encoding import (boe_depth, boe_width, check_length, normalize_affine,
                        normalize_sqrt, validate_raw)
-from .errors import AssumptionError
 from .sim import RngStream
 
 
@@ -265,6 +266,9 @@ def evaluate(config, rawT, rawE, contract=None):
     """
     t = validate_raw(rawT)
     e = validate_raw(rawE)
+    if t.size != e.size:
+        raise ValueError(f"T has {t.size} entries and E has {e.size}: "
+                         "the series must be of one length")
     params = contract.params if contract is not None else DEFAULT_PARAMS
     coeffs = classical.fit_polynomial(params, config.eta, config.K, config.fit_mode)
     spec = VARIANTS[config.variant]
@@ -320,7 +324,7 @@ def delta_gross_margin(config, rawT, contract, rawE):
     e = validate_raw(rawE)
     asp_series = np.full_like(e, float(contract.asp))
     if contract.asp <= 0 or np.any(e <= 0):
-        raise AssumptionError("asp and price series must be positive")
+        raise ValueError("asp and price series must be positive")
 
     pieces = []
     for i, (tt, ee) in enumerate([(rawT, asp_series), (rawT, e),
@@ -364,16 +368,15 @@ def resource_report(config, N):
 # Experiment harness
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return x
-
-
 def _pair_with_overlap(p):
     """Two positive 2-vectors with inner product p."""
     phi = 0.5 * math.asin(p)
     return [math.cos(phi), math.sin(phi)], [math.sin(phi), math.cos(phi)]
+
+
+_FIXTURE_T, _FIXTURE_E = (12.0, 17.0, 23.0, 28.0), (30.0, 24.0, 36.0, 28.0)
+# at most this many repeats, fixture points or grid cells in one experiment
+GRID_LIMIT = 2**20
 
 
 def _number(config, name, default, integer=False, least=None, below=None):
@@ -394,10 +397,10 @@ def _number(config, name, default, integer=False, least=None, below=None):
 
 
 def _numbers(config, name, default, valid=lambda v: type(v) in (int, float),
-             what="numbers"):
-    """config[name] with the default filled in: a list of one or more
-    finite numbers, each of which passes `valid`; ValueError naming the
-    field and `what` it must hold otherwise."""
+             what="numbers", axis=0):
+    """config[name] with the default filled in: a list of one or more finite
+    numbers that pass `valid`, and for a grid axis `axis` or more, none twice;
+    ValueError naming the field and what it must hold otherwise."""
     values = config.setdefault(name, default)
     if not (isinstance(values, list) and values and all(
             isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in values)):
@@ -405,126 +408,97 @@ def _numbers(config, name, default, valid=lambda v: type(v) in (int, float),
                          f"numbers, got {values!r}")
     if not all(valid(v) for v in values):
         raise ValueError(f"config field {name!r} must hold {what}, got {values!r}")
+    if axis and not len(values) == len(set(values)) >= axis:
+        raise ValueError(f"config field {name!r} must hold {axis} or more values, "
+                         f"none twice, got {values!r}")
     return values
 
 
-def _is_int(value):
-    return type(value) is int
+def _grid(rng, axes, draw):
+    """[draw(*cell, stream)] over the product of the values of `axes`, a dict
+    keyed by axis name, in product order, cell i on rng's child i + 1; a
+    grid over GRID_LIMIT cells is refused before any draw, naming its axes."""
+    cells = math.prod(len(values) for values in axes.values())
+    if cells > GRID_LIMIT:
+        raise ValueError(f"the grid over {' x '.join(map(repr, axes))} has {cells} "
+                         f"cells, more than {GRID_LIMIT}")
+    return [draw(*cell, rng.child()) for cell in itertools.product(*axes.values())]
 
 
-def run_experiment(name, config, out_dir):
-    """Run a named experiment; writes <name>.csv and the <name>.json sidecar
-    (the config with its defaults filled in, and the summary)."""
-    if not isinstance(config, dict):
-        raise ValueError("an experiment config must be a JSON object, "
-                         f"not a {type(config).__name__}")
-    os.makedirs(out_dir, exist_ok=True)
-    handlers = {
-        "compare_inner": _experiment_compare_inner,
-        "error_scaling_k": _experiment_error_scaling_k,
-        "qae_vs_classical": _experiment_qae_vs_classical,
-        "end_to_end": _experiment_end_to_end,
-        "resource_table": _experiment_resource_table,
-    }
-    if name not in handlers:
-        raise ValueError(f"unknown experiment {name!r}; choose from {sorted(handlers)}")
-    config = dict(config)
-    header, rows, summary = handlers[name](config)
-    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-    with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-        json.dump({"experiment": name, "config": config, "summary": summary},
-                  fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    return summary
+def _grouped(rows, column, reduce=np.mean):
+    """reduce(row[column]) over the rows that share their first two entries,
+    read in row order, keyed by those two entries."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[:2]), []).append(row[column])
+    return {key: float(reduce(values)) for key, values in groups.items()}
+
+
+def _fixture_series(N, eta, k):
+    """The 4-point fixture tiled to N points: its series, y_k and y'_k."""
+    t, e = np.tile(_FIXTURE_T, N // 4), np.tile(_FIXTURE_E, N // 4)
+    ser_t, ser_e = normalize_affine(t, eta), normalize_affine(e, 0.0)
+    y_exact = float(np.sum(ser_e.values * ser_t.values**k))
+    return ser_t, ser_e, y_exact, y_exact / (ser_t.rho**k * ser_e.rho)
 
 
 def _experiment_compare_inner(config):
     seed = _number(config, "seed", 0, integer=True)
     shots = _number(config, "shots", 10000, integer=True, least=1, below=2**63)
-    repeats = _number(config, "repeats", 100, integer=True, least=1)
+    repeats = _number(config, "repeats", 100, integer=True, least=1, below=GRID_LIMIT + 1)
     ps = _numbers(config, "p_values", [0.072, 0.767],
-                  lambda p: type(p) in (int, float) and 0 < p <= 1, "numbers in (0, 1]")
-    rng = RngStream(seed)
-    rows = []
-    summary = {}
-    for p in ps:
-        v0, v1 = _pair_with_overlap(p)
-        ser_a = normalize_affine(v0, 0.0)
-        ser_b = normalize_affine(v1, 0.0)
-        for method in ("swap", "ancilla_free"):
-            estimates = []
-            for rep in range(repeats):
-                stream = rng.child()
-                if method == "swap":
-                    est = inner.estimate_yk_swap(ser_a, ser_b, 1, 0.05, 0.9,
-                                                 stream, shots=shots)
-                else:
-                    est = inner.estimate_yk_variant_ab(ser_a, ser_b, 1,
-                                                       "no_mid_reset", 0.05,
-                                                       0.9, stream, shots=shots)
-                estimates.append(est.y_hat)
-                rows.append([method, p, rep, est.y_hat])
-            summary[f"var_{method}_p{p}"] = float(np.var(estimates))
-            summary[f"mean_{method}_p{p}"] = float(np.mean(estimates))
-    for p in ps:
-        # null when every ancilla-free estimate came out the same
+                  lambda p: type(p) in (int, float) and 0 < p <= 1, "numbers in (0, 1]", axis=1)
+    # each p's pair is built once, on its first draw, and keeps its readouts
+    pair = functools.cache(lambda p: [normalize_affine(v, 0.0) for v in _pair_with_overlap(p)])
+
+    def draw(p, method, rep, stream):
+        est = (inner.estimate_yk_swap(*pair(p), 1, 0.05, 0.9, stream, shots=shots)
+               if method == "swap" else inner.estimate_yk_variant_ab(
+                   *pair(p), 1, "no_mid_reset", 0.05, 0.9, stream, shots=shots))
+        return [method, p, rep, est.y_hat]
+
+    rows = _grid(RngStream(seed), {"p_values": ps, "method": ("swap", "ancilla_free"),
+                                   "repeats": range(repeats)}, draw)
+    summary = {f"{stat}_{method}_p{p}": value
+               for stat, reduce in (("var", np.var), ("mean", np.mean))
+               for (method, p), value in _grouped(rows, 3, reduce).items()}
+    for p in ps:  # null when every ancilla-free estimate came out the same
         free = summary[f"var_ancilla_free_p{p}"]
-        summary[f"variance_ratio_p{p}"] = (summary[f"var_swap_p{p}"] / free
-                                           if free else None)
+        summary[f"variance_ratio_p{p}"] = summary[f"var_swap_p{p}"] / free if free else None
     return ["method", "p", "repeat", "estimate"], rows, summary
-
-
-def _base_fixture(N):
-    """Deterministic positive fixture obtained by tiling a base block."""
-    base_t = np.array([12.0, 17.0, 23.0, 28.0])
-    base_e = np.array([30.0, 24.0, 36.0, 28.0])
-    reps = N // 4
-    return np.tile(base_t, reps), np.tile(base_e, reps)
 
 
 def _experiment_error_scaling_k(config):
     seed = _number(config, "seed", 0, integer=True)
-    # _base_fixture tiles a 4-point block, so N must be a multiple of 4,
-    # and the Grover states need a power of two
+    # the fixture tiles a 4-point block, and the Grover states need a power of two
     Ns = _numbers(config, "N_values", [4, 8, 16, 32],
-                  lambda n: _is_int(n) and n >= 4 and n & (n - 1) == 0,
-                  "powers of two >= 4")
+                  lambda n: type(n) is int and 4 <= n <= GRID_LIMIT and n & (n - 1) == 0,
+                  f"powers of two >= 4 and <= {GRID_LIMIT}", axis=1)
     ks = _numbers(config, "k_values", [1, 2],
-                  lambda k: _is_int(k) and 1 <= k <= classical.MAX_DEGREE,
-                  f"integers >= 1 and <= {classical.MAX_DEGREE}")
-    repeats = _number(config, "repeats", 20, integer=True, least=1)
+                  lambda k: type(k) is int and 1 <= k <= classical.MAX_DEGREE,
+                  f"integers >= 1 and <= {classical.MAX_DEGREE}", axis=1)
+    repeats = _number(config, "repeats", 20, integer=True, least=1, below=GRID_LIMIT + 1)
     eps0 = _number(config, "epsilon0", 0.1)
     if not eps0 > 0:
         raise ValueError(f"config field 'epsilon0' must be > 0, got {eps0!r}")
     eta = _number(config, "eta", 0.0, below=12)  # the fixture's least T
-    rng = RngStream(seed)
-    rows = []
-    summary = {"ratios": {}}
     qcfg = VariantConfig("c", shots=_number(config, "shots", 100, integer=True, least=1))
+    series = functools.cache(_fixture_series)  # once per (k, N), on its first draw
+
+    def draw(k, N, rep, stream):
+        ser_t, ser_e, y_exact, y_prime_exact = series(N, eta, k)
+        eps_k = eps0 * N ** (-(k - 1) / 2.0)
+        est = qae.estimate_yk_variant_c(ser_t, ser_e, k, eps_k, 0.9, qcfg, stream)
+        rel = abs(est.y_prime_hat - y_prime_exact) / abs(y_prime_exact)
+        return [k, N, rep, eps_k, est.y_hat, y_exact, rel]
+
+    rows = _grid(RngStream(seed), {"k_values": ks, "N_values": Ns,
+                                   "repeats": range(repeats)}, draw)
+    means = _grouped(rows, 6)
+    summary = {"ratios": {}}
     for k in ks:
-        means = {}
-        for N in Ns:
-            t, e = _base_fixture(N)
-            ser_t = normalize_affine(t, eta)
-            ser_e = normalize_affine(e, 0.0)
-            y_exact = float(np.sum(ser_e.values * ser_t.values**k))
-            y_prime_exact = y_exact / (ser_t.rho**k * ser_e.rho)
-            eps_k = eps0 * N ** (-(k - 1) / 2.0)
-            errs = []
-            for rep in range(repeats):
-                est = qae.estimate_yk_variant_c(ser_t, ser_e, k, eps_k, 0.9,
-                                                qcfg, rng.child())
-                rel = abs(est.y_prime_hat - y_prime_exact) / abs(y_prime_exact)
-                errs.append(rel)
-                rows.append([k, N, rep, eps_k, est.y_hat, y_exact, rel])
-            means[N] = float(np.mean(errs))
-        ratio = max(means.values()) / min(means.values())
-        summary[f"k{k}_mean_rel_err"] = means
-        summary["ratios"][f"k{k}"] = ratio
+        by_N = summary[f"k{k}_mean_rel_err"] = {N: means[k, N] for N in Ns}
+        summary["ratios"][f"k{k}"] = max(by_N.values()) / min(by_N.values())
     return (["k", "N", "repeat", "epsilon_k", "y_hat", "y_exact", "rel_error"],
             rows, summary)
 
@@ -532,38 +506,29 @@ def _experiment_error_scaling_k(config):
 def _experiment_qae_vs_classical(config):
     seed = _number(config, "seed", 0, integer=True)
     k = _number(config, "k", 2, integer=True, least=1, below=classical.MAX_DEGREE + 1)
-    repeats = _number(config, "repeats", 12, integer=True, least=1)
+    repeats = _number(config, "repeats", 12, integer=True, least=1, below=GRID_LIMIT + 1)
+    # the log-log slope needs two distinct points
     epsilons = _numbers(
         config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177],
-        lambda eps: type(eps) in (int, float) and eps > 0, "numbers > 0")
+        lambda eps: type(eps) in (int, float) and eps > 0, "numbers > 0", axis=2)
     eta = _number(config, "eta", 0.0, below=12)  # the fixture's least T
-    rng = RngStream(seed)
-    t, e = _base_fixture(4)
-    ser_t = normalize_affine(t, eta)
-    ser_e = normalize_affine(e, 0.0)
-    access = classical.sampling_access(t, eta)
-    y_exact = float(np.sum(ser_e.values * ser_t.values**k))
-    y_prime_exact = y_exact / (ser_t.rho**k * ser_e.rho)
+    ser_t, ser_e, _y_exact, y_prime_exact = _fixture_series(4, eta, k)
+    access, e = classical.sampling_access(_FIXTURE_T, eta), _FIXTURE_E
     qcfg = VariantConfig("c", shots=_number(config, "shots", 100, integer=True, least=1))
 
-    rows = []
-    curves = {"iqae": [], "classical": []}
-    for eps in epsilons:
-        errs_q, calls_q, errs_c, calls_c = [], [], [], []
-        for rep in range(repeats):
-            est = qae.estimate_yk_variant_c(ser_t, ser_e, k, eps, 0.9, qcfg,
-                                            rng.child())
-            errs_q.append(abs(est.y_prime_hat - y_prime_exact) / y_prime_exact)
-            calls_q.append(est.shots_used)
-            rows.append(["iqae", eps, rep, est.shots_used, errs_q[-1]])
-            val, queries = classical.estimate_yk_sampling(access, e, k, eps, 0.9,
-                                                          rng.child())
-            errs_c.append(abs(val - y_prime_exact) / y_prime_exact)
-            calls_c.append(queries)
-            rows.append(["classical", eps, rep, queries, errs_c[-1]])
-        curves["iqae"].append((float(np.mean(calls_q)), float(np.mean(errs_q))))
-        curves["classical"].append((float(np.mean(calls_c)), float(np.mean(errs_c))))
+    def draw(eps, rep, method, stream):
+        if method == "iqae":
+            est = qae.estimate_yk_variant_c(ser_t, ser_e, k, eps, 0.9, qcfg, stream)
+            value, cost = est.y_prime_hat, est.shots_used
+        else:
+            value, cost = classical.estimate_yk_sampling(access, e, k, eps, 0.9, stream)
+        return [method, eps, rep, cost, abs(value - y_prime_exact) / y_prime_exact]
 
+    rows = _grid(RngStream(seed), {"epsilons": epsilons, "repeats": range(repeats),
+                                   "method": ("iqae", "classical")}, draw)
+    costs, errors = _grouped(rows, 3), _grouped(rows, 4)
+    curves = {method: [(costs[method, eps], errors[method, eps]) for eps in epsilons]
+              for method in ("iqae", "classical")}
     slopes = {}
     for method, pts in curves.items():
         x = np.log10([p[0] for p in pts])
@@ -574,7 +539,7 @@ def _experiment_qae_vs_classical(config):
 
 
 def _experiment_end_to_end(config):
-    seeds = _numbers(config, "seeds", [0, 1, 2, 3, 4], _is_int, "integers")
+    seeds = _numbers(config, "seeds", [0, 1, 2, 3, 4], lambda v: type(v) is int, "integers")
     K = _number(config, "K", 3, integer=True)
     variant = config.setdefault("variant", "c")
     forced = (None if config.setdefault("forced_epsilon_k", 0.04) is None
@@ -586,19 +551,13 @@ def _experiment_end_to_end(config):
                             lambda v: type(v) in (int, float) and v < DEFAULT_PARAMS.T0,
                             f"numbers below T0 = {DEFAULT_PARAMS.T0:g}"), dtype=float)
     e = np.asarray(_numbers(config, "rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
-    rows = []
-    rels = []
-    for seed in seeds:
-        cfg = VariantConfig(variant=variant, K=K, eta=eta, epsilon=0.05,
-                            beta=0.9, seed=seed, shots=shots,
-                            forced_epsilon_k=forced)
-        report = evaluate(cfg, t, e)
-        rel = report.rel_error_vs_exact()
-        rels.append(rel)
-        rows.append([seed, report.V, report.v_exact, report.v_star, rel])
-    summary = {"mean_rel_error": float(np.mean(rels)),
-               "rel_errors": [float(r) for r in rels]}
-    return ["seed", "V", "v_exact", "v_star", "rel_error"], rows, summary
+    reports = [evaluate(VariantConfig(variant=variant, K=K, eta=eta, epsilon=0.05, beta=0.9,
+                                      seed=seed, shots=shots, forced_epsilon_k=forced), t, e)
+               for seed in seeds]
+    rels = [report.rel_error_vs_exact() for report in reports]
+    rows = [[seed, r.V, r.v_exact, r.v_star, rel] for seed, r, rel in zip(seeds, reports, rels)]
+    return (["seed", "V", "v_exact", "v_star", "rel_error"], rows,
+            {"mean_rel_error": float(np.mean(rels)), "rel_errors": [float(r) for r in rels]})
 
 
 def _experiment_resource_table(config):
@@ -606,13 +565,41 @@ def _experiment_resource_table(config):
     K = _number(config, "K", 3, integer=True)
     s = _number(config, "s", 2, integer=True)
     epsilon = _number(config, "epsilon", 0.05)
-    tables = {}
-    rows = []
-    for variant in QUANTUM_VARIANTS:
-        cfg = VariantConfig(variant=variant, K=K, s=s, epsilon=epsilon)
-        table = resource_report(cfg, N)
-        tables[variant] = table
-        for row in table["rows"]:
-            rows.append([variant, row["k"], row.get("width"), row.get("depth_bound"),
-                         row.get("samples", row.get("oracle_complexity"))])
+    tables = {variant: resource_report(VariantConfig(variant, K=K, s=s, epsilon=epsilon), N)
+              for variant in QUANTUM_VARIANTS}
+    rows = [[variant, row["k"], row.get("width"), row.get("depth_bound"),
+             row.get("samples", row.get("oracle_complexity"))]
+            for variant, table in tables.items() for row in table["rows"]]
     return ["variant", "k", "width", "depth", "cost"], rows, tables
+
+
+EXPERIMENTS = {
+    "compare_inner": _experiment_compare_inner,
+    "error_scaling_k": _experiment_error_scaling_k,
+    "qae_vs_classical": _experiment_qae_vs_classical,
+    "end_to_end": _experiment_end_to_end,
+    "resource_table": _experiment_resource_table,
+}
+
+
+def run_experiment(name, config, out_dir):
+    """Run a named experiment; writes <name>.csv and the <name>.json sidecar
+    (the config with its defaults filled in, and the summary)."""
+    if not isinstance(config, dict):
+        raise ValueError("an experiment config must be a JSON object, "
+                         f"not a {type(config).__name__}")
+    os.makedirs(out_dir, exist_ok=True)
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    config = dict(config)
+    header, rows, summary = EXPERIMENTS[name](config)
+    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row]
+                         for row in rows)
+    with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+        json.dump({"experiment": name, "config": config, "summary": summary},
+                  fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+    return summary

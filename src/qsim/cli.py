@@ -14,7 +14,7 @@ VARIANT_ALIASES = {name.removeprefix("classical_"): name for name in assembly.VA
 
 class _Main(click.Group):
     """Maps every command's refusals to exit codes: I/O and malformed JSON to 3,
-    then any other ValueError (AssumptionError is one) to 2."""
+    then every other refusal, a ValueError, to 2."""
 
     def invoke(self, ctx):
         try:

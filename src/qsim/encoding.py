@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError
 from .sim import Circuit
 
 
@@ -84,7 +83,7 @@ def normalize_affine(raw, eta):
     if sq <= 0.0:
         raise ValueError("all entries equal eta: zero norm")
     if (shifted <= 0.0).any():
-        raise AssumptionError("normalized entries must be positive (shift eta below the data)")
+        raise ValueError("normalized entries must be positive (shift eta below the data)")
     rho = 1.0 / math.sqrt(sq)
     return NormalizedSeries(values=rho * shifted, rho=rho, eta=float(eta), mode="affine")
 
@@ -93,7 +92,7 @@ def normalize_sqrt(raw, eta):
     """values_j = rho * sqrt(raw_j - eta) with rho = (sum (raw-eta))^(-1/2)."""
     shifted, total = _shifted(raw, eta, 1)
     if (shifted <= 0.0).any():
-        raise AssumptionError("sqrt normalization requires raw_j - eta > 0")
+        raise ValueError("sqrt normalization requires raw_j - eta > 0")
     rho = 1.0 / math.sqrt(total)
     return NormalizedSeries(values=rho * np.sqrt(shifted), rho=rho,
                             eta=float(eta), mode="sqrt")

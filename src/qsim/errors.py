@@ -1,8 +1,4 @@
-"""Exception types shared across the package."""
-
-
-class AssumptionError(ValueError):
-    """Input violates a modelling assumption; a ValueError, as every refusal is."""
+"""Exceptions of the package; a refusal of bad input is a plain ValueError."""
 
 
 class ZeroBranchError(Exception):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -12,7 +13,6 @@ from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            run_experiment)
 from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine, normalize_sqrt
-from qsim.errors import AssumptionError
 from qsim.sim import RngStream, Statevector
 
 RAW_T = np.array([12.0, 17.0, 23.0, 28.0])
@@ -129,7 +129,7 @@ class TestEvaluate:
 
     def test_eta_above_data_rejected(self):
         cfg = VariantConfig(variant="b", K=2, eta=20.0)
-        with pytest.raises(AssumptionError):
+        with pytest.raises(ValueError, match="normalized entries must be positive"):
             evaluate(cfg, RAW_T, RAW_E)
 
     @pytest.mark.parametrize("forced", [0.0, -0.1])
@@ -497,6 +497,16 @@ class TestExperiments:
         run_experiment("end_to_end", dict(config), str(b))
         for name in ("end_to_end.csv", "end_to_end.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_grid_cell_i_draws_from_path_i_plus_1(self):
+        # a stream is its path: the draws of cell i are those of the child
+        # at path (i + 1,), rebuilt on its own
+        axes = {"p": [0.5, 0.25], "method": "ab", "repeats": range(3)}
+        cells = assembly._grid(RngStream(7), axes, lambda *cell: (
+            *cell[:-1], cell[-1].path, cell[-1].binomial(10**6, 0.5)))
+        rebuilt = RngStream(7).split(len(cells))
+        assert cells == [(*cell, (i + 1,), rebuilt[i].binomial(10**6, 0.5))
+                         for i, cell in enumerate(itertools.product(*axes.values()))]
 
     def test_compare_inner_summary(self, tmp_path):
         summary = run_experiment("compare_inner",

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 import helpers
 from qsim import assembly, inner, qae
-from qsim.cli import main
+from qsim.cli import VARIANT_ALIASES, main
 
 
 def _never_called(*args, **kwargs):
@@ -103,6 +103,20 @@ class TestEvaluate:
         assert result.output.startswith("assumption violated: ")
         assert "overflows float64" in result.output
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_ALIASES))
+    def test_series_of_different_lengths_exit_2(self, runner, data_files, tmp_path,
+                                                variant):
+        # once NumPy's "operands could not be broadcast together with shapes
+        # (4,) (8,)", which named neither series
+        t, _e = data_files
+        e8 = tmp_path / "e8.csv"
+        e8.write_text("30\n24\n36\n28\n30\n24\n36\n28\n")
+        result = runner.invoke(main, ["evaluate", "--variant", variant, "--eta", "10",
+                                      "--input-t", t, "--input-e", str(e8)])
+        assert result.exit_code == 2
+        assert result.output == ("assumption violated: T has 4 entries and E has 8: "
+                                 "the series must be of one length\n")
 
     def test_missing_file_exit_3(self, runner, data_files):
         _t, e = data_files
@@ -383,9 +397,38 @@ class TestExperiment:
          "'shots' must be < 9223372036854775808"),
         ("end_to_end", {"seeds": [0], "rawE": [10**400, 1, 1, 1]},
          "'rawE' must be a list of one or more numbers"),
+        # 2^128 repeats once grew until a MemoryError, and an N_values entry
+        # of 2^40 would tile a 2^40-point fixture
+        ("compare_inner", {"repeats": 2**20 + 1}, "'repeats' must be < 1048577"),
+        ("compare_inner", {"repeats": 2**128}, "'repeats' must be < 1048577"),
+        ("error_scaling_k", {"repeats": 2**63}, "'repeats' must be < 1048577"),
+        ("error_scaling_k", {"N_values": [4, 2**40], "repeats": 1},
+         "'N_values' must hold powers of two >= 4 and <= 1048576"),
+        ("compare_inner", {"repeats": 2**20},
+         "the grid over 'p_values' x 'method' x 'repeats' has 4194304 cells"),
+        ("qae_vs_classical", {"repeats": 2**19, "epsilons": [0.1, 0.2, 0.3]},
+         "the grid over 'epsilons' x 'repeats' x 'method' has 3145728 cells"),
+        # a repeated p once kept only its last variance and mean in the
+        # summary, and one epsilon fitted a slope through one point
+        ("compare_inner", {"p_values": [0.5, 0.5], "repeats": 1},
+         "'p_values' must hold 1 or more values, none twice"),
+        ("qae_vs_classical", {"epsilons": [0.1], "repeats": 1},
+         "'epsilons' must hold 2 or more values, none twice"),
+        ("qae_vs_classical", {"epsilons": [0.1, 0.1], "repeats": 1},
+         "'epsilons' must hold 2 or more values, none twice"),
+        ("error_scaling_k", {"N_values": [4, 8, 4], "repeats": 1},
+         "'N_values' must hold 1 or more values, none twice"),
+        ("error_scaling_k", {"k_values": [1, 1], "repeats": 1, "N_values": [4]},
+         "'k_values' must hold 1 or more values, none twice"),
+        # evaluate's refusal: once NumPy's "could not be broadcast together"
+        ("end_to_end", {"seeds": [0], "rawE": [30, 24, 36, 28, 30, 24, 36, 28]},
+         "T has 4 entries and E has 8"),
     ], ids=["p-above-1", "p-zero", "p-negative", "epsilon-negative", "epsilon-zero",
             "epsilon0-zero", "epsilon0-negative", "k-zero", "eta-100", "eta-12",
-            "k-2^128", "k_values-2^128", "shots-2^128", "rawE-10^400"])
+            "k-2^128", "k_values-2^128", "shots-2^128", "rawE-10^400",
+            "repeats-2^20+1", "repeats-2^128", "repeats-2^63", "N_values-2^40",
+            "grid-p-values", "grid-epsilons", "p_values-twice", "epsilons-one",
+            "epsilons-twice", "N_values-twice", "k_values-twice", "rawE-length"])
     def test_config_out_of_range_names_field(self, runner, tmp_path, monkeypatch,
                                              name, config, message):
         # refused before any estimate is drawn

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from qsim import assembly, classical
 from qsim.cli import VARIANT_ALIASES, main
-from qsim.errors import AssumptionError
 
 
 def _command_args(command, tmp_path):
@@ -35,9 +34,8 @@ def _command_args(command, tmp_path):
     (OSError("disk full"), 3, "error: disk full"),
     (json.JSONDecodeError("Expecting value", "{", 1), 3, "error: Expecting value"),
     (ValueError("bad input"), 2, "assumption violated: bad input"),
-    (AssumptionError("bad input"), 2, "assumption violated: bad input"),
     (ZeroDivisionError("float division by zero"), 1, None),
-], ids=["OSError", "JSONDecodeError", "ValueError", "AssumptionError", "ZeroDivisionError"])
+], ids=["OSError", "JSONDecodeError", "ValueError", "ZeroDivisionError"])
 @pytest.mark.parametrize("command, owner, callee", [
     ("evaluate", assembly, "evaluate"), ("experiment", assembly, "run_experiment"),
     ("resources", assembly, "resource_report"), ("fit", classical, "fit_polynomial")],
@@ -90,25 +88,26 @@ def _series(n):
 
 SERIES = LENGTHS.flatmap(_series)
 # experiment config values of the wrong type, or at an edge, for every
-# field; 2^128 is drawn only where it is refused or runs fast, as 2^128
-# repeats is a request that runs without end, not a refusal
+# field; 2^128 is drawn only where it is refused or runs fast, and a
+# repeat count is 1 to 3 or above 2^20, which is refused
 WRONG = st.sampled_from([None, "x", "0", True, [], {}, [1], 1.5, -1, 0, math.nan,
                          math.inf, 5e-324])
 REALS = st.sampled_from([0.05, 0.2, 1 - 2.0**-53, -0.1, 0, 2**128, 5e-324, math.nan,
                          math.inf, 12, -100])
+REPEATS = st.integers(1, 3) | st.sampled_from([2**20 + 1, 2**63, 2**128])
 FIELDS = {
     "compare_inner": {
         "seed": st.sampled_from([0, 2**64 + 1]), "shots": st.sampled_from([1, 10, 2**128]),
-        "repeats": st.integers(1, 3),
+        "repeats": REPEATS,
         "p_values": st.lists(REALS | st.sampled_from([0.072, 1]), max_size=2)},
     "error_scaling_k": {
         "seed": st.just(1), "N_values": st.lists(st.sampled_from([4, 8, 2, 6]), max_size=2),
         "k_values": st.lists(st.sampled_from([1, 2, 0, 2**128]), max_size=2),
-        "repeats": st.integers(1, 3), "epsilon0": REALS, "eta": REALS,
+        "repeats": REPEATS, "epsilon0": REALS, "eta": REALS,
         "shots": st.sampled_from([1, 10, 2**128])},
     "qae_vs_classical": {
         "seed": st.just(2), "k": st.sampled_from([1, 2, 2**128]),
-        "repeats": st.integers(1, 3), "epsilons": st.lists(REALS, max_size=2),
+        "repeats": REPEATS, "epsilons": st.lists(REALS, max_size=2),
         "eta": REALS, "shots": st.sampled_from([1, 10, 2**128])},
     "end_to_end": {
         "seeds": st.lists(st.sampled_from([0, 3, 2**128]), max_size=3),

@@ -9,7 +9,6 @@ from qsim import sim
 from qsim.encoding import (boe_depth, boe_width, build_tree, load_amplitude,
                            load_boe, normalize_affine, normalize_sqrt,
                            read_series, validate_raw)
-from qsim.errors import AssumptionError
 from qsim.sim import Statevector
 
 
@@ -41,7 +40,7 @@ class TestNormalization:
                                    atol=1e-12)
 
     def test_affine_requires_positive(self):
-        with pytest.raises(AssumptionError):
+        with pytest.raises(ValueError, match="normalized entries must be positive"):
             normalize_affine([12.0, 17.0, 23.0, 28.0], 20.0)
 
     def test_sqrt_round_trip(self):

@@ -30,7 +30,10 @@ The compare-inner digest pins the compare_inner experiment's CSV and JSON
 at its defaults: 400 fixed-shot estimates of variants a and b's readouts,
 each drawn on its own child stream.  The error-scaling-k, qae-vs-classical,
 end-to-end and resource-table digests pin the other four experiments' CSV
-and JSON at their defaults in the same way.
+and JSON at their defaults in the same way.  The three -grid digests pin
+error_scaling_k, compare_inner and qae_vs_classical on grids other than
+the defaults' (axes out of sorted order, three p values, k = 1 on two
+epsilons), so that a change of draw order shows on more than one shape.
 
 The BOE swap-test digest covers the estimate as it was recorded when the
 digest was taken, with the inputs epsilon and alpha and a tallies record
@@ -125,10 +128,10 @@ def _canonical_runs(z, m, medians, seed):
             "z_hat": z_hat}
 
 
-def _experiment(name):
-    """The named experiment's CSV and JSON at its defaults."""
+def _experiment(name, **config):
+    """The named experiment's CSV and JSON at its defaults, bar `config`."""
     with tempfile.TemporaryDirectory() as tmp:
-        assembly.run_experiment(name, {}, tmp)
+        assembly.run_experiment(name, config, tmp)
         return [(Path(tmp) / f"{name}.{ext}").read_text() for ext in ("csv", "json")]
 
 
@@ -226,6 +229,15 @@ CASES = {
     "resource-table": (
         lambda: _experiment("resource_table"),
         "1114fad0ba6158ba67b662b766afe6777d86f3a6e33115c08c3d8139fccd3c1e"),
+    "error-scaling-k-grid": (
+        lambda: _experiment("error_scaling_k", k_values=[2, 1], N_values=[8, 4], repeats=3),
+        "0be6ee74656bc53aa05bc0ab7e11709190cef0e174676270a1f1d4e394f295e4"),
+    "compare-inner-grid": (
+        lambda: _experiment("compare_inner", p_values=[0.3, 0.9, 0.072], repeats=5),
+        "d296420ffaa09ca40e9eb17344444772b2bec54168ba5036a0ac0d8e39097590"),
+    "qae-vs-classical-grid": (
+        lambda: _experiment("qae_vs_classical", k=1, epsilons=[0.1, 0.2], repeats=3),
+        "11b3bff36f35c1bca3172a9da1000aaa3175ba8943d893279f7789f4d4b28c61"),
     "resources-cli": (
         _resources,
         "a74a6d64957b2cdb716b383985ef681f8980c24e40f0354a7a17546d3a767d45"),
