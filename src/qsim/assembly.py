@@ -473,7 +473,7 @@ def _experiment_error_scaling_k(config):
     # the fixture tiles a 4-point block, and the Grover states need a power of two
     Ns = _numbers(config, "N_values", [4, 8, 16, 32],
                   lambda n: type(n) is int and 4 <= n <= GRID_LIMIT and n & (n - 1) == 0,
-                  f"powers of two >= 4 and <= {GRID_LIMIT}", axis=1)
+                  f"powers of two >= 4 and <= {GRID_LIMIT}", axis=2)
     ks = _numbers(config, "k_values", [1, 2],
                   lambda k: type(k) is int and 1 <= k <= classical.MAX_DEGREE,
                   f"integers >= 1 and <= {classical.MAX_DEGREE}", axis=1)
@@ -533,7 +533,9 @@ def _experiment_qae_vs_classical(config):
     for method, pts in curves.items():
         x = np.log10([p[0] for p in pts])
         y = np.log10([max(p[1], 1e-12) for p in pts])
-        slopes[method] = float(np.polyfit(x, y, 1)[0])
+        # null when the costs span no line, as when every epsilon cost the same
+        fit, _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+        slopes[method] = float(fit[0]) if rank == 2 else None
     return (["method", "epsilon", "repeat", "cost", "rel_error"], rows,
             {"slopes": slopes, "curves": curves})
 
@@ -551,6 +553,11 @@ def _experiment_end_to_end(config):
                             lambda v: type(v) in (int, float) and v < DEFAULT_PARAMS.T0,
                             f"numbers below T0 = {DEFAULT_PARAMS.T0:g}"), dtype=float)
     e = np.asarray(_numbers(config, "rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
+    # nor may the exact value be 0 (T and E of two lengths are evaluate's refusal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t.size == e.size and classical.exact_value(t, e, DEFAULT_PARAMS) == 0.0:
+            raise ValueError("config field 'rawE' must not cancel against 'rawT': "
+                             "the exact value is 0, and no error is relative to 0")
     reports = [evaluate(VariantConfig(variant=variant, K=K, eta=eta, epsilon=0.05, beta=0.9,
                                       seed=seed, shots=shots, forced_epsilon_k=forced), t, e)
                for seed in seeds]

@@ -315,9 +315,9 @@ class TestExperiment:
         ("error_scaling_k", {"k_values": []}, "'k_values' must be a list of one or more"),
         # a float k once ended in a TypeError traceback, and N = 6 ran on
         # the 4 points _base_fixture(6) tiles while its rows said N = 6
-        ("error_scaling_k", {"k_values": [1.5], "repeats": 1, "N_values": [4]},
+        ("error_scaling_k", {"k_values": [1.5], "repeats": 1},
          "'k_values' must hold integers >= 1"),
-        ("error_scaling_k", {"k_values": [True], "repeats": 1, "N_values": [4]},
+        ("error_scaling_k", {"k_values": [True], "repeats": 1},
          "'k_values' must hold integers >= 1"),
         ("error_scaling_k", {"N_values": [6], "repeats": 1, "k_values": [1]},
          "'N_values' must hold powers of two >= 4"),
@@ -327,9 +327,9 @@ class TestExperiment:
          "'N_values' must hold powers of two >= 4"),
         # integer fields were cast with int(): 2.9 repeats ran 2 while the
         # sidecar said 2.9, seed 0.5 ran seed 0, and true was read as 1
-        ("error_scaling_k", {"repeats": 2.9, "N_values": [4], "k_values": [1]},
+        ("error_scaling_k", {"repeats": 2.9, "k_values": [1]},
          "'repeats' must be a number (an integer)"),
-        ("error_scaling_k", {"repeats": True, "N_values": [4], "k_values": [1]},
+        ("error_scaling_k", {"repeats": True, "k_values": [1]},
          "'repeats' must be a number (an integer)"),
         ("qae_vs_classical", {"shots": 50.5, "repeats": 1, "epsilons": [0.2, 0.1]},
          "'shots' must be a number (an integer)"),
@@ -347,8 +347,8 @@ class TestExperiment:
         # number fields were cast with float(): "0" and true ran as 0.0 and
         # 1.0, and p = 1 then divided a zero variance by a zero variance
         ("end_to_end", {"seeds": [0], "K": 2, "eta": "0"}, "'eta' must be a number"),
-        ("error_scaling_k", {"epsilon0": True, "repeats": 1, "N_values": [4],
-                             "k_values": [1]}, "'epsilon0' must be a number"),
+        ("error_scaling_k", {"epsilon0": True, "repeats": 1, "k_values": [1]},
+         "'epsilon0' must be a number"),
         ("compare_inner", {"p_values": [True], "repeats": 1, "shots": 10},
          "'p_values' must hold numbers"),
         # a list once ended in a TypeError traceback: unhashable type
@@ -378,20 +378,20 @@ class TestExperiment:
          "'epsilons' must hold numbers > 0"),
         ("qae_vs_classical", {"epsilons": [0.2, 0], "repeats": 1},
          "'epsilons' must hold numbers > 0"),
-        ("error_scaling_k", {"epsilon0": 0, "repeats": 1, "N_values": [4],
-                             "k_values": [1]}, "'epsilon0' must be > 0"),
-        ("error_scaling_k", {"epsilon0": -0.1, "repeats": 1, "N_values": [4],
-                             "k_values": [1]}, "'epsilon0' must be > 0"),
+        ("error_scaling_k", {"epsilon0": 0, "repeats": 1, "k_values": [1]},
+         "'epsilon0' must be > 0"),
+        ("error_scaling_k", {"epsilon0": -0.1, "repeats": 1, "k_values": [1]},
+         "'epsilon0' must be > 0"),
         # k = 0 once ended in the estimator's "k must be >= 1", and an eta at
         # or above the fixture's least T (12) in the normaliser's refusal
         ("qae_vs_classical", {"k": 0, "repeats": 1}, "'k' must be >= 1"),
         ("qae_vs_classical", {"eta": 100, "repeats": 1}, "'eta' must be < 12"),
-        ("error_scaling_k", {"eta": 12, "repeats": 1, "N_values": [4],
-                             "k_values": [1]}, "'eta' must be < 12"),
+        ("error_scaling_k", {"eta": 12, "repeats": 1, "k_values": [1]},
+         "'eta' must be < 12"),
         # each once ended in a traceback: a ZeroDivisionError at k = 2^128,
         # and an OverflowError at shots = 2^128 or an integer beyond float64
         ("qae_vs_classical", {"k": 2**128, "repeats": 1}, "'k' must be < 33"),
-        ("error_scaling_k", {"k_values": [2**128], "repeats": 1, "N_values": [4]},
+        ("error_scaling_k", {"k_values": [2**128], "repeats": 1},
          "'k_values' must hold integers >= 1 and <= 32"),
         ("compare_inner", {"shots": 2**128, "repeats": 1},
          "'shots' must be < 9223372036854775808"),
@@ -409,7 +409,8 @@ class TestExperiment:
         ("qae_vs_classical", {"repeats": 2**19, "epsilons": [0.1, 0.2, 0.3]},
          "the grid over 'epsilons' x 'repeats' x 'method' has 3145728 cells"),
         # a repeated p once kept only its last variance and mean in the
-        # summary, and one epsilon fitted a slope through one point
+        # summary, one epsilon fitted a slope through one point, and one N
+        # reported a flatness ratio of 1.0 for every k
         ("compare_inner", {"p_values": [0.5, 0.5], "repeats": 1},
          "'p_values' must hold 1 or more values, none twice"),
         ("qae_vs_classical", {"epsilons": [0.1], "repeats": 1},
@@ -417,18 +418,25 @@ class TestExperiment:
         ("qae_vs_classical", {"epsilons": [0.1, 0.1], "repeats": 1},
          "'epsilons' must hold 2 or more values, none twice"),
         ("error_scaling_k", {"N_values": [4, 8, 4], "repeats": 1},
-         "'N_values' must hold 1 or more values, none twice"),
-        ("error_scaling_k", {"k_values": [1, 1], "repeats": 1, "N_values": [4]},
+         "'N_values' must hold 2 or more values, none twice"),
+        ("error_scaling_k", {"N_values": [1048576], "k_values": [2], "repeats": 1},
+         "'N_values' must hold 2 or more values, none twice"),
+        ("error_scaling_k", {"k_values": [1, 1], "repeats": 1},
          "'k_values' must hold 1 or more values, none twice"),
         # evaluate's refusal: once NumPy's "could not be broadcast together"
         ("end_to_end", {"seeds": [0], "rawE": [30, 24, 36, 28, 30, 24, 36, 28]},
          "T has 4 entries and E has 8"),
+        # an exact value of 0 once ended in a TypeError inside np.mean, as
+        # every seed's relative error was None
+        ("end_to_end", {"seeds": [0], "variant": "classical_exact", "rawT": [5, 5, 5, 5],
+                        "rawE": [1, -1, 1, -1]}, "'rawE' must not cancel against 'rawT'"),
     ], ids=["p-above-1", "p-zero", "p-negative", "epsilon-negative", "epsilon-zero",
             "epsilon0-zero", "epsilon0-negative", "k-zero", "eta-100", "eta-12",
             "k-2^128", "k_values-2^128", "shots-2^128", "rawE-10^400",
             "repeats-2^20+1", "repeats-2^128", "repeats-2^63", "N_values-2^40",
             "grid-p-values", "grid-epsilons", "p_values-twice", "epsilons-one",
-            "epsilons-twice", "N_values-twice", "k_values-twice", "rawE-length"])
+            "epsilons-twice", "N_values-twice", "N_values-one", "k_values-twice",
+            "rawE-length", "rawE-cancelling"])
     def test_config_out_of_range_names_field(self, runner, tmp_path, monkeypatch,
                                              name, config, message):
         # refused before any estimate is drawn
@@ -462,6 +470,21 @@ class TestExperiment:
             for p, ratio in ratios.items():
                 assert summary[f"var_ancilla_free_{p}"] == 0.0
                 assert summary[f"variance_ratio_{p}"] is ratio
+
+    def test_qae_vs_classical_equal_costs_slope_null(self, runner, tmp_path):
+        # IQAE costs 132 oracle calls at both epsilons; the slope through one
+        # cost once exited 0 with a RankWarning and a slope from a rank-1 fit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 1, "epsilons": [0.2, 1 - 2**-53], "repeats": 1}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "qae_vs_classical",
+                                      "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0
+        sidecar = json.loads((out / "qae_vs_classical.json").read_text())
+        for summary in (json.loads(result.output)["summary"], sidecar["summary"]):
+            assert [cost for cost, _ in summary["curves"]["iqae"]] == [132, 132]
+            assert summary["slopes"]["iqae"] is None
+            assert summary["slopes"]["classical"] < 0
 
     def test_unknown_name_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -174,6 +174,11 @@ def _experiment_args(draw, folder):
     for field in ("repeats", "N_values", "seeds"):  # keep each run small
         if field in fields:
             config.setdefault(field, draw(fields[field]))
+    if name == "end_to_end" and draw(st.sampled_from([False] * 3 + [True])):
+        # a T and a signed E whose exact value sum_j f(T_j) E_j cancels to
+        # 0.0, under a variant that takes a signed E
+        config.update(rawT=[5, 5, 5, 5], rawE=[1, -1, 1, -1], variant=draw(st.sampled_from(
+            ["classical_exact", "classical_poly", "classical_sampling"])))
     text = draw(st.sampled_from([json.dumps(config)] * 6 + ["[1, 2]", "{", None]))
     path = os.path.join(folder, "cfg.json")
     if text is None:
