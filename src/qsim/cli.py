@@ -60,10 +60,11 @@ def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
         variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
         beta=beta, s=s, engine=engine, fit_mode=mode, seed=seed)
     report = assembly.evaluate(config, raw_t, raw_e)
-    click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True, default=float))
+    # written first, so that an --out that cannot be written prints no report
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         report.to_json(os.path.join(out_dir, f"evaluate_{variant}.json"))
+    click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True, default=float))
 
 
 @main.command()

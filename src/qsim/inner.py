@@ -50,6 +50,16 @@ class InnerEstimate:
     clamped: bool = False
     method: str = ""
 
+    @classmethod
+    def of(cls, y, series_T, series_E, k, shots_used, **fields):
+        """The estimate y of a normalised power sum, with its un-normalised
+        y' = y / (rho_T^k rho_E), each rho squared for sqrt-normalised series
+        (ytilde_k on the BOE encoding)."""
+        p = 2 if series_T.mode == "sqrt" else 1
+        y = float(y)
+        scale = series_T.rho ** (-p * k) * series_E.rho ** -p
+        return cls(y_hat=y, y_prime_hat=scale * y, shots_used=shots_used, **fields)
+
 
 # ---------------------------------------------------------------------------
 # Sample-size calculators
@@ -220,10 +230,8 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
 
     S = max(MIN_SHOTS, shots if shots is not None else _shots_p_free(epsilon, alpha))
     ones = int(rng.generator.binomial(S, min(p, 1.0)))
-    y = math.sqrt(ones / S)
-    scale = series_T.rho ** -k * series_E.rho ** -1
-    return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=S,
-                         method="ancilla_free")
+    return InnerEstimate.of(math.sqrt(ones / S), series_T, series_E, k, S,
+                            method="ancilla_free")
 
 
 def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
@@ -248,10 +256,8 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
         S = max(MIN_SHOTS, shots)
         used = S
     radicand = _swap_radicand(rng, S, pvals)
-    y = math.sqrt(max(radicand, 0.0))
-    scale = series_T.rho ** -k * series_E.rho ** -1
-    return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=used,
-                         clamped=radicand < 0.0, method="swap")
+    return InnerEstimate.of(math.sqrt(max(radicand, 0.0)), series_T, series_E, k, used,
+                            clamped=radicand < 0.0, method="swap")
 
 
 def estimate_ytilde_boe_swap(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
@@ -266,7 +272,5 @@ def estimate_ytilde_boe_swap(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
         S = _shot_count(lambda: 16.0 / epsilon**2 * q * q)
     else:
         S = max(MIN_SHOTS, shots)
-    y_tilde = _swap_radicand(rng, S, pvals)
-    scale = series_Tsqrt.rho ** (-2 * k) * series_Esqrt.rho ** -2
-    return InnerEstimate(y_hat=y_tilde, y_prime_hat=scale * y_tilde, shots_used=S,
-                         method="boe_swap")
+    return InnerEstimate.of(_swap_radicand(rng, S, pvals), series_Tsqrt, series_Esqrt,
+                            k, S, method="boe_swap")

@@ -315,10 +315,8 @@ def estimate_yk_variant_c(series_T, series_E, k, epsilon, alpha, config, rng):
         res = iqae(z, min(0.45, epsilon * max(y_pilot, epsilon)), alpha, rng,
                    shots_per_round=config.shots)
         z_hat, calls = res.z_hat, pilot.oracle_calls + res.oracle_calls
-    y = math.sqrt(max(z_hat, 0.0))
-    scale = series_T.rho ** -k * series_E.rho ** -1
-    return InnerEstimate(y_hat=y, y_prime_hat=scale * y, shots_used=calls,
-                         method="variant_c")
+    return InnerEstimate.of(math.sqrt(max(z_hat, 0.0)), series_T, series_E, k, calls,
+                            method="variant_c")
 
 
 def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
@@ -336,7 +334,5 @@ def estimate_ytilde_variant_d(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
         res = iqae(z, eps_half, alpha, rng, shots_per_round=config.shots)
         res_p = iqae(zp, eps_half, alpha, rng, shots_per_round=config.shots)
         z_hat, c1, zp_hat, c2 = res.z_hat, res.oracle_calls, res_p.z_hat, res_p.oracle_calls
-    y_tilde = 2.0 * z_hat - zp_hat
-    scale = series_Tsqrt.rho ** (-2 * k) * series_Esqrt.rho ** -2
-    return InnerEstimate(y_hat=float(y_tilde), y_prime_hat=float(scale * y_tilde),
-                         shots_used=c1 + c2, method="variant_d")
+    return InnerEstimate.of(2.0 * z_hat - zp_hat, series_Tsqrt, series_Esqrt, k, c1 + c2,
+                            method="variant_d")

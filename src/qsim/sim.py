@@ -38,7 +38,6 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
-from .errors import ZeroBranchError
 
 NORM_TOL = 1e-10
 ZERO_BRANCH_CUTOFF = 1e-14
@@ -219,6 +218,10 @@ def _probability(view):
 
 def probability_of_bits(state, qubits, value):
     return _probability(register_view(state, qubits, value))
+
+
+class ZeroBranchError(Exception):
+    """Post-selection on a branch whose probability is numerically zero."""
 
 
 def checked_branch(state, qubits, value):

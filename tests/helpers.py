@@ -1,19 +1,34 @@
-"""Statevector references the tests compare qsim against.
+"""The references the tests compare qsim against, one per subject, and the
+inputs the tests share.
 
-They read a fully simulated state through per-index register values and
-np.add.at, the direct readout that qsim's strided readouts must match.
+The gate kernels are checked against gather/scatter index arithmetic, and
+the closed-form laws against a fully simulated state, read through
+per-index register values and np.add.at, the direct readout that qsim's
+strided readouts must match.
 """
 
 import numpy as np
 
-from qsim import inner, kernels, sim
+from qsim import inner, sim
 from qsim.assembly import _pair_with_overlap
-from qsim.encoding import normalize_affine
+from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.qhp import QhpOutcome
 from qsim.sim import Circuit, Statevector
 
 # Pauli X, for u_gate: qsim has no X gate of its own.
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# The 4-point fixture that the estimator tests share: temperatures T and
+# prices E.
+FIXTURE_T = (12.0, 17.0, 23.0, 28.0)
+FIXTURE_E = (30.0, 24.0, 36.0, 28.0)
+
+
+def fixture_pair(encoding="amplitude", eta=10.0):
+    """The fixture normalised, T shifted by eta and E by 0: sqrt-normalised
+    for the "boe" encoding, affine otherwise."""
+    normalize = normalize_sqrt if encoding == "boe" else normalize_affine
+    return normalize(FIXTURE_T, eta), normalize(FIXTURE_E, 0.0)
 
 
 def u_gate(circ, qubit, mat):
@@ -51,37 +66,46 @@ def register_values(n_qubits, qubits):
     return val
 
 
-def apply_u_per_pattern(amps, n_qubits, gate, kernel=kernels.apply_ctrl_1q):
+def _indices(n_qubits, mask, value):
+    """Basis indices i in [0, 2^n) with i & mask == value, increasing."""
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    return idx[(idx & mask) == value]
+
+
+def ctrl_1q_reference(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u11):
+    """kernels.apply_ctrl_1q by gather/scatter, in place: on each pair
+    (i, i | target bit) whose controls read ctrl_val, u00*a0 + u01*a1 and
+    u10*a0 + u11*a1, evaluated in that order, so the bits must agree."""
+    tbit = 1 << target
+    i0 = _indices(n_qubits, ctrl_mask | tbit, ctrl_val)
+    i1 = i0 | tbit
+    a0, a1 = amps[i0], amps[i1]
+    amps[i0] = u00 * a0 + u01 * a1
+    amps[i1] = u10 * a0 + u11 * a1
+
+
+def u_gate_reference(amps, n_qubits, gate):
     """Apply a ("u", controls + (target,), payload) gate to amps in place by
-    one controlled-gate kernel call per control pattern, each with that
-    pattern's coefficients as Python numbers: the reference whose bits the
-    single uniformly controlled call must keep."""
+    ctrl_1q_reference, one control pattern at a time with that pattern's
+    coefficients as Python floats: the bits that one uniformly controlled
+    kernel call must keep."""
     _kind, qubits, payload = gate
-    target = qubits[-1]
     controls = qubits[-2::-1]  # least-significant pattern bit first
     mask = sum(1 << q for q in controls)
     for pattern, coeffs in enumerate(zip(*(np.ravel(u).tolist() for u in payload))):
-        val = 0
-        for j, q in enumerate(controls):
-            if (pattern >> j) & 1:
-                val |= 1 << q
-        kernel(amps, n_qubits, mask, val, target, *coeffs)
+        val = sum(1 << q for j, q in enumerate(controls) if pattern >> j & 1)
+        ctrl_1q_reference(amps, n_qubits, mask, val, qubits[-1], *coeffs)
 
 
-def cswap_per_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
-    """Swap registers qa and qb in place where the control bits equal
-    ctrl_val, one qubit pair at a time, each by exchanging the halves of the
-    subspace that hold (1, 0) and (0, 1) on the pair: the reference whose
-    bits kernels.apply_cswap_pair's single permutation must keep."""
+def cswap_reference(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
+    """kernels.apply_cswap_pair by gather/scatter, in place: where the
+    controls read ctrl_val, one qubit pair (a, b) at a time, exchange each
+    amplitude whose pair reads (1, 0) with its partner that reads (0, 1)."""
     for a, b in zip(qa, qb):
         abit, bbit = 1 << a, 1 << b
-        shape, idx0, idx1, _ = kernels._view_plan(n_qubits, ctrl_mask | abit | bbit,
-                                                  ctrl_val | abit, ctrl_val | bbit)
-        view = amps.reshape(shape)
-        a0, a1 = view[idx0], view[idx1]
-        tmp = a0.copy()
-        a0[...] = a1
-        a1[...] = tmp
+        i0 = _indices(n_qubits, ctrl_mask | abit | bbit, ctrl_val | abit)
+        i1 = i0 ^ abit | bbit
+        amps[i0], amps[i1] = amps[i1], amps[i0]
 
 
 def marginal_probabilities(state, qubits):
@@ -201,15 +225,6 @@ def grover_circuit_iterate(oracle, state):
     oracle.prepare.apply_unitary(state)
     state.amplitudes *= -1.0
     return state
-
-
-def grover_probability_after(oracle, j):
-    """P(good) after j Grover iterates, each simulated in circuit form:
-    the reference for qae.grover_probability."""
-    st = oracle.chi()
-    for _ in range(j):
-        grover_circuit_iterate(oracle, st)
-    return sim.probability_of_bits(st, oracle.good, 0)
 
 
 def qpe_distribution_reference(oracle, m):

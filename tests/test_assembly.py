@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import recorded_calls
+from helpers import FIXTURE_E, FIXTURE_T, recorded_calls
 from qsim import assembly, classical, encoding, inner, qhp
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            delta_gross_margin, evaluate, resource_report,
@@ -15,8 +15,7 @@ from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.sim import RngStream, Statevector
 
-RAW_T = np.array([12.0, 17.0, 23.0, 28.0])
-RAW_E = np.array([30.0, 24.0, 36.0, 28.0])
+RAW_T, RAW_E = np.array(FIXTURE_T), np.array(FIXTURE_E)
 
 
 class TestBudget:

@@ -322,8 +322,7 @@ class TestSampling:
         assert abs(est - truth) <= bound
 
     def test_estimate_yk_sampling(self):
-        t = np.array([12.0, 17.0, 23.0, 28.0])
-        e = np.array([30.0, 24.0, 36.0, 28.0])
+        t, e = np.array(helpers.FIXTURE_T), np.array(helpers.FIXTURE_E)
         k = 2
         est, queries = estimate_yk_sampling(sampling_access(t, 10.0), e, k, 0.05, 0.9,
                                             RngStream(0))

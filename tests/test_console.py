@@ -84,6 +84,7 @@ def test_console_request(data, tmp_path, command, code, stderr, twice):
         assert returncode == code, err
         if code:  # a refusal is one line on stderr
             assert err.startswith(stderr) and err.count("\n") == 1
+            assert stdout == ""
         else:
             json.loads(stdout)
     runs = [[stdout] + [p.read_bytes() for p in sorted(out.glob("*"))]

@@ -11,18 +11,10 @@ from qsim import inner, qae, qhp, sim
 from qsim.assembly import VariantConfig
 from qsim.encoding import (boe_width, build_tree, load_amplitude, normalize_affine,
                            normalize_sqrt)
-from qsim.inner import (build_ancilla_free, build_swap_test,
-                        estimate_yk_swap, estimate_yk_variant_ab,
-                        estimate_ytilde_boe_swap, phi_inverse,
-                        shots_ancilla_free, shots_swap)
+from qsim.inner import (build_ancilla_free, estimate_yk_swap, estimate_yk_variant_ab,
+                        estimate_ytilde_boe_swap, phi_inverse, shots_ancilla_free,
+                        shots_swap)
 from qsim.sim import RngStream, Statevector
-
-
-def random_pair(n_vals, seed):
-    rng = np.random.default_rng(seed)
-    a = normalize_affine(rng.uniform(0.5, 3.0, size=n_vals), 0.0)
-    b = normalize_affine(rng.uniform(0.5, 3.0, size=n_vals), 0.0)
-    return a, b
 
 
 class TestPhiInverse:
@@ -56,29 +48,6 @@ class TestSampleSizes:
     def test_swap_requires_positive_p(self):
         with pytest.raises(ValueError):
             shots_swap(0.0, 0.01, 0.95)
-
-
-class TestProbabilityIdentities:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_swap_ancilla(self, seed):
-        a, b = random_pair(4, seed)
-        test = build_swap_test(load_amplitude(build_tree(a)),
-                               load_amplitude(build_tree(b)))
-        state = Statevector.zero(test.width)
-        test.circuit.apply_unitary(state)
-        p0 = sim.probability_of_bits(state, (test.ancilla,), 0)
-        p = float(np.dot(a.values, b.values))
-        assert p0 == pytest.approx(0.5 + 0.5 * p * p, abs=1e-10)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_ancilla_free_all_zero(self, seed):
-        a, b = random_pair(8, 100 + seed)
-        prep = load_amplitude(build_tree(a))
-        circ = build_ancilla_free(prep, load_amplitude(build_tree(b)))
-        state = Statevector.zero(prep.width)
-        circ.apply_unitary(state)
-        p = float(np.dot(a.values, b.values))
-        assert abs(state.amplitudes[0]) ** 2 == pytest.approx(p * p, abs=1e-10)
 
 
 def _readout_cases():
@@ -141,8 +110,10 @@ class TestZeroBranch:
     """The branch where every consumed register reads 0, which the k >= 2
     readouts take in closed form: on the whole power state, padded by the
     readout's qubits, and at the end of a chain of rounds it is reached with
-    P(Z=0) = sum_j T_j^{2k}, its survivor's primary reads j with
-    T_j^{2k} / P(Z=0), and the padding still reads 0."""
+    P(Z=0) = sum_j T_j^{2k} = a_k^-2, its survivor's primary reads j with
+    T_j^{2k} / P(Z=0), and the padding still reads 0.  Under amplitude
+    encoding every other qubit reads 0 too, and the survivor is the power
+    state a_k sum_j T_j^k |j>, signs included."""
 
     @pytest.mark.parametrize("encoding, k, N, style, s, pad", _branch_cases())
     @given(seed=st.integers(0, 2**32 - 1))
@@ -165,12 +136,19 @@ class TestZeroBranch:
         t2k = series.values ** (2 * k)
         p_z0 = qhp.success_probability(series, k) if k > 1 else 1.0
         np.testing.assert_allclose([p_full, p_chain], p_z0, rtol=0.0, atol=1e-12)
+        if k > 1:  # dynamic stopping's expected loads grow by P(Z=0) from k - 1 to k
+            assert qhp.expected_loads(series, k) - qhp.expected_loads(series, k - 1) == (
+                pytest.approx(p_chain, abs=1e-12))
         for state in (full, chain):
             np.testing.assert_allclose(sim.marginal_probabilities(state, pc.primary),
                                        t2k / p_z0, rtol=0.0, atol=1e-12)
             pad_qubits = range(state.n_qubits - pad, state.n_qubits)
             assert sim.probability_of_bits(state, pad_qubits, 0) == pytest.approx(
                 1.0, abs=1e-12)
+            if encoding == "amplitude":
+                np.testing.assert_allclose(
+                    helpers.survivor_amplitudes(pc, state),
+                    qhp.norm_constant_ak(series, k) * series.values ** k, rtol=0.0, atol=1e-12)
 
 
 class TestBranchReadouts:
@@ -213,8 +191,7 @@ class TestBranchReadouts:
 
 class TestEstimators:
     def test_variant_ab_estimate(self):
-        t = normalize_affine([12.0, 17.0, 23.0, 28.0], 10.0)
-        e = normalize_affine([30.0, 24.0, 36.0, 28.0], 0.0)
+        t, e = helpers.fixture_pair()
         k = 2
         est = estimate_yk_variant_ab(t, e, k, "no_mid_reset", 0.02, 0.95,
                                      RngStream(0))
@@ -224,8 +201,7 @@ class TestEstimators:
             est.y_hat * t.rho**-k * e.rho**-1)
 
     def test_swap_estimate(self):
-        t = normalize_affine([12.0, 17.0, 23.0, 28.0], 10.0)
-        e = normalize_affine([30.0, 24.0, 36.0, 28.0], 0.0)
+        t, e = helpers.fixture_pair()
         est = estimate_yk_swap(t, e, 1, 0.03, 0.95, RngStream(4))
         y = float(np.sum(t.values * e.values))
         assert abs(est.y_hat - y) < 0.03
@@ -237,8 +213,7 @@ class TestEstimators:
             estimate_yk_swap(a, b, 1, 0.05, 0.9, RngStream(1))
 
     def test_boe_swap_estimate(self):
-        t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
-        e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+        t, e = helpers.fixture_pair("boe")
         k = 2
         est = estimate_ytilde_boe_swap(t, e, k, 1, 0.03, 0.95, RngStream(2))
         y = float(np.sum(t.values ** (2 * k) * e.values**2))
@@ -258,8 +233,7 @@ class TestEstimators:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_bad_style_and_split_level_rejected(self, k):
-        t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
-        e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+        t, e = helpers.fixture_pair("boe")
         with pytest.raises(ValueError, match="unknown style"):
             estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
         with pytest.raises(ValueError, match="split level"):
@@ -292,18 +266,9 @@ class TestEstimators:
 
     def test_boe_swap_at_tiny_epsilon_refused(self):
         # 16 / epsilon^2 underflows to a division by zero, not a count
-        t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
-        e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+        t, e = helpers.fixture_pair("boe")
         with pytest.raises(ValueError, match="epsilon"):
             estimate_ytilde_boe_swap(t, e, 1, 1, 1e-300, 0.9, RngStream(0))
-
-
-FIXTURE_T, FIXTURE_E = [12.0, 17.0, 23.0, 28.0], [30.0, 24.0, 36.0, 28.0]
-
-
-def _fixture_pair(encoding):
-    normalize = normalize_sqrt if encoding == "boe" else normalize_affine
-    return normalize(FIXTURE_T, 10.0), normalize(FIXTURE_E, 0.0)
 
 
 def _estimate(method, t, e, k, rng, s=1):
@@ -335,7 +300,7 @@ class TestKeptLaws:
     def test_repeated_estimates_simulate_once(self, method, monkeypatch):
         # at k = 1 the swap tests simulate one circuit; the ancilla-free law
         # is one closed-form sum and simulates none; each law is computed once
-        t, e = _fixture_pair(method)
+        t, e = helpers.fixture_pair(method)
         t.readouts = laws = _LoggedLaws()
         builds = helpers.recorded_calls(monkeypatch, qhp, "build_power_circuit")
         runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
@@ -349,7 +314,7 @@ class TestKeptLaws:
     def test_variants_b_and_c_share_one_law(self, k):
         # the ancilla-free law is y_k^2 in either style, and IQAE reads c's
         # z from it
-        t, e = _fixture_pair("amplitude")
+        t, e = helpers.fixture_pair("amplitude")
         t.readouts = laws = _LoggedLaws()
         for style in qhp.STYLES:
             estimate_yk_variant_ab(t, e, k, style, 0.1, 0.9, RngStream(0))
@@ -361,21 +326,21 @@ class TestKeptLaws:
                                            ("ab-mid_reset", 1)])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_kept_law_gives_fresh_bits(self, method, s, k):
-        kept = _fixture_pair(method)
+        kept = helpers.fixture_pair(method)
         _estimate(method, *kept, k, RngStream(1), s)
         hit = _estimate(method, *kept, k, RngStream(8), s)
-        fresh = _estimate(method, *_fixture_pair(method), k, RngStream(8), s)
+        fresh = _estimate(method, *helpers.fixture_pair(method), k, RngStream(8), s)
         assert repr(hit) == repr(fresh)
 
     def test_kept_pvals_are_read_only(self):
-        t, e = _fixture_pair("boe")
+        t, e = helpers.fixture_pair("boe")
         pvals = inner._qhp_swap_probabilities(t, e, 2, "boe", 1)
         assert inner._qhp_swap_probabilities(t, e, 2, "boe", 1) is pvals
         with pytest.raises(ValueError, match="read-only"):
             pvals[0] = 1.0
 
     def test_power_zero_refused_and_not_kept(self):
-        t, e = _fixture_pair("amplitude")
+        t, e = helpers.fixture_pair("amplitude")
         with pytest.raises(ValueError, match="k must be >= 1"):
             estimate_yk_variant_ab(t, e, 0, "no_mid_reset", 0.1, 0.9, RngStream(0))
         assert t.readouts == {}
@@ -385,14 +350,14 @@ class TestKeptLaws:
     def test_swap_power_below_one_refused_and_not_kept(self, method, k):
         # the swap law once read k = 0 as k = 1 and the BOE estimate then
         # scaled it as k = 0
-        t, e = _fixture_pair(method)
+        t, e = helpers.fixture_pair(method)
         with pytest.raises(ValueError, match="k must be >= 1"):
             _estimate(method, t, e, k, RngStream(0))
         assert t.readouts == {}
 
     def test_equal_partner_gets_own_entry(self, monkeypatch):
-        t, e1 = _fixture_pair("amplitude")
-        e2 = normalize_affine(FIXTURE_E, 0.0)
+        t, e1 = helpers.fixture_pair("amplitude")
+        e2 = normalize_affine(helpers.FIXTURE_E, 0.0)
         assert e1 != e2 and len({e1, e2}) == 2
         runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
         p1 = inner._qhp_swap_probabilities(t, e1, 1)
@@ -403,7 +368,7 @@ class TestKeptLaws:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_bad_arguments_refused_and_not_kept(self, k):
-        t, e = _fixture_pair("boe")
+        t, e = helpers.fixture_pair("boe")
         with pytest.raises(ValueError, match="unknown style"):
             estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
         with pytest.raises(ValueError, match="split level"):

@@ -8,11 +8,10 @@ from scipy.special import betaincinv as betaincinv_ufunc
 from scipy.special.cython_special import betaincinv as betaincinv_scalar
 from scipy.stats import beta as beta_dist
 
-from helpers import (grover_circuit_iterate, grover_probability_after,
+from helpers import (FIXTURE_E, FIXTURE_T, fixture_pair, grover_circuit_iterate,
                      qpe_distribution_reference, recorded_calls, u_gate, z_exact)
-from qsim import inner, qhp
+from qsim import inner, qhp, sim
 from qsim.assembly import VariantConfig, evaluate
-from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.qae import (EPSILON_FLOOR, GroverOracle, _clopper_pearson,
                       _qpe_distribution, build_oracle_variant_c,
                       build_oracles_variant_d, canonical_qae,
@@ -28,22 +27,20 @@ def simple_oracle(z):
     return GroverOracle(prepare=circ, good=(0,))
 
 
-def series_pair(eta=10.0):
-    t = normalize_affine([12.0, 17.0, 23.0, 28.0], eta)
-    e = normalize_affine([30.0, 24.0, 36.0, 28.0], 0.0)
-    return t, e
+# id: builder, for variant c at k 1-3, and both variant-d oracles (U, U')
+# at k 1-2 and s 1-2
+VARIANT_BUILDS = {f"c-k{k}": lambda k=k: build_oracle_variant_c(*fixture_pair(), k)
+                  for k in (1, 2, 3)}
+VARIANT_BUILDS.update({
+    f"d-k{k}-s{s}-{name}": lambda k=k, s=s, i=i: build_oracles_variant_d(
+        *fixture_pair("boe"), k, s)[i]
+    for k in (1, 2) for s in (1, 2) for i, name in enumerate(("U", "Uprime"))})
+VARIANT_ORACLES = [pytest.param(build, id=name) for name, build in VARIANT_BUILDS.items()]
 
 
 class TestGroverOracle:
     def test_z_exact(self):
         assert z_exact(simple_oracle(0.3)) == pytest.approx(0.3, abs=1e-12)
-
-    @pytest.mark.parametrize("j", [0, 1, 2, 3])
-    def test_grover_spectrum(self, j):
-        # the closed form sin^2((2j+1) theta) against j simulated iterates
-        oracle = simple_oracle(0.2)
-        assert grover_probability(z_exact(oracle), j) == pytest.approx(
-            grover_probability_after(oracle, j), abs=1e-12)
 
     @pytest.mark.parametrize("z", [-1e-17, 1.0 + 2e-16])
     def test_grover_probability_clamps_rounded_z(self, z):
@@ -82,14 +79,33 @@ def prepare_circuits(draw):
     return circ, tuple(draw(st.permutations(range(n)))[:size])
 
 
+def _examples(cases):
+    """@example(case=c) for each c of cases, as one decorator."""
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
+# a one-qubit oracle at z = 0.2, and every variant oracle: their multi-qubit
+# and empty good registers, and the ucry and cswap gates of their
+# preparations, which prepare_circuits does not draw
 @given(prepare_circuits())
+@_examples([(o.prepare, o.good) for o in
+            [simple_oracle(0.2)] + [build() for build in VARIANT_BUILDS.values()]])
 @settings(max_examples=60, deadline=None)
 def test_closed_form_matches_statevector(case):
+    # P(good after Q^j) = sin^2((2j+1) theta) with sin^2(theta) = z, for
+    # j = 0 .. 20 iterates, each simulated in circuit form after the last.
+    # The rounding grows about as j^2: up to 1e-13 at j = 5, 1.5e-12 at 20
     oracle = GroverOracle(*case)
     z = z_exact(oracle)
+    state = oracle.chi()
     for j in range(21):
         assert grover_probability(z, j) == pytest.approx(
-            grover_probability_after(oracle, j), abs=1e-10)
+            sim.probability_of_bits(state, oracle.good, 0), abs=1e-12 if j <= 5 else 1e-10)
+        grover_circuit_iterate(oracle, state)
 
 
 class TestCanonicalQae:
@@ -131,14 +147,9 @@ class TestQpeDistribution:
                                    qpe_distribution_reference(oracle, m),
                                    rtol=0, atol=1e-12)
 
-    # U' at k = 1 has z' = 1: chi is an eigenvector of Q
-    @pytest.mark.parametrize("build", [
-        *[pytest.param(lambda k=k: build_oracle_variant_c(*series_pair(), k), id=f"c-k{k}")
-          for k in (1, 2)],
-        *[pytest.param(lambda k=k, i=i: build_oracles_variant_d(*sqrt_series_pair(), k, 1)[i],
-                       id=f"d-k{k}-s1-{name}")
-          for k in (1, 2) for i, name in enumerate(("U", "Uprime"))],
-    ])
+    # k 1-2 at s 1; U' at k = 1 has z' = 1: chi is an eigenvector of Q
+    @pytest.mark.parametrize("build", [param for param in VARIANT_ORACLES
+                                       if "k3" not in param.id and "s2" not in param.id])
     def test_plane_matches_statevector_variants(self, build):
         oracle = build()
         np.testing.assert_allclose(_qpe_distribution(oracle, 6),
@@ -252,33 +263,7 @@ class TestIqae:
         assert calls[1] / calls[0] < 10.0
 
 
-def sqrt_series_pair():
-    return (normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0),
-            normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0))
-
-
-# (builder, id): variant c at k 1-3, and both variant-d oracles (U, U')
-# at k 1-2 and s 1-2
-VARIANT_ORACLES = [
-    *[pytest.param(lambda k=k: build_oracle_variant_c(*series_pair(), k), id=f"c-k{k}")
-      for k in (1, 2, 3)],
-    *[pytest.param(lambda k=k, s=s, i=i: build_oracles_variant_d(*sqrt_series_pair(), k, s)[i],
-                   id=f"d-k{k}-s{s}-{name}")
-      for k in (1, 2) for s in (1, 2) for i, name in enumerate(("U", "Uprime"))],
-]
-
-
 class TestVariantOracles:
-    @pytest.mark.parametrize("build", VARIANT_ORACLES)
-    def test_grover_spectrum(self, build):
-        # multi-qubit and empty good registers: P(good after Q^j) =
-        # sin^2((2j+1) theta) with sin^2(theta) = z
-        oracle = build()
-        z = z_exact(oracle)
-        for j in range(6):
-            assert grover_probability(z, j) == pytest.approx(
-                grover_probability_after(oracle, j), abs=1e-12)
-
     @pytest.mark.parametrize("build", VARIANT_ORACLES)
     def test_rank1_iterate_matches_circuit_form(self, build):
         # the reflection about the kept chi against F^dag and F simulated
@@ -301,34 +286,18 @@ class TestVariantOracles:
         _qpe_distribution(oracle, 6)
         assert (len(applied), inverted) == (1, [])
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_variant_c_z_is_yk_squared(self, k):
-        t, e = series_pair()
-        oracle = build_oracle_variant_c(t, e, k)
-        y = float(np.sum(t.values**k * e.values))
-        assert z_exact(oracle) == pytest.approx(y * y, abs=1e-10)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_variant_d_z_identities(self, k):
-        t, e = sqrt_series_pair()
-        u, u_prime = build_oracles_variant_d(t, e, k, 1)
-        y_tilde = float(np.sum(t.values ** (2 * k) * e.values**2))
-        a_inv_sq = float(np.sum(t.values ** (2 * k)))
-        assert z_exact(u) == pytest.approx(0.5 * (y_tilde + a_inv_sq), abs=1e-10)
-        assert z_exact(u_prime) == pytest.approx(a_inv_sq, abs=1e-10)
-
     # IQAE reads z from qsim.inner's readout laws, canonical QAE from these
     # oracles: the two agree
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_variant_c_law_matches_oracle(self, k):
-        t, e = series_pair()
+        t, e = fixture_pair()
         law = inner._ancilla_free_readout(t, e, k)
         assert law == pytest.approx(z_exact(build_oracle_variant_c(t, e, k)), abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2])
     def test_variant_d_law_matches_oracles(self, k, s):
-        t, e = sqrt_series_pair()
+        t, e = fixture_pair("boe")
         z_prime, z = inner._swap_readout(t, e, k, "boe", s)
         u, u_prime = build_oracles_variant_d(t, e, k, s)
         assert z == pytest.approx(z_exact(u), abs=1e-12)
@@ -345,17 +314,17 @@ class TestSharedPreparation:
         # law in closed form
         applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
         inverted = recorded_calls(monkeypatch, Circuit, "inverse")
-        estimate_ytilde_variant_d(*sqrt_series_pair(), k, 1, 0.1, 0.9,
+        estimate_ytilde_variant_d(*fixture_pair("boe"), k, 1, 0.1, 0.9,
                                   VariantConfig("d"), RngStream(0))
         assert len(applied) == (1 if k == 1 else 0)
         assert inverted == []
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_canonical_after_shared_chi_matches_reference(self, k):
-        u, u_prime = build_oracles_variant_d(*sqrt_series_pair(), k, 1)
+        u, u_prime = build_oracles_variant_d(*fixture_pair("boe"), k, 1)
         z, z_prime = z_exact(u), z_exact(u_prime)
         for i, oracle in enumerate((u, u_prime)):
-            fresh = build_oracles_variant_d(*sqrt_series_pair(), k, 1)[i]
+            fresh = build_oracles_variant_d(*fixture_pair("boe"), k, 1)[i]
             got = _qpe_distribution(oracle, 6)
             assert got.tobytes() == _qpe_distribution(fresh, 6).tobytes()
             np.testing.assert_allclose(got, qpe_distribution_reference(fresh, 6),
@@ -376,7 +345,7 @@ def test_canonical_evaluate_simulates_each_f_once(monkeypatch, variant, K, runs)
     # Grover iterates simulate neither F nor F^dag, which took 10, 7 and 16
     applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
     evaluate(VariantConfig(variant=variant, K=K, s=1, engine="canonical"),
-             [12.0, 17.0, 23.0, 28.0], [30.0, 24.0, 36.0, 28.0])
+             FIXTURE_T, FIXTURE_E)
     assert len(applied) == runs
 
 
@@ -399,7 +368,7 @@ class TestIqaeReach:
 
 class TestVariantEstimators:
     def test_variant_c_estimate(self):
-        t, e = series_pair()
+        t, e = fixture_pair()
         k = 2
         est = estimate_yk_variant_c(t, e, k, 0.02, 0.9, VariantConfig("c"), RngStream(0))
         y = float(np.sum(t.values**k * e.values))
@@ -407,7 +376,7 @@ class TestVariantEstimators:
         assert est.shots_used > 0
 
     def test_variant_c_canonical_engine(self):
-        t, e = series_pair()
+        t, e = fixture_pair()
         cfg = VariantConfig("c", engine="canonical", shots=60)
         est = estimate_yk_variant_c(t, e, 1, 0.05, 0.9, cfg, RngStream(1))
         y = float(np.sum(t.values * e.values))
@@ -419,17 +388,15 @@ class TestVariantEstimators:
         # z and z'), the count the benchmark tracer charges per run
         cfg = VariantConfig(variant, engine="canonical")
         if variant == "c":
-            t, e = series_pair()
+            t, e = fixture_pair()
             est = estimate_yk_variant_c(t, e, 1, 0.05, 0.9, cfg, RngStream(0))
         else:
-            t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
-            e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+            t, e = fixture_pair("boe")
             est = estimate_ytilde_variant_d(t, e, 1, 1, 0.1, 0.9, cfg, RngStream(0))
         assert est.shots_used == calls
 
     def test_variant_d_estimate(self):
-        t = normalize_sqrt([12.0, 17.0, 23.0, 28.0], 10.0)
-        e = normalize_sqrt([30.0, 24.0, 36.0, 28.0], 0.0)
+        t, e = fixture_pair("boe")
         k = 2
         est = estimate_ytilde_variant_d(t, e, k, 1, 0.04, 0.9, VariantConfig("d"),
                                         RngStream(2))
@@ -439,7 +406,7 @@ class TestVariantEstimators:
     def test_variant_c_pilot_epsilon_capped(self):
         # at epsilon >= 1 the pilot's epsilon / 2 would leave IQAE's
         # (0, 0.5) domain; it is capped at 0.45 like the main run
-        t, e = series_pair()
+        t, e = fixture_pair()
         est = estimate_yk_variant_c(t, e, 1, 1.0, 0.9, VariantConfig("c"), RngStream(0))
         assert est.shots_used > 0
         assert 0.0 <= est.y_hat <= 1.0

@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import helpers
-from helpers import postselected_power_state, survivor_amplitudes
 from qsim import sim
-from qsim.encoding import NormalizedSeries, boe_width, normalize_affine, normalize_sqrt
-from qsim.errors import ZeroBranchError
+from qsim.encoding import NormalizedSeries, boe_width, normalize_affine
 from qsim.qhp import (PowerPlan, build_power_circuit, expected_loads, make_loader,
                       norm_constant_ak, run_with_dynamic_stopping, success_probability)
-from qsim.sim import RngStream, Statevector
+from qsim.sim import RngStream, Statevector, ZeroBranchError
 
 
 def series_fixture(n_vals=4, seed=0, eta=10.0):
@@ -66,43 +64,6 @@ class TestConstants:
 
 
 class TestPowerStates:
-    @pytest.mark.parametrize("style", ["no_mid_reset", "mid_reset"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_postselected_state_matches_classical(self, style, k):
-        series = series_fixture(4, k)
-        loader = make_loader(series)
-        pc = build_power_circuit(PowerPlan(k=k, style=style), loader)
-        prob, state = postselected_power_state(pc)
-        a_k = norm_constant_ak(series, k)
-        assert prob == pytest.approx(a_k**-2, abs=1e-12)
-        amps = survivor_amplitudes(pc, state)
-        np.testing.assert_allclose(amps.real, a_k * series.values**k,
-                                   atol=1e-10)
-        np.testing.assert_allclose(amps.imag, 0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_styles_agree(self, k):
-        series = series_fixture(8, 20 + k)
-        loader = make_loader(series)
-        states = []
-        for style in ("no_mid_reset", "mid_reset"):
-            pc = build_power_circuit(PowerPlan(k=k, style=style), loader)
-            _p, st = postselected_power_state(pc)
-            states.append(survivor_amplitudes(pc, st).real)
-        np.testing.assert_allclose(states[0], states[1], atol=1e-10)
-
-    @pytest.mark.parametrize("s", [1, 2])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_boe_power_marginal(self, s, k):
-        raw = np.array([12.0, 17.0, 23.0, 28.0])
-        series = normalize_sqrt(raw, 10.0)
-        loader = make_loader(series, "boe", s)
-        pc = build_power_circuit(PowerPlan(k=k, style="no_mid_reset",
-                                           encoding="boe", s=s), loader)
-        prob, state = postselected_power_state(pc)
-        a_k = norm_constant_ak(series, k)
-        assert prob == pytest.approx(a_k**-2, abs=1e-12)
-
     @pytest.mark.parametrize("style, rounds", [
         ("mid_reset", [(0, 1), (0, 2), (0, 3), (0, 4)]),
         ("no_mid_reset", [(0, 1), (2, 3), (0, 2), (0, 4)])])
@@ -147,22 +108,6 @@ class TestDynamicStopping:
         outcomes = run_with_dynamic_stopping(plan, loader, 4000, RngStream(9))
         mean_loads = np.mean([o.loads for o in outcomes])
         assert mean_loads == pytest.approx(expected_loads(series, k), abs=0.1)
-
-    def test_surviving_state_correct(self):
-        series = series_fixture(4, 3)
-        k = 2
-        loader = make_loader(series)
-        plan = PowerPlan(k=k, style="mid_reset")
-        ref = helpers.ref_dynamic_stopping(plan, loader, 50, RngStream(1))
-        a_k = norm_constant_ak(series, k)
-        for o, state in ref:
-            if o.success:
-                amps = state.amplitudes.reshape(-1)[:series.values.size]
-                np.testing.assert_allclose(np.abs(amps), a_k * series.values**k,
-                                           atol=1e-10)
-                break
-        else:
-            pytest.fail("no successful shot in 50 tries")
 
     @given(st.sampled_from(DYNSTOP_CASES), st.data(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

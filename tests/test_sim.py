@@ -7,9 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 from qsim import inner, kernels, qae, qhp, sim
 from qsim.encoding import normalize_affine, normalize_sqrt
-from qsim.errors import ZeroBranchError
 from qsim.kernels import apply_cswap_pair, apply_ctrl_1q, backend
-from qsim.sim import Circuit, RngStream, Statevector
+from qsim.sim import Circuit, RngStream, Statevector, ZeroBranchError
 
 
 def random_state(n, seed=0):
@@ -25,81 +24,8 @@ def random_orthogonal(seed=0):
     return q
 
 
-def _ref_indices(n_qubits, fixed_mask, fixed_val):
-    """Indices i in [0, 2^n) with i & fixed_mask == fixed_val, increasing."""
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    return idx[(idx & fixed_mask) == fixed_val]
-
-
-def ref_ctrl_1q(amps, n_qubits, ctrl_mask, ctrl_val, target, u00, u01, u10, u11):
-    """Gather/scatter kernel whose output bits the strided kernel must keep."""
-    tbit = 1 << target
-    i0 = _ref_indices(n_qubits, ctrl_mask | tbit, ctrl_val)
-    i1 = i0 | tbit
-    a0 = amps[i0]
-    a1 = amps[i1]
-    amps[i0] = u00 * a0 + u01 * a1
-    amps[i1] = u10 * a0 + u11 * a1
-
-
-def ref_cswap_pair(amps, n_qubits, ctrl_mask, ctrl_val, qa, qb):
-    abit = 1 << qa
-    bbit = 1 << qb
-    i0 = _ref_indices(n_qubits, ctrl_mask | abit | bbit, ctrl_val | abit)
-    i1 = (i0 ^ abit) | bbit
-    tmp = amps[i0].copy()
-    amps[i0] = amps[i1]
-    amps[i1] = tmp
-
-
-def dense_ctrl_1q(n_qubits, ctrl_mask, ctrl_val, target, u):
-    """The full 2^n x 2^n matrix of a controlled single-qubit gate."""
-    dim = 1 << n_qubits
-    tbit = 1 << target
-    mat = np.zeros((dim, dim))
-    for i in range(dim):
-        if i & ctrl_mask != ctrl_val:
-            mat[i, i] = 1.0
-            continue
-        b = (i >> target) & 1
-        for out_b in (0, 1):
-            mat[(i & ~tbit) | (out_b * tbit), i] = u[out_b, b]
-    return mat
-
-
-def dense_cswap_pair(n_qubits, ctrl_mask, ctrl_val, qa, qb):
-    dim = 1 << n_qubits
-    mat = np.zeros((dim, dim))
-    for i in range(dim):
-        j = i
-        if i & ctrl_mask == ctrl_val and ((i >> qa) & 1) != ((i >> qb) & 1):
-            j = i ^ (1 << qa) ^ (1 << qb)
-        mat[j, i] = 1.0
-    return mat
-
-
 def bits(amps):
     return amps.view(np.uint64)
-
-
-@st.composite
-def controlled_gates(draw, n_fixed):
-    """(n, control mask, control value, fixed qubits) with n in 1..6 and
-    n_fixed distinct non-control qubits, in either order; the first is 0 or
-    n-1 in two draws of three."""
-    n = draw(st.integers(max(1, n_fixed), 6))
-    qubits = draw(st.permutations(range(n)))
-    edge = draw(st.sampled_from([None, 0, n - 1]))
-    if edge is not None:
-        qubits = [edge] + [q for q in qubits if q != edge]
-    fixed = list(qubits[:n_fixed])
-    mask = val = 0
-    for q in qubits[n_fixed:]:
-        if draw(st.booleans()):
-            mask |= 1 << q
-            if draw(st.booleans()):
-                val |= 1 << q
-    return n, mask, val, fixed
 
 
 @st.composite
@@ -170,7 +96,7 @@ def u_gate_cases(draw):
     """(state, gate): a u gate with 0 to 5 controls in any order and its
     target below, between or above them, on n <= 12 qubits.  The payload is
     an Ry (angles include 0 and +-pi, so coefficients include signed zeros)
-    or H or a random orthogonal matrix per pattern.  The state is full-width
+    or H, X or a random orthogonal matrix per pattern.  The state is full-width
     with a drawn share of zero amplitudes, each +0.0 or -0.0, or a state
     from Statevector.zero with Ry on its lowest 0 to n qubits, zero above
     them."""
@@ -185,9 +111,9 @@ def u_gate_cases(draw):
         angles = draw(st.lists(angle, min_size=1 << c, max_size=1 << c))
         gate = Circuit(n).ucry(controls, target, angles).gates[0]
     else:
-        mats = [sim.HADAMARD if draw(st.booleans())
-                else random_orthogonal(draw(st.integers(0, 2**32 - 1)))
-                for _ in range(1 << c)]
+        matrix = (st.sampled_from([sim.HADAMARD, helpers.PAULI_X])
+                  | st.integers(0, 2**32 - 1).map(random_orthogonal))
+        mats = [draw(matrix) for _ in range(1 << c)]
         if c == 0:
             gate = helpers.u_gate(Circuit(n), target, mats[0]).gates[0]
         else:
@@ -207,54 +133,43 @@ def u_gate_cases(draw):
     return state, gate
 
 
-def random_gate_case(rng):
-    """A random controlled gate on a random state of 1 to 6 qubits."""
-    n = int(rng.integers(1, 7))
-    target = int(rng.choice([0, n - 1, rng.integers(n)]))
-    mask = val = 0
-    for q in range(n):
-        if q != target and rng.random() < 0.5:
-            mask |= 1 << q
-            if rng.random() < 0.5:
-                val |= 1 << q
-    return n, mask, val, target
-
-
 class TestKernels:
     def test_backend_selected(self):
         assert backend == "numpy"
 
-    @given(controlled_gates(1), st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_ctrl_1q_matches_dense(self, case, seed):
-        n, mask, val, (target,) = case
-        amps = random_state(n, seed).amplitudes
-        u = random_orthogonal(seed)
-        expected = dense_ctrl_1q(n, mask, val, target, u) @ amps
-        apply_ctrl_1q(amps, n, mask, val, target, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-        np.testing.assert_allclose(amps, expected, atol=1e-12)
-
-    @given(u_gate_cases())
+    @given(u_gate_cases(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_u_gate_matches_per_pattern_reference(self, case):
-        # one uniformly controlled kernel call against one call per control
-        # pattern, bit for bit (signed zeros included)
+    def test_u_gate_matches_per_pattern_reference(self, case, data):
+        # bit for bit (signed zeros included) against gather/scatter, one
+        # control pattern at a time: the gate run by apply_unitary, all its
+        # patterns in one kernel call, or a direct kernel call on one drawn
+        # pattern, its coefficients Python or NumPy floats
         state, gate = case
-        n = state.n_qubits
-        expected = state.copy()
-        # at the width apply_unitary runs it: the whole state, or from
-        # |0...0> the prefix up to the gate's highest qubit
-        live = n if state.amplitudes[1:].any() else max(gate[1]) + 1
-        helpers.apply_u_per_pattern(expected.amplitudes[:1 << live], live, gate)
-        Circuit(n, [gate]).apply_unitary(state)
-        assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        n, (_kind, qubits, payload) = state.n_qubits, gate
+        expected = state.amplitudes.copy()
+        pattern = data.draw(st.none() | st.integers(0, (1 << (len(qubits) - 1)) - 1))
+        if pattern is None:
+            # at the width apply_unitary runs it: the whole state, or from
+            # |0...0> the prefix up to the gate's highest qubit
+            live = n if state.amplitudes[1:].any() else max(qubits) + 1
+            helpers.u_gate_reference(expected[:1 << live], live, gate)
+            Circuit(n, [gate]).apply_unitary(state)
+        else:
+            number = data.draw(st.sampled_from([float, np.float64]))
+            coeffs = [number(np.ravel(u)[pattern]) for u in payload]
+            controls = qubits[-2::-1]
+            mask = sum(1 << q for q in controls)
+            val = sum(1 << q for j, q in enumerate(controls) if pattern >> j & 1)
+            helpers.ctrl_1q_reference(expected, n, mask, val, qubits[-1], *coeffs)
+            apply_ctrl_1q(state.amplitudes, n, mask, val, qubits[-1], *coeffs)
+        assert state.amplitudes.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("target,controls", [
         (0, ()), (15, ()), (0, (15,)), (7, (15, 14)), (3, (0, 1, 2)),
         (0, tuple(range(9, 0, -1))), (15, (0, 1)), (8, (2, 12, 5))])
     def test_blocked_states_match_python(self, target, controls):
         # at 17 qubits both kernel forms update the state block by block;
-        # bit for bit against the gather/scatter formula, pattern by pattern
+        # bit for bit against gather/scatter, pattern by pattern
         n = 17
         assert 1 << (n - 1) > kernels.BLOCK
         rng = np.random.default_rng(target + 16 * len(controls))
@@ -262,48 +177,22 @@ class TestKernels:
         gate = Circuit(n).ucry(controls, target, angles).gates[0]
         state = random_state(n, len(controls))
         expected = state.amplitudes.copy()
-        helpers.apply_u_per_pattern(expected, n, gate, kernel=ref_ctrl_1q)
+        helpers.u_gate_reference(expected, n, gate)
         Circuit(n, [gate]).apply_unitary(state)
         assert state.amplitudes.tobytes() == expected.tobytes()
         u = random_orthogonal(target)
         mask = sum(1 << q for q in controls)
         coeffs = (u[0, 0], u[0, 1], u[1, 0], u[1, 1])
         apply_ctrl_1q(state.amplitudes, n, mask, mask, target, *coeffs)
-        ref_ctrl_1q(expected, n, mask, mask, target, *coeffs)
+        helpers.ctrl_1q_reference(expected, n, mask, mask, target, *coeffs)
         assert state.amplitudes.tobytes() == expected.tobytes()
-
-    @given(controlled_gates(2), st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_cswap_matches_dense(self, case, seed):
-        n, mask, val, (qa, qb) = case
-        amps = random_state(n, seed).amplitudes
-        expected = dense_cswap_pair(n, mask, val, qa, qb) @ amps
-        apply_cswap_pair(amps, n, mask, val, qa, qb)
-        np.testing.assert_array_equal(amps, expected)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_ctrl_1q_matches_python(self, seed):
-        # bit for bit against the gather/scatter formula, for a random
-        # orthogonal matrix (NumPy floats), a rotation (Python floats) and X
-        rng = np.random.default_rng(seed)
-        for _ in range(40):
-            n, mask, val, target = random_gate_case(rng)
-            u = random_orthogonal(int(rng.integers(2**32)))
-            c, s = np.cos(0.37), np.sin(0.37)
-            for coeffs in ((u[0, 0], u[0, 1], u[1, 0], u[1, 1]),
-                           (c, -s, s, c), (0.0, 1.0, 1.0, 0.0)):
-                st_a = random_state(n, int(rng.integers(2**32))).amplitudes
-                st_b = st_a.copy()
-                apply_ctrl_1q(st_a, n, mask, val, target, *coeffs)
-                ref_ctrl_1q(st_b, n, mask, val, target, *coeffs)
-                np.testing.assert_array_equal(bits(st_a), bits(st_b))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_cswap_registers_match_per_pair_loop(self, data):
-        # one permutation of the control subspace against one halves swap
-        # per qubit pair, bit for bit, for registers of any qubits in any
-        # order and any controls among the other qubits
+        # bit for bit against gather/scatter, one qubit pair at a time, for
+        # registers of any qubits in any order (single qubits also as ints)
+        # and any controls, at any values, among the other qubits
         n = data.draw(st.integers(2, 10))
         qubits = data.draw(st.permutations(range(n)))
         m = data.draw(st.integers(1, n // 2))
@@ -316,24 +205,11 @@ class TestKernels:
                     val |= 1 << q
         amps = random_state(n, data.draw(st.integers(0, 2**32 - 1))).amplitudes
         expected = amps.copy()
-        helpers.cswap_per_pair(expected, n, mask, val, qa, qb)
+        helpers.cswap_reference(expected, n, mask, val, qa, qb)
+        if m == 1 and data.draw(st.booleans()):
+            qa, qb = qa[0], qb[0]
         apply_cswap_pair(amps, n, mask, val, qa, qb)
         assert amps.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_cswap_matches_python(self, seed):
-        rng = np.random.default_rng(seed + 10)
-        for _ in range(40):
-            n = int(rng.integers(2, 7))
-            qa, qb, *rest = (int(q) for q in rng.permutation(n))
-            mask = val = 0
-            if rest:
-                mask = val = 1 << rest[0]
-            st_a = random_state(n, int(rng.integers(2**32))).amplitudes
-            st_b = st_a.copy()
-            apply_cswap_pair(st_a, n, mask, val, qa, qb)
-            ref_cswap_pair(st_b, n, mask, val, qa, qb)
-            np.testing.assert_array_equal(bits(st_a), bits(st_b))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cnot_swap_matches_x_matrix(self, seed):
@@ -504,17 +380,6 @@ class TestRealAmplitudes:
 
 
 class TestMeasurement:
-    def test_marginal_probabilities_sum(self):
-        state = random_state(4, 3)
-        probs = sim.marginal_probabilities(state, [1, 3])
-        assert probs.sum() == pytest.approx(1.0)
-
-    def test_project_bits_zero_branch(self):
-        state = helpers.u_gate(Circuit(2), 0, helpers.PAULI_X).apply_unitary(
-            Statevector.zero(2))
-        with pytest.raises(ZeroBranchError):
-            sim.project_bits(state, (0,), 0)
-
     @given(register_cases(), st.integers(0, 2**32 - 1))
     # every qubit: the view is one amplitude, which this seed squares to a
     # different bit pattern unless it is flattened first; no qubit: the
@@ -583,12 +448,6 @@ class TestMeasurement:
         args = ((0, 0),) if readout == "marginal_probabilities" else ((0, 0), 0)
         with pytest.raises(ValueError, match="more than once"):
             getattr(sim, readout)(state, *args)
-
-    def test_project_bits_renormalizes(self):
-        state = random_state(3, 7)
-        p, cond = sim.project_bits(state, (1,), 0)
-        assert 0 < p < 1
-        assert np.linalg.norm(cond.amplitudes) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_postselect_reduces_width(self):
         state = random_state(3, 8)
@@ -770,18 +629,6 @@ class TestRngStream:
 
 
 class TestCircuit:
-    def test_inverse_is_identity(self):
-        circ = Circuit(3)
-        circ.h(0)
-        circ.ry(1, 0.7)
-        circ.ucry([2], 1, [0.3, 1.1])
-        circ.cswap(2, (0,), (1,))
-        circ.extend(circ.inverse())
-        state = random_state(3, 1)
-        ref = state.amplitudes.copy()
-        circ.apply_unitary(state)
-        np.testing.assert_allclose(state.amplitudes, ref, atol=1e-12)
-
     def test_payloads_are_immutable(self):
         # controlled gates hold read-only arrays and uncontrolled ones Python
         # floats, in a circuit and in its inverse
