@@ -81,11 +81,14 @@ def _fitted_b(params, eta, K, mode, domain):
         raise ValueError(f"degree must be >= 0, got {K}")
     if K > MAX_DEGREE:
         raise ValueError(f"degree must be <= {MAX_DEGREE}, got {K}")
-    if domain is None:
+    derived = domain is None
+    if derived:
         domain = (eta - 40.0, min(eta + 39.0, params.T0 - 1.0))
     lo, hi = domain
     if not lo < hi:
-        raise ValueError("degenerate fit domain")
+        raise ValueError(f"eta={eta!r} leaves the default fit window [eta - 40, "
+                         f"min(eta + 39, T0 - 1)] = [{lo!r}, {hi!r}] empty"
+                         if derived else "degenerate fit domain")
     if hi >= params.T0:
         raise ValueError("fit domain must stay below T0")
 

@@ -216,6 +216,14 @@ def _swap_radicand(rng, S, pvals):
     return (2.0 * c00 - (c00 + c01)) / S
 
 
+def _require_mode(mode, series_T, series_E, estimation):
+    """Refuse a pair not normalised in `mode`: each estimator's readout law
+    holds on its own normalisation only."""
+    if series_T.mode != mode or series_E.mode != mode:
+        raise ValueError(f"{estimation} estimation requires {mode}-normalized series, "
+                         f"got {series_T.mode} and {series_E.mode}")
+
+
 def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
                            shots=None):
     """QHP + ancilla-free estimator Y_S = sqrt(Xbar).
@@ -224,6 +232,7 @@ def estimate_yk_variant_ab(series_T, series_E, k, style, epsilon, alpha, rng,
     the per-shot success probability is exactly y_k^2 in either QHP style,
     so `style` is only checked.
     """
+    _require_mode("affine", series_T, series_E, "ancilla-free")
     if style not in qhp.STYLES:
         raise ValueError(f"unknown style {style!r}")
     p = _ancilla_free_readout(series_T, series_E, k)
@@ -241,6 +250,7 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
     max{4, a_k^-2 y^-2} eps^-2 [Phi^-1((3+alpha)/4)]^2; the square root is
     clamped at 0 and the event recorded.
     """
+    _require_mode("affine", series_T, series_E, "swap-test")
     pvals = _qhp_swap_probabilities(series_T, series_E, k)
     if shots is None:
         s_pilot = _shots_p_free(epsilon, alpha)
@@ -263,8 +273,7 @@ def estimate_yk_swap(series_T, series_E, k, epsilon, alpha, rng, shots=None):
 def estimate_ytilde_boe_swap(series_Tsqrt, series_Esqrt, k, s, epsilon, alpha,
                              rng, shots=None):
     """BOE + swap-test estimator for ytilde_k (no square root)."""
-    if series_Tsqrt.mode != "sqrt" or series_Esqrt.mode != "sqrt":
-        raise ValueError("BOE estimation requires sqrt-normalized series")
+    _require_mode("sqrt", series_Tsqrt, series_Esqrt, "BOE")
     pvals = _qhp_swap_probabilities(series_Tsqrt, series_Esqrt, k, "boe", s)
 
     if shots is None:

@@ -148,8 +148,7 @@ def chain_round(loader, base, width):
 
 def ref_dynamic_stopping(plan, loader, shots, rng):
     """The statevector chain that qhp.run_with_dynamic_stopping draws in
-    closed form: one (QhpOutcome, state) per shot, where state is the
-    surviving conditional state of a successful shot and None otherwise.
+    closed form: one QhpOutcome per shot.
 
     Shot i simulates its rounds on its own copy of the state and measures
     each round's register on row i of one (shots, k - 1) draw of uniforms.
@@ -178,10 +177,10 @@ def ref_dynamic_stopping(plan, loader, shots, rng):
                           len(cum) - 1)
             sim.project_bits(st, reg, outcome)
             if outcome:
-                out.append((QhpOutcome(False, t, t), None))
+                out.append(QhpOutcome(False, t, t))
                 break
         else:
-            out.append((QhpOutcome(True, k - 1, k), st))
+            out.append(QhpOutcome(True, k - 1, k))
     return out
 
 

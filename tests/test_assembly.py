@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import FIXTURE_E, FIXTURE_T, recorded_calls
-from qsim import assembly, classical, encoding, inner, qhp
+from helpers import FIXTURE_E, FIXTURE_T
+from qsim import assembly, classical
 from qsim.assembly import (ContractSpec, VariantConfig, allocate_budget,
                            delta_gross_margin, evaluate, resource_report,
                            run_experiment)
 from qsim.classical import DEFAULT_PARAMS, fit_polynomial, sigmoid_volume
 from qsim.encoding import normalize_affine, normalize_sqrt
-from qsim.sim import RngStream, Statevector
+from qsim.sim import RngStream
 
 RAW_T, RAW_E = np.array(FIXTURE_T), np.array(FIXTURE_E)
 
@@ -206,6 +206,34 @@ class TestEvaluate:
         assert data["V"] == report.V
         assert data["seed"] == 1
 
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_degree_3_at_1024_points(self, variant):
+        # the k = 3 power state alone has 30 qubits (16 GiB); k = 2 and 3
+        # are read in closed form, and a's k = 1 swap test allocates 21
+        rng = np.random.default_rng(5)
+        cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)
+        report = evaluate(cfg, rng.uniform(12.0, 28.0, 1024),
+                          rng.uniform(20.0, 40.0, 1024))
+        assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
+        assert np.isfinite(report.V)
+
+    @pytest.mark.parametrize("variant", ["b"])
+    def test_degree_3_at_65536_points(self, variant):
+        # the k = 3 power state alone has 48 qubits; every power is read in
+        # closed form, and no state is allocated
+        rng = np.random.default_rng(5)
+        t, e = rng.uniform(12.0, 28.0, 1 << 16), rng.uniform(20.0, 40.0, 1 << 16)
+        cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)
+        tracemalloc.start()
+        try:
+            report = evaluate(cfg, t, e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
+        assert np.isfinite(report.V)
+        assert peak < 64 << 20
+
 
 class TestPowerLoop:
     """Every estimating variant runs its powers widest first, reports them
@@ -243,41 +271,9 @@ class TestPowerLoop:
 
 
 class TestBuildOnce:
-    """evaluate builds each object derived from its inputs once: a tree and
-    a loader per series, and the fit, which later evaluations with the same
-    arguments reuse."""
-
-    def test_one_tree_and_loader_per_series(self, monkeypatch):
-        # a loads T for its k = 1 swap test and E for the swap test and the
-        # closed forms at k = 2, 3
-        trees = recorded_calls(monkeypatch, encoding.StateDecompositionTree, "__init__")
-        loaders = recorded_calls(monkeypatch, encoding.AmplitudeLoader, "__init__")
-        evaluate(VariantConfig(variant="a", K=3, eta=10.0, epsilon=0.1, seed=1),
-                 RAW_T, RAW_E)
-        assert len(trees) == 2
-        leaves = sorted(tuple(tree.leaves) for _self, tree in loaders)
-        expected = sorted(tuple(normalize_affine(raw, eta).values)
-                          for raw, eta in ((RAW_T, 10.0), (RAW_E, 0.0)))
-        assert leaves == expected
-
-    def test_one_sampling_tree_per_evaluate(self, monkeypatch):
-        # every power's Tang estimate samples from the same tree over T' - eta
-        trees = recorded_calls(monkeypatch, encoding.StateDecompositionTree, "__init__")
-        evaluate(VariantConfig(variant="classical_sampling", K=3, eta=10.0,
-                               epsilon=0.1, seed=1), RAW_T, RAW_E)
-        assert len(trees) == 1
-
-    @pytest.mark.parametrize("variant, reference", [
-        ("classical_exact", "v_exact"), ("classical_poly", "v_star"), ("b", None)])
-    def test_one_direct_sum_of_each_per_evaluate(self, monkeypatch, variant, reference):
-        # a direct sum's V is the reference already computed, not a second sum
-        exact = recorded_calls(monkeypatch, classical, "exact_value")
-        poly = recorded_calls(monkeypatch, classical, "classical_poly_value")
-        report = evaluate(VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1,
-                                        seed=1), RAW_T, RAW_E)
-        assert (len(exact), len(poly)) == (1, 1)
-        if reference:
-            assert report.V == getattr(report, reference)
+    """evaluate builds each object derived from its inputs once (the
+    loaders and trees in test_reach), and later evaluations with the same
+    arguments reuse the fit."""
 
     def test_second_evaluate_runs_no_fit(self):
         cfg = VariantConfig(variant="c", K=2, eta=7.5, epsilon=0.1, seed=1)
@@ -311,101 +307,6 @@ class TestBuildOnce:
             assert evaluate(*x).to_dict() == want_x
             assert evaluate(*y).to_dict() == want_y
             assert evaluate(*x).to_dict() == want_x
-
-
-def _recorded_widths(monkeypatch):
-    """The qubit count of every Statevector allocated from here on."""
-    widths = []
-    init = Statevector.__init__
-
-    def recording_init(self, n_qubits, amplitudes=None):
-        widths.append(n_qubits)
-        init(self, n_qubits, amplitudes)
-
-    monkeypatch.setattr(Statevector, "__init__", recording_init)
-    return widths
-
-
-class TestReadoutWidth:
-    """a reads each consumed branch (k >= 2) in closed form and simulates
-    only its k = 1 swap test, on the survivor, E's register and the
-    ancilla.  b, and c under IQAE, read y_k^2 in closed form at every k and
-    simulate nothing."""
-
-    @pytest.mark.parametrize("variant, K, widest", [
-        ("a", 3, 2 * 4 + 1),   # 2n + 1: the swap test on the survivor
-        ("a", 2, 2 * 4 + 1),
-    ])
-    def test_widest_state_allocated(self, monkeypatch, variant, K, widest):
-        widths = _recorded_widths(monkeypatch)
-        rng = np.random.default_rng(3)
-        cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1, seed=4)
-        evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
-        assert max(widths) == widest
-
-    @pytest.mark.parametrize("K", [1, 2, 3])
-    @pytest.mark.parametrize("variant", ["b", "c"])
-    def test_ancilla_free_variants_simulate_nothing(self, monkeypatch, variant, K):
-        rng = np.random.default_rng(2)
-        cfg = VariantConfig(variant=variant, K=K, eta=10.0, epsilon=0.1, seed=5)
-        states = recorded_calls(monkeypatch, Statevector, "__init__")
-        builds = recorded_calls(monkeypatch, qhp, "build_power_circuit")
-        report = evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
-        assert [row["k"] for row in report.per_k] == list(range(K + 1))
-        assert (states, builds) == ([], [])
-
-    @pytest.mark.parametrize("K", [2, 3])
-    def test_variant_a_width_row_is_widest_state(self, monkeypatch, K):
-        # every row of a reports the state of its k = 1 swap test, the
-        # widest (and only) state one evaluate of a allocates
-        rng = np.random.default_rng(7)
-        cfg = VariantConfig(variant="a", K=K, eta=10.0, epsilon=0.1, seed=8)
-        widths = _recorded_widths(monkeypatch)
-        report = evaluate(cfg, rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16))
-        assert {row["width"] for row in report.per_k[1:]} == {max(widths)}
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_consumed_powers_allocate_nothing(self, monkeypatch, k):
-        rng = np.random.default_rng(9)
-        t_raw, e_raw = rng.uniform(12.0, 28.0, 16), rng.uniform(20.0, 40.0, 16)
-        t, e = normalize_affine(t_raw, 10.0), normalize_affine(e_raw, 0.0)
-        t_sqrt, e_sqrt = normalize_sqrt(t_raw, 10.0), normalize_sqrt(e_raw, 0.0)
-        widths = _recorded_widths(monkeypatch)
-        builds = recorded_calls(monkeypatch, qhp, "build_power_circuit")
-        inner.estimate_yk_variant_ab(t, e, k, "no_mid_reset", 0.1, 0.9, RngStream(1),
-                                     shots=100)
-        inner.estimate_yk_swap(t, e, k, 0.1, 0.9, RngStream(2), shots=100)
-        inner.estimate_ytilde_boe_swap(t_sqrt, e_sqrt, k, 1, 0.1, 0.9, RngStream(3),
-                                       shots=100)
-        assert (widths, builds) == ([], [])
-
-    @pytest.mark.parametrize("variant", ["a", "b"])
-    def test_degree_3_at_1024_points(self, variant):
-        # the k = 3 power state alone has 30 qubits (16 GiB); k = 2 and 3
-        # are read in closed form, and a's k = 1 swap test allocates 21
-        rng = np.random.default_rng(5)
-        cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)
-        report = evaluate(cfg, rng.uniform(12.0, 28.0, 1024),
-                          rng.uniform(20.0, 40.0, 1024))
-        assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
-        assert np.isfinite(report.V)
-
-    @pytest.mark.parametrize("variant", ["b"])
-    def test_degree_3_at_65536_points(self, variant):
-        # the k = 3 power state alone has 48 qubits; every power is read in
-        # closed form, and no state is allocated
-        rng = np.random.default_rng(5)
-        t, e = rng.uniform(12.0, 28.0, 1 << 16), rng.uniform(20.0, 40.0, 1 << 16)
-        cfg = VariantConfig(variant=variant, K=3, eta=10.0, epsilon=0.1, seed=6)
-        tracemalloc.start()
-        try:
-            report = evaluate(cfg, t, e)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [row["k"] for row in report.per_k] == [0, 1, 2, 3]
-        assert np.isfinite(report.V)
-        assert peak < 64 << 20
 
 
 class TestDeltaGrossMargin:

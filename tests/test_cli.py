@@ -229,13 +229,18 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "beta" in result.output
 
+    # an eta whose default fit window is empty is refused by the fit, which
+    # every variant runs first
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
-                                      ["--degree", "0"]])
+                                      ["--degree", "0"]]
+                             + [["--eta", eta] for eta in ("nan", "inf", "-inf", "1e308")])
     def test_bad_config_exit_2(self, runner, data_files, args):
         t, e = data_files
         result = runner.invoke(main, ["evaluate", "--variant", "b",
                                       "--input-t", t, "--input-e", e] + args)
         assert result.exit_code == 2
+        if args[0] == "--eta":
+            assert f"eta={float(args[1])!r} leaves the default fit window" in result.output
 
 
 class TestExperiment:
@@ -565,7 +570,10 @@ class TestFit:
                                       ["--params", "20000,35,3,6000,40"],
                                       ["--domain", "0,x"],
                                       ["--domain", "0,1,2"],
-                                      ["--degree", "-1"]])
+                                      ["--degree", "-1"],
+                                      ["--eta", "nan"]])
     def test_bad_option_exit_2(self, runner, args):
         result = runner.invoke(main, ["fit", "--eta", "0"] + args)
         assert result.exit_code == 2
+        if args[0] == "--eta":
+            assert "eta=nan leaves the default fit window" in result.output

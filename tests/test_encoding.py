@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FIXTURE_T, side_state_matrix, survivor_amplitudes
-from qsim import sim
+from helpers import FIXTURE_T, survivor_amplitudes
 from qsim.encoding import (boe_depth, boe_width, build_tree, load_amplitude,
                            load_boe, normalize_affine, normalize_sqrt,
                            read_series, validate_raw)
@@ -79,29 +78,6 @@ class TestAmplitudeLoader:
 
 
 class TestBoe:
-    @pytest.mark.parametrize("n_vals,s", [(4, 1), (4, 2), (16, 1), (16, 2),
-                                          (16, 3), (16, 4)])
-    def test_primary_marginal(self, n_vals, s):
-        vals = random_positive(n_vals, n_vals + s)
-        vals /= np.linalg.norm(vals)
-        loader = load_boe(build_tree(vals), s)
-        state = Statevector.zero(loader.width)
-        loader.circuit.apply_unitary(state)
-        probs = sim.marginal_probabilities(state, list(loader.primary))
-        np.testing.assert_allclose(probs, vals**2, atol=1e-10)
-
-    @pytest.mark.parametrize("n_vals,s", [(4, 1), (4, 2), (16, 2), (16, 4)])
-    def test_side_states_orthonormal(self, n_vals, s):
-        vals = random_positive(n_vals, 5 * n_vals + s)
-        vals /= np.linalg.norm(vals)
-        loader = load_boe(build_tree(vals), s)
-        state = Statevector.zero(loader.width)
-        loader.circuit.apply_unitary(state)
-        V = side_state_matrix(state, loader)
-        V = V / np.linalg.norm(V, axis=0, keepdims=True)
-        gram = V.conj().T @ V
-        np.testing.assert_allclose(gram, np.eye(n_vals), atol=1e-10)
-
     @pytest.mark.parametrize("n_vals", [4, 16, 32])
     def test_width_formula(self, n_vals):
         n = int(np.log2(n_vals))

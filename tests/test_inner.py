@@ -7,8 +7,7 @@ from scipy import stats
 
 import helpers
 from helpers import pair_with_overlap
-from qsim import inner, qae, qhp, sim
-from qsim.assembly import VariantConfig
+from qsim import inner, qhp, sim
 from qsim.encoding import (boe_width, build_tree, load_amplitude, normalize_affine,
                            normalize_sqrt)
 from qsim.inner import (build_ancilla_free, estimate_yk_swap, estimate_yk_variant_ab,
@@ -233,17 +232,27 @@ class TestEstimators:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_bad_style_and_split_level_rejected(self, k):
-        t, e = helpers.fixture_pair("boe")
         with pytest.raises(ValueError, match="unknown style"):
-            estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
+            estimate_yk_variant_ab(*helpers.fixture_pair(), k, "mid-reset", 0.1, 0.9,
+                                   RngStream(0))
         with pytest.raises(ValueError, match="split level"):
-            estimate_ytilde_boe_swap(t, e, k, 3, 0.1, 0.9, RngStream(0))
+            estimate_ytilde_boe_swap(*helpers.fixture_pair("boe"), k, 3, 0.1, 0.9, RngStream(0))
 
     def test_boe_swap_rejects_affine_series(self):
         t = normalize_affine([12.0, 17.0], 10.0)
         e = normalize_affine([30.0, 24.0], 0.0)
         with pytest.raises(ValueError):
             estimate_ytilde_boe_swap(t, e, 1, 1, 0.05, 0.9, RngStream(0))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_affine_estimators_refuse_sqrt_series(self, k):
+        # at k = 2 they once returned y' = 92,464 and 93,358, where y'_2 = 16,452
+        t, e = helpers.fixture_pair("boe")
+        with pytest.raises(ValueError, match="ancilla-free .* affine-normalized .* sqrt"):
+            estimate_yk_variant_ab(t, e, k, "no_mid_reset", 0.05, 0.9, RngStream(0))
+        with pytest.raises(ValueError, match="swap-test .* affine-normalized .* sqrt"):
+            estimate_yk_swap(t, e, k, 0.05, 0.9, RngStream(0))
+        assert t.readouts == {}
 
     def test_variance_separation_at_low_overlap(self):
         a, b = pair_with_overlap(0.072)
@@ -280,46 +289,9 @@ def _estimate(method, t, e, k, rng, s=1):
     return estimate_yk_variant_ab(t, e, k, method[3:], 0.1, 0.9, rng, shots=2000)
 
 
-class _LoggedLaws(dict):
-    """A series' readouts that log the key of every law stored in them."""
-
-    def __init__(self):
-        super().__init__()
-        self.stored = []
-
-    def __setitem__(self, key, law):
-        self.stored.append(key)
-        super().__setitem__(key, law)
-
-
 class TestKeptLaws:
     """A pair's readout law is computed on its first estimate and kept on
     the powered series, keyed by the partner series object."""
-
-    @pytest.mark.parametrize("method", ["swap", "boe", "ab-no_mid_reset"])
-    def test_repeated_estimates_simulate_once(self, method, monkeypatch):
-        # at k = 1 the swap tests simulate one circuit; the ancilla-free law
-        # is one closed-form sum and simulates none; each law is computed once
-        t, e = helpers.fixture_pair(method)
-        t.readouts = laws = _LoggedLaws()
-        builds = helpers.recorded_calls(monkeypatch, qhp, "build_power_circuit")
-        runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
-        rng = RngStream(3)
-        for _ in range(5):
-            _estimate(method, t, e, 1, rng.child())
-        want = (0, 0, 1) if method.startswith("ab") else (1, 1, 1)
-        assert (len(builds), len(runs), len(laws.stored)) == want
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_variants_b_and_c_share_one_law(self, k):
-        # the ancilla-free law is y_k^2 in either style, and IQAE reads c's
-        # z from it
-        t, e = helpers.fixture_pair("amplitude")
-        t.readouts = laws = _LoggedLaws()
-        for style in qhp.STYLES:
-            estimate_yk_variant_ab(t, e, k, style, 0.1, 0.9, RngStream(0))
-        qae.estimate_yk_variant_c(t, e, k, 0.1, 0.9, VariantConfig("c"), RngStream(0))
-        assert laws.stored == [("_ancilla_free_readout", e, k)]
 
     @pytest.mark.parametrize("method, s", [("swap", 1), ("boe", 1), ("boe", 2),
                                            ("ab-no_mid_reset", 1),
@@ -355,30 +327,19 @@ class TestKeptLaws:
             _estimate(method, t, e, k, RngStream(0))
         assert t.readouts == {}
 
-    def test_equal_partner_gets_own_entry(self, monkeypatch):
-        t, e1 = helpers.fixture_pair("amplitude")
-        e2 = normalize_affine(helpers.FIXTURE_E, 0.0)
-        assert e1 != e2 and len({e1, e2}) == 2
-        runs = helpers.recorded_calls(monkeypatch, sim.Circuit, "apply_unitary")
-        p1 = inner._qhp_swap_probabilities(t, e1, 1)
-        p2 = inner._qhp_swap_probabilities(t, e2, 1)
-        assert p1 is not p2 and p1.tobytes() == p2.tobytes()
-        assert len(runs) == 2 and len(t.readouts) == 2
-        assert {key[1] for key in t.readouts} == {e1, e2}
-
     @pytest.mark.parametrize("k", [1, 2])
     def test_bad_arguments_refused_and_not_kept(self, k):
-        t, e = helpers.fixture_pair("boe")
+        amp, boe = helpers.fixture_pair(), helpers.fixture_pair("boe")
         with pytest.raises(ValueError, match="unknown style"):
-            estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
+            estimate_yk_variant_ab(*amp, k, "mid-reset", 0.1, 0.9, RngStream(0))
         with pytest.raises(ValueError, match="split level"):
-            estimate_ytilde_boe_swap(t, e, k, 3, 0.1, 0.9, RngStream(0))
-        assert t.readouts == {}
+            estimate_ytilde_boe_swap(*boe, k, 3, 0.1, 0.9, RngStream(0))
+        assert amp[0].readouts == boe[0].readouts == {}
         # a kept law for good arguments does not let bad ones through
-        _estimate("ab-no_mid_reset", t, e, k, RngStream(0))
-        _estimate("boe", t, e, k, RngStream(0))
+        _estimate("ab-no_mid_reset", *amp, k, RngStream(0))
+        _estimate("boe", *boe, k, RngStream(0))
         with pytest.raises(ValueError, match="unknown style"):
-            estimate_yk_variant_ab(t, e, k, "mid-reset", 0.1, 0.9, RngStream(0))
+            estimate_yk_variant_ab(*amp, k, "mid-reset", 0.1, 0.9, RngStream(0))
         with pytest.raises(ValueError, match="split level"):
-            estimate_ytilde_boe_swap(t, e, k, 3, 0.1, 0.9, RngStream(0))
-        assert len(t.readouts) == 2
+            estimate_ytilde_boe_swap(*boe, k, 3, 0.1, 0.9, RngStream(0))
+        assert len(amp[0].readouts) == len(boe[0].readouts) == 1

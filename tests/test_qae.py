@@ -8,10 +8,10 @@ from scipy.special import betaincinv as betaincinv_ufunc
 from scipy.special.cython_special import betaincinv as betaincinv_scalar
 from scipy.stats import beta as beta_dist
 
-from helpers import (FIXTURE_E, FIXTURE_T, fixture_pair, grover_circuit_iterate,
-                     qpe_distribution_reference, recorded_calls, u_gate, z_exact)
-from qsim import inner, qhp, sim
-from qsim.assembly import VariantConfig, evaluate
+from helpers import (fixture_pair, grover_circuit_iterate, qpe_distribution_reference,
+                     u_gate, z_exact)
+from qsim import inner, sim
+from qsim.assembly import VariantConfig
 from qsim.qae import (EPSILON_FLOOR, GroverOracle, _clopper_pearson,
                       _qpe_distribution, build_oracle_variant_c,
                       build_oracles_variant_d, canonical_qae,
@@ -278,14 +278,6 @@ class TestVariantOracles:
                                        grover_circuit_iterate(oracle, state).amplitudes,
                                        rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("build", VARIANT_ORACLES)
-    def test_qpe_simulates_chi_once_and_inverts_nothing(self, monkeypatch, build):
-        oracle = build()
-        applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
-        inverted = recorded_calls(monkeypatch, Circuit, "inverse")
-        _qpe_distribution(oracle, 6)
-        assert (len(applied), inverted) == (1, [])
-
     # IQAE reads z from qsim.inner's readout laws, canonical QAE from these
     # oracles: the two agree
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -306,18 +298,8 @@ class TestVariantOracles:
 
 class TestSharedPreparation:
     """Under canonical QAE, variant d's U and U' prepare one chi, and the
-    Grover iterates run on copies of it; IQAE builds no oracle."""
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_iqae_variant_d_one_chi_no_inverse(self, monkeypatch, k):
-        # the k = 1 swap test is the one state simulated; k >= 2 reads the
-        # law in closed form
-        applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
-        inverted = recorded_calls(monkeypatch, Circuit, "inverse")
-        estimate_ytilde_variant_d(*fixture_pair("boe"), k, 1, 0.1, 0.9,
-                                  VariantConfig("d"), RngStream(0))
-        assert len(applied) == (1 if k == 1 else 0)
-        assert inverted == []
+    Grover iterates run on copies of it (test_reach counts what each
+    engine simulates)."""
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_canonical_after_shared_chi_matches_reference(self, k):
@@ -332,38 +314,6 @@ class TestSharedPreparation:
         # the Grover iterates ran on copies: the shared chi is untouched
         assert (z_exact(u), z_exact(u_prime)) == (z, z_prime)
         assert u.chi() is not u.chi()
-
-
-def series_16(seed=0):
-    gen = np.random.default_rng(seed)
-    return gen.uniform(12.0, 28.0, 16), gen.uniform(20.0, 40.0, 16)
-
-
-@pytest.mark.parametrize("variant, K, runs", [("c", 2, 2), ("d", 1, 1), ("d", 2, 2)])
-def test_canonical_evaluate_simulates_each_f_once(monkeypatch, variant, K, runs):
-    # one circuit simulation per prepared F (d's U and U' share one); the
-    # Grover iterates simulate neither F nor F^dag, which took 10, 7 and 16
-    applied = recorded_calls(monkeypatch, Circuit, "apply_unitary")
-    evaluate(VariantConfig(variant=variant, K=K, s=1, engine="canonical"),
-             FIXTURE_T, FIXTURE_E)
-    assert len(applied) == runs
-
-
-class TestIqaeReach:
-    """Under IQAE, d simulates only its k = 1 swap test, and c nothing
-    (TestReadoutWidth in test_assembly)."""
-
-    def test_variant_d_k2_allocates_only_its_k1_swap_test(self, monkeypatch):
-        states = recorded_calls(monkeypatch, Statevector, "__init__")
-        evaluate(VariantConfig(variant="d", K=2, s=4), *series_16())
-        # two 8-qubit BOE blocks and the ancilla; the k = 2 oracle would
-        # hold 25 qubits
-        assert max(n_qubits for _state, n_qubits, *_rest in states) == 17
-
-    def test_canonical_still_builds_every_power(self, monkeypatch):
-        built = recorded_calls(monkeypatch, qhp, "build_power_circuit")
-        evaluate(VariantConfig(variant="c", K=2, engine="canonical"), *series_16())
-        assert sorted(plan.k for plan, _loader in built) == [1, 2]
 
 
 class TestVariantEstimators:
