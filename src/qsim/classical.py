@@ -3,7 +3,7 @@ and the tree-based sampling inner-product estimator."""
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,6 +91,8 @@ def _fitted_b(params, eta, K, mode, domain):
                          if derived else "degenerate fit domain")
     if hi >= params.T0:
         raise ValueError("fit domain must stay below T0")
+    if not (derived or lo <= eta <= hi):  # also a NaN or infinite eta
+        raise ValueError(f"eta={eta!r} lies outside the fit domain [{lo!r}, {hi!r}]")
 
     def f(x):
         return sigmoid_volume(x, params)
@@ -129,7 +131,13 @@ def classical_poly_value(rawT, rawE, coeffs):
 @dataclass
 class SampleAccess:
     """Tree-backed l2 sampling access to a vector with known norm; split[l][i]
-    is right^2/(left^2 + right^2) at node i of level l, NaN at a zero subtree."""
+    is right^2/(left^2 + right^2) at node i of level l, NaN at a zero subtree.
+
+    leaf_law, built on the first draw that needs it, is (q, zero_reached):
+    q[j] is the product of the splits on leaf j's path (v_j^2/||v||^2 for a
+    tree built from values), and zero_reached says whether a sample can
+    reach a zero subtree (a NaN split under a path of positive probability).
+    """
 
     tree: StateDecompositionTree
     norm: float
@@ -143,11 +151,25 @@ class SampleAccess:
             self.split.append(np.divide(right_sq, total, out=np.full_like(total, np.nan),
                                         where=total != 0.0))
 
+    @cached_property
+    def leaf_law(self):
+        q, zero_reached = np.ones(1), False
+        for p in self.split:
+            zero = np.isnan(p)
+            if zero.any():
+                zero_reached = zero_reached or bool(q[zero].any())
+                p = np.where(zero, 0.0, p)
+            child = np.empty(2 * q.size)
+            np.multiply(q, 1.0 - p, out=child[0::2])
+            np.multiply(q, p, out=child[1::2])
+            q = child
+        return q, zero_reached
+
     @classmethod
     def from_values(cls, values):
         values = np.asarray(values, dtype=float)
         tree = build_tree(values)
-        return cls(tree=tree, norm=float(np.linalg.norm(values)))
+        return cls(tree=tree, norm=math.sqrt((values * values).sum()))
 
 
 def _median(values):
@@ -182,14 +204,25 @@ def sampling_group_size(epsilon):
 def tang_counts(access, groups, size, rng):
     """Leaf counts of `groups` groups of `size` samples from access's tree.
 
-    Where Tang's sample access walks each sample down the tree, a node
-    here sends Binomial(c, p) of its c samples right (p from access.split):
-    a group's leaf counts follow Multinomial(size, v_j^2/||v||^2), the law
-    of the walk's counts.  Each level makes one binomial draw over the live
-    (group, node) entries, sorted by group, then node, dropping empty ones.
+    Tang's sample access walks each sample down the tree; here a group's
+    leaf counts c_j are drawn whole, with the law of that walk's counts,
+    Multinomial(size, q_j), q_j the product of the splits on leaf j's path.
+    Where the tree has no more leaves than a group has samples (N <= size),
+    one multinomial draw over access.leaf_law gives every group's counts;
+    ValueError when a sample can reach a zero subtree.  Otherwise a node
+    sends Binomial(c, p) of its c samples right (p from access.split), each
+    level making one binomial draw over the live (group, node) entries,
+    sorted by group, then node, dropping empty ones; ValueError when
+    samples reach a zero subtree.
     Returns (key, count) over the live leaves, key = (group << n) | leaf.
-    ValueError when samples reach a zero subtree.
     """
+    if access.tree.leaves.size <= size:
+        q, zero_reached = access.leaf_law
+        if zero_reached and groups:
+            raise ValueError("zero subtree during sampling")
+        count = rng.generator.multinomial(size, q, size=groups).ravel()
+        key = count.nonzero()[0]  # a row-major index is (group << n) | leaf
+        return key, count[key]
     key = np.arange(groups)  # (group << l) | node at level l
     count = np.full(groups, size)
     for level, p_right in enumerate(access.split):
@@ -212,10 +245,12 @@ def tang_inner(v_access, w_query, epsilon, alpha, rng):
     6*ceil(lg 1/(1-alpha)) groups of size = ceil(4/eps^2) samples; a group's
     mean is sum_j c_j X_j / size over its leaf counts c_j (tang_counts),
     X_j = ||v||^2 w_j / v_j.  Groups go in chunks of at most
-    LIVE_ENTRIES // min(N, size), in group order, so a call costs
-    O(groups N) at any eps, not a per-sample walk's O(groups size lg N),
-    which is less only where N is well above size.  The median is
-    _median's, which equals np.median's bits.
+    LIVE_ENTRIES // min(N, size), in group order.  Where N <= size a chunk
+    is one multinomial draw, N - 1 binomials per group; above, it is lg N
+    levels of binomial draws over at most size live nodes per group.  So a
+    call costs O(groups N) at any eps, not a per-sample walk's
+    O(groups size lg N).  The median is _median's, which equals np.median's
+    bits.
     """
     if v_access.norm == 0.0:
         raise ValueError("zero vector")

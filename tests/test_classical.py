@@ -170,8 +170,16 @@ class TestSampling:
     def test_tang_sample_distribution_with_zero_leaves(self):
         self._check_tang_sample_distribution([0.0, 2.0, 0.0, 1.0, 3.0, 0.5, 0.0, 1.5])
 
+    @pytest.mark.parametrize("size", [4, 8])
+    def test_tang_sample_distribution_walk_and_boundary(self, size):
+        # 8 leaves: a group of 4 samples walks the tree level by level, one
+        # of 8 draws its leaf counts from the leaf law in one multinomial
+        access = self._check_tang_sample_distribution(
+            [0.0, 2.0, 0.0, 1.0, 3.0, 0.5, 0.0, 1.5], size)
+        assert ("leaf_law" in vars(access)) == (size == 8)
+
     @staticmethod
-    def _check_tang_sample_distribution(vals):
+    def _check_tang_sample_distribution(vals, size=20):
         # with q_j = v_j^2/||v||^2, over G groups of S samples leaf j's total
         # count is Binomial(G S, q_j) and the number of groups holding it is
         # Binomial(G, 1 - (1 - q_j)^S); all 2 N exact two-sided tests pass
@@ -179,7 +187,7 @@ class TestSampling:
         vals = np.array(vals)
         q = vals**2 / (vals**2).sum()
         access = SampleAccess.from_values(vals)
-        groups, size = 2000, 20
+        groups = 2000
         key, count = tang_counts(access, groups, size, RngStream(0))
         group, leaf = key >> access.tree.n, key & (vals.size - 1)
         assert (np.diff(key) > 0).all() and (count > 0).all()
@@ -189,6 +197,7 @@ class TestSampling:
         for observed, trials, prob in checks:
             for j in range(vals.size):
                 assert binomial_two_sided(observed[j], trials, prob[j]) > 1e-6 / (2 * vals.size)
+        return access
 
     def test_group_formulas(self):
         assert sampling_group_size(0.1) == 400
@@ -251,6 +260,44 @@ class TestSampling:
             means += [t / size for t in totals]
         assert repr(got) == repr(float(np.median(means)))
         assert rng.generator.random() == ref.generator.random()
+
+    def test_tang_inner_draws_one_multinomial_per_chunk(self, monkeypatch):
+        # 4 leaves, 400 samples a group: a chunk of 2 groups (a cap of 10
+        # live entries) is one multinomial draw of the leaf law, the product
+        # of the splits on each leaf's path, and the stream is left where
+        # the 12 chunks' draws leave it
+        monkeypatch.setattr(classical, "LIVE_ENTRIES", 10)
+        eps, alpha = 0.1, 0.9
+        size = sampling_group_size(eps)
+        access = SampleAccess.from_values([1.0, 2.0, 3.0, 4.0])
+        q = access.leaf_law[0]
+        np.testing.assert_allclose(q, np.array([1.0, 4.0, 9.0, 16.0]) / 30.0, rtol=1e-15)
+        w = np.array([0.5, -1.0, 2.0, 1.5])
+        x = access.norm**2 * w / (access.tree.leaves * access.norm / access.tree.root)
+        rng, ref, means = RngStream(4), RngStream(4), []
+        got = tang_inner(access, w, eps, alpha, rng)
+        for _ in range(sampling_group_count(alpha) // 2):
+            for row in ref.generator.multinomial(size, q, size=2).tolist():
+                means.append(sum(c * x_j for c, x_j in zip(row, x.tolist()) if c) / size)
+        assert repr(got) == repr(float(np.median(means)))
+        assert rng.generator.random() == ref.generator.random()
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_zero_subtree_refusal_in_both_regimes(self, size):
+        # 4 leaves, walked below 4 samples a group and drawn in one
+        # multinomial at 4: the root sends every sample left, into a zero
+        # subtree, which raises in both; with the weight below the left child
+        # instead, no sample can reach the right child's zero subtree, and
+        # neither raises
+        def access(lower):
+            return SampleAccess(tree=StateDecompositionTree(
+                levels=[np.array([1.0]), np.array([1.0, 0.0]), np.array(lower)]), norm=1.0)
+
+        with pytest.raises(ValueError, match="zero subtree during sampling"):
+            tang_counts(access([0.0, 0.0, 1.0, 0.0]), 50, size, RngStream(5))
+        key, count = tang_counts(access([0.6, 0.8, 0.0, 0.0]), 50, size, RngStream(5))
+        assert set((key & 3).tolist()) == {0, 1}
+        assert (np.bincount(key >> 2, count) == size).all()
 
     def test_tang_inner_zero_subtree(self):
         # the root's left child has weight but both of its children are zero

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -577,3 +578,18 @@ class TestFit:
         assert result.exit_code == 2
         if args[0] == "--eta":
             assert "eta=nan leaves the default fit window" in result.output
+
+    @pytest.mark.parametrize("eta, mode", [("nan", "taylor"), ("inf", "taylor"),
+                                           ("1e308", "lsq"), ("-1e308", "lsq"),
+                                           ("30.5", "taylor")])
+    def test_eta_outside_given_domain_exit_2(self, runner, eta, mode):
+        # a NaN eta once printed "b": [NaN, ...] and exited 0, inf named
+        # only T0, and 1e308 under lsq failed inside LAPACK with warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["fit", "--eta", eta, "--domain", "-15,30",
+                                          "--mode", mode])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"assumption violated: eta={float(eta)!r} lies outside "
+                                 "the fit domain [-15.0, 30.0]\n")

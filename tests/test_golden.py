@@ -151,10 +151,10 @@ CASES = {
         "325e99d6210b0db3e2939e0b7f87df76dcd62e5145c5b9640a24d85de35971fc"),
     "sampling-K2": (
         lambda: _evaluate("classical_sampling", 2, 5),
-        "52a7e40f9cff2053cf90f9b61314e8edd7e715a551de570ae1ba47307edf9b4b"),
+        "a4ba1321a015e5c3c36a46a04bab7272fe70ace26a6c94a37cd3315e6f731e6b"),
     "sampling-K3": (
         lambda: _evaluate("classical_sampling", 3, 6),
-        "2faca0d53cc3475c187f5c1b2f496685cfed7e475150840933283947af054dd0"),
+        "7e53e1400e59640c57f6f89658fb2d99694cdee556926f4f3dafe3edea12d402"),
     "variant-a": (
         lambda: _evaluate("a", 2, 3),
         "01ef03fc40edb46e2c25efbcc2bd1e0b8ba6420720669fafc9f7c2eb33ddb081"),
@@ -190,7 +190,7 @@ CASES = {
         "f11c5fa805d5b44c9119c9fd4d8da29e7c62da49d80b3f3c27963e845c425036"),
     "sampling-K3-forced": (
         lambda: _evaluate("classical_sampling", 3, 5, forced_epsilon_k=0.08),
-        "ba93d1941c516819f822e12809e26c8339500c31bdd4722e97b3d75db81dd228"),
+        "3dfcd44d46e2aaf9c7921e85de1ee9d787690ab71477a7ff962708129e0ade57"),
     "exact-K3": (
         lambda: _evaluate("classical_exact", 3, 0),
         "5ef9e92241f8bd8b9f7d9a7ff3cb564bc802829acd5c1d8a5e222ac2fb6500ff"),
@@ -211,7 +211,7 @@ CASES = {
         "f6a70799746e5b72859e3d7eb2526acc3cbff37a5c04de62a8e51e1c6a0a08ec"),
     "qae-vs-classical": (
         lambda: _experiment("qae_vs_classical"),
-        "444b881991f2044056cd93a67693104aaec0b4719c13a724228eb7faea16f656"),
+        "8a7e7dc6a48219b6ef370eca06caed9807f0ac8bec1c2d1c096dc11153800b57"),
     "end-to-end": (
         lambda: _experiment("end_to_end"),
         "0a5f3ecf66d4e7ab671b857f3426e5ff1d94721a25d4f8031f31dbaadca3364b"),
@@ -226,7 +226,7 @@ CASES = {
         "d296420ffaa09ca40e9eb17344444772b2bec54168ba5036a0ac0d8e39097590"),
     "qae-vs-classical-grid": (
         lambda: _experiment("qae_vs_classical", k=1, epsilons=[0.1, 0.2], repeats=3),
-        "11b3bff36f35c1bca3172a9da1000aaa3175ba8943d893279f7789f4d4b28c61"),
+        "754faf7a2d5ce91312d567ff1cd2174d54e570bf81e02aaa333bf0b65d01544b"),
     "resources-cli": (
         _resources,
         "a74a6d64957b2cdb716b383985ef681f8980c24e40f0354a7a17546d3a767d45"),
