@@ -11,15 +11,13 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import os
-import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import classical, inner, qae
+from . import classical, fields, inner, qae
 from .classical import DEFAULT_PARAMS, SigmoidParams
 from .encoding import (boe_depth, boe_width, check_length, normalize_affine,
                        normalize_sqrt, validate_raw)
@@ -146,48 +144,7 @@ class ContractSpec:
     season_normal: np.ndarray = None
 
 
-@dataclass
-class VariantConfig:
-    variant: str
-    K: int = 2
-    eta: float = 0.0
-    epsilon: float = 0.05        # error budget scale; see allocate_budget
-    beta: float = 0.9            # overall confidence
-    s: int = 1                   # BOE split level (variant d)
-    engine: str = "iqae"         # QAE engine for variants c/d, or "canonical"
-    shots: int = 100             # IQAE shots per round / canonical per run
-    fit_mode: str = "taylor"
-    seed: int = 0
-    forced_epsilon_k: float = None
-
-    def __post_init__(self):
-        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
-            raise ValueError(f"'variant' must be one of {sorted(VARIANTS)}, "
-                             f"got {self.variant!r}")
-        reals = ("eta", "epsilon", "beta") + (
-            () if self.forced_epsilon_k is None else ("forced_epsilon_k",))
-        for names, kind, noun in ((("K", "s", "seed", "shots"), numbers.Integral, "an integer"),
-                                  (reals, numbers.Real, "a real number")):
-            for name in names:
-                value = getattr(self, name)  # a Python or NumPy number, not a bool
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} must be {noun}, got {value!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.epsilon == math.inf:
-            raise ValueError("epsilon must be finite")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        if self.forced_epsilon_k is not None and not self.forced_epsilon_k > 0:
-            raise ValueError("forced_epsilon_k must be positive")
-        if self.engine not in ("iqae", "canonical"):
-            raise ValueError(f"unknown QAE engine {self.engine!r}")
-        if not 1 <= self.shots < 2**63:  # a binomial's limit
-            raise ValueError(f"shots must be in [1, 2^63), got {self.shots}")
+VariantConfig = fields.request("VariantConfig", fields.VARIANT_CONFIG, __name__)
 
 
 @dataclass
@@ -375,53 +332,16 @@ def _pair_with_overlap(p):
 
 
 _FIXTURE_T, _FIXTURE_E = (12.0, 17.0, 23.0, 28.0), (30.0, 24.0, 36.0, 28.0)
-# at most this many repeats, fixture points or grid cells in one experiment
-GRID_LIMIT = 2**20
-
-
-def _number(config, name, default, integer=False, least=None, below=None):
-    """config[name] with the default filled in, checked, not cast: an int
-    when `integer`, else an int or a float (a bool is neither), finite,
-    >= `least` and < `below` when given; ValueError naming the field
-    otherwise."""
-    value = config.setdefault(name, default)
-    if (type(value) not in ((int,) if integer else (int, float))
-            or not abs(value) <= sys.float_info.max):
-        what = "a number (an integer)" if integer else "a number"
-        raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"config field {name!r} must be >= {least}, got {value!r}")
-    if below is not None and not value < below:
-        raise ValueError(f"config field {name!r} must be < {below}, got {value!r}")
-    return value if integer else float(value)
-
-
-def _numbers(config, name, default, valid=lambda v: type(v) in (int, float),
-             what="numbers", axis=0):
-    """config[name] with the default filled in: a list of one or more finite
-    numbers that pass `valid`, and for a grid axis `axis` or more, none twice;
-    ValueError naming the field and what it must hold otherwise."""
-    values = config.setdefault(name, default)
-    if not (isinstance(values, list) and values and all(
-            isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in values)):
-        raise ValueError(f"config field {name!r} must be a list of one or more "
-                         f"numbers, got {values!r}")
-    if not all(valid(v) for v in values):
-        raise ValueError(f"config field {name!r} must hold {what}, got {values!r}")
-    if axis and not len(values) == len(set(values)) >= axis:
-        raise ValueError(f"config field {name!r} must hold {axis} or more values, "
-                         f"none twice, got {values!r}")
-    return values
 
 
 def _grid(rng, axes, draw):
     """[draw(*cell, stream)] over the product of the values of `axes`, a dict
     keyed by axis name, in product order, cell i on rng's child i + 1; a
-    grid over GRID_LIMIT cells is refused before any draw, naming its axes."""
+    grid over fields.GRID_LIMIT cells is refused before any draw, naming its axes."""
     cells = math.prod(len(values) for values in axes.values())
-    if cells > GRID_LIMIT:
+    if cells > fields.GRID_LIMIT:
         raise ValueError(f"the grid over {' x '.join(map(repr, axes))} has {cells} "
-                         f"cells, more than {GRID_LIMIT}")
+                         f"cells, more than {fields.GRID_LIMIT}")
     return [draw(*cell, rng.child()) for cell in itertools.product(*axes.values())]
 
 
@@ -442,12 +362,7 @@ def _fixture_series(N, eta, k):
     return ser_t, ser_e, y_exact, y_exact / (ser_t.rho**k * ser_e.rho)
 
 
-def _experiment_compare_inner(config):
-    seed = _number(config, "seed", 0, integer=True)
-    shots = _number(config, "shots", 10000, integer=True, least=1, below=2**63)
-    repeats = _number(config, "repeats", 100, integer=True, least=1, below=GRID_LIMIT + 1)
-    ps = _numbers(config, "p_values", [0.072, 0.767],
-                  lambda p: type(p) in (int, float) and 0 < p <= 1, "numbers in (0, 1]", axis=1)
+def _experiment_compare_inner(seed, shots, repeats, p_values):
     # each p's pair is built once, on its first draw, and keeps its readouts
     pair = functools.cache(lambda p: [normalize_affine(v, 0.0) for v in _pair_with_overlap(p)])
 
@@ -457,64 +372,43 @@ def _experiment_compare_inner(config):
                    *pair(p), 1, "no_mid_reset", 0.05, 0.9, stream, shots=shots))
         return [method, p, rep, est.y_hat]
 
-    rows = _grid(RngStream(seed), {"p_values": ps, "method": ("swap", "ancilla_free"),
+    rows = _grid(RngStream(seed), {"p_values": p_values, "method": ("swap", "ancilla_free"),
                                    "repeats": range(repeats)}, draw)
     summary = {f"{stat}_{method}_p{p}": value
                for stat, reduce in (("var", np.var), ("mean", np.mean))
                for (method, p), value in _grouped(rows, 3, reduce).items()}
-    for p in ps:  # null when every ancilla-free estimate came out the same
+    for p in p_values:  # null when every ancilla-free estimate came out the same
         free = summary[f"var_ancilla_free_p{p}"]
         summary[f"variance_ratio_p{p}"] = summary[f"var_swap_p{p}"] / free if free else None
     return ["method", "p", "repeat", "estimate"], rows, summary
 
 
-def _experiment_error_scaling_k(config):
-    seed = _number(config, "seed", 0, integer=True)
-    # the fixture tiles a 4-point block, and the Grover states need a power of two
-    Ns = _numbers(config, "N_values", [4, 8, 16, 32],
-                  lambda n: type(n) is int and 4 <= n <= GRID_LIMIT and n & (n - 1) == 0,
-                  f"powers of two >= 4 and <= {GRID_LIMIT}", axis=2)
-    ks = _numbers(config, "k_values", [1, 2],
-                  lambda k: type(k) is int and 1 <= k <= classical.MAX_DEGREE,
-                  f"integers >= 1 and <= {classical.MAX_DEGREE}", axis=1)
-    repeats = _number(config, "repeats", 20, integer=True, least=1, below=GRID_LIMIT + 1)
-    eps0 = _number(config, "epsilon0", 0.1)
-    if not eps0 > 0:
-        raise ValueError(f"config field 'epsilon0' must be > 0, got {eps0!r}")
-    eta = _number(config, "eta", 0.0, below=12)  # the fixture's least T
-    qcfg = VariantConfig("c", shots=_number(config, "shots", 100, integer=True, least=1))
+def _experiment_error_scaling_k(seed, N_values, k_values, repeats, epsilon0, eta, shots):
+    qcfg = VariantConfig("c", shots=shots)
     series = functools.cache(_fixture_series)  # once per (k, N), on its first draw
 
     def draw(k, N, rep, stream):
         ser_t, ser_e, y_exact, y_prime_exact = series(N, eta, k)
-        eps_k = eps0 * N ** (-(k - 1) / 2.0)
+        eps_k = epsilon0 * N ** (-(k - 1) / 2.0)
         est = qae.estimate_yk_variant_c(ser_t, ser_e, k, eps_k, 0.9, qcfg, stream)
         rel = abs(est.y_prime_hat - y_prime_exact) / abs(y_prime_exact)
         return [k, N, rep, eps_k, est.y_hat, y_exact, rel]
 
-    rows = _grid(RngStream(seed), {"k_values": ks, "N_values": Ns,
+    rows = _grid(RngStream(seed), {"k_values": k_values, "N_values": N_values,
                                    "repeats": range(repeats)}, draw)
     means = _grouped(rows, 6)
     summary = {"ratios": {}}
-    for k in ks:
-        by_N = summary[f"k{k}_mean_rel_err"] = {N: means[k, N] for N in Ns}
+    for k in k_values:
+        by_N = summary[f"k{k}_mean_rel_err"] = {N: means[k, N] for N in N_values}
         summary["ratios"][f"k{k}"] = max(by_N.values()) / min(by_N.values())
     return (["k", "N", "repeat", "epsilon_k", "y_hat", "y_exact", "rel_error"],
             rows, summary)
 
 
-def _experiment_qae_vs_classical(config):
-    seed = _number(config, "seed", 0, integer=True)
-    k = _number(config, "k", 2, integer=True, least=1, below=classical.MAX_DEGREE + 1)
-    repeats = _number(config, "repeats", 12, integer=True, least=1, below=GRID_LIMIT + 1)
-    # the log-log slope needs two distinct points
-    epsilons = _numbers(
-        config, "epsilons", [0.2, 0.141, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177],
-        lambda eps: type(eps) in (int, float) and eps > 0, "numbers > 0", axis=2)
-    eta = _number(config, "eta", 0.0, below=12)  # the fixture's least T
+def _experiment_qae_vs_classical(seed, k, repeats, epsilons, eta, shots):
     ser_t, ser_e, _y_exact, y_prime_exact = _fixture_series(4, eta, k)
     access, e = classical.sampling_access(_FIXTURE_T, eta), _FIXTURE_E
-    qcfg = VariantConfig("c", shots=_number(config, "shots", 100, integer=True, least=1))
+    qcfg = VariantConfig("c", shots=shots)
 
     def draw(eps, rep, method, stream):
         if method == "iqae":
@@ -540,39 +434,25 @@ def _experiment_qae_vs_classical(config):
             {"slopes": slopes, "curves": curves})
 
 
-def _experiment_end_to_end(config):
-    seeds = _numbers(config, "seeds", [0, 1, 2, 3, 4], lambda v: type(v) is int, "integers")
-    K = _number(config, "K", 3, integer=True)
-    variant = config.setdefault("variant", "c")
-    forced = (None if config.setdefault("forced_epsilon_k", 0.04) is None
-              else _number(config, "forced_epsilon_k", 0.04))
-    eta = _number(config, "eta", 0.0)
-    shots = _number(config, "shots", 100, integer=True, least=1)
-    # each seed's error is against the exact value, which needs T < T0
-    t = np.asarray(_numbers(config, "rawT", [5.0, 8.0, 11.0, 14.0],
-                            lambda v: type(v) in (int, float) and v < DEFAULT_PARAMS.T0,
-                            f"numbers below T0 = {DEFAULT_PARAMS.T0:g}"), dtype=float)
-    e = np.asarray(_numbers(config, "rawE", [30.0, 24.0, 36.0, 28.0]), dtype=float)
-    # nor may the exact value be 0 (T and E of two lengths are evaluate's refusal)
+def _experiment_end_to_end(seeds, K, variant, forced_epsilon_k, eta, shots, rawT, rawE):
+    t, e = np.asarray(rawT, dtype=float), np.asarray(rawE, dtype=float)
+    # the exact value may not be 0 (T and E of two lengths are evaluate's refusal)
     with np.errstate(over="ignore", invalid="ignore"):
         if t.size == e.size and classical.exact_value(t, e, DEFAULT_PARAMS) == 0.0:
-            raise ValueError("config field 'rawE' must not cancel against 'rawT': "
+            raise ValueError("'rawE' must not cancel against 'rawT': "
                              "the exact value is 0, and no error is relative to 0")
     reports = [evaluate(VariantConfig(variant=variant, K=K, eta=eta, epsilon=0.05, beta=0.9,
-                                      seed=seed, shots=shots, forced_epsilon_k=forced), t, e)
-               for seed in seeds]
+                                      seed=seed, shots=shots, forced_epsilon_k=forced_epsilon_k),
+                        t, e) for seed in seeds]
     rels = [report.rel_error_vs_exact() for report in reports]
     rows = [[seed, r.V, r.v_exact, r.v_star, rel] for seed, r, rel in zip(seeds, reports, rels)]
     return (["seed", "V", "v_exact", "v_star", "rel_error"], rows,
             {"mean_rel_error": float(np.mean(rels)), "rel_errors": [float(r) for r in rels]})
 
 
-def _experiment_resource_table(config):
-    N = _number(config, "N", 16, integer=True)
-    K = _number(config, "K", 3, integer=True)
-    s = _number(config, "s", 2, integer=True)
-    epsilon = _number(config, "epsilon", 0.05)
-    tables = {variant: resource_report(VariantConfig(variant, K=K, s=s, epsilon=epsilon), N)
+def _experiment_resource_table(N, K, s, epsilon):
+    # the tables have always printed epsilon as a float
+    tables = {variant: resource_report(VariantConfig(variant, K=K, s=s, epsilon=float(epsilon)), N)
               for variant in QUANTUM_VARIANTS}
     rows = [[variant, row["k"], row.get("width"), row.get("depth_bound"),
              row.get("samples", row.get("oracle_complexity"))]
@@ -590,8 +470,9 @@ EXPERIMENTS = {
 
 
 def run_experiment(name, config, out_dir):
-    """Run a named experiment; writes <name>.csv and the <name>.json sidecar
-    (the config with its defaults filled in, and the summary)."""
+    """Run a named experiment on the values of `config` that its table in
+    fields.EXPERIMENTS checks; writes <name>.csv and the <name>.json sidecar
+    (the config as given, with its defaults filled in, and the summary)."""
     if not isinstance(config, dict):
         raise ValueError("an experiment config must be a JSON object, "
                          f"not a {type(config).__name__}")
@@ -599,7 +480,7 @@ def run_experiment(name, config, out_dir):
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     config = dict(config)
-    header, rows, summary = EXPERIMENTS[name](config)
+    header, rows, summary = EXPERIMENTS[name](**fields.check(fields.EXPERIMENTS[name], config))
     with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -7,24 +7,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import fields
 from .encoding import StateDecompositionTree, build_tree, validate_raw
 
 
-@dataclass(frozen=True)
-class SigmoidParams:
-    A: float
-    B: float
-    C: float
-    D: float
-    T0: float
-
-    def __post_init__(self):
-        if self.A < 0 or self.B >= 0 or self.C <= 1 or self.D <= 0:
-            raise ValueError("expected A >= 0, B < 0, C > 1, D > 0")
-
-
-DEFAULT_PARAMS = SigmoidParams(A=20000.0, B=-35.0, C=3.0, D=6000.0, T0=40.0)
-MAX_DEGREE = 32  # far above a useful fit; below where least squares overflows (160)
+SigmoidParams = fields.request("SigmoidParams", fields.SIGMOID, __name__, frozen=True)
+DEFAULT_PARAMS = SigmoidParams()  # the reference contract
 
 
 def sigmoid_volume(tp, params):
@@ -33,7 +21,8 @@ def sigmoid_volume(tp, params):
     if (tp >= params.T0).any():
         raise ValueError(f"temperature must stay below T0={params.T0}")
     ratio = params.B / (tp - params.T0)
-    out = params.A / (1.0 + ratio**params.C) + params.D
+    with np.errstate(over="ignore"):  # a power past float64 is inf, and f its limit A/inf + D
+        out = params.A / (1.0 + ratio**params.C) + params.D
     return float(out) if out.ndim == 0 else out
 
 
@@ -71,16 +60,13 @@ def fit_polynomial(params, eta, K, mode="taylor", domain=None):
     Fits are memoised on the arguments: calls with equal arguments share
     one read-only coefficient array b.
     """
+    fields.check(fields.FIT, {"eta": eta, "degree": K, "mode": mode, "domain": domain})
     b = _fitted_b(params, eta, K, mode, None if domain is None else tuple(domain))
     return PolyCoeffs(b=b, eta=float(eta), fit_mode=mode)
 
 
 @lru_cache(maxsize=256)
 def _fitted_b(params, eta, K, mode, domain):
-    if K < 0:
-        raise ValueError(f"degree must be >= 0, got {K}")
-    if K > MAX_DEGREE:
-        raise ValueError(f"degree must be <= {MAX_DEGREE}, got {K}")
     derived = domain is None
     if derived:
         domain = (eta - 40.0, min(eta + 39.0, params.T0 - 1.0))
@@ -88,10 +74,10 @@ def _fitted_b(params, eta, K, mode, domain):
     if not lo < hi:
         raise ValueError(f"eta={eta!r} leaves the default fit window [eta - 40, "
                          f"min(eta + 39, T0 - 1)] = [{lo!r}, {hi!r}] empty"
-                         if derived else "degenerate fit domain")
+                         if derived else f"'domain' must hold LO < HI, got {list(domain)!r}")
     if hi >= params.T0:
-        raise ValueError("fit domain must stay below T0")
-    if not (derived or lo <= eta <= hi):  # also a NaN or infinite eta
+        raise ValueError(f"'domain' must stay below T0 = {params.T0!r}, got {list(domain)!r}")
+    if not (derived or lo <= eta <= hi):
         raise ValueError(f"eta={eta!r} lies outside the fit domain [{lo!r}, {hi!r}]")
 
     def f(x):
@@ -101,11 +87,11 @@ def _fitted_b(params, eta, K, mode, domain):
         h = 1e-3 * (hi - lo)
         b = np.array([_richardson_derivative(f, eta, k, h) / math.factorial(k)
                       for k in range(K + 1)])
-    elif mode == "least_squares":
-        grid = np.linspace(lo, hi, 512)
-        b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K)
     else:
-        raise ValueError(f"unknown fit mode {mode!r}")
+        grid = np.linspace(lo, hi, 512)
+        # full=True: from degree ~20 the fit's rank is below K + 1, which
+        # it then reports instead of warning; b is the same either way
+        b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K, full=True)[0]
     b.setflags(write=False)
     return b
 
@@ -189,8 +175,6 @@ def _median(values):
 
 
 def sampling_group_count(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     return 6 * max(1, math.ceil(math.log2(1.0 / (1.0 - alpha))))
 
 

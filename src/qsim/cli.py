@@ -5,11 +5,12 @@ import os
 
 import click
 
-from . import assembly, classical
+from . import assembly, classical, fields
 from .classical import SigmoidParams
 from .encoding import read_series
 
 VARIANT_ALIASES = {name.removeprefix("classical_"): name for name in assembly.VARIANTS}
+V, FIT = fields.VARIANT_CONFIG, fields.FIT
 
 
 class _Main(click.Group):
@@ -27,6 +28,17 @@ class _Main(click.Group):
             ctx.exit(2)
 
 
+def _floats(text, names, option):
+    """The comma-separated floats of an option, one for each of names."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != names.count(",") + 1:
+        raise click.BadParameter(f"expected {names}", param_hint=option)
+    return values
+
+
 @click.group(cls=_Main)
 def main():
     """Statevector simulation of hybrid bilinear risk evaluation."""
@@ -39,26 +51,23 @@ def main():
               type=click.Path(), help="temperature series (CSV or JSON)")
 @click.option("--input-e", "input_e", required=True,
               type=click.Path(), help="price series (CSV or JSON)")
-@click.option("--degree", "K", default=2, show_default=True, type=int)
-@click.option("--eta", default=0.0, show_default=True, type=float)
-@click.option("--epsilon", default=0.05, show_default=True, type=float)
-@click.option("--beta", default=0.9, show_default=True, type=float)
-@click.option("--split-level", "s", default=1, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--engine", default="iqae", show_default=True,
-              type=click.Choice(["iqae", "canonical"]))
+@click.option("--degree", "K", default=V["K"].default, show_default=True, type=int)
+@click.option("--eta", default=V["eta"].default, show_default=True, type=float)
+@click.option("--epsilon", default=V["epsilon"].default, show_default=True, type=float)
+@click.option("--beta", default=V["beta"].default, show_default=True, type=float)
+@click.option("--split-level", "s", default=V["s"].default, show_default=True, type=int)
+@click.option("--seed", default=V["seed"].default, show_default=True, type=int)
+@click.option("--engine", default=V["engine"].default, show_default=True,
+              type=click.Choice(V["engine"].kind))
 @click.option("--fit-mode", default="taylor", show_default=True,
               type=click.Choice(["taylor", "lsq"]))
 @click.option("--out", "out_dir", default=None, type=click.Path())
-def evaluate(variant, input_t, input_e, K, eta, epsilon, beta, s, seed,
-             engine, fit_mode, out_dir):
+def evaluate(variant, input_t, input_e, fit_mode, out_dir, **options):
     """Estimate V = sum_k b_k y'_k for one variant and one data pair."""
-    raw_t = read_series(input_t)
-    raw_e = read_series(input_e)
-    mode = "least_squares" if fit_mode == "lsq" else "taylor"
+    raw_t, raw_e = read_series(input_t), read_series(input_e)
     config = assembly.VariantConfig(
-        variant=VARIANT_ALIASES[variant], K=K, eta=eta, epsilon=epsilon,
-        beta=beta, s=s, engine=engine, fit_mode=mode, seed=seed)
+        variant=VARIANT_ALIASES[variant], **options,
+        fit_mode="least_squares" if fit_mode == "lsq" else "taylor")
     report = assembly.evaluate(config, raw_t, raw_e)
     # written first, so that an --out that cannot be written prints no report
     if out_dir is not None:
@@ -86,14 +95,13 @@ def experiment(name, config_path, out_dir):
               type=click.Choice(sorted(VARIANT_ALIASES)))
 @click.option("--n", "N", required=True, type=int,
               help="series length (power of two)")
-@click.option("--degree", "K", default=2, show_default=True, type=int)
-@click.option("--split-level", "s", default=1, show_default=True, type=int)
-@click.option("--epsilon", default=0.05, show_default=True, type=float)
-def resources(variant, N, K, s, epsilon):
+@click.option("--degree", "K", default=V["K"].default, show_default=True, type=int)
+@click.option("--split-level", "s", default=V["s"].default, show_default=True, type=int)
+@click.option("--epsilon", default=V["epsilon"].default, show_default=True, type=float)
+def resources(variant, N, **options):
     """Closed-form width/depth/sample counts per power k."""
-    config = assembly.VariantConfig(variant=VARIANT_ALIASES[variant], K=K,
-                                    s=s, epsilon=epsilon)
-    table = assembly.resource_report(config, N)
+    table = assembly.resource_report(
+        assembly.VariantConfig(variant=VARIANT_ALIASES[variant], **options), N)
     click.echo(json.dumps(table, indent=2, sort_keys=True, default=float))
 
 
@@ -102,27 +110,14 @@ def resources(variant, N, K, s, epsilon):
               help="A,B,C,D,T0 (defaults to the reference contract)")
 @click.option("--mode", default="taylor", show_default=True,
               type=click.Choice(["taylor", "lsq"]))
-@click.option("--degree", "K", default=3, show_default=True, type=int)
+@click.option("--degree", "K", default=FIT["degree"].default, show_default=True, type=int)
 @click.option("--eta", required=True, type=float)
 @click.option("--domain", default=None, help="LO,HI fit window")
 def fit(params, mode, K, eta, domain):
     """Fit the degree-K polynomial and print its coefficients."""
-    if params is None:
-        sig = classical.DEFAULT_PARAMS
-    else:
-        try:
-            a, b, c, d, t0 = (float(x) for x in params.split(","))
-            sig = SigmoidParams(a, b, c, d, t0)
-        except ValueError as exc:
-            raise click.BadParameter(f"expected A,B,C,D,T0 ({exc})",
-                                     param_hint="--params") from None
-    window = None
-    if domain is not None:
-        try:
-            lo, hi = (float(x) for x in domain.split(","))
-        except ValueError:
-            raise click.BadParameter("expected LO,HI", param_hint="--domain") from None
-        window = (lo, hi)
+    sig = (classical.DEFAULT_PARAMS if params is None
+           else SigmoidParams(*_floats(params, "A,B,C,D,T0", "--params")))
+    window = None if domain is None else _floats(domain, "LO,HI", "--domain")
     fit_mode = "least_squares" if mode == "lsq" else "taylor"
     coeffs = classical.fit_polynomial(sig, eta, K, fit_mode, window)
     click.echo(json.dumps({"K": K, "eta": eta, "mode": fit_mode,

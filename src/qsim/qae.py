@@ -238,8 +238,6 @@ def iqae(z, epsilon, alpha, rng, shots_per_round=100):
     """
     if not EPSILON_FLOOR <= epsilon < 0.5:
         raise ValueError(f"IQAE epsilon must be in [2^-40, 0.5), got {epsilon:.3g}")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
     theta_l, theta_u = 0.0, math.pi / 2
     k = 0
     up = True

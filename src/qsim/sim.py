@@ -132,10 +132,10 @@ class Statevector:
 
     def __init__(self, n_qubits, amplitudes=None):
         self.n_qubits = int(n_qubits)
+        if self.n_qubits >= (MAX_STATE_BYTES >> 3).bit_length():
+            raise ValueError(f"a {self.n_qubits}-qubit statevector needs 2^{self.n_qubits + 3} "
+                             f"bytes, over half of physical memory ({MAX_STATE_BYTES} bytes)")
         dim = 1 << self.n_qubits
-        if 8 * dim > MAX_STATE_BYTES:
-            raise ValueError(f"a {self.n_qubits}-qubit statevector needs {8 * dim} "
-                             f"bytes, over half of physical memory ({MAX_STATE_BYTES})")
         if amplitudes is None:
             amps = np.zeros(dim)
             amps[0] = 1.0

@@ -7,7 +7,10 @@ per-index register values and np.add.at, the direct readout that qsim's
 strided readouts must match.
 """
 
+import math
+
 import numpy as np
+from hypothesis import settings
 
 from qsim import inner, sim
 from qsim.assembly import _pair_with_overlap
@@ -22,6 +25,43 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # prices E.
 FIXTURE_T = (12.0, 17.0, 23.0, 28.0)
 FIXTURE_E = (30.0, 24.0, 36.0, 28.0)
+
+
+# how many times each hypothesis test's max_examples it draws: ten under the
+# explore profile (conftest.py), once under tier1
+EXAMPLES_SCALE = 10 if settings.get_current_profile_name() == "explore" else 1
+
+
+def examples(n):
+    """A hypothesis test's max_examples, n under tier1."""
+    return n * EXAMPLES_SCALE
+
+
+# values at every field's edge: not a number, past int64 (2^63), far past it
+# (2^128) or past float64 (10^400), or of the wrong type
+SPECIAL = [math.nan, math.inf, -math.inf, 2**63, 2**128, 10**400, True, "x", None]
+
+
+def edge_values(field):
+    """The values at a table field's edges: each finite end of its interval,
+    that end's math.nextafter neighbours (and the next integers, for an
+    integer field), each value a choice field takes, and SPECIAL.  A list
+    field's values are each of those followed by the rest of its default
+    (by 30.0, inside the fit window, for the fit's domain), and also the
+    empty list and, for a distinct field, its default's first value twice."""
+    values = list(field.kind) if isinstance(field.kind, tuple) else []
+    for end in (field.at_least, field.above, field.at_most, field.below):
+        if end is not None:
+            values += [end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)]
+            values += [] if field.kind == "number" else [end - 1, end + 1]
+    values += SPECIAL
+    if not field.items:
+        return values
+    rest = field.default[1:] if field.default else [30.0]
+    lists = [[value] + rest for value in values] + [[]]
+    if field.distinct:
+        lists.append(field.default[:1] * 2 + rest)
+    return lists + SPECIAL
 
 
 def fixture_pair(encoding="amplitude", eta=10.0):

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from qsim import assembly, inner, qae
+from qsim import assembly, fields, inner, qae
 from qsim.cli import VARIANT_ALIASES, main
 
 
@@ -230,8 +231,8 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "beta" in result.output
 
-    # an eta whose default fit window is empty is refused by the fit, which
-    # every variant runs first
+    # a non-finite eta is refused by VariantConfig's table, and an eta whose
+    # default fit window is empty by the fit, which every variant runs first
     @pytest.mark.parametrize("args", [["--epsilon", "0"], ["--beta", "1.5"],
                                       ["--degree", "0"]]
                              + [["--eta", eta] for eta in ("nan", "inf", "-inf", "1e308")])
@@ -241,7 +242,9 @@ class TestEvaluate:
                                       "--input-t", t, "--input-e", e] + args)
         assert result.exit_code == 2
         if args[0] == "--eta":
-            assert f"eta={float(args[1])!r} leaves the default fit window" in result.output
+            eta = float(args[1])
+            assert (f"eta={eta!r} leaves the default fit window" if math.isfinite(eta)
+                    else f"'eta' must be a number, got {eta!r}") in result.output
 
 
 class TestExperiment:
@@ -281,8 +284,8 @@ class TestExperiment:
                                       "--config", str(cfg),
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
-        assert result.output == ("assumption violated: config field 'rawT' must "
-                                 "hold numbers below T0 = 40, got [12, 17, 23, 45]\n")
+        assert result.output == ("assumption violated: 'rawT' must hold numbers "
+                                 "< 40.0, got [12, 17, 23, 45]\n")
         assert evaluations == []
 
     def test_bad_config_exit_3(self, runner, tmp_path):
@@ -396,18 +399,18 @@ class TestExperiment:
          "'eta' must be < 12"),
         # each once ended in a traceback: a ZeroDivisionError at k = 2^128,
         # and an OverflowError at shots = 2^128 or an integer beyond float64
-        ("qae_vs_classical", {"k": 2**128, "repeats": 1}, "'k' must be < 33"),
+        ("qae_vs_classical", {"k": 2**128, "repeats": 1}, "'k' must be >= 1 and <= 32"),
         ("error_scaling_k", {"k_values": [2**128], "repeats": 1},
          "'k_values' must hold integers >= 1 and <= 32"),
         ("compare_inner", {"shots": 2**128, "repeats": 1},
-         "'shots' must be < 9223372036854775808"),
+         "'shots' must be >= 1 and < 9223372036854775808"),
         ("end_to_end", {"seeds": [0], "rawE": [10**400, 1, 1, 1]},
          "'rawE' must be a list of one or more numbers"),
         # 2^128 repeats once grew until a MemoryError, and an N_values entry
         # of 2^40 would tile a 2^40-point fixture
-        ("compare_inner", {"repeats": 2**20 + 1}, "'repeats' must be < 1048577"),
-        ("compare_inner", {"repeats": 2**128}, "'repeats' must be < 1048577"),
-        ("error_scaling_k", {"repeats": 2**63}, "'repeats' must be < 1048577"),
+        ("compare_inner", {"repeats": 2**20 + 1}, "'repeats' must be >= 1 and <= 1048576"),
+        ("compare_inner", {"repeats": 2**128}, "'repeats' must be >= 1 and <= 1048576"),
+        ("error_scaling_k", {"repeats": 2**63}, "'repeats' must be >= 1 and <= 1048576"),
         ("error_scaling_k", {"N_values": [4, 2**40], "repeats": 1},
          "'N_values' must hold powers of two >= 4 and <= 1048576"),
         ("compare_inner", {"repeats": 2**20},
@@ -492,6 +495,18 @@ class TestExperiment:
             assert summary["slopes"]["iqae"] is None
             assert summary["slopes"]["classical"] < 0
 
+    @pytest.mark.parametrize("name", sorted(assembly.EXPERIMENTS))
+    def test_unknown_field_exit_2(self, runner, tmp_path, monkeypatch, name):
+        # {"repeat": 1} once ran compare_inner's 100 default repeats
+        monkeypatch.setitem(assembly.EXPERIMENTS, name, _never_called)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"repeat": 1}))
+        result = runner.invoke(main, ["experiment", name, "--config", str(cfg),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr == ("assumption violated: 'repeat' is not a field of this "
+                                 f"request; its fields are {sorted(fields.EXPERIMENTS[name])}\n")
+
     def test_unknown_name_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}")
@@ -538,7 +553,7 @@ class TestResources:
         result = runner.invoke(main, ["resources", "--variant", "b",
                                       "--n", "16", "--epsilon", "inf"])
         assert result.exit_code == 2
-        assert result.output == "assumption violated: epsilon must be finite\n"
+        assert result.output == "assumption violated: 'epsilon' must be a number, got inf\n"
 
     def test_split_level_lg_n_accepted(self, runner):
         result = runner.invoke(main, ["resources", "--variant", "d",
@@ -577,19 +592,49 @@ class TestFit:
         result = runner.invoke(main, ["fit", "--eta", "0"] + args)
         assert result.exit_code == 2
         if args[0] == "--eta":
-            assert "eta=nan leaves the default fit window" in result.output
+            assert "'eta' must be a number, got nan" in result.output
 
     @pytest.mark.parametrize("eta, mode", [("nan", "taylor"), ("inf", "taylor"),
                                            ("1e308", "lsq"), ("-1e308", "lsq"),
                                            ("30.5", "taylor")])
     def test_eta_outside_given_domain_exit_2(self, runner, eta, mode):
         # a NaN eta once printed "b": [NaN, ...] and exited 0, inf named
-        # only T0, and 1e308 under lsq failed inside LAPACK with warnings
+        # only T0, and 1e308 under lsq failed inside LAPACK with warnings;
+        # a non-finite eta is now the fit table's refusal
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = runner.invoke(main, ["fit", "--eta", eta, "--domain", "-15,30",
                                           "--mode", mode])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr == (f"assumption violated: eta={float(eta)!r} lies outside "
-                                 "the fit domain [-15.0, 30.0]\n")
+        message = (f"eta={float(eta)!r} lies outside the fit domain [-15.0, 30.0]"
+                   if math.isfinite(float(eta)) else f"'eta' must be a number, got {float(eta)!r}")
+        assert result.stderr == f"assumption violated: {message}\n"
+
+    @pytest.mark.parametrize("args", [["--mode", "lsq", "--degree", "32", "--domain=-15,30"],
+                                      ["--mode", "lsq", "--params", f"20000,-35,{2**63},6000,40"]])
+    def test_fit_past_float64_warns_nothing(self, runner, args):
+        # least squares at degree 32 once raised NumPy's RankWarning, and a
+        # C of 2^63 an overflow in (B/(T'-T0))^C, whose limit f = A/inf + D is
+        # the value; both drawn by the property test's fit requests
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["fit", "--eta", "0"] + args)
+        assert result.exit_code == 0, result.output
+        assert all(math.isfinite(b) for b in json.loads(result.stdout)["b"])
+
+    @pytest.mark.parametrize("args, field", [
+        (["--domain=-inf,30"], "domain"), (["--domain=-inf,30", "--mode", "lsq"], "domain"),
+        (["--domain=nan,30"], "domain"), (["--params", "nan,-35,3,6000,40"], "A"),
+        (["--params", "20000,-35,3,6000,inf"], "T0")])
+    def test_non_finite_entry_exit_2(self, runner, args, field):
+        # an infinite domain end once named only T0, and under lsq failed in
+        # LAPACK; a NaN one was "degenerate"; a NaN A printed "b": [NaN, ...]
+        # and an infinite T0 [26000.0, 0.0, 0.0, 0.0], both with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["fit", "--eta", "0"] + args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"assumption violated: '{field}' must be ")
+        assert result.stderr.count("\n") == 1

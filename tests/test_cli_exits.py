@@ -11,7 +11,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qsim import assembly, classical
+import helpers
+from qsim import assembly, classical, fields
 from qsim.cli import VARIANT_ALIASES, main
 
 
@@ -58,19 +59,6 @@ def test_callee_exception_maps_to_exit_code(tmp_path, monkeypatch, command, owne
         assert result.stderr.count("\n") == 1
 
 
-# Each number option's edges: 0, negatives, NaN, infinities, the least
-# subnormal, 1 - 2^-53 and 2^128; and values a request would use.
-EDGES = ["0", "-0.0", "-1", "nan", "inf", "-inf", "5e-324", repr(1 - 2.0**-53),
-         str(2**128)]
-OPTIONS = {
-    "--degree": ["1", "2", "3"],
-    "--epsilon": ["0.05", "0.2", "0.5"],
-    "--beta": ["0.9", "0.5"],
-    "--eta": ["10", "11.5", "-100"],
-    "--split-level": ["1", "2", "3"],
-    "--seed": ["7", str(2**64 + 1)],
-    "--n": ["2", "4", "8", "12"],
-}
 # series entries: zeros, negatives, huge values, non-finite ones and a JSON
 # integer beyond float64, among positive ones below T0 = 40
 SPECIAL = st.sampled_from([0.0, -1.0, -1e308, 5e-324, 1e-160, 1e154, 1e308, 2.0**128,
@@ -87,41 +75,29 @@ def _series(n):
 
 
 SERIES = LENGTHS.flatmap(_series)
-# experiment config values of the wrong type, or at an edge, for every
-# field; 2^128 is drawn only where it is refused or runs fast, and a
-# repeat count is 1 to 3 or above 2^20, which is refused
-WRONG = st.sampled_from([None, "x", "0", True, [], {}, [1], 1.5, -1, 0, math.nan,
-                         math.inf, 5e-324])
-REALS = st.sampled_from([0.05, 0.2, 1 - 2.0**-53, -0.1, 0, 2**128, 5e-324, math.nan,
-                         math.inf, 12, -100])
-REPEATS = st.integers(1, 3) | st.sampled_from([2**20 + 1, 2**63, 2**128])
-FIELDS = {
-    "compare_inner": {
-        "seed": st.sampled_from([0, 2**64 + 1]), "shots": st.sampled_from([1, 10, 2**128]),
-        "repeats": REPEATS,
-        "p_values": st.lists(REALS | st.sampled_from([0.072, 1]), max_size=2)},
-    "error_scaling_k": {
-        "seed": st.just(1), "N_values": st.lists(st.sampled_from([4, 8, 2, 6]), max_size=2),
-        "k_values": st.lists(st.sampled_from([1, 2, 0, 2**128]), max_size=2),
-        "repeats": REPEATS, "epsilon0": REALS, "eta": REALS,
-        "shots": st.sampled_from([1, 10, 2**128])},
-    "qae_vs_classical": {
-        "seed": st.just(2), "k": st.sampled_from([1, 2, 2**128]),
-        "repeats": REPEATS, "epsilons": st.lists(REALS, max_size=2),
-        "eta": REALS, "shots": st.sampled_from([1, 10, 2**128])},
-    "end_to_end": {
-        "seeds": st.lists(st.sampled_from([0, 3, 2**128]), max_size=3),
-        "K": st.sampled_from([1, 2, 3, 2**128]),
-        "variant": st.sampled_from(sorted(assembly.VARIANTS) + ["b", 7]),
-        "forced_epsilon_k": REALS | st.none(), "eta": REALS,
-        "shots": st.sampled_from([1, 10, 2**128]), "rawT": SERIES, "rawE": SERIES},
-    "resource_table": {
-        "N": st.sampled_from([2, 4, 8, 12, 2**128]), "K": st.sampled_from([1, 3, 2**128]),
-        "s": st.sampled_from([0, 1, 2, 2**128]), "epsilon": REALS},
-}
-# how a field or option is drawn: left out, a value a request would use, or
-# an edge (a value of the wrong type, for a config field)
-HOW = st.sampled_from(["omit", "omit", "usual", "usual", "usual", "edge"])
+V, FIT = fields.VARIANT_CONFIG, fields.FIT
+OPTIONS = {"--degree": V["K"], "--epsilon": V["epsilon"], "--beta": V["beta"],
+           "--eta": V["eta"], "--split-level": V["s"], "--seed": V["seed"]}
+# a field's usual value is its default, but for these (the fit's eta has
+# no default); a repeat count is 1 to 3, and never left out, so that each
+# run is small
+USUAL = {"rawT": SERIES, "rawE": SERIES, "repeats": st.integers(1, 3),
+         "domain": st.just([-15.0, 30.0]), "eta": st.just(0.0)}
+OMIT = object()
+
+
+def _value(draw, field, omit=True):
+    """A field's value: left out, its usual value, or one at its edges."""
+    how = draw(st.sampled_from(["omit", "omit", "usual", "usual", "usual", "edge"]))
+    if how == "omit" and omit:
+        return OMIT
+    if how == "edge":
+        return draw(st.sampled_from(helpers.edge_values(field)))
+    return draw(USUAL.get(field.name, st.just(field.default)))
+
+
+def _text(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _series_file(draw, folder, name, n):
@@ -137,18 +113,18 @@ def _series_file(draw, folder, name, n):
     return path
 
 
-def _options(draw, names):
+def _options(draw, options, required=()):
     args = []
-    for name in names:
-        how = draw(HOW)
-        if how != "omit":
-            args += [name, draw(st.sampled_from(OPTIONS[name] if how == "usual" else EDGES))]
+    for option, field in options.items():
+        value = _value(draw, field, omit=option not in required)
+        if value is not OMIT and value is not None:
+            args += [option, _text(value)]
     return args
 
 
 def _evaluate_args(draw, folder):
     variant = draw(st.sampled_from(sorted(VARIANT_ALIASES)))
-    engine = draw(st.sampled_from(["iqae", "canonical"]))
+    engine = draw(st.sampled_from(V["engine"].kind))
     # canonical d on 8 points at split level 2 takes 4 s and 1 GiB
     n = draw(LENGTHS.filter(lambda n: n <= 4) if (variant, engine) == ("d", "canonical")
              else LENGTHS)
@@ -157,23 +133,18 @@ def _evaluate_args(draw, folder):
             "--fit-mode", draw(st.sampled_from(["taylor", "lsq"])),
             "--input-t", _series_file(draw, folder, "t", n),
             "--input-e", _series_file(draw, folder, "e", n_e)]
-    args += _options(draw, ["--degree", "--epsilon", "--beta", "--eta", "--split-level",
-                            "--seed"])
+    args += _options(draw, OPTIONS)
     out = draw(st.sampled_from([None, None, "out", "t.csv/out"]))
     return args + ([] if out is None else ["--out", os.path.join(folder, out)])
 
 
 def _experiment_args(draw, folder):
-    name = draw(st.sampled_from(sorted(FIELDS) + ["nosuch"]))
-    fields = FIELDS.get(name, {})
+    name = draw(st.sampled_from(sorted(fields.EXPERIMENTS) + ["nosuch"]))
     config = {}
-    for field, strategy in fields.items():
-        how = draw(HOW)
-        if how != "omit":
-            config[field] = draw(strategy if how == "usual" else WRONG)
-    for field in ("repeats", "N_values", "seeds"):  # keep each run small
-        if field in fields:
-            config.setdefault(field, draw(fields[field]))
+    for field in fields.EXPERIMENTS.get(name, {}).values():
+        value = _value(draw, field, omit=field.name != "repeats")
+        if value is not OMIT:
+            config[field.name] = value
     if name == "end_to_end" and draw(st.sampled_from([False] * 3 + [True])):
         # a T and a signed E whose exact value sum_j f(T_j) E_j cancels to
         # 0.0, under a variant that takes a signed E
@@ -190,22 +161,33 @@ def _experiment_args(draw, folder):
 
 
 def _resources_args(draw, _folder):
-    args = ["resources", "--variant", draw(st.sampled_from(sorted(VARIANT_ALIASES))),
-            "--n", draw(st.sampled_from(OPTIONS["--n"] * 3 + EDGES))]
-    return args + _options(draw, ["--degree", "--epsilon", "--split-level"])
+    return (["resources", "--variant", draw(st.sampled_from(sorted(VARIANT_ALIASES)))]
+            + _options(draw, {"--n": fields.EXPERIMENTS["resource_table"]["N"],
+                              "--degree": V["K"], "--epsilon": V["epsilon"],
+                              "--split-level": V["s"]}, required=["--n"]))
+
+
+def _fit_args(draw, _folder):
+    args = ["fit", "--mode", draw(st.sampled_from(["taylor", "lsq"]))]
+    if draw(st.booleans()):
+        params = [_value(draw, field) for field in fields.SIGMOID.values()]
+        args += ["--params", ",".join(_text(field.default if value is OMIT else value)
+                                      for field, value in zip(fields.SIGMOID.values(), params))]
+    return args + _options(draw, {"--eta": FIT["eta"], "--degree": FIT["degree"],
+                                  "--domain": FIT["domain"]}, required=["--eta"])
 
 
 def _no_constant(text):
     raise ValueError(f"{text} in an exit-0 report")
 
 
-@settings(max_examples=800, deadline=None)
+@settings(max_examples=helpers.examples(800), deadline=None)
 @given(st.data())
 def test_every_request_exits_0_2_or_3(data):
-    # draws requests of evaluate, resources and experiment over the options'
-    # edges; each exits 0 with a JSON report of finite numbers, or refuses
+    # draws requests of every command over the edges of the fields of their
+    # tables; each exits 0 with a JSON report of finite numbers, or refuses
     command = data.draw(st.sampled_from([_evaluate_args, _experiment_args,
-                                         _resources_args]))
+                                         _resources_args, _fit_args]))
     with tempfile.TemporaryDirectory() as folder:
         args = command(data.draw, folder)
         result = CliRunner().invoke(main, args)

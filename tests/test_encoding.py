@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FIXTURE_T, survivor_amplitudes
+from helpers import FIXTURE_T, examples, survivor_amplitudes
 from qsim.encoding import (boe_depth, boe_width, build_tree, load_amplitude,
                            load_boe, normalize_affine, normalize_sqrt,
                            read_series, validate_raw)
@@ -66,7 +66,7 @@ class TestNormalization:
 class TestAmplitudeLoader:
     @pytest.mark.parametrize("n_vals", [2, 4, 8, 16])
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_prepares_amplitudes(self, n_vals, seed):
         vals = random_positive(n_vals, seed)
         vals /= np.linalg.norm(vals)
@@ -99,7 +99,7 @@ class TestBoe:
 
 
 @given(st.integers(1, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_loader_then_inverse_returns_input(n, s, seed):
     # a random amplitude (s = 0) or BOE loader, run on a random input state
     # and then undone by its inverse

@@ -116,7 +116,7 @@ class TestZeroBranch:
 
     @pytest.mark.parametrize("encoding, k, N, style, s, pad", _branch_cases())
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=2, deadline=None)
+    @settings(max_examples=helpers.examples(2), deadline=None)
     def test_chain_equals_full_state(self, encoding, k, N, style, s, pad, seed):
         raw = np.random.default_rng(seed).uniform(0.5, 3.0, N)
         normalize = normalize_affine if encoding == "amplitude" else normalize_sqrt
@@ -160,7 +160,7 @@ class TestBranchReadouts:
 
     @pytest.mark.parametrize("kind, k, N, style, s", _readout_cases())
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=helpers.examples(4), deadline=None)
     def test_branch_readout_equals_full_width(self, kind, k, N, style, s, seed):
         rng = np.random.default_rng(seed)
         t_raw, e_raw = rng.uniform(0.5, 3.0, size=(2, N))

@@ -8,8 +8,8 @@ from scipy.special import betaincinv as betaincinv_ufunc
 from scipy.special.cython_special import betaincinv as betaincinv_scalar
 from scipy.stats import beta as beta_dist
 
-from helpers import (fixture_pair, grover_circuit_iterate, qpe_distribution_reference,
-                     u_gate, z_exact)
+from helpers import (examples, fixture_pair, grover_circuit_iterate,
+                     qpe_distribution_reference, u_gate, z_exact)
 from qsim import inner, sim
 from qsim.assembly import VariantConfig
 from qsim.qae import (EPSILON_FLOOR, GroverOracle, _clopper_pearson,
@@ -94,7 +94,7 @@ def _examples(cases):
 @given(prepare_circuits())
 @_examples([(o.prepare, o.good) for o in
             [simple_oracle(0.2)] + [build() for build in VARIANT_BUILDS.values()]])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_closed_form_matches_statevector(case):
     # P(good after Q^j) = sin^2((2j+1) theta) with sin^2(theta) = z, for
     # j = 0 .. 20 iterates, each simulated in circuit form after the last.
@@ -140,7 +140,7 @@ class TestQpeDistribution:
     @given(z=st.floats(0.0, 1.0), m=st.integers(1, 6))
     @example(z=0.0, m=6)
     @example(z=1.0, m=6)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_plane_matches_statevector_simple(self, z, m):
         oracle = simple_oracle(z)
         np.testing.assert_allclose(_qpe_distribution(oracle, m),

@@ -110,7 +110,7 @@ class TestDynamicStopping:
         assert mean_loads == pytest.approx(expected_loads(series, k), abs=0.1)
 
     @given(st.sampled_from(DYNSTOP_CASES), st.data(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=helpers.examples(60), deadline=None)
     def test_matches_per_shot_loop(self, case, data, seed):
         encoding, n_vals, s, k = case
         # entries may be zero, which gives outcomes of probability zero
@@ -139,7 +139,7 @@ class TestDynamicStopping:
         assert got == _triples(ref)
 
     @given(st.sampled_from(LEAF_CASES), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=helpers.examples(60), deadline=None)
     def test_leaves_are_the_simulated_marginal(self, case, data):
         # dynamic stopping reads p = leaves^2; the statevector is its reference
         encoding, n_vals, s = case
@@ -156,7 +156,7 @@ class TestDynamicStopping:
 
     @given(st.sampled_from(DYNSTOP_CASES), st.integers(1, 100), st.integers(0, 100),
            st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=helpers.examples(30), deadline=None)
     def test_first_shots_do_not_depend_on_shot_count(self, case, m, extra, seed):
         encoding, n_vals, s, k = case
         loader = make_loader(series_fixture(n_vals, seed % 97), encoding, s)

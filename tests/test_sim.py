@@ -138,7 +138,7 @@ class TestKernels:
         assert backend == "numpy"
 
     @given(u_gate_cases(), st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=helpers.examples(300), deadline=None)
     def test_u_gate_matches_per_pattern_reference(self, case, data):
         # bit for bit (signed zeros included) against gather/scatter, one
         # control pattern at a time: the gate run by apply_unitary, all its
@@ -188,7 +188,7 @@ class TestKernels:
         assert state.amplitudes.tobytes() == expected.tobytes()
 
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=helpers.examples(200), deadline=None)
     def test_cswap_registers_match_per_pair_loop(self, data):
         # bit for bit against gather/scatter, one qubit pair at a time, for
         # registers of any qubits in any order (single qubits also as ints)
@@ -299,6 +299,10 @@ class TestGates:
         try:
             with pytest.raises(ValueError, match="physical memory"):
                 Statevector(48)
+            # 8 * 2^20000 bytes has over 4,300 digits, more than Python
+            # formats as a decimal integer
+            with pytest.raises(ValueError, match=r"20000-qubit statevector needs 2\^20003 bytes"):
+                Statevector(20000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -345,7 +349,7 @@ class TestRealAmplitudes:
     """Every gate qsim builds is real, so amplitudes are float64."""
 
     @given(built_circuits())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=helpers.examples(40), deadline=None)
     def test_every_built_payload_is_real(self, circuits):
         # a u gate's entries are Python floats without controls and
         # read-only float64 arrays of one entry per control pattern with
@@ -375,7 +379,7 @@ class TestRealAmplitudes:
     def test_width_guard_counts_eight_bytes(self, monkeypatch):
         monkeypatch.setattr(sim, "MAX_STATE_BYTES", 8 << 10)
         assert Statevector(10).amplitudes.nbytes == 8 << 10
-        with pytest.raises(ValueError, match="11-qubit statevector needs 16384 bytes"):
+        with pytest.raises(ValueError, match=r"11-qubit statevector needs 2\^14 bytes"):
             Statevector(11)
 
 
@@ -386,7 +390,7 @@ class TestMeasurement:
     # view is the whole state
     @example(case=(5, (3, 0, 4, 1, 2), 19), seed=964)
     @example(case=(4, (), 0), seed=6)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=helpers.examples(150), deadline=None)
     def test_readout_matches_register_values(self, case, seed):
         # bit for bit against selecting by the per-index register values
         n, qubits, value = case
@@ -408,7 +412,7 @@ class TestMeasurement:
         np.testing.assert_array_equal(bits(out.amplitudes), bits(expected.real.copy()))
 
     @given(marginal_cases())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=helpers.examples(200), deadline=None)
     def test_marginal_matches_register_values(self, case):
         # bit for bit against accumulating with np.add.at in index order
         state, qubits = case
@@ -476,7 +480,7 @@ class TestLivePrefix:
     must match the same gates run one by one on the whole array."""
 
     @given(live_circuits(), st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=helpers.examples(200), deadline=None)
     def test_prefix_matches_full_width(self, case, data):
         circ, touched = case
         n = circ.n_qubits
@@ -564,7 +568,7 @@ class TestRngStream:
             assert got.dtype == np.uint64
             np.testing.assert_array_equal(got, want)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=helpers.examples(60), deadline=None)
     @given(seed=st.sampled_from([0, 2**32, 2**64 + 3]) | st.integers(0, 2**160),
            data=st.data())
     def test_draws_depend_only_on_seed_and_path(self, seed, data):
@@ -593,7 +597,7 @@ class TestRngStream:
                 want = ref.binomial(arg, 0.4) if name == "binomial" else ref.random(arg)
                 np.testing.assert_array_equal(got, want)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=helpers.examples(30), deadline=None)
     @given(steps=st.lists(st.sampled_from([None, 1, 3]), max_size=12))
     def test_child_numbers_as_split_one(self, steps):
         # child() is split(1)[0] across any mix of child() and split(n) calls:
@@ -646,7 +650,7 @@ class TestCircuit:
                     entry[0] = 1.0
 
     @given(live_circuits())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=helpers.examples(100), deadline=None)
     def test_double_inverse_reproduces_payloads(self, case):
         circ, _touched = case
         again = circ.inverse().inverse()
@@ -668,7 +672,7 @@ class TestCircuit:
         assert abs(state.amplitudes[0b100]) == pytest.approx(1.0)
 
     @given(live_circuits(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=helpers.examples(150), deadline=None)
     def test_inverse_and_remapped(self, case, seed):
         circ, _touched = case
         n = circ.n_qubits
@@ -693,14 +697,14 @@ class TestCircuit:
         np.testing.assert_array_equal(bits(got.amplitudes), bits(moved(out)))
 
     @given(st.integers(0, 2), st.floats(-3.0, 3.0))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=helpers.examples(25), deadline=None)
     def test_ry_preserves_norm(self, qubit, angle):
         state = random_state(3, 42)
         Circuit(3).ry(qubit, angle).apply_unitary(state)
         assert np.linalg.norm(state.amplitudes) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     @given(st.integers(0, 60))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=helpers.examples(25), deadline=None)
     def test_ucry_pattern_indexing(self, seed):
         # controls select the angle by their MSB-first bit pattern
         rng = np.random.default_rng(seed)
