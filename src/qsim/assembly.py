@@ -479,8 +479,8 @@ def run_experiment(name, config, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    config = dict(config)
-    header, rows, summary = EXPERIMENTS[name](**fields.check(fields.EXPERIMENTS[name], config))
+    config = fields.check(fields.EXPERIMENTS[name], dict(config), json=True)
+    header, rows, summary = EXPERIMENTS[name](**config)
     with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

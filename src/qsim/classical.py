@@ -89,9 +89,7 @@ def _fitted_b(params, eta, K, mode, domain):
                       for k in range(K + 1)])
     else:
         grid = np.linspace(lo, hi, 512)
-        # full=True: from degree ~20 the fit's rank is below K + 1, which
-        # it then reports instead of warning; b is the same either way
-        b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K, full=True)[0]
+        b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K)
     b.setflags(write=False)
     return b
 

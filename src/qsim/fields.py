@@ -6,14 +6,17 @@ import numbers
 import sys
 from collections import namedtuple
 from dataclasses import MISSING, field, make_dataclass
+from functools import cache
 
 MAX_DEGREE = 32  # far above a useful fit; below where least squares overflows (160)
 GRID_LIMIT = 2**20  # at most this many repeats, fixture points or grid cells in one experiment
-# each kind's built-in types, its abstract type (a bool is of neither) and
-# nouns; a value of any kind lies in float64's range, as a JSON number does
-KINDS = {"integer": ((int,), numbers.Integral, "a number (an integer)", "integers"),
-         "number": ((int, float), numbers.Real, "a number", "numbers"),
-         "power of two": ((int,), numbers.Integral, "a power of two", "powers of two")}
+# each kind's abstract type (a bool is of neither) and nouns; a number lies
+# in float64's range, and so does an integer in a JSON config
+KINDS = {"integer": (numbers.Integral, "a number (an integer)", "integers"),
+         "number": (numbers.Real, "a number", "numbers"),
+         "power of two": (numbers.Integral, "a power of two", "powers of two")}
+# memoised per type of value, as an abstract type's isinstance is slow
+_of_kind = cache(lambda cls, kind: not issubclass(cls, bool) and issubclass(cls, kind))
 
 
 class Field(namedtuple("Field", "name kind default at_least above at_most below items distinct "
@@ -32,13 +35,13 @@ class Field(namedtuple("Field", "name kind default at_least above at_most below 
             return f"in {'(' if low == '>' else '['}{lo}, {hi}{')' if high == '<' else ']'}"
         return " and ".join(f"{op} {end}" for op, end in ends)
 
-    def _one(self, value):
+    def _one(self, value, json):
         """What one value must be, or None where it is of the kind and within the ends."""
         if isinstance(self.kind, tuple):  # of strings, which nothing else equals
             return None if value in self.kind else f"one of {sorted(self.kind)}"
-        types, kind, noun, _ = KINDS[self.kind]
-        if ((type(value) not in types and (isinstance(value, bool) or not isinstance(value, kind)))
-                or not abs(value) <= sys.float_info.max
+        kind, noun, _ = KINDS[self.kind]
+        if (not _of_kind(type(value), kind)
+                or (json or self.kind == "number") and not abs(value) <= sys.float_info.max
                 or (self.kind == "power of two" and (value <= 0 or value & (value - 1)))):
             return noun
         inside = ((self.at_least is None or value >= self.at_least)
@@ -47,31 +50,31 @@ class Field(namedtuple("Field", "name kind default at_least above at_most below 
                   and (self.below is None or value < self.below))
         return None if inside else self.interval()
 
-    def refusal(self, value):
-        """What the field's value must be or hold, or None where it keeps the rules."""
+    def refusal(self, value, json=False):
+        """What the value must be or hold, or None where it keeps the rules (json: from JSON)."""
         if value is None and self.nullable:
             return None
         if not self.items:
-            return (rule := self._one(value)) and f"be {rule}"
+            return (rule := self._one(value, json)) and f"be {rule}"
         if not (isinstance(value, (list, tuple)) and value and all(
                 isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max for v in value)):
             return "be a list of one or more numbers"
-        if any(map(self._one, value)):
-            return f"hold {KINDS[self.kind][3]} {self.interval()}".rstrip()
+        if any(self._one(v, json) for v in value):
+            return f"hold {KINDS[self.kind][2]} {self.interval()}".rstrip()
         if len(value) < self.items or (self.distinct and len(set(value)) < len(value)):
             return f"hold {self.items} or more values" + ", none twice" * self.distinct
 
 
-def check(table, config):
-    """Check a dict config against its table and return it, its left-out defaults
-    filled in; ValueError for a key not in the table or a value breaking its rules."""
+def check(table, config, json=False):
+    """Check a dict config (json: read from JSON) against its table and return it,
+    its left-out defaults filled in; ValueError for an unknown key or a broken rule."""
     if not config.keys() <= table.keys():
         raise ValueError(f"{min(config.keys() - table.keys())!r} is not a field of this "
                          f"request; its fields are {sorted(table)}")
     for name, row in table.items():
         if name not in config and row.default is not MISSING:
             config[name] = list(row.default) if row.items and row.default else row.default
-        if rule := row.refusal(config.get(name)):
+        if rule := row.refusal(config.get(name), json):
             raise ValueError(f"{name!r} must {rule}, got {config.get(name)!r}")
     return config
 

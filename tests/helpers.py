@@ -37,9 +37,11 @@ def examples(n):
     return n * EXAMPLES_SCALE
 
 
-# values at every field's edge: not a number, past int64 (2^63), far past it
-# (2^128) or past float64 (10^400), or of the wrong type
-SPECIAL = [math.nan, math.inf, -math.inf, 2**63, 2**128, 10**400, True, "x", None]
+# values at every field's edge: zeros, -1, the least subnormal, the float
+# below 1, 1.5, not a number, past int64 (2^63), far past it (2^128) or
+# past float64 (10^400), or of the wrong type
+SPECIAL = [0, -0.0, -1, 5e-324, 1 - 2.0**-53, 1.5, math.nan, math.inf, -math.inf, 2**63,
+           2**128, 10**400, True, "x", "0", None, [], {}, [1]]
 
 
 def edge_values(field):

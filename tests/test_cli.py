@@ -246,6 +246,17 @@ class TestEvaluate:
             assert (f"eta={eta!r} leaves the default fit window" if math.isfinite(eta)
                     else f"'eta' must be a number, got {eta!r}") in result.output
 
+    @pytest.mark.parametrize("option", ["--seed", "--split-level"])
+    def test_integer_past_float64_runs(self, runner, data_files, option):
+        # a seed or split level need not lie in float64's range, as an
+        # experiment config's integers must: a seed of any size seeds the
+        # stream, and variant b ignores the split level
+        t, e = data_files
+        result = runner.invoke(main, ["evaluate", "--variant", "b", "--input-t", t,
+                                      "--input-e", e, option, str(10**400)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["variant"] == "b"
+
 
 class TestExperiment:
     def test_runs_and_writes(self, runner, tmp_path):
@@ -614,14 +625,17 @@ class TestFit:
     @pytest.mark.parametrize("args", [["--mode", "lsq", "--degree", "32", "--domain=-15,30"],
                                       ["--mode", "lsq", "--params", f"20000,-35,{2**63},6000,40"]])
     def test_fit_past_float64_warns_nothing(self, runner, args):
-        # least squares at degree 32 once raised NumPy's RankWarning, and a
-        # C of 2^63 an overflow in (B/(T'-T0))^C, whose limit f = A/inf + D is
-        # the value; both drawn by the property test's fit requests
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        # a C of 2^63 once overflowed (B/(T'-T0))^C, whose limit f = A/inf + D
+        # is the value; least squares at degree 32 is rank-deficient, and
+        # NumPy's RankWarning, its one sign, is kept; both drawn by the
+        # property test's fit requests
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             result = runner.invoke(main, ["fit", "--eta", "0"] + args)
         assert result.exit_code == 0, result.output
         assert all(math.isfinite(b) for b in json.loads(result.stdout)["b"])
+        expected = [np.exceptions.RankWarning] if "--degree" in args else []
+        assert [w.category for w in caught] == expected
 
     @pytest.mark.parametrize("args, field", [
         (["--domain=-inf,30"], "domain"), (["--domain=-inf,30", "--mode", "lsq"], "domain"),
