@@ -204,8 +204,12 @@ def allocate_budget(coeffs, rho_T, epsilon, beta, K, quadratic=False):
     if (b == 0.0).all():
         raise ValueError("all polynomial coefficients are zero")
     scaling = 2 if quadratic else 1
-    epsilon_k = {k: epsilon * rho_T ** (scaling * (k - 1)) / (K * abs(b[k]))
-                 for k in range(min(K + 1, b.size)) if b[k] != 0.0}
+    try:  # in Python floats, whose product past float64 is inf with no warning
+        epsilon_k = {k: epsilon * rho_T ** (scaling * (k - 1)) / (K * abs(b_k))
+                     for k, b_k in enumerate(b[:K + 1].tolist()) if b_k != 0.0}
+    except OverflowError:
+        raise ValueError(f"eta={coeffs.eta!r} leaves T - eta so near 0 that rho_T = "
+                         f"{rho_T!r} and the budget's rho_T^(k-1) overflows float64") from None
     alpha = (K - 1 + beta) / K
     if alpha >= 1.0:
         raise ValueError(f"beta={beta!r} is too close to 1: the per-power "

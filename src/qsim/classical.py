@@ -89,7 +89,12 @@ def _fitted_b(params, eta, K, mode, domain):
                       for k in range(K + 1)])
     else:
         grid = np.linspace(lo, hi, 512)
-        b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K)
+        try:  # a window so wide that its powers leave float64 would reach LAPACK
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                b = np.polynomial.polynomial.polyfit(grid - eta, f(grid), K)
+        except FloatingPointError:
+            raise ValueError(f"'domain' {list(domain)!r} is too wide: its degree-{K} "
+                             "least-squares basis overflows float64") from None
     b.setflags(write=False)
     return b
 

@@ -32,6 +32,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import qhp, sim
+from .encoding import boe_width
 from .sim import Circuit, Statevector
 
 MIN_SHOTS = 16
@@ -182,13 +183,15 @@ def _swap_readout(series_T, series_E, k, encoding="amplitude", s=1):
     S_k = sum_j T_j^{2k} and (S_k + y_k^2) / 2, or with BOE
     sum_j E_j^2 T_j^{2k} in place of y_k^2 (module docstring)."""
     qhp.PowerPlan(k=k)  # refuses k < 1
-    e_loader = qhp.make_loader(series_E, encoding, s)  # refuses a bad split level
+    if encoding == "boe":
+        boe_width(series_E.values.size, s)  # refuses a bad split level
     if k > 1:
         t, e = series_T.values, series_E.values
         p_z0 = qhp.success_probability(series_T, k)
         overlap = ((e * e * t ** (2 * k)).sum() if encoding == "boe"
                    else np.dot(e, t ** k) ** 2)
         return p_z0, (p_z0 + float(overlap)) / 2
+    e_loader = qhp.make_loader(series_E, encoding, s)
     test = build_swap_test(qhp.power_circuit(series_T, 1, encoding=encoding, s=s),
                            e_loader)
     st = test.circuit.apply_unitary(Statevector.zero(test.width))

@@ -1,5 +1,5 @@
-"""The references the tests compare qsim against, one per subject, and the
-inputs the tests share.
+"""The references the tests compare qsim against, one per subject, the
+inputs the tests share, and the CLI's exit contract (check_exit).
 
 The gate kernels are checked against gather/scatter index arithmetic, and
 the closed-form laws against a fully simulated state, read through
@@ -7,13 +7,17 @@ per-index register values and np.add.at, the direct readout that qsim's
 strided readouts must match.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
+from click.testing import CliRunner
 from hypothesis import settings
 
 from qsim import inner, sim
 from qsim.assembly import _pair_with_overlap
+from qsim.cli import main
 from qsim.encoding import normalize_affine, normalize_sqrt
 from qsim.qhp import QhpOutcome
 from qsim.sim import Circuit, Statevector
@@ -64,6 +68,47 @@ def edge_values(field):
     if field.distinct:
         lists.append(field.default[:1] * 2 + rest)
     return lists + SPECIAL
+
+
+def _no_constant(text):
+    raise ValueError(f"{text} in an exit-0 report")
+
+
+def check_exit(code, stdout, stderr):
+    """The CLI's exit contract, in process or as a console script.  Exit 0
+    prints a JSON report of finite numbers and nothing on stderr.  Exit 2 (an
+    assumption violated) or 3 (I/O or malformed JSON) prints nothing on
+    stdout and one stderr line that opens with "assumption violated: " or
+    "error: ", or exits 2 with click's own "Usage:" block, for an option
+    click cannot parse, whose last line opens with "Error: ".  Returns the
+    report, or the refusal's (last) line."""
+    assert code in (0, 2, 3), (code, stdout, stderr)
+    if code == 0:
+        assert stderr == "", stderr
+        return json.loads(stdout, parse_constant=_no_constant)
+    assert stdout == "", stdout
+    lines = stderr.splitlines(keepends=True)
+    if code == 2 and stderr.startswith("Usage: "):
+        assert lines[-1].startswith("Error: "), stderr
+    else:
+        assert len(lines) == 1 and stderr.endswith("\n"), stderr
+        assert stderr.startswith("assumption violated: " if code == 2 else "error: "), stderr
+    return lines[-1]
+
+
+def invoke(args, warns=()):
+    """Run the CLI on args in process and hold it to check_exit; a warning
+    of a category that warns does not name fails it, and an exception
+    that is not a refusal is raised here.  Returns (exit code, what
+    check_exit returns, the categories of the warnings raised, in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, args)
+    if not isinstance(result.exception, (SystemExit, type(None))):
+        raise result.exception
+    raised = [w.category for w in caught]
+    assert set(raised) <= set(warns), (args, [str(w.message) for w in caught])
+    return result.exit_code, check_exit(result.exit_code, result.stdout, result.stderr), raised
 
 
 def fixture_pair(encoding="amplitude", eta=10.0):

@@ -144,7 +144,7 @@ ROWS = [
     row("d-K2-s4-data0", _eval("d", 2, series_16(0), s=4), states=(17,), **K1, **EV),
     *[row(f"iqae-d-k{k}", lambda k=k: qae.estimate_ytilde_variant_d(
         *fixture_pair("boe"), k, 1, 0.1, 0.9, VariantConfig("d"), RngStream(0)), **want)
-      for k, want in ((1, dict(states=(11,), **K1)), (2, dict(trees=1, loaders=(1,))))],
+      for k, want in ((1, dict(states=(11,), **K1)), (2, {}))],
     # canonical QAE simulates each F once, widest first (U and U' share one
     # chi); its Grover iterates simulate neither F nor F^dag
     row("canonical-c-K2", _eval("c", 2, s=1, engine="canonical"), states=(4, 2), applied=2,
@@ -164,7 +164,7 @@ ROWS = [
       for k in (1, 2) for s, boe in ((1, 5), (2, 4)) for i, name in enumerate(("U", "Uprime"))],
     # a pair's law is computed on its first estimate, once; a partner of
     # equal values is another series, with a law of its own
-    *[row(f"consumed-k{k}", lambda k=k: _consumed(k), trees=2, loaders=(1, 3),
+    *[row(f"consumed-k{k}", lambda k=k: _consumed(k),
           readouts=((FREE, 1, k), (SWAP, 1, k), (SWAP, 3, k, "boe", 1))) for k in (2, 3, 4)],
     row("repeated-swap", lambda: _five_at_k1("amplitude", inner.estimate_yk_swap),
         states=(5,), readouts=laws(SWAP, 1), **K1),
